@@ -55,7 +55,9 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
     for (std::size_t b = 0; b < report.banks.size(); ++b) {
       const auto& bank = report.banks[b];
       const std::string loc = "bank " + std::to_string(b);
-      if (!(bank.pass_latency >= 0) || !(bank.pass_latency < 1e30)) {
+      // isfinite first: an ordered compare on a NaN raises FE_INVALID.
+      if (!std::isfinite(bank.pass_latency) || bank.pass_latency < 0 ||
+          bank.pass_latency >= 1e30) {
         diags.emit("MN-CYC-002", check::Severity::kError,
                    loc + " has a non-finite or negative pass latency")
             .location = loc;
@@ -171,6 +173,7 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
       continue;
     }
 
+    // mnsim-analyze: allow(quantity-narrowing, pass_cycles returns long, already rounded through llround)
     const long cpt = pass_cycles(bank.pass_latency, clock_hz);
     const double if_tile = bank.mapping.matrix_rows * elem_bytes;
     const double of_tile = bank.mapping.matrix_cols * elem_bytes;

@@ -1,6 +1,7 @@
 #include "arch/trace_sim.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -25,8 +26,9 @@ TraceSimResult simulate_trace(const AcceleratorReport& report,
                      std::to_string(max_recorded_events));
     for (std::size_t b = 0; b < report.banks.size(); ++b) {
       const auto& bank = report.banks[b];
-      if (!(bank.pass_latency >= 0) ||
-          !(bank.pass_latency < 1e30)) {  // rejects NaN and overflow
+      // isfinite first: an ordered compare on a NaN raises FE_INVALID.
+      if (!std::isfinite(bank.pass_latency) || bank.pass_latency < 0 ||
+          bank.pass_latency >= 1e30) {
         diags.emit("MN-TRC-003", check::Severity::kError,
                    "bank " + std::to_string(b) +
                        " has a non-finite or negative pass latency")

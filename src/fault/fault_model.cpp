@@ -4,6 +4,7 @@
 #include <cmath>
 #include <random>
 #include <stdexcept>
+#include <vector>
 
 #include "accuracy/retention.hpp"
 
@@ -137,29 +138,43 @@ void apply_to_signed_weights(const DefectMap& positive,
 
   const double wmax = static_cast<double>((1 << (weight_bits - 1)) - 1);
 
-  // Per-polarity magnitudes, as programmed into the two cell arrays.
-  for (int o = 0; o < outputs; ++o) {
+  // Per-polarity magnitudes, as programmed into the two cell arrays: the
+  // positive ones in place, the negative ones in one scratch matrix.
+  // Both are addressed as the maps are, (row = input, col = output).
+  std::vector<double> wneg(static_cast<std::size_t>(outputs) * inputs);
+  auto pos = [&](int i, int o) -> double& { return weights[o][i]; };
+  auto neg = [&](int i, int o) -> double& {
+    return wneg[static_cast<std::size_t>(o) * inputs + i];
+  };
+  for (int o = 0; o < outputs; ++o)
     for (int i = 0; i < inputs; ++i) {
-      double wpos = std::max(weights[o][i], 0.0);
-      double wneg = std::max(-weights[o][i], 0.0);
-
-      auto stuck = [&](const DefectMap& map, double& w) {
-        for (const auto& f : map.stuck_cells) {
-          if (f.row != i || f.col != o) continue;
-          w = f.kind == FaultKind::kStuckAtZero ? 0.0 : wmax;
-        }
-        if (map.row_broken(i) || map.col_broken(o)) w = 0.0;
-      };
-      stuck(positive, wpos);
-      stuck(negative, wneg);
-
-      // Drift lowers every surviving conductance, i.e. shrinks the
-      // effective weight magnitude.
-      wpos /= positive.drift_factor;
-      wneg /= negative.drift_factor;
-      weights[o][i] = wpos - wneg;
+      neg(i, o) = std::max(-pos(i, o), 0.0);
+      pos(i, o) = std::max(pos(i, o), 0.0);
     }
-  }
+
+  // One pass over each map's defects: stuck cells in list order (a later
+  // entry for the same cell wins), then open lines, which dominate. Cells
+  // outside the array are ignored.
+  auto apply = [&](const DefectMap& map, auto& cell) {
+    for (const auto& f : map.stuck_cells)
+      if (f.row >= 0 && f.row < inputs && f.col >= 0 && f.col < outputs)
+        cell(f.row, f.col) = f.kind == FaultKind::kStuckAtZero ? 0.0 : wmax;
+    for (int i : map.broken_wordlines)
+      if (i >= 0 && i < inputs)
+        for (int o = 0; o < outputs; ++o) cell(i, o) = 0.0;
+    for (int o : map.broken_bitlines)
+      if (o >= 0 && o < outputs)
+        for (int i = 0; i < inputs; ++i) cell(i, o) = 0.0;
+  };
+  apply(positive, pos);
+  apply(negative, neg);
+
+  // Drift lowers every surviving conductance, i.e. shrinks the effective
+  // weight magnitude.
+  for (int o = 0; o < outputs; ++o)
+    for (int i = 0; i < inputs; ++i)
+      weights[o][i] =
+          pos(i, o) / positive.drift_factor - neg(i, o) / negative.drift_factor;
 }
 
 namespace {

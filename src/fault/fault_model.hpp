@@ -111,7 +111,9 @@ void apply_to_spec(const DefectMap& map, spice::CrossbarSpec& spec);
 // crossbar mapping of weights_to_cells). SA0 zeroes the polarity's
 // contribution, SA1 pins it to the full-scale code, broken wordlines kill
 // one input's contribution, broken bitlines kill one output, and drift
-// scales every surviving conductance (weight) by 1/drift_factor.
+// scales every surviving conductance (weight) by 1/drift_factor. Of two
+// stuck entries for one cell the later wins; entries outside the array
+// are ignored. Linear in cells plus defects.
 void apply_to_signed_weights(const DefectMap& positive,
                              const DefectMap& negative, int weight_bits,
                              nn::Matrix& weights);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -11,276 +12,6 @@
 #include "util/parallel.hpp"
 
 namespace mnsim::nn {
-
-namespace {
-
-// Partial deviation statistics of one weight draw; reduced in draw order
-// so the parallel sweep aggregates exactly like the serial loop.
-struct DrawStats {
-  double deviation_sum = 0.0;
-  long deviation_count = 0;
-  double max_rate = 0.0;
-};
-
-// Forward pass of an MLP in doubles with optional per-layer multiplicative
-// output perturbation; activations are clamped-ReLU re-normalized per
-// layer so both runs share scales. Works on integer or double weight
-// matrices (the faulted path rewrites weights into doubles).
-template <typename MatrixT>
-std::vector<double> forward(const std::vector<MatrixT>& weights,
-                            const std::vector<double>& input,
-                            const std::vector<double>& layer_eps,
-                            std::mt19937* rng) {
-  std::vector<double> x = input;
-  for (std::size_t l = 0; l < weights.size(); ++l) {
-    const auto& w = weights[l];
-    std::vector<double> y(w.size(), 0.0);
-    for (std::size_t o = 0; o < w.size(); ++o) {
-      double acc = 0.0;
-      for (std::size_t i = 0; i < w[o].size(); ++i) acc += w[o][i] * x[i];
-      if (rng) {
-        std::uniform_real_distribution<double> err(-layer_eps[l],
-                                                   layer_eps[l]);
-        acc *= 1.0 + err(*rng);
-      }
-      y[o] = std::max(acc, 0.0);  // ReLU reference neuron
-    }
-    x = std::move(y);
-  }
-  return x;
-}
-
-// Quantizer level count for the deviation statistics. signal_bits = 0
-// would make k = 1 and the LSB below divide by zero — under FP traps a
-// SIGFPE, without them inf LSBs that quantize every output to bucket 0
-// and report a zero error rate for any perturbation; >= 31 overflows
-// the shift. Reject both instead of mis-reporting.
-int quantizer_levels(int signal_bits) {
-  if (signal_bits < 1 || signal_bits > 30)
-    throw std::invalid_argument(
-        "monte carlo: signal_bits outside [1, 30]");
-  return 1 << signal_bits;
-}
-
-}  // namespace
-
-MonteCarloResult run_monte_carlo(const Network& network,
-                                 const std::vector<double>& layer_eps,
-                                 const MonteCarloConfig& config) {
-  network.validate();
-  std::vector<const Layer*> fc;
-  for (const auto& l : network.layers) {
-    if (l.kind != LayerKind::kFullyConnected)
-      throw std::invalid_argument("run_monte_carlo: MLP networks only");
-    fc.push_back(&l);
-  }
-  if (layer_eps.size() != fc.size())
-    throw std::invalid_argument("run_monte_carlo: one eps per layer");
-  if (config.samples <= 0 || config.weight_draws <= 0)
-    throw std::invalid_argument("run_monte_carlo: sample counts");
-
-  const int k = quantizer_levels(config.signal_bits);
-
-  obs::Span mc_span("nn.monte_carlo");
-  util::ThreadPool pool(config.threads);
-  // One task per weight draw, each on its own (seed, draw)-derived RNG
-  // stream: the draw's weights, inputs and perturbations depend only on
-  // the draw index, so any thread count produces the same statistics.
-  const auto stats = util::parallel_map(
-      pool, static_cast<std::size_t>(config.weight_draws),
-      [&](std::size_t draw, std::size_t) {
-        obs::Span draw_span("nn.mc_draw");
-        std::mt19937 rng(util::derive_stream_seed(config.seed, draw));
-
-        // Random signed weights quantized to the network's precision.
-        std::vector<IntMatrix> weights;
-        std::uniform_real_distribution<double> wdist(-1.0, 1.0);
-        for (const Layer* l : fc) {
-          Matrix w(static_cast<std::size_t>(l->out_features),
-                   std::vector<double>(
-                       static_cast<std::size_t>(l->in_features)));
-          for (auto& row : w)
-            for (double& v : row) v = wdist(rng);
-          double scale = 1.0;
-          IntMatrix q = quantize_symmetric(w, network.weight_bits, &scale);
-          // Keep integer weights; activations carry the scale implicitly.
-          weights.push_back(std::move(q));
-        }
-
-        DrawStats st;
-        std::uniform_real_distribution<double> xdist(0.0, 1.0);
-        for (int s = 0; s < config.samples; ++s) {
-          std::vector<double> input(
-              static_cast<std::size_t>(fc.front()->in_features));
-          for (double& v : input) v = xdist(rng);
-
-          const auto ideal = forward(weights, input, layer_eps, nullptr);
-          const auto actual = forward(weights, input, layer_eps, &rng);
-
-          double max_out = 0.0;
-          for (double v : ideal) max_out = std::max(max_out, v);
-          if (max_out <= 0) continue;
-          const double lsb = max_out / (k - 1);
-          for (std::size_t o = 0; o < ideal.size(); ++o) {
-            const long qi = std::lround(ideal[o] / lsb);
-            // Same clamp as the faulted path: perturbations can only push
-            // a ReLU output above max_out, but sharing one quantizer keeps
-            // cross-path comparisons honest.
-            const long qa =
-                std::lround(std::clamp(actual[o], 0.0, max_out) / lsb);
-            const double rate =
-                static_cast<double>(std::labs(qa - qi)) / (k - 1);
-            st.deviation_sum += rate;
-            ++st.deviation_count;
-            st.max_rate = std::max(st.max_rate, rate);
-          }
-        }
-        return st;
-      });
-
-  double deviation_sum = 0.0;
-  long deviation_count = 0;
-  double max_rate = 0.0;
-  for (const DrawStats& st : stats) {
-    deviation_sum += st.deviation_sum;
-    deviation_count += st.deviation_count;
-    max_rate = std::max(max_rate, st.max_rate);
-  }
-
-  MonteCarloResult result;
-  if (deviation_count > 0)
-    result.avg_error_rate = deviation_sum / deviation_count;
-  result.max_error_rate = max_rate;
-  result.relative_accuracy = 1.0 - result.avg_error_rate;
-  result.seed = config.seed;
-  result.threads = static_cast<int>(pool.worker_count());
-  obs::Registry::global().add("nn.mc_draws", config.weight_draws);
-  obs::Registry::global().add(
-      "nn.mc_samples",
-      static_cast<long>(config.weight_draws) * config.samples);
-  return result;
-}
-
-MonteCarloResult run_monte_carlo_faulted(const Network& network,
-                                         const std::vector<double>& layer_eps,
-                                         const MonteCarloConfig& config,
-                                         const fault::FaultConfig& faults) {
-  network.validate();
-  faults.validate();
-  std::vector<const Layer*> fc;
-  for (const auto& l : network.layers) {
-    if (l.kind != LayerKind::kFullyConnected)
-      throw std::invalid_argument("run_monte_carlo_faulted: MLP only");
-    fc.push_back(&l);
-  }
-  if (layer_eps.size() != fc.size())
-    throw std::invalid_argument("run_monte_carlo_faulted: one eps per layer");
-  if (config.samples <= 0 || config.weight_draws <= 0)
-    throw std::invalid_argument("run_monte_carlo_faulted: sample counts");
-
-  const auto device = tech::default_rram();
-
-  // One defect map per layer and cell polarity, decorrelated under the
-  // configured fault seed. Drawn once: the defects are a property of the
-  // physical arrays, not of the Monte-Carlo weight draw.
-  std::vector<fault::DefectMap> pos_maps, neg_maps;
-  int faults_injected = 0;
-  for (std::size_t l = 0; l < fc.size(); ++l) {
-    pos_maps.push_back(fault::generate_defect_map(
-        fc[l]->in_features, fc[l]->out_features, faults, device,
-        static_cast<std::uint32_t>(2 * l)));
-    neg_maps.push_back(fault::generate_defect_map(
-        fc[l]->in_features, fc[l]->out_features, faults, device,
-        static_cast<std::uint32_t>(2 * l + 1)));
-    faults_injected +=
-        pos_maps.back().fault_count() + neg_maps.back().fault_count();
-  }
-
-  const int k = quantizer_levels(config.signal_bits);
-
-  obs::Span mc_span("nn.monte_carlo_faulted");
-  util::ThreadPool pool(config.threads);
-  // Same per-draw stream scheme as run_monte_carlo; the defect maps are
-  // fixed (drawn above under the fault seed) and read-only, so every
-  // draw sees identical arrays regardless of scheduling.
-  const auto stats = util::parallel_map(
-      pool, static_cast<std::size_t>(config.weight_draws),
-      [&](std::size_t draw, std::size_t) {
-        obs::Span draw_span("nn.mc_draw");
-        std::mt19937 rng(util::derive_stream_seed(config.seed, draw));
-
-        std::vector<Matrix> clean, faulted;
-        std::uniform_real_distribution<double> wdist(-1.0, 1.0);
-        for (std::size_t l = 0; l < fc.size(); ++l) {
-          Matrix w(static_cast<std::size_t>(fc[l]->out_features),
-                   std::vector<double>(
-                       static_cast<std::size_t>(fc[l]->in_features)));
-          for (auto& row : w)
-            for (double& v : row) v = wdist(rng);
-          double scale = 1.0;
-          const IntMatrix q =
-              quantize_symmetric(w, network.weight_bits, &scale);
-          Matrix qd(q.size());
-          for (std::size_t o = 0; o < q.size(); ++o)
-            qd[o].assign(q[o].begin(), q[o].end());
-          clean.push_back(qd);
-          fault::apply_to_signed_weights(pos_maps[l], neg_maps[l],
-                                         network.weight_bits, qd);
-          faulted.push_back(std::move(qd));
-        }
-
-        DrawStats st;
-        std::uniform_real_distribution<double> xdist(0.0, 1.0);
-        for (int s = 0; s < config.samples; ++s) {
-          std::vector<double> input(
-              static_cast<std::size_t>(fc.front()->in_features));
-          for (double& v : input) v = xdist(rng);
-
-          const auto ideal = forward(clean, input, layer_eps, nullptr);
-          const auto actual = forward(faulted, input, layer_eps, &rng);
-
-          double max_out = 0.0;
-          for (double v : ideal) max_out = std::max(max_out, v);
-          if (max_out <= 0) continue;
-          const double lsb = max_out / (k - 1);
-          for (std::size_t o = 0; o < ideal.size(); ++o) {
-            const long qi = std::lround(ideal[o] / lsb);
-            const long qa = std::lround(
-                std::clamp(actual[o], 0.0, max_out) / lsb);
-            const double rate =
-                static_cast<double>(std::labs(qa - qi)) / (k - 1);
-            st.deviation_sum += rate;
-            ++st.deviation_count;
-            st.max_rate = std::max(st.max_rate, rate);
-          }
-        }
-        return st;
-      });
-
-  double deviation_sum = 0.0;
-  long deviation_count = 0;
-  double max_rate = 0.0;
-  for (const DrawStats& st : stats) {
-    deviation_sum += st.deviation_sum;
-    deviation_count += st.deviation_count;
-    max_rate = std::max(max_rate, st.max_rate);
-  }
-
-  MonteCarloResult result;
-  if (deviation_count > 0)
-    result.avg_error_rate = deviation_sum / deviation_count;
-  result.max_error_rate = max_rate;
-  result.relative_accuracy = 1.0 - result.avg_error_rate;
-  result.seed = config.seed;
-  result.faults_injected = faults_injected;
-  result.threads = static_cast<int>(pool.worker_count());
-  obs::Registry::global().add("nn.mc_draws", config.weight_draws);
-  obs::Registry::global().add(
-      "nn.mc_samples",
-      static_cast<long>(config.weight_draws) * config.samples);
-  obs::Registry::global().add("fault.faults_injected", faults_injected);
-  return result;
-}
 
 namespace {
 
@@ -308,13 +39,11 @@ struct Tensor {
   }
 };
 
-// Per-layer integer weights: conv stored [out_ch][in_ch*k*k], FC stored
-// [out][in].
-struct NetWeights {
-  std::vector<IntMatrix> per_layer;
-};
-
-Tensor forward_network(const Network& net, const NetWeights& weights,
+// Forward pass with optional per-output multiplicative perturbation of
+// each weighted layer's pre-activation (`rng` null = the ideal run).
+// `weights` holds one matrix per weighted layer: conv [out_ch][in_ch*k*k],
+// FC [out][in (+ bias)]. Activations are ReLU, so both runs share scales.
+Tensor forward_network(const Network& net, const std::vector<Matrix>& weights,
                        const Tensor& input,
                        const std::vector<double>& layer_eps,
                        std::mt19937* rng) {
@@ -343,7 +72,7 @@ Tensor forward_network(const Network& net, const NetWeights& weights,
       continue;
     }
 
-    const auto& w = weights.per_layer.at(w_index);
+    const auto& w = weights.at(w_index);
     const double eps = layer_eps.at(w_index);
     ++w_index;
     std::uniform_real_distribution<double> err(-eps, eps);
@@ -386,7 +115,7 @@ Tensor forward_network(const Network& net, const NetWeights& weights,
             "-element feature map (MN-NN-001): fan-in mismatch");
       Tensor y = Tensor::zeros(static_cast<int>(w.size()), 1, 1);
       for (std::size_t o = 0; o < w.size(); ++o) {
-        double acc = biased ? static_cast<double>(w[o][flat]) : 0.0;
+        double acc = biased ? w[o][flat] : 0.0;
         for (std::size_t i = 0; i < flat; ++i) acc += w[o][i] * x.data[i];
         if (rng) acc *= 1.0 + err(*rng);
         y.data[o] = std::max(acc, 0.0);
@@ -397,20 +126,43 @@ Tensor forward_network(const Network& net, const NetWeights& weights,
   return x;
 }
 
-}  // namespace
+// Partial deviation statistics of one weight draw; reduced in draw order
+// so the parallel sweep aggregates exactly like the serial loop.
+struct DrawStats {
+  double deviation_sum = 0.0;
+  long deviation_count = 0;
+  double max_rate = 0.0;
+};
 
-MonteCarloResult run_monte_carlo_network(const Network& network,
-                                         const std::vector<double>& layer_eps,
-                                         const MonteCarloConfig& config) {
+// Rewrites the perturbed run's copy of weighted layer `layer`'s weights.
+using WeightRewrite = std::function<void(std::size_t layer, Matrix&)>;
+
+// The one functional Monte-Carlo driver behind all three entry points:
+// per weight draw, random signed weights quantized to the network's
+// precision, then per input sample an ideal and a perturbed forward pass
+// (the perturbed one on the `rewrite`-d weights, when given), scored
+// through one output quantizer and reduced in draw order.
+MonteCarloResult monte_carlo(const Network& network,
+                             const std::vector<double>& layer_eps,
+                             const MonteCarloConfig& config,
+                             const char* span, const std::string& who,
+                             const WeightRewrite& rewrite = {}) {
   network.validate();
   std::vector<const Layer*> weighted;
   for (const auto& l : network.layers)
     if (l.is_weighted()) weighted.push_back(&l);
   if (layer_eps.size() != weighted.size())
-    throw std::invalid_argument(
-        "run_monte_carlo_network: one eps per weighted layer");
+    throw std::invalid_argument(who + ": one eps per weighted layer");
   if (config.samples <= 0 || config.weight_draws <= 0)
-    throw std::invalid_argument("run_monte_carlo_network: sample counts");
+    throw std::invalid_argument(who + ": sample counts");
+  // Quantizer level count for the deviation statistics. signal_bits = 0
+  // would make k = 1 and the LSB below divide by zero — under FP traps a
+  // SIGFPE, without them inf LSBs that quantize every output to bucket 0
+  // and report a zero error rate for any perturbation; >= 31 overflows
+  // the shift. Reject both instead of mis-reporting.
+  if (config.signal_bits < 1 || config.signal_bits > 30)
+    throw std::invalid_argument(who + ": signal_bits outside [1, 30]");
+  const int k = 1 << config.signal_bits;
 
   const Layer& first = *weighted.front();
   const bool conv_input = first.kind == LayerKind::kConvolution;
@@ -418,21 +170,18 @@ MonteCarloResult run_monte_carlo_network(const Network& network,
   const int in_h = conv_input ? first.in_height : 1;
   const int in_w = conv_input ? first.in_width : 1;
 
-  const int k = quantizer_levels(config.signal_bits);
-
-  obs::Span mc_span("nn.monte_carlo_network");
+  obs::Span mc_span(span);
   util::ThreadPool pool(config.threads);
-  // One task per weight draw on a (seed, draw)-derived RNG stream, reduced
-  // in draw order — the same scheme as run_monte_carlo, so the statistics
-  // are bit-identical for any thread count (previously this path ran
-  // serially on one shared generator and ignored config.threads).
+  // One task per weight draw, each on its own (seed, draw)-derived RNG
+  // stream: the draw's weights, inputs and perturbations depend only on
+  // the draw index, so any thread count produces the same statistics.
   const auto stats = util::parallel_map(
       pool, static_cast<std::size_t>(config.weight_draws),
       [&](std::size_t draw, std::size_t) {
         obs::Span draw_span("nn.mc_draw");
         std::mt19937 rng(util::derive_stream_seed(config.seed, draw));
 
-        NetWeights weights;
+        std::vector<Matrix> weights;
         std::uniform_real_distribution<double> wdist(-1.0, 1.0);
         for (const Layer* l : weighted) {
           Matrix w(static_cast<std::size_t>(l->matrix_cols()),
@@ -441,9 +190,20 @@ MonteCarloResult run_monte_carlo_network(const Network& network,
           for (auto& row : w)
             for (double& v : row) v = wdist(rng);
           double scale = 1.0;
-          weights.per_layer.push_back(
-              quantize_symmetric(w, network.weight_bits, &scale));
+          // Keep the integer codes; activations carry the scale implicitly.
+          const IntMatrix q =
+              quantize_symmetric(w, network.weight_bits, &scale);
+          for (std::size_t o = 0; o < q.size(); ++o)
+            std::copy(q[o].begin(), q[o].end(), w[o].begin());
+          weights.push_back(std::move(w));
         }
+        std::vector<Matrix> rewritten;
+        if (rewrite) {
+          rewritten = weights;
+          for (std::size_t l = 0; l < rewritten.size(); ++l)
+            rewrite(l, rewritten[l]);
+        }
+        const auto& perturbed = rewrite ? rewritten : weights;
 
         DrawStats st;
         std::uniform_real_distribution<double> xdist(0.0, 1.0);
@@ -454,7 +214,7 @@ MonteCarloResult run_monte_carlo_network(const Network& network,
           const Tensor ideal =
               forward_network(network, weights, input, layer_eps, nullptr);
           const Tensor actual =
-              forward_network(network, weights, input, layer_eps, &rng);
+              forward_network(network, perturbed, input, layer_eps, &rng);
 
           double max_out = 0.0;
           for (double v : ideal.data) max_out = std::max(max_out, v);
@@ -494,6 +254,76 @@ MonteCarloResult run_monte_carlo_network(const Network& network,
   obs::Registry::global().add(
       "nn.mc_samples",
       static_cast<long>(config.weight_draws) * config.samples);
+  return result;
+}
+
+// The MLP entry points run the network driver on this view: every layer
+// fully connected, with the bias row dropped, so each draw is an
+// out x in weight matrix per layer.
+Network bias_free_mlp(const Network& network, const std::string& who) {
+  network.validate();
+  Network mlp = network;
+  for (auto& l : mlp.layers) {
+    if (l.kind != LayerKind::kFullyConnected)
+      throw std::invalid_argument(who + ": MLP networks only");
+    l.has_bias = false;
+  }
+  return mlp;
+}
+
+}  // namespace
+
+MonteCarloResult run_monte_carlo(const Network& network,
+                                 const std::vector<double>& layer_eps,
+                                 const MonteCarloConfig& config) {
+  const std::string who = "run_monte_carlo";
+  return monte_carlo(bias_free_mlp(network, who), layer_eps, config,
+                     "nn.monte_carlo", who);
+}
+
+MonteCarloResult run_monte_carlo_network(const Network& network,
+                                         const std::vector<double>& layer_eps,
+                                         const MonteCarloConfig& config) {
+  return monte_carlo(network, layer_eps, config, "nn.monte_carlo_network",
+                     "run_monte_carlo_network");
+}
+
+MonteCarloResult run_monte_carlo_faulted(const Network& network,
+                                         const std::vector<double>& layer_eps,
+                                         const MonteCarloConfig& config,
+                                         const fault::FaultConfig& faults) {
+  const std::string who = "run_monte_carlo_faulted";
+  const Network mlp = bias_free_mlp(network, who);
+
+  // One defect map per layer and cell polarity, decorrelated under the
+  // configured fault seed. Drawn once: the defects are a property of the
+  // physical arrays, not of the Monte-Carlo weight draw, so every draw
+  // sees identical (read-only) arrays regardless of scheduling.
+  const auto device = tech::default_rram();
+  std::vector<fault::DefectMap> pos_maps, neg_maps;
+  int faults_injected = 0;
+  for (std::size_t l = 0; l < mlp.layers.size(); ++l) {
+    const Layer& fc = mlp.layers[l];
+    pos_maps.push_back(fault::generate_defect_map(
+        fc.in_features, fc.out_features, faults, device,
+        static_cast<std::uint32_t>(2 * l)));
+    neg_maps.push_back(fault::generate_defect_map(
+        fc.in_features, fc.out_features, faults, device,
+        static_cast<std::uint32_t>(2 * l + 1)));
+    faults_injected +=
+        pos_maps.back().fault_count() + neg_maps.back().fault_count();
+  }
+
+  // The ideal reference stays defect-free; only the perturbed run sees
+  // the defects' effective weights.
+  MonteCarloResult result = monte_carlo(
+      mlp, layer_eps, config, "nn.monte_carlo_faulted", who,
+      [&](std::size_t l, Matrix& w) {
+        fault::apply_to_signed_weights(pos_maps[l], neg_maps[l],
+                                       mlp.weight_bits, w);
+      });
+  result.faults_injected = faults_injected;
+  obs::Registry::global().add("fault.faults_injected", faults_injected);
   return result;
 }
 

@@ -2,17 +2,24 @@
 //
 // Cross-checks the analytic accuracy model empirically (paper Sec. VII-A:
 // "Average Relative Accuracy" of Table II and the JPEG autoencoder
-// validation): a fully-connected network is executed in fixed point
-// (the ideal reference of Sec. VI), then re-executed with each layer's
+// validation): a network is executed in fixed point (the ideal reference
+// of Sec. VI), then re-executed with each weighted layer's
 // pre-quantization analog output perturbed by the crossbar error rate,
 // and the two runs are compared at the output.
 //
-// Two perturbation sources are supported:
-//  * `run_monte_carlo` — per-output relative error drawn uniformly from
-//    [-eps_layer, +eps_layer] (fast, any size), and
-//  * `electrical_layer_outputs` — one layer evaluated through the full
-//    circuit-level crossbar solve with the weights actually programmed as
-//    cell conductances (slow, used for small validation nets).
+// One Monte-Carlo driver and one forward pass (conv / pooling / FC) serve
+// all three entry points:
+//  * `run_monte_carlo_network` — any supported network, per-output
+//    relative error drawn uniformly from [-eps_layer, +eps_layer];
+//  * `run_monte_carlo` — the same driver on the bias-free MLP view of an
+//    FC-only network (every layer's bias row dropped, so each draw is an
+//    out x in weight matrix per layer);
+//  * `run_monte_carlo_faulted` — the bias-free MLP view with the
+//    perturbed run's weights rewritten through hard-defect maps
+//    (fault::apply_to_signed_weights).
+// `electrical_layer_outputs` instead evaluates one layer through the full
+// circuit-level crossbar solve with the weights actually programmed as
+// cell conductances (slow, used for small validation nets).
 #pragma once
 
 #include <cstdint>
@@ -55,7 +62,10 @@ struct MonteCarloResult {
 
 // `layer_eps[i]` is the analog error rate of the i-th weighted layer
 // (from accuracy::estimate_voltage_error). The network must be fully
-// connected (MLP); throws otherwise.
+// connected (MLP); throws otherwise. Layer biases are ignored: the result
+// equals run_monte_carlo_network on the network with has_bias = false on
+// every layer. A layer whose in_features differs from the previous
+// layer's outputs throws (MN-NN-001).
 MonteCarloResult run_monte_carlo(const Network& network,
                                  const std::vector<double>& layer_eps,
                                  const MonteCarloConfig& config);
@@ -69,7 +79,7 @@ MonteCarloResult run_monte_carlo_network(const Network& network,
                                          const std::vector<double>& layer_eps,
                                          const MonteCarloConfig& config);
 
-// Fault-injected variant of run_monte_carlo (MLP networks): each weighted
+// Fault-injected variant of run_monte_carlo (bias-free MLP view): each
 // layer gets two seed-deterministic defect maps (positive / negative cell
 // array) drawn from `faults`, the effective weights are rewritten through
 // fault::apply_to_signed_weights, and the perturbed run additionally

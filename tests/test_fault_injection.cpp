@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "arch/accelerator.hpp"
 #include "dse/explorer.hpp"
@@ -202,6 +204,95 @@ TEST(ApplyToSignedWeights, ShapeMismatchThrows) {
   pos.cols = neg.cols = 1;
   EXPECT_THROW(apply_to_signed_weights(pos, neg, 8, w),
                std::invalid_argument);
+}
+
+// The per-cell definition apply_to_signed_weights must reproduce: each
+// cell scans every stuck entry (the last match wins), then its lines, then
+// drift. Quadratic, so kept to test sizes.
+nn::Matrix naive_signed_weights(const DefectMap& positive,
+                                const DefectMap& negative, int weight_bits,
+                                nn::Matrix weights) {
+  const double wmax = static_cast<double>((1 << (weight_bits - 1)) - 1);
+  for (int o = 0; o < static_cast<int>(weights.size()); ++o)
+    for (int i = 0; i < static_cast<int>(weights[o].size()); ++i) {
+      double wpos = std::max(weights[o][i], 0.0);
+      double wneg = std::max(-weights[o][i], 0.0);
+      auto stuck = [&](const DefectMap& map, double& w) {
+        for (const auto& f : map.stuck_cells)
+          if (f.row == i && f.col == o)
+            w = f.kind == FaultKind::kStuckAtZero ? 0.0 : wmax;
+        if (map.row_broken(i) || map.col_broken(o)) w = 0.0;
+      };
+      stuck(positive, wpos);
+      stuck(negative, wneg);
+      weights[o][i] = wpos / positive.drift_factor -
+                      wneg / negative.drift_factor;
+    }
+  return weights;
+}
+
+void expect_matches_naive(const DefectMap& pos, const DefectMap& neg,
+                          const nn::Matrix& w) {
+  const nn::Matrix want = naive_signed_weights(pos, neg, 6, w);
+  nn::Matrix got = w;
+  apply_to_signed_weights(pos, neg, 6, got);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t o = 0; o < got.size(); ++o)
+    for (std::size_t i = 0; i < got[o].size(); ++i)
+      EXPECT_EQ(got[o][i], want[o][i]) << "out " << o << " in " << i;
+}
+
+TEST(ApplyToSignedWeights, MatchesNaiveReferenceOnEdgeCases) {
+  // 3 inputs x 4 outputs, every weight nonzero with mixed signs.
+  const nn::Matrix w = {
+      {5.0, -3.0, 1.0}, {-7.0, 2.0, -4.0}, {6.0, 0.0, -1.0}, {-2.0, 8.0, 3.0}};
+  DefectMap pos, neg;
+  pos.rows = neg.rows = 3;
+  pos.cols = neg.cols = 4;
+  // Duplicates: the later entry for a cell wins, in both polarities.
+  pos.stuck_cells = {{0, 0, FaultKind::kStuckAtOne},
+                     {0, 0, FaultKind::kStuckAtZero},
+                     {2, 1, FaultKind::kStuckAtZero},
+                     {2, 1, FaultKind::kStuckAtOne}};
+  neg.stuck_cells = {{1, 0, FaultKind::kStuckAtZero},
+                     {1, 0, FaultKind::kStuckAtOne}};
+  // A stuck cell on a broken line: the open line dominates.
+  pos.broken_wordlines = {1};
+  pos.stuck_cells.push_back({1, 3, FaultKind::kStuckAtOne});
+  neg.broken_bitlines = {2};
+  neg.stuck_cells.push_back({0, 2, FaultKind::kStuckAtOne});
+  // Out-of-range entries are ignored.
+  pos.stuck_cells.push_back({3, 0, FaultKind::kStuckAtOne});
+  pos.stuck_cells.push_back({0, 4, FaultKind::kStuckAtOne});
+  neg.stuck_cells.push_back({-1, 1, FaultKind::kStuckAtOne});
+  // Drift, different per polarity.
+  pos.drift_factor = 1.25;
+  neg.drift_factor = 3.0;
+  expect_matches_naive(pos, neg, w);
+
+  nn::Matrix got = w;
+  apply_to_signed_weights(pos, neg, 6, got);
+  EXPECT_EQ(got[0][0], 0.0);                    // SA1 then SA0: SA0 wins
+  EXPECT_EQ(got[1][2], 31.0 / 1.25 - 4.0 / 3);  // SA0 then SA1: SA1 wins
+  EXPECT_EQ(got[3][1], 0.0);                    // SA1 under broken wordline
+  EXPECT_EQ(got[0][1], -31.0 / 3);              // neg SA1 pinned full scale
+}
+
+TEST(ApplyToSignedWeights, MatchesNaiveReferenceOnDrawnMaps) {
+  FaultConfig config;
+  config.stuck_at_zero_rate = 0.1;
+  config.stuck_at_one_rate = 0.1;
+  config.broken_wordline_rate = 0.1;
+  config.broken_bitline_rate = 0.1;
+  config.retention_time = 1e5;
+  config.seed = 9;
+  const int inputs = 17, outputs = 11;
+  const auto pos = generate_defect_map(inputs, outputs, config, device(), 0);
+  const auto neg = generate_defect_map(inputs, outputs, config, device(), 1);
+  nn::Matrix w(outputs, std::vector<double>(inputs));
+  for (int o = 0; o < outputs; ++o)
+    for (int i = 0; i < inputs; ++i) w[o][i] = (o * 7 + i * 3) % 63 - 31;
+  expect_matches_naive(pos, neg, w);
 }
 
 // --- accuracy-chain composition ----------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 #include <stdexcept>
+#include <string>
 
 #include "nn/topologies.hpp"
 
@@ -57,6 +58,34 @@ TEST(MonteCarlo, RejectsBadArguments) {
   EXPECT_THROW(run_monte_carlo(net, {0.1, 0.1}, cfg), std::invalid_argument);
   EXPECT_THROW(run_monte_carlo(make_vgg16(), {}, fast()),
                std::invalid_argument);
+}
+
+TEST(MonteCarlo, FcFanInMismatchIsRejected) {
+  // Each layer is valid on its own, but the second expects 64 inputs from
+  // a layer with 8 outputs. The MLP paths share the network forward pass
+  // and its fan-in check instead of reading past the activations.
+  Network net;
+  net.layers.push_back(Layer::fully_connected("a", 4, 8));
+  net.layers.push_back(Layer::fully_connected("b", 64, 2));
+  net.validate();
+
+  MonteCarloConfig mc;
+  mc.samples = 2;
+  mc.weight_draws = 1;
+  fault::FaultConfig faults;
+  faults.stuck_at_zero_rate = 0.1;
+  const auto expect_mn_nn_001 = [](const auto& run) {
+    try {
+      run();
+      FAIL() << "expected fan-in mismatch to throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("MN-NN-001"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_mn_nn_001([&] { run_monte_carlo(net, {0.01, 0.01}, mc); });
+  expect_mn_nn_001(
+      [&] { run_monte_carlo_faulted(net, {0.01, 0.01}, mc, faults); });
 }
 
 TEST(Electrical, SmallLayerTracksFixedPoint) {

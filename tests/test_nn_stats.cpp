@@ -83,17 +83,24 @@ TEST(MonteCarloNetwork, CnnErrorPropagates) {
 }
 
 TEST(MonteCarloNetwork, MatchesMlpPathOnMlps) {
+  // run_monte_carlo is the network driver on the bias-free view of the
+  // MLP: same weight draws, inputs and perturbations, so every field of
+  // the result is identical.
   auto net = make_autoencoder_64_16_64();
   MonteCarloConfig mc;
   mc.samples = 10;
-  mc.weight_draws = 2;
-  auto general = run_monte_carlo_network(net, {0.05, 0.05}, mc);
-  auto mlp = run_monte_carlo(net, {0.05, 0.05}, mc);
-  // Different code paths and RNG streams; distributions must agree
-  // roughly.
-  EXPECT_NEAR(general.avg_error_rate, mlp.avg_error_rate,
-              0.5 * std::max(general.avg_error_rate, mlp.avg_error_rate) +
-                  1e-4);
+  mc.weight_draws = 3;
+  mc.threads = 2;
+  const auto mlp = run_monte_carlo(net, {0.05, 0.02}, mc);
+  for (auto& l : net.layers) l.has_bias = false;
+  const auto general = run_monte_carlo_network(net, {0.05, 0.02}, mc);
+  EXPECT_EQ(mlp.relative_accuracy, general.relative_accuracy);
+  EXPECT_EQ(mlp.max_error_rate, general.max_error_rate);
+  EXPECT_EQ(mlp.avg_error_rate, general.avg_error_rate);
+  EXPECT_EQ(mlp.seed, general.seed);
+  EXPECT_EQ(mlp.faults_injected, general.faults_injected);
+  EXPECT_EQ(mlp.threads, general.threads);
+  EXPECT_GT(mlp.avg_error_rate, 0.0);
 }
 
 TEST(MonteCarloNetwork, ThreadCountIsBitIdentical) {

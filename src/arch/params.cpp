@@ -1,7 +1,10 @@
 #include "arch/params.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 
 #include "tech/interconnect.hpp"
 
@@ -53,136 +56,8 @@ circuit::NeuronKind AcceleratorConfig::neuron_for(nn::NetworkType type) {
 
 AcceleratorConfig AcceleratorConfig::from_config(const util::Config& cfg) {
   AcceleratorConfig c;
-  if (cfg.has("Interface_Number")) {
-    auto v = cfg.get_int_list("Interface_Number");
-    if (v.size() != 2)
-      throw util::ConfigError("Interface_Number needs [in, out]");
-    c.interface_in = static_cast<int>(v[0]);
-    c.interface_out = static_cast<int>(v[1]);
-  }
-  c.crossbar_size =
-      static_cast<int>(cfg.get_int_or("Crossbar_Size", c.crossbar_size));
-  c.pooling_size =
-      static_cast<int>(cfg.get_int_or("Pooling_Size", c.pooling_size));
-  c.weight_polarity =
-      static_cast<int>(cfg.get_int_or("Weight_Polarity", c.weight_polarity));
-  c.cmos_node_nm =
-      static_cast<int>(cfg.get_int_or("CMOS_Tech", c.cmos_node_nm));
-  c.interconnect_node_nm = static_cast<int>(
-      cfg.get_int_or("Interconnect_Tech", c.interconnect_node_nm));
-  c.parallelism =
-      static_cast<int>(cfg.get_int_or("Parallelism_Degree", c.parallelism));
-  if (cfg.has("Cell_Type")) {
-    const std::string cell = cfg.get_string("Cell_Type");
-    if (cell == "1T1R")
-      c.cell_type = tech::CellType::k1T1R;
-    else if (cell == "0T1R")
-      c.cell_type = tech::CellType::k0T1R;
-    else
-      throw util::ConfigError("Cell_Type must be 1T1R or 0T1R, got " + cell);
-  }
-  c.memristor_model = cfg.get_string_or("Memristor_Model", c.memristor_model);
-  if (cfg.has("Resistance_Range")) {
-    auto v = cfg.get_list("Resistance_Range");
-    if (v.size() != 2)
-      throw util::ConfigError("Resistance_Range needs [min, max]");
-    c.resistance_min = v[0];
-    c.resistance_max = v[1];
-  }
-  c.output_bits =
-      static_cast<int>(cfg.get_int_or("Output_Bits", c.output_bits));
-  c.sense_resistance =
-      cfg.get_double_or("Sense_Resistance", c.sense_resistance);
-  c.device_sigma = cfg.get_double_or("Device_Sigma", c.device_sigma);
-  c.pipelined = cfg.get_bool_or("Pipelined", c.pipelined);
-
-  // [fault] section (docs/ROBUSTNESS.md).
-  c.fault.stuck_at_zero_rate = cfg.get_double_or(
-      "fault.Stuck_At_0_Rate", c.fault.stuck_at_zero_rate);
-  c.fault.stuck_at_one_rate = cfg.get_double_or(
-      "fault.Stuck_At_1_Rate", c.fault.stuck_at_one_rate);
-  c.fault.broken_wordline_rate = cfg.get_double_or(
-      "fault.Wordline_Defect_Rate", c.fault.broken_wordline_rate);
-  c.fault.broken_bitline_rate = cfg.get_double_or(
-      "fault.Bitline_Defect_Rate", c.fault.broken_bitline_rate);
-  c.fault.retention_time =
-      cfg.get_double_or("fault.Retention_Time", c.fault.retention_time);
-  c.fault.seed = static_cast<std::uint32_t>(
-      cfg.get_int_or("fault.Seed", static_cast<long>(c.fault.seed)));
-  c.fault.circuit_check =
-      cfg.get_bool_or("fault.Circuit_Check", c.fault.circuit_check);
-  c.fault.circuit_check_size = static_cast<int>(
-      cfg.get_int_or("fault.Circuit_Check_Size", c.fault.circuit_check_size));
-
-  // [solver] section (docs/ROBUSTNESS.md).
-  c.solver_cg_tolerance =
-      cfg.get_double_or("solver.CG_Tolerance", c.solver_cg_tolerance);
-  c.solver_cg_max_iterations = cfg.get_int_or("solver.CG_Max_Iterations",
-                                              c.solver_cg_max_iterations);
-  c.solver_allow_fallback =
-      cfg.get_bool_or("solver.Allow_Fallback", c.solver_allow_fallback);
-  c.solver_structured =
-      cfg.get_bool_or("solver.Structured", c.solver_structured);
-
-  // [parallel] section (docs/PERFORMANCE.md).
-  c.parallel_threads = static_cast<int>(
-      cfg.get_int_or("parallel.Threads", c.parallel_threads));
-
-  // [check] section (docs/DIAGNOSTICS.md).
-  c.check_preflight = cfg.get_bool_or("check.Enabled", c.check_preflight);
-  c.check_warnings_as_errors = cfg.get_bool_or("check.Warnings_As_Errors",
-                                               c.check_warnings_as_errors);
-  c.check_wire_drop_warning = cfg.get_double_or("check.Wire_Drop_Warning",
-                                                c.check_wire_drop_warning);
-
-  // [sweep] section (docs/ROBUSTNESS.md).
-  if (cfg.has("sweep.Checkpoint"))
-    c.sweep_checkpoint = cfg.get_string("sweep.Checkpoint");
-  c.sweep_shard_index = static_cast<int>(
-      cfg.get_int_or("sweep.Shard_Index", c.sweep_shard_index));
-  c.sweep_shard_count = static_cast<int>(
-      cfg.get_int_or("sweep.Shard_Count", c.sweep_shard_count));
-  c.sweep_resume = cfg.get_bool_or("sweep.Resume", c.sweep_resume);
-  c.sweep_deadline_ms =
-      cfg.get_double_or("sweep.Point_Deadline_Ms", c.sweep_deadline_ms);
-  c.sweep_max_attempts = static_cast<int>(
-      cfg.get_int_or("sweep.Max_Attempts", c.sweep_max_attempts));
-
-  // [cycle] section (docs/PERFORMANCE.md).
-  c.cycle_enabled = cfg.get_bool_or("cycle.Enabled", c.cycle_enabled);
-  if (cfg.has("cycle.Dataflow")) {
-    const std::string flow = cfg.get_string("cycle.Dataflow");
-    const auto parsed = parse_dataflow(flow);
-    if (!parsed)
-      throw util::ConfigError(
-          "cycle.Dataflow must be weight_stationary, input_stationary or "
-          "output_stationary, got " + flow);
-    c.cycle_dataflow = *parsed;
-  }
-  if (cfg.has("cycle.Fill_Policy")) {
-    const std::string policy = cfg.get_string("cycle.Fill_Policy");
-    const auto parsed = parse_fill_policy(policy);
-    if (!parsed)
-      throw util::ConfigError(
-          "cycle.Fill_Policy must be prefetch or demand, got " + policy);
-    c.cycle_fill_policy = *parsed;
-  }
-  c.cycle_ifmap_kb = cfg.get_double_or("cycle.Ifmap_KB", c.cycle_ifmap_kb);
-  c.cycle_filter_kb = cfg.get_double_or("cycle.Filter_KB", c.cycle_filter_kb);
-  c.cycle_ofmap_kb = cfg.get_double_or("cycle.Ofmap_KB", c.cycle_ofmap_kb);
-  c.cycle_bandwidth_gbps =
-      cfg.get_double_or("cycle.Bandwidth_GBps", c.cycle_bandwidth_gbps);
-  c.cycle_clock_ghz =
-      cfg.get_double_or("cycle.Clock_GHz", c.cycle_clock_ghz);
-  c.cycle_max_events =
-      cfg.get_int_or("cycle.Max_Events", c.cycle_max_events);
-
-  // [trace] section (docs/OBSERVABILITY.md).
-  c.trace_enabled = cfg.get_bool_or("trace.Enabled", c.trace_enabled);
-  if (cfg.has("trace.Output"))
-    c.trace_output = cfg.get_string("trace.Output");
-  c.trace_metrics = cfg.get_bool_or("trace.Metrics", c.trace_metrics);
-
+  for (const auto& key : config_keys())
+    if (cfg.has(key.name)) key.read(key, cfg, c);
   c.validate();
   return c;
 }
@@ -232,6 +107,186 @@ void AcceleratorConfig::validate() const {
   (void)cmos();                    // range check
   (void)device();                  // device validation
   (void)tech::interconnect_tech(interconnect_node_nm);
+}
+
+namespace {
+
+template <typename T>
+T& field(AcceleratorConfig& c, T AcceleratorConfig::*member) {
+  return c.*member;
+}
+
+template <typename T>
+T& field(AcceleratorConfig& c, T fault::FaultConfig::*member) {
+  return c.fault.*member;
+}
+
+// Numbers are checked against the key's range; integers as the parsed
+// long, before any narrowing.
+template <typename V>
+V in_range(const ConfigKey& key, V v) {
+  const auto min = static_cast<V>(key.range->min);
+  const auto max = static_cast<V>(key.range->max);
+  if (!(v >= min) || !(v <= max))
+    throw util::ConfigError("'" + key.name + "' = " + std::to_string(v) +
+                            " outside the supported range [" +
+                            std::to_string(min) + ", " +
+                            std::to_string(max) + "]");
+  return v;
+}
+
+// Reader of a plain field, typed by the field: bool, string, floating
+// point or integer.
+template <auto Member>
+void scalar(const ConfigKey& key, const util::Config& cfg,
+            AcceleratorConfig& c) {
+  auto& f = field(c, Member);
+  using T = std::remove_reference_t<decltype(f)>;
+  if constexpr (std::is_same_v<T, bool>) {
+    f = cfg.get_bool(key.name);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    f = cfg.get_string(key.name);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    f = in_range(key, cfg.get_double(key.name));
+  } else {
+    f = static_cast<T>(in_range(key, cfg.get_int(key.name)));
+  }
+}
+
+}  // namespace
+
+const std::vector<ConfigKey>& config_keys() {
+  using C = AcceleratorConfig;
+  using F = fault::FaultConfig;
+  using R = ConfigKey::Range;
+  static const std::vector<ConfigKey> keys = {
+      {"Interface_Number",
+       [](auto& key, auto& cfg, auto& c) {
+         const auto v = cfg.get_int_list(key.name);
+         if (v.size() != 2 || std::min(v[0], v[1]) < 1 ||
+             std::max(v[0], v[1]) > std::numeric_limits<int>::max())
+           throw util::ConfigError("'" + key.name +
+                                   "' needs two positive entries [in, out]");
+         c.interface_in = static_cast<int>(v[0]);
+         c.interface_out = static_cast<int>(v[1]);
+       }},
+      {"Crossbar_Size",
+       [](auto& key, auto& cfg, auto& c) {
+         const long v = cfg.get_int(key.name);
+         if (v < 2 || (v & (v - 1)) != 0) {
+           long pow2 = 2;
+           while (pow2 < v && pow2 < (1L << 20)) pow2 <<= 1;
+           throw util::ConfigError(
+               "'" + key.name + "' = " + std::to_string(v) +
+                   " must be a power of two >= 2",
+               "nearest supported size: " + std::to_string(pow2));
+         }
+         c.crossbar_size = static_cast<int>(in_range(key, v));
+       },
+       R{2, 1L << 30}},
+      {"Pooling_Size", scalar<&C::pooling_size>, R{1, 64}},
+      {"Weight_Polarity", scalar<&C::weight_polarity>, R{1, 2}},
+      {"CMOS_Tech", scalar<&C::cmos_node_nm>, R{16, 250}},
+      {"Cell_Type",
+       [](auto& key, auto& cfg, auto& c) {
+         const std::string v = cfg.get_string(key.name);
+         if (v != "1T1R" && v != "0T1R")
+           throw util::ConfigError("'" + key.name +
+                                   "' must be 1T1R or 0T1R, got '" + v + "'");
+         c.cell_type =
+             v == "1T1R" ? tech::CellType::k1T1R : tech::CellType::k0T1R;
+       }},
+      {"Memristor_Model",
+       [](auto& key, auto& cfg, auto& c) {
+         std::string v = cfg.get_string(key.name);
+         try {
+           (void)tech::memristor_by_name(v);
+         } catch (const std::invalid_argument&) {
+           throw util::ConfigError("unknown device model '" + v + "'",
+                                   "supported models: RRAM, PCM, STT-MRAM");
+         }
+         c.memristor_model = std::move(v);
+       }},
+      {"Interconnect_Tech", scalar<&C::interconnect_node_nm>, R{10, 180}},
+      {"Parallelism_Degree", scalar<&C::parallelism>, R{0, 1L << 20}},
+      {"Resistance_Range",
+       [](auto& key, auto& cfg, auto& c) {
+         const auto v = cfg.get_list(key.name);
+         if (v.size() != 2 || !(v[0] > 0) || !(v[1] > v[0]))
+           throw util::ConfigError(
+               "'" + key.name +
+               "' needs [min, max] with 0 < min < max (ohms)");
+         c.resistance_min = v[0];
+         c.resistance_max = v[1];
+       }},
+      {"Output_Bits", scalar<&C::output_bits>, R{1, 14}},
+      {"Sense_Resistance", scalar<&C::sense_resistance>, R{0, 1e6}},
+      {"Device_Sigma", scalar<&C::device_sigma>, R{0, 0.3}},
+      {"Pipelined", scalar<&C::pipelined>},
+      {"fault.Stuck_At_0_Rate", scalar<&F::stuck_at_zero_rate>, R{0, 1}},
+      {"fault.Stuck_At_1_Rate", scalar<&F::stuck_at_one_rate>, R{0, 1}},
+      {"fault.Wordline_Defect_Rate", scalar<&F::broken_wordline_rate>,
+       R{0, 1}},
+      {"fault.Bitline_Defect_Rate", scalar<&F::broken_bitline_rate>, R{0, 1}},
+      {"fault.Retention_Time", scalar<&F::retention_time>, R{0, 1e12}},
+      {"fault.Seed", scalar<&F::seed>, R{0, 4294967295.0}},
+      {"fault.Circuit_Check", scalar<&F::circuit_check>},
+      {"fault.Circuit_Check_Size", scalar<&F::circuit_check_size>,
+       R{2, 1L << 14}},
+      {"solver.CG_Tolerance",
+       [](auto& key, auto& cfg, auto& c) {
+         const double v = cfg.get_double(key.name);
+         if (!(v > 0))
+           throw util::ConfigError("'" + key.name + "' must be positive");
+         c.solver_cg_tolerance = v;
+       }},
+      {"solver.CG_Max_Iterations", scalar<&C::solver_cg_max_iterations>,
+       R{0, 1L << 30}},
+      {"solver.Allow_Fallback", scalar<&C::solver_allow_fallback>},
+      {"solver.Structured", scalar<&C::solver_structured>},
+      {"parallel.Threads", scalar<&C::parallel_threads>, R{0, 4096}},
+      {"check.Enabled", scalar<&C::check_preflight>},
+      {"check.Warnings_As_Errors", scalar<&C::check_warnings_as_errors>},
+      {"check.Wire_Drop_Warning", scalar<&C::check_wire_drop_warning>,
+       R{0, 1}},
+      {"trace.Enabled", scalar<&C::trace_enabled>},
+      {"trace.Output", scalar<&C::trace_output>},
+      {"trace.Metrics", scalar<&C::trace_metrics>},
+      {"sweep.Checkpoint", scalar<&C::sweep_checkpoint>},
+      {"sweep.Shard_Index", scalar<&C::sweep_shard_index>, R{0, 1L << 20}},
+      {"sweep.Shard_Count", scalar<&C::sweep_shard_count>, R{1, 1L << 20}},
+      {"sweep.Resume", scalar<&C::sweep_resume>},
+      {"sweep.Point_Deadline_Ms", scalar<&C::sweep_deadline_ms>, R{0, 1e9}},
+      {"sweep.Max_Attempts", scalar<&C::sweep_max_attempts>, R{1, 100}},
+      {"cycle.Enabled", scalar<&C::cycle_enabled>},
+      {"cycle.Dataflow",
+       [](auto& key, auto& cfg, auto& c) {
+         const std::string v = cfg.get_string(key.name);
+         const auto parsed = parse_dataflow(v);
+         if (!parsed)
+           throw util::ConfigError(
+               "unknown dataflow '" + v + "'",
+               "supported: weight_stationary, input_stationary, "
+               "output_stationary (or ws/is/os)");
+         c.cycle_dataflow = *parsed;
+       }},
+      {"cycle.Fill_Policy",
+       [](auto& key, auto& cfg, auto& c) {
+         const std::string v = cfg.get_string(key.name);
+         const auto parsed = parse_fill_policy(v);
+         if (!parsed)
+           throw util::ConfigError("unknown fill policy '" + v + "'",
+                                   "supported: prefetch, demand");
+         c.cycle_fill_policy = *parsed;
+       }},
+      {"cycle.Ifmap_KB", scalar<&C::cycle_ifmap_kb>, R{1e-3, 1e6}},
+      {"cycle.Filter_KB", scalar<&C::cycle_filter_kb>, R{1e-3, 1e6}},
+      {"cycle.Ofmap_KB", scalar<&C::cycle_ofmap_kb>, R{1e-3, 1e6}},
+      {"cycle.Bandwidth_GBps", scalar<&C::cycle_bandwidth_gbps>, R{1e-6, 1e6}},
+      {"cycle.Clock_GHz", scalar<&C::cycle_clock_ghz>, R{0, 1e3}},
+      {"cycle.Max_Events", scalar<&C::cycle_max_events>, R{0, 1L << 30}},
+  };
+  return keys;
 }
 
 }  // namespace mnsim::arch

@@ -52,45 +52,29 @@ struct AcceleratorConfig {
   double adc_clock = 50e6;
   int output_bits = 8;  // read-circuit quantization (k = 2^output_bits)
 
-  // Hard-defect injection ([fault] section; docs/ROBUSTNESS.md). When any
-  // rate is nonzero the per-bank accuracy composes the fault deviation,
-  // and circuit_check additionally runs a defect-injected circuit-level
-  // solve whose diagnostics land in the report.
+  // The sections below carry the non-Table-I keys; docs/CONFIGURATION.md
+  // documents each key, config_keys() maps it onto its field.
+
+  // Hard-defect injection ([fault]; fault model in docs/ROBUSTNESS.md).
   fault::FaultConfig fault;
 
-  // Circuit-level solver knobs ([solver] section): tolerance/budget of
-  // the inner CG and whether the graceful-degradation ladder (warm
-  // retry -> dense LU) may engage.
+  // Circuit-level solver knobs ([solver]): CG tolerance/budget, the
+  // graceful-degradation ladder and the structured (Schur) rung.
   double solver_cg_tolerance = 1e-12;
   long solver_cg_max_iterations = 0;  // 0 = auto
   bool solver_allow_fallback = true;
-  // Structure-exploiting (bipartite Schur) rung for crossbar netlists:
-  // [solver] Structured. Safe to disable — correctness is unaffected,
-  // only sweep throughput.
-  bool solver_structured = true;
+  bool solver_structured = true;  // off costs throughput, never correctness
 
-  // Worker threads for sweep engines (DSE exploration, Monte-Carlo
-  // trials): [parallel] Threads. 1 = serial (default), 0 = all hardware
-  // threads. Results are bit-identical for any value (per-task RNG
-  // streams; docs/PERFORMANCE.md).
+  // Sweep worker threads ([parallel]); results are bit-identical for any
+  // value (docs/PERFORMANCE.md).
   int parallel_threads = 1;
 
-  // Pre-flight static analysis ([check] section; docs/DIAGNOSTICS.md):
-  // simulate/explore/solve entries run the semantic analyzer before any
-  // numeric work and refuse-with-diagnosis on errors. Warnings ride
-  // along in the report; Warnings_As_Errors promotes them. The wire-drop
-  // threshold tunes the MN-CFG-005 plausibility warning (fraction of
-  // R_min the worst-case column wire may reach).
+  // Pre-flight static analysis ([check]; docs/DIAGNOSTICS.md).
   bool check_preflight = true;
   bool check_warnings_as_errors = false;
   double check_wire_drop_warning = 0.10;
 
-  // Crash-safe sweep execution ([sweep] section; docs/ROBUSTNESS.md):
-  // Checkpoint names the append-only journal, Shard_Index/Shard_Count
-  // pick this process's stride partition of the enumerated space, Resume
-  // replays completed points from the journal, Point_Deadline_Ms bounds
-  // each design point's wall clock (0 = no watchdog), and Max_Attempts
-  // is the bounded-retry budget before a failing point is quarantined.
+  // Crash-safe sweep execution ([sweep]; docs/ROBUSTNESS.md).
   std::string sweep_checkpoint;
   int sweep_shard_index = 0;
   int sweep_shard_count = 1;
@@ -98,14 +82,9 @@ struct AcceleratorConfig {
   double sweep_deadline_ms = 0.0;
   int sweep_max_attempts = 2;
 
-  // Cycle-level dataflow simulation ([cycle] section;
-  // docs/PERFORMANCE.md): Enabled arms the tile-granular engine
-  // (arch/cycle_sim.*) behind `sim --cycle` and the DSE stall/traffic
-  // objectives. Dataflow picks the resident operand, Fill_Policy chooses
-  // prefetch vs demand ifmap fills, the _KB keys size the per-bank
-  // scratchpads, Bandwidth_GBps bounds each bank's backing store, and
-  // Clock_GHz pins the cycle clock (0 = auto: the shortest pass spans
-  // kAutoCyclesPerPass cycles). Max_Events caps the recorded timeline.
+  // Cycle-level dataflow engine, arch/cycle_sim.* ([cycle];
+  // docs/PERFORMANCE.md). Clock 0 = auto: the shortest pass spans
+  // kAutoCyclesPerPass cycles.
   bool cycle_enabled = false;
   Dataflow cycle_dataflow = Dataflow::kWeightStationary;
   FillPolicy cycle_fill_policy = FillPolicy::kPrefetch;
@@ -116,11 +95,8 @@ struct AcceleratorConfig {
   double cycle_clock_ghz = 0.0;
   long cycle_max_events = 256;
 
-  // Observability ([trace] section; docs/OBSERVABILITY.md): Enabled turns
-  // the obs::Tracer on for the run, Output names the Chrome-trace JSON
-  // file the CLI writes (empty = no file unless --trace overrides), and
-  // Metrics gates the obs::Registry counters and the `metrics` block of
-  // the JSON report. Tracing only observes — results never depend on it.
+  // Observability ([trace]; docs/OBSERVABILITY.md). Tracing only
+  // observes: results never depend on it.
   bool trace_enabled = false;
   std::string trace_output;
   bool trace_metrics = true;
@@ -139,14 +115,41 @@ struct AcceleratorConfig {
   // Reference neuron for a network type (sigmoid / IF / ReLU; Sec. III-B.4).
   static circuit::NeuronKind neuron_for(nn::NetworkType type);
 
-  // Reads the Table I keys from an INI config (keys spelled as the paper:
-  // Interface_Number = [128,128], Crossbar_Size = 128, Cell_Type = 1T1R,
-  // Memristor_Model = RRAM, Parallelism_Degree = 0, Resistance_Range =
-  // [500, 500k-less-the-suffix]...). Unknown keys are ignored so user
-  // configs can carry extra sections.
+  // Reads every key of config_keys() present in `config` (keys spelled
+  // as the paper: Interface_Number = [128, 128], Crossbar_Size = 128,
+  // Cell_Type = 1T1R, ...), then validate()s. The first bad value throws
+  // util::ConfigError with its MN-CFG-003 message. Unknown keys are
+  // ignored so user configs can carry extra sections.
   static AcceleratorConfig from_config(const util::Config& config);
 
   void validate() const;
+
+  bool operator==(const AcceleratorConfig&) const = default;
 };
+
+// One row of the accelerator-configuration key table: the only place a
+// key's name, type and range are spelled. from_config reads through it;
+// `mnsim check` takes its key registry, MN-CFG-003 value checks and
+// did-you-mean candidates from it; docs/CONFIGURATION.md documents each
+// row (a test holds the two in step). A key's default is the
+// AcceleratorConfig initializer.
+struct ConfigKey {
+  struct Range {
+    double min;
+    double max;
+  };
+  // Parses the value of `key` from `config`, checks its type, range or
+  // spelling, and stores it in `out`. Throws util::ConfigError carrying
+  // the MN-CFG-003 message (and hint) on a bad value.
+  using Reader = void (*)(const ConfigKey& key, const util::Config& config,
+                          AcceleratorConfig& out);
+
+  std::string name;  // section-qualified ("fault.Seed"); bare = top level
+  Reader read;
+  std::optional<Range> range = {};  // inclusive bounds of a scalar numeric key
+};
+
+// The key table in registry order (did-you-mean breaks ties by it).
+[[nodiscard]] const std::vector<ConfigKey>& config_keys();
 
 }  // namespace mnsim::arch

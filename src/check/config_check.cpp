@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "tech/cmos_tech.hpp"
 #include "tech/interconnect.hpp"
-#include "tech/memristor.hpp"
 #include "util/units.hpp"
 
 namespace mnsim::check {
@@ -18,44 +15,33 @@ namespace {
 
 // ---- key registry -----------------------------------------------------------
 
-// Section-qualified keys AcceleratorConfig::from_config consumes (bare =
-// no section). Keep in sync with arch/params.cpp; the unread-key pass
-// (MN-CFG-006) catches drift dynamically.
-const std::vector<std::string>& accelerator_keys() {
-  static const std::vector<std::string> keys = {
-      "Interface_Number", "Crossbar_Size", "Pooling_Size", "Weight_Polarity",
-      "CMOS_Tech", "Cell_Type", "Memristor_Model", "Interconnect_Tech",
-      "Parallelism_Degree", "Resistance_Range", "Output_Bits",
-      "Sense_Resistance", "Device_Sigma", "Pipelined",
-      "fault.Stuck_At_0_Rate", "fault.Stuck_At_1_Rate",
-      "fault.Wordline_Defect_Rate", "fault.Bitline_Defect_Rate",
-      "fault.Retention_Time", "fault.Seed", "fault.Circuit_Check",
-      "fault.Circuit_Check_Size",
-      "solver.CG_Tolerance", "solver.CG_Max_Iterations",
-      "solver.Allow_Fallback", "solver.Structured",
-      "parallel.Threads",
-      "check.Enabled", "check.Warnings_As_Errors",
-      "check.Wire_Drop_Warning",
-      "trace.Enabled", "trace.Output", "trace.Metrics",
-      "sweep.Checkpoint", "sweep.Shard_Index", "sweep.Shard_Count",
-      "sweep.Resume", "sweep.Point_Deadline_Ms", "sweep.Max_Attempts",
-      "cycle.Enabled", "cycle.Dataflow", "cycle.Fill_Policy",
-      "cycle.Ifmap_KB", "cycle.Filter_KB", "cycle.Ofmap_KB",
-      "cycle.Bandwidth_GBps", "cycle.Clock_GHz", "cycle.Max_Events",
-  };
-  return keys;
-}
-
-const std::vector<std::string>& accelerator_sections() {
-  static const std::vector<std::string> sections = {
-      "fault", "solver", "parallel", "check", "trace", "sweep", "cycle"};
-  return sections;
-}
-
 std::pair<std::string, std::string> split_key(const std::string& key) {
   const auto dot = key.find('.');
   if (dot == std::string::npos) return {"", key};
   return {key.substr(0, dot), key.substr(dot + 1)};
+}
+
+// The key table's section-qualified names (bare = no section) and the
+// sections they use, both in table order.
+struct Registry {
+  std::vector<std::string> keys;
+  std::vector<std::string> sections;
+};
+
+const Registry& registry() {
+  static const Registry r = [] {
+    Registry out;
+    for (const auto& key : arch::config_keys()) {
+      out.keys.push_back(key.name);
+      const std::string section = split_key(key.name).first;
+      if (!section.empty() && std::find(out.sections.begin(),
+                                        out.sections.end(),
+                                        section) == out.sections.end())
+        out.sections.push_back(section);
+    }
+    return out;
+  }();
+  return r;
 }
 
 std::size_t edit_distance(const std::string& a, const std::string& b) {
@@ -102,13 +88,9 @@ void stamp(Diagnostic& d, const util::Config& cfg, const std::string& key) {
   d.location = key;
 }
 
-// Unknown-key / unknown-section pass against a registry. Returns the set
-// of keys reported, so later passes can avoid double-reporting.
-std::set<std::string> registry_pass(const util::Config& cfg,
-                                    const std::vector<std::string>& keys,
-                                    const std::vector<std::string>& sections,
-                                    DiagnosticList& out) {
-  std::set<std::string> reported;
+// Unknown-key / unknown-section pass against the key table.
+void registry_pass(const util::Config& cfg, DiagnosticList& out) {
+  const auto& [keys, sections] = registry();
   std::set<std::string> unknown_sections;
   for (const auto& [key, value] : cfg.entries()) {
     (void)value;
@@ -128,7 +110,6 @@ std::set<std::string> registry_pass(const util::Config& cfg,
         const std::string near = nearest_key(section, sections);
         if (!near.empty()) d.hint = "did you mean [" + near + "]?";
       }
-      reported.insert(key);
       continue;
     }
     auto& d = out.emit("MN-CFG-001", Severity::kError,
@@ -145,9 +126,7 @@ std::set<std::string> registry_pass(const util::Config& cfg,
                    : "did you mean '" + near_bare + "' in section [" +
                          near_section + "]?";
     }
-    reported.insert(key);
   }
-  return reported;
 }
 
 // ---- per-key value validation ----------------------------------------------
@@ -160,191 +139,36 @@ void value_error(DiagnosticList& out, const util::Config& cfg,
   d.hint = std::move(hint);
 }
 
-// Runs `get` and converts a ConfigError (bad type) into MN-CFG-003.
-template <typename Get>
-bool typed(DiagnosticList& out, const util::Config& cfg,
-           const std::string& key, Get&& get) {
+// MN-CFG-005 on a well-formed Resistance_Range outside the plausible
+// device band (a default or unreadable range is always in band).
+void resistance_plausibility(const util::Config& cfg,
+                             const arch::AcceleratorConfig& built,
+                             DiagnosticList& out) {
+  using namespace mnsim::units;
+  const Ohms r_min{built.resistance_min};
+  const Ohms r_max{built.resistance_max};
+  if (r_min >= Ohms{1.0} && r_max <= Ohms{1e9}) return;
+  auto& d = out.emit("MN-CFG-005", Severity::kWarning,
+                     "'Resistance_Range' = [" +
+                         std::to_string(built.resistance_min) + ", " +
+                         std::to_string(built.resistance_max) +
+                         "] ohm is outside the plausible memristor band "
+                         "[1, 1e9] ohm");
+  stamp(d, cfg, "Resistance_Range");
+  d.hint = "values are ohms, not kilo-ohms; 500k is written 500e3";
+}
+
+// Cross-key: the shard index must fall inside the shard count.
+void shard_order(const util::Config& cfg, DiagnosticList& out) {
+  if (!cfg.has("sweep.Shard_Index") || !cfg.has("sweep.Shard_Count")) return;
   try {
-    get();
-    return true;
+    const long index = cfg.get_int("sweep.Shard_Index");
+    const long count = cfg.get_int("sweep.Shard_Count");
+    if (count >= 1 && index >= count)
+      value_error(out, cfg, "sweep.Shard_Index",
+                  "'sweep.Shard_Index' must be below 'sweep.Shard_Count'");
   } catch (const util::ConfigError& e) {
-    value_error(out, cfg, key, e.what());
-    return false;
-  }
-}
-
-void int_range(DiagnosticList& out, const util::Config& cfg,
-               const std::string& key, long min, long max) {
-  if (!cfg.has(key)) return;
-  typed(out, cfg, key, [&] {
-    const long v = cfg.get_int(key);
-    if (v < min || v > max)
-      value_error(out, cfg, key,
-                  "'" + key + "' = " + std::to_string(v) +
-                      " outside the supported range [" +
-                      std::to_string(min) + ", " + std::to_string(max) +
-                      "]");
-  });
-}
-
-void double_range(DiagnosticList& out, const util::Config& cfg,
-                  const std::string& key, double min, double max) {
-  if (!cfg.has(key)) return;
-  typed(out, cfg, key, [&] {
-    const double v = cfg.get_double(key);
-    if (!(v >= min) || !(v <= max))
-      value_error(out, cfg, key,
-                  "'" + key + "' = " + std::to_string(v) +
-                      " outside the supported range [" +
-                      std::to_string(min) + ", " + std::to_string(max) +
-                      "]");
-  });
-}
-
-void bool_key(DiagnosticList& out, const util::Config& cfg,
-              const std::string& key) {
-  if (!cfg.has(key)) return;
-  typed(out, cfg, key, [&] { (void)cfg.get_bool(key); });
-}
-
-void accelerator_values(const util::Config& cfg, DiagnosticList& out) {
-  if (cfg.has("Crossbar_Size")) {
-    typed(out, cfg, "Crossbar_Size", [&] {
-      const long v = cfg.get_int("Crossbar_Size");
-      if (v < 2 || (v & (v - 1)) != 0) {
-        long pow2 = 2;
-        while (pow2 < v && pow2 < (1L << 20)) pow2 <<= 1;
-        value_error(out, cfg, "Crossbar_Size",
-                    "'Crossbar_Size' = " + std::to_string(v) +
-                        " must be a power of two >= 2",
-                    "nearest supported size: " + std::to_string(pow2));
-      }
-    });
-  }
-  if (cfg.has("Interface_Number")) {
-    typed(out, cfg, "Interface_Number", [&] {
-      const auto v = cfg.get_int_list("Interface_Number");
-      if (v.size() != 2 || v[0] <= 0 || v[1] <= 0)
-        value_error(out, cfg, "Interface_Number",
-                    "'Interface_Number' needs two positive entries "
-                    "[in, out]");
-    });
-  }
-  if (cfg.has("Resistance_Range")) {
-    typed(out, cfg, "Resistance_Range", [&] {
-      const auto v = cfg.get_list("Resistance_Range");
-      if (v.size() != 2 || !(v[0] > 0) || !(v[1] > v[0])) {
-        value_error(out, cfg, "Resistance_Range",
-                    "'Resistance_Range' needs [min, max] with 0 < min < "
-                    "max (ohms)");
-      } else {
-        using namespace mnsim::units;
-        const Ohms r_min{v[0]};
-        const Ohms r_max{v[1]};
-        if (r_min < Ohms{1.0} || r_max > Ohms{1e9}) {
-          auto& d = out.emit(
-              "MN-CFG-005", Severity::kWarning,
-              "'Resistance_Range' = [" + std::to_string(v[0]) + ", " +
-                  std::to_string(v[1]) +
-                  "] ohm is outside the plausible memristor band "
-                  "[1, 1e9] ohm");
-          stamp(d, cfg, "Resistance_Range");
-          d.hint = "values are ohms, not kilo-ohms; 500k is written 500e3";
-        }
-      }
-    });
-  }
-  if (cfg.has("Cell_Type")) {
-    typed(out, cfg, "Cell_Type", [&] {
-      const std::string v = cfg.get_string("Cell_Type");
-      if (v != "1T1R" && v != "0T1R")
-        value_error(out, cfg, "Cell_Type",
-                    "'Cell_Type' must be 1T1R or 0T1R, got '" + v + "'");
-    });
-  }
-  if (cfg.has("Memristor_Model")) {
-    typed(out, cfg, "Memristor_Model", [&] {
-      const std::string v = cfg.get_string("Memristor_Model");
-      try {
-        (void)tech::memristor_by_name(v);
-      } catch (const std::invalid_argument&) {
-        value_error(out, cfg, "Memristor_Model",
-                    "unknown device model '" + v + "'",
-                    "supported models: RRAM, PCM, STT-MRAM");
-      }
-    });
-  }
-  int_range(out, cfg, "Pooling_Size", 1, 64);
-  int_range(out, cfg, "Weight_Polarity", 1, 2);
-  int_range(out, cfg, "CMOS_Tech", 16, 250);
-  int_range(out, cfg, "Interconnect_Tech", 10, 180);
-  int_range(out, cfg, "Parallelism_Degree", 0, 1L << 20);
-  int_range(out, cfg, "Output_Bits", 1, 14);
-  double_range(out, cfg, "Sense_Resistance", 0.0, 1e6);
-  double_range(out, cfg, "Device_Sigma", 0.0, 0.3);
-  bool_key(out, cfg, "Pipelined");
-  double_range(out, cfg, "fault.Stuck_At_0_Rate", 0.0, 1.0);
-  double_range(out, cfg, "fault.Stuck_At_1_Rate", 0.0, 1.0);
-  double_range(out, cfg, "fault.Wordline_Defect_Rate", 0.0, 1.0);
-  double_range(out, cfg, "fault.Bitline_Defect_Rate", 0.0, 1.0);
-  double_range(out, cfg, "fault.Retention_Time", 0.0, 1e12);
-  bool_key(out, cfg, "fault.Circuit_Check");
-  int_range(out, cfg, "fault.Circuit_Check_Size", 2, 1 << 14);
-  if (cfg.has("solver.CG_Tolerance")) {
-    typed(out, cfg, "solver.CG_Tolerance", [&] {
-      if (!(cfg.get_double("solver.CG_Tolerance") > 0))
-        value_error(out, cfg, "solver.CG_Tolerance",
-                    "'solver.CG_Tolerance' must be positive");
-    });
-  }
-  int_range(out, cfg, "solver.CG_Max_Iterations", 0, 1L << 30);
-  bool_key(out, cfg, "solver.Allow_Fallback");
-  bool_key(out, cfg, "solver.Structured");
-  int_range(out, cfg, "parallel.Threads", 0, 4096);
-  bool_key(out, cfg, "check.Enabled");
-  bool_key(out, cfg, "check.Warnings_As_Errors");
-  double_range(out, cfg, "check.Wire_Drop_Warning", 0.0, 1.0);
-  bool_key(out, cfg, "trace.Enabled");
-  bool_key(out, cfg, "trace.Metrics");
-  int_range(out, cfg, "sweep.Shard_Index", 0, 1 << 20);
-  int_range(out, cfg, "sweep.Shard_Count", 1, 1 << 20);
-  bool_key(out, cfg, "sweep.Resume");
-  double_range(out, cfg, "sweep.Point_Deadline_Ms", 0.0, 1e9);
-  int_range(out, cfg, "sweep.Max_Attempts", 1, 100);
-  bool_key(out, cfg, "cycle.Enabled");
-  if (cfg.has("cycle.Dataflow")) {
-    typed(out, cfg, "cycle.Dataflow", [&] {
-      const std::string v = cfg.get_string("cycle.Dataflow");
-      if (!arch::parse_dataflow(v))
-        value_error(out, cfg, "cycle.Dataflow",
-                    "unknown dataflow '" + v + "'",
-                    "supported: weight_stationary, input_stationary, "
-                    "output_stationary (or ws/is/os)");
-    });
-  }
-  if (cfg.has("cycle.Fill_Policy")) {
-    typed(out, cfg, "cycle.Fill_Policy", [&] {
-      const std::string v = cfg.get_string("cycle.Fill_Policy");
-      if (!arch::parse_fill_policy(v))
-        value_error(out, cfg, "cycle.Fill_Policy",
-                    "unknown fill policy '" + v + "'",
-                    "supported: prefetch, demand");
-    });
-  }
-  double_range(out, cfg, "cycle.Ifmap_KB", 1e-3, 1e6);
-  double_range(out, cfg, "cycle.Filter_KB", 1e-3, 1e6);
-  double_range(out, cfg, "cycle.Ofmap_KB", 1e-3, 1e6);
-  double_range(out, cfg, "cycle.Bandwidth_GBps", 1e-6, 1e6);
-  double_range(out, cfg, "cycle.Clock_GHz", 0.0, 1e3);
-  int_range(out, cfg, "cycle.Max_Events", 0, 1L << 30);
-  if (cfg.has("sweep.Shard_Index") && cfg.has("sweep.Shard_Count")) {
-    typed(out, cfg, "sweep.Shard_Index", [&] {
-      const long index = cfg.get_int("sweep.Shard_Index");
-      const long count = cfg.get_int("sweep.Shard_Count");
-      if (count >= 1 && index >= count)
-        value_error(out, cfg, "sweep.Shard_Index",
-                    "'sweep.Shard_Index' must be below 'sweep.Shard_Count'");
-    });
+    value_error(out, cfg, "sweep.Shard_Index", e.what());
   }
 }
 
@@ -436,7 +260,7 @@ void check_unread_keys(const util::Config& cfg, DiagnosticList& out) {
                        "key '" + key + "' was parsed but never read by any "
                        "consumer");
     stamp(d, cfg, key);
-    const std::string near = nearest_key(key, accelerator_keys());
+    const std::string near = nearest_key(key, registry().keys);
     if (!near.empty() && near != key)
       d.hint = "possible typo of '" + near + "'";
   }
@@ -444,43 +268,37 @@ void check_unread_keys(const util::Config& cfg, DiagnosticList& out) {
 
 DiagnosticList check_accelerator_config(const util::Config& cfg) {
   DiagnosticList out;
+  registry_pass(cfg, out);
 
-  // Consume the config exactly as the runtime consumer does, then
-  // snapshot what it never probed (the MN-CFG-006 source of truth).
-  bool built_ok = false;
-  std::string build_error;
+  // Every value through the reader from_config runs; unlike from_config,
+  // each bad value reports MN-CFG-003 at its key and the pass goes on.
   arch::AcceleratorConfig built;
-  try {
-    built = arch::AcceleratorConfig::from_config(cfg);
-    built_ok = true;
-  } catch (const std::exception& e) {
-    build_error = e.what();
-  }
-  std::vector<std::string> unread = cfg.unread_keys();
-
-  const std::set<std::string> reported =
-      registry_pass(cfg, accelerator_keys(), accelerator_sections(), out);
-  accelerator_values(cfg, out);
-
-  // The bridge error only adds information when the targeted passes
-  // missed the problem (e.g. a cross-field throw inside validate()).
-  if (!built_ok && !out.has_errors()) {
-    auto& d = out.emit("MN-CFG-003", Severity::kError, build_error);
-    d.file = cfg.source();
-  }
-
-  if (built_ok) {
-    for (const auto& key : unread) {
-      if (reported.count(key) != 0) continue;  // already an unknown-key error
-      auto& d = out.emit("MN-CFG-006", Severity::kWarning,
-                         "key '" + key + "' was parsed but never read by "
-                         "any consumer");
-      stamp(d, cfg, key);
+  bool values_ok = true;
+  for (const auto& key : arch::config_keys()) {
+    if (!cfg.has(key.name)) continue;
+    try {
+      key.read(key, cfg, built);
+    } catch (const util::ConfigError& e) {
+      value_error(out, cfg, key.name, e.what(), e.hint());
+      values_ok = false;
     }
-    auto consistency = check_config_consistency(built);
-    consistency.set_file(cfg.source());
-    out.merge(std::move(consistency));
   }
+  resistance_plausibility(cfg, built, out);
+  shard_order(cfg, out);
+  if (!values_ok) return out;
+
+  // What from_config would build; validate() adds information only when
+  // the targeted passes missed the problem (a cross-field throw).
+  try {
+    built.validate();
+  } catch (const std::exception& e) {
+    if (!out.has_errors())
+      out.emit("MN-CFG-003", Severity::kError, e.what()).file = cfg.source();
+    return out;
+  }
+  auto consistency = check_config_consistency(built);
+  consistency.set_file(cfg.source());
+  out.merge(std::move(consistency));
   return out;
 }
 

@@ -5,11 +5,13 @@
 //     network-description dialect have a closed key set; an unknown key
 //     in a known section is the classic silent typo (`Theads = 8`) and
 //     reports MN-CFG-001 with a did-you-mean hint (edit distance over
-//     the registry), an unknown section reports MN-CFG-002,
+//     the registry), an unknown section reports MN-CFG-002. The
+//     accelerator registry is arch::config_keys(),
 //   * per-key value validation — type, range, and structure (power-of-
 //     two crossbars, [min, max] lists, enum spellings) as MN-CFG-003,
-//     with unit-plausibility warnings (MN-CFG-005) computed through the
-//     dimensional-safety Quantity layer,
+//     through the same key-table readers AcceleratorConfig::from_config
+//     runs, with unit-plausibility warnings (MN-CFG-005) computed
+//     through the dimensional-safety Quantity layer,
 //   * inter-key consistency — constraints spanning several keys
 //     (parallelism vs. crossbar size, read-circuit quantization vs. cell
 //     level bits, fault-check sub-array vs. array geometry, wire-drop
@@ -28,7 +30,7 @@
 namespace mnsim::check {
 
 // Full pass over an accelerator configuration file: registry + values +
-// from_config bridge + consistency + unread keys.
+// validate() bridge + consistency.
 [[nodiscard]] DiagnosticList check_accelerator_config(
     const util::Config& config);
 

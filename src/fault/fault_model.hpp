@@ -59,6 +59,8 @@ struct FaultConfig {
 
   [[nodiscard]] bool enabled() const;
   void validate() const;
+
+  bool operator==(const FaultConfig&) const = default;
 };
 
 struct CellFault {

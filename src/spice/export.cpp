@@ -7,8 +7,13 @@ namespace mnsim::spice {
 
 namespace {
 
+// Appended with += : GCC 12 at -O3 reports a -Wrestrict false positive
+// on "n" + std::to_string(n).
 std::string node_name(NodeId n) {
-  return n == kGround ? "0" : "n" + std::to_string(n);
+  if (n == kGround) return "0";
+  std::string name = "n";
+  name += std::to_string(n);
+  return name;
 }
 
 std::string fmt(double v) {

@@ -121,11 +121,6 @@ double Config::get_double(const std::string& key) const {
   return to_double(key, get_string(key));
 }
 
-double Config::get_double_or(const std::string& key, double fallback) const {
-  auto v = find(key);
-  return v ? to_double(key, *v) : fallback;
-}
-
 long Config::get_int(const std::string& key) const {
   double d = get_double(key);
   long l = static_cast<long>(d);

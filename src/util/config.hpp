@@ -4,7 +4,7 @@
 // `key = value` lines with optional `[section]` headers, `#`/`;` comments,
 // and list values `[a, b, c]`. This parser is deliberately small and
 // dependency-free; arch/params.cpp maps the parsed keys onto the typed
-// MnsimConfig structure.
+// AcceleratorConfig structure.
 #pragma once
 
 #include <map>
@@ -17,10 +17,17 @@
 namespace mnsim::util {
 
 // Thrown on malformed files or ill-typed accesses so configuration errors
-// surface at load time rather than as silent defaults.
+// surface at load time rather than as silent defaults. The optional hint
+// is a fix-it suggestion (e.g. the nearest supported value).
 class ConfigError : public std::runtime_error {
  public:
-  using std::runtime_error::runtime_error;
+  explicit ConfigError(const std::string& message, std::string hint = {})
+      : std::runtime_error(message), hint_(std::move(hint)) {}
+
+  [[nodiscard]] const std::string& hint() const { return hint_; }
+
+ private:
+  std::string hint_;
 };
 
 class Config {
@@ -43,8 +50,6 @@ class Config {
   [[nodiscard]] std::string get_string_or(const std::string& key,
                                           std::string fallback) const;
   [[nodiscard]] double get_double(const std::string& key) const;
-  [[nodiscard]] double get_double_or(const std::string& key,
-                                     double fallback) const;
   [[nodiscard]] long get_int(const std::string& key) const;
   [[nodiscard]] long get_int_or(const std::string& key, long fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key) const;

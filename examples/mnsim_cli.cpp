@@ -48,6 +48,7 @@
 // findings. Exit status: 0 clean, 1 diagnosed errors, 2 usage errors.
 //
 // With no arguments, simulates a built-in demo MLP under the defaults.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -174,9 +175,11 @@ int run_sweep_cmd(int argc, char** argv) {
   bool resume_flag = false;
   bool have_shard = false, have_deadline = false, have_retries = false;
   dse::ShardSpec shard;
-  double deadline_ms = 0.0;
   double constraint = 0.25;
-  int retries = 0;
+  // --deadline and --retries override [sweep] Point_Deadline_Ms and
+  // Max_Attempts, so they parse through those keys' entries of the key
+  // table: the flag and the config key share one type and range.
+  arch::AcceleratorConfig flags;
   std::vector<std::string> checkpoints;
   std::string json_path;
   std::vector<std::string> input_files;
@@ -191,6 +194,32 @@ int run_sweep_cmd(int argc, char** argv) {
                  "[--json <path>]\n");
     return 2;
   };
+  const auto bad_value = [&usage](const std::string& flag,
+                                  const std::string& why) {
+    std::fprintf(stderr, "mnsim_cli sweep: %s: %s\n", flag.c_str(),
+                 why.c_str());
+    return usage();
+  };
+  // True when all of `text` is one int.
+  const auto whole_int = [](const std::string& text, int& out) {
+    const char* const end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    return ec == std::errc() && ptr == end;
+  };
+  // Reads `value` into `flags` through the config key `name`; returns
+  // the key's MN-CFG-003 message for a bad value, else "".
+  const auto read_key = [&flags](const std::string& name,
+                                 const char* value) -> std::string {
+    util::Config config;
+    config.set(name, value);
+    try {
+      for (const auto& key : arch::config_keys())
+        if (key.name == name) key.read(key, config, flags);
+    } catch (const util::ConfigError& e) {
+      return e.what();
+    }
+    return "";
+  };
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--merge") {
@@ -198,19 +227,30 @@ int run_sweep_cmd(int argc, char** argv) {
     } else if (arg == "--resume") {
       resume_flag = true;
     } else if (arg == "--shard" && i + 1 < argc) {
-      if (std::sscanf(argv[++i], "%d/%d", &shard.index, &shard.count) != 2)
-        return usage();
+      const std::string spec = argv[++i];
+      const std::size_t slash = spec.find('/');
+      if (slash == std::string::npos ||
+          !whole_int(spec.substr(0, slash), shard.index) ||
+          !whole_int(spec.substr(slash + 1), shard.count))
+        return bad_value(arg, "'" + spec + "' is not i/N");
       have_shard = true;
     } else if (arg == "--checkpoint" && i + 1 < argc) {
       checkpoints.emplace_back(argv[++i]);
     } else if (arg == "--deadline" && i + 1 < argc) {
-      deadline_ms = std::atof(argv[++i]);
+      const std::string why = read_key("sweep.Point_Deadline_Ms", argv[++i]);
+      if (!why.empty()) return bad_value(arg, why);
       have_deadline = true;
     } else if (arg == "--retries" && i + 1 < argc) {
-      retries = std::atoi(argv[++i]);
+      const std::string why = read_key("sweep.Max_Attempts", argv[++i]);
+      if (!why.empty()) return bad_value(arg, why);
       have_retries = true;
     } else if (arg == "--error" && i + 1 < argc) {
-      constraint = std::atof(argv[++i]) / 100.0;
+      const char* text = argv[++i];
+      char* end = nullptr;
+      const double pct = std::strtod(text, &end);
+      if (end == text || *end != '\0')
+        return bad_value(arg, std::string("'") + text + "' is not a number");
+      constraint = pct / 100.0;
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else if (!arg.empty() && arg[0] == '-') {
@@ -245,8 +285,8 @@ int run_sweep_cmd(int argc, char** argv) {
     if (have_shard) options.shard = shard;
     if (!merge && !checkpoints.empty()) options.checkpoint_path = checkpoints[0];
     if (resume_flag) options.resume = true;
-    if (have_deadline) options.point_deadline_ms = deadline_ms;
-    if (have_retries) options.max_attempts = retries;
+    if (have_deadline) options.point_deadline_ms = flags.sweep_deadline_ms;
+    if (have_retries) options.max_attempts = flags.sweep_max_attempts;
 
     std::printf("%s %zu designs (shard %d/%d), error <= %.1f%%...\n",
                 merge ? "merging" : "sweeping",
@@ -263,13 +303,13 @@ int run_sweep_cmd(int argc, char** argv) {
         "%ld retr%s\n",
         sweep.records.size(), sweep.records.size() == 1 ? "" : "s",
         sweep.result.feasible_count, sweep.resumed_count,
-        sweep.evaluated_count, sweep.quarantined_count, sweep.failed_check,
+        sweep.evaluated_count, sweep.result.failed_count, sweep.failed_check,
         sweep.failed_numeric, sweep.failed_timeout, sweep.retried_count,
         sweep.retried_count == 1 ? "y" : "ies");
     std::fputs(
         dse::format_optima_table(sweep.result, "Optimal designs").c_str(),
         stdout);
-    for (const auto& d : sweep.diagnostics)
+    for (const auto& d : sweep.result.diagnostics)
       std::fputs((d.render() + "\n").c_str(), stderr);
     if (!json_path.empty()) {
       util::atomic_write_file(json_path, dse::sweep_report_json(sweep, net));

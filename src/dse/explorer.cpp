@@ -6,11 +6,8 @@
 #include <stdexcept>
 
 #include "arch/cycle_sim.hpp"
-#include "check/config_check.hpp"
-#include "check/network_check.hpp"
-#include "obs/metrics.hpp"
+#include "dse/shard.hpp"
 #include "obs/trace.hpp"
-#include "util/parallel.hpp"
 
 namespace mnsim::dse {
 
@@ -53,10 +50,7 @@ EvaluatedDesign evaluate_design(const nn::Network& network,
                                 const Constraints& constraints) {
   obs::Span span("dse.evaluate");
   constraints.validate();
-  arch::AcceleratorConfig cfg = base;
-  cfg.crossbar_size = point.crossbar_size;
-  cfg.parallelism = point.parallelism;
-  cfg.interconnect_node_nm = point.interconnect_node;
+  const arch::AcceleratorConfig cfg = apply_point(base, point);
   const auto report = arch::simulate_accelerator(network, cfg);
 
   EvaluatedDesign out;
@@ -87,69 +81,12 @@ ExplorationResult explore(const nn::Network& network,
                           const arch::AcceleratorConfig& base,
                           const DesignSpace& space,
                           const Constraints& constraints) {
-  constraints.validate();
-  // Pre-flight the parts shared by every design point: the network's
-  // structure and the base configuration's consistency. Mapping
-  // feasibility is deliberately left to the per-point evaluation — the
-  // points override exactly the geometry a mapping check would use, and
-  // an unmappable point records as failed-infeasible, not an abort.
-  if (base.check_preflight) {
-    check::DiagnosticList diags = check::check_network(network);
-    diags.merge(check::check_config_consistency(base));
-    if (base.check_warnings_as_errors) diags.promote_warnings();
-    if (diags.has_errors()) throw check::CheckError(std::move(diags));
-  }
-  obs::Span explore_span("dse.explore");
-  ExplorationResult result;
-  result.error_constraint = constraints.max_error;
-  const std::vector<DesignPoint> points = [&] {
-    obs::Span span("dse.enumerate");
-    return space.enumerate();
-  }();
-  // One task per design point. evaluate_design is a pure function of
-  // (network, base, point), so the parallel sweep is bit-identical to
-  // the serial loop; parallel_map keeps enumeration order. A
-  // pathological point (solver failure, invalid derived geometry) must
-  // not abort the sweep: record it as failed-infeasible and continue so
-  // every other design still gets evaluated — same semantics per task
-  // as the serial try/catch had.
-  util::ThreadPool pool(base.parallel_threads);
-  result.designs = util::parallel_map(
-      pool, points.size(), [&](std::size_t i, std::size_t) {
-        obs::Span point_span("dse.design_point");
-        try {
-          return evaluate_design(network, base, points[i], constraints);
-        } catch (const std::exception& e) {
-          EvaluatedDesign failed;
-          failed.point = points[i];
-          failed.feasible = false;
-          failed.evaluated = false;
-          failed.failure = e.what();
-          return failed;
-        }
-      });
-  for (const auto& d : result.designs) {
-    if (!d.evaluated) ++result.failed_count;
-    if (d.feasible) ++result.feasible_count;
-  }
-  // Every point failing is almost always an input problem (bad base
-  // config, unmappable network), not five hundred independent solver
-  // accidents. Surface it as a typed diagnostic on the result — not a
-  // throw, so the per-point failure messages survive for diagnosis.
-  if (!result.designs.empty() &&
-      result.failed_count == static_cast<long>(result.designs.size())) {
-    check::Diagnostic d;
-    d.code = "MN-DSE-006";
-    d.severity = check::Severity::kError;
-    d.message = "every design point of the exploration failed";
-    d.hint = "first failure: " + result.designs.front().failure;
-    result.diagnostics.push_back(std::move(d));
-  }
-  obs::Registry& reg = obs::Registry::global();
-  reg.add("dse.design_points", static_cast<long>(result.designs.size()));
-  reg.add("dse.feasible_points", result.feasible_count);
-  reg.add("dse.failed_points", result.failed_count);
-  return result;
+  // The whole space in one shard, one attempt per point, no journal and
+  // no watchdog; the base config's [sweep] keys are not read.
+  SweepOptions options;
+  options.constraints = constraints;
+  options.max_attempts = 1;
+  return run_sweep(network, base, space, options).result;
 }
 
 ExplorationResult explore(const nn::Network& network,

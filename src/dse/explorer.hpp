@@ -3,7 +3,8 @@
 // Evaluates every design point with the behavior-level models, filters by
 // the computing-error constraint, and reports the optimum per objective —
 // the content of Tables IV and VI — plus the trade-off series behind
-// Figs. 7 and 8.
+// Figs. 7 and 8. The points are driven by dse::run_sweep (dse/shard.hpp);
+// this header holds the per-point kernel and the result type.
 #pragma once
 
 #include <optional>
@@ -66,9 +67,9 @@ struct ExplorationResult {
   long feasible_count = 0;
   long failed_count = 0;  // points whose simulation threw (kept, infeasible)
 
-  // Non-fatal findings about the exploration itself — e.g. MN-DSE-006
-  // when every point failed. Kept on the result (not thrown) so partial
-  // data survives for diagnosis; callers decide the exit status.
+  // Non-fatal findings about the sweep itself — e.g. MN-DSE-006 when
+  // every point failed. Kept on the result (not thrown) so partial data
+  // survives for diagnosis; callers decide the exit status.
   std::vector<check::Diagnostic> diagnostics;
 
   // Best feasible design for one objective; ties broken by area.
@@ -104,7 +105,11 @@ struct ExplorationResult {
 };
 
 // Evaluates the network over the whole space; `base` supplies every
-// parameter the space does not sweep.
+// parameter the space does not sweep. run_sweep with default options:
+// one attempt per point, no journal, no watchdog, and the base config's
+// [sweep] keys are not read. Throws check::CheckError when the network
+// or base config fails the pre-flight; a failing point is recorded as
+// failed-infeasible instead.
 ExplorationResult explore(const nn::Network& network,
                           const arch::AcceleratorConfig& base,
                           const DesignSpace& space,
@@ -114,7 +119,9 @@ ExplorationResult explore(const nn::Network& network,
                           const arch::AcceleratorConfig& base,
                           const DesignSpace& space, double error_constraint);
 
-// Evaluates one point (the explore() kernel, exposed for benches/tests).
+// Evaluates one point: `base` with the point's knobs (apply_point),
+// simulated and checked against `constraints`. The sweep's per-point
+// kernel, exposed for benches and tests.
 EvaluatedDesign evaluate_design(const nn::Network& network,
                                 const arch::AcceleratorConfig& base,
                                 const DesignPoint& point,

@@ -71,12 +71,9 @@ HeteroResult optimize_per_bank(const nn::Network& network,
     const nn::Layer* next = b + 1 < weighted.size() ? weighted[b + 1]
                                                     : nullptr;
     for (const auto& point : points) {
-      arch::AcceleratorConfig cfg = base;
-      cfg.crossbar_size = point.crossbar_size;
-      cfg.parallelism = point.parallelism;
-      cfg.interconnect_node_nm = point.interconnect_node;
       const auto bank = arch::simulate_bank(*weighted[b], pooling_after[b],
-                                            next, network, cfg);
+                                            next, network,
+                                            apply_point(base, point));
       ++result.bank_evaluations;
       candidates[b].push_back({point, bank_objective(bank, objective),
                                std::log1p(bank.epsilon_worst)});
@@ -136,11 +133,7 @@ HeteroResult optimize_per_bank(const nn::Network& network,
   configs.reserve(weighted.size());
   for (std::size_t b = 0; b < weighted.size(); ++b) {
     const auto& point = candidates[b][choice[b]].point;
-    arch::AcceleratorConfig cfg = base;
-    cfg.crossbar_size = point.crossbar_size;
-    cfg.parallelism = point.parallelism;
-    cfg.interconnect_node_nm = point.interconnect_node;
-    configs.push_back(cfg);
+    configs.push_back(apply_point(base, point));
     result.per_bank.push_back(point);
   }
   result.report = arch::simulate_accelerator(network, configs);

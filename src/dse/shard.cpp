@@ -219,43 +219,63 @@ CheckpointRecord evaluate_point(
   return record;
 }
 
-void validate_record_against_space(const CheckpointRecord& record,
-                                   const std::vector<DesignPoint>& points,
-                                   const ShardSpec* shard,
-                                   const std::string& path) {
-  const bool in_range = record.index < points.size();
-  const bool in_shard =
-      shard == nullptr ||
-      static_cast<int>(record.index % static_cast<std::size_t>(
-                                          shard->count)) == shard->index;
-  bool point_matches = false;
-  if (in_range) {
-    const DesignPoint& p = points[record.index];
-    const DesignPoint& q = record.design.point;
-    point_matches = p.crossbar_size == q.crossbar_size &&
-                    p.parallelism == q.parallelism &&
-                    p.interconnect_node == q.interconnect_node;
-  }
-  if (!in_range || !in_shard || !point_matches)
-    reject("MN-DSE-003",
-           "checkpoint record for point " + std::to_string(record.index) +
-               " does not match the enumerated design space",
+// Reads the journal at `path` and checks it against the current inputs:
+// MN-DSE-002 when its fingerprint or point count differs, MN-DSE-004 when
+// `shard` is given and the journal belongs to another partition, and
+// MN-DSE-003 for a record that is not a point of (that shard of) the
+// enumerated space.
+CheckpointFile read_journal(const std::string& path,
+                            std::uint64_t fingerprint,
+                            const std::vector<DesignPoint>& points,
+                            const ShardSpec* shard) {
+  CheckpointFile ck = read_checkpoint(path);
+  if (ck.header.fingerprint != fingerprint ||
+      ck.header.total_points != points.size())
+    reject("MN-DSE-002",
+           "stale checkpoint: its fingerprint does not match the current "
+           "network/configuration/space/constraints",
            path,
-           "the journal was produced by different inputs; restart without "
-           "--resume");
+           "the inputs changed since the journal was written; re-run the "
+           "sweep against the current inputs (without --resume)");
+  if (shard != nullptr && (ck.header.shard_index != shard->index ||
+                           ck.header.shard_count != shard->count))
+    reject("MN-DSE-004",
+           "checkpoint belongs to shard " +
+               std::to_string(ck.header.shard_index) + "/" +
+               std::to_string(ck.header.shard_count) +
+               ", not the requested partition",
+           path, "resume with the same --shard the journal was started with");
+  for (const CheckpointRecord& record : ck.records) {
+    const bool in_shard =
+        shard == nullptr ||
+        static_cast<int>(record.index % static_cast<std::size_t>(
+                                            shard->count)) == shard->index;
+    const DesignPoint* p =
+        record.index < points.size() ? &points[record.index] : nullptr;
+    const DesignPoint& q = record.design.point;
+    if (p == nullptr || !in_shard || p->crossbar_size != q.crossbar_size ||
+        p->parallelism != q.parallelism ||
+        p->interconnect_node != q.interconnect_node)
+      reject("MN-DSE-003",
+             "checkpoint record for point " + std::to_string(record.index) +
+                 " does not match the enumerated design space",
+             path,
+             "the journal was produced by different inputs; restart without "
+             "--resume");
+  }
+  return ck;
 }
 
 // Failure bookkeeping shared by run_sweep and merge_checkpoints: counts
-// per category, quarantines, retries, and the all-failed diagnostic.
+// per category, retries, the all-failed diagnostic and the counters.
 void finalize(SweepResult& out) {
-  out.result.feasible_count = 0;
-  out.result.failed_count = 0;
+  ExplorationResult& result = out.result;
+  result.designs.reserve(out.records.size());
   for (const CheckpointRecord& record : out.records) {
-    out.result.designs.push_back(record.design);
-    if (record.design.feasible) ++out.result.feasible_count;
+    result.designs.push_back(record.design);
+    if (record.design.feasible) ++result.feasible_count;
     if (!record.design.evaluated) {
-      ++out.result.failed_count;
-      ++out.quarantined_count;
+      ++result.failed_count;
       switch (record.category) {
         case FailureCategory::kCheck:
           ++out.failed_check;
@@ -272,9 +292,12 @@ void finalize(SweepResult& out) {
     }
     if (record.attempts > 1) out.retried_count += record.attempts - 1;
   }
+  // Every point failing is almost always an input problem (bad base
+  // config, unmappable network), not independent solver accidents. It is
+  // a diagnostic on the result, not a throw, so the per-point failure
+  // messages survive for diagnosis.
   if (!out.records.empty() &&
-      out.result.failed_count ==
-          static_cast<long>(out.records.size())) {
+      result.failed_count == static_cast<long>(out.records.size())) {
     check::Diagnostic d;
     d.code = "MN-DSE-006";
     d.severity = check::Severity::kError;
@@ -283,7 +306,7 @@ void finalize(SweepResult& out) {
                 std::to_string(out.failed_numeric) + " numeric, " +
                 std::to_string(out.failed_timeout) + " timeout)";
     d.hint = "first failure: " + out.records.front().design.failure;
-    out.diagnostics.push_back(std::move(d));
+    result.diagnostics.push_back(std::move(d));
   }
   if (out.torn_tail) {
     check::Diagnostic d;
@@ -292,13 +315,14 @@ void finalize(SweepResult& out) {
     d.message =
         "checkpoint ended in a torn record (crash artifact); the "
         "affected point was re-evaluated";
-    out.diagnostics.push_back(std::move(d));
+    result.diagnostics.push_back(std::move(d));
   }
   obs::Registry& reg = obs::Registry::global();
-  reg.add("dse.sweep.points", static_cast<long>(out.records.size()));
+  reg.add("dse.design_points", static_cast<long>(result.designs.size()));
+  reg.add("dse.feasible_points", result.feasible_count);
+  reg.add("dse.failed_points", result.failed_count);
   reg.add("dse.sweep.resumed_points", out.resumed_count);
   reg.add("dse.sweep.evaluated_points", out.evaluated_count);
-  reg.add("dse.sweep.quarantined_points", out.quarantined_count);
   reg.add("dse.sweep.timeout_points", out.failed_timeout);
   reg.add("dse.sweep.retries", out.retried_count);
   if (out.torn_tail) reg.add("dse.sweep.torn_tails", 1);
@@ -344,7 +368,7 @@ SweepOptions SweepOptions::from_config(const arch::AcceleratorConfig& base) {
 }
 
 bool SweepResult::ok() const {
-  return std::none_of(diagnostics.begin(), diagnostics.end(),
+  return std::none_of(result.diagnostics.begin(), result.diagnostics.end(),
                       [](const check::Diagnostic& d) {
                         return d.severity == check::Severity::kError;
                       });
@@ -359,9 +383,12 @@ SweepResult run_sweep(const nn::Network& network,
     reject("MN-DSE-004", "--resume requires a checkpoint journal", "",
            "pass --checkpoint <path> (or [sweep] Checkpoint)");
 
-  // Same pre-flight as explore(): the network and base configuration are
-  // shared by every point, so refuse-with-diagnosis before any solve.
-  // Skipped under a test evaluator — it never reads the base config.
+  // Pre-flight the parts shared by every design point: the network's
+  // structure and the base configuration's consistency. Mapping
+  // feasibility is left to the per-point evaluation — the points override
+  // exactly the geometry a mapping check would use, and an unmappable
+  // point records as failed-infeasible, not an abort. Skipped under a
+  // test evaluator — it never reads the base config.
   if (base.check_preflight && !options.evaluator) {
     check::DiagnosticList diags = check::check_network(network);
     diags.merge(check::check_config_consistency(base));
@@ -377,8 +404,6 @@ SweepResult run_sweep(const nn::Network& network,
 
   SweepResult out;
   out.header.version = 1;
-  out.header.fingerprint =
-      sweep_fingerprint(network, base, space, options.constraints);
   out.header.shard_index = options.shard.index;
   out.header.shard_count = options.shard.count;
   out.header.total_points = points.size();
@@ -392,33 +417,15 @@ SweepResult run_sweep(const nn::Network& network,
   CheckpointJournal journal;
   const bool checkpointing = !options.checkpoint_path.empty();
   if (checkpointing) {
-    bool fresh = true;
+    out.header.fingerprint =
+        sweep_fingerprint(network, base, space, options.constraints);
     if (options.resume && file_exists(options.checkpoint_path)) {
       obs::Span span("dse.sweep.replay");
-      CheckpointFile ck = read_checkpoint(options.checkpoint_path);
-      if (ck.header.fingerprint != out.header.fingerprint)
-        reject("MN-DSE-002",
-               "stale checkpoint: its fingerprint does not match the "
-               "current network/configuration/space/constraints",
-               options.checkpoint_path,
-               "the inputs changed since the journal was written; restart "
-               "without --resume");
-      if (ck.header.shard_index != out.header.shard_index ||
-          ck.header.shard_count != out.header.shard_count ||
-          ck.header.total_points != out.header.total_points)
-        reject("MN-DSE-004",
-               "checkpoint belongs to shard " +
-                   std::to_string(ck.header.shard_index) + "/" +
-                   std::to_string(ck.header.shard_count) + " of " +
-                   std::to_string(ck.header.total_points) +
-                   " points, not the requested partition",
-               options.checkpoint_path,
-               "resume with the same --shard the journal was started with");
-      for (CheckpointRecord& record : ck.records) {
-        validate_record_against_space(record, points, &options.shard,
-                                      options.checkpoint_path);
+      CheckpointFile ck =
+          read_journal(options.checkpoint_path, out.header.fingerprint,
+                       points, &options.shard);
+      for (CheckpointRecord& record : ck.records)
         completed[record.index] = std::move(record);  // later wins
-      }
       out.torn_tail = ck.torn_tail;
       if (ck.torn_tail) {
         // Drop the torn bytes so future appends keep the journal
@@ -434,9 +441,7 @@ SweepResult run_sweep(const nn::Network& network,
                                 reencode(ck.header, kept));
       }
       journal.open(options.checkpoint_path, /*truncate=*/false);
-      fresh = false;
-    }
-    if (fresh) {
+    } else {
       journal.open(options.checkpoint_path, /*truncate=*/true);
       journal.append(encode_checkpoint_header(out.header));
     }
@@ -475,18 +480,14 @@ SweepResult run_sweep(const nn::Network& network,
 
   // Assemble in ascending global-index order: resumed records and fresh
   // evaluations interleave exactly as an uninterrupted run would have
-  // produced them.
-  std::unordered_map<std::uint64_t, const CheckpointRecord*> fresh_by_index;
-  for (const CheckpointRecord& record : evaluated)
-    fresh_by_index[record.index] = &record;
+  // produced them. `remaining` is `mine` minus the resumed points, in
+  // order, so the fresh records are consumed front to back.
   out.records.reserve(mine.size());
+  auto fresh = evaluated.begin();
   for (const std::size_t gi : mine) {
     const auto done = completed.find(gi);
-    if (done != completed.end()) {
-      out.records.push_back(done->second);
-    } else {
-      out.records.push_back(*fresh_by_index.at(gi));
-    }
+    out.records.push_back(done != completed.end() ? std::move(done->second)
+                                                  : std::move(*fresh++));
   }
   finalize(out);
   return out;
@@ -516,16 +517,9 @@ SweepResult merge_checkpoints(const std::vector<std::string>& paths,
 
   std::unordered_map<std::uint64_t, CheckpointRecord> merged;
   for (const std::string& path : paths) {
-    CheckpointFile ck = read_checkpoint(path);
-    if (ck.header.fingerprint != fingerprint ||
-        ck.header.total_points != points.size())
-      reject("MN-DSE-002",
-             "stale checkpoint: its fingerprint does not match the "
-             "current network/configuration/space/constraints",
-             path, "re-run the shard against the current inputs");
+    CheckpointFile ck = read_journal(path, fingerprint, points, nullptr);
     out.torn_tail = out.torn_tail || ck.torn_tail;
     for (CheckpointRecord& record : ck.records) {
-      validate_record_against_space(record, points, nullptr, path);
       const auto existing = merged.find(record.index);
       if (existing == merged.end()) {
         merged[record.index] = std::move(record);
@@ -610,7 +604,7 @@ std::string sweep_report_json(const SweepResult& sweep,
      << ", \"feasible\": " << sweep.result.feasible_count
      << ", \"resumed\": " << sweep.resumed_count
      << ", \"evaluated\": " << sweep.evaluated_count
-     << ", \"quarantined\": " << sweep.quarantined_count
+     << ", \"quarantined\": " << sweep.result.failed_count
      << ", \"retries\": " << sweep.retried_count
      << ", \"torn_tail\": " << (sweep.torn_tail ? 1 : 0)
      << ", \"failed\": {\"total\": " << sweep.result.failed_count
@@ -659,14 +653,16 @@ std::string sweep_report_json(const SweepResult& sweep,
   os << (pareto.empty() ? "" : "\n  ") << "],\n";
 
   os << "  \"diagnostics\": [";
-  for (std::size_t i = 0; i < sweep.diagnostics.size(); ++i) {
-    const check::Diagnostic& diag = sweep.diagnostics[i];
+  const std::vector<check::Diagnostic>& diagnostics =
+      sweep.result.diagnostics;
+  for (std::size_t i = 0; i < diagnostics.size(); ++i) {
+    const check::Diagnostic& diag = diagnostics[i];
     os << (i == 0 ? "\n" : ",\n") << "    {\"code\": " << quote(diag.code)
        << ", \"severity\": " << quote(check::severity_name(diag.severity))
        << ", \"message\": " << quote(diag.message)
        << ", \"hint\": " << quote(diag.hint) << "}";
   }
-  os << (sweep.diagnostics.empty() ? "" : "\n  ") << "]\n";
+  os << (diagnostics.empty() ? "" : "\n  ") << "]\n";
   os << "}\n";
   return os.str();
 }

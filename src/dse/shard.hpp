@@ -1,9 +1,12 @@
-// Crash-safe sharded sweep execution (docs/ROBUSTNESS.md).
+// The design-space sweep engine (docs/ROBUSTNESS.md).
 //
-// dse::explore() is an all-or-nothing traversal: a crash, OOM kill, or
-// one pathological design point that hangs the solver throws away the
-// whole run. This layer wraps the same evaluation kernel in the
-// machinery a Table-6-scale sweep needs:
+// run_sweep() is the one engine behind every DSE run: it pre-flights the
+// network and base configuration, enumerates the space, evaluates the
+// points on the thread pool (a failing point is recorded, never fatal),
+// counts and diagnoses the outcome. dse::explore() is run_sweep() with
+// default options: the whole space, one attempt per point, no journal,
+// no watchdog. A Table-6-scale sweep turns on the rest of the machinery
+// through SweepOptions:
 //
 //   * deterministic sharding — the enumerated space is partitioned by
 //     global index stride (point i belongs to shard i mod N), so any
@@ -24,7 +27,7 @@
 //     (check / numeric / timeout) while the rest of the sweep runs on.
 //
 // merge_checkpoints() combines N shard journals into one
-// ExplorationResult bit-identical to a single-process explore() — the
+// ExplorationResult bit-identical to a single-process run — the
 // seam that later turns into distributed workers behind `mnsim serve`.
 #pragma once
 
@@ -84,26 +87,28 @@ struct SweepOptions {
 
 struct SweepResult {
   // Designs of this shard (or, after merge, of the whole space) in
-  // ascending global-index order; for shard 0/1 this is bit-identical
-  // to explore()'s ExplorationResult.
+  // ascending global-index order, with the feasible/failed counts and
+  // the MN-DSE findings that do not abort the sweep (MN-DSE-006 when
+  // every point failed, MN-DSE-007 after a torn journal tail). Its
+  // failed_count is the number of quarantined points.
   ExplorationResult result;
   // One record per design in `result.designs`, same order: global
   // index, failure category, attempts taken.
   std::vector<CheckpointRecord> records;
+  // The journal header; its fingerprint is computed only when the run
+  // reads or writes a journal.
   CheckpointHeader header;
 
   long resumed_count = 0;      // points replayed from the journal
   long evaluated_count = 0;    // points evaluated by this run
-  long quarantined_count = 0;  // points that exhausted their attempts
   long retried_count = 0;      // extra attempts beyond the first
   long failed_check = 0;       // quarantined per category
   long failed_numeric = 0;
   long failed_timeout = 0;
   bool torn_tail = false;      // journal had a crash-torn trailing record
 
-  // MN-DSE findings that do not abort the sweep (e.g. MN-DSE-006 when
-  // every point failed). ok() is the CLI's exit-status predicate.
-  std::vector<check::Diagnostic> diagnostics;
+  // False when result.diagnostics holds an error; the CLI's exit-status
+  // predicate.
   [[nodiscard]] bool ok() const;
 };
 
@@ -117,7 +122,7 @@ SweepResult run_sweep(const nn::Network& network,
 // Merges N shard journals into one full-space result, validating that
 // every journal matches the inputs (MN-DSE-002) and that the union
 // covers every enumerated point exactly (MN-DSE-005). The merged
-// ExplorationResult is bit-identical to a single-process explore().
+// ExplorationResult is bit-identical to a single-process run.
 SweepResult merge_checkpoints(const std::vector<std::string>& paths,
                               const nn::Network& network,
                               const arch::AcceleratorConfig& base,

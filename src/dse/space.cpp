@@ -2,6 +2,14 @@
 
 namespace mnsim::dse {
 
+arch::AcceleratorConfig apply_point(arch::AcceleratorConfig base,
+                                    const DesignPoint& point) {
+  base.crossbar_size = point.crossbar_size;
+  base.parallelism = point.parallelism;
+  base.interconnect_node_nm = point.interconnect_node;
+  return base;
+}
+
 std::vector<DesignPoint> DesignSpace::enumerate() const {
   std::vector<DesignPoint> points;
   for (int node : interconnect_nodes) {

@@ -10,6 +10,8 @@
 
 #include <vector>
 
+#include "arch/params.hpp"
+
 namespace mnsim::dse {
 
 struct DesignPoint {
@@ -17,6 +19,10 @@ struct DesignPoint {
   int parallelism = 0;        // 0 = all columns in parallel
   int interconnect_node = 28; // nm
 };
+
+// `base` with the three swept knobs taken from `point`.
+[[nodiscard]] arch::AcceleratorConfig apply_point(
+    arch::AcceleratorConfig base, const DesignPoint& point);
 
 struct DesignSpace {
   std::vector<int> crossbar_sizes = {4, 8, 16, 32, 64, 128, 256, 512, 1024};

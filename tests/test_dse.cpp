@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <string>
+
+#include "arch/accelerator.hpp"
 #include "dse/report.hpp"
 #include "nn/topologies.hpp"
+#include "obs/metrics.hpp"
 
 namespace mnsim::dse {
 namespace {
@@ -116,6 +122,54 @@ TEST(Explorer, BudgetConstraintsShrinkFeasibleSet) {
     EXPECT_LE(d.metrics.power, 0.5);
     EXPECT_LE(d.metrics.latency, 1e-6);
   }
+}
+
+// explore() runs every point once: a point that fails is recorded, not
+// retried, whatever the base config's [sweep] Max_Attempts says.
+TEST(Explorer, AllPointsFailingEmitsDiagnosticWithoutRetry) {
+  const auto net = nn::make_large_bank_layer();
+  const auto banks =
+      static_cast<long>(arch::simulate_accelerator(net, base()).banks.size());
+  arch::AcceleratorConfig cfg = base();
+  cfg.cycle_enabled = true;
+  cfg.cycle_filter_kb = 1e-3;  // smaller than any crossbar image
+  cfg.sweep_max_attempts = 5;
+  const long points = static_cast<long>(small_space().enumerate().size());
+
+  obs::Registry& reg = obs::Registry::global();
+  const long banks_before = reg.counter("arch.banks");
+  const auto result = explore(net, cfg, small_space(), 0.25);
+  // One accelerator simulation per point before its cycle model fails.
+  EXPECT_EQ(reg.counter("arch.banks") - banks_before, points * banks);
+
+  ASSERT_EQ(static_cast<long>(result.designs.size()), points);
+  EXPECT_EQ(result.failed_count, points);
+  EXPECT_EQ(result.feasible_count, 0);
+  for (const auto& d : result.designs) {
+    EXPECT_FALSE(d.evaluated);
+    EXPECT_NE(d.failure.find("[MN-CYC-003]"), std::string::npos) << d.failure;
+  }
+  ASSERT_EQ(result.diagnostics.size(), 1u);
+  EXPECT_EQ(result.diagnostics[0].code, "MN-DSE-006");
+  EXPECT_NE(result.diagnostics[0].message.find(
+                "(" + std::to_string(points) + " check, 0 numeric, 0 timeout)"),
+            std::string::npos)
+      << result.diagnostics[0].message;
+}
+
+TEST(Explorer, WritesNoJournal) {
+  namespace fs = std::filesystem;
+  const fs::path journal =
+      fs::temp_directory_path() /
+      ("mnsim_explore_journal_" + std::to_string(::getpid()));
+  fs::remove(journal);
+  arch::AcceleratorConfig cfg = base();
+  cfg.sweep_checkpoint = journal.string();
+  cfg.sweep_max_attempts = 5;
+  const auto result =
+      explore(nn::make_large_bank_layer(), cfg, small_space(), 0.25);
+  EXPECT_EQ(result.designs.size(), small_space().enumerate().size());
+  EXPECT_FALSE(fs::exists(journal));
 }
 
 TEST(Explorer, ConstraintsValidate) {

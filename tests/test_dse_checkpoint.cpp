@@ -429,13 +429,13 @@ TEST(Quarantine, AllPointsFailedEmitsDiagnosticAndCounts) {
   const SweepResult sweep =
       run_sweep(small_net(), base_config(2), small_space(), options);
   EXPECT_FALSE(sweep.ok());
-  EXPECT_EQ(sweep.quarantined_count, 8);
+  EXPECT_EQ(sweep.result.failed_count, 8);
   EXPECT_EQ(sweep.failed_numeric, 8);
   EXPECT_EQ(sweep.failed_check, 0);
   EXPECT_EQ(sweep.failed_timeout, 0);
   EXPECT_EQ(sweep.retried_count, 8 * 2);  // max_attempts - 1 extra tries
-  ASSERT_FALSE(sweep.diagnostics.empty());
-  EXPECT_EQ(sweep.diagnostics[0].code, "MN-DSE-006");
+  ASSERT_FALSE(sweep.result.diagnostics.empty());
+  EXPECT_EQ(sweep.result.diagnostics[0].code, "MN-DSE-006");
   // The report carries the category breakdown.
   const std::string json = sweep_report_json(sweep, small_net());
   EXPECT_NE(json.find("\"numeric\": 8"), std::string::npos);

@@ -153,6 +153,12 @@ MonteCarloResult monte_carlo(const Network& network,
     if (l.is_weighted()) weighted.push_back(&l);
   if (layer_eps.size() != weighted.size())
     throw std::invalid_argument(who + ": one eps per weighted layer");
+  // A NaN or infinite eps turns every perturbed output into NaN/inf (and
+  // std::lround of NaN traps under FP exceptions); a negative one builds
+  // uniform_real_distribution(-eps, eps) with a > b.
+  for (double eps : layer_eps)
+    if (!std::isfinite(eps) || eps < 0.0)
+      throw std::invalid_argument(who + ": eps must be finite and >= 0");
   if (config.samples <= 0 || config.weight_draws <= 0)
     throw std::invalid_argument(who + ": sample counts");
   // Quantizer level count for the deviation statistics. signal_bits = 0

@@ -1,6 +1,7 @@
 #include "nn/functional_sim.hpp"
 
 #include <gtest/gtest.h>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -58,6 +59,39 @@ TEST(MonteCarlo, RejectsBadArguments) {
   EXPECT_THROW(run_monte_carlo(net, {0.1, 0.1}, cfg), std::invalid_argument);
   EXPECT_THROW(run_monte_carlo(make_vgg16(), {}, fast()),
                std::invalid_argument);
+}
+
+TEST(MonteCarlo, RejectsNonFiniteOrNegativeEps) {
+  // NaN or inf eps used to report a relative accuracy of about -9e15
+  // (and SIGFPE under -DMNSIM_FPE); a negative one built a uniform
+  // distribution with a > b. All three entry points refuse them.
+  const Network mlp = make_mlp({16, 12, 8});
+  MonteCarloConfig mc;
+  mc.samples = 2;
+  mc.weight_draws = 1;
+  fault::FaultConfig faults;
+  faults.stuck_at_zero_rate = 0.1;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {nan, inf, -inf, -0.01}) {
+    const std::vector<double> eps = {0.01, bad};
+    const auto expect_rejected = [&](const auto& run, const char* who) {
+      try {
+        run();
+        ADD_FAILURE() << who << " accepted eps " << bad;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  std::string(who) + ": eps must be finite and >= 0");
+      }
+    };
+    expect_rejected([&] { run_monte_carlo(mlp, eps, mc); }, "run_monte_carlo");
+    expect_rejected([&] { run_monte_carlo_network(mlp, eps, mc); },
+                    "run_monte_carlo_network");
+    expect_rejected([&] { run_monte_carlo_faulted(mlp, eps, mc, faults); },
+                    "run_monte_carlo_faulted");
+  }
+  // Zero stays valid: the ideal run.
+  EXPECT_DOUBLE_EQ(run_monte_carlo(mlp, {0.0, 0.0}, mc).relative_accuracy, 1.0);
 }
 
 TEST(MonteCarlo, FcFanInMismatchIsRejected) {

@@ -1,9 +1,10 @@
 #include "nn/functional_sim.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <functional>
-#include <random>
 #include <stdexcept>
 #include <string>
 
@@ -15,115 +16,399 @@ namespace mnsim::nn {
 
 namespace {
 
-// A feature map in channel-major layout.
-struct Tensor {
-  int channels = 0;
-  int height = 0;
-  int width = 0;
-  std::vector<double> data;
+// ---- Random stream ---------------------------------------------------------
+//
+// Every draw reads the stream std::uniform_real_distribution<double> makes
+// from std::mt19937, word for word: libstdc++'s generate_canonical takes two
+// 32-bit words (lo + hi * 2^32) * 2^-64, kept below 1, and the distribution
+// scales that to [a, b). The engine twists and tempers a whole state block
+// per refill, in loops the compiler vectorizes; std's per-call path cost
+// several times more and was most of a draw's time.
+class Mt19937 {
+ public:
+  using result_type = std::uint32_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return 0xffffffffu; }
 
-  double& at(int c, int y, int x) {
-    return data[(static_cast<std::size_t>(c) * height + y) * width + x];
+  explicit Mt19937(result_type seed) {
+    state_[0] = seed;
+    for (std::uint32_t i = 1; i < kN; ++i)
+      state_[i] = 1812433253u * (state_[i - 1] ^ (state_[i - 1] >> 30)) + i;
   }
-  [[nodiscard]] double get(int c, int y, int x) const {
-    if (x < 0 || y < 0 || x >= width || y >= height) return 0.0;  // padding
-    return data[(static_cast<std::size_t>(c) * height + y) * width + x];
+
+  result_type operator()() {
+    if (next_ == kN) refill();
+    return out_[next_++];
   }
-  static Tensor zeros(int c, int h, int w) {
-    Tensor t;
-    t.channels = c;
-    t.height = h;
-    t.width = w;
-    t.data.assign(static_cast<std::size_t>(c) * h * w, 0.0);
-    return t;
+
+ private:
+  static constexpr std::size_t kN = 624;
+  static constexpr std::size_t kM = 397;
+
+  static std::uint32_t twist(std::uint32_t x, std::uint32_t x_next,
+                             std::uint32_t x_m) {
+    const std::uint32_t y = (x & 0x80000000u) | (x_next & 0x7fffffffu);
+    return x_m ^ (y >> 1) ^ ((0u - (y & 1u)) & 0x9908b0dfu);
+  }
+
+  void refill() {
+    std::size_t i = 0;
+    for (; i < kN - kM; ++i)
+      state_[i] = twist(state_[i], state_[i + 1], state_[i + kM]);
+    for (; i < kN - 1; ++i)
+      state_[i] = twist(state_[i], state_[i + 1], state_[i + kM - kN]);
+    state_[kN - 1] = twist(state_[kN - 1], state_[0], state_[kM - 1]);
+    for (std::size_t j = 0; j < kN; ++j) {
+      std::uint32_t y = state_[j];
+      y ^= y >> 11;
+      y ^= (y << 7) & 0x9d2c5680u;
+      y ^= (y << 15) & 0xefc60000u;
+      y ^= y >> 18;
+      out_[j] = y;
+    }
+    next_ = 0;
+  }
+
+  std::uint32_t state_[kN];
+  std::uint32_t out_[kN];
+  std::size_t next_ = kN;
+};
+
+// std::uniform_real_distribution<double>(a, b)(rng).
+double uniform(Mt19937& rng, double a, double b) {
+  const double lo = rng();
+  const double hi = rng();
+  double u = (lo + hi * 0x1p32) * 0x1p-64;
+  if (u >= 1.0) u = std::nextafter(1.0, 0.0);
+  return u * (b - a) + a;
+}
+
+// ---- Layer-major forward pass -----------------------------------------------
+//
+// Each weight draw runs its samples through the network one layer at a
+// time, a batch of samples at once. A weighted layer lowers its inputs
+// into a panel, one column per output position of one sample (conv,
+// im2col with the padding zeros written there) or per sample (FC), and
+// multiplies the weight rows with it in one register-blocked GEMM. Each
+// output still sums its terms in (ic, dy, dx) order from 0.0, or from the
+// bias weight, exactly like a direct dot product: the blocking is over
+// outputs and samples only, and k is never split or reordered, so results
+// are bit-identical to the direct loops.
+
+// Register block of the GEMM kernel: weight rows x panel columns.
+constexpr std::size_t kBlockRows = 4;
+constexpr std::size_t kBlockCols = 4;
+// Columns of a lowered panel, and its row stride (a multiple of
+// kBlockCols). A fixed stride this wide also steers the compiler to
+// vectorize the kernel across columns rather than along k.
+constexpr std::size_t kPanelColumns = 32;
+// Doubles of per-sample working set (inputs, perturbation factors and
+// activations) one sample batch may hold: the batch size follows from it.
+constexpr std::size_t kBatchValues = 16384;
+
+// C(i, j) = sum_k a[i][k] * b[k * kPanelColumns + j] over a block of
+// kBlockRows weight rows and kBlockCols panel columns, summed in ascending
+// k from 0.0, or from a[i][k_len] (the bias weight) when `biased`.
+// store(i, j, value) receives each entry.
+template <typename Store>
+void gemm_block(const double* const* a, const double* b, std::size_t k_len,
+                bool biased, const Store& store) {
+  const double* ar[kBlockRows];
+  double acc[kBlockRows][kBlockCols];
+  for (std::size_t i = 0; i < kBlockRows; ++i) {
+    ar[i] = a[i];
+    for (std::size_t j = 0; j < kBlockCols; ++j)
+      acc[i][j] = biased ? ar[i][k_len] : 0.0;
+  }
+  for (std::size_t k = 0; k < k_len; ++k, b += kPanelColumns)
+    for (std::size_t i = 0; i < kBlockRows; ++i) {
+      const double av = ar[i][k];
+      for (std::size_t j = 0; j < kBlockCols; ++j) acc[i][j] += av * b[j];
+    }
+  for (std::size_t i = 0; i < kBlockRows; ++i)
+    for (std::size_t j = 0; j < kBlockCols; ++j) store(i, j, acc[i][j]);
+}
+
+// C = A B for the first m weight rows of `a` and the first n columns of
+// the k_len-row panel `b`. `a` holds m rounded up to kBlockRows row
+// pointers and b's columns up to the block edge are finite: the blocks
+// past m and n are computed and dropped. store(i, j, value) receives each
+// entry with i < m and j < n.
+template <typename Store>
+void gemm(const double* const* a, std::size_t m, const double* b,
+          std::size_t n, std::size_t k_len, bool biased, const Store& store) {
+  for (std::size_t j0 = 0; j0 < n; j0 += kBlockCols)
+    for (std::size_t i0 = 0; i0 < m; i0 += kBlockRows)
+      gemm_block(a + i0, b + j0, k_len, biased,
+                 [&](std::size_t i, std::size_t j, double v) {
+                   if (i0 + i < m && j0 + j < n) store(i0 + i, j0 + j, v);
+                 });
+}
+
+// One layer of the forward pass with its feature-map shapes resolved
+// (channel-major; an FC layer's output is out x 1 x 1).
+struct Step {
+  const Layer* layer = nullptr;
+  int in_c = 0, in_h = 0, in_w = 0;
+  int out_c = 0, out_h = 0, out_w = 0;
+  // Terms summed per output: conv in_c * k * k, FC the flattened input.
+  std::size_t fan_in = 0;
+  // FC layer with a trailing bias weight (weight column `fan_in`), driven
+  // by a constant 1.
+  bool biased = false;
+
+  [[nodiscard]] std::size_t in_size() const {
+    return static_cast<std::size_t>(in_c) * in_h * in_w;
+  }
+  [[nodiscard]] std::size_t out_size() const {
+    return static_cast<std::size_t>(out_c) * out_h * out_w;
+  }
+  [[nodiscard]] std::size_t positions() const {
+    return static_cast<std::size_t>(out_h) * out_w;
   }
 };
 
-// Forward pass with optional per-output multiplicative perturbation of
-// each weighted layer's pre-activation (`rng` null = the ideal run).
-// `weights` holds one matrix per weighted layer: conv [out_ch][in_ch*k*k],
-// FC [out][in (+ bias)]. Activations are ReLU, so both runs share scales.
-Tensor forward_network(const Network& net, const std::vector<Matrix>& weights,
-                       const Tensor& input,
-                       const std::vector<double>& layer_eps,
-                       std::mt19937* rng) {
-  Tensor x = input;
-  std::size_t w_index = 0;
+// Resolves every layer's shapes from the first weighted layer's input and
+// rejects a chain the forward pass cannot run.
+std::vector<Step> plan_forward(const Network& net) {
+  std::vector<Step> steps;
+  int c = 0, h = 0, w = 0;  // current map; 0 channels = no map yet
   for (const auto& layer : net.layers) {
+    Step st;
+    st.layer = &layer;
     if (layer.kind == LayerKind::kPooling) {
       const int p = layer.pool_size;
-      if (p <= 0 || x.height % p != 0 || x.width % p != 0)
+      if (p <= 0 || h % p != 0 || w % p != 0)
         throw std::invalid_argument(
             "forward_network: pooling window " + std::to_string(p) +
-            " does not divide feature map " + std::to_string(x.height) +
-            "x" + std::to_string(x.width) + " at layer '" + layer.name +
+            " does not divide feature map " + std::to_string(h) + "x" +
+            std::to_string(w) + " at layer '" + layer.name +
             "' (MN-NN-003): trailing rows/cols would be silently dropped");
-      Tensor y = Tensor::zeros(x.channels, x.height / p, x.width / p);
-      for (int c = 0; c < y.channels; ++c)
-        for (int oy = 0; oy < y.height; ++oy)
-          for (int ox = 0; ox < y.width; ++ox) {
-            double m = -1e300;
-            for (int dy = 0; dy < p; ++dy)
-              for (int dx = 0; dx < p; ++dx)
-                m = std::max(m, x.get(c, oy * p + dy, ox * p + dx));
-            y.at(c, oy, ox) = m;
-          }
-      x = std::move(y);
-      continue;
-    }
-
-    const auto& w = weights.at(w_index);
-    const double eps = layer_eps.at(w_index);
-    ++w_index;
-    std::uniform_real_distribution<double> err(-eps, eps);
-
-    if (layer.kind == LayerKind::kConvolution) {
-      const int k = layer.kernel;
-      const int pad = layer.padding;
-      Tensor y = Tensor::zeros(layer.out_channels, layer.out_height(),
-                               layer.out_width());
-      for (int oy = 0; oy < y.height; ++oy)
-        for (int ox = 0; ox < y.width; ++ox)
-          for (int oc = 0; oc < y.channels; ++oc) {
-            double acc = 0.0;
-            int row = 0;
-            for (int ic = 0; ic < layer.in_channels; ++ic)
-              for (int dy = 0; dy < k; ++dy)
-                for (int dx = 0; dx < k; ++dx)
-                  acc += w[oc][row++] *
-                         x.get(ic, oy * layer.stride + dy - pad,
-                               ox * layer.stride + dx - pad);
-            if (rng) acc *= 1.0 + err(*rng);
-            y.at(oc, oy, ox) = std::max(acc, 0.0);  // ReLU
-          }
-      x = std::move(y);
+      st.in_c = c, st.in_h = h, st.in_w = w;
+      st.out_c = c, st.out_h = h / p, st.out_w = w / p;
+    } else if (layer.kind == LayerKind::kConvolution) {
+      // The input map is the previous layer's or, after an FC layer, its
+      // flat outputs read as the declared map.
+      const long declared = static_cast<long>(layer.in_channels) *
+                            layer.in_height * layer.in_width;
+      const bool spatial = h > 1 || w > 1;
+      const bool matches =
+          c == 0 || (spatial ? c == layer.in_channels &&
+                                   h == layer.in_height && w == layer.in_width
+                             : static_cast<long>(c) == declared);
+      if (!matches)
+        throw std::invalid_argument(
+            "forward_network: conv layer '" + layer.name + "' expects a " +
+            std::to_string(layer.in_channels) + "x" +
+            std::to_string(layer.in_height) + "x" +
+            std::to_string(layer.in_width) + " input map but receives " +
+            std::to_string(c) + "x" + std::to_string(h) + "x" +
+            std::to_string(w) + " (MN-NN-001): shape-chain mismatch");
+      st.in_c = layer.in_channels, st.in_h = layer.in_height,
+      st.in_w = layer.in_width;
+      st.out_c = layer.out_channels, st.out_h = layer.out_height(),
+      st.out_w = layer.out_width();
+      st.fan_in = static_cast<std::size_t>(layer.matrix_rows());
     } else {
-      // The layer's weight rows are the flattened feature map plus, when
-      // the layer has one, a trailing bias weight driven by a constant 1
-      // (matrix_rows() = in_features + bias). Anything else is a fan-in
-      // mismatch: computing a truncated dot product would silently skew
-      // exactly the accuracy statistics this simulator exists to measure.
-      const std::size_t flat = x.data.size();
-      const std::size_t fan_in = w.empty() ? 0 : w.front().size();
-      const bool biased = layer.has_bias && fan_in == flat + 1;
-      if (!biased && fan_in != flat)
+      // The weight rows are the flattened feature map plus, when the layer
+      // has one, a trailing bias weight (matrix_rows() = in_features +
+      // bias). Anything else is a fan-in mismatch: a truncated dot product
+      // would silently skew exactly the accuracy statistics this simulator
+      // exists to measure.
+      if (c == 0) c = layer.in_features, h = 1, w = 1;
+      const std::size_t flat = static_cast<std::size_t>(c) * h * w;
+      const auto rows = static_cast<std::size_t>(layer.matrix_rows());
+      st.biased = layer.has_bias && rows == flat + 1;
+      if (!st.biased && rows != flat)
         throw std::invalid_argument(
             "forward_network: FC layer '" + layer.name + "' expects " +
-            std::to_string(fan_in) + " inputs" +
+            std::to_string(rows) + " inputs" +
             (layer.has_bias ? " (incl. bias)" : "") + " but receives a " +
             std::to_string(flat) +
             "-element feature map (MN-NN-001): fan-in mismatch");
-      Tensor y = Tensor::zeros(static_cast<int>(w.size()), 1, 1);
-      for (std::size_t o = 0; o < w.size(); ++o) {
-        double acc = biased ? w[o][flat] : 0.0;
-        for (std::size_t i = 0; i < flat; ++i) acc += w[o][i] * x.data[i];
-        if (rng) acc *= 1.0 + err(*rng);
-        y.data[o] = std::max(acc, 0.0);
-      }
-      x = std::move(y);
+      st.in_c = static_cast<int>(flat), st.in_h = 1, st.in_w = 1;
+      st.out_c = layer.out_features, st.out_h = 1, st.out_w = 1;
+      st.fan_in = flat;
     }
+    c = st.out_c, h = st.out_h, w = st.out_w;
+    steps.push_back(st);
   }
-  return x;
+  return steps;
+}
+
+// One input of a layer and where its outputs go: `ideal` receives
+// relu(acc), `perturbed` relu(acc * (1 + err)); either may be null.
+struct Lane {
+  const double* in = nullptr;
+  double* ideal = nullptr;
+  double* perturbed = nullptr;
+  const double* err = nullptr;
+};
+
+// Writes one pre-activation to a lane's outputs: `o` indexes the output
+// map, `e` the lane's perturbation factors.
+inline void emit(const Lane& lane, std::size_t o, std::size_t e,
+                 double acc) {
+  if (lane.ideal) lane.ideal[o] = std::max(acc, 0.0);  // ReLU
+  if (lane.perturbed)
+    lane.perturbed[o] = std::max(acc * (1.0 + lane.err[e]), 0.0);
+}
+
+// Working buffers of one pool task, reused across layers and draws.
+struct Workspace {
+  std::vector<double> inputs;            // batch x input size
+  std::vector<std::vector<double>> err;  // per weighted layer
+  std::vector<double> act[2][2];         // [ideal/perturbed][ping-pong]
+  std::vector<double> panel;             // fan_in x up to kPanelColumns
+  std::vector<const double*> rows;       // weight rows of the layer
+  std::vector<Lane> lanes;
+};
+
+// Writes positions [p0, p0 + n) of `x`'s lowering into the panel:
+// panel[k * kPanelColumns + j] is term k, in (ic, dy, dx) order, of
+// position p0 + j, 0.0 where the window overhangs the padding.
+void im2col(const Step& st, const double* x, std::size_t p0, std::size_t n,
+            double* panel) {
+  const Layer& l = *st.layer;
+  const int k = l.kernel;
+  double* dst = panel;
+  for (int ic = 0; ic < st.in_c; ++ic)
+    for (int dy = 0; dy < k; ++dy)
+      for (int dx = 0; dx < k; ++dx, dst += kPanelColumns) {
+        int oy = static_cast<int>(p0 / st.out_w);
+        int ox = static_cast<int>(p0 % st.out_w);
+        for (std::size_t j = 0; j < n; ++j) {
+          const int iy = oy * l.stride + dy - l.padding;
+          const int ix = ox * l.stride + dx - l.padding;
+          dst[j] = iy >= 0 && iy < st.in_h && ix >= 0 && ix < st.in_w
+                       ? x[(static_cast<std::size_t>(ic) * st.in_h + iy) *
+                               st.in_w +
+                           ix]
+                       : 0.0;
+          if (++ox == st.out_w) ox = 0, ++oy;
+        }
+      }
+}
+
+// A weighted layer over `lanes` with weights `w` ([out][fan_in (+ bias)]).
+// Conv outputs are channel-major with perturbation factors in (oy, ox, oc)
+// order; FC panels put up to kPanelColumns lanes side by side, so each
+// weight load serves all of them.
+void weighted_layer(const Step& st, const Matrix& w,
+                    const std::vector<Lane>& lanes, Workspace& ws) {
+  const std::size_t outputs = w.size();
+  // Whole row blocks: the last block repeats the last row.
+  ws.rows.resize((outputs + kBlockRows - 1) / kBlockRows * kBlockRows);
+  for (std::size_t o = 0; o < ws.rows.size(); ++o)
+    ws.rows[o] = w[std::min(o, outputs - 1)].data();
+  ws.panel.resize(std::max(ws.panel.size(), st.fan_in * kPanelColumns));
+  double* panel = ws.panel.data();
+  if (st.layer->kind == LayerKind::kConvolution) {
+    const std::size_t positions = st.positions();
+    for (const Lane& lane : lanes)
+      for (std::size_t p0 = 0; p0 < positions; p0 += kPanelColumns) {
+        const std::size_t n = std::min(kPanelColumns, positions - p0);
+        im2col(st, lane.in, p0, n, panel);
+        gemm(ws.rows.data(), outputs, panel, n, st.fan_in, false,
+             [&](std::size_t oc, std::size_t j, double acc) {
+               const std::size_t pos = p0 + j;
+               emit(lane, oc * positions + pos, pos * outputs + oc, acc);
+             });
+      }
+    return;
+  }
+  for (std::size_t c0 = 0; c0 < lanes.size(); c0 += kPanelColumns) {
+    const std::size_t n = std::min(kPanelColumns, lanes.size() - c0);
+    for (std::size_t k = 0; k < st.fan_in; ++k)
+      for (std::size_t j = 0; j < n; ++j)
+        panel[k * kPanelColumns + j] = lanes[c0 + j].in[k];
+    gemm(ws.rows.data(), outputs, panel, n, st.fan_in, st.biased,
+         [&](std::size_t o, std::size_t j, double acc) {
+           emit(lanes[c0 + j], o, o, acc);
+         });
+  }
+}
+
+// Max pooling of one map (window = stride = pool_size).
+void pool_layer(const Step& st, const double* x, double* y) {
+  const int p = st.layer->pool_size;
+  for (int c = 0; c < st.out_c; ++c)
+    for (int oy = 0; oy < st.out_h; ++oy)
+      for (int ox = 0; ox < st.out_w; ++ox) {
+        double m = -1e300;
+        for (int dy = 0; dy < p; ++dy) {
+          const double* row =
+              x + (static_cast<std::size_t>(c) * st.in_h + oy * p + dy) *
+                      st.in_w +
+              static_cast<std::size_t>(ox) * p;
+          for (int dx = 0; dx < p; ++dx) m = std::max(m, row[dx]);
+        }
+        y[(static_cast<std::size_t>(c) * st.out_h + oy) * st.out_w + ox] = m;
+      }
+}
+
+// Runs the nb samples of ws.inputs through `steps` one layer at a time
+// and returns their final ideal and perturbed maps (one per max_act
+// doubles). The perturbed run multiplies each weighted layer's
+// pre-activations by 1 + ws.err and uses the `perturbed` weights; when
+// those are `weights` itself, the first weighted layer's pre-activations
+// are computed once for both runs, since both start from the same inputs.
+std::array<const double*, 2> forward_batch(
+    const std::vector<Step>& steps, const std::vector<Matrix>& weights,
+    const std::vector<Matrix>& perturbed, std::size_t nb,
+    std::size_t max_act, Workspace& ws) {
+  const double* in[2] = {ws.inputs.data(), ws.inputs.data()};
+  std::size_t in_stride = steps.front().in_size();
+  std::size_t l = 0;  // weighted layer index
+  int pp = 0;         // ping-pong buffer of this layer's outputs
+  for (const Step& step : steps) {
+    double* out[2] = {ws.act[0][pp].data(), ws.act[1][pp].data()};
+    pp ^= 1;
+    if (step.layer->kind == LayerKind::kPooling) {
+      for (int run = 0; run < 2; ++run)
+        for (std::size_t s = 0; s < nb; ++s)
+          pool_layer(step, in[run] + s * in_stride, out[run] + s * max_act);
+    } else {
+      const auto lane = [&](int run, std::size_t s, bool ideal, bool pert) {
+        return Lane{in[run] + s * in_stride,
+                    ideal ? out[0] + s * max_act : nullptr,
+                    pert ? out[1] + s * max_act : nullptr,
+                    ws.err[l].data() + s * step.out_size()};
+      };
+      const auto layer_pass = [&] {
+        ws.lanes.clear();
+        if (in[0] == in[1] && &weights == &perturbed) {
+          for (std::size_t s = 0; s < nb; ++s)
+            ws.lanes.push_back(lane(0, s, true, true));
+          weighted_layer(step, weights[l], ws.lanes, ws);
+          return;
+        }
+        for (std::size_t s = 0; s < nb; ++s)
+          ws.lanes.push_back(lane(0, s, true, false));
+        if (&weights != &perturbed) {
+          weighted_layer(step, weights[l], ws.lanes, ws);
+          ws.lanes.clear();
+        }
+        // Same weights: the perturbed lanes join the ideal ones in one
+        // pass, so each weight load serves both runs.
+        for (std::size_t s = 0; s < nb; ++s)
+          ws.lanes.push_back(lane(1, s, false, true));
+        weighted_layer(step, perturbed[l], ws.lanes, ws);
+      };
+      if (step.layer->kind == LayerKind::kConvolution) {
+        obs::Span layer_span("nn.conv");
+        layer_pass();
+      } else {
+        obs::Span layer_span("nn.fc");
+        layer_pass();
+      }
+      ++l;
+    }
+    in[0] = out[0];
+    in[1] = out[1];
+    in_stride = max_act;
+  }
+  return {in[0], in[1]};
 }
 
 // Partial deviation statistics of one weight draw; reduced in draw order
@@ -148,10 +433,7 @@ MonteCarloResult monte_carlo(const Network& network,
                              const char* span, const std::string& who,
                              const WeightRewrite& rewrite = {}) {
   network.validate();
-  std::vector<const Layer*> weighted;
-  for (const auto& l : network.layers)
-    if (l.is_weighted()) weighted.push_back(&l);
-  if (layer_eps.size() != weighted.size())
+  if (layer_eps.size() != static_cast<std::size_t>(network.depth()))
     throw std::invalid_argument(who + ": one eps per weighted layer");
   // A NaN or infinite eps turns every perturbed output into NaN/inf (and
   // std::lround of NaN traps under FP exceptions); a negative one builds
@@ -170,33 +452,52 @@ MonteCarloResult monte_carlo(const Network& network,
     throw std::invalid_argument(who + ": signal_bits outside [1, 30]");
   const int k = 1 << config.signal_bits;
 
-  const Layer& first = *weighted.front();
-  const bool conv_input = first.kind == LayerKind::kConvolution;
-  const int in_c = conv_input ? first.in_channels : first.in_features;
-  const int in_h = conv_input ? first.in_height : 1;
-  const int in_w = conv_input ? first.in_width : 1;
+  const std::vector<Step> steps = plan_forward(network);
+  std::vector<const Step*> weighted;
+  std::size_t max_act = 0;     // largest feature map
+  std::size_t sample_err = 0;  // perturbation factors per sample
+  long macs_per_sample = 0;    // executed multiply-accumulates
+  for (const Step& st : steps) {
+    max_act = std::max({max_act, st.in_size(), st.out_size()});
+    if (!st.layer->is_weighted()) continue;
+    // Without a rewrite the first weighted layer's pre-activations are
+    // shared by both runs: computed once.
+    const long runs = weighted.empty() && !rewrite ? 1 : 2;
+    macs_per_sample += runs * st.layer->matrix_rows() *
+                       st.layer->matrix_cols() *
+                       st.layer->compute_iterations();
+    weighted.push_back(&st);
+    sample_err += st.out_size();
+  }
+  const std::size_t in_size = steps.front().in_size();
+  const std::size_t out_size = steps.back().out_size();
+  const std::size_t batch = std::clamp<std::size_t>(
+      kBatchValues / (in_size + sample_err + 4 * max_act), 1,
+      static_cast<std::size_t>(config.samples));
 
   obs::Span mc_span(span);
   util::ThreadPool pool(config.threads);
+  std::vector<Workspace> workspaces(pool.worker_count());
   // One task per weight draw, each on its own (seed, draw)-derived RNG
   // stream: the draw's weights, inputs and perturbations depend only on
   // the draw index, so any thread count produces the same statistics.
   const auto stats = util::parallel_map(
       pool, static_cast<std::size_t>(config.weight_draws),
-      [&](std::size_t draw, std::size_t) {
+      [&](std::size_t draw, std::size_t worker) {
         obs::Span draw_span("nn.mc_draw");
-        std::mt19937 rng(util::derive_stream_seed(config.seed, draw));
+        Mt19937 rng(util::derive_stream_seed(config.seed, draw));
+        Workspace& ws = workspaces[worker];
 
+        // Random signed weights quantized to the network's precision; keep
+        // the integer codes, activations carry the scale implicitly.
         std::vector<Matrix> weights;
-        std::uniform_real_distribution<double> wdist(-1.0, 1.0);
-        for (const Layer* l : weighted) {
-          Matrix w(static_cast<std::size_t>(l->matrix_cols()),
+        for (const Step* l : weighted) {
+          Matrix w(static_cast<std::size_t>(l->layer->matrix_cols()),
                    std::vector<double>(
-                       static_cast<std::size_t>(l->matrix_rows())));
+                       static_cast<std::size_t>(l->layer->matrix_rows())));
           for (auto& row : w)
-            for (double& v : row) v = wdist(rng);
+            for (double& v : row) v = uniform(rng, -1.0, 1.0);
           double scale = 1.0;
-          // Keep the integer codes; activations carry the scale implicitly.
           const IntMatrix q =
               quantize_symmetric(w, network.weight_bits, &scale);
           for (std::size_t o = 0; o < q.size(); ++o)
@@ -211,30 +512,52 @@ MonteCarloResult monte_carlo(const Network& network,
         }
         const auto& perturbed = rewrite ? rewritten : weights;
 
+        ws.inputs.resize(batch * in_size);
+        ws.err.resize(weighted.size());
+        for (std::size_t l = 0; l < weighted.size(); ++l)
+          ws.err[l].resize(batch * weighted[l]->out_size());
+        for (auto& run : ws.act)
+          for (auto& buf : run) buf.resize(batch * max_act);
+
         DrawStats st;
-        std::uniform_real_distribution<double> xdist(0.0, 1.0);
-        for (int s = 0; s < config.samples; ++s) {
-          Tensor input = Tensor::zeros(in_c, in_h, in_w);
-          for (double& v : input.data) v = xdist(rng);
+        for (int s0 = 0; s0 < config.samples;
+             s0 += static_cast<int>(batch)) {
+          const std::size_t nb = std::min(
+              batch, static_cast<std::size_t>(config.samples - s0));
+          // The RNG order of the sample-by-sample pass: each sample's
+          // inputs, then one perturbation factor per output of each
+          // weighted layer, conv outputs in (oy, ox, oc) order.
+          for (std::size_t s = 0; s < nb; ++s) {
+            for (std::size_t i = 0; i < in_size; ++i)
+              ws.inputs[s * in_size + i] = uniform(rng, 0.0, 1.0);
+            for (std::size_t l = 0; l < weighted.size(); ++l) {
+              const std::size_t n = weighted[l]->out_size();
+              for (std::size_t e = 0; e < n; ++e)
+                ws.err[l][s * n + e] =
+                    uniform(rng, -layer_eps[l], layer_eps[l]);
+            }
+          }
 
-          const Tensor ideal =
-              forward_network(network, weights, input, layer_eps, nullptr);
-          const Tensor actual =
-              forward_network(network, perturbed, input, layer_eps, &rng);
-
-          double max_out = 0.0;
-          for (double v : ideal.data) max_out = std::max(max_out, v);
-          if (max_out <= 0) continue;
-          const double lsb = max_out / (k - 1);
-          for (std::size_t o = 0; o < ideal.data.size(); ++o) {
-            const long qi = std::lround(ideal.data[o] / lsb);
-            const long qa = std::lround(
-                std::clamp(actual.data[o], 0.0, max_out) / lsb);
-            const double rate =
-                static_cast<double>(std::labs(qa - qi)) / (k - 1);
-            st.deviation_sum += rate;
-            ++st.deviation_count;
-            st.max_rate = std::max(st.max_rate, rate);
+          const auto [ideal_out, actual_out] =
+              forward_batch(steps, weights, perturbed, nb, max_act, ws);
+          for (std::size_t s = 0; s < nb; ++s) {
+            const double* ideal = ideal_out + s * max_act;
+            const double* actual = actual_out + s * max_act;
+            double max_out = 0.0;
+            for (std::size_t o = 0; o < out_size; ++o)
+              max_out = std::max(max_out, ideal[o]);
+            if (max_out <= 0) continue;
+            const double lsb = max_out / (k - 1);
+            for (std::size_t o = 0; o < out_size; ++o) {
+              const long qi = std::lround(ideal[o] / lsb);
+              const long qa =
+                  std::lround(std::clamp(actual[o], 0.0, max_out) / lsb);
+              const double rate =
+                  static_cast<double>(std::labs(qa - qi)) / (k - 1);
+              st.deviation_sum += rate;
+              ++st.deviation_count;
+              st.max_rate = std::max(st.max_rate, rate);
+            }
           }
         }
         return st;
@@ -256,10 +579,10 @@ MonteCarloResult monte_carlo(const Network& network,
   result.relative_accuracy = 1.0 - result.avg_error_rate;
   result.seed = config.seed;
   result.threads = static_cast<int>(pool.worker_count());
+  const long samples = static_cast<long>(config.weight_draws) * config.samples;
   obs::Registry::global().add("nn.mc_draws", config.weight_draws);
-  obs::Registry::global().add(
-      "nn.mc_samples",
-      static_cast<long>(config.weight_draws) * config.samples);
+  obs::Registry::global().add("nn.mc_samples", samples);
+  obs::Registry::global().add("nn.mc_macs", samples * macs_per_sample);
   return result;
 }
 

@@ -8,7 +8,12 @@
 // and the two runs are compared at the output.
 //
 // One Monte-Carlo driver and one forward pass (conv / pooling / FC) serve
-// all three entry points:
+// all three entry points. The pass is layer-major: per weight draw, a
+// batch of samples goes through the network one layer at a time, each
+// weighted layer as one blocked GEMM over im2col panels (conv) or the
+// samples' activations (FC). Its results are bit-identical to a direct
+// per-sample, per-output loop (docs/PERFORMANCE.md, "Functional
+// Monte-Carlo"). The entry points:
 //  * `run_monte_carlo_network` — any supported network, per-output
 //    relative error drawn uniformly from [-eps_layer, +eps_layer];
 //  * `run_monte_carlo` — the same driver on the bias-free MLP view of an
@@ -70,11 +75,13 @@ MonteCarloResult run_monte_carlo(const Network& network,
                                  const std::vector<double>& layer_eps,
                                  const MonteCarloConfig& config);
 
-// General variant supporting conv / pooling / FC networks: convolutions
-// execute pixel-by-pixel (each output pixel is one perturbed
-// matrix-vector pass, matching the accelerator's dataflow), max pooling
-// follows its attached conv bank. Keep input maps modest (<= 32x32) —
-// the functional conv is O(pixels * channels * k^2).
+// General variant supporting conv / pooling / FC networks: each conv
+// output pixel is one perturbed matrix-vector product (the accelerator's
+// dataflow), max pooling follows its attached conv bank. A conv layer's
+// input map must be the previous layer's output map (or, after an FC
+// layer, hold as many values); a mismatch throws (MN-NN-001). Keep input
+// maps modest (<= 32x32) — the functional conv is O(pixels * channels *
+// k^2).
 MonteCarloResult run_monte_carlo_network(const Network& network,
                                          const std::vector<double>& layer_eps,
                                          const MonteCarloConfig& config);

@@ -122,6 +122,38 @@ TEST(MonteCarlo, FcFanInMismatchIsRejected) {
       [&] { run_monte_carlo_faulted(net, {0.01, 0.01}, mc, faults); });
 }
 
+TEST(MonteCarlo, ConvInputMapMismatchIsRejected) {
+  // The second conv declares a 4x6x6 input but the first produces 4x4x4:
+  // reading the map with the declared shape would mix up pixels, so the
+  // forward pass refuses the chain (as mnsim check does).
+  Network net;
+  net.type = NetworkType::kCnn;
+  net.layers.push_back(Layer::convolution("c1", 1, 4, 3, 6, 6));
+  net.layers.push_back(Layer::convolution("c2", 4, 2, 3, 6, 6));
+  net.validate();
+  MonteCarloConfig mc;
+  mc.samples = 2;
+  mc.weight_draws = 1;
+  try {
+    run_monte_carlo_network(net, {0.01, 0.01}, mc);
+    FAIL() << "expected the conv shape-chain mismatch to throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("MN-NN-001"), std::string::npos)
+        << e.what();
+  }
+
+  // After an FC layer, a conv whose declared map holds as many values
+  // reads the flat outputs as that map.
+  Network reshaped;
+  reshaped.type = NetworkType::kCnn;
+  reshaped.layers.push_back(Layer::fully_connected("f1", 8, 36));
+  reshaped.layers.push_back(Layer::convolution("c1", 1, 2, 3, 6, 6));
+  reshaped.validate();
+  const auto r = run_monte_carlo_network(reshaped, {0.05, 0.05}, mc);
+  EXPECT_GE(r.relative_accuracy, 0.0);
+  EXPECT_LE(r.relative_accuracy, 1.0);
+}
+
 TEST(Electrical, SmallLayerTracksFixedPoint) {
   // An 8x4 layer evaluated through the full circuit-level solve.
   IntMatrix weights = {{10, -20, 30, 5, -7, 12, 0, 9},

@@ -93,7 +93,9 @@ double uniform(Mt19937& rng, double a, double b) {
 // output still sums its terms in (ic, dy, dx) order from 0.0, or from the
 // bias weight, exactly like a direct dot product: the blocking is over
 // outputs and samples only, and k is never split or reordered, so results
-// are bit-identical to the direct loops.
+// are bit-identical to the direct loops. A max pooling layer is folded into
+// the layer before it, which writes each output straight into its pooling
+// cell.
 
 // Register block of the GEMM kernel: weight rows x panel columns.
 constexpr std::size_t kBlockRows = 4;
@@ -101,10 +103,10 @@ constexpr std::size_t kBlockCols = 4;
 // Columns of a lowered panel, and its row stride (a multiple of
 // kBlockCols). A fixed stride this wide also steers the compiler to
 // vectorize the kernel across columns rather than along k.
-constexpr std::size_t kPanelColumns = 32;
+constexpr std::size_t kPanelColumns = 24;
 // Doubles of per-sample working set (inputs, perturbation factors and
 // activations) one sample batch may hold: the batch size follows from it.
-constexpr std::size_t kBatchValues = 16384;
+constexpr std::size_t kBatchValues = 8192;
 
 // C(i, j) = sum_k a[i][k] * b[k * kPanelColumns + j] over a block of
 // kBlockRows weight rows and kBlockCols panel columns, summed in ascending
@@ -130,10 +132,10 @@ void gemm_block(const double* const* a, const double* b, std::size_t k_len,
 }
 
 // C = A B for the first m weight rows of `a` and the first n columns of
-// the k_len-row panel `b`. `a` holds m rounded up to kBlockRows row
-// pointers and b's columns up to the block edge are finite: the blocks
-// past m and n are computed and dropped. store(i, j, value) receives each
-// entry with i < m and j < n.
+// the k_len-row panel `b`. `a` holds m rounded up to
+// kBlockRows row pointers and b's columns up to the block edge are
+// finite: the blocks past m and n are computed and dropped.
+// store(i, j, value) receives each entry with i < m and j < n.
 template <typename Store>
 void gemm(const double* const* a, std::size_t m, const double* b,
           std::size_t n, std::size_t k_len, bool biased, const Store& store) {
@@ -145,12 +147,14 @@ void gemm(const double* const* a, std::size_t m, const double* b,
                  });
 }
 
-// One layer of the forward pass with its feature-map shapes resolved
-// (channel-major; an FC layer's output is out x 1 x 1).
+// One weighted layer of the forward pass with its feature-map shapes
+// resolved (channel-major; an FC layer's output is out x 1 x 1), and the
+// max pooling that follows it folded in.
 struct Step {
   const Layer* layer = nullptr;
   int in_c = 0, in_h = 0, in_w = 0;
-  int out_c = 0, out_h = 0, out_w = 0;
+  int out_c = 0, out_h = 0, out_w = 0;  // before pooling
+  int pool = 1;  // pooling window folded into the layer (1 = none)
   // Terms summed per output: conv in_c * k * k, FC the flattened input.
   std::size_t fan_in = 0;
   // FC layer with a trailing bias weight (weight column `fan_in`), driven
@@ -166,17 +170,23 @@ struct Step {
   [[nodiscard]] std::size_t positions() const {
     return static_cast<std::size_t>(out_h) * out_w;
   }
+  // The pooled map the layer writes.
+  [[nodiscard]] int map_h() const { return out_h / pool; }
+  [[nodiscard]] int map_w() const { return out_w / pool; }
+  [[nodiscard]] std::size_t map_size() const {
+    return static_cast<std::size_t>(out_c) * map_h() * map_w();
+  }
 };
 
-// Resolves every layer's shapes from the first weighted layer's input and
-// rejects a chain the forward pass cannot run.
+// Resolves every weighted layer's shapes from the first one's input,
+// folds each pooling layer into the layer before it, and rejects a chain
+// the forward pass cannot run.
 std::vector<Step> plan_forward(const Network& net) {
   std::vector<Step> steps;
   int c = 0, h = 0, w = 0;  // current map; 0 channels = no map yet
   for (const auto& layer : net.layers) {
-    Step st;
-    st.layer = &layer;
     if (layer.kind == LayerKind::kPooling) {
+      // Network::validate puts a weighted layer before any pooling.
       const int p = layer.pool_size;
       if (p <= 0 || h % p != 0 || w % p != 0)
         throw std::invalid_argument(
@@ -184,9 +194,13 @@ std::vector<Step> plan_forward(const Network& net) {
             " does not divide feature map " + std::to_string(h) + "x" +
             std::to_string(w) + " at layer '" + layer.name +
             "' (MN-NN-003): trailing rows/cols would be silently dropped");
-      st.in_c = c, st.in_h = h, st.in_w = w;
-      st.out_c = c, st.out_h = h / p, st.out_w = w / p;
-    } else if (layer.kind == LayerKind::kConvolution) {
+      steps.back().pool *= p;
+      h /= p, w /= p;
+      continue;
+    }
+    Step st;
+    st.layer = &layer;
+    if (layer.kind == LayerKind::kConvolution) {
       // The input map is the previous layer's or, after an FC layer, its
       // flat outputs read as the declared map.
       const long declared = static_cast<long>(layer.in_channels) *
@@ -245,21 +259,28 @@ struct Lane {
   const double* err = nullptr;
 };
 
-// Writes one pre-activation to a lane's outputs: `o` indexes the output
-// map, `e` the lane's perturbation factors.
-inline void emit(const Lane& lane, std::size_t o, std::size_t e,
+// Writes one pre-activation to a lane's maps at `cell`, keeping the
+// larger value there: a folded max pooling window fills one cell in the
+// order a direct pooling loop visits it, from the same -1e300. `e` indexes
+// the lane's perturbation factors.
+inline void emit(const Lane& lane, std::size_t cell, std::size_t e,
                  double acc) {
-  if (lane.ideal) lane.ideal[o] = std::max(acc, 0.0);  // ReLU
+  if (lane.ideal)
+    lane.ideal[cell] = std::max(lane.ideal[cell], std::max(acc, 0.0));
   if (lane.perturbed)
-    lane.perturbed[o] = std::max(acc * (1.0 + lane.err[e]), 0.0);
+    lane.perturbed[cell] = std::max(
+        lane.perturbed[cell], std::max(acc * (1.0 + lane.err[e]), 0.0));
 }
 
 // Working buffers of one pool task, reused across layers and draws.
+// Layer i writes ping-pong buffer i % 2, sized for the largest map it
+// holds.
 struct Workspace {
   std::vector<double> inputs;            // batch x input size
   std::vector<std::vector<double>> err;  // per weighted layer
   std::vector<double> act[2][2];         // [ideal/perturbed][ping-pong]
-  std::vector<double> panel;             // fan_in x up to kPanelColumns
+  std::vector<double> panel;             // fan_in x kPanelColumns
+  std::vector<std::size_t> cells;        // pooled cell of each panel column
   std::vector<const double*> rows;       // weight rows of the layer
   std::vector<Lane> lanes;
 };
@@ -292,8 +313,8 @@ void im2col(const Step& st, const double* x, std::size_t p0, std::size_t n,
 
 // A weighted layer over `lanes` with weights `w` ([out][fan_in (+ bias)]).
 // Conv outputs are channel-major with perturbation factors in (oy, ox, oc)
-// order; FC panels put up to kPanelColumns lanes side by side, so each
-// weight load serves all of them.
+// order; FC panels put the lanes side by side, so each weight load serves
+// all of them.
 void weighted_layer(const Step& st, const Matrix& w,
                     const std::vector<Lane>& lanes, Workspace& ws) {
   const std::size_t outputs = w.size();
@@ -303,112 +324,105 @@ void weighted_layer(const Step& st, const Matrix& w,
     ws.rows[o] = w[std::min(o, outputs - 1)].data();
   ws.panel.resize(std::max(ws.panel.size(), st.fan_in * kPanelColumns));
   double* panel = ws.panel.data();
-  if (st.layer->kind == LayerKind::kConvolution) {
-    const std::size_t positions = st.positions();
-    for (const Lane& lane : lanes)
-      for (std::size_t p0 = 0; p0 < positions; p0 += kPanelColumns) {
-        const std::size_t n = std::min(kPanelColumns, positions - p0);
-        im2col(st, lane.in, p0, n, panel);
-        gemm(ws.rows.data(), outputs, panel, n, st.fan_in, false,
-             [&](std::size_t oc, std::size_t j, double acc) {
-               const std::size_t pos = p0 + j;
-               emit(lane, oc * positions + pos, pos * outputs + oc, acc);
-             });
-      }
+  if (st.layer->kind == LayerKind::kFullyConnected) {
+    for (std::size_t c0 = 0; c0 < lanes.size(); c0 += kPanelColumns) {
+      const std::size_t n = std::min(kPanelColumns, lanes.size() - c0);
+      for (std::size_t k = 0; k < st.fan_in; ++k)
+        for (std::size_t j = 0; j < n; ++j)
+          panel[k * kPanelColumns + j] = lanes[c0 + j].in[k];
+      gemm(ws.rows.data(), outputs, panel, n, st.fan_in, st.biased,
+           [&](std::size_t o, std::size_t j, double acc) {
+             emit(lanes[c0 + j], o, o, acc);
+           });
+    }
     return;
   }
-  for (std::size_t c0 = 0; c0 < lanes.size(); c0 += kPanelColumns) {
-    const std::size_t n = std::min(kPanelColumns, lanes.size() - c0);
-    for (std::size_t k = 0; k < st.fan_in; ++k)
-      for (std::size_t j = 0; j < n; ++j)
-        panel[k * kPanelColumns + j] = lanes[c0 + j].in[k];
-    gemm(ws.rows.data(), outputs, panel, n, st.fan_in, st.biased,
-         [&](std::size_t o, std::size_t j, double acc) {
-           emit(lanes[c0 + j], o, o, acc);
-         });
-  }
-}
-
-// Max pooling of one map (window = stride = pool_size).
-void pool_layer(const Step& st, const double* x, double* y) {
-  const int p = st.layer->pool_size;
-  for (int c = 0; c < st.out_c; ++c)
-    for (int oy = 0; oy < st.out_h; ++oy)
-      for (int ox = 0; ox < st.out_w; ++ox) {
-        double m = -1e300;
-        for (int dy = 0; dy < p; ++dy) {
-          const double* row =
-              x + (static_cast<std::size_t>(c) * st.in_h + oy * p + dy) *
-                      st.in_w +
-              static_cast<std::size_t>(ox) * p;
-          for (int dx = 0; dx < p; ++dx) m = std::max(m, row[dx]);
-        }
-        y[(static_cast<std::size_t>(c) * st.out_h + oy) * st.out_w + ox] = m;
+  ws.cells.resize(kPanelColumns);
+  const std::size_t positions = st.positions();
+  const std::size_t map_cells =
+      static_cast<std::size_t>(st.map_h()) * st.map_w();
+  for (const Lane& lane : lanes)
+    for (std::size_t p0 = 0; p0 < positions; p0 += kPanelColumns) {
+      const std::size_t n = std::min(kPanelColumns, positions - p0);
+      im2col(st, lane.in, p0, n, panel);
+      for (std::size_t j = 0; j < n; ++j) {
+        const int oy = static_cast<int>((p0 + j) / st.out_w);
+        const int ox = static_cast<int>((p0 + j) % st.out_w);
+        ws.cells[j] = static_cast<std::size_t>(oy / st.pool) * st.map_w() +
+                      static_cast<std::size_t>(ox / st.pool);
       }
+      gemm(ws.rows.data(), outputs, panel, n, st.fan_in, false,
+           [&](std::size_t oc, std::size_t j, double acc) {
+             emit(lane, oc * map_cells + ws.cells[j],
+                  (p0 + j) * outputs + oc, acc);
+           });
+    }
 }
 
-// Runs the nb samples of ws.inputs through `steps` one layer at a time
-// and returns their final ideal and perturbed maps (one per max_act
-// doubles). The perturbed run multiplies each weighted layer's
-// pre-activations by 1 + ws.err and uses the `perturbed` weights; when
-// those are `weights` itself, the first weighted layer's pre-activations
-// are computed once for both runs, since both start from the same inputs.
-std::array<const double*, 2> forward_batch(
-    const std::vector<Step>& steps, const std::vector<Matrix>& weights,
-    const std::vector<Matrix>& perturbed, std::size_t nb,
-    std::size_t max_act, Workspace& ws) {
+// Final maps of a batch: sample s at ideal/perturbed + s * stride.
+struct BatchOutputs {
+  const double* ideal = nullptr;
+  const double* perturbed = nullptr;
+  std::size_t stride = 0;
+};
+
+// Runs the nb samples of ws.inputs through `steps` one layer at a time;
+// `stride` is each ping-pong buffer's per-sample size. The perturbed run
+// multiplies each layer's pre-activations by 1 + ws.err and uses the
+// `perturbed` weights; when those are `weights` itself, the first layer's
+// pre-activations are computed once for both runs, since both start from
+// the same inputs.
+BatchOutputs forward_batch(const std::vector<Step>& steps,
+                           const std::vector<Matrix>& weights,
+                           const std::vector<Matrix>& perturbed,
+                           std::size_t nb,
+                           const std::array<std::size_t, 2>& stride,
+                           Workspace& ws) {
   const double* in[2] = {ws.inputs.data(), ws.inputs.data()};
   std::size_t in_stride = steps.front().in_size();
-  std::size_t l = 0;  // weighted layer index
-  int pp = 0;         // ping-pong buffer of this layer's outputs
-  for (const Step& step : steps) {
-    double* out[2] = {ws.act[0][pp].data(), ws.act[1][pp].data()};
-    pp ^= 1;
-    if (step.layer->kind == LayerKind::kPooling) {
-      for (int run = 0; run < 2; ++run)
+  for (std::size_t l = 0; l < steps.size(); ++l) {
+    const Step& step = steps[l];
+    const std::size_t out_stride = stride[l % 2];
+    double* out[2] = {ws.act[0][l % 2].data(), ws.act[1][l % 2].data()};
+    for (double* map : out) std::fill_n(map, nb * out_stride, -1e300);
+    const auto lane = [&](int run, std::size_t s, bool ideal, bool pert) {
+      return Lane{in[run] + s * in_stride,
+                  ideal ? out[0] + s * out_stride : nullptr,
+                  pert ? out[1] + s * out_stride : nullptr,
+                  ws.err[l].data() + s * step.out_size()};
+    };
+    const auto layer_pass = [&] {
+      ws.lanes.clear();
+      if (in[0] == in[1] && &weights == &perturbed) {
         for (std::size_t s = 0; s < nb; ++s)
-          pool_layer(step, in[run] + s * in_stride, out[run] + s * max_act);
-    } else {
-      const auto lane = [&](int run, std::size_t s, bool ideal, bool pert) {
-        return Lane{in[run] + s * in_stride,
-                    ideal ? out[0] + s * max_act : nullptr,
-                    pert ? out[1] + s * max_act : nullptr,
-                    ws.err[l].data() + s * step.out_size()};
-      };
-      const auto layer_pass = [&] {
-        ws.lanes.clear();
-        if (in[0] == in[1] && &weights == &perturbed) {
-          for (std::size_t s = 0; s < nb; ++s)
-            ws.lanes.push_back(lane(0, s, true, true));
-          weighted_layer(step, weights[l], ws.lanes, ws);
-          return;
-        }
-        for (std::size_t s = 0; s < nb; ++s)
-          ws.lanes.push_back(lane(0, s, true, false));
-        if (&weights != &perturbed) {
-          weighted_layer(step, weights[l], ws.lanes, ws);
-          ws.lanes.clear();
-        }
-        // Same weights: the perturbed lanes join the ideal ones in one
-        // pass, so each weight load serves both runs.
-        for (std::size_t s = 0; s < nb; ++s)
-          ws.lanes.push_back(lane(1, s, false, true));
-        weighted_layer(step, perturbed[l], ws.lanes, ws);
-      };
-      if (step.layer->kind == LayerKind::kConvolution) {
-        obs::Span layer_span("nn.conv");
-        layer_pass();
-      } else {
-        obs::Span layer_span("nn.fc");
-        layer_pass();
+          ws.lanes.push_back(lane(0, s, true, true));
+        weighted_layer(step, weights[l], ws.lanes, ws);
+        return;
       }
-      ++l;
+      for (std::size_t s = 0; s < nb; ++s)
+        ws.lanes.push_back(lane(0, s, true, false));
+      if (&weights != &perturbed) {
+        weighted_layer(step, weights[l], ws.lanes, ws);
+        ws.lanes.clear();
+      }
+      // Same weights: the perturbed lanes join the ideal ones in one pass,
+      // so each weight load serves both runs.
+      for (std::size_t s = 0; s < nb; ++s)
+        ws.lanes.push_back(lane(1, s, false, true));
+      weighted_layer(step, perturbed[l], ws.lanes, ws);
+    };
+    if (step.layer->kind == LayerKind::kConvolution) {
+      obs::Span layer_span("nn.conv");
+      layer_pass();
+    } else {
+      obs::Span layer_span("nn.fc");
+      layer_pass();
     }
     in[0] = out[0];
     in[1] = out[1];
-    in_stride = max_act;
+    in_stride = out_stride;
   }
-  return {in[0], in[1]};
+  return {in[0], in[1], in_stride};
 }
 
 // Partial deviation statistics of one weight draw; reduced in draw order
@@ -453,27 +467,25 @@ MonteCarloResult monte_carlo(const Network& network,
   const int k = 1 << config.signal_bits;
 
   const std::vector<Step> steps = plan_forward(network);
-  std::vector<const Step*> weighted;
-  std::size_t max_act = 0;     // largest feature map
+  std::array<std::size_t, 2> stride = {0, 0};  // per ping-pong buffer
   std::size_t sample_err = 0;  // perturbation factors per sample
   long macs_per_sample = 0;    // executed multiply-accumulates
-  for (const Step& st : steps) {
-    max_act = std::max({max_act, st.in_size(), st.out_size()});
-    if (!st.layer->is_weighted()) continue;
-    // Without a rewrite the first weighted layer's pre-activations are
-    // shared by both runs: computed once.
-    const long runs = weighted.empty() && !rewrite ? 1 : 2;
-    macs_per_sample += runs * st.layer->matrix_rows() *
-                       st.layer->matrix_cols() *
-                       st.layer->compute_iterations();
-    weighted.push_back(&st);
-    sample_err += st.out_size();
+  for (std::size_t l = 0; l < steps.size(); ++l) {
+    const Layer& layer = *steps[l].layer;
+    stride[l % 2] = std::max(stride[l % 2], steps[l].map_size());
+    sample_err += steps[l].out_size();
+    // Without a rewrite the first layer's pre-activations are shared by
+    // both runs: computed once.
+    macs_per_sample += (l == 0 && !rewrite ? 1 : 2) * layer.matrix_rows() *
+                       layer.matrix_cols() * layer.compute_iterations();
   }
   const std::size_t in_size = steps.front().in_size();
-  const std::size_t out_size = steps.back().out_size();
-  const std::size_t batch = std::clamp<std::size_t>(
-      kBatchValues / (in_size + sample_err + 4 * max_act), 1,
-      static_cast<std::size_t>(config.samples));
+  const std::size_t out_size = steps.back().map_size();
+  // Samples per batch: as many as fit the budget, in whole column blocks.
+  std::size_t batch = std::max<std::size_t>(
+      1, kBatchValues / (in_size + sample_err + 2 * (stride[0] + stride[1])));
+  if (batch > kBlockCols) batch -= batch % kBlockCols;
+  batch = std::min(batch, static_cast<std::size_t>(config.samples));
 
   obs::Span mc_span(span);
   util::ThreadPool pool(config.threads);
@@ -486,15 +498,14 @@ MonteCarloResult monte_carlo(const Network& network,
       [&](std::size_t draw, std::size_t worker) {
         obs::Span draw_span("nn.mc_draw");
         Mt19937 rng(util::derive_stream_seed(config.seed, draw));
-        Workspace& ws = workspaces[worker];
 
         // Random signed weights quantized to the network's precision; keep
         // the integer codes, activations carry the scale implicitly.
         std::vector<Matrix> weights;
-        for (const Step* l : weighted) {
-          Matrix w(static_cast<std::size_t>(l->layer->matrix_cols()),
+        for (const Step& st : steps) {
+          Matrix w(static_cast<std::size_t>(st.layer->matrix_cols()),
                    std::vector<double>(
-                       static_cast<std::size_t>(l->layer->matrix_rows())));
+                       static_cast<std::size_t>(st.layer->matrix_rows())));
           for (auto& row : w)
             for (double& v : row) v = uniform(rng, -1.0, 1.0);
           double scale = 1.0;
@@ -512,12 +523,13 @@ MonteCarloResult monte_carlo(const Network& network,
         }
         const auto& perturbed = rewrite ? rewritten : weights;
 
+        Workspace& ws = workspaces[worker];
         ws.inputs.resize(batch * in_size);
-        ws.err.resize(weighted.size());
-        for (std::size_t l = 0; l < weighted.size(); ++l)
-          ws.err[l].resize(batch * weighted[l]->out_size());
+        ws.err.resize(steps.size());
+        for (std::size_t l = 0; l < steps.size(); ++l)
+          ws.err[l].resize(batch * steps[l].out_size());
         for (auto& run : ws.act)
-          for (auto& buf : run) buf.resize(batch * max_act);
+          for (int p = 0; p < 2; ++p) run[p].resize(batch * stride[p]);
 
         DrawStats st;
         for (int s0 = 0; s0 < config.samples;
@@ -530,19 +542,19 @@ MonteCarloResult monte_carlo(const Network& network,
           for (std::size_t s = 0; s < nb; ++s) {
             for (std::size_t i = 0; i < in_size; ++i)
               ws.inputs[s * in_size + i] = uniform(rng, 0.0, 1.0);
-            for (std::size_t l = 0; l < weighted.size(); ++l) {
-              const std::size_t n = weighted[l]->out_size();
+            for (std::size_t l = 0; l < steps.size(); ++l) {
+              const std::size_t n = steps[l].out_size();
               for (std::size_t e = 0; e < n; ++e)
                 ws.err[l][s * n + e] =
                     uniform(rng, -layer_eps[l], layer_eps[l]);
             }
           }
 
-          const auto [ideal_out, actual_out] =
-              forward_batch(steps, weights, perturbed, nb, max_act, ws);
+          const BatchOutputs out =
+              forward_batch(steps, weights, perturbed, nb, stride, ws);
           for (std::size_t s = 0; s < nb; ++s) {
-            const double* ideal = ideal_out + s * max_act;
-            const double* actual = actual_out + s * max_act;
+            const double* ideal = out.ideal + s * out.stride;
+            const double* actual = out.perturbed + s * out.stride;
             double max_out = 0.0;
             for (std::size_t o = 0; o < out_size; ++o)
               max_out = std::max(max_out, ideal[o]);

@@ -104,8 +104,8 @@ constexpr std::size_t kBlockCols = 4;
 // kBlockCols). A fixed stride this wide also steers the compiler to
 // vectorize the kernel across columns rather than along k.
 constexpr std::size_t kPanelColumns = 24;
-// Doubles of per-sample working set (inputs, perturbation factors and
-// activations) one sample batch may hold: the batch size follows from it.
+// Doubles a sample batch's working set (inputs, perturbation factors and
+// activations) may take: the batch size follows from it.
 constexpr std::size_t kBatchValues = 8192;
 
 // C(i, j) = sum_k a[i][k] * b[k * kPanelColumns + j] over a block of
@@ -132,10 +132,10 @@ void gemm_block(const double* const* a, const double* b, std::size_t k_len,
 }
 
 // C = A B for the first m weight rows of `a` and the first n columns of
-// the k_len-row panel `b`. `a` holds m rounded up to
-// kBlockRows row pointers and b's columns up to the block edge are
-// finite: the blocks past m and n are computed and dropped.
-// store(i, j, value) receives each entry with i < m and j < n.
+// the k_len-row panel `b`. `a` holds m rounded up to kBlockRows row
+// pointers and b's columns up to the block edge are finite: the blocks
+// past m and n are computed and dropped. store(i, j, value) receives each
+// entry with i < m and j < n.
 template <typename Store>
 void gemm(const double* const* a, std::size_t m, const double* b,
           std::size_t n, std::size_t k_len, bool biased, const Store& store) {
@@ -450,8 +450,9 @@ MonteCarloResult monte_carlo(const Network& network,
   if (layer_eps.size() != static_cast<std::size_t>(network.depth()))
     throw std::invalid_argument(who + ": one eps per weighted layer");
   // A NaN or infinite eps turns every perturbed output into NaN/inf (and
-  // std::lround of NaN traps under FP exceptions); a negative one builds
-  // uniform_real_distribution(-eps, eps) with a > b.
+  // std::lround of NaN traps under FP exceptions); a negative one draws
+  // the factors from uniform(-eps, eps) with a > b, which
+  // std::uniform_real_distribution forbids.
   for (double eps : layer_eps)
     if (!std::isfinite(eps) || eps < 0.0)
       throw std::invalid_argument(who + ": eps must be finite and >= 0");

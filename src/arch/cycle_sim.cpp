@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -16,15 +18,33 @@ long pass_cycles(double latency, double clock_hz) {
   return std::max<long>(1, std::llround(latency * clock_hz));
 }
 
-// Upstream tiles that must have drained before tile k of a `passes`-tile
-// bank may start: the producer's warm-up plus the proportional streamed
-// share — the trace simulator's Eq. 6 dependency rule.
-long needed_upstream(long k, long passes, long up_passes, long up_warmup) {
-  const long streamed =
-      passes > 1 ? (k * std::max<long>(up_passes - up_warmup, 0)) /
-                       std::max<long>(passes - 1, 1)
-                 : up_passes - up_warmup;
-  return std::min<long>(up_passes, up_warmup + streamed);
+// Backing-bus cycles of one transfer. Every transfer occupies at least
+// one cycle: the bus grant itself is not free, and a zero-length
+// occupancy would let unbounded traffic hide inside one cycle.
+long transfer_cycles(double bytes, double bytes_per_cycle) {
+  return std::max<long>(1,
+                        static_cast<long>(std::ceil(bytes / bytes_per_cycle)));
+}
+
+// Slots of a tile-granular ring: as many whole tiles as the capacity
+// holds, never more than the bank has tiles. The clamp happens in double,
+// before the cast, so a huge capacity cannot overflow long.
+long ring_slots(double capacity, double tile, long tiles) {
+  const double slots = capacity / std::max(tile, 1.0);
+  return slots >= static_cast<double>(tiles) ? tiles
+                                             : static_cast<long>(slots);
+}
+
+// `n` copies of the integral byte count `bytes`, summed one tile at a
+// time as the walk accrues traffic. While the product stays below 2^53
+// every partial sum is an exact integer, so the product is that sum;
+// past it the rounding depends on the order, so add them up.
+double tile_sum(long n, double bytes) {
+  const double product = static_cast<double>(n) * bytes;
+  if (product < 0x1p53) return product;
+  double sum = 0.0;
+  for (long k = 0; k < n; ++k) sum += bytes;
+  return sum;
 }
 
 }  // namespace
@@ -151,10 +171,13 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
   result.banks.resize(report.banks.size());
 
   const long max_events = std::max<long>(config.cycle_max_events, 0);
+  long recorded = 0;  // result.events.size(), kept where the walks see it
   auto record = [&](int bank, long tile, TilePhase phase, long start,
                     long end) {
-    if (static_cast<long>(result.events.size()) < max_events)
+    if (recorded < max_events) {
       result.events.push_back({bank, tile, phase, start, end});
+      ++recorded;
+    }
   };
 
   // avail[k]: cycle at which the bank's tile-k output has landed in the
@@ -177,11 +200,10 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
     const long cpt = pass_cycles(bank.pass_latency, clock_hz);
     const double if_tile = bank.mapping.matrix_rows * elem_bytes;
     const double of_tile = bank.mapping.matrix_cols * elem_bytes;
-    // Slot rings never need more slots than the bank has tiles.
-    const long if_cap = std::min<long>(
-        static_cast<long>(if_capacity / std::max(if_tile, 1.0)), tiles);
-    const long of_cap = std::min<long>(
-        static_cast<long>(of_capacity / std::max(of_tile, 1.0)), tiles);
+    // mnsim-analyze: allow(quantity-narrowing, ring_slots returns long, truncated to whole slots after a clamp in double)
+    const long if_cap = ring_slots(if_capacity, if_tile, tiles);
+    // mnsim-analyze: allow(quantity-narrowing, ring_slots returns long, truncated to whole slots after a clamp in double)
+    const long of_cap = ring_slots(of_capacity, of_tile, tiles);
 
     stats.tiles = tiles;
     stats.compute_cycles_per_tile = cpt;
@@ -230,106 +252,206 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
     const long up_warmup =
         b > 0 ? std::min(report.banks[b - 1].warmup_passes, up_passes) : 0;
 
-    BackingChannel bus(bytes_per_cycle);
-    Scratchpad if_spad(if_cap);
-    Scratchpad of_spad(of_cap);
+    if (!(bytes_per_cycle > 0))
+      throw std::invalid_argument("backing bus: bytes per cycle");
+    if (if_cap < 1 || of_cap < 1)
+      throw std::invalid_argument("Scratchpad: capacity must hold one tile");
+    if (if_tile < 0 || of_tile < 0)
+      throw std::invalid_argument("backing bus: bytes");
+    // Bus cycles of one streamed fill / drain: the same for every tile.
+    const long fill_cycles = transfer_cycles(if_tile, bytes_per_cycle);
+    const long drain_cycles = transfer_cycles(of_tile, bytes_per_cycle);
+    const int bank_id = static_cast<int>(b);
+    // Upstream tiles that must have drained before tile k may start: the
+    // producer's warm-up plus the proportional streamed share
+    // floor(k * D / (tiles - 1)), D = up_passes - up_warmup (a one-tile
+    // bank takes all of D) — the trace simulator's Eq. 6 dependency rule.
+    // The walks visit k in order, so the share advances as a quotient
+    // and remainder, carrying at most once per tile.
+    const long den = std::max<long>(tiles - 1, 1);
+    const long streamed_total = std::max<long>(up_passes - up_warmup, 0);
+    const long step_q = streamed_total / den;
+    const long step_r = streamed_total % den;
+    long share_q = tiles > 1 ? 0 : up_passes - up_warmup;
+    long share_r = 0;
+    // Cycle the next tile's dependency is met (0 when it needs nothing
+    // upstream). Call once per tile, in order.
+    auto next_dependency = [&] {
+      const long needed = std::min<long>(up_passes, up_warmup + share_q);
+      share_q += step_q;
+      share_r += step_r;
+      if (share_r >= den) {
+        share_r -= den;
+        ++share_q;
+      }
+      return needed > 0 ? up_avail[static_cast<std::size_t>(needed - 1)] : 0;
+    };
 
-    // Input-stationary: gather the whole ifmap in one bulk fill once the
-    // upstream bank has drained everything this bank consumes.
-    long bulk_fill_end = 0;
-    if (stats.resident_ifmap) {
-      long dep = 0;
-      if (b > 0 && up_passes > 0)
-        dep = up_avail[static_cast<std::size_t>(up_passes - 1)];
-      const long busy_before = bus.busy_cycles();
-      bulk_fill_end = bus.transfer(dep, static_cast<double>(tiles) * if_tile);
-      record(static_cast<int>(b), 0, TilePhase::kFill,
-             bulk_fill_end - (bus.busy_cycles() - busy_before), bulk_fill_end);
-      stats.ifmap_bytes += static_cast<double>(tiles) * if_tile;
-    }
-
+    // The walks accumulate in locals: stats lives in memory that the
+    // per-tile stores into avail could alias.
+    const bool resident_ifmap = stats.resident_ifmap;
+    const bool resident_ofmap = stats.resident_ofmap;
+    long start_cycle = 0;
+    long dependency_stall = 0;
+    long fill_stall = 0;
+    long drain_stall = 0;
     long prev_end = 0;
-    for (long k = 0; k < tiles; ++k) {
-      // Upstream dependency (streamed fills only; the bulk fill already
-      // folded the full dependency into its start).
-      long dep = 0;
-      if (!stats.resident_ifmap && b > 0) {
-        const long needed = needed_upstream(k, tiles, up_passes, up_warmup);
-        if (needed > 0) dep = up_avail[static_cast<std::size_t>(needed - 1)];
-      }
-
-      // Ifmap fill: starts once the data exists, the target slot is free
-      // and — demand policy — the PE has asked for it.
-      long fill_end = bulk_fill_end;
-      if (!stats.resident_ifmap) {
-        long floor = std::max(dep, if_spad.slot_free(k));
-        if (config.cycle_fill_policy == FillPolicy::kDemand)
-          floor = std::max(floor, prev_end);
-        const long busy_before = bus.busy_cycles();
-        fill_end = bus.transfer(floor, if_tile);
-        record(static_cast<int>(b), k, TilePhase::kFill,
-               fill_end - (bus.busy_cycles() - busy_before), fill_end);
-        stats.ifmap_bytes += if_tile;
-      }
-
-      // Ofmap slot: resident outputs always have space; streamed outputs
-      // wait for the slot's previous occupant to finish draining.
-      const long of_free = stats.resident_ofmap ? 0 : of_spad.slot_free(k);
-
-      // Successive maxima attribute every waited cycle to one bucket.
-      // Tile 0's wait precedes the bank's active window — it is ramp-up
-      // idle, not a stall, so span == busy + stalls holds exactly.
-      const long t1 = std::max(prev_end, dep);
-      const long t2 = std::max(t1, fill_end);
-      const long t3 = std::max(t2, of_free);
-      if (k > 0) {
-        stats.dependency_stall_cycles += t1 - prev_end;
-        stats.fill_stall_cycles += t2 - t1;
-        stats.drain_stall_cycles += t3 - t2;
-      }
-
-      const long start = t3;
-      const long end = start + cpt;
-      record(static_cast<int>(b), k, TilePhase::kCompute, start, end);
-      if (k == 0) stats.start_cycle = start;
-      if (!stats.resident_ifmap) if_spad.release(k, end);
-
-      if (stats.resident_ofmap) {
-        avail[static_cast<std::size_t>(k)] = end;  // patched by bulk drain
-      } else {
-        const long busy_before = bus.busy_cycles();
-        const long drain_end = bus.transfer(end, of_tile);
-        record(static_cast<int>(b), k, TilePhase::kDrain,
-               drain_end - (bus.busy_cycles() - busy_before), drain_end);
-        of_spad.release(k, drain_end);
+    if (!resident_ifmap && !resident_ofmap) {
+      // Streamed bank: every tile is filled, computed and drained over
+      // the bank's one backing bus, which serves transfers in issue
+      // order: fill(k), then drain(k) once compute(k) ends, then
+      // fill(k+1). So fill(k+1) starts no earlier than drain(k) ends, at
+      // de(k) = e(k) + d > e(k). Against that floor none of the other
+      // bounds of the general walk below can bind: the ifmap slot frees
+      // at e(k+1-C) <= e(k), the demand policy waits for e(k), and the
+      // ofmap slot frees at de(k+1-C) <= de(k). The schedule is exactly
+      //   fe(k) = max(dep(k), de(k-1)) + f,  e(k) = fe(k) + cpt,
+      //   de(k) = e(k) + d                   (de(-1) = 0),
+      // tile k > 0 waits max(e(k-1), dep(k)) - e(k-1) cycles on its
+      // dependency and the rest, up to fe(k), on its fill; drains never
+      // stall, and the bus is busy tiles * (f + d) cycles. Neither the
+      // fill policy nor the slot capacities change a streamed schedule.
+      long drain_end = 0;
+      for (long k = 0; k < tiles; ++k) {
+        const long dep = next_dependency();
+        const long ready = std::max(prev_end, dep);
+        const long fill_end = std::max(dep, drain_end) + fill_cycles;
+        const long end = fill_end + cpt;
+        drain_end = end + drain_cycles;
+        if (k > 0) {
+          dependency_stall += ready - prev_end;
+          fill_stall += fill_end - ready;
+        } else {
+          start_cycle = fill_end;
+        }
+        record(bank_id, k, TilePhase::kFill, fill_end - fill_cycles, fill_end);
+        record(bank_id, k, TilePhase::kCompute, fill_end, end);
+        record(bank_id, k, TilePhase::kDrain, end, drain_end);
         avail[static_cast<std::size_t>(k)] = drain_end;
-        stats.ofmap_bytes += of_tile;
+        prev_end = end;
       }
-      prev_end = end;
+      stats.bus_busy_cycles = tiles * (fill_cycles + drain_cycles);
+      stats.ifmap_bytes = tile_sum(tiles, if_tile);
+      stats.ofmap_bytes = tile_sum(tiles, of_tile);
+    } else {
+      // One operand resident. The backing bus serializes transfers in
+      // issue order; each slot ring is indexed by a wrapping cursor and
+      // holds the cycle its previous occupant was released (consumed for
+      // ifmap slots, drained for ofmap slots).
+      long bus_until = 0;
+      long bus_cycles = 0;
+      auto transfer = [&](long earliest, long duration) {
+        bus_until = std::max(earliest, bus_until) + duration;
+        bus_cycles += duration;
+        return bus_until;
+      };
+      std::vector<long> if_ring(
+          static_cast<std::size_t>(resident_ifmap ? 0 : if_cap), 0);
+      std::vector<long> of_ring(
+          static_cast<std::size_t>(resident_ofmap ? 0 : of_cap), 0);
+      std::size_t if_slot = 0;
+      std::size_t of_slot = 0;
+      const bool demand = config.cycle_fill_policy == FillPolicy::kDemand;
+
+      // Input-stationary: gather the whole ifmap in one bulk fill once
+      // the upstream bank has drained everything this bank consumes.
+      long bulk_fill_end = 0;
+      if (resident_ifmap) {
+        const long dep =
+            up_passes > 0 ? up_avail[static_cast<std::size_t>(up_passes - 1)]
+                          : 0;
+        const double bytes = static_cast<double>(tiles) * if_tile;
+        const long duration = transfer_cycles(bytes, bytes_per_cycle);
+        bulk_fill_end = transfer(dep, duration);
+        record(bank_id, 0, TilePhase::kFill, bulk_fill_end - duration,
+               bulk_fill_end);
+        stats.ifmap_bytes = bytes;
+      } else {
+        stats.ifmap_bytes = tile_sum(tiles, if_tile);
+      }
+
+      for (long k = 0; k < tiles; ++k) {
+        // Ifmap fill: starts once the data exists, the target slot is
+        // free and — demand policy — the PE has asked for it. The bulk
+        // fill already folded the full dependency into its start.
+        long dep = 0;
+        long fill_end = bulk_fill_end;
+        if (!resident_ifmap) {
+          dep = next_dependency();
+          long floor = std::max(dep, if_ring[if_slot]);
+          if (demand) floor = std::max(floor, prev_end);
+          fill_end = transfer(floor, fill_cycles);
+          record(bank_id, k, TilePhase::kFill, fill_end - fill_cycles,
+                 fill_end);
+        }
+
+        // Ofmap slot: resident outputs always have space; streamed
+        // outputs wait for the slot's previous occupant to finish
+        // draining.
+        const long of_free = resident_ofmap ? 0 : of_ring[of_slot];
+
+        // Successive maxima attribute every waited cycle to one bucket.
+        // Tile 0's wait precedes the bank's active window — it is
+        // ramp-up idle, not a stall, so span == busy + stalls holds
+        // exactly.
+        const long t1 = std::max(prev_end, dep);
+        const long t2 = std::max(t1, fill_end);
+        const long t3 = std::max(t2, of_free);
+        if (k > 0) {
+          dependency_stall += t1 - prev_end;
+          fill_stall += t2 - t1;
+          drain_stall += t3 - t2;
+        }
+
+        const long start = t3;
+        const long end = start + cpt;
+        record(bank_id, k, TilePhase::kCompute, start, end);
+        if (k == 0) start_cycle = start;
+        if (!resident_ifmap) {
+          if_ring[if_slot] = end;
+          if (++if_slot == if_ring.size()) if_slot = 0;
+        }
+
+        if (resident_ofmap) {
+          avail[static_cast<std::size_t>(k)] = end;  // patched by bulk drain
+        } else {
+          const long drain_end = transfer(end, drain_cycles);
+          record(bank_id, k, TilePhase::kDrain, drain_end - drain_cycles,
+                 drain_end);
+          of_ring[of_slot] = drain_end;
+          if (++of_slot == of_ring.size()) of_slot = 0;
+          avail[static_cast<std::size_t>(k)] = drain_end;
+        }
+        prev_end = end;
+      }
+
+      // Output-stationary: the accumulated ofmap leaves in one bulk
+      // drain after the last pass; downstream sees nothing earlier.
+      if (resident_ofmap) {
+        const double bytes = static_cast<double>(tiles) * of_tile;
+        const long duration = transfer_cycles(bytes, bytes_per_cycle);
+        const long drain_end = transfer(prev_end, duration);
+        record(bank_id, tiles - 1, TilePhase::kDrain, drain_end - duration,
+               drain_end);
+        std::fill(avail.begin(), avail.end(), drain_end);
+        stats.ofmap_bytes = bytes;
+      } else {
+        stats.ofmap_bytes = tile_sum(tiles, of_tile);
+      }
+      stats.bus_busy_cycles = bus_cycles;
     }
+    stats.start_cycle = start_cycle;
+    stats.dependency_stall_cycles = dependency_stall;
+    stats.fill_stall_cycles = fill_stall;
+    stats.drain_stall_cycles = drain_stall;
     stats.finish_cycle = prev_end;
-
-    // Output-stationary: the accumulated ofmap leaves in one bulk drain
-    // after the last pass; downstream sees nothing earlier.
-    long last_activity = stats.resident_ofmap ? prev_end : avail.back();
-    if (stats.resident_ofmap) {
-      const long busy_before = bus.busy_cycles();
-      const long drain_end =
-          bus.transfer(prev_end, static_cast<double>(tiles) * of_tile);
-      record(static_cast<int>(b), tiles - 1, TilePhase::kDrain,
-             drain_end - (bus.busy_cycles() - busy_before), drain_end);
-      std::fill(avail.begin(), avail.end(), drain_end);
-      stats.ofmap_bytes += static_cast<double>(tiles) * of_tile;
-      last_activity = drain_end;
-    }
-
-    stats.bus_busy_cycles = bus.busy_cycles();
     const long active = stats.span_cycles();
     stats.utilization =
         active > 0 ? static_cast<double>(stats.busy_cycles) /
                          static_cast<double>(active)
                    : 0.0;
-    makespan = std::max(makespan, last_activity);
+    // The bank's last activity is its final drain, bulk or per tile.
+    makespan = std::max(makespan, avail.back());
     up_avail = std::move(avail);
   }
 

@@ -5,9 +5,10 @@
 // bank needs it. This engine generalizes the trace walker into
 // tile-granular fill / compute / drain events against an explicit memory
 // hierarchy: per-bank double-buffered scratchpads (ifmap / filter /
-// ofmap; arch/scratchpad.hpp) in front of a backing store of bounded
-// bandwidth, under a configurable dataflow (weight- / input- /
-// output-stationary) and fill policy (prefetch vs demand). One tile is
+// ofmap, tile-granular slot rings) in front of one backing bus of
+// bounded bandwidth that serves the bank's transfers in issue order,
+// under a configurable dataflow (weight- / input- / output-stationary)
+// and fill policy (prefetch vs demand). One tile is
 // one matrix-vector pass; within a bank tiles execute in order on one
 // PE, and across banks tile k consumes the upstream warm-up plus the
 // proportional streamed share — the same dependency rule the trace
@@ -23,14 +24,20 @@
 // Every non-compute cycle inside a bank's active window is attributed to
 // exactly one stall bucket by successive maxima:
 //   dependency stall — upstream data not yet drained,
-//   fill stall       — ifmap transfer still in flight (bandwidth or the
+//   fill stall       — ifmap transfer still in flight (bandwidth, the
+//                      previous drain ahead of it on the bus, or the
 //                      demand policy),
 //   drain stall      — ofmap slot still draining (backpressure);
 // outside the window the PE is idle. span == busy + the three stalls.
+// A streamed bank (neither operand resident) serializes fill, compute
+// and drain, so it never drain-stalls and its schedule depends on
+// neither the fill policy nor the slot capacities; drain stalls need a
+// resident ifmap, and the fill policy acts only with a resident ofmap.
+// The engine walks streamed banks in that closed form and the others in
+// the general slot-ring walk; both are exact (docs/PERFORMANCE.md).
 #pragma once
 
 #include "arch/accelerator.hpp"
-#include "arch/scratchpad.hpp"
 
 namespace mnsim::arch {
 

@@ -10,6 +10,44 @@
 
 namespace mnsim::arch {
 
+const char* dataflow_name(Dataflow dataflow) {
+  switch (dataflow) {
+    case Dataflow::kWeightStationary:
+      return "weight_stationary";
+    case Dataflow::kInputStationary:
+      return "input_stationary";
+    case Dataflow::kOutputStationary:
+      return "output_stationary";
+  }
+  throw std::logic_error("dataflow_name: unreachable");
+}
+
+const char* fill_policy_name(FillPolicy policy) {
+  switch (policy) {
+    case FillPolicy::kPrefetch:
+      return "prefetch";
+    case FillPolicy::kDemand:
+      return "demand";
+  }
+  throw std::logic_error("fill_policy_name: unreachable");
+}
+
+std::optional<Dataflow> parse_dataflow(std::string_view name) {
+  if (name == "weight_stationary" || name == "ws")
+    return Dataflow::kWeightStationary;
+  if (name == "input_stationary" || name == "is")
+    return Dataflow::kInputStationary;
+  if (name == "output_stationary" || name == "os")
+    return Dataflow::kOutputStationary;
+  return std::nullopt;
+}
+
+std::optional<FillPolicy> parse_fill_policy(std::string_view name) {
+  if (name == "prefetch") return FillPolicy::kPrefetch;
+  if (name == "demand") return FillPolicy::kDemand;
+  return std::nullopt;
+}
+
 tech::MemristorModel AcceleratorConfig::device() const {
   tech::MemristorModel m = tech::memristor_by_name(memristor_model);
   m.r_min = units::Ohms{resistance_min};

@@ -10,7 +10,9 @@
 // configuration file via from_config.
 #pragma once
 
-#include "arch/scratchpad.hpp"
+#include <optional>
+#include <string_view>
+
 #include "circuit/adc.hpp"
 #include "circuit/neuron.hpp"
 #include "fault/fault_model.hpp"
@@ -21,6 +23,31 @@
 #include "util/config.hpp"
 
 namespace mnsim::arch {
+
+// The [cycle] configuration vocabulary of the cycle engine
+// (arch/cycle_sim.*; docs/PERFORMANCE.md, "Cycle-accurate mode").
+//
+// Which operand a bank keeps resident across its matrix-vector passes.
+// Weight-stationary is the memristor reality (weights live in the
+// crossbar cells); input-/output-stationary buffer the whole sample's
+// ifmap / ofmap in the scratchpad and trade pipeline overlap for
+// backing-store traffic batching.
+enum class Dataflow { kWeightStationary, kInputStationary, kOutputStationary };
+
+// When an ifmap tile's fill transfer may start: prefetch lets fills run
+// ahead of the consuming compute (bounded by the scratchpad capacity);
+// demand starts each fill only once the PE has finished the previous
+// tile. Only banks with a resident ofmap have fills that can run ahead:
+// a streamed bank's fill already waits for the previous tile's drain.
+enum class FillPolicy { kPrefetch, kDemand };
+
+[[nodiscard]] const char* dataflow_name(Dataflow dataflow);
+[[nodiscard]] const char* fill_policy_name(FillPolicy policy);
+// Accepts the config spellings ("weight_stationary" / "ws", ...).
+// Returns nullopt for unknown names.
+[[nodiscard]] std::optional<Dataflow> parse_dataflow(std::string_view name);
+[[nodiscard]] std::optional<FillPolicy> parse_fill_policy(
+    std::string_view name);
 
 struct AcceleratorConfig {
   // --- Accelerator level ---

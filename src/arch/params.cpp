@@ -1,6 +1,7 @@
 #include "arch/params.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -126,14 +127,22 @@ void AcceleratorConfig::validate() const {
       sweep_shard_index >= sweep_shard_count)
     throw std::invalid_argument(
         "AcceleratorConfig: sweep shard must satisfy 0 <= index < count");
-  if (!(cycle_ifmap_kb > 0) || !(cycle_filter_kb > 0) ||
-      !(cycle_ofmap_kb > 0))
+  // The cycle engine turns these into integer slot and cycle counts, so
+  // they must be finite (isfinite first: an ordered compare on a NaN
+  // raises FE_INVALID). The INI ranges bound them; a programmatic config
+  // reaches here unchecked.
+  const auto positive_finite = [](double v) {
+    return std::isfinite(v) && v > 0;
+  };
+  if (!positive_finite(cycle_ifmap_kb) || !positive_finite(cycle_filter_kb) ||
+      !positive_finite(cycle_ofmap_kb))
     throw std::invalid_argument(
-        "AcceleratorConfig: cycle scratchpad sizes must be positive");
-  if (!(cycle_bandwidth_gbps > 0))
+        "AcceleratorConfig: cycle scratchpad sizes must be positive and "
+        "finite");
+  if (!positive_finite(cycle_bandwidth_gbps))
     throw std::invalid_argument(
-        "AcceleratorConfig: cycle bandwidth must be positive");
-  if (!(cycle_clock_ghz >= 0))
+        "AcceleratorConfig: cycle bandwidth must be positive and finite");
+  if (!std::isfinite(cycle_clock_ghz) || cycle_clock_ghz < 0)
     throw std::invalid_argument("AcceleratorConfig: cycle clock");
   if (cycle_max_events < 0)
     throw std::invalid_argument("AcceleratorConfig: cycle event cap");

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "arch/trace_sim.hpp"
 #include "check/diagnostic.hpp"
@@ -86,11 +88,29 @@ TEST(CycleSim, DemandFillsNeverBeatPrefetch) {
   const auto rep = simulate_accelerator(nn::make_caffenet(), base());
   AcceleratorConfig cfg = unconstrained();
   cfg.cycle_bandwidth_gbps = 0.05;  // tight enough for policy to matter
+  // Output-stationary banks stream their ifmap into a ring that prefetch
+  // fills ahead of compute; demand waits for the previous tile.
+  cfg.cycle_dataflow = Dataflow::kOutputStationary;
   const auto prefetch = simulate_cycles(rep, cfg);
   cfg.cycle_fill_policy = FillPolicy::kDemand;
   const auto demand = simulate_cycles(rep, cfg);
-  EXPECT_GE(demand.makespan_cycles, prefetch.makespan_cycles);
-  EXPECT_GE(demand.total_stall_cycles, prefetch.total_stall_cycles);
+  EXPECT_EQ(prefetch.makespan_cycles, 589388903);
+  EXPECT_EQ(demand.makespan_cycles, 593756567);
+  EXPECT_GT(demand.total_stall_cycles, prefetch.total_stall_cycles);
+
+  // A weight-stationary bank streams both operands over one backing bus
+  // that serves transfers in issue order, so fill(k+1) already waits for
+  // drain(k), which ends after compute(k): demand adds no wait, and the
+  // two policies schedule identically (docs/PERFORMANCE.md, "Stall
+  // taxonomy"). A model change that lets a streamed fill overlap compute
+  // must re-baseline this on purpose.
+  cfg.cycle_dataflow = Dataflow::kWeightStationary;
+  const auto ws_demand = simulate_cycles(rep, cfg);
+  cfg.cycle_fill_policy = FillPolicy::kPrefetch;
+  const auto ws_prefetch = simulate_cycles(rep, cfg);
+  EXPECT_EQ(ws_prefetch.makespan_cycles, 254114336);
+  EXPECT_EQ(ws_demand.makespan_cycles, ws_prefetch.makespan_cycles);
+  EXPECT_EQ(ws_demand.total_stall_cycles, ws_prefetch.total_stall_cycles);
 }
 
 TEST(CycleSim, StallDecompositionIsExact) {
@@ -250,6 +270,62 @@ TEST(CycleSim, Validation) {
     FAIL() << "expected CheckError";
   } catch (const check::CheckError& e) {
     EXPECT_TRUE(e.diagnostics().has_code("MN-CYC-004"));
+  }
+}
+
+TEST(CycleSim, HugeScratchpadsScheduleLikeUnconstrainedOnes) {
+  // Slot counts clamp to the bank's tiles before the cast to long, so a
+  // capacity far past the range of long schedules like any capacity that
+  // already holds every tile.
+  const auto rep = simulate_accelerator(nn::make_caffenet(), base());
+  for (Dataflow dataflow :
+       {Dataflow::kWeightStationary, Dataflow::kInputStationary,
+        Dataflow::kOutputStationary}) {
+    AcceleratorConfig cfg = unconstrained();
+    cfg.cycle_bandwidth_gbps = 0.05;
+    cfg.cycle_dataflow = dataflow;
+    const auto ref = simulate_cycles(rep, cfg);
+    cfg.cycle_ifmap_kb = 1e300;
+    cfg.cycle_filter_kb = 1e300;
+    cfg.cycle_ofmap_kb = 1e300;
+    const auto huge = simulate_cycles(rep, cfg);
+    EXPECT_EQ(huge.makespan_cycles, ref.makespan_cycles);
+    EXPECT_EQ(huge.total_stall_cycles, ref.total_stall_cycles);
+    EXPECT_EQ(huge.backing_traffic_bytes, ref.backing_traffic_bytes);
+    EXPECT_EQ(huge.diagnostics.size(), ref.diagnostics.size());
+    ASSERT_EQ(huge.banks.size(), ref.banks.size());
+    for (std::size_t i = 0; i < ref.banks.size(); ++i) {
+      const auto& a = huge.banks[i];
+      const auto& b = ref.banks[i];
+      EXPECT_EQ(a.ifmap_capacity_tiles, b.tiles);
+      EXPECT_EQ(b.ifmap_capacity_tiles, b.tiles);
+      EXPECT_EQ(a.ofmap_capacity_tiles, b.ofmap_capacity_tiles);
+      EXPECT_EQ(a.start_cycle, b.start_cycle);
+      EXPECT_EQ(a.finish_cycle, b.finish_cycle);
+      EXPECT_EQ(a.dependency_stall_cycles, b.dependency_stall_cycles);
+      EXPECT_EQ(a.fill_stall_cycles, b.fill_stall_cycles);
+      EXPECT_EQ(a.drain_stall_cycles, b.drain_stall_cycles);
+      EXPECT_EQ(a.bus_busy_cycles, b.bus_busy_cycles);
+      EXPECT_EQ(a.resident_ifmap, b.resident_ifmap);
+      EXPECT_EQ(a.resident_ofmap, b.resident_ofmap);
+    }
+  }
+}
+
+TEST(CycleSim, NonFiniteCycleKnobsAreRefused) {
+  // The INI ranges bound these; a programmatic config must be refused by
+  // validate() before the engine turns them into slot and cycle counts.
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto rep = synthetic();
+  for (double AcceleratorConfig::*knob :
+       {&AcceleratorConfig::cycle_ifmap_kb, &AcceleratorConfig::cycle_filter_kb,
+        &AcceleratorConfig::cycle_ofmap_kb,
+        &AcceleratorConfig::cycle_bandwidth_gbps,
+        &AcceleratorConfig::cycle_clock_ghz}) {
+    AcceleratorConfig cfg = unconstrained();
+    cfg.*knob = inf;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument);
+    EXPECT_THROW(simulate_cycles(rep, cfg), std::invalid_argument);
   }
 }
 

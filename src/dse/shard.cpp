@@ -6,7 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
-// lint: allow-thread-include(watchdog supervisor thread; construction carries a raw-thread analyzer escape below)
+// mnsim-analyze: allow(thread-include, watchdog supervisor thread; construction carries a raw-thread analyzer escape below)
 #include <thread>
 #include <unordered_map>
 
@@ -22,14 +22,14 @@
 // The watchdog below measures wall clock on purpose: deadlines are
 // execution policy (bounds on solver work), not instrumentation, and an
 // obs::Span cannot cancel anything.
-// lint: allow-raw-chrono(watchdog deadline enforcement, not timing)
+// mnsim-analyze: allow(raw-chrono, watchdog deadline enforcement, not timing)
 #include <chrono>
 
 namespace mnsim::dse {
 
 namespace {
 
-// lint: allow-raw-chrono(watchdog deadline enforcement, not timing)
+// mnsim-analyze: allow(raw-chrono, watchdog deadline enforcement, not timing)
 using SteadyClock = std::chrono::steady_clock;
 
 [[noreturn]] void reject(const std::string& code, const std::string& message,
@@ -82,7 +82,7 @@ class Watchdog {
     entries_[slot].token = token;
     entries_[slot].deadline =
         SteadyClock::now() +
-        // lint: allow-raw-chrono(watchdog deadline enforcement, not timing)
+        // mnsim-analyze: allow(raw-chrono, watchdog deadline enforcement, not timing)
         std::chrono::microseconds(static_cast<long>(deadline_ms_ * 1000.0));
   }
 
@@ -106,7 +106,7 @@ class Watchdog {
     const double poll_ms = std::min(50.0, std::max(1.0, deadline_ms_ / 8.0));
     const util::MutexLock lock(mutex_);
     while (!stop_) {
-      // lint: allow-raw-chrono(watchdog deadline enforcement, not timing)
+      // mnsim-analyze: allow(raw-chrono, watchdog deadline enforcement, not timing)
       cv_.wait_for(mutex_, std::chrono::microseconds(
                                static_cast<long>(poll_ms * 1000.0)));
       const SteadyClock::time_point now = SteadyClock::now();

@@ -9,7 +9,7 @@
 //
 //   * atomic_write_file — write-temp -> fsync -> rename. The destination
 //     path always holds either its previous content or exactly the new
-//     content, never a prefix. tools/lint.py forbids raw ofstream
+//     content, never a prefix. tools/analyze forbids raw ofstream
 //     writes under src/ so every report writer goes through here.
 //   * DurableAppender — an O_APPEND journal with one fsync per append,
 //     the durability contract of the sweep checkpoint (dse/checkpoint):

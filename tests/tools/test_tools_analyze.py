@@ -2,21 +2,20 @@
 """Unit tests for tools/analyze (ctest: test_tools_analyze).
 
 Each test drives the analyzer as a subprocess over a fixture mini-repo
-(compile database + src tree + catalogue) with the tokens backend, so
-the tests run in any environment the repo builds in. Covered contract:
-finding detection, both escape placements, the mandatory escape reason,
-the baseline lifecycle (write, honor, go-stale), SARIF output shape
-(including exact endColumn spans and per-rule helpUri), the
---mn-codes-out map that tools/lint.py rule 3 delegates to, the
---thread-uses-out map rule 6 delegates to, and the three concurrency
-rules (parallel-capture, raw-thread, atomic-order) — the latter under
-every available backend, since both backends run the shared token
-implementations of those rules.
+(source trees + catalogue, no build directory). Covered contract:
+finding detection and scope for every rule, both escape placements
+(plus CRLF files and first-line escapes), the mandatory escape reason
+and known rule name, the baseline lifecycle (write, honor, go-stale),
+SARIF output shape (including exact endColumn spans and per-rule
+helpUri), the MN-* catalogue sync in both directions, the rule
+catalogue's headings in docs/STATIC_ANALYSIS.md, and a clean run over
+the real repo.
 """
 from __future__ import annotations
 
 import json
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -26,12 +25,7 @@ REPO = pathlib.Path(__file__).resolve().parents[2]
 ANALYZE = REPO / "tools" / "analyze"
 
 sys.path.insert(0, str(ANALYZE))
-import rules_clang  # noqa: E402
-
-# The concurrency rules are token implementations shared by both
-# backends; exercising them under clang too proves the driver routes
-# them identically. Skipped (not failed) where libclang is absent.
-BACKENDS = ["tokens"] + (["clang"] if rules_clang.available() else [])
+import rules_tokens  # noqa: E402
 
 FP_VIOLATION = (
     "double pick(double a, double b) {\n"
@@ -48,7 +42,6 @@ class AnalyzeFixture(unittest.TestCase):
         self._tmp = tempfile.TemporaryDirectory()
         self.addCleanup(self._tmp.cleanup)
         self.repo = pathlib.Path(self._tmp.name)
-        (self.repo / "build").mkdir()
         (self.repo / "docs").mkdir()
         (self.repo / "docs" / "DIAGNOSTICS.md").write_text("# Diagnostics\n")
 
@@ -56,30 +49,14 @@ class AnalyzeFixture(unittest.TestCase):
         path = self.repo / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
-        db = self.repo / "build" / "compile_commands.json"
-        entries = json.loads(db.read_text()) if db.is_file() else []
-        entries.append(
-            {
-                "directory": str(self.repo),
-                "command": f"g++ -std=c++20 -c {rel}",
-                "file": rel,
-            }
-        )
-        db.write_text(json.dumps(entries))
 
-    def run_analyze(
-        self, *extra: str, backend: str = "tokens"
-    ) -> subprocess.CompletedProcess:
+    def run_analyze(self, *extra: str) -> subprocess.CompletedProcess:
         return subprocess.run(
             [
                 sys.executable,
                 str(ANALYZE),
-                "-p",
-                "build",
                 "--repo",
                 str(self.repo),
-                "--backend",
-                backend,
                 "--baseline",
                 "baseline.json",
                 *extra,
@@ -87,6 +64,19 @@ class AnalyzeFixture(unittest.TestCase):
             capture_output=True,
             text=True,
         )
+
+    def assert_rule(self, source: str, *, rel: str, rule: str,
+                    line: int | None) -> None:
+        """line=None asserts clean; otherwise a finding of `rule` there."""
+        self.add_source(rel, source)
+        proc = self.run_analyze()
+        if line is None:
+            self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        else:
+            self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+            self.assertIn(f"{rel}:{line}:", proc.stdout)
+            self.assertIn(f": {rule}: ", proc.stdout)
+
 
 class CoreContract(AnalyzeFixture):
     def test_fp_equality_violation_fails_the_gate(self):
@@ -166,31 +156,43 @@ class CoreContract(AnalyzeFixture):
         self.assertTrue(results)
         self.assertEqual(results[0]["ruleId"], "fp-equality")
 
-    def test_mn_codes_out_map_and_catalogue_sync(self):
+    def test_escape_naming_an_unknown_rule_is_a_finding(self):
+        # A misspelled or retired rule name would otherwise be dead text
+        # that excuses nothing.
+        self.add_source(
+            "src/numeric/demo.cpp",
+            "// mnsim-analyze: allow(raw-chrono-timing, retired name)\n"
+            "int x;\n",
+        )
+        proc = self.run_analyze()
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        self.assertIn("src/numeric/demo.cpp:1:1: malformed-escape", proc.stdout)
+        self.assertIn("raw-chrono-timing", proc.stdout)
+
+    def test_catalogue_sync_in_both_directions(self):
         self.add_source(
             "src/check/diag.cpp",
             'const char* code() { return "MN-TST-001: boom"; }\n',
         )
-        # Undocumented: the gate fails and names the code.
-        missing = self.run_analyze()
-        self.assertEqual(missing.returncode, 1)
-        self.assertIn("MN-TST-001", missing.stdout)
-        # Documented: clean, and the exported map carries the code with
-        # its source location (the contract lint.py rule 3 delegates to).
+        (self.repo / "docs" / "DIAGNOSTICS.md").write_text(
+            "| MN-TST-002 | stale |\n"
+        )
+        proc = self.run_analyze()
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("src/check/diag.cpp:1:29: mn-code-extraction: "
+                      "'MN-TST-001'", proc.stdout)
+        self.assertIn("docs/DIAGNOSTICS.md:1:1: mn-code-extraction: "
+                      "'MN-TST-002' is catalogued", proc.stdout)
+        # Documenting the emitted code and dropping the stale one is clean.
         (self.repo / "docs" / "DIAGNOSTICS.md").write_text(
             "| MN-TST-001 | fixture |\n"
         )
-        map_path = self.repo / "mn_codes.json"
-        clean = self.run_analyze("--mn-codes-out", str(map_path))
+        clean = self.run_analyze()
         self.assertEqual(clean.returncode, 0, clean.stdout + clean.stderr)
-        payload = json.loads(map_path.read_text())
-        self.assertEqual(
-            payload["codes"], {"MN-TST-001": "src/check/diag.cpp:1"}
-        )
 
     def test_comment_mention_is_not_an_emitted_code(self):
-        # Exactly the false positive the lint.py delegation removes: a
-        # code named in a comment must not count as emitted.
+        # Only string literals count: a code named in a comment must not
+        # count as emitted.
         self.add_source(
             "src/check/diag.cpp",
             "// retired long ago: MN-TST-099\nint x;\n",
@@ -198,10 +200,11 @@ class CoreContract(AnalyzeFixture):
         proc = self.run_analyze()
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
 
-    def test_missing_compile_db_is_usage_error(self):
-        proc = self.run_analyze("-p", "no-such-dir")
-        self.assertEqual(proc.returncode, 2)
-        self.assertIn("no compile database", proc.stderr)
+    def test_repo_without_sources_is_usage_error(self):
+        # A wrong --repo must not pass the gate by analyzing nothing.
+        proc = self.run_analyze()
+        self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
+        self.assertIn("no .cpp/.hpp files", proc.stderr)
 
 
 RAW_THREAD = (
@@ -245,43 +248,20 @@ PAR_WORKER_SLOTS = (
 
 
 class ConcurrencyRules(AnalyzeFixture):
-    """The three rules that complement the Clang -Wthread-safety gate.
-
-    Every case runs under each available backend: the concurrency rules
-    are shared token implementations, so backend choice must not change
-    their verdicts.
-    """
-
-    def assert_each_backend(self, source: str, *, rel: str, rule: str,
-                            line: int | None) -> None:
-        """line=None asserts clean; otherwise one finding of `rule` there."""
-        self.add_source(rel, source)
-        for backend in BACKENDS:
-            with self.subTest(backend=backend):
-                proc = self.run_analyze(backend=backend)
-                if line is None:
-                    self.assertEqual(
-                        proc.returncode, 0, proc.stdout + proc.stderr
-                    )
-                else:
-                    self.assertEqual(
-                        proc.returncode, 1, proc.stdout + proc.stderr
-                    )
-                    self.assertIn(f"{rel}:{line}", proc.stdout)
-                    self.assertIn(rule, proc.stdout)
+    """The three rules that complement the Clang -Wthread-safety gate."""
 
     def test_raw_thread_construction_is_flagged(self):
-        self.assert_each_backend(
+        self.assert_rule(
             RAW_THREAD, rel="src/dse/fixture.cpp", rule="raw-thread", line=2
         )
 
     def test_raw_async_is_flagged(self):
-        self.assert_each_backend(
+        self.assert_rule(
             RAW_ASYNC, rel="src/dse/fixture.cpp", rule="raw-thread", line=3
         )
 
     def test_raw_thread_escape_is_honored(self):
-        self.assert_each_backend(
+        self.assert_rule(
             RAW_THREAD.replace(
                 "  std::thread worker",
                 "  // mnsim-analyze: allow(raw-thread, fixture supervisor)\n"
@@ -294,19 +274,19 @@ class ConcurrencyRules(AnalyzeFixture):
 
     def test_raw_thread_allowed_inside_the_pool(self):
         # util::ThreadPool is where threads are *supposed* to live.
-        self.assert_each_backend(
+        self.assert_rule(
             RAW_THREAD, rel="src/util/parallel.cpp", rule="raw-thread",
             line=None,
         )
 
     def test_atomic_order_explicit_ordering_is_flagged(self):
-        self.assert_each_backend(
+        self.assert_rule(
             ATOMIC_ORDER, rel="src/util/fixture.hpp", rule="atomic-order",
             line=3,
         )
 
     def test_atomic_order_scoped_enumerator_form_is_flagged(self):
-        self.assert_each_backend(
+        self.assert_rule(
             ATOMIC_ORDER.replace(
                 "std::memory_order_relaxed", "std::memory_order::relaxed"
             ),
@@ -316,7 +296,7 @@ class ConcurrencyRules(AnalyzeFixture):
         )
 
     def test_atomic_order_escape_is_honored(self):
-        self.assert_each_backend(
+        self.assert_rule(
             ATOMIC_ORDER.replace(
                 "  flag.store",
                 "  // mnsim-analyze: allow(atomic-order, standalone flag, "
@@ -329,7 +309,7 @@ class ConcurrencyRules(AnalyzeFixture):
         )
 
     def test_atomic_order_default_ordering_is_clean(self):
-        self.assert_each_backend(
+        self.assert_rule(
             "std::atomic<bool> flag{false};\n"
             "void request_stop() { flag.store(true); }\n",
             rel="src/util/fixture.hpp",
@@ -338,19 +318,19 @@ class ConcurrencyRules(AnalyzeFixture):
         )
 
     def test_parallel_capture_shared_write_is_flagged(self):
-        self.assert_each_backend(
+        self.assert_rule(
             PAR_CAPTURE, rel="src/nn/fixture.cpp", rule="parallel-capture",
             line=4,
         )
 
     def test_parallel_capture_worker_slot_idiom_is_clean(self):
-        self.assert_each_backend(
+        self.assert_rule(
             PAR_WORKER_SLOTS, rel="src/nn/fixture.cpp",
             rule="parallel-capture", line=None,
         )
 
     def test_parallel_capture_escape_is_honored(self):
-        self.assert_each_backend(
+        self.assert_rule(
             PAR_CAPTURE.replace(
                 "    total +=",
                 "    // mnsim-analyze: allow(parallel-capture, fixture: "
@@ -404,25 +384,170 @@ class ConcurrencyRules(AnalyzeFixture):
             len("memory_order_relaxed"),
         )
 
-    def test_thread_uses_out_map(self):
-        # The delegation contract for lint.py rule 6: construction
-        # sites, keyed by file, even when escaped in the source (the map
-        # is diagnosis, not a gate).
-        self.add_source(
-            "src/dse/fixture.cpp",
-            RAW_THREAD.replace(
-                "  std::thread worker",
-                "  // mnsim-analyze: allow(raw-thread, fixture supervisor)\n"
-                "  std::thread worker",
-            ),
+
+class RawDoubleRule(AnalyzeFixture):
+    REL = "src/tech/fixture.hpp"
+
+    def test_physical_double_is_flagged(self):
+        self.assert_rule("struct S { double segment_resistance; };\n",
+                         rel=self.REL, rule="raw-double", line=1)
+
+    def test_nm_suffix_is_documented_raw(self):
+        self.assert_rule("double feature_size_nm;\n", rel=self.REL,
+                         rule="raw-double", line=None)
+
+    def test_area_ratio_is_dimensionless(self):
+        self.assert_rule("double die_area_ratio;\n", rel=self.REL,
+                         rule="raw-double", line=None)
+
+    def test_module_hpp_is_exempt(self):
+        self.assert_rule("double read_voltage;\n",
+                         rel="src/circuit/module.hpp", rule="raw-double",
+                         line=None)
+
+    def test_sources_and_other_trees_are_out_of_scope(self):
+        for rel in ("src/tech/fixture.cpp", "src/arch/fixture.hpp"):
+            with self.subTest(rel=rel):
+                self.assert_rule("double read_voltage;\n", rel=rel,
+                                 rule="raw-double", line=None)
+
+    def test_same_line_escape(self):
+        self.assert_rule(
+            "double vdd_rail;  // mnsim-analyze: allow(raw-double, boundary)\n",
+            rel=self.REL, rule="raw-double", line=None)
+
+    def test_previous_line_escape(self):
+        self.assert_rule(
+            "// mnsim-analyze: allow(raw-double, boundary)\n"
+            "double vdd_rail;\n",
+            rel=self.REL, rule="raw-double", line=None)
+
+
+class UnseededRngScope(AnalyzeFixture):
+    def test_random_device_in_tests_is_flagged(self):
+        self.assert_rule("void f() { std::random_device rd; }\n",
+                         rel="tests/test_x.cpp", rule="unseeded-rng", line=1)
+
+    def test_unseeded_engine_in_tests_is_flagged(self):
+        self.assert_rule("std::mt19937 rng;\n", rel="tests/test_x.cpp",
+                         rule="unseeded-rng", line=1)
+
+    def test_seeded_engine_is_clean(self):
+        self.assert_rule("std::mt19937 rng(seed);\n", rel="bench/x.cpp",
+                         rule="unseeded-rng", line=None)
+
+    def test_src_util_is_exempt(self):
+        self.assert_rule("void f() { std::random_device rd; }\n",
+                         rel="src/util/rng.cpp", rule="unseeded-rng",
+                         line=None)
+
+
+CHRONO = "auto t = std::chrono::steady_clock::now();\n"
+OFSTREAM = "void f() { std::ofstream out(path); }\n"
+
+
+class LayeringRules(AnalyzeFixture):
+    """raw-chrono, raw-ofstream and thread-include."""
+
+    def test_chrono_flagged_in_library_code(self):
+        self.assert_rule(CHRONO, rel="src/dse/fixture.cpp",
+                         rule="raw-chrono", line=1)
+
+    def test_chrono_allowed_in_obs_and_tests(self):
+        for rel in ("src/obs/trace.cpp", "tests/test_x.cpp"):
+            with self.subTest(rel=rel):
+                self.assert_rule(CHRONO, rel=rel, rule="raw-chrono",
+                                 line=None)
+
+    def test_chrono_in_a_comment_is_not_a_use(self):
+        self.assert_rule("// std::chrono would bypass obs\nint x;\n",
+                         rel="src/dse/fixture.cpp", rule="raw-chrono",
+                         line=None)
+
+    def test_ofstream_flagged_in_src_and_examples(self):
+        for rel in ("src/dse/report.cpp", "examples/tool.cpp"):
+            with self.subTest(rel=rel):
+                self.assert_rule(OFSTREAM, rel=rel, rule="raw-ofstream",
+                                 line=1)
+
+    def test_ofstream_escapable_and_exempt_where_documented(self):
+        self.assert_rule(
+            "// mnsim-analyze: allow(raw-ofstream, failure path)\n" + OFSTREAM,
+            rel="src/dse/report.cpp", rule="raw-ofstream", line=None)
+        for rel in ("src/util/atomic_file.cpp", "tests/test_x.cpp"):
+            with self.subTest(rel=rel):
+                self.assert_rule(OFSTREAM, rel=rel, rule="raw-ofstream",
+                                 line=None)
+
+    def test_thread_and_future_includes_flagged(self):
+        for header in ("thread", "future"):
+            with self.subTest(header=header):
+                self.add_source("src/dse/fixture.cpp",
+                                f"#include <vector>\n#include <{header}>\n")
+                proc = self.run_analyze()
+                self.assertEqual(proc.returncode, 1, proc.stderr)
+                self.assertIn("src/dse/fixture.cpp:2:1: thread-include: "
+                              f"<{header}>", proc.stdout)
+
+    def test_thread_include_exempt_in_src_util_and_tests(self):
+        for rel in ("src/util/parallel.hpp", "tests/test_x.cpp"):
+            with self.subTest(rel=rel):
+                self.assert_rule("#include <thread>\n", rel=rel,
+                                 rule="thread-include", line=None)
+
+    def test_thread_include_escapes(self):
+        self.assert_rule(
+            "#include <thread>  // mnsim-analyze: allow(thread-include, "
+            "watchdog)\n",
+            rel="src/dse/fixture.cpp", rule="thread-include", line=None)
+        self.assert_rule(
+            "// mnsim-analyze: allow(thread-include, watchdog)\n"
+            "#include <thread>\n",
+            rel="src/dse/fixture.cpp", rule="thread-include", line=None)
+
+
+class EscapePlacement(AnalyzeFixture):
+    def test_crlf_line_endings_do_not_hide_the_escape(self):
+        path = self.repo / "src/dse/fixture.cpp"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(
+            b"// mnsim-analyze: allow(raw-chrono, crlf file)\r\n"
+            b"auto t = std::chrono::steady_clock::now();\r\n"
+            b"auto u = std::chrono::steady_clock::now();\r\n"
         )
-        map_path = self.repo / "thread_uses.json"
-        proc = self.run_analyze("--thread-uses-out", str(map_path))
+        proc = self.run_analyze()
+        self.assertEqual(proc.returncode, 1, proc.stderr)
+        # The escape covers line 2; line 3 is still reported, at line 3.
+        self.assertNotIn("fixture.cpp:2:", proc.stdout)
+        self.assertIn("src/dse/fixture.cpp:3:10: raw-chrono", proc.stdout)
+
+    def test_first_line_escape_covers_the_first_line(self):
+        self.assert_rule(
+            "auto t = std::chrono::steady_clock::now();  "
+            "// mnsim-analyze: allow(raw-chrono, top of file)\n",
+            rel="src/dse/fixture.cpp", rule="raw-chrono", line=None)
+
+
+class RepoChecks(unittest.TestCase):
+    def test_repo_tree_is_clean_without_a_build(self):
+        # Run from an empty directory: the analyzer reads sources only,
+        # never a build tree or compile database.
+        expected = sum(
+            1 for tree in ("src", "tests", "bench", "examples")
+            for ext in ("*.cpp", "*.hpp") for _ in (REPO / tree).rglob(ext))
+        with tempfile.TemporaryDirectory() as cwd:
+            proc = subprocess.run(
+                [sys.executable, str(ANALYZE)],
+                capture_output=True, text=True, cwd=cwd,
+            )
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-        payload = json.loads(map_path.read_text())
-        self.assertEqual(list(payload["uses"]), ["src/dse/fixture.cpp"])
-        (site,) = payload["uses"]["src/dse/fixture.cpp"]
-        self.assertEqual(site.split(":")[0], "3")
+        self.assertIn(f"; {expected} files analyzed", proc.stderr)
+
+    def test_every_rule_has_a_catalogue_heading(self):
+        # The headings are the SARIF helpUri anchors.
+        doc = (REPO / "docs" / "STATIC_ANALYSIS.md").read_text()
+        headings = set(re.findall(r"^#### `([\w-]+)`$", doc, re.MULTILINE))
+        self.assertEqual(headings, set(rules_tokens.RULE_DOCS))
 
 
 if __name__ == "__main__":

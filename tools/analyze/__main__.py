@@ -1,20 +1,16 @@
 #!/usr/bin/env python3
-"""mnsim-analyze: compile-database-driven semantic analyzer for MNSIM.
+"""mnsim-analyze: the repo's static checker for MNSIM's C++ sources.
 
 Run as `python3 tools/analyze` from the repo root (or anywhere, with
---repo). The compile database defines the analyzed translation-unit set;
-nine rules guard the invariants that keep the simulator's numbers
-trustworthy — numeric hygiene, diagnostic-code integrity, and the
-concurrency discipline (parallel-capture / raw-thread / atomic-order)
-that complements the Clang -Wthread-safety capability annotations (see
-docs/STATIC_ANALYSIS.md for the catalogue and the escape/baseline
-workflow).
-
-Backends:
-  clang   libclang (clang.cindex) semantic AST — real operand types.
-  tokens  exact token-stream analysis — no type info from other TUs,
-          but immune to comments/strings/line-splits; runs anywhere.
-  auto    clang when a libclang is importable, tokens otherwise.
+--repo). It lexes every .cpp/.hpp under src/, tests/, bench/ and
+examples/ with an exact C++ tokenizer (tools/analyze/cpptok.py) and runs
+thirteen rules over the tokens, each with its own scope: numeric
+hygiene, diagnostic-code integrity, source layering and the concurrency
+discipline (parallel-capture / raw-thread / atomic-order) that
+complements the Clang -Wthread-safety capability annotations. It needs
+no build, no compile database and nothing beyond the Python standard
+library. See docs/STATIC_ANALYSIS.md for the catalogue and the
+escape/baseline workflow.
 
 Exit status: 0 clean (baselined findings allowed), 1 new findings or a
 stale baseline, 2 usage/environment error.
@@ -26,15 +22,19 @@ import argparse
 import pathlib
 import sys
 
-import compiledb
 import cpptok
 import engine
 import rules_tokens
 import sarif
 
 VERSION = "1.0"
-DEFAULT_ROOTS = ["src"]
+TREES = ("src", "tests", "bench", "examples")
 DIAG_CATALOGUE = "docs/DIAGNOSTICS.md"
+
+
+def source_files(repo: pathlib.Path) -> list[pathlib.Path]:
+    return sorted(path for tree in TREES for ext in ("*.cpp", "*.hpp")
+                  for path in (repo / tree).rglob(ext))
 
 
 def build_contexts(files: list[pathlib.Path], repo: pathlib.Path,
@@ -42,8 +42,6 @@ def build_contexts(files: list[pathlib.Path], repo: pathlib.Path,
     contexts: dict[str, rules_tokens.FileContext] = {}
     for path in files:
         rel = path.relative_to(repo).as_posix()
-        if rel in contexts:
-            continue
         text = path.read_text()
         try:
             tokens = cpptok.tokenize(text)
@@ -55,10 +53,9 @@ def build_contexts(files: list[pathlib.Path], repo: pathlib.Path,
 
 
 def mn_code_findings(contexts: dict[str, rules_tokens.FileContext],
-                     repo: pathlib.Path,
-                     emitted: dict[str, tuple[str, int, int]],
-                     ) -> list[engine.Finding]:
+                     repo: pathlib.Path) -> list[engine.Finding]:
     """Cross-check string-literal MN-* codes against the catalogue."""
+    emitted: dict[str, tuple[str, int, int]] = {}
     for rel in sorted(contexts):
         ctx = contexts[rel]
         if not rules_tokens.rule_applies("mn-code-extraction", rel):
@@ -101,19 +98,9 @@ def run(argv: list[str]) -> int:
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("-p", "--compile-db", default="build",
-                        help="compile_commands.json or the build dir "
-                             "containing it (default: build)")
     parser.add_argument("--repo", default=None,
                         help="repo root (default: two levels above this "
                              "script)")
-    parser.add_argument("--roots", nargs="*", default=DEFAULT_ROOTS,
-                        help="repo-relative trees to analyze "
-                             "(default: src)")
-    parser.add_argument("--rules", default=None,
-                        help="comma-separated subset of rules to run")
-    parser.add_argument("--backend", choices=("auto", "clang", "tokens"),
-                        default="auto")
     parser.add_argument("--baseline", default="tools/analyze/baseline.json",
                         help="repo-relative baseline file")
     parser.add_argument("--write-baseline", metavar="REASON", default=None,
@@ -121,13 +108,6 @@ def run(argv: list[str]) -> int:
                              "baseline with this reason, then exit 0")
     parser.add_argument("--sarif", default=None,
                         help="write a SARIF 2.1.0 report to this path")
-    parser.add_argument("--mn-codes-out", default=None,
-                        help="write the extracted MN-* code map (JSON) "
-                             "for tools/lint.py delegation")
-    parser.add_argument("--thread-uses-out", default=None,
-                        help="write the raw-thread construction-site map "
-                             "(JSON) for tools/lint.py thread-include "
-                             "delegation")
     parser.add_argument("--list-rules", action="store_true")
     parser.add_argument("--version", action="version",
                         version=f"mnsim-analyze {VERSION}")
@@ -141,132 +121,34 @@ def run(argv: list[str]) -> int:
     repo = (pathlib.Path(args.repo).resolve() if args.repo
             else pathlib.Path(__file__).resolve().parent.parent.parent)
 
-    selected = None
-    if args.rules:
-        selected = {r.strip() for r in args.rules.split(",") if r.strip()}
-        unknown = selected - set(rules_tokens.RULE_DOCS)
-        if unknown:
-            print(f"mnsim-analyze: unknown rule(s): {', '.join(sorted(unknown))}",
-                  file=sys.stderr)
-            return 2
-
-    def rule_on(rule: str) -> bool:
-        return selected is None or rule in selected
-
-    try:
-        tus = compiledb.load(repo / args.compile_db
-                             if not pathlib.Path(args.compile_db).is_absolute()
-                             else pathlib.Path(args.compile_db))
-    except compiledb.CompileDbError as err:
-        print(f"mnsim-analyze: {err}", file=sys.stderr)
-        return 2
-
-    tus = compiledb.select(tus, repo, args.roots)
-    if not tus:
-        print("mnsim-analyze: compile database has no translation units "
-              f"under {', '.join(args.roots)}", file=sys.stderr)
-        return 2
-
-    # Backend selection.
-    import rules_clang
-    backend = args.backend
-    if backend == "auto":
-        backend = "clang" if rules_clang.available() else "tokens"
-    elif backend == "clang" and not rules_clang.available():
-        print(f"mnsim-analyze: libclang backend requested but unavailable: "
-              f"{rules_clang.unavailable_reason()}", file=sys.stderr)
-        return 2
-
     lex_errors: list[str] = []
-    files = [tu.path for tu in tus] + [
-        tu.path for tu in compiledb.header_pseudo_tus(repo, args.roots)
-    ]
-    contexts = build_contexts(files, repo, lex_errors)
+    contexts = build_contexts(source_files(repo), repo, lex_errors)
     if lex_errors:
         for err in lex_errors:
             print(f"mnsim-analyze: cannot lex {err}", file=sys.stderr)
         return 2
+    if not contexts:
+        print(f"mnsim-analyze: no .cpp/.hpp files under "
+              f"{', '.join(TREES)} in {repo}", file=sys.stderr)
+        return 2
 
     findings: list[engine.Finding] = []
-
-    # Token rules. Under the clang backend the two type-sensitive rules
-    # come from the AST instead.
-    ast_rules = {"fp-equality", "quantity-narrowing"} \
-        if backend == "clang" else set()
-    for rel in sorted(contexts):
-        ctx = contexts[rel]
+    for rel, ctx in contexts.items():
         for rule, check in rules_tokens.PER_FILE_CHECKS.items():
-            if rule in ast_rules or not rule_on(rule):
-                continue
-            if not rules_tokens.rule_applies(rule, rel):
-                continue
-            findings.extend(check(ctx))
-
-    if backend == "clang" and (rule_on("fp-equality")
-                               or rule_on("quantity-narrowing")):
-        analyzer = rules_clang.ClangAnalyzer(repo)
-        visited: set[str] = set()
-        ast_findings: list[engine.Finding] = []
-        for tu in tus:
-            ast_findings.extend(
-                analyzer.analyze_tu(tu.path, tu.args, visited, contexts))
-        # A header reached from several TUs yields duplicates; collapse.
-        seen_keys = set()
-        for f in ast_findings:
-            key = (f.rule, f.path, f.line, f.col)
-            if key in seen_keys or not rule_on(f.rule):
-                continue
-            seen_keys.add(key)
-            findings.append(f)
-        for err in analyzer.parse_errors:
-            print(f"mnsim-analyze: warning: {err}", file=sys.stderr)
-
-    emitted_codes: dict[str, tuple[str, int, int]] = {}
-    if rule_on("mn-code-extraction"):
-        findings.extend(mn_code_findings(contexts, repo, emitted_codes))
+            if rules_tokens.rule_applies(rule, rel):
+                findings.extend(check(ctx))
+    findings.extend(mn_code_findings(contexts, repo))
 
     # Escapes: filter rule findings, surface malformed escapes.
+    escapes = {rel: engine.EscapeIndex(ctx.text, rules_tokens.RULE_DOCS)
+               for rel, ctx in contexts.items()}
     filtered: list[engine.Finding] = []
-    for rel in sorted(contexts):
-        idx = engine.EscapeIndex(contexts[rel].text)
+    for rel, idx in escapes.items():
         filtered.extend(idx.escape_findings(rel, contexts[rel].text))
-    for f in findings:
-        ctx = contexts.get(f.path)
-        if ctx is not None and engine.EscapeIndex(ctx.text).allows(
-                f.rule, f.line):
-            continue
-        filtered.append(f)
+    filtered.extend(f for f in findings
+                    if f.path not in escapes
+                    or not escapes[f.path].allows(f.rule, f.line))
     findings = filtered
-
-    if args.mn_codes_out:
-        import json
-        pathlib.Path(args.mn_codes_out).write_text(json.dumps({
-            "generator": f"mnsim-analyze {VERSION}",
-            "backend": backend,
-            "codes": {code: f"{rel}:{line}"
-                      for code, (rel, line, _c) in sorted(
-                          emitted_codes.items())},
-        }, indent=2) + "\n")
-
-    if args.thread_uses_out:
-        # Raw construction sites (std::thread/jthread/async), escaped or
-        # not: lint.py's thread-include rule cites them as diagnosis, so
-        # an escaped-but-present use must still appear here.
-        import json
-        uses: dict[str, list[str]] = {}
-        for rel in sorted(contexts):
-            if not rules_tokens.rule_applies("raw-thread", rel):
-                continue
-            sites = [f"{f.line}:{f.col}" for f in
-                     rules_tokens.PER_FILE_CHECKS["raw-thread"](
-                         contexts[rel])]
-            if sites:
-                uses[rel] = sites
-        pathlib.Path(args.thread_uses_out).write_text(json.dumps({
-            "generator": f"mnsim-analyze {VERSION}",
-            "backend": backend,
-            "uses": uses,
-        }, indent=2) + "\n")
 
     baseline_path = repo / args.baseline
     if args.write_baseline is not None:
@@ -289,7 +171,6 @@ def run(argv: list[str]) -> int:
 
     result = engine.classify(findings, baseline)
     result.files_analyzed = len(contexts)
-    result.backend = backend
 
     for f in result.new:
         print(f.render())
@@ -302,13 +183,11 @@ def run(argv: list[str]) -> int:
     print(f"mnsim-analyze: {status} — {len(result.new)} new finding(s), "
           f"{len(result.baselined)} baselined, "
           f"{len(result.stale_baseline)} stale baseline entr(ies); "
-          f"{result.files_analyzed} files, {len(tus)} TUs, "
-          f"backend={backend}", file=sys.stderr)
+          f"{result.files_analyzed} files analyzed", file=sys.stderr)
 
     if args.sarif:
         pathlib.Path(args.sarif).write_text(sarif.render(
-            result.new + result.baselined, backend=backend,
-            tool_version=VERSION))
+            result.new + result.baselined, tool_version=VERSION))
 
     return 1 if result.gate_failed else 0
 

@@ -19,6 +19,7 @@ import json
 import pathlib
 import re
 from collections import defaultdict
+from collections.abc import Collection
 
 ESCAPE_RE = re.compile(
     r"mnsim-analyze:\s*allow\(\s*(?P<rule>[\w*-]+)\s*,\s*(?P<why>[^)]*\S)\s*\)"
@@ -82,17 +83,29 @@ class EscapeIndex:
     An escape on line N covers findings on line N and line N+1, so both
     trailing-comment and previous-line placements work; a previous-line
     escape at the very start of a file (line 1 covering line 2 and the
-    degenerate "line 1" itself) needs no special case.
+    degenerate "line 1" itself) needs no special case. An escape without
+    a reason, or naming a rule outside `known_rules`, is malformed: a
+    misspelled or retired rule name would otherwise be dead text.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, known_rules: Collection[str]):
         self._covered: dict[str, set[int]] = defaultdict(set)
-        self.malformed: list[tuple[int, str]] = []  # (line, rule)
+        self.malformed: list[tuple[int, str]] = []  # (line, message)
         for lineno, line in enumerate(text.splitlines(), 1):
             for m in ESCAPE_RE.finditer(line):
-                self._covered[m.group("rule")].update((lineno, lineno + 1))
+                rule = m.group("rule")
+                if rule in known_rules:
+                    self._covered[rule].update((lineno, lineno + 1))
+                else:
+                    self.malformed.append((lineno, (
+                        f"allow({rule}, ...) names no known rule; see "
+                        f"`python3 tools/analyze --list-rules`")))
             for m in ESCAPE_NO_WHY_RE.finditer(line):
-                self.malformed.append((lineno, m.group("rule")))
+                rule = m.group("rule")
+                self.malformed.append((lineno, (
+                    f"allow({rule}) without a reason; write "
+                    f"`mnsim-analyze: allow({rule}, <why>)` — escapes "
+                    f"must say why")))
 
     def allows(self, rule: str, line: int) -> bool:
         return line in self._covered[rule]
@@ -105,14 +118,10 @@ class EscapeIndex:
                 path=path,
                 line=lineno,
                 col=1,
-                message=(
-                    f"allow({rule}) without a reason; write "
-                    f"`mnsim-analyze: allow({rule}, <why>)` — escapes "
-                    f"must say why"
-                ),
+                message=message,
                 line_text=lines[lineno - 1] if lineno <= len(lines) else "",
             )
-            for lineno, rule in self.malformed
+            for lineno, message in self.malformed
         ]
 
 
@@ -175,7 +184,6 @@ class RunResult:
     baselined: list[Finding]
     stale_baseline: list[str]  # fingerprints no longer matched
     files_analyzed: int = 0
-    backend: str = ""
 
     @property
     def gate_failed(self) -> bool:

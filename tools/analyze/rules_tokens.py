@@ -2,10 +2,7 @@
 
 These run on the exact token stream from cpptok (comments and strings
 can never confuse them, constructs may span lines) plus a flow-insensitive
-per-file symbol table of floating-point names. The libclang backend
-(rules_clang) upgrades the type-sensitive rules with real semantic types
-when a libclang is available; the rule *semantics* — what counts as a
-violation, what counts as handled — live here and are shared.
+per-file symbol table of floating-point names.
 
 Rule catalogue (see docs/STATIC_ANALYSIS.md for the workflow):
 
@@ -18,13 +15,15 @@ Rule catalogue (see docs/STATIC_ANALYSIS.md for the workflow):
   parallel-capture     unguarded mutable shared capture in a pool lambda
   raw-thread           std::thread/std::async outside src/util/parallel
   atomic-order         explicit memory_order arguments need a written why
+  raw-double           raw-double physical names in tech/circuit headers
+  raw-chrono           std::chrono in library code outside src/obs
+  raw-ofstream         std::ofstream instead of util::atomic_file
+  thread-include       <thread>/<future> included outside src/util
 
 The three concurrency rules cover what Clang's -Wthread-safety pass
 cannot see (capture discipline, thread provenance, ordering rationale);
 the capability annotations in src/util/thread_safety.hpp cover lock/
-data associations. Both backends run these token implementations — the
-libclang backend upgrades only the type-sensitive rules — so the two
-backends agree on concurrency findings by construction.
+data associations.
 """
 
 from __future__ import annotations
@@ -84,8 +83,26 @@ RULE_DOCS: dict[str, str] = {
         "`mnsim-analyze: allow(atomic-order, <why>)` or drop the "
         "argument for the sequentially-consistent default"
     ),
+    "raw-double": (
+        "raw double member or parameter with a physical-quantity name in "
+        "a src/tech or src/circuit header; use a units::Quantity type "
+        "(util/quantity.hpp)"
+    ),
+    "raw-chrono": (
+        "std::chrono in src/ outside src/obs; time a phase with an "
+        "obs::Span so it shows up in traces"
+    ),
+    "raw-ofstream": (
+        "std::ofstream in src/ or examples/; write output through "
+        "util::atomic_file so a crash cannot tear it"
+    ),
+    "thread-include": (
+        "#include <thread>/<future> in src/ outside src/util; concurrency "
+        "goes through util::ThreadPool"
+    ),
     "malformed-escape": (
-        "mnsim-analyze: allow(...) escape without a written reason"
+        "mnsim-analyze: allow(...) escape without a written reason, or "
+        "naming a rule that does not exist"
     ),
 }
 
@@ -101,11 +118,21 @@ RULE_SCOPE: dict[str, tuple[tuple[str, ...] | None, tuple[str, ...]]] = {
     "lock-discipline": (
         ("src/",), ("src/util/parallel.", "src/util/thread_safety.")
     ),
-    "unseeded-rng": (("src/",), ("src/util/",)),
+    "unseeded-rng": (
+        ("src/", "tests/", "bench/", "examples/"), ("src/util/",)
+    ),
     "mn-code-extraction": (("src/",), ()),
     "parallel-capture": (("src/",), ("src/util/parallel.",)),
     "raw-thread": (("src/",), ("src/util/parallel.",)),
     "atomic-order": (("src/",), ()),
+    # Headers only; the check itself skips .cpp files. Ppa is the
+    # documented raw-double aggregation boundary.
+    "raw-double": (
+        ("src/tech/", "src/circuit/"), ("src/circuit/module.hpp",)
+    ),
+    "raw-chrono": (("src/",), ("src/obs/",)),
+    "raw-ofstream": (("src/", "examples/"), ("src/util/atomic_file.cpp",)),
+    "thread-include": (("src/",), ("src/util/",)),
 }
 
 
@@ -143,16 +170,19 @@ INT_TYPES = frozenset({
     "uint32_t", "uint64_t", "uintptr_t", "intptr_t",
 })
 
-PHYSICAL_NAME = re.compile(
-    r"""(?x)^\w*(
-        resist | conduct | volt | vdd | current | amp |
-        power | leakage | energy |
-        latency | delay | _time | time_ | duration |
-        capacit | inductance |
-        clock | freq | bandwidth |
-        area | feature_size
-    )\w*$"""
-)
+# Name stems that mark a physical quantity, shared by quantity-narrowing
+# and raw-double. `{area}` lets raw-double exempt dimensionless
+# `area_ratio` names without moving the narrowing rule's findings.
+_PHYSICAL_STEMS = r"""(?x)^\w*(
+    resist | conduct | volt | vdd | current | amp |
+    power | leakage | energy |
+    latency | delay | _time | time_ | duration |
+    capacit | inductance |
+    clock | freq | bandwidth |
+    {area} | feature_size
+)\w*$"""
+PHYSICAL_NAME = re.compile(_PHYSICAL_STEMS.format(area="area"))
+RAW_DOUBLE_NAME = re.compile(_PHYSICAL_STEMS.format(area="area(?!_ratio)"))
 
 
 def is_fp_literal(text: str) -> bool:
@@ -958,6 +988,102 @@ def extract_mn_codes(ctx: FileContext) -> dict[str, tuple[int, int]]:
     return out
 
 
+# ---- rule: raw-double --------------------------------------------------------
+
+
+def check_raw_double(ctx: FileContext) -> list[Finding]:
+    """`double [&] name` where the name says it is a physical quantity.
+
+    Physical parameters in tech/circuit headers belong to the
+    Quantity<Dim> layer; a raw double re-opens the unit-confusion bug
+    class it closes. Process-node labels (`_nm`) are documented raw.
+    """
+    if not ctx.relpath.endswith(".hpp"):
+        return []
+    findings: list[Finding] = []
+    toks = ctx.tokens
+    for i, t in enumerate(toks):
+        if not (t.kind == "id" and t.text == "double"):
+            continue
+        j = i + 2 if i + 1 < len(toks) and toks[i + 1].text == "&" else i + 1
+        if j >= len(toks) or toks[j].kind != "id":
+            continue
+        name = toks[j]
+        if not RAW_DOUBLE_NAME.match(name.text) or name.text.endswith("_nm"):
+            continue
+        findings.append(Finding(
+            rule="raw-double", path=ctx.relpath, line=name.line,
+            col=name.col,
+            message=(f"'{name.text}' looks like a physical quantity; use a "
+                     f"units::Quantity type (util/quantity.hpp) or mark "
+                     f"the line with `mnsim-analyze: allow(raw-double, "
+                     f"<why>)`"),
+            line_text=ctx.line_text(name.line),
+            end_col=name.col + len(name.text),
+        ))
+    return findings
+
+
+# ---- rules: raw-chrono, raw-ofstream -----------------------------------------
+
+
+def _std_member_rule(member: str, rule: str, advice: str):
+    """A rule flagging every `std::<member>` token sequence."""
+
+    def check(ctx: FileContext) -> list[Finding]:
+        toks = ctx.tokens
+        return [
+            Finding(
+                rule=rule, path=ctx.relpath, line=t.line, col=t.col,
+                message=(f"std::{member} {advice}, or mark the line with "
+                         f"`mnsim-analyze: allow({rule}, <why>)`"),
+                line_text=ctx.line_text(t.line),
+                end_col=toks[i + 2].col + len(member),
+            )
+            for i, t in enumerate(toks[:-2])
+            if t.text == "std" and toks[i + 1].text == "::"
+            and toks[i + 2].text == member
+        ]
+
+    return check
+
+
+check_raw_chrono = _std_member_rule(
+    "chrono", "raw-chrono",
+    "in library code bypasses the observability layer; open an obs::Span "
+    "(obs/trace.hpp) or read obs::Tracer::now_ns()")
+check_raw_ofstream = _std_member_rule(
+    "ofstream", "raw-ofstream",
+    "can leave a torn file after a crash; write output through "
+    "util::atomic_write_file or util::DurableAppender (util/atomic_file.hpp)")
+
+
+# ---- rule: thread-include ----------------------------------------------------
+
+_THREAD_INCLUDE = re.compile(r"^\s*#\s*include\s*<(?P<header>thread|future)>")
+
+
+def check_thread_include(ctx: FileContext) -> list[Finding]:
+    """`#include <thread>` / `<future>`, read from the text: cpptok
+    strips preprocessor directives from the token stream."""
+    findings: list[Finding] = []
+    for lineno, line in enumerate(ctx.text.splitlines(), 1):
+        m = _THREAD_INCLUDE.match(line)
+        if m is None:
+            continue
+        findings.append(Finding(
+            rule="thread-include", path=ctx.relpath, line=lineno,
+            col=line.index("#") + 1,
+            message=(f"<{m.group('header')}> outside src/util/; concurrency "
+                     f"goes through util::ThreadPool (src/util/parallel.hpp) "
+                     f"or carries `mnsim-analyze: allow(thread-include, "
+                     f"<why>)`"),
+            line_text=line,
+            end_col=m.end() + 1,
+        ))
+    return findings
+
+
 PER_FILE_CHECKS = {
     "fp-equality": check_fp_equality,
     "quantity-narrowing": check_quantity_narrowing,
@@ -967,4 +1093,8 @@ PER_FILE_CHECKS = {
     "parallel-capture": check_parallel_capture,
     "raw-thread": check_raw_thread,
     "atomic-order": check_atomic_order,
+    "raw-double": check_raw_double,
+    "raw-chrono": check_raw_chrono,
+    "raw-ofstream": check_raw_ofstream,
+    "thread-include": check_thread_include,
 }

@@ -27,8 +27,7 @@ def rule_help_uri(rule: str) -> str:
     return f"{DOCS_URI}#{rule}"
 
 
-def render(findings: list[Finding], *, backend: str,
-           tool_version: str) -> str:
+def render(findings: list[Finding], *, tool_version: str) -> str:
     by_fp = assign_fingerprints(list(findings))
     rules = [
         {
@@ -80,7 +79,6 @@ def render(findings: list[Finding], *, backend: str,
                 }
             },
             "originalUriBaseIds": {"SRCROOT": {"uri": "file:///"}},
-            "properties": {"backend": backend},
             "results": results,
         }],
     }

@@ -3,14 +3,14 @@
 # run, in dependency order, against a single build tree. Run from the
 # repo root (or anywhere; the script cd's home first):
 #
-#   tools/run_checks.sh            # build + tests + lints + analyzer
+#   tools/run_checks.sh            # build + tests + analyzer + tool gates
 #   tools/run_checks.sh --fpe      # same, with the FPE tripwire armed
-#   tools/run_checks.sh --no-build # reuse ./build as-is (fast re-lint)
+#   tools/run_checks.sh --no-build # reuse ./build as-is (fast re-check)
 #
 # Steps that need tools this machine lacks (clang-tidy, cppcheck, the
 # clang++ -Wthread-safety leg) are skipped with a notice, never
-# silently: the analyzer and lint.py are dependency-free and always
-# run, so the repo-specific gates cannot be skipped anywhere.
+# silently: mnsim-analyze is dependency-free and needs no build, so the
+# repo-specific gate always runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,19 +39,9 @@ fi
 step "ctest (C++ suite + tooling suites + compile-fail harness)"
 (cd build && ctest --output-on-failure -j "$(nproc)") || failures=$((failures+1))
 
-step "mnsim-analyze (semantic rules, SARIF + MN-code + thread-use maps)"
-python3 tools/analyze -p build --backend auto \
-  --sarif build/mnsim-analyze.sarif \
-  --mn-codes-out build/mn_codes.json \
-  --thread-uses-out build/thread_uses.json || failures=$((failures+1))
-
-step "tools/lint.py (rules 3 and 6 delegated to the analyzer maps)"
-if [ -f build/mn_codes.json ] && [ -f build/thread_uses.json ]; then
-  python3 tools/lint.py --mn-codes build/mn_codes.json \
-    --thread-uses build/thread_uses.json || failures=$((failures+1))
-else
-  python3 tools/lint.py || failures=$((failures+1))
-fi
+step "mnsim-analyze (repo rules, SARIF report)"
+mkdir -p build
+python3 tools/analyze --sarif build/mnsim-analyze.sarif || failures=$((failures+1))
 
 step "clang -Wthread-safety (MN_* capability annotations)"
 if command -v clang++ >/dev/null 2>&1; then

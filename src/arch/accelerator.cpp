@@ -68,12 +68,9 @@ void accumulate_breakdown(AcceleratorBreakdown& bd, const BankReport& bank) {
 
 AcceleratorReport simulate_accelerator(const nn::Network& network,
                                        const AcceleratorConfig& config) {
-  std::vector<AcceleratorConfig> per_bank;
-  int banks = 0;
-  for (const auto& layer : network.layers)
-    if (layer.is_weighted()) ++banks;
-  per_bank.assign(static_cast<std::size_t>(banks > 0 ? banks : 1), config);
-  return simulate_accelerator(network, per_bank);
+  const auto banks = static_cast<std::size_t>(std::max(network.depth(), 1));
+  return simulate_accelerator(network,
+                              std::vector<AcceleratorConfig>(banks, config));
 }
 
 AcceleratorReport simulate_accelerator(
@@ -104,24 +101,12 @@ AcceleratorReport simulate_accelerator(
   }
   const auto cmos = config.cmos();
 
-  // Pair each weighted layer with its attached pooling and the next
-  // weighted layer (paper Sec. III-A: pooling/ReLU/... are peripheral
-  // functions of the preceding computation bank).
-  std::vector<const nn::Layer*> weighted;
-  std::vector<const nn::Layer*> pooling_after;
-  for (const auto& layer : network.layers) {
-    if (layer.is_weighted()) {
-      weighted.push_back(&layer);
-      pooling_after.push_back(nullptr);
-    } else if (layer.kind == nn::LayerKind::kPooling && !weighted.empty()) {
-      pooling_after.back() = &layer;
-    }
-  }
+  const std::vector<BankLayers> banks = gather_banks(network);
 
-  if (per_bank_configs.size() != weighted.size())
+  if (per_bank_configs.size() != banks.size())
     throw std::invalid_argument(
         "simulate_accelerator: need one configuration per weighted layer (" +
-        std::to_string(weighted.size()) + "), got " +
+        std::to_string(banks.size()) + "), got " +
         std::to_string(per_bank_configs.size()));
 
   std::vector<double> eps_worst;
@@ -131,17 +116,17 @@ AcceleratorReport simulate_accelerator(
   // bank builds the topology the remaining banks refill it (cache_hits
   // in the solver diagnostics below).
   spice::CrossbarSolveCache solve_cache;
-  for (std::size_t i = 0; i < weighted.size(); ++i) {
+  for (std::size_t i = 0; i < banks.size(); ++i) {
     // Watchdog poll (docs/ROBUSTNESS.md): bank boundaries are the
     // coarsest rung of the cancellation ladder — the finer ones sit in
     // the CG/LU/Newton loops a bank's circuit checks may enter.
     util::throw_if_cancelled("arch.bank");
     obs::Span bank_span("arch.bank");
-    const nn::Layer* next =
-        i + 1 < weighted.size() ? weighted[i + 1] : nullptr;
-    BankReport bank = simulate_bank(*weighted[i], pooling_after[i], next,
-                                    network, per_bank_configs[i],
-                                    &solve_cache);
+    const BankLayers& layers = banks[i];
+    BankReport bank =
+        simulate_bank(*layers.layer, layers.attached_pooling,
+                      layers.next_weighted, network, per_bank_configs[i],
+                      &solve_cache);
     rep.area += bank.area;
     rep.leakage_power += bank.leakage_power;
     rep.sample_latency += bank.sample_latency;
@@ -201,9 +186,8 @@ AcceleratorReport simulate_accelerator(
   // Accuracy propagation across banks (Eq. 15), then digitization
   // (Eq. 12-14) at the read-circuit quantization.
   const int k = 1 << config.output_bits;
-  rep.epsilon_worst = accuracy::propagate_layers(eps_worst).empty()
-                          ? 0.0
-                          : accuracy::propagate_layers(eps_worst).back();
+  // One config per bank and at least one config: never empty.
+  rep.epsilon_worst = accuracy::propagate_layers(eps_worst).back();
   rep.epsilon_average = accuracy::propagate_layers(eps_avg).back();
   rep.max_error_rate = accuracy::max_error_rate(k, rep.epsilon_worst);
   rep.avg_error_rate = accuracy::avg_error_rate(k, rep.epsilon_average);

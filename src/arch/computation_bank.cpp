@@ -23,6 +23,19 @@ double activation_energy(const circuit::Ppa& p) {
 
 }  // namespace
 
+std::vector<BankLayers> gather_banks(const nn::Network& network) {
+  std::vector<BankLayers> banks;
+  for (const auto& layer : network.layers) {
+    if (layer.is_weighted()) {
+      if (!banks.empty()) banks.back().next_weighted = &layer;
+      banks.push_back({&layer, nullptr, nullptr});
+    } else if (layer.kind == nn::LayerKind::kPooling && !banks.empty()) {
+      banks.back().attached_pooling = &layer;
+    }
+  }
+  return banks;
+}
+
 BankReport simulate_bank(const nn::Layer& layer,
                          const nn::Layer* attached_pooling,
                          const nn::Layer* next_weighted,

@@ -56,6 +56,20 @@ struct BankReport {
   }
 };
 
+// One computation bank's layers (paper Sec. III-A: pooling is a
+// peripheral function of the preceding bank): the weighted layer, the
+// pooling layer trailing it and the next bank's weighted layer, each
+// null when absent. The pointers alias `network.layers`.
+struct BankLayers {
+  const nn::Layer* layer = nullptr;
+  const nn::Layer* attached_pooling = nullptr;
+  const nn::Layer* next_weighted = nullptr;
+};
+
+// One entry per weighted layer, in network order. A pooling layer before
+// the first weighted layer belongs to no bank.
+std::vector<BankLayers> gather_banks(const nn::Network& network);
+
 // Simulates the bank for `layer` (must be weighted). `attached_pooling`
 // is the pooling layer following it, if any; `next_weighted` (when given
 // and convolutional) sizes the Eq. 6 output line buffer. When

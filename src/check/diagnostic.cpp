@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "util/json.hpp"
+
 namespace mnsim::check {
 
 const char* severity_name(Severity severity) {
@@ -107,44 +109,11 @@ std::string DiagnosticList::render_text() const {
   return os.str();
 }
 
-namespace {
-
-std::string json_quote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out + "\"";
-}
-
-}  // namespace
-
 std::string DiagnosticList::render_json() const {
   std::ostringstream os;
   os << "[\n";
   for (std::size_t i = 0; i < diagnostics_.size(); ++i) {
-    const auto& d = diagnostics_[i];
-    os << "  {\"code\": " << json_quote(d.code)
-       << ", \"severity\": " << json_quote(severity_name(d.severity))
-       << ", \"message\": " << json_quote(d.message)
-       << ", \"file\": " << json_quote(d.file) << ", \"line\": " << d.line
-       << ", \"location\": " << json_quote(d.location)
-       << ", \"hint\": " << json_quote(d.hint) << "}"
+    os << "  " << util::json::diagnostic(diagnostics_[i])
        << (i + 1 < diagnostics_.size() ? "," : "") << "\n";
   }
   os << "]\n";

@@ -180,9 +180,11 @@ DiagnosticList check_network(const nn::Network& network) {
           break;
         }
         if (!state.spatial) {
-          out.emit("MN-NN-003", Severity::kWarning,
+          out.emit("MN-NN-003", Severity::kError,
                    label + ": pooling after a fully-connected layer has no "
-                           "spatial map to pool");
+                           "spatial map to pool")
+              .hint = "pool the conv output before the fc layer, or drop the "
+                      "pooling layer";
           break;
         }
         if (l.pool_size > state.width || l.pool_size > state.height) {

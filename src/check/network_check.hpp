@@ -9,8 +9,9 @@
 //     not the flattened preceding map),
 //   * MN-NN-002 — invalid layer dimensions or network-level problems
 //     (no weighted layers, precision bits out of range),
-//   * MN-NN-003 — pooling placement (pool before any weighted layer,
-//     window larger than the feature map; non-divisible windows warn),
+//   * MN-NN-003 — pooling placement (pool before any weighted layer or
+//     after an FC layer, window larger than the feature map;
+//     non-divisible windows warn),
 //   * MN-NN-004 — layers the crossbar mapper cannot tile at all,
 //   * MN-NN-005 — fault-map entries referencing cells outside the array,
 //   * MN-NN-006 — weights spread across suspiciously many cells

@@ -7,18 +7,14 @@
 #include <stdexcept>
 
 #include "check/diagnostic.hpp"
+#include "util/json.hpp"
 
 namespace mnsim::dse {
 
-namespace {
+// %.17g keeps the resume/merge bit-identity contract.
+using util::json::number;
 
-std::string num(double v) {
-  // Shortest round-trip-exact representation — the resume/merge
-  // bit-identity contract depends on it.
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+namespace {
 
 // Failure messages travel in a space-separated record: escape '%', '-'
 // as a first character, whitespace and non-printables as %XX; an empty
@@ -252,22 +248,22 @@ std::uint64_t sweep_fingerprint(const nn::Network& network,
        << ' ' << layer.in_height << ' ' << layer.stride << ' '
        << layer.padding << ' ' << layer.pool_size << '\n';
   os << "cfg " << base.interface_in << ' ' << base.interface_out << ' '
-     << num(base.bus_clock) << ' ' << base.pooling_size << ' '
+     << number(base.bus_clock) << ' ' << base.pooling_size << ' '
      << (base.pipelined ? 1 : 0) << ' ' << base.weight_polarity << ' '
      << (base.signed_two_crossbars ? 1 : 0) << ' ' << base.cmos_node_nm
      << ' ' << static_cast<int>(base.cell_type) << ' '
-     << base.memristor_model << ' ' << num(base.resistance_min) << ' '
-     << num(base.resistance_max) << ' ' << num(base.sense_resistance) << ' '
-     << num(base.device_sigma) << ' ' << static_cast<int>(base.adc_kind)
-     << ' ' << num(base.adc_clock) << ' ' << base.output_bits << '\n';
-  os << "fault " << num(base.fault.stuck_at_zero_rate) << ' '
-     << num(base.fault.stuck_at_one_rate) << ' '
-     << num(base.fault.broken_wordline_rate) << ' '
-     << num(base.fault.broken_bitline_rate) << ' '
-     << num(base.fault.retention_time) << ' ' << base.fault.seed << ' '
+     << base.memristor_model << ' ' << number(base.resistance_min) << ' '
+     << number(base.resistance_max) << ' ' << number(base.sense_resistance) << ' '
+     << number(base.device_sigma) << ' ' << static_cast<int>(base.adc_kind)
+     << ' ' << number(base.adc_clock) << ' ' << base.output_bits << '\n';
+  os << "fault " << number(base.fault.stuck_at_zero_rate) << ' '
+     << number(base.fault.stuck_at_one_rate) << ' '
+     << number(base.fault.broken_wordline_rate) << ' '
+     << number(base.fault.broken_bitline_rate) << ' '
+     << number(base.fault.retention_time) << ' ' << base.fault.seed << ' '
      << (base.fault.circuit_check ? 1 : 0) << ' '
      << base.fault.circuit_check_size << '\n';
-  os << "solver " << num(base.solver_cg_tolerance) << ' '
+  os << "solver " << number(base.solver_cg_tolerance) << ' '
      << base.solver_cg_max_iterations << ' '
      << (base.solver_allow_fallback ? 1 : 0) << '\n';
   // The cycle line only appears when the engine is armed: legacy journals
@@ -275,9 +271,9 @@ std::uint64_t sweep_fingerprint(const nn::Network& network,
   if (base.cycle_enabled)
     os << "cycle " << static_cast<int>(base.cycle_dataflow) << ' '
        << static_cast<int>(base.cycle_fill_policy) << ' '
-       << num(base.cycle_ifmap_kb) << ' ' << num(base.cycle_filter_kb) << ' '
-       << num(base.cycle_ofmap_kb) << ' ' << num(base.cycle_bandwidth_gbps)
-       << ' ' << num(base.cycle_clock_ghz) << '\n';
+       << number(base.cycle_ifmap_kb) << ' ' << number(base.cycle_filter_kb) << ' '
+       << number(base.cycle_ofmap_kb) << ' ' << number(base.cycle_bandwidth_gbps)
+       << ' ' << number(base.cycle_clock_ghz) << '\n';
   auto ints = [&os](const char* tag, const std::vector<int>& v) {
     os << tag;
     for (int x : v) os << ' ' << x;
@@ -286,9 +282,9 @@ std::uint64_t sweep_fingerprint(const nn::Network& network,
   ints("space.size", space.crossbar_sizes);
   ints("space.par", space.parallelism_degrees);
   ints("space.node", space.interconnect_nodes);
-  os << "constraints " << num(constraints.max_error) << ' '
-     << num(constraints.max_area) << ' ' << num(constraints.max_power)
-     << ' ' << num(constraints.max_latency) << '\n';
+  os << "constraints " << number(constraints.max_error) << ' '
+     << number(constraints.max_area) << ' ' << number(constraints.max_power)
+     << ' ' << number(constraints.max_latency) << '\n';
   return fnv1a64(os.str());
 }
 
@@ -311,13 +307,13 @@ std::string encode_checkpoint_record(const CheckpointRecord& record) {
      << d.point.parallelism << ' ' << d.point.interconnect_node << ' '
      << (d.evaluated ? 1 : 0) << ' ' << (d.feasible ? 1 : 0) << ' '
      << failure_category_name(record.category) << ' ' << record.attempts
-     << ' ' << num(d.metrics.area) << ' ' << num(d.metrics.energy_per_sample)
-     << ' ' << num(d.metrics.latency) << ' ' << num(d.metrics.sample_latency)
-     << ' ' << num(d.metrics.power) << ' ' << num(d.metrics.max_error_rate)
-     << ' ' << num(d.metrics.avg_error_rate) << ' '
+     << ' ' << number(d.metrics.area) << ' ' << number(d.metrics.energy_per_sample)
+     << ' ' << number(d.metrics.latency) << ' ' << number(d.metrics.sample_latency)
+     << ' ' << number(d.metrics.power) << ' ' << number(d.metrics.max_error_rate)
+     << ' ' << number(d.metrics.avg_error_rate) << ' '
      << d.metrics.solver_fallbacks << ' ' << d.metrics.faults_injected << ' '
-     << num(d.metrics.stall_fraction) << ' '
-     << num(d.metrics.backing_traffic) << ' ' << encode_field(d.failure);
+     << number(d.metrics.stall_fraction) << ' '
+     << number(d.metrics.backing_traffic) << ' ' << encode_field(d.failure);
   return with_checksum(os.str());
 }
 

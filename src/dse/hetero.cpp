@@ -50,30 +50,18 @@ HeteroResult optimize_per_bank(const nn::Network& network,
   if (!(error_constraint > 0))
     throw std::invalid_argument("optimize_per_bank: error constraint");
 
-  // Gather banks exactly as the accelerator does.
-  std::vector<const nn::Layer*> weighted;
-  std::vector<const nn::Layer*> pooling_after;
-  for (const auto& layer : network.layers) {
-    if (layer.is_weighted()) {
-      weighted.push_back(&layer);
-      pooling_after.push_back(nullptr);
-    } else if (layer.kind == nn::LayerKind::kPooling && !weighted.empty()) {
-      pooling_after.back() = &layer;
-    }
-  }
+  const std::vector<arch::BankLayers> banks = arch::gather_banks(network);
 
   HeteroResult result;
   const auto points = space.enumerate();
 
   // Evaluate every candidate per bank.
-  std::vector<std::vector<Candidate>> candidates(weighted.size());
-  for (std::size_t b = 0; b < weighted.size(); ++b) {
-    const nn::Layer* next = b + 1 < weighted.size() ? weighted[b + 1]
-                                                    : nullptr;
+  std::vector<std::vector<Candidate>> candidates(banks.size());
+  for (std::size_t b = 0; b < banks.size(); ++b) {
     for (const auto& point : points) {
-      const auto bank = arch::simulate_bank(*weighted[b], pooling_after[b],
-                                            next, network,
-                                            apply_point(base, point));
+      const auto bank = arch::simulate_bank(
+          *banks[b].layer, banks[b].attached_pooling, banks[b].next_weighted,
+          network, apply_point(base, point));
       ++result.bank_evaluations;
       candidates[b].push_back({point, bank_objective(bank, objective),
                                std::log1p(bank.epsilon_worst)});
@@ -81,8 +69,8 @@ HeteroResult optimize_per_bank(const nn::Network& network,
   }
 
   // Start every bank at its unconstrained optimum.
-  std::vector<std::size_t> choice(weighted.size(), 0);
-  for (std::size_t b = 0; b < weighted.size(); ++b) {
+  std::vector<std::size_t> choice(banks.size(), 0);
+  for (std::size_t b = 0; b < banks.size(); ++b) {
     for (std::size_t c = 1; c < candidates[b].size(); ++c) {
       if (candidates[b][c].objective <
           candidates[b][choice[b]].objective)
@@ -96,19 +84,19 @@ HeteroResult optimize_per_bank(const nn::Network& network,
   const double log_budget = std::log1p(error_constraint);
   auto total_log_error = [&] {
     double s = 0.0;
-    for (std::size_t b = 0; b < weighted.size(); ++b)
+    for (std::size_t b = 0; b < banks.size(); ++b)
       s += candidates[b][choice[b]].log_error;
     return s;
   };
 
-  const std::size_t max_moves = 64 * weighted.size() * points.size() + 64;
+  const std::size_t max_moves = 64 * banks.size() * points.size() + 64;
   std::size_t moves = 0;
   while (total_log_error() > log_budget && moves++ < max_moves) {
     double best_ratio = std::numeric_limits<double>::infinity();
     std::size_t best_bank = 0;
     std::size_t best_candidate = 0;
     bool found = false;
-    for (std::size_t b = 0; b < weighted.size(); ++b) {
+    for (std::size_t b = 0; b < banks.size(); ++b) {
       const Candidate& current = candidates[b][choice[b]];
       for (std::size_t c = 0; c < candidates[b].size(); ++c) {
         const Candidate& cand = candidates[b][c];
@@ -130,8 +118,8 @@ HeteroResult optimize_per_bank(const nn::Network& network,
 
   // Materialize the chosen configuration and simulate exactly.
   std::vector<arch::AcceleratorConfig> configs;
-  configs.reserve(weighted.size());
-  for (std::size_t b = 0; b < weighted.size(); ++b) {
+  configs.reserve(banks.size());
+  for (std::size_t b = 0; b < banks.size(); ++b) {
     const auto& point = candidates[b][choice[b]].point;
     configs.push_back(apply_point(base, point));
     result.per_bank.push_back(point);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -16,6 +15,7 @@
 #include "obs/trace.hpp"
 #include "util/atomic_file.hpp"
 #include "util/cancel.hpp"
+#include "util/json.hpp"
 #include "util/parallel.hpp"
 #include "util/thread_safety.hpp"
 
@@ -563,30 +563,8 @@ SweepResult merge_checkpoints(const std::vector<std::string>& paths,
 
 // ---- JSON report ------------------------------------------------------------
 
-namespace {
-
-std::string num(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string quote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-      continue;
-    }
-    out += c;
-  }
-  return out + "\"";
-}
-
-}  // namespace
+using util::json::number;
+using util::json::quote;
 
 std::string sweep_report_json(const SweepResult& sweep,
                               const nn::Network& network) {
@@ -600,7 +578,7 @@ std::string sweep_report_json(const SweepResult& sweep,
      << ", \"shard_count\": " << sweep.header.shard_count
      << ", \"total_points\": " << sweep.header.total_points
      << ", \"shard_points\": " << sweep.records.size()
-     << ", \"error_constraint\": " << num(sweep.result.error_constraint)
+     << ", \"error_constraint\": " << number(sweep.result.error_constraint)
      << ", \"feasible\": " << sweep.result.feasible_count
      << ", \"resumed\": " << sweep.resumed_count
      << ", \"evaluated\": " << sweep.evaluated_count
@@ -624,13 +602,13 @@ std::string sweep_report_json(const SweepResult& sweep,
        << ", \"feasible\": " << (d.feasible ? 1 : 0)
        << ", \"category\": " << quote(failure_category_name(r.category))
        << ", \"attempts\": " << r.attempts
-       << ", \"area\": " << num(d.metrics.area)
-       << ", \"energy_per_sample\": " << num(d.metrics.energy_per_sample)
-       << ", \"latency\": " << num(d.metrics.latency)
-       << ", \"sample_latency\": " << num(d.metrics.sample_latency)
-       << ", \"power\": " << num(d.metrics.power)
-       << ", \"max_error_rate\": " << num(d.metrics.max_error_rate)
-       << ", \"avg_error_rate\": " << num(d.metrics.avg_error_rate)
+       << ", \"area\": " << number(d.metrics.area)
+       << ", \"energy_per_sample\": " << number(d.metrics.energy_per_sample)
+       << ", \"latency\": " << number(d.metrics.latency)
+       << ", \"sample_latency\": " << number(d.metrics.sample_latency)
+       << ", \"power\": " << number(d.metrics.power)
+       << ", \"max_error_rate\": " << number(d.metrics.max_error_rate)
+       << ", \"avg_error_rate\": " << number(d.metrics.avg_error_rate)
        << ", \"solver_fallbacks\": " << d.metrics.solver_fallbacks
        << ", \"faults_injected\": " << d.metrics.faults_injected
        << ", \"failure\": " << quote(d.failure) << "}";
@@ -645,10 +623,10 @@ std::string sweep_report_json(const SweepResult& sweep,
        << "    {\"crossbar_size\": " << d.point.crossbar_size
        << ", \"parallelism\": " << d.point.parallelism
        << ", \"interconnect_node\": " << d.point.interconnect_node
-       << ", \"area\": " << num(d.metrics.area)
-       << ", \"energy_per_sample\": " << num(d.metrics.energy_per_sample)
-       << ", \"latency\": " << num(d.metrics.latency)
-       << ", \"max_error_rate\": " << num(d.metrics.max_error_rate) << "}";
+       << ", \"area\": " << number(d.metrics.area)
+       << ", \"energy_per_sample\": " << number(d.metrics.energy_per_sample)
+       << ", \"latency\": " << number(d.metrics.latency)
+       << ", \"max_error_rate\": " << number(d.metrics.max_error_rate) << "}";
   }
   os << (pareto.empty() ? "" : "\n  ") << "],\n";
 
@@ -656,11 +634,8 @@ std::string sweep_report_json(const SweepResult& sweep,
   const std::vector<check::Diagnostic>& diagnostics =
       sweep.result.diagnostics;
   for (std::size_t i = 0; i < diagnostics.size(); ++i) {
-    const check::Diagnostic& diag = diagnostics[i];
-    os << (i == 0 ? "\n" : ",\n") << "    {\"code\": " << quote(diag.code)
-       << ", \"severity\": " << quote(check::severity_name(diag.severity))
-       << ", \"message\": " << quote(diag.message)
-       << ", \"hint\": " << quote(diag.hint) << "}";
+    os << (i == 0 ? "\n    " : ",\n    ")
+       << util::json::diagnostic(diagnostics[i]);
   }
   os << (diagnostics.empty() ? "" : "\n  ") << "]\n";
   os << "}\n";

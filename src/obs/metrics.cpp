@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "util/json.hpp"
+
 namespace mnsim::obs {
 
 Registry& Registry::global() {
@@ -70,24 +72,8 @@ void Registry::reset() {
   histograms_.clear();
 }
 
-namespace {
-
-std::string quote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out + "\"";
-}
-
-std::string num(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-}  // namespace
+using util::json::number;
+using util::json::quote;
 
 Registry::Snapshot Registry::snapshot() const {
   Snapshot snap;
@@ -112,7 +98,7 @@ std::string Registry::to_json() const {
   out += "}, \"gauges\": {";
   first = true;
   for (const auto& [name, value] : gauges) {
-    out += (first ? "" : ", ") + quote(name) + ": " + num(value);
+    out += (first ? "" : ", ") + quote(name) + ": " + number(value);
     first = false;
   }
   out += "}, \"histograms\": {";
@@ -120,8 +106,8 @@ std::string Registry::to_json() const {
   for (const auto& [name, h] : histograms) {
     out += (first ? "" : ", ") + quote(name) +
            ": {\"count\": " + std::to_string(h.count) +
-           ", \"sum\": " + num(h.sum) + ", \"min\": " + num(h.min) +
-           ", \"max\": " + num(h.max) + "}";
+           ", \"sum\": " + number(h.sum) + ", \"min\": " + number(h.min) +
+           ", \"max\": " + number(h.max) + "}";
     first = false;
   }
   out += "}}";

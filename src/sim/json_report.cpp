@@ -1,33 +1,16 @@
 #include "sim/json_report.hpp"
 
 #include <cctype>
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
+#include "util/json.hpp"
 
 namespace mnsim::sim {
 
-namespace {
-
-std::string num(double v) {
-  // Shortest round-trip-exact representation.
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string quote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out + "\"";
-}
-
-}  // namespace
+using util::json::number;
+using util::json::quote;
 
 std::string report_to_json(const nn::Network& network,
                            const arch::AcceleratorReport& report) {
@@ -43,15 +26,15 @@ std::string report_to_json(const nn::Network& network,
      << ", \"depth\": " << network.depth()
      << ", \"weights\": " << network.total_weights() << "},\n";
   os << "  \"totals\": {"
-     << "\"area\": " << num(report.area)
-     << ", \"power\": " << num(report.power)
-     << ", \"leakage_power\": " << num(report.leakage_power)
-     << ", \"energy_per_sample\": " << num(report.energy_per_sample)
-     << ", \"sample_latency\": " << num(report.sample_latency)
-     << ", \"pipeline_cycle\": " << num(report.pipeline_cycle)
-     << ", \"max_error_rate\": " << num(report.max_error_rate)
-     << ", \"avg_error_rate\": " << num(report.avg_error_rate)
-     << ", \"relative_accuracy\": " << num(report.relative_accuracy)
+     << "\"area\": " << number(report.area)
+     << ", \"power\": " << number(report.power)
+     << ", \"leakage_power\": " << number(report.leakage_power)
+     << ", \"energy_per_sample\": " << number(report.energy_per_sample)
+     << ", \"sample_latency\": " << number(report.sample_latency)
+     << ", \"pipeline_cycle\": " << number(report.pipeline_cycle)
+     << ", \"max_error_rate\": " << number(report.max_error_rate)
+     << ", \"avg_error_rate\": " << number(report.avg_error_rate)
+     << ", \"relative_accuracy\": " << number(report.relative_accuracy)
      << ", \"total_units\": " << report.total_units
      << ", \"total_crossbars\": " << report.total_crossbars << "},\n";
 
@@ -61,12 +44,12 @@ std::string report_to_json(const nn::Network& network,
   const auto& d = report.solver;
   os << "  \"solver_diagnostics\": {"
      << "\"newton_iterations\": " << d.newton_iterations
-     << ", \"newton_residual\": " << num(d.newton_residual)
+     << ", \"newton_residual\": " << number(d.newton_residual)
      << ", \"cg_iterations\": " << d.cg_iterations
      << ", \"cg_retries\": " << d.cg_retries
      << ", \"lu_fallbacks\": " << d.lu_fallbacks
      << ", \"damped_steps\": " << d.damped_steps
-     << ", \"linear_residual\": " << num(d.linear_residual)
+     << ", \"linear_residual\": " << number(d.linear_residual)
      << ", \"faults_injected\": " << d.faults_injected
      << ", \"cache_hits\": " << d.cache_hits
      << ", \"warm_starts\": " << d.warm_starts
@@ -74,18 +57,18 @@ std::string report_to_json(const nn::Network& network,
      << ", \"schur_iterations\": " << d.schur_iterations
      << ", \"schur_rejects\": " << d.schur_rejects
      << ", \"factor_reuses\": " << d.factor_reuses
-     << ", \"condition_estimate\": " << num(d.condition_estimate)
+     << ", \"condition_estimate\": " << number(d.condition_estimate)
      << ", \"threads\": " << d.threads
      << ", \"degraded\": " << (d.degraded() ? 1 : 0) << "},\n";
   const auto& f = report.fault_config;
   os << "  \"fault_model\": {"
      << "\"enabled\": " << (f.enabled() ? 1 : 0)
      << ", \"seed\": " << f.seed
-     << ", \"stuck_at_zero_rate\": " << num(f.stuck_at_zero_rate)
-     << ", \"stuck_at_one_rate\": " << num(f.stuck_at_one_rate)
-     << ", \"broken_wordline_rate\": " << num(f.broken_wordline_rate)
-     << ", \"broken_bitline_rate\": " << num(f.broken_bitline_rate)
-     << ", \"retention_time\": " << num(f.retention_time)
+     << ", \"stuck_at_zero_rate\": " << number(f.stuck_at_zero_rate)
+     << ", \"stuck_at_one_rate\": " << number(f.stuck_at_one_rate)
+     << ", \"broken_wordline_rate\": " << number(f.broken_wordline_rate)
+     << ", \"broken_bitline_rate\": " << number(f.broken_bitline_rate)
+     << ", \"retention_time\": " << number(f.retention_time)
      << ", \"circuit_check\": " << (f.circuit_check ? 1 : 0) << "},\n";
 
   // Pre-flight analyzer findings that rode along with the run (errors
@@ -93,21 +76,15 @@ std::string report_to_json(const nn::Network& network,
   // `mnsim check --json`.
   os << "  \"diagnostics\": [";
   for (std::size_t i = 0; i < report.diagnostics.size(); ++i) {
-    const auto& diag = report.diagnostics[i];
-    os << (i == 0 ? "\n" : ",\n") << "    {\"code\": " << quote(diag.code)
-       << ", \"severity\": "
-       << quote(check::severity_name(diag.severity))
-       << ", \"message\": " << quote(diag.message)
-       << ", \"file\": " << quote(diag.file) << ", \"line\": " << diag.line
-       << ", \"location\": " << quote(diag.location)
-       << ", \"hint\": " << quote(diag.hint) << "}";
+    os << (i == 0 ? "\n    " : ",\n    ")
+       << util::json::diagnostic(report.diagnostics[i]);
   }
   os << (report.diagnostics.empty() ? "" : "\n  ") << "],\n";
 
   auto item = [&](const char* name, const arch::BreakdownItem& it,
                   bool last = false) {
-    os << "    " << quote(name) << ": {\"area\": " << num(it.area)
-       << ", \"energy\": " << num(it.energy) << "}" << (last ? "\n" : ",\n");
+    os << "    " << quote(name) << ": {\"area\": " << number(it.area)
+       << ", \"energy\": " << number(it.energy) << "}" << (last ? "\n" : ",\n");
   };
   os << "  \"breakdown\": {\n";
   item("crossbars", report.breakdown.crossbars);
@@ -126,12 +103,12 @@ std::string report_to_json(const nn::Network& network,
   for (std::size_t b = 0; b < report.banks.size(); ++b) {
     const auto& bank = report.banks[b];
     os << "    {\"units\": " << bank.mapping.unit_count
-       << ", \"area\": " << num(bank.area)
-       << ", \"energy_per_sample\": " << num(bank.energy_per_sample)
-       << ", \"pass_latency\": " << num(bank.pass_latency)
+       << ", \"area\": " << number(bank.area)
+       << ", \"energy_per_sample\": " << number(bank.energy_per_sample)
+       << ", \"pass_latency\": " << number(bank.pass_latency)
        << ", \"iterations\": " << bank.iterations
-       << ", \"epsilon_worst\": " << num(bank.epsilon_worst)
-       << ", \"epsilon_average\": " << num(bank.epsilon_average) << "}"
+       << ", \"epsilon_worst\": " << number(bank.epsilon_worst)
+       << ", \"epsilon_average\": " << number(bank.epsilon_average) << "}"
        << (b + 1 < report.banks.size() ? "," : "") << "\n";
   }
   os << "  ]";
@@ -144,17 +121,17 @@ std::string report_to_json(const nn::Network& network,
     os << ",\n  \"cycle\": {\n"
        << "    \"dataflow\": " << quote(arch::dataflow_name(c.dataflow))
        << ", \"fill_policy\": " << quote(arch::fill_policy_name(c.fill_policy))
-       << ", \"clock_hz\": " << num(c.clock_hz)
+       << ", \"clock_hz\": " << number(c.clock_hz)
        << ", \"makespan_cycles\": " << c.makespan_cycles
-       << ", \"makespan_seconds\": " << num(c.makespan_seconds)
+       << ", \"makespan_seconds\": " << number(c.makespan_seconds)
        << ", \"total_tiles\": " << c.total_tiles
        << ", \"total_busy_cycles\": " << c.total_busy_cycles
        << ", \"total_stall_cycles\": " << c.total_stall_cycles
-       << ", \"backing_traffic_bytes\": " << num(c.backing_traffic_bytes)
-       << ", \"weight_image_bytes\": " << num(c.weight_image_bytes)
-       << ", \"pe_scheduled_fraction\": " << num(c.pe_scheduled_fraction)
-       << ", \"pe_active_fraction\": " << num(c.pe_active_fraction)
-       << ", \"stall_fraction\": " << num(c.stall_fraction) << ",\n"
+       << ", \"backing_traffic_bytes\": " << number(c.backing_traffic_bytes)
+       << ", \"weight_image_bytes\": " << number(c.weight_image_bytes)
+       << ", \"pe_scheduled_fraction\": " << number(c.pe_scheduled_fraction)
+       << ", \"pe_active_fraction\": " << number(c.pe_active_fraction)
+       << ", \"stall_fraction\": " << number(c.stall_fraction) << ",\n"
        << "    \"banks\": [\n";
     for (std::size_t b = 0; b < c.banks.size(); ++b) {
       const auto& bank = c.banks[b];
@@ -165,10 +142,10 @@ std::string report_to_json(const nn::Network& network,
          << ", \"fill_stall_cycles\": " << bank.fill_stall_cycles
          << ", \"drain_stall_cycles\": " << bank.drain_stall_cycles
          << ", \"idle_cycles\": " << bank.idle_cycles
-         << ", \"utilization\": " << num(bank.utilization)
-         << ", \"ifmap_bytes\": " << num(bank.ifmap_bytes)
-         << ", \"ofmap_bytes\": " << num(bank.ofmap_bytes)
-         << ", \"filter_bytes\": " << num(bank.filter_bytes)
+         << ", \"utilization\": " << number(bank.utilization)
+         << ", \"ifmap_bytes\": " << number(bank.ifmap_bytes)
+         << ", \"ofmap_bytes\": " << number(bank.ofmap_bytes)
+         << ", \"filter_bytes\": " << number(bank.filter_bytes)
          << ", \"bus_busy_cycles\": " << bank.bus_busy_cycles
          << ", \"resident_ifmap\": " << (bank.resident_ifmap ? 1 : 0)
          << ", \"resident_ofmap\": " << (bank.resident_ofmap ? 1 : 0) << "}"
@@ -267,6 +244,9 @@ class JsonScanner {
     std::string s;
     while (pos_ < text_.size() && text_[pos_] != '"') {
       if (text_[pos_] == '\\' && pos_ + 1 < text_.size()) ++pos_;
+      // RFC 8259: control characters appear in strings only escaped.
+      if (static_cast<unsigned char>(text_[pos_]) < 0x20)
+        throw std::runtime_error("json: raw control character in string");
       s += text_[pos_++];
     }
     expect('"');

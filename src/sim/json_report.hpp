@@ -29,7 +29,7 @@ std::string report_to_json(const nn::Network& network,
 // Minimal JSON reader for the flat numeric fields this writer emits:
 // returns dotted-path -> number (e.g. "totals.area", "banks.0.area").
 // Strings and booleans are skipped. Throws std::runtime_error on
-// malformed input.
+// malformed input, a raw control character inside a string included.
 std::map<std::string, double> parse_json_numbers(const std::string& json);
 
 }  // namespace mnsim::sim

@@ -93,6 +93,19 @@ TEST(DiagnosticList, JsonEscapesAndListsAllFields) {
   EXPECT_NE(json.find("\"line\": 3"), std::string::npos);
 }
 
+// Control bytes other than \n and \t come out as \u00xx.
+TEST(DiagnosticList, JsonEscapesControlCharacters) {
+  DiagnosticList list;
+  list.emit("MN-NN-003", Severity::kError, "[layer\r8]").location =
+      "\x1b[1m[layer8]";
+  const std::string json = list.render_json();
+  EXPECT_NE(json.find(R"("message": "[layer\u000d8]")"), std::string::npos);
+  EXPECT_NE(json.find(R"("location": "\u001b[1m[layer8]")"),
+            std::string::npos);
+  EXPECT_EQ(json.find('\r'), std::string::npos);
+  EXPECT_EQ(json.find('\x1b'), std::string::npos);
+}
+
 TEST(CheckError, HeadlinesFirstErrorAndCarriesAll) {
   DiagnosticList list;
   list.emit("MN-NET-005", Severity::kWarning, "spread");

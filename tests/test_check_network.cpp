@@ -82,6 +82,24 @@ TEST(NetworkCheck, PoolingPlacementIsDiagnosed) {
   EXPECT_FALSE(uneven.has_errors());  // dropped edge pixels only warn
 }
 
+// MN-NN-003: an FC layer leaves no spatial map, so pooling after it is
+// an error the pre-flight refuses (the bank model would size a line
+// buffer for a 0-wide map).
+TEST(NetworkCheck, PoolingAfterFullyConnectedIsRefused) {
+  nn::Network net = mlp(8, 8, 4);
+  net.layers.push_back(nn::Layer::pooling("pool", 1));
+  const DiagnosticList diags = check_network(net);
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags.items()[0].code, "MN-NN-003");
+  EXPECT_EQ(diags.items()[0].severity, Severity::kError);
+  try {
+    (void)arch::simulate_accelerator(net, arch::AcceleratorConfig{});
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_TRUE(e.diagnostics().has_code("MN-NN-003"));
+  }
+}
+
 // MN-NN-004: a layer the crossbar mapper rejects outright.
 TEST(NetworkCheck, UnmappableLayerIsDiagnosed) {
   nn::Network net = mlp(8, 8, 4);

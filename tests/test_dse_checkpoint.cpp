@@ -15,6 +15,7 @@
 #include "check/diagnostic.hpp"
 #include "dse/shard.hpp"
 #include "nn/topologies.hpp"
+#include "sim/json_report.hpp"
 #include "util/cancel.hpp"
 
 namespace mnsim::dse {
@@ -440,6 +441,29 @@ TEST(Quarantine, AllPointsFailedEmitsDiagnosticAndCounts) {
   const std::string json = sweep_report_json(sweep, small_net());
   EXPECT_NE(json.find("\"numeric\": 8"), std::string::npos);
   EXPECT_NE(json.find("MN-DSE-006"), std::string::npos);
+}
+
+// The sweep report writes the same diagnostic record as `mnsim check
+// --json`: file, line and location included, control bytes escaped.
+TEST(SweepReport, DiagnosticsCarryTheFullRecord) {
+  SweepResult sweep;
+  check::Diagnostic d;
+  d.code = "MN-DSE-007";
+  d.severity = check::Severity::kWarning;
+  d.message = "torn\ttail";
+  d.file = "sweep.ckpt";
+  d.line = 12;
+  d.location = "record 11";
+  d.hint = "resume";
+  sweep.result.diagnostics.push_back(d);
+  const std::string json = sweep_report_json(sweep, small_net());
+  EXPECT_NE(json.find(R"({"code": "MN-DSE-007", "severity": "warning", )"
+                      R"("message": "torn\ttail", "file": "sweep.ckpt", )"
+                      R"("line": 12, "location": "record 11", )"
+                      R"("hint": "resume"})"),
+            std::string::npos)
+      << json;
+  EXPECT_NO_THROW((void)sim::parse_json_numbers(json));
 }
 
 TEST(Quarantine, CheckFailuresAreNeverRetried) {

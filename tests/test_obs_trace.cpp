@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/json_report.hpp"
@@ -164,6 +165,20 @@ TEST_F(TraceTest, ChromeTraceJsonIsWellFormed) {
     if (path.find(".dur") != std::string::npos && value >= 0)
       has_duration = true;
   EXPECT_TRUE(has_duration);
+}
+
+// Thread names are caller-provided: a control byte in one is kept,
+// escaped, rather than dropped or written raw.
+TEST_F(TraceTest, ControlCharactersInThreadNamesAreEscaped) {
+  std::thread worker([] {
+    set_thread_name("io\x01" "bank");
+    Span span("phase.io");
+  });
+  worker.join();
+  const std::string json = Tracer::instance().chrome_trace_json();
+  EXPECT_NE(json.find(R"("args": {"name": "io\u0001bank"})"),
+            std::string::npos);
+  EXPECT_NO_THROW((void)sim::parse_json_numbers(json));
 }
 
 TEST_F(TraceTest, EmptyTraceStillExportsValidJson) {

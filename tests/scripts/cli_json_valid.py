@@ -88,7 +88,7 @@ def main() -> None:
     keys = ["code", "severity", "message", "file", "line", "location", "hint"]
     for record in [*report["diagnostics"], *refused, *sweep["diagnostics"]]:
         expect(list(record) == keys, f"diagnostic keys {list(record)!r}")
-    print("cli_json_valid: 6 documents load")
+    print("cli_json_valid: report, trace, check and sweep JSON load")
 
 
 if __name__ == "__main__":

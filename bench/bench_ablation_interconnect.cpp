@@ -17,7 +17,7 @@
 #include "circuit/adc.hpp"
 #include "circuit/crossbar.hpp"
 #include "spice/delay.hpp"
-#include "spice/transient.hpp"
+#include "spice/mna.hpp"
 #include "tech/interconnect.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"

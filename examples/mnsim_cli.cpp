@@ -82,6 +82,17 @@ using namespace mnsim::units;
 
 namespace {
 
+// The optima table needs one feasible design per objective; without any
+// the sweep still reports (and writes its --json) after one line.
+void print_optima(const dse::ExplorationResult& result, double constraint) {
+  if (result.feasible_count > 0)
+    std::fputs(dse::format_optima_table(result, "Optimal designs").c_str(),
+               stdout);
+  else
+    std::printf("no feasible design under error <= %g%%\n",
+                100 * constraint);
+}
+
 // Returns false when the exploration surfaced error diagnostics (e.g.
 // MN-DSE-006, every point failed) so main can exit nonzero.
 bool run_dse(const nn::Network& net, const arch::AcceleratorConfig& base,
@@ -91,8 +102,7 @@ bool run_dse(const nn::Network& net, const arch::AcceleratorConfig& base,
               space.enumerate().size(), 100 * constraint);
   const auto result = dse::explore(net, base, space, constraint);
   std::printf("%ld feasible\n", result.feasible_count);
-  std::fputs(dse::format_optima_table(result, "Optimal designs").c_str(),
-             stdout);
+  print_optima(result, constraint);
   bool ok = true;
   for (const auto& d : result.diagnostics) {
     std::fputs((d.render() + "\n").c_str(), stderr);
@@ -306,9 +316,7 @@ int run_sweep_cmd(int argc, char** argv) {
         sweep.evaluated_count, sweep.result.failed_count, sweep.failed_check,
         sweep.failed_numeric, sweep.failed_timeout, sweep.retried_count,
         sweep.retried_count == 1 ? "y" : "ies");
-    std::fputs(
-        dse::format_optima_table(sweep.result, "Optimal designs").c_str(),
-        stdout);
+    print_optima(sweep.result, constraint);
     for (const auto& d : sweep.result.diagnostics)
       std::fputs((d.render() + "\n").c_str(), stderr);
     if (!json_path.empty()) {

@@ -9,37 +9,10 @@
 #include "numeric/sparse.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "spice/mna_internal.hpp"
 #include "util/cancel.hpp"
 #include "util/parallel.hpp"
 
 namespace mnsim::spice {
-
-namespace internal {
-
-Indexer build_indexer(const Netlist& nl) {
-  const int nodes = nl.node_count() + 1;  // include ground slot
-  Indexer ix;
-  ix.unknown_of_node.assign(nodes, -2);
-  ix.pinned_voltage.assign(nodes, 0.0);
-  ix.unknown_of_node[kGround] = -1;
-  for (const auto& s : nl.sources()) {
-    ix.unknown_of_node[s.node] = -1;
-    ix.pinned_voltage[s.node] = s.volts;
-  }
-  for (int n = 1; n < nodes; ++n) {
-    if (ix.unknown_of_node[n] == -2)
-      ix.unknown_of_node[n] = ix.unknown_count++;
-  }
-  return ix;
-}
-
-}  // namespace internal
-
-using internal::build_indexer;
-using internal::CsrRefillSink;
-using internal::Indexer;
-using internal::stamp;
 
 void SolverDiagnostics::absorb(const SolverDiagnostics& other) {
   newton_iterations += other.newton_iterations;
@@ -62,12 +35,96 @@ void SolverDiagnostics::absorb(const SolverDiagnostics& other) {
 
 namespace {
 
+struct Indexer {
+  // Maps node id -> unknown index, or -1 for ground / pinned nodes.
+  std::vector<int> unknown_of_node;
+  std::vector<double> pinned_voltage;  // by node id (0 where free)
+  int unknown_count = 0;
+};
+
+Indexer build_indexer(const Netlist& nl) {
+  const int nodes = nl.node_count() + 1;  // include ground slot
+  Indexer ix;
+  ix.unknown_of_node.assign(nodes, -2);
+  ix.pinned_voltage.assign(nodes, 0.0);
+  ix.unknown_of_node[kGround] = -1;
+  for (const auto& s : nl.sources()) {
+    ix.unknown_of_node[s.node] = -1;
+    ix.pinned_voltage[s.node] = s.volts;
+  }
+  for (int n = 1; n < nodes; ++n) {
+    if (ix.unknown_of_node[n] == -2)
+      ix.unknown_of_node[n] = ix.unknown_count++;
+  }
+  return ix;
+}
+
+// Sink adapter for stamping into a CSR matrix with a frozen sparsity
+// pattern (values-only refill). The k-th add goes straight to
+// scatter[k], the slot the k-th stamp landed in when the pattern was
+// built; add_at_slot verifies that slot and falls back to a column
+// search when the stamp sequence has changed. `ok` drops to false when a
+// stamp misses the pattern altogether — the caller must then rebuild
+// from a SparseBuilder.
+struct CsrRefillSink {
+  numeric::CsrMatrix* matrix = nullptr;
+  const std::vector<std::uint32_t>* scatter = nullptr;
+  std::size_t next = 0;
+  bool ok = true;
+
+  void add(std::size_t row, std::size_t col, double value) {
+    const std::size_t k = next++;
+    const bool hit = k < scatter->size()
+                         ? matrix->add_at_slot((*scatter)[k], row, col, value)
+                         : matrix->add_at(row, col, value);
+    if (!hit) ok = false;
+  }
+};
+
+// Stamps a conductance g between nodes a and b, with an optional parallel
+// current source i_src flowing a -> b (companion model), into (A, rhs).
+// MatrixSink is anything with add(row, col, value): a SparseBuilder on
+// first assembly, a CsrRefillSink when the pattern is cached.
+template <typename MatrixSink>
+void stamp(const Indexer& ix, MatrixSink& a, std::vector<double>& rhs,
+           NodeId na, NodeId nb, double g, double i_src) {
+  const int ua = ix.unknown_of_node[na];
+  const int ub = ix.unknown_of_node[nb];
+  const double va = ua < 0 ? ix.pinned_voltage[na] : 0.0;
+  const double vb = ub < 0 ? ix.pinned_voltage[nb] : 0.0;
+  if (ua >= 0) {
+    a.add(static_cast<std::size_t>(ua), static_cast<std::size_t>(ua), g);
+    rhs[static_cast<std::size_t>(ua)] -= i_src;
+    if (ub >= 0)
+      a.add(static_cast<std::size_t>(ua), static_cast<std::size_t>(ub), -g);
+    else
+      rhs[static_cast<std::size_t>(ua)] += g * vb;
+  }
+  if (ub >= 0) {
+    a.add(static_cast<std::size_t>(ub), static_cast<std::size_t>(ub), g);
+    rhs[static_cast<std::size_t>(ub)] += i_src;
+    if (ua >= 0)
+      a.add(static_cast<std::size_t>(ub), static_cast<std::size_t>(ua), -g);
+    else
+      rhs[static_cast<std::size_t>(ub)] += g * va;
+  }
+}
+
+// One backward-Euler time step: the step size and the node voltages (by
+// node id) of the previous accepted step. A DC solve has none.
+struct StepContext {
+  double dt;
+  const std::vector<double>& v_prev;
+};
+
 // Stamps every element of `nl` into (sink, rhs) with the companion model
 // linearized around `voltages` (by node id). One call = one assembly.
+// With a step context the capacitors are stamped too; without one they
+// are open, as at a DC operating point.
 template <typename MatrixSink>
 void assemble(const Netlist& nl, const Indexer& ix,
               const std::vector<double>& voltages, MatrixSink& sink,
-              std::vector<double>& rhs) {
+              std::vector<double>& rhs, const StepContext* step = nullptr) {
   const auto& dev = nl.device();
   // The sinh/cosh companion model overflows for iterates far outside the
   // physical range; clamp the argument so a wild Newton step degrades
@@ -96,11 +153,22 @@ void assemble(const Netlist& nl, const Indexer& ix,
     const double gd = std::cosh(vc / vt) / m.r_state;
     stamp(ix, sink, rhs, m.a, m.b, gd, i0 - gd * vc);
   }
+
+  if (step == nullptr) return;
+  // Backward-Euler capacitor companion: G = C/dt with a history current
+  // source -G * v_prev flowing a -> b.
+  for (const auto& c : nl.capacitors()) {
+    const double g = c.farads / step->dt;
+    const double v_prev = step->v_prev[c.a] - step->v_prev[c.b];
+    stamp(ix, sink, rhs, c.a, c.b, g, -g * v_prev);
+  }
 }
 
-// Upper bound on the matrix adds of one assembly: four per element.
-std::size_t max_stamps(const Netlist& nl) {
-  return 4 * (nl.resistors().size() + nl.memristors().size());
+// Upper bound on the matrix adds of one assembly: four per stamped
+// element.
+std::size_t max_stamps(const Netlist& nl, const StepContext* step) {
+  const std::size_t capacitors = step ? nl.capacitors().size() : 0;
+  return 4 * (nl.resistors().size() + nl.memristors().size() + capacitors);
 }
 
 // Refuse-with-diagnosis pre-flight. The warnings-off analysis decides;
@@ -155,10 +223,12 @@ numeric::BipartitePartition translate_partition(const WireStructure& ws,
 // path. `prefactored` is the batch engine's factor-once Schur handle
 // (null outside solve_dc_batch); it is only consulted while the cached
 // matrix is being value-refilled, i.e. while the batch's shared-matrix
-// guarantee holds.
+// guarantee holds. `step` makes this one backward-Euler time step
+// (solve_transient); it is null for a DC solve.
 DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
                        MnaCache* cache,
-                       const numeric::SchurFactorization* prefactored) {
+                       const numeric::SchurFactorization* prefactored,
+                       const StepContext* step = nullptr) {
   // Refuse-with-diagnosis: vet the topology before any numeric work.
   // A cache with a valid pattern means this structure already passed, so
   // sweep iterations skip straight to assembly.
@@ -231,7 +301,7 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
       if (mc.pattern_valid && mc.matrix.size() == n_unknowns) {
         mc.matrix.zero_values();
         CsrRefillSink sink{&mc.matrix, &mc.scatter};
-        assemble(nl, ix, result.node_voltages, sink, rhs);
+        assemble(nl, ix, result.node_voltages, sink, rhs, step);
         if (sink.ok) {
           refilled = true;
         } else {
@@ -247,8 +317,8 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
       }
       if (!refilled) {
         numeric::SparseBuilder builder(n_unknowns);
-        builder.reserve(max_stamps(nl));
-        assemble(nl, ix, result.node_voltages, builder, rhs);
+        builder.reserve(max_stamps(nl, step));
+        assemble(nl, ix, result.node_voltages, builder, rhs, step);
         mc.matrix = numeric::CsrMatrix(builder, &mc.scatter);
         mc.pattern_valid = true;
       } else if (external) {
@@ -454,7 +524,7 @@ void solve_dc_batch_visit(
             ix.pinned_voltage[static_cast<std::size_t>(n)];
     std::vector<double> rhs(n_unknowns, 0.0);
     numeric::SparseBuilder builder(n_unknowns);
-    builder.reserve(max_stamps(base));
+    builder.reserve(max_stamps(base, nullptr));
     assemble(base, ix, voltages, builder, rhs);
     master.matrix = numeric::CsrMatrix(builder, &master.scatter);
     master.pattern_valid = true;
@@ -592,6 +662,71 @@ double total_source_power(const Netlist& nl, const DcResult& dc) {
   double power = 0.0;
   for (const auto& s : nl.sources()) power += s.volts * i_out[s.node];
   return power;
+}
+
+double TransientResult::settling_time(std::size_t probe,
+                                      double tolerance) const {
+  if (probe >= probe_voltages.size())
+    throw std::out_of_range("TransientResult::settling_time: probe");
+  const auto& v = probe_voltages[probe];
+  if (v.empty()) return 0.0;
+  const double final_v = v.back();
+  const double band = tolerance * std::fabs(final_v) + 1e-15;
+  // Walk backwards: the settling time is the first instant after the last
+  // excursion outside the band.
+  for (std::size_t i = v.size(); i-- > 0;) {
+    if (std::fabs(v[i] - final_v) > band)
+      return i + 1 < time.size() ? time[i + 1] : time.back();
+  }
+  return time.front();
+}
+
+TransientResult solve_transient(const Netlist& nl,
+                                const std::vector<NodeId>& probes,
+                                const TransientOptions& opt) {
+  if (!(opt.time_step > 0) || !(opt.end_time > 0))
+    throw std::invalid_argument("solve_transient: time step / end time");
+  const int nodes = nl.node_count() + 1;
+  for (NodeId p : probes) {
+    if (p < 0 || p >= nodes)
+      throw std::invalid_argument("solve_transient: probe node");
+  }
+  obs::Span span("spice.transient");
+  const double dt = opt.time_step;
+  const long steps = static_cast<long>(std::ceil(opt.end_time / dt));
+
+  // One cache for the whole run: the first step preflights and primes the
+  // pattern, every later step refills it. Its warm start is the previous
+  // step's solution, which is also the capacitors' history; the initial
+  // condition is every node at zero, the sources stepping at t = 0+.
+  MnaCache cache;
+  cache.warm_start_voltages.assign(static_cast<std::size_t>(nodes), 0.0);
+
+  TransientResult result;
+  result.converged = true;
+  result.time.reserve(static_cast<std::size_t>(steps) + 1);
+  result.probe_voltages.assign(probes.size(), {});
+  const auto record = [&](double t) {
+    result.time.push_back(t);
+    const std::vector<double>& v = cache.warm_start_voltages;
+    for (std::size_t i = 0; i < probes.size(); ++i)
+      result.probe_voltages[i].push_back(v[probes[i]]);
+  };
+  record(0.0);
+
+  const DcOptions dc;
+  for (long k = 1; k <= steps; ++k) {
+    const StepContext step{dt, cache.warm_start_voltages};
+    DcResult r = solve_dc_impl(nl, dc, &cache, nullptr, &step);
+    if (!r.converged) result.converged = false;
+    result.diagnostics.absorb(r.diagnostics);
+    cache.warm_start_voltages = std::move(r.node_voltages);
+    record(static_cast<double>(k) * dt);
+  }
+
+  obs::Registry& reg = obs::Registry::global();
+  if (reg.enabled()) reg.add("spice.transient_steps", steps);
+  return result;
 }
 
 }  // namespace mnsim::spice

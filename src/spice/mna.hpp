@@ -12,6 +12,10 @@
 // This is the same equation system a general-purpose SPICE solves for
 // this circuit class; it is the repository's stand-in for the paper's
 // HSPICE baseline (DESIGN.md, substitution table).
+//
+// The transient solve (solve_transient, below) runs every backward-Euler
+// step through the same Newton loop: a step is a DC solve whose assembly
+// also stamps each capacitor's companion model.
 #pragma once
 
 #include <cstddef>
@@ -222,5 +226,48 @@ double memristor_current(const Netlist& netlist, const MemristorElement& m,
 // Total power delivered by all voltage sources at the operating point
 // (equals the total dissipation of the resistive network).
 double total_source_power(const Netlist& netlist, const DcResult& dc);
+
+// --- transient (time-domain) solves -----------------------------------
+//
+// The behavior-level platform ignores wire capacitance (paper Sec. VI-B,
+// approximation 2) and estimates settling with a fixed multiple of the
+// Elmore time constant. The transient keeps the capacitors and integrates
+// the full nonlinear network through a compute cycle (step inputs at
+// t = 0), the ground truth the RC-ablation bench compares the Elmore and
+// behavior estimates against.
+//
+// Integration: backward Euler. Each step is one solve_dc-style Newton
+// solve whose assembly adds the capacitor companion model (G = C/dt in
+// parallel with a history current source -G * v_prev), warm-started from
+// the previous step and sharing one MnaCache across the whole run, with
+// default DcOptions: preflight, pattern refill, the Schur rung, damping,
+// the degradation ladder and the spice.newton cancellation poll all
+// apply. The transient therefore refuses exactly the netlists solve_dc
+// refuses (check::CheckError from the preflight, e.g. MN-NET-001 for a
+// node with no DC path to ground, even when a capacitor ties it there).
+
+struct TransientOptions {
+  double time_step = 1e-12;  // dt [s]
+  double end_time = 1e-9;    // total simulated time [s]
+};
+
+struct TransientResult {
+  std::vector<double> time;                         // sample instants
+  std::vector<std::vector<double>> probe_voltages;  // [probe][step]
+  bool converged = false;                           // every step converged
+  SolverDiagnostics diagnostics;                    // summed over steps
+
+  // First instant after which the probe stays within `tolerance`
+  // (relative) of its final value; returns end_time when it never
+  // settles within the window.
+  [[nodiscard]] double settling_time(std::size_t probe,
+                                     double tolerance = 0.01) const;
+};
+
+// Integrates from all-zero initial conditions with the sources stepping
+// to their DC values at t = 0. `probes` selects the recorded nodes.
+TransientResult solve_transient(const Netlist& netlist,
+                                const std::vector<NodeId>& probes,
+                                const TransientOptions& options = {});
 
 }  // namespace mnsim::spice

@@ -27,11 +27,12 @@ enum class CellType { k1T1R, k0T1R };
 // Saturation bound on the sinh argument |v| / v_t. sinh overflows a
 // double near an argument of ~710, and Newton iterates routinely
 // overshoot the physical operating range mid-solve; every evaluation of
-// the device law (current, actual_resistance, the MNA linearization and
-// the transient companion model) clamps to this bound so an overshoot
-// saturates instead of turning into inf conductance. 40 keeps the model
-// exact over the entire representable operating range (sinh(40) ~ 1e17,
-// far beyond any physical bias) while leaving 600x headroom to overflow.
+// the device law (current, actual_resistance and the MNA linearization
+// that DC and transient solves share) clamps to this bound so an
+// overshoot saturates instead of turning into inf conductance. 40 keeps
+// the model exact over the entire representable operating range
+// (sinh(40) ~ 1e17, far beyond any physical bias) while leaving 600x
+// headroom to overflow.
 inline constexpr double kMaxSinhArg = 40.0;
 
 struct MemristorModel {

@@ -11,7 +11,9 @@ layer name that holds a tab and a 0x01 byte. In a fresh work dir
 (examples/configs/ci_sweep.ini resumes sweep.ckpt from the cwd) it runs
 the report (`--json`), the Chrome trace (`--trace=`), `check --json`
 and `sweep --json`, loads every file with json.load and checks that the
-control characters survive the round trip.
+control characters survive the round trip. A sweep of the demo MLP under
+`--error 0.0001` (percent), where no design is feasible, must still write
+its report.
 """
 from __future__ import annotations
 
@@ -70,6 +72,8 @@ def main() -> None:
     run(cli, ["check", "--json", "check_pool.json", str(pooled)], work, 1)
     run(cli, ["sweep", str(net), str(src / "examples/configs/ci_sweep.ini"),
               "--json", "sweep.json"], work, 0)
+    run(cli, ["sweep", "--error", "0.0001", "--json", "infeasible.json"],
+        work, 0)
 
     report = load(work / "run.json")
     expect(report["network"]["name"] == "lenet\t5",
@@ -85,10 +89,15 @@ def main() -> None:
     sweep = load(work / "sweep.json")
     expect(sweep["network"]["name"] == "lenet\t5",
            f"sweep.json network name: {sweep['network']['name']!r}")
+    infeasible = load(work / "infeasible.json")
+    expect(infeasible["sweep"]["feasible"] == 0,
+           f"infeasible.json feasible: {infeasible['sweep']['feasible']!r}")
     keys = ["code", "severity", "message", "file", "line", "location", "hint"]
-    for record in [*report["diagnostics"], *refused, *sweep["diagnostics"]]:
+    for record in [*report["diagnostics"], *refused, *sweep["diagnostics"],
+                   *infeasible["diagnostics"]]:
         expect(list(record) == keys, f"diagnostic keys {list(record)!r}")
-    print("cli_json_valid: report, trace, check and sweep JSON load")
+    print("cli_json_valid: report, trace, check, sweep and infeasible "
+          "sweep JSON load")
 
 
 if __name__ == "__main__":

@@ -1,12 +1,15 @@
-#include "spice/transient.hpp"
+#include "spice/mna.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
 
+#include "check/diagnostic.hpp"
 #include "spice/crossbar_netlist.hpp"
 #include "spice/delay.hpp"
-#include "spice/mna.hpp"
+#include "tech/interconnect.hpp"
+#include "util/cancel.hpp"
 
 namespace mnsim::spice {
 namespace {
@@ -150,6 +153,84 @@ TEST(Transient, StronglyNonlinearDeviceStaysFinite) {
   for (double v : res.probe_voltages[0]) ASSERT_TRUE(std::isfinite(v));
   const auto dc = solve_dc(nl);
   EXPECT_NEAR(res.probe_voltages[0].back(), dc.node_voltages[mid], 1e-6);
+}
+
+TEST(Transient, CancelledTokenStopsTheSolve) {
+  // The steps run through the DC Newton loop, so its spice.newton poll
+  // applies: a requested token stops the transient before its first
+  // linear solve.
+  Netlist nl;
+  NodeId in = nl.add_node();
+  NodeId out = nl.add_node();
+  nl.add_source(in, 1.0);
+  nl.add_resistor(in, out, 1e3);
+  nl.add_capacitor(out, kGround, 1e-12);
+  util::CancelToken token;
+  token.request();
+  util::ScopedCancel scope(&token);
+  try {
+    (void)solve_transient(nl, {out}, TransientOptions{});
+    FAIL() << "expected util::CancelledError";
+  } catch (const util::CancelledError& e) {
+    EXPECT_EQ(e.where(), "spice.newton");
+  }
+}
+
+TEST(Transient, FloatingIslandIsRefusedLikeDc) {
+  // Two nodes joined by a resistor, with no DC path to ground: the
+  // preflight refuses the netlist with MN-NET-001, as solve_dc does.
+  Netlist nl;
+  NodeId in = nl.add_node();
+  NodeId out = nl.add_node();
+  nl.add_source(in, 1.0);
+  nl.add_resistor(in, out, 1e3);
+  NodeId a = nl.add_node();
+  NodeId b = nl.add_node();
+  nl.add_resistor(a, b, 1e3);
+  try {
+    (void)solve_transient(nl, {out}, TransientOptions{});
+    FAIL() << "expected check::CheckError";
+  } catch (const check::CheckError& e) {
+    EXPECT_TRUE(e.diagnostics().has_code("MN-NET-001"));
+  }
+}
+
+TEST(Transient, NonlinearCrossbarSettlesToDcOperatingPoint) {
+  // A seeded nonlinear 8x8 crossbar with 45 nm wire RC: the steps run
+  // the Schur rung with the capacitor companion on the diagonal, and
+  // after 50 steps of 20 ps every node sits at its DC operating point.
+  const auto device = tech::default_rram();
+  const auto wires = tech::interconnect_tech(45);
+  auto spec = CrossbarSpec::uniform(8, 8, device,
+                                    wires.segment_resistance.value(), 60.0,
+                                    device.r_min.value());
+  spec.segment_capacitance = wires.segment_capacitance.value();
+  std::mt19937 rng(21);
+  std::uniform_real_distribution<double> r_cell(device.r_min.value(),
+                                                device.r_max.value());
+  std::uniform_real_distribution<double> v_in(0.0,
+                                              device.v_read.value());
+  for (auto& row : spec.cell_resistance)
+    for (double& r : row) r = r_cell(rng);
+  for (double& v : spec.input_voltages) v = v_in(rng);
+  const Netlist nl = build_crossbar_netlist(spec, nullptr);
+
+  std::vector<NodeId> every_node;
+  for (NodeId n = 1; n <= nl.node_count(); ++n) every_node.push_back(n);
+  TransientOptions opt;
+  opt.time_step = 20e-12;
+  opt.end_time = 1e-9;
+  const auto res = solve_transient(nl, every_node, opt);
+  ASSERT_TRUE(res.converged);
+  EXPECT_EQ(res.diagnostics.schur_rejects, 0);
+  EXPECT_EQ(res.diagnostics.schur_solves,
+            res.diagnostics.newton_iterations);
+
+  const auto dc = solve_dc(nl);
+  for (std::size_t i = 0; i < every_node.size(); ++i)
+    EXPECT_NEAR(res.probe_voltages[i].back(),
+                dc.voltage(every_node[i]), 1e-9)
+        << "node " << every_node[i];
 }
 }  // namespace
 }  // namespace mnsim::spice

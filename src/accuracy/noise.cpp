@@ -55,9 +55,4 @@ ReadNoiseResult estimate_read_noise(const ReadNoiseInputs& in) {
   return r;
 }
 
-double expected_quantization_error_lsb() {
-  // Uniform input over one step: E|e| = LSB/4.
-  return 0.25;
-}
-
 }  // namespace mnsim::accuracy

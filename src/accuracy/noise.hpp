@@ -39,10 +39,4 @@ struct ReadNoiseResult {
 
 ReadNoiseResult estimate_read_noise(const ReadNoiseInputs& inputs);
 
-// Expected |quantization error| of an ideal uniform quantizer, in LSBs
-// (= 0.25 for a uniformly distributed input): the "error generated by
-// data quantization" the paper separates from the analog computing error
-// (Sec. VI). Exposed so users can combine both error sources.
-double expected_quantization_error_lsb();
-
 }  // namespace mnsim::accuracy

@@ -36,6 +36,7 @@ struct RetentionPoint {
 
 // Worst-case crossbar error as a function of age: evaluates the Eq. 11
 // kernel with every cell's resistance inflated by the drift factor.
+// mnsim-analyze: allow(unreferenced-api, test oracle: test_accuracy_retention checks retuning_interval's bisection against it)
 std::vector<RetentionPoint> retention_sweep(
     const CrossbarErrorInputs& inputs, double nu,
     const std::vector<double>& ages);

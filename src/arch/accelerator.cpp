@@ -23,16 +23,6 @@ BreakdownItem AcceleratorBreakdown::total() const {
   return t;
 }
 
-double AcceleratorBreakdown::read_circuit_area_share() const {
-  const auto t = total();
-  return t.area > 0 ? read_circuits.area / t.area : 0.0;
-}
-
-double AcceleratorBreakdown::read_circuit_energy_share() const {
-  const auto t = total();
-  return t.energy > 0 ? read_circuits.energy / t.energy : 0.0;
-}
-
 namespace {
 
 // Accumulates one bank into the module-class breakdown using its

@@ -31,9 +31,6 @@ struct AcceleratorBreakdown {
       adder_trees, neurons, pooling, buffers, interfaces;
 
   [[nodiscard]] BreakdownItem total() const;
-  // Share of the read path (MUX + subtract + ADC) in total area/energy.
-  [[nodiscard]] double read_circuit_area_share() const;
-  [[nodiscard]] double read_circuit_energy_share() const;
 };
 
 struct AcceleratorReport {

@@ -48,12 +48,6 @@ struct BankReport {
   // counters are nonzero only when fault.circuit_check ran a
   // defect-injected circuit-level solve).
   spice::SolverDiagnostics solver;
-
-  [[nodiscard]] double average_power() const {
-    return sample_latency > 0
-               ? energy_per_sample / sample_latency
-               : 0.0;
-  }
 };
 
 // One computation bank's layers (paper Sec. III-A: pooling is a

@@ -47,6 +47,7 @@ double program_latency(const std::vector<Instruction>& trace,
                        const AcceleratorConfig& config);
 
 // Controller hardware: instruction register + decoder + FSM.
+// mnsim-analyze: allow(unreferenced-api, paper inventory: PAPER.md section 1 row 6, the controller)
 circuit::Ppa controller_ppa(const AcceleratorConfig& config);
 
 }  // namespace mnsim::arch

@@ -72,12 +72,6 @@ std::size_t DiagnosticList::warning_count() const {
   return n;
 }
 
-bool DiagnosticList::has_code(const std::string& code) const {
-  for (const auto& d : diagnostics_)
-    if (d.code == code) return true;
-  return false;
-}
-
 void DiagnosticList::promote_warnings() {
   for (auto& d : diagnostics_)
     if (d.severity == Severity::kWarning) d.severity = Severity::kError;

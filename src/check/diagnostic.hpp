@@ -53,9 +53,6 @@ class DiagnosticList {
 
   [[nodiscard]] bool empty() const { return diagnostics_.empty(); }
   [[nodiscard]] std::size_t size() const { return diagnostics_.size(); }
-  [[nodiscard]] const std::vector<Diagnostic>& items() const {
-    return diagnostics_;
-  }
   [[nodiscard]] std::vector<Diagnostic> take() {
     return std::move(diagnostics_);
   }
@@ -65,7 +62,6 @@ class DiagnosticList {
   [[nodiscard]] std::size_t error_count() const;
   [[nodiscard]] std::size_t warning_count() const;
   [[nodiscard]] bool has_errors() const { return error_count() > 0; }
-  [[nodiscard]] bool has_code(const std::string& code) const;
 
   // [check] Warnings_As_Errors: every warning becomes an error.
   void promote_warnings();

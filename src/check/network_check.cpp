@@ -248,49 +248,6 @@ DiagnosticList check_mapping(const nn::Network& network,
   return out;
 }
 
-DiagnosticList check_defect_map(const fault::DefectMap& map) {
-  DiagnosticList out;
-  const bool has_faults = !map.stuck_cells.empty() ||
-                          !map.broken_wordlines.empty() ||
-                          !map.broken_bitlines.empty();
-  if (map.rows <= 0 || map.cols <= 0) {
-    if (has_faults) {
-      out.emit("MN-NN-005", Severity::kError,
-               "defect map declares faults for an empty " +
-                   std::to_string(map.rows) + "x" + std::to_string(map.cols) +
-                   " array");
-    }
-    return out;
-  }
-  for (const auto& cell : map.stuck_cells) {
-    if (cell.row < 0 || cell.row >= map.rows || cell.col < 0 ||
-        cell.col >= map.cols) {
-      out.emit("MN-NN-005", Severity::kError,
-               "stuck cell (" + std::to_string(cell.row) + ", " +
-                   std::to_string(cell.col) + ") is outside the " +
-                   std::to_string(map.rows) + "x" + std::to_string(map.cols) +
-                   " array");
-    }
-  }
-  for (int row : map.broken_wordlines) {
-    if (row < 0 || row >= map.rows) {
-      out.emit("MN-NN-005", Severity::kError,
-               "broken wordline " + std::to_string(row) +
-                   " is outside the array (rows 0.." +
-                   std::to_string(map.rows - 1) + ")");
-    }
-  }
-  for (int col : map.broken_bitlines) {
-    if (col < 0 || col >= map.cols) {
-      out.emit("MN-NN-005", Severity::kError,
-               "broken bitline " + std::to_string(col) +
-                   " is outside the array (columns 0.." +
-                   std::to_string(map.cols - 1) + ")");
-    }
-  }
-  return out;
-}
-
 DiagnosticList check_custom_spec(const sim::CustomAcceleratorSpec& spec) {
   DiagnosticList out;
   const std::string label =

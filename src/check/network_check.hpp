@@ -1,9 +1,9 @@
-// Network / mapping / fault-map analysis (`mnsim check`, network pass).
+// Network / mapping analysis (`mnsim check`, network pass).
 //
-// The behavior-level flow consumes a layer list, an accelerator
-// configuration and (optionally) a defect map; each can be internally
-// consistent yet mutually incompatible. These passes catch the
-// structural problems before any bank is simulated:
+// The behavior-level flow consumes a layer list and an accelerator
+// configuration; each can be internally consistent yet mutually
+// incompatible. These passes catch the structural problems before any
+// bank is simulated:
 //   * MN-NN-001 — layer shape-chain mismatches (a conv whose input
 //     geometry is not the previous layer's output, an FC whose fan-in is
 //     not the flattened preceding map),
@@ -13,7 +13,7 @@
 //     after an FC layer, window larger than the feature map;
 //     non-divisible windows warn),
 //   * MN-NN-004 — layers the crossbar mapper cannot tile at all,
-//   * MN-NN-005 — fault-map entries referencing cells outside the array,
+//   * MN-NN-005 — retired (defect-map ranges; never reused),
 //   * MN-NN-006 — weights spread across suspiciously many cells
 //     (weight_bits far above the device level bits), a warning,
 //   * MN-CUS-001..004 — customized-design module bags (Sec. III-E).
@@ -21,7 +21,6 @@
 
 #include "arch/params.hpp"
 #include "check/diagnostic.hpp"
-#include "fault/fault_model.hpp"
 #include "nn/network.hpp"
 #include "sim/custom_module.hpp"
 
@@ -35,10 +34,6 @@ namespace mnsim::check {
 // weighted layer must tile onto the configured crossbars.
 [[nodiscard]] DiagnosticList check_mapping(const nn::Network& network,
                                            const arch::AcceleratorConfig& cfg);
-
-// Defect-map sanity: every stuck cell and broken line must reference a
-// cell inside the rows x cols array.
-[[nodiscard]] DiagnosticList check_defect_map(const fault::DefectMap& map);
 
 // Customized-design spec (the diagnostic-producing core of
 // sim::CustomAcceleratorSpec::validate()).

@@ -56,10 +56,6 @@ Watts CrossbarModel::compute_power_average() const {
   return total_compute_power(device.harmonic_mean_resistance());
 }
 
-Watts CrossbarModel::compute_power_worst() const {
-  return total_compute_power(device.r_min);
-}
-
 Watts CrossbarModel::read_power() const {
   // Memory READ: a single selected cell, average resistance, full v_read
   // across the cell-plus-sense divider.

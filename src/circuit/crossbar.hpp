@@ -36,6 +36,7 @@ struct CrossbarModel {
       units::Ohms cell_resistance) const;
 
   // Column output voltage for equal inputs v_in (paper Eq. 9).
+  // mnsim-analyze: allow(unreferenced-api, paper inventory: PAPER.md section 1 rows 3 and 5, the crossbar output voltage of Eq. 9)
   [[nodiscard]] units::Volts output_voltage(units::Volts v_in,
                                             units::Ohms cell_resistance) const;
 
@@ -50,10 +51,8 @@ struct CrossbarModel {
   [[nodiscard]] units::Area area() const;  // cells only (decoders separate)
 
   // Power while computing, all cells selected (paper Sec. V-A): inputs at
-  // v_read, every cell at the harmonic-mean resistance (average case) or
-  // r_min (worst case).
+  // v_read, every cell at the harmonic-mean resistance (average case).
   [[nodiscard]] units::Watts compute_power_average() const;
-  [[nodiscard]] units::Watts compute_power_worst() const;
 
   // Memory READ power: one selected cell driven at v_read.
   [[nodiscard]] units::Watts read_power() const;

@@ -40,7 +40,6 @@ struct AdderTreeModel {
   tech::CmosTech tech;
 
   [[nodiscard]] int depth() const;
-  [[nodiscard]] int adder_count() const { return inputs > 1 ? inputs - 1 : 0; }
   [[nodiscard]] int output_bits() const { return bits + depth(); }
   [[nodiscard]] Ppa ppa() const;
 

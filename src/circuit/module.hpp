@@ -28,16 +28,6 @@ struct Ppa {
 
   friend Ppa operator+(Ppa a, const Ppa& b) { return a += b; }
 
-  // Serial composition: resources add, latencies add.
-  [[nodiscard]] Ppa then(const Ppa& next) const {
-    Ppa out = *this;
-    out.area += next.area;
-    out.dynamic_power += next.dynamic_power;
-    out.leakage_power += next.leakage_power;
-    out.latency += next.latency;
-    return out;
-  }
-
   // Resource scaling for n identical instances working in parallel.
   [[nodiscard]] Ppa times(double n) const {
     Ppa out = *this;

@@ -109,6 +109,7 @@ struct ElectricalLayerResult {
   double mean_relative_error = 0.0;
 };
 
+// mnsim-analyze: allow(unreferenced-api, coming caller: the ROADMAP item "A functional oracle that does not restate the model" starts from it)
 ElectricalLayerResult electrical_layer_outputs(
     const IntMatrix& weights, const std::vector<int>& inputs, int weight_bits,
     int input_bits, const tech::MemristorModel& device,

@@ -45,6 +45,7 @@ Network parse_network_file(const std::string& path);
 
 // Inverse: renders a network back into the description dialect (useful
 // for dumping generated topologies into editable files).
+// mnsim-analyze: allow(unreferenced-api, test oracle: test_nn_parser and test_nn_generator round-trip parse_network through it)
 std::string write_network(const Network& network);
 
 }  // namespace mnsim::nn

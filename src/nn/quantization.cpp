@@ -28,25 +28,6 @@ IntMatrix quantize_symmetric(const Matrix& values, int bits,
   return out;
 }
 
-std::vector<int> quantize_unsigned(const std::vector<double>& values,
-                                   int bits, double* scale_out) {
-  if (bits < 1 || bits > 16)
-    throw std::invalid_argument("quantize_unsigned: bits");
-  double max_v = 0.0;
-  for (double v : values) max_v = std::max(max_v, v);
-  const int full_scale = (1 << bits) - 1;
-  const double scale = max_v > 0 ? max_v / full_scale : 1.0;
-  if (scale_out) *scale_out = scale;
-
-  std::vector<int> out;
-  out.reserve(values.size());
-  for (double v : values) {
-    int q = static_cast<int>(std::lround(std::max(v, 0.0) / scale));
-    out.push_back(std::min(q, full_scale));
-  }
-  return out;
-}
-
 CellMatrices weights_to_cells(const IntMatrix& weights, int weight_bits,
                               const tech::MemristorModel& device) {
   if (weight_bits < 2 || weight_bits > 16)

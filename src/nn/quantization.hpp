@@ -25,10 +25,6 @@ using IntMatrix = std::vector<std::vector<int>>;
 IntMatrix quantize_symmetric(const Matrix& values, int bits,
                              double* scale_out);
 
-// Unsigned quantization of activations to `bits` levels over [0, max].
-std::vector<int> quantize_unsigned(const std::vector<double>& values,
-                                   int bits, double* scale_out);
-
 struct CellMatrices {
   // Programmed cell resistances, one entry per weight position.
   std::vector<std::vector<double>> positive;

@@ -95,21 +95,4 @@ Network make_vgg16() {
   return net;
 }
 
-Network make_binary_cnn() {
-  Network net;
-  net.name = "binary-cnn";
-  net.type = NetworkType::kCnn;
-  net.input_bits = 8;   // first-layer activations stay multi-bit
-  net.weight_bits = 1;  // binary weights
-  int w = 32;
-  int h = 32;
-  conv_block(net, w, h, 3, 128, 2, 1);
-  conv_block(net, w, h, 128, 256, 2, 2);
-  conv_block(net, w, h, 256, 512, 2, 3);
-  net.layers.push_back(Layer::fully_connected("fc4", 512 * 4 * 4, 1024));
-  net.layers.push_back(Layer::fully_connected("fc5", 1024, 10));
-  net.validate();
-  return net;
-}
-
 }  // namespace mnsim::nn

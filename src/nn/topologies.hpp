@@ -17,6 +17,7 @@ Network make_mlp(const std::vector<int>& sizes,
                  NetworkType type = NetworkType::kAnn);
 
 // The JPEG-encoding approximate-computing network: 64 -> 16 -> 64.
+// mnsim-analyze: allow(unreferenced-api, paper inventory: PAPER.md section 1 row 7, the 64x16x64 JPEG autoencoder)
 Network make_autoencoder_64_16_64();
 
 // The single 2048x1024 fully-connected layer of the large-bank study.
@@ -28,11 +29,5 @@ Network make_caffenet();
 
 // VGG-16: 13 conv + 3 FC weighted layers, 5 max pools.
 Network make_vgg16();
-
-// A binary CNN on CIFAR-class 32x32 inputs (the paper's reference [28]:
-// binary convolutional neural network on RRAM): 1-bit weights, so the
-// magnitude fits a single cell of any device — including binary
-// STT-MRAM — with the polarity pair carrying the sign.
-Network make_binary_cnn();
 
 }  // namespace mnsim::nn

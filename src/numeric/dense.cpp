@@ -11,12 +11,6 @@ namespace mnsim::numeric {
 DenseMatrix::DenseMatrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-DenseMatrix DenseMatrix::identity(std::size_t n) {
-  DenseMatrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
 DenseMatrix DenseMatrix::transpose() const {
   DenseMatrix t(cols_, rows_);
   for (std::size_t r = 0; r < rows_; ++r)

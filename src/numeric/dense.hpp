@@ -15,7 +15,6 @@ class DenseMatrix {
   DenseMatrix() = default;
   DenseMatrix(std::size_t rows, std::size_t cols, double fill = 0.0);
 
-  static DenseMatrix identity(std::size_t n);
 
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
@@ -43,6 +42,7 @@ class DenseMatrix {
 // singular matrix — the pivot threshold scales with max|a_ij| (see
 // numeric/factorization.hpp). For repeated solves against one matrix,
 // factor once with LuFactorization instead.
+// mnsim-analyze: allow(unreferenced-api, test oracle: the sparse CG and Schur solvers are checked against it)
 std::vector<double> lu_solve(DenseMatrix a, std::vector<double> b);
 
 }  // namespace mnsim::numeric

@@ -300,18 +300,4 @@ SchurSolveResult SchurFactorization::solve(
   return result;
 }
 
-SchurAttempt solve_bipartite_schur(const CsrMatrix& a,
-                                   const std::vector<double>& b,
-                                   const BipartitePartition& partition,
-                                   double tolerance,
-                                   std::size_t max_iterations,
-                                   const std::vector<double>* initial_guess) {
-  SchurAttempt attempt;
-  const SchurFactorization f = SchurFactorization::build(a, partition);
-  if (!f.valid()) return attempt;
-  attempt.structure_ok = true;
-  attempt.result = f.solve(b, tolerance, max_iterations, initial_guess);
-  return attempt;
-}
-
 }  // namespace mnsim::numeric

@@ -22,7 +22,7 @@
 //
 // The factorization object separates the factor-once work (structure
 // extraction, chain LDL^T factors) from the per-RHS solve, so batched
-// multi-RHS workloads (spice::solve_dc_batch) pay extraction once.
+// multi-RHS workloads (spice::solve_dc_batch_visit) pay extraction once.
 // Everything here is deterministic: no randomness, no thread-count or
 // schedule dependence, so the platform's bit-identity contracts hold.
 #pragma once
@@ -64,7 +64,7 @@ struct SchurSolveResult {
 // chain pivot) yields valid() == false and the caller falls back to the
 // generic ladder. The factorization is tied to the exact values of `a`:
 // reuse it only while the matrix is unchanged (the batched solver
-// guards this; see spice::solve_dc_batch).
+// guards this; see spice::solve_dc_batch_visit).
 class SchurFactorization {
  public:
   SchurFactorization() = default;
@@ -117,17 +117,5 @@ class SchurFactorization {
   void apply_schur(const std::vector<double>& x, std::vector<double>& y,
                    std::vector<double>& scratch) const;
 };
-
-// One-shot convenience: build + solve. Structure mismatch reports
-// converged == false with an empty x and structure_ok == false.
-struct SchurAttempt {
-  bool structure_ok = false;
-  SchurSolveResult result;
-};
-SchurAttempt solve_bipartite_schur(
-    const CsrMatrix& a, const std::vector<double>& b,
-    const BipartitePartition& partition, double tolerance,
-    std::size_t max_iterations,
-    const std::vector<double>* initial_guess = nullptr);
 
 }  // namespace mnsim::numeric

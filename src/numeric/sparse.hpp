@@ -55,7 +55,6 @@ class CsrMatrix {
                      std::vector<std::uint32_t>* slot_of_add = nullptr);
 
   [[nodiscard]] std::size_t size() const { return n_; }
-  [[nodiscard]] std::size_t nnz() const { return values_.size(); }
 
   // y = A x
   void multiply(const std::vector<double>& x, std::vector<double>& y) const;

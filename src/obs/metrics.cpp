@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "util/json.hpp"
 
@@ -111,33 +110,6 @@ std::string Registry::to_json() const {
     first = false;
   }
   out += "}}";
-  return out;
-}
-
-std::string Registry::format_text() const {
-  // One snapshot for all three categories. The previous implementation
-  // called counters()/gauges()/histograms() — three separate lock
-  // acquisitions — so concurrent producers could tear the rendered
-  // block across categories (a counter and its paired histogram from
-  // different instants). to_json() already snapshotted atomically; this
-  // now matches it (regression: test_obs_metrics "FormatTextSnapshot").
-  const Snapshot snap = snapshot();
-  std::string out;
-  char line[192];
-  for (const auto& [name, value] : snap.counters) {
-    std::snprintf(line, sizeof(line), "%-36s %ld\n", name.c_str(), value);
-    out += line;
-  }
-  for (const auto& [name, value] : snap.gauges) {
-    std::snprintf(line, sizeof(line), "%-36s %g\n", name.c_str(), value);
-    out += line;
-  }
-  for (const auto& [name, h] : snap.histograms) {
-    std::snprintf(line, sizeof(line),
-                  "%-36s count %ld  mean %g  min %g  max %g\n", name.c_str(),
-                  h.count, h.mean(), h.min, h.max);
-    out += line;
-  }
   return out;
 }
 

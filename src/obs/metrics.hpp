@@ -42,10 +42,6 @@ class Registry {
     double sum = 0.0;
     double min = 0.0;
     double max = 0.0;
-
-    [[nodiscard]] double mean() const {
-      return count > 0 ? sum / static_cast<double>(count) : 0.0;
-    }
   };
 
   // Producers. No-ops while disabled.
@@ -73,15 +69,13 @@ class Registry {
   // {"count": n, "sum": s, "min": lo, "max": hi}}} — keys sorted, so the
   // output is deterministic for a given state.
   [[nodiscard]] std::string to_json() const;
-  // Aligned text block, one metric per line.
-  [[nodiscard]] std::string format_text() const;
 
   void reset();
 
  private:
-  // Consistent cross-category snapshots (to_json/format_text) must copy
-  // all three maps under one critical section, never via three separate
-  // accessor calls — see snapshot() in metrics.cpp.
+  // A consistent cross-category snapshot (to_json) must copy all three
+  // maps under one critical section, never via three separate accessor
+  // calls — see snapshot() in metrics.cpp.
   struct Snapshot {
     std::map<std::string, long> counters;
     std::map<std::string, double> gauges;

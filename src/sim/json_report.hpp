@@ -30,6 +30,7 @@ std::string report_to_json(const nn::Network& network,
 // returns dotted-path -> number (e.g. "totals.area", "banks.0.area").
 // Strings and booleans are skipped. Throws std::runtime_error on
 // malformed input, a raw control character inside a string included.
+// mnsim-analyze: allow(unreferenced-api, test oracle: test_sim_json and test_obs_metrics read the JSON exports through it)
 std::map<std::string, double> parse_json_numbers(const std::string& json);
 
 }  // namespace mnsim::sim

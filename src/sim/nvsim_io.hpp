@@ -36,6 +36,7 @@ std::vector<NvsimModule> read_nvsim_modules(const std::string& text);
 // and throws std::runtime_error when the write fails.
 void save_nvsim_modules(const std::string& path,
                         const std::vector<NvsimModule>& modules);
+// mnsim-analyze: allow(unreferenced-api, paper inventory: PAPER.md section 1 row 9, NVSim-style module import)
 std::vector<NvsimModule> load_nvsim_modules(const std::string& path);
 
 }  // namespace mnsim::sim

@@ -88,7 +88,7 @@ CrossbarSolution solve_crossbar(const CrossbarSpec& spec,
 //
 // Sweep-shaped workloads (Monte-Carlo trials, per-input inference) are
 // many solves of one crossbar topology with varying values. This driver
-// rides spice::solve_dc_batch: the netlist is built once, preflight and
+// rides spice::solve_dc_batch_visit: the netlist is built once, preflight and
 // pattern priming happen once, and when only input voltages vary (linear
 // cells) the structured solver factors once for the whole batch. Results
 // are bit-identical to per-entry solve_crossbar calls served from caches

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "check/netlist_check.hpp"
@@ -221,7 +222,7 @@ numeric::BipartitePartition translate_partition(const WireStructure& ws,
 // The actual solve; the public solve_dc wraps it in a trace span and
 // publishes the diagnostics into the metrics registry on every exit
 // path. `prefactored` is the batch engine's factor-once Schur handle
-// (null outside solve_dc_batch); it is only consulted while the cached
+// (null outside solve_dc_batch_visit); it is only consulted while the cached
 // matrix is being value-refilled, i.e. while the batch's shared-matrix
 // guarantee holds. `step` makes this one backward-Euler time step
 // (solve_transient); it is null for a DC solve.
@@ -494,10 +495,10 @@ void solve_dc_batch_visit(
   for (const auto& e : entries) {
     if (!e.source_voltages.empty() && e.source_voltages.size() != n_src)
       throw std::invalid_argument(
-          "solve_dc_batch: entry source_voltages size mismatch");
+          "solve_dc_batch_visit: entry source_voltages size mismatch");
     if (!e.memristor_states.empty() && e.memristor_states.size() != n_mem)
       throw std::invalid_argument(
-          "solve_dc_batch: entry memristor_states size mismatch");
+          "solve_dc_batch_visit: entry memristor_states size mismatch");
   }
 
   // Vet the topology once — value overrides cannot change structure, so
@@ -617,18 +618,6 @@ void solve_dc_batch_visit(
       });
 }
 
-std::vector<DcResult> solve_dc_batch(const Netlist& base,
-                                     const std::vector<DcBatchEntry>& entries,
-                                     const DcBatchOptions& options) {
-  std::vector<DcResult> out(entries.size());
-  solve_dc_batch_visit(
-      base, entries, options,
-      [&out](std::size_t index, const Netlist&, const DcResult& result) {
-        out[index] = result;
-      });
-  return out;
-}
-
 double memristor_current(const Netlist& nl, const MemristorElement& m,
                          const DcResult& dc) {
   const double v = dc.voltage(m.a) - dc.voltage(m.b);
@@ -684,8 +673,18 @@ double TransientResult::settling_time(std::size_t probe,
 TransientResult solve_transient(const Netlist& nl,
                                 const std::vector<NodeId>& probes,
                                 const TransientOptions& opt) {
-  if (!(opt.time_step > 0) || !(opt.end_time > 0))
+  // isfinite first: an ordered compare on a NaN raises FE_INVALID.
+  if (!std::isfinite(opt.time_step) || !std::isfinite(opt.end_time) ||
+      !(opt.time_step > 0) || !(opt.end_time > 0))
     throw std::invalid_argument("solve_transient: time step / end time");
+  // The step count ceil(end_time / dt) must fit in long before it is
+  // cast, or the cast is undefined behaviour. The first test keeps a
+  // quotient that would overflow to inf from being formed at all.
+  constexpr auto kMaxSteps =
+      static_cast<double>(std::numeric_limits<long>::max());
+  if (!(opt.end_time / kMaxSteps < opt.time_step) ||
+      !(std::ceil(opt.end_time / opt.time_step) < kMaxSteps))
+    throw std::invalid_argument("solve_transient: too many time steps");
   const int nodes = nl.node_count() + 1;
   for (NodeId p : probes) {
     if (p < 0 || p >= nodes)

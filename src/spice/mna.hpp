@@ -88,7 +88,7 @@ struct SolverDiagnostics {
   // Structure-exploiting solver bookkeeping: linear solves served by the
   // bipartite Schur rung, PCG iterations it spent, attempts it rejected
   // back to the generic ladder, and solves that reused a prefactored
-  // Schur handle built once for a whole batch (solve_dc_batch).
+  // Schur handle built once for a whole batch (solve_dc_batch_visit).
   long schur_solves = 0;
   long schur_iterations = 0;
   int schur_rejects = 0;
@@ -172,7 +172,7 @@ DcResult solve_dc(const Netlist& netlist, const DcOptions& options = {},
 // A sweep-shaped workload — many solves of one topology with varying
 // element values — pays per-solve overheads N times through the scalar
 // API: preflight, pattern priming, and (for the structured rung) Schur
-// extraction + chain factorization. solve_dc_batch amortizes them:
+// extraction + chain factorization. solve_dc_batch_visit amortizes them:
 // preflight and assembly pattern are primed once, every entry is served
 // from a worker-cloned cache, and when the batch provably shares one
 // conductance matrix (linear memristors, no per-entry state overrides)
@@ -212,11 +212,6 @@ void solve_dc_batch_visit(
     const DcBatchOptions& options,
     const std::function<void(std::size_t, const Netlist&, const DcResult&)>&
         visit);
-
-// Collecting form: result[i] corresponds to entries[i].
-std::vector<DcResult> solve_dc_batch(const Netlist& base,
-                                     const std::vector<DcBatchEntry>& entries,
-                                     const DcBatchOptions& options = {});
 
 // Current through a memristor element at the solved operating point
 // (positive a -> b); honours the netlist's linear_memristors flag.
@@ -266,6 +261,9 @@ struct TransientResult {
 
 // Integrates from all-zero initial conditions with the sources stepping
 // to their DC values at t = 0. `probes` selects the recorded nodes.
+// Throws std::invalid_argument on a time step or end time that is not
+// positive and finite, on more steps (ceil(end_time / time_step)) than
+// fit in long, and on a probe outside the netlist.
 TransientResult solve_transient(const Netlist& netlist,
                                 const std::vector<NodeId>& probes,
                                 const TransientOptions& options = {});

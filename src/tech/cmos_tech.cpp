@@ -71,9 +71,4 @@ CmosTech cmos_tech(int node_nm) {
   return t;
 }
 
-const std::vector<int>& standard_cmos_nodes() {
-  static const std::vector<int> nodes = {130, 90, 65, 45, 32, 28};
-  return nodes;
-}
-
 }  // namespace mnsim::tech

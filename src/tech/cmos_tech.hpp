@@ -34,7 +34,4 @@ struct CmosTech {
 // std::invalid_argument outside that range.
 CmosTech cmos_tech(int node_nm);
 
-// Nodes the paper's experiments touch, largest first.
-const std::vector<int>& standard_cmos_nodes();
-
 }  // namespace mnsim::tech

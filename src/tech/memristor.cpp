@@ -54,12 +54,6 @@ Ohms MemristorModel::actual_resistance(Ohms r_state, Volts v) const {
   return r_state * u / std::sinh(u);
 }
 
-Ohms MemristorModel::varied_resistance(Ohms r_state, Volts v,
-                                       int direction) const {
-  const double factor = 1.0 + (direction >= 0 ? sigma : -sigma);
-  return actual_resistance(r_state, v) * factor;
-}
-
 void MemristorModel::validate() const {
   if (!(r_min > 0_Ohm) || !(r_max > r_min))
     throw std::invalid_argument("MemristorModel: need 0 < r_min < r_max");

@@ -79,12 +79,6 @@ struct MemristorModel {
   [[nodiscard]] units::Ohms actual_resistance(units::Ohms r_state,
                                               units::Volts v) const;
 
-  // actual_resistance with the Eq. 16 worst-case variation applied;
-  // `direction` is +1 or -1 for (1 + sigma) or (1 - sigma).
-  [[nodiscard]] units::Ohms varied_resistance(units::Ohms r_state,
-                                              units::Volts v,
-                                              int direction) const;
-
   // Validates invariants (0 < r_min < r_max, bits in [1, 10], ...).
   // Throws std::invalid_argument when violated.
   void validate() const;

@@ -51,7 +51,6 @@ class DurableAppender {
   void append(const std::string& data);
   void close();
 
-  [[nodiscard]] bool is_open() const { return fd_ >= 0; }
   [[nodiscard]] const std::string& path() const { return path_; }
 
  private:

@@ -75,9 +75,6 @@ class Config {
   // silent-typo class (`Theads = 8`): `mnsim check` reports them as
   // MN-CFG-006 diagnostics. Iterating entries() does not mark keys.
   [[nodiscard]] std::vector<std::string> unread_keys() const;
-  [[nodiscard]] bool was_read(const std::string& key) const {
-    return read_.count(key) != 0;
-  }
 
  private:
   [[nodiscard]] std::optional<std::string> find(const std::string& key) const;

@@ -33,13 +33,6 @@ inline bool approx_equal(double a, double b, double rel_tol = 1e-12,
   return diff <= rel_tol * scale;
 }
 
-// True when `x` is within tolerance of exactly zero. Use for "is this
-// coefficient structurally absent" tests on values that were *computed*;
-// for values that were only ever *assigned* zero, use exactly_zero.
-inline bool approx_zero(double x, double abs_tol = 1e-15) {
-  return std::fabs(x) <= abs_tol;
-}
-
 // Bit-exact equality, for sentinel semantics only: a value that was
 // assigned a literal and never touched by arithmetic (defaulted fields,
 // "unset" markers, sparsity checks on stored-not-derived entries). Using

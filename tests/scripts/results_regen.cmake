@@ -1,13 +1,14 @@
 # The deterministic result files regenerate byte-identically: runs every
 # bench that drives dse::explore(), the Table II validation (the paper
 # table produced through functional Monte-Carlo) and the other
-# deterministic benches, the RC-interconnect transient ablation included,
-# in a scratch directory and compares the CSVs they write with the
-# checked-in results/.
+# deterministic benches, the RC-interconnect transient and nonlinearity
+# ablations included, in a scratch directory and compares the 19 CSVs
+# they write with the checked-in results/.
 #
 # Not compared: ablation_variation.csv (also written by
-# bench_ablation_device) and ablation_nonlinearity.csv. Both checked-in
-# files are stale; their re-baseline is a separate ROADMAP item.
+# bench_ablation_device), whose checked-in file is stale (its re-baseline
+# is a separate ROADMAP item), and the host-timed table3_speedup.csv and
+# solver_batch.csv.
 #
 #   cmake -DBENCH_DIR=<dir of the bench binaries> -DRESULTS=<repo>/results
 #         -DWORKDIR=<scratch dir> -P results_regen.cmake
@@ -18,7 +19,8 @@ set(benches bench_table4_large_bank_dse bench_table6_vgg16_dse
             bench_ablation_precision bench_fig5_error_fit
             bench_fig6_area_validation bench_fig7_parallelism
             bench_memory_mode bench_table5_crossbar_tradeoff
-            bench_table7_prime_isaac bench_ablation_interconnect)
+            bench_table7_prime_isaac bench_ablation_interconnect
+            bench_ablation_nonlinearity)
 set(csvs table4_large_bank_dse.csv table6_vgg16_dse.csv
          fig8_area_latency.csv fig9a_radar_large_bank.csv
          fig9b_radar_vgg16.csv ablation_hetero.csv table2_validation.csv
@@ -26,7 +28,7 @@ set(csvs table4_large_bank_dse.csv table6_vgg16_dse.csv
          fig5_error_fit.csv fig6_area_validation.csv fig7_parallelism.csv
          memory_mode_margin.csv memory_mode_ops.csv
          table5_crossbar_tradeoff.csv table7_prime_isaac.csv
-         ablation_interconnect_rc.csv)
+         ablation_interconnect_rc.csv ablation_nonlinearity.csv)
 
 file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")

@@ -71,9 +71,5 @@ TEST(ReadNoise, Validation) {
   EXPECT_THROW(estimate_read_noise(in), std::invalid_argument);
 }
 
-TEST(QuantizationError, QuarterLsbExpectation) {
-  EXPECT_DOUBLE_EQ(expected_quantization_error_lsb(), 0.25);
-}
-
 }  // namespace
 }  // namespace mnsim::accuracy

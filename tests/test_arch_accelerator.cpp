@@ -127,13 +127,16 @@ TEST(Accelerator, ReadCircuitsTakeLargeShareAtFullParallelism) {
   cfg.crossbar_size = 256;
   cfg.parallelism = 0;  // full parallel
   auto rep = simulate_accelerator(net, cfg);
-  EXPECT_GT(rep.breakdown.read_circuit_area_share(), 0.25);
-  EXPECT_GT(rep.breakdown.read_circuit_energy_share(), 0.25);
+  const auto area_share = [](const AcceleratorBreakdown& b) {
+    return b.read_circuits.area / b.total().area;
+  };
+  EXPECT_GT(area_share(rep.breakdown), 0.25);
+  EXPECT_GT(rep.breakdown.read_circuits.energy / rep.breakdown.total().energy,
+            0.25);
   // Sharing read circuits (p = 1) collapses their area share.
   cfg.parallelism = 1;
   auto shared = simulate_accelerator(net, cfg);
-  EXPECT_LT(shared.breakdown.read_circuit_area_share(),
-            0.3 * rep.breakdown.read_circuit_area_share());
+  EXPECT_LT(area_share(shared.breakdown), 0.3 * area_share(rep.breakdown));
 }
 
 TEST(Accelerator, DeviceVariationRaisesError) {

@@ -91,13 +91,6 @@ TEST(Bank, ErrorRatesComeFromUsedExtent) {
   EXPECT_GT(fine.epsilon_worst, rep.epsilon_worst);
 }
 
-TEST(Bank, AveragePowerConsistent) {
-  auto net = nn::make_large_bank_layer();
-  auto rep = simulate_bank(net.layers[0], nullptr, nullptr, net, base());
-  EXPECT_NEAR(rep.average_power(),
-              rep.energy_per_sample / rep.sample_latency, 1e-12);
-}
-
 TEST(Bank, RejectsPoolingAsMainLayer) {
   auto net = nn::make_vgg16();
   const nn::Layer& pool = net.layers[2];

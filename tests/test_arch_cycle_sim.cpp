@@ -9,6 +9,7 @@
 #include "arch/trace_sim.hpp"
 #include "check/diagnostic.hpp"
 #include "nn/topologies.hpp"
+#include "check_testing.hpp"
 
 namespace mnsim::arch {
 namespace {
@@ -229,7 +230,7 @@ TEST(CycleSim, Validation) {
     simulate_cycles(empty, unconstrained());
     FAIL() << "expected CheckError";
   } catch (const check::CheckError& e) {
-    EXPECT_TRUE(e.diagnostics().has_code("MN-CYC-001"));
+    EXPECT_TRUE(has_code(e.diagnostics(), "MN-CYC-001"));
   }
 
   auto bad_latency = synthetic();
@@ -239,7 +240,7 @@ TEST(CycleSim, Validation) {
     simulate_cycles(bad_latency, unconstrained());
     FAIL() << "expected CheckError";
   } catch (const check::CheckError& e) {
-    EXPECT_TRUE(e.diagnostics().has_code("MN-CYC-002"));
+    EXPECT_TRUE(has_code(e.diagnostics(), "MN-CYC-002"));
   }
 
   auto bad_iterations = synthetic();
@@ -248,7 +249,7 @@ TEST(CycleSim, Validation) {
     simulate_cycles(bad_iterations, unconstrained());
     FAIL() << "expected CheckError";
   } catch (const check::CheckError& e) {
-    EXPECT_TRUE(e.diagnostics().has_code("MN-CYC-002"));
+    EXPECT_TRUE(has_code(e.diagnostics(), "MN-CYC-002"));
   }
 
   AcceleratorConfig tiny = unconstrained();
@@ -257,7 +258,7 @@ TEST(CycleSim, Validation) {
     simulate_cycles(synthetic(), tiny);
     FAIL() << "expected CheckError";
   } catch (const check::CheckError& e) {
-    EXPECT_TRUE(e.diagnostics().has_code("MN-CYC-003"));
+    EXPECT_TRUE(has_code(e.diagnostics(), "MN-CYC-003"));
   }
 
   auto huge = synthetic();
@@ -269,7 +270,7 @@ TEST(CycleSim, Validation) {
     simulate_cycles(huge, fast);
     FAIL() << "expected CheckError";
   } catch (const check::CheckError& e) {
-    EXPECT_TRUE(e.diagnostics().has_code("MN-CYC-004"));
+    EXPECT_TRUE(has_code(e.diagnostics(), "MN-CYC-004"));
   }
 }
 

@@ -86,7 +86,8 @@ TEST(MapLayer, MultiCellWeightsWidenColumns) {
 }
 
 TEST(MapLayer, BinaryWeightsOnSttMramUseOneCell) {
-  auto net = nn::make_binary_cnn();  // 1-bit weights
+  auto net = nn::make_large_bank_layer();
+  net.weight_bits = 1;  // binary weights
   AcceleratorConfig cfg;
   cfg.crossbar_size = 128;
   cfg.memristor_model = "STT-MRAM";

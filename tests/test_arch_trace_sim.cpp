@@ -7,6 +7,7 @@
 #include "arch/pipeline.hpp"
 #include "check/diagnostic.hpp"
 #include "nn/topologies.hpp"
+#include "check_testing.hpp"
 
 namespace mnsim::arch {
 namespace {
@@ -119,8 +120,8 @@ TEST(TraceSim, DistinctCodesForLatencyAndIterationErrors) {
     simulate_trace(bad_latency);
     FAIL() << "expected CheckError";
   } catch (const check::CheckError& e) {
-    EXPECT_TRUE(e.diagnostics().has_code("MN-TRC-003"));
-    EXPECT_FALSE(e.diagnostics().has_code("MN-TRC-002"));
+    EXPECT_TRUE(has_code(e.diagnostics(), "MN-TRC-003"));
+    EXPECT_FALSE(has_code(e.diagnostics(), "MN-TRC-002"));
   }
   auto bad_iterations = rep;
   bad_iterations.banks[0].iterations = -4;
@@ -128,8 +129,8 @@ TEST(TraceSim, DistinctCodesForLatencyAndIterationErrors) {
     simulate_trace(bad_iterations);
     FAIL() << "expected CheckError";
   } catch (const check::CheckError& e) {
-    EXPECT_TRUE(e.diagnostics().has_code("MN-TRC-004"));
-    EXPECT_FALSE(e.diagnostics().has_code("MN-TRC-003"));
+    EXPECT_TRUE(has_code(e.diagnostics(), "MN-TRC-004"));
+    EXPECT_FALSE(has_code(e.diagnostics(), "MN-TRC-003"));
   }
 }
 
@@ -140,14 +141,14 @@ TEST(TraceSim, Validation) {
     simulate_trace(empty);
     FAIL() << "expected CheckError";
   } catch (const check::CheckError& e) {
-    EXPECT_TRUE(e.diagnostics().has_code("MN-TRC-001"));
+    EXPECT_TRUE(has_code(e.diagnostics(), "MN-TRC-001"));
   }
   auto rep = simulate_accelerator(nn::make_mlp({8, 8}), base());
   try {
     simulate_trace(rep, -1);
     FAIL() << "expected CheckError";
   } catch (const check::CheckError& e) {
-    EXPECT_TRUE(e.diagnostics().has_code("MN-TRC-002"));
+    EXPECT_TRUE(has_code(e.diagnostics(), "MN-TRC-002"));
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "check/diagnostic.hpp"
+#include "check_testing.hpp"
 
 namespace mnsim::check {
 namespace {
@@ -45,8 +46,8 @@ TEST(DiagnosticList, CountsAndSummary) {
   EXPECT_EQ(list.error_count(), 1u);
   EXPECT_EQ(list.warning_count(), 2u);
   EXPECT_TRUE(list.has_errors());
-  EXPECT_TRUE(list.has_code("MN-NET-005"));
-  EXPECT_FALSE(list.has_code("MN-CFG-001"));
+  EXPECT_TRUE(has_code(list, "MN-NET-005"));
+  EXPECT_FALSE(has_code(list, "MN-CFG-001"));
   EXPECT_EQ(list.summary(), "1 error, 2 warnings");
   EXPECT_NE(list.render_text().find("1 error, 2 warnings generated."),
             std::string::npos);
@@ -66,8 +67,8 @@ TEST(DiagnosticList, SetFileOnlyFillsBlanks) {
   list.emit("MN-NET-001", Severity::kError, "a").file = "original.sp";
   list.emit("MN-NET-002", Severity::kError, "b");
   list.set_file("stamped.sp");
-  EXPECT_EQ(list.items()[0].file, "original.sp");
-  EXPECT_EQ(list.items()[1].file, "stamped.sp");
+  EXPECT_EQ(list.begin()[0].file, "original.sp");
+  EXPECT_EQ(list.begin()[1].file, "stamped.sp");
 }
 
 TEST(DiagnosticList, MergeKeepsOrder) {
@@ -77,7 +78,7 @@ TEST(DiagnosticList, MergeKeepsOrder) {
   b.emit("MN-NET-002", Severity::kError, "second");
   a.merge(std::move(b));
   ASSERT_EQ(a.size(), 2u);
-  EXPECT_EQ(a.items()[1].code, "MN-NET-002");
+  EXPECT_EQ(a.begin()[1].code, "MN-NET-002");
 }
 
 TEST(DiagnosticList, JsonEscapesAndListsAllFields) {
@@ -129,8 +130,8 @@ TEST(CheckFile, MissingFileIsDiagnosed) {
   const DiagnosticList diags =
       check_file("/nonexistent/definitely_missing.ini");
   ASSERT_EQ(diags.size(), 1u);
-  EXPECT_TRUE(diags.has_code("MN-CHK-001"));
-  EXPECT_EQ(diags.items()[0].file, "/nonexistent/definitely_missing.ini");
+  EXPECT_TRUE(has_code(diags, "MN-CHK-001"));
+  EXPECT_EQ(diags.begin()[0].file, "/nonexistent/definitely_missing.ini");
 }
 
 TEST(CheckFile, DetectsInputKinds) {

@@ -12,6 +12,7 @@
 
 #include "spice/mna.hpp"
 #include "spice/netlist.hpp"
+#include "check_testing.hpp"
 
 namespace mnsim::spice {
 
@@ -60,7 +61,7 @@ TEST(NetlistCheck, FloatingIslandIsDiagnosed) {
   const NodeId b = nl.add_node();
   nl.add_resistor(a, b, 50.0, "island");
   const DiagnosticList diags = check_netlist(nl);
-  EXPECT_TRUE(diags.has_code("MN-NET-001"));
+  EXPECT_TRUE(has_code(diags, "MN-NET-001"));
   EXPECT_EQ(diags.error_count(), 2u);  // both island nodes reported
 }
 
@@ -69,7 +70,7 @@ TEST(NetlistCheck, UnconnectedNodeIsDiagnosed) {
   Netlist nl = healthy();
   (void)nl.add_node();
   const DiagnosticList diags = check_netlist(nl);
-  EXPECT_TRUE(diags.has_code("MN-NET-002"));
+  EXPECT_TRUE(has_code(diags, "MN-NET-002"));
 }
 
 // MN-NET-003: two sources pinning one node, named in the message.
@@ -77,8 +78,8 @@ TEST(NetlistCheck, ConflictingSourcesAreNamed) {
   Netlist nl = healthy();
   nl.add_source(1, 2.0, "second");
   const DiagnosticList diags = check_netlist_invariants(nl);
-  ASSERT_TRUE(diags.has_code("MN-NET-003"));
-  const auto& d = diags.items()[0];
+  ASSERT_TRUE(has_code(diags, "MN-NET-003"));
+  const auto& d = diags.begin()[0];
   EXPECT_NE(d.message.find("'drive'"), std::string::npos);
   EXPECT_NE(d.message.find("'second'"), std::string::npos);
 }
@@ -91,7 +92,7 @@ TEST(NetlistCheck, CapacitorOnlyNodeIsAFloatingIsland) {
   const NodeId c = nl.add_node();
   nl.add_capacitor(c, kGround, 1e-15, "hang");
   const DiagnosticList diags = check_netlist(nl);
-  EXPECT_TRUE(diags.has_code("MN-NET-001"));
+  EXPECT_TRUE(has_code(diags, "MN-NET-001"));
   EXPECT_EQ(diags.error_count(), 1u);
 }
 
@@ -100,7 +101,7 @@ TEST(NetlistCheck, ConductanceSpreadWarns) {
   Netlist nl = healthy();
   nl.add_resistor(1, kGround, 1e15, "huge");
   const DiagnosticList diags = check_netlist(nl);
-  EXPECT_TRUE(diags.has_code("MN-NET-005"));
+  EXPECT_TRUE(has_code(diags, "MN-NET-005"));
   EXPECT_FALSE(diags.has_errors());
 }
 
@@ -108,28 +109,28 @@ TEST(NetlistCheck, ConductanceSpreadWarns) {
 TEST(NetlistCheck, DanglingNodeIdIsDiagnosed) {
   Netlist nl = healthy();
   NetlistTestPeer::push_resistor(nl, 1, 99, 100.0);
-  EXPECT_TRUE(check_netlist_invariants(nl).has_code("MN-NET-006"));
+  EXPECT_TRUE(has_code(check_netlist_invariants(nl), "MN-NET-006"));
 }
 
 // MN-NET-007: non-positive element value.
 TEST(NetlistCheck, NonPositiveResistanceIsDiagnosed) {
   Netlist nl = healthy();
   NetlistTestPeer::push_resistor(nl, 1, kGround, 0.0);
-  EXPECT_TRUE(check_netlist_invariants(nl).has_code("MN-NET-007"));
+  EXPECT_TRUE(has_code(check_netlist_invariants(nl), "MN-NET-007"));
 }
 
 // MN-NET-008: element shorting a node to itself.
 TEST(NetlistCheck, ShortedElementIsDiagnosed) {
   Netlist nl = healthy();
   NetlistTestPeer::push_resistor(nl, 2, 2, 100.0);
-  EXPECT_TRUE(check_netlist_invariants(nl).has_code("MN-NET-008"));
+  EXPECT_TRUE(has_code(check_netlist_invariants(nl), "MN-NET-008"));
 }
 
 // MN-NET-009: a source pinning the ground node.
 TEST(NetlistCheck, SourceOnGroundIsDiagnosed) {
   Netlist nl = healthy();
   NetlistTestPeer::push_source(nl, kGround, 1.0);
-  EXPECT_TRUE(check_netlist_invariants(nl).has_code("MN-NET-009"));
+  EXPECT_TRUE(has_code(check_netlist_invariants(nl), "MN-NET-009"));
 }
 
 // MN-NET-010: duplicate names within a kind warn; across kinds they are
@@ -138,14 +139,14 @@ TEST(NetlistCheck, DuplicateNamesWarnPerKind) {
   Netlist nl = healthy();
   nl.add_resistor(1, kGround, 100.0, "top");  // second resistor 'top'
   const DiagnosticList diags = check_netlist(nl);
-  EXPECT_TRUE(diags.has_code("MN-NET-010"));
+  EXPECT_TRUE(has_code(diags, "MN-NET-010"));
   EXPECT_FALSE(diags.has_errors());
 
   Netlist cross;
   const NodeId n1 = cross.add_node();
   cross.add_source(n1, 1.0, "1");
   cross.add_resistor(n1, kGround, 100.0, "1");
-  EXPECT_FALSE(check_netlist(cross).has_code("MN-NET-010"));
+  EXPECT_FALSE(has_code(check_netlist(cross), "MN-NET-010"));
 }
 
 // MN-NET-011: elements but no drive — the DC answer is all zeros.
@@ -154,7 +155,7 @@ TEST(NetlistCheck, SourcelessNetlistWarns) {
   const NodeId n1 = nl.add_node();
   nl.add_resistor(n1, kGround, 100.0);
   const DiagnosticList diags = check_netlist(nl);
-  EXPECT_TRUE(diags.has_code("MN-NET-011"));
+  EXPECT_TRUE(has_code(diags, "MN-NET-011"));
   EXPECT_FALSE(diags.has_errors());
 }
 
@@ -169,7 +170,7 @@ TEST(NetlistCheck, SolveDcRefusesWithDiagnosisBeforeFactorizing) {
     (void)spice::solve_dc(nl);
     FAIL() << "expected CheckError";
   } catch (const CheckError& e) {
-    EXPECT_TRUE(e.diagnostics().has_code("MN-NET-001"));
+    EXPECT_TRUE(has_code(e.diagnostics(), "MN-NET-001"));
   }
 }
 
@@ -332,7 +333,7 @@ TEST(NetlistCheck, SolveDcRefusalCarriesFullDiagnostics) {
   NetlistTestPeer::push_resistor(nl, 2, kGround, 100.0);  // 'raw' twice
   const DiagnosticList want = check_netlist(nl);
   ASSERT_TRUE(want.has_errors());
-  ASSERT_TRUE(want.has_code("MN-NET-010"));
+  ASSERT_TRUE(has_code(want, "MN-NET-010"));
   try {
     (void)spice::solve_dc(nl);
     FAIL() << "expected CheckError";
@@ -340,7 +341,9 @@ TEST(NetlistCheck, SolveDcRefusalCarriesFullDiagnostics) {
     EXPECT_EQ(e.diagnostics().render_json(), want.render_json());
   }
   try {
-    (void)spice::solve_dc_batch(nl, {spice::DcBatchEntry{}});
+    spice::solve_dc_batch_visit(
+        nl, {spice::DcBatchEntry{}}, {},
+        [](std::size_t, const Netlist&, const spice::DcResult&) {});
     FAIL() << "expected CheckError";
   } catch (const CheckError& e) {
     EXPECT_EQ(e.diagnostics().render_json(), want.render_json());

@@ -9,6 +9,7 @@
 #include "check/check.hpp"
 #include "nn/topologies.hpp"
 #include "sim/json_report.hpp"
+#include "check_testing.hpp"
 
 namespace mnsim::check {
 namespace {
@@ -37,26 +38,26 @@ TEST(NetworkCheck, ShapeChainMismatchIsDiagnosed) {
   nn::Network net = mlp(8, 8, 4);
   net.layers[1].in_features = 9;
   const DiagnosticList diags = check_network(net);
-  ASSERT_TRUE(diags.has_code("MN-NN-001"));
-  EXPECT_NE(diags.items()[0].message.find("'fc2'"), std::string::npos);
+  ASSERT_TRUE(has_code(diags, "MN-NN-001"));
+  EXPECT_NE(diags.begin()[0].message.find("'fc2'"), std::string::npos);
 }
 
 // MN-NN-002: invalid dimensions and network-level problems.
 TEST(NetworkCheck, InvalidDimensionsAreDiagnosed) {
   nn::Network empty;
   empty.name = "empty";
-  EXPECT_TRUE(check_network(empty).has_code("MN-NN-002"));
+  EXPECT_TRUE(has_code(check_network(empty), "MN-NN-002"));
 
   nn::Network bad_bits = mlp(8, 8, 4);
   bad_bits.weight_bits = 99;
-  EXPECT_TRUE(check_network(bad_bits).has_code("MN-NN-002"));
+  EXPECT_TRUE(has_code(check_network(bad_bits), "MN-NN-002"));
 
   nn::Network bad_layer = mlp(8, 8, 4);
   bad_layer.layers[0].in_features = -1;
   const DiagnosticList diags = check_network(bad_layer);
-  EXPECT_TRUE(diags.has_code("MN-NN-002"));
+  EXPECT_TRUE(has_code(diags, "MN-NN-002"));
   // Broken dimensions suppress the (meaningless) shape-chain walk.
-  EXPECT_FALSE(diags.has_code("MN-NN-001"));
+  EXPECT_FALSE(has_code(diags, "MN-NN-001"));
 }
 
 // MN-NN-003: pooling placement problems.
@@ -64,21 +65,21 @@ TEST(NetworkCheck, PoolingPlacementIsDiagnosed) {
   nn::Network leading;
   leading.layers.push_back(nn::Layer::pooling("pool0", 2));
   leading.layers.push_back(nn::Layer::fully_connected("fc", 4, 2));
-  EXPECT_TRUE(check_network(leading).has_code("MN-NN-003"));
+  EXPECT_TRUE(has_code(check_network(leading), "MN-NN-003"));
 
   nn::Network oversized;
   oversized.layers.push_back(
       nn::Layer::convolution("conv", 1, 4, 3, 8, 8, 1));
   oversized.layers.push_back(nn::Layer::pooling("pool", 16));
   const DiagnosticList big = check_network(oversized);
-  ASSERT_TRUE(big.has_code("MN-NN-003"));
+  ASSERT_TRUE(has_code(big, "MN-NN-003"));
   EXPECT_TRUE(big.has_errors());
 
   nn::Network ragged;
   ragged.layers.push_back(nn::Layer::convolution("conv", 1, 4, 3, 9, 9, 1));
   ragged.layers.push_back(nn::Layer::pooling("pool", 2));
   const DiagnosticList uneven = check_network(ragged);
-  EXPECT_TRUE(uneven.has_code("MN-NN-003"));
+  EXPECT_TRUE(has_code(uneven, "MN-NN-003"));
   EXPECT_FALSE(uneven.has_errors());  // dropped edge pixels only warn
 }
 
@@ -90,13 +91,13 @@ TEST(NetworkCheck, PoolingAfterFullyConnectedIsRefused) {
   net.layers.push_back(nn::Layer::pooling("pool", 1));
   const DiagnosticList diags = check_network(net);
   ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags.items()[0].code, "MN-NN-003");
-  EXPECT_EQ(diags.items()[0].severity, Severity::kError);
+  EXPECT_EQ(diags.begin()[0].code, "MN-NN-003");
+  EXPECT_EQ(diags.begin()[0].severity, Severity::kError);
   try {
     (void)arch::simulate_accelerator(net, arch::AcceleratorConfig{});
     FAIL() << "expected CheckError";
   } catch (const CheckError& e) {
-    EXPECT_TRUE(e.diagnostics().has_code("MN-NN-003"));
+    EXPECT_TRUE(has_code(e.diagnostics(), "MN-NN-003"));
   }
 }
 
@@ -105,24 +106,7 @@ TEST(NetworkCheck, UnmappableLayerIsDiagnosed) {
   nn::Network net = mlp(8, 8, 4);
   net.weight_bits = 0;  // cells_per_weight refuses
   const arch::AcceleratorConfig cfg;
-  EXPECT_TRUE(check_mapping(net, cfg).has_code("MN-NN-004"));
-}
-
-// MN-NN-005: defect-map references outside the array.
-TEST(NetworkCheck, OutOfRangeDefectsAreDiagnosed) {
-  fault::DefectMap map;
-  map.rows = 4;
-  map.cols = 4;
-  map.stuck_cells.push_back({5, 1, fault::FaultKind::kStuckAtZero});
-  map.broken_wordlines.push_back(9);
-  map.broken_bitlines.push_back(-1);
-  const DiagnosticList diags = check_defect_map(map);
-  EXPECT_EQ(diags.error_count(), 3u);
-  EXPECT_TRUE(diags.has_code("MN-NN-005"));
-
-  fault::DefectMap empty;
-  empty.stuck_cells.push_back({0, 0, fault::FaultKind::kStuckAtOne});
-  EXPECT_TRUE(check_defect_map(empty).has_code("MN-NN-005"));
+  EXPECT_TRUE(has_code(check_mapping(net, cfg), "MN-NN-004"));
 }
 
 // MN-NN-006: weights smeared across many cells warn.
@@ -132,28 +116,28 @@ TEST(NetworkCheck, ManyCellsPerWeightWarns) {
   arch::AcceleratorConfig cfg;
   cfg.memristor_model = "STT-MRAM";  // 1 bit per cell
   const DiagnosticList diags = check_mapping(net, cfg);
-  EXPECT_TRUE(diags.has_code("MN-NN-006"));
+  EXPECT_TRUE(has_code(diags, "MN-NN-006"));
   EXPECT_FALSE(diags.has_errors());
 }
 
 // MN-CUS-001..004: customized-design specs.
 TEST(NetworkCheck, CustomSpecIsDiagnosed) {
   sim::CustomAcceleratorSpec empty;
-  EXPECT_TRUE(check_custom_spec(empty).has_code("MN-CUS-001"));
+  EXPECT_TRUE(has_code(check_custom_spec(empty), "MN-CUS-001"));
 
   sim::CustomAcceleratorSpec bad_module;
   bad_module.add("alu", {}, /*count=*/0);
-  EXPECT_TRUE(check_custom_spec(bad_module).has_code("MN-CUS-002"));
+  EXPECT_TRUE(has_code(check_custom_spec(bad_module), "MN-CUS-002"));
 
   sim::CustomAcceleratorSpec bad_pipeline;
   bad_pipeline.add("alu", {}, 1, 1.0, /*critical=*/true);
   bad_pipeline.pipeline_stages = 4;  // no cycle_time
-  EXPECT_TRUE(check_custom_spec(bad_pipeline).has_code("MN-CUS-003"));
+  EXPECT_TRUE(has_code(check_custom_spec(bad_pipeline), "MN-CUS-003"));
 
   sim::CustomAcceleratorSpec no_critical;
   no_critical.add("alu", {}, 1, 1.0, /*critical=*/false);
   const DiagnosticList diags = check_custom_spec(no_critical);
-  EXPECT_TRUE(diags.has_code("MN-CUS-004"));
+  EXPECT_TRUE(has_code(diags, "MN-CUS-004"));
   EXPECT_FALSE(diags.has_errors());
 }
 
@@ -174,7 +158,7 @@ TEST(NetworkCheck, CheckSystemCombinesPasses) {
   nn::Network broken = mlp(8, 8, 4);
   broken.layers[1].in_features = 9;
   const DiagnosticList diags = check_system(broken, cfg);
-  EXPECT_TRUE(diags.has_code("MN-NN-001"));
+  EXPECT_TRUE(has_code(diags, "MN-NN-001"));
 }
 
 // The pre-flight hook: simulate_accelerator refuses a malformed system
@@ -187,7 +171,7 @@ TEST(NetworkCheck, SimulatePreflightRefusesWithDiagnosis) {
     (void)arch::simulate_accelerator(broken, cfg);
     FAIL() << "expected CheckError";
   } catch (const CheckError& e) {
-    EXPECT_TRUE(e.diagnostics().has_code("MN-NN-001"));
+    EXPECT_TRUE(has_code(e.diagnostics(), "MN-NN-001"));
   }
 }
 

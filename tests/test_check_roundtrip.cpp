@@ -10,6 +10,7 @@
 #include "check/netlist_check.hpp"
 #include "spice/export.hpp"
 #include "spice/netlist.hpp"
+#include "check_testing.hpp"
 
 namespace mnsim::spice {
 namespace {
@@ -125,7 +126,7 @@ TEST(CheckRoundTrip, SyntacticallyValidButFloatingDeck) {
   const std::string deck =
       "V1 n1 0 DC 1\nR1 n1 0 100\nR2 n2 n3 100\n.op\n.end\n";
   const Netlist nl = import_spice(deck);
-  EXPECT_TRUE(check::check_netlist(nl).has_code("MN-NET-001"));
+  EXPECT_TRUE(has_code(check::check_netlist(nl), "MN-NET-001"));
 }
 
 }  // namespace

@@ -92,8 +92,8 @@ void expect_same_designs(const std::vector<EvaluatedDesign>& a,
 }
 
 std::string diag_code(const check::CheckError& e) {
-  return e.diagnostics().items().empty() ? ""
-                                         : e.diagnostics().items()[0].code;
+  return e.diagnostics().empty() ? ""
+                                         : e.diagnostics().begin()[0].code;
 }
 
 // ---- shard partition --------------------------------------------------------
@@ -265,7 +265,7 @@ TEST(CheckpointFormat, CorruptMiddleRecordIsRejected) {
     FAIL() << "expected MN-DSE-003";
   } catch (const check::CheckError& e) {
     EXPECT_EQ(diag_code(e), "MN-DSE-003");
-    EXPECT_EQ(e.diagnostics().items()[0].line, 2);
+    EXPECT_EQ(e.diagnostics().begin()[0].line, 2);
   }
 }
 

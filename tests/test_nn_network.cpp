@@ -89,19 +89,6 @@ TEST(Network, AutoencoderShape) {
   EXPECT_EQ(ae.output_size(), 64);
 }
 
-TEST(Network, BinaryCnnShape) {
-  auto net = make_binary_cnn();
-  EXPECT_EQ(net.weight_bits, 1);
-  EXPECT_EQ(net.depth(), 8);  // 6 conv + 2 FC
-  EXPECT_EQ(net.type, NetworkType::kCnn);
-  // fc4 consumes the 4x4x512 map after three halving pools.
-  const Layer* fc4 = nullptr;
-  for (const auto& l : net.layers)
-    if (l.name == "fc4") fc4 = &l;
-  ASSERT_NE(fc4, nullptr);
-  EXPECT_EQ(fc4->in_features, 8192);
-}
-
 TEST(Network, CaffenetShape) {
   auto net = make_caffenet();
   EXPECT_EQ(net.depth(), 8);  // 5 conv + 3 FC

@@ -32,15 +32,6 @@ TEST(Quantize, BitsValidated) {
   EXPECT_THROW(quantize_symmetric(w, 17, nullptr), std::invalid_argument);
 }
 
-TEST(Quantize, UnsignedActivations) {
-  double scale = 0.0;
-  auto q = quantize_unsigned({0.0, 0.5, 1.0, -0.3}, 8, &scale);
-  EXPECT_EQ(q[2], 255);
-  EXPECT_EQ(q[0], 0);
-  EXPECT_EQ(q[3], 0);  // negatives clamp to zero
-  EXPECT_NEAR(q[1] * scale, 0.5, scale);
-}
-
 TEST(WeightsToCells, PolaritySplit) {
   auto device = tech::default_rram();
   IntMatrix w = {{127, -127, 0}};

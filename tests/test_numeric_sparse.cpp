@@ -65,7 +65,7 @@ TEST(SparseBuilder, CompressionMatchesMapReferenceBitForBit) {
     }
     std::vector<std::uint32_t> slot_of_add;
     const CsrMatrix m(builder, &slot_of_add);
-    ASSERT_EQ(m.nnz(), reference.size());
+    ASSERT_EQ(m.values().size(), reference.size());
     ASSERT_EQ(slot_of_add.size(), adds);
 
     std::size_t slot = 0;
@@ -91,7 +91,7 @@ TEST(SparseBuilder, EmptyBuilderGivesEmptyPattern) {
   SparseBuilder b(3);
   std::vector<std::uint32_t> slots{7};
   const CsrMatrix m(b, &slots);
-  EXPECT_EQ(m.nnz(), 0u);
+  EXPECT_EQ(m.values().size(), 0u);
   EXPECT_TRUE(slots.empty());
   EXPECT_EQ(m.row_start(), (std::vector<std::size_t>{0, 0, 0, 0}));
 }
@@ -125,7 +125,7 @@ TEST(CsrMatrix, MultiplyMatchesDense) {
   b.add(2, 0, -1.0);
   b.add(2, 2, 4.0);
   CsrMatrix m(b);
-  EXPECT_EQ(m.nnz(), 5u);
+  EXPECT_EQ(m.values().size(), 5u);
   std::vector<double> y;
   m.multiply({1.0, 2.0, 3.0}, y);
   EXPECT_DOUBLE_EQ(y[0], -1.0);

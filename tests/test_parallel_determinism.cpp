@@ -201,10 +201,23 @@ TEST(ParallelDeterminism, FunctionalMcFaultedMatchesSerial) {
 
 // --- batched DC solves -----------------------------------------------------
 //
-// solve_dc_batch's contract: bit-identical to N independent solve_dc
-// calls, at any thread count, for both batch shapes — the factor-once
-// shared-matrix path (linear cells, only sources vary) and the general
-// per-entry-matrix path (nonlinear cells, per-entry conductance maps).
+// solve_dc_batch_visit's contract: bit-identical to N independent
+// solve_dc calls, at any thread count, for both batch shapes — the
+// factor-once shared-matrix path (linear cells, only sources vary) and
+// the general per-entry-matrix path (nonlinear cells, per-entry
+// conductance maps).
+
+// Every entry's result, result[i] for entries[i].
+std::vector<spice::DcResult> solve_batch(
+    const spice::Netlist& base, const std::vector<spice::DcBatchEntry>& entries,
+    const spice::DcBatchOptions& options) {
+  std::vector<spice::DcResult> out(entries.size());
+  spice::solve_dc_batch_visit(
+      base, entries, options,
+      [&out](std::size_t index, const spice::Netlist&,
+             const spice::DcResult& result) { out[index] = result; });
+  return out;
+}
 
 void expect_bitwise_equal(const spice::DcResult& a, const spice::DcResult& b,
                           std::size_t entry) {
@@ -242,7 +255,7 @@ TEST(ParallelDeterminism, DcBatchSharedMatrixMatchesIndependentSolves) {
   for (int threads : {1, 4, 8}) {
     spice::DcBatchOptions opt;
     opt.threads = threads;
-    runs.push_back(spice::solve_dc_batch(base, entries, opt));
+    runs.push_back(solve_batch(base, entries, opt));
   }
   for (const auto& run : runs) {
     ASSERT_EQ(run.size(), reference.size());
@@ -291,7 +304,7 @@ TEST(ParallelDeterminism, DcBatchPerEntryMatricesMatchIndependentSolves) {
   for (int threads : {1, 4, 8}) {
     spice::DcBatchOptions opt;
     opt.threads = threads;
-    const auto batch = spice::solve_dc_batch(base, entries, opt);
+    const auto batch = solve_batch(base, entries, opt);
     ASSERT_EQ(batch.size(), reference.size());
     for (std::size_t k = 0; k < batch.size(); ++k) {
       expect_bitwise_equal(batch[k], reference[k], k);

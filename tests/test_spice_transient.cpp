@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
+#include <utility>
 
 #include "check/diagnostic.hpp"
 #include "spice/crossbar_netlist.hpp"
 #include "spice/delay.hpp"
 #include "tech/interconnect.hpp"
 #include "util/cancel.hpp"
+#include "check_testing.hpp"
 
 namespace mnsim::spice {
 namespace {
@@ -128,6 +131,27 @@ TEST(Transient, InvalidArgumentsThrow) {
 }
 
 
+// A non-finite time step or end time, or more steps than fit in long,
+// is refused with the documented error before the step count is cast.
+TEST(Transient, NonFiniteOrHugeEndTimeThrows) {
+  Netlist nl;
+  NodeId n = nl.add_node();
+  nl.add_source(n, 1.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // (time step, end time); 1e7 / 1e-12 = 1e19 steps overflows long.
+  const std::pair<double, double> cases[] = {
+      {1e-12, inf}, {1e-12, 1e300}, {1e-12, 1e7},
+      {inf, 1e-9},  {nan, 1e-9},    {1e-12, nan}};
+  for (const auto& [dt, end] : cases) {
+    TransientOptions opt;
+    opt.time_step = dt;
+    opt.end_time = end;
+    EXPECT_THROW(solve_transient(nl, {n}, opt), std::invalid_argument)
+        << "dt " << dt << " end " << end;
+  }
+}
+
 TEST(Transient, StronglyNonlinearDeviceStaysFinite) {
   // A device with a tiny nonlinearity scale drives |v / v_t| far above
   // sinh's overflow threshold during the step: before the companion
@@ -191,7 +215,7 @@ TEST(Transient, FloatingIslandIsRefusedLikeDc) {
     (void)solve_transient(nl, {out}, TransientOptions{});
     FAIL() << "expected check::CheckError";
   } catch (const check::CheckError& e) {
-    EXPECT_TRUE(e.diagnostics().has_code("MN-NET-001"));
+    EXPECT_TRUE(has_code(e.diagnostics(), "MN-NET-001"));
   }
 }
 

@@ -84,16 +84,6 @@ TEST(Memristor, CurrentMatchesChordResistance) {
               1e-9);
 }
 
-TEST(Memristor, VariationScalesChordResistance) {
-  auto m = default_rram();
-  m.sigma = 0.2;
-  const Ohms base = m.actual_resistance(1000.0_Ohm, 0.02_V);
-  EXPECT_NEAR(m.varied_resistance(1000.0_Ohm, 0.02_V, +1).value(),
-              base.value() * 1.2, 1e-9);
-  EXPECT_NEAR(m.varied_resistance(1000.0_Ohm, 0.02_V, -1).value(),
-              base.value() * 0.8, 1e-9);
-}
-
 TEST(Memristor, ValidationRejectsBadModels) {
   auto m = default_rram();
   m.r_min = -1.0_Ohm;

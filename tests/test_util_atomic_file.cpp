@@ -83,11 +83,9 @@ TEST(DurableAppender, AppendsAcrossReopen) {
   const std::string p = tmp.path("journal");
   DurableAppender a;
   a.open(p, /*truncate=*/true);
-  EXPECT_TRUE(a.is_open());
   a.append("one\n");
   a.append("two\n");
   a.close();
-  EXPECT_FALSE(a.is_open());
 
   DurableAppender b;
   b.open(p, /*truncate=*/false);
@@ -112,7 +110,6 @@ TEST(DurableAppender, TruncateDropsOldContents) {
 TEST(DurableAppender, OpenThrowsOnUnwritablePath) {
   DurableAppender a;
   EXPECT_THROW(a.open("/nonexistent-dir/journal", true), std::runtime_error);
-  EXPECT_FALSE(a.is_open());
 }
 
 }  // namespace

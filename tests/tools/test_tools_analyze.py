@@ -7,9 +7,9 @@ finding detection and scope for every rule, both escape placements
 (plus CRLF files and first-line escapes), the mandatory escape reason
 and known rule name, the baseline lifecycle (write, honor, go-stale),
 SARIF output shape (including exact endColumn spans and per-rule
-helpUri), the MN-* catalogue sync in both directions, the rule
-catalogue's headings in docs/STATIC_ANALYSIS.md, and a clean run over
-the real repo.
+helpUri), the MN-* and span/metric catalogue syncs in both directions,
+header functions nothing outside tests/ calls, the rule catalogue's
+headings in docs/STATIC_ANALYSIS.md, and a clean run over the real repo.
 """
 from __future__ import annotations
 
@@ -25,6 +25,8 @@ REPO = pathlib.Path(__file__).resolve().parents[2]
 ANALYZE = REPO / "tools" / "analyze"
 
 sys.path.insert(0, str(ANALYZE))
+import cpptok  # noqa: E402
+import rules_repo  # noqa: E402
 import rules_tokens  # noqa: E402
 
 FP_VIOLATION = (
@@ -281,7 +283,7 @@ class ConcurrencyRules(AnalyzeFixture):
 
     def test_atomic_order_explicit_ordering_is_flagged(self):
         self.assert_rule(
-            ATOMIC_ORDER, rel="src/util/fixture.hpp", rule="atomic-order",
+            ATOMIC_ORDER, rel="src/util/fixture.cpp", rule="atomic-order",
             line=3,
         )
 
@@ -290,7 +292,7 @@ class ConcurrencyRules(AnalyzeFixture):
             ATOMIC_ORDER.replace(
                 "std::memory_order_relaxed", "std::memory_order::relaxed"
             ),
-            rel="src/util/fixture.hpp",
+            rel="src/util/fixture.cpp",
             rule="atomic-order",
             line=3,
         )
@@ -303,7 +305,7 @@ class ConcurrencyRules(AnalyzeFixture):
                 "no payload)\n"
                 "  flag.store",
             ),
-            rel="src/util/fixture.hpp",
+            rel="src/util/fixture.cpp",
             rule="atomic-order",
             line=None,
         )
@@ -312,7 +314,7 @@ class ConcurrencyRules(AnalyzeFixture):
         self.assert_rule(
             "std::atomic<bool> flag{false};\n"
             "void request_stop() { flag.store(true); }\n",
-            rel="src/util/fixture.hpp",
+            rel="src/util/fixture.cpp",
             rule="atomic-order",
             line=None,
         )
@@ -343,7 +345,7 @@ class ConcurrencyRules(AnalyzeFixture):
         )
 
     def test_concurrency_rules_baseline_lifecycle(self):
-        self.add_source("src/util/fixture.hpp", ATOMIC_ORDER)
+        self.add_source("src/util/fixture.cpp", ATOMIC_ORDER)
         wrote = self.run_analyze("--write-baseline", "pre-annotation site")
         self.assertEqual(wrote.returncode, 0, wrote.stdout + wrote.stderr)
         honored = self.run_analyze()
@@ -351,7 +353,7 @@ class ConcurrencyRules(AnalyzeFixture):
         self.assertIn("1 baselined", honored.stderr)
         # Dropping the explicit ordering makes the entry stale: the gate
         # demands the baseline shrink with the fix.
-        (self.repo / "src/util/fixture.hpp").write_text(
+        (self.repo / "src/util/fixture.cpp").write_text(
             ATOMIC_ORDER.replace(", std::memory_order_relaxed", "")
         )
         stale = self.run_analyze()
@@ -365,7 +367,7 @@ class ConcurrencyRules(AnalyzeFixture):
             self.assertIn(rule, proc.stdout)
 
     def test_sarif_exact_span_and_help_uri(self):
-        self.add_source("src/util/fixture.hpp", ATOMIC_ORDER)
+        self.add_source("src/util/fixture.cpp", ATOMIC_ORDER)
         sarif_path = self.repo / "report.sarif"
         self.run_analyze("--sarif", str(sarif_path))
         report = json.loads(sarif_path.read_text())
@@ -528,6 +530,194 @@ class EscapePlacement(AnalyzeFixture):
             rel="src/dse/fixture.cpp", rule="raw-chrono", line=None)
 
 
+class UnreferencedApi(AnalyzeFixture):
+    HEADER = "src/a/api.hpp"
+
+    def setUp(self):
+        super().setUp()
+        self.add_source(self.HEADER, "int scale(int x);\n")
+        self.add_source("src/a/api.cpp",
+                        "int scale(int x) { return 2 * x; }\n")
+
+    def assert_flagged(self, flagged: bool) -> None:
+        proc = self.run_analyze()
+        if flagged:
+            self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+            self.assertIn(f"{self.HEADER}:1:5: unreferenced-api: 'scale'",
+                          proc.stdout)
+        else:
+            self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+
+    def test_declaration_without_caller_is_flagged(self):
+        self.assert_flagged(True)
+
+    def test_caller_only_in_tests_is_still_flagged(self):
+        self.add_source("tests/test_a.cpp",
+                        "int check() { return scale(2); }\n")
+        self.assert_flagged(True)
+
+    def test_callers_in_bench_examples_and_perfbench_clear_it(self):
+        for tree in ("bench", "examples", "perfbench"):
+            with self.subTest(tree=tree):
+                self.add_source(f"{tree}/use.cpp",
+                                "int use() { return scale(3); }\n")
+                self.assert_flagged(False)
+                (self.repo / tree / "use.cpp").unlink()
+
+    def test_caller_in_its_own_cpp_clears_it(self):
+        self.add_source("src/a/api.cpp",
+                        "int scale(int x) { return 2 * x; }\n"
+                        "int twice(int x) { return scale(scale(x)); }\n")
+        self.assert_flagged(False)
+
+    def test_use_after_an_operator_is_a_call_not_a_declaration(self):
+        self.add_source("bench/use.cpp",
+                        "double use(int x) { return 2.0 * scale(x); }\n")
+        self.assert_flagged(False)
+
+    def test_member_functions_are_checked_too(self):
+        self.add_source(self.HEADER, "struct M {\n"
+                                     "  double scale(double r) const;\n"
+                                     "};\n")
+        proc = self.run_analyze()
+        self.assertIn(f"{self.HEADER}:2:10: unreferenced-api: 'scale'",
+                      proc.stdout)
+        self.add_source("examples/use.cpp",
+                        "double use(const M& m) { return m.scale(1.0); }\n")
+        self.assert_flagged(False)
+
+    def test_reasoned_escape_is_honored(self):
+        self.add_source(self.HEADER,
+                        "// mnsim-analyze: allow(unreferenced-api, fixture: "
+                        "paper inventory)\nint scale(int x);\n")
+        self.assert_flagged(False)
+
+    def test_escape_without_reason_is_malformed(self):
+        self.add_source(self.HEADER,
+                        "int scale(int x);  "
+                        "// mnsim-analyze: allow(unreferenced-api)\n")
+        proc = self.run_analyze()
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        self.assertIn(f"{self.HEADER}:1:1: malformed-escape", proc.stdout)
+
+
+def obs_names(text: str) -> tuple[set[str], set[str], list]:
+    """(span names, metric names, unresolved-name findings) of a snippet."""
+    ctx = rules_tokens.make_context("src/fixture.cpp", text,
+                                    cpptok.tokenize(text))
+    unresolved: list = []
+    names = rules_repo.obs_names(ctx, unresolved)
+    return ({n for kind, n in names if kind == "span"},
+            {n for kind, n in names if kind == "metric"}, unresolved)
+
+
+class ObsCatalogueExtraction(unittest.TestCase):
+    def test_span_literals_named_and_temporary(self):
+        spans, _, _ = obs_names(
+            'void f() {\n'
+            '  obs::Span span("a.outer");\n'
+            '  { obs::Span("a.temp"); }\n'
+            '  // obs::Span ghost("a.comment");\n'
+            '  const char* s = "obs::Span x(\\"a.string\\")";\n'
+            '}\n')
+        self.assertEqual(spans, {"a.outer", "a.temp"})
+
+    def test_registry_calls_across_lines(self):
+        _, metrics, _ = obs_names(
+            'void f(long n) {\n'
+            '  obs::Registry& reg = obs::Registry::global();\n'
+            '  reg.add("a.count", n);\n'
+            '  reg.observe(\n'
+            '      "a.hist",\n'
+            '      1.0);\n'
+            '  obs::Registry::global().set("a.gauge", 2.0);\n'
+            '  obs::Registry::global().add(\n'
+            '      "a.split", static_cast<long>(n) * 2);\n'
+            '  spec.add("not a metric", 1);\n'
+            '}\n')
+        self.assertEqual(metrics, {"a.count", "a.hist", "a.gauge", "a.split"})
+
+    def test_name_through_parameter_is_collected_at_its_literal(self):
+        spans, _, _ = obs_names(
+            'int run(const Net& net, const char* span, int k) {\n'
+            '  obs::Span mc_span(span);\n'
+            '  return k;\n'
+            '}\n'
+            'int one(const Net& n) { return run(n, "a.one", 1); }\n'
+            'int two(const Net& n) {\n'
+            '  return run(n,\n'
+            '             "a.two", 2);\n'
+            '}\n')
+        self.assertEqual(spans, {"a.one", "a.two"})
+
+    def test_unresolvable_name_is_a_finding(self):
+        _, _, unresolved = obs_names('void f() { obs::Span s(kName); }\n')
+        (finding,) = unresolved
+        self.assertEqual(finding.render(),
+                         "src/fixture.cpp:1:24: obs-catalogue: span 'kName' "
+                         "is not a parameter of the enclosing function")
+
+
+class ObsCatalogueDrift(AnalyzeFixture):
+    DOC = (
+        "# Observability\n"
+        "## Span taxonomy\n"
+        "| Span | Opened in | Covers |\n"
+        "|---|---|---|\n"
+        "| `a.run` / `a.step` | `a.cpp` | a run / a step |\n"
+        "## Metric conventions\n"
+        "| Metric | Kind | Published by | Meaning |\n"
+        "|---|---|---|---|\n"
+        "| `a.count` | counter | `a.cpp` | things |\n"
+        "## Architecture\n"
+        "| `a.elsewhere` | not a catalogue row |\n"
+    )
+
+    def drift(self, source: str) -> subprocess.CompletedProcess:
+        (self.repo / "docs" / "OBSERVABILITY.md").write_text(self.DOC)
+        self.add_source("src/a.cpp", source)
+        return self.run_analyze()
+
+    def test_in_sync(self):
+        proc = self.drift(
+            'void f() {\n'
+            '  obs::Span run("a.run");\n'
+            '  obs::Span step("a.step");\n'
+            '  obs::Registry::global().add("a.count");\n'
+            '}\n')
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+
+    def test_missing_and_orphaned_names(self):
+        proc = self.drift(
+            'void f() {\n'
+            '  obs::Span run("a.run");\n'
+            '  obs::Span extra("a.extra");\n'
+            '  obs::Registry::global().add("a.other");\n'
+            '}\n')
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        self.assertEqual(proc.stdout.splitlines(), [
+            "docs/OBSERVABILITY.md:5:1: obs-catalogue: span 'a.step' has no "
+            "producer in src/",
+            "docs/OBSERVABILITY.md:9:1: obs-catalogue: metric 'a.count' has "
+            "no producer in src/",
+            "src/a.cpp:3:19: obs-catalogue: span 'a.extra' is missing from "
+            "docs/OBSERVABILITY.md (Span taxonomy)",
+            "src/a.cpp:4:31: obs-catalogue: metric 'a.other' is missing from "
+            "docs/OBSERVABILITY.md (Metric conventions)",
+        ])
+
+    def test_undocumented_name_escape_is_honored(self):
+        proc = self.drift(
+            'void f() {\n'
+            '  obs::Span run("a.run");\n'
+            '  obs::Span step("a.step");\n'
+            '  // mnsim-analyze: allow(obs-catalogue, fixture: internal span)\n'
+            '  obs::Span extra("a.extra");\n'
+            '  obs::Registry::global().add("a.count");\n'
+            '}\n')
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+
+
 class RepoChecks(unittest.TestCase):
     def test_repo_tree_is_clean_without_a_build(self):
         # Run from an empty directory: the analyzer reads sources only,
@@ -542,6 +732,16 @@ class RepoChecks(unittest.TestCase):
             )
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
         self.assertIn(f"; {expected} files analyzed", proc.stderr)
+
+    def test_observability_doc_matches_src(self):
+        contexts = {}
+        for path in sorted((REPO / "src").rglob("*.[ch]pp")):
+            rel = path.relative_to(REPO).as_posix()
+            text = path.read_text()
+            contexts[rel] = rules_tokens.make_context(
+                rel, text, cpptok.tokenize(text))
+        self.assertEqual(rules_repo.obs_catalogue_findings(contexts, REPO),
+                         [])
 
     def test_every_rule_has_a_catalogue_heading(self):
         # The headings are the SARIF helpUri anchors.

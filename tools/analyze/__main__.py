@@ -4,12 +4,14 @@
 Run as `python3 tools/analyze` from the repo root (or anywhere, with
 --repo). It lexes every .cpp/.hpp under src/, tests/, bench/ and
 examples/ with an exact C++ tokenizer (tools/analyze/cpptok.py) and runs
-thirteen rules over the tokens, each with its own scope: numeric
-hygiene, diagnostic-code integrity, source layering and the concurrency
-discipline (parallel-capture / raw-thread / atomic-order) that
-complements the Clang -Wthread-safety capability annotations. It needs
-no build, no compile database and nothing beyond the Python standard
-library. See docs/STATIC_ANALYSIS.md for the catalogue and the
+fifteen rules over the tokens, each with its own scope: numeric
+hygiene, source layering, the concurrency discipline (parallel-capture /
+raw-thread / atomic-order) that complements the Clang -Wthread-safety
+capability annotations, and three repo-level rules: the MN-* and
+span/metric catalogues held to their docs, and header functions that
+nothing outside tests/ calls (perfbench/ is read for callers only). It
+needs no build, no compile database and nothing beyond the Python
+standard library. See docs/STATIC_ANALYSIS.md for the catalogue and the
 escape/baseline workflow.
 
 Exit status: 0 clean (baselined findings allowed), 1 new findings or a
@@ -24,16 +26,19 @@ import sys
 
 import cpptok
 import engine
+import rules_repo
 import rules_tokens
 import sarif
 
 VERSION = "1.0"
 TREES = ("src", "tests", "bench", "examples")
-DIAG_CATALOGUE = "docs/DIAGNOSTICS.md"
+# Read for unreferenced-api's callers only; no rule checks these files.
+REFERENCE_TREES = ("perfbench",)
 
 
-def source_files(repo: pathlib.Path) -> list[pathlib.Path]:
-    return sorted(path for tree in TREES for ext in ("*.cpp", "*.hpp")
+def source_files(repo: pathlib.Path,
+                 trees: tuple[str, ...]) -> list[pathlib.Path]:
+    return sorted(path for tree in trees for ext in ("*.cpp", "*.hpp")
                   for path in (repo / tree).rglob(ext))
 
 
@@ -50,46 +55,6 @@ def build_contexts(files: list[pathlib.Path], repo: pathlib.Path,
             continue
         contexts[rel] = rules_tokens.make_context(rel, text, tokens)
     return contexts
-
-
-def mn_code_findings(contexts: dict[str, rules_tokens.FileContext],
-                     repo: pathlib.Path) -> list[engine.Finding]:
-    """Cross-check string-literal MN-* codes against the catalogue."""
-    emitted: dict[str, tuple[str, int, int]] = {}
-    for rel in sorted(contexts):
-        ctx = contexts[rel]
-        if not rules_tokens.rule_applies("mn-code-extraction", rel):
-            continue
-        for code, (line, col) in rules_tokens.extract_mn_codes(ctx).items():
-            emitted.setdefault(code, (rel, line, col))
-
-    catalogue = repo / DIAG_CATALOGUE
-    documented: dict[str, int] = {}
-    if catalogue.is_file():
-        for lineno, line in enumerate(catalogue.read_text().splitlines(), 1):
-            for code in rules_tokens.MN_CODE.findall(line):
-                documented.setdefault(code, lineno)
-
-    findings: list[engine.Finding] = []
-    for code in sorted(set(emitted) - set(documented)):
-        rel, line, col = emitted[code]
-        findings.append(engine.Finding(
-            rule="mn-code-extraction", path=rel, line=line, col=col,
-            message=(f"'{code}' is emitted from a string literal but not "
-                     f"catalogued in {DIAG_CATALOGUE}; document the "
-                     f"trigger and remedy"),
-            line_text=contexts[rel].line_text(line),
-        ))
-    for code in sorted(set(documented) - set(emitted)):
-        findings.append(engine.Finding(
-            rule="mn-code-extraction", path=DIAG_CATALOGUE,
-            line=documented[code], col=1,
-            message=(f"'{code}' is catalogued but no string literal in "
-                     f"src/ constructs it; remove the stale entry "
-                     f"(codes are never reused)"),
-            line_text="",
-        ))
-    return findings
 
 
 def run(argv: list[str]) -> int:
@@ -122,7 +87,9 @@ def run(argv: list[str]) -> int:
             else pathlib.Path(__file__).resolve().parent.parent.parent)
 
     lex_errors: list[str] = []
-    contexts = build_contexts(source_files(repo), repo, lex_errors)
+    contexts = build_contexts(source_files(repo, TREES), repo, lex_errors)
+    references = build_contexts(source_files(repo, REFERENCE_TREES), repo,
+                                lex_errors)
     if lex_errors:
         for err in lex_errors:
             print(f"mnsim-analyze: cannot lex {err}", file=sys.stderr)
@@ -137,7 +104,7 @@ def run(argv: list[str]) -> int:
         for rule, check in rules_tokens.PER_FILE_CHECKS.items():
             if rules_tokens.rule_applies(rule, rel):
                 findings.extend(check(ctx))
-    findings.extend(mn_code_findings(contexts, repo))
+    findings.extend(rules_repo.repo_findings(contexts, references, repo))
 
     # Escapes: filter rule findings, surface malformed escapes.
     escapes = {rel: engine.EscapeIndex(ctx.text, rules_tokens.RULE_DOCS)

@@ -11,7 +11,6 @@ Rule catalogue (see docs/STATIC_ANALYSIS.md for the workflow):
   swallowed-exception  catch blocks that eat errors silently
   lock-discipline      bare mutex.lock(), thread.detach()
   unseeded-rng         RNG engines constructed without an explicit seed
-  mn-code-extraction   MN-* codes in string literals vs DIAGNOSTICS.md
   parallel-capture     unguarded mutable shared capture in a pool lambda
   raw-thread           std::thread/std::async outside src/util/parallel
   atomic-order         explicit memory_order arguments need a written why
@@ -19,6 +18,10 @@ Rule catalogue (see docs/STATIC_ANALYSIS.md for the workflow):
   raw-chrono           std::chrono in library code outside src/obs
   raw-ofstream         std::ofstream instead of util::atomic_file
   thread-include       <thread>/<future> included outside src/util
+
+The repo-level rules (mn-code-extraction, obs-catalogue,
+unreferenced-api) read every file at once and live in rules_repo.py;
+their metadata is catalogued here with the rest.
 
 The three concurrency rules cover what Clang's -Wthread-safety pass
 cannot see (capture discipline, thread provenance, ordering rationale);
@@ -100,6 +103,16 @@ RULE_DOCS: dict[str, str] = {
         "#include <thread>/<future> in src/ outside src/util; concurrency "
         "goes through util::ThreadPool"
     ),
+    "obs-catalogue": (
+        "obs::Span and obs::Registry add/set/observe names in src/ must "
+        "match the span and metric tables of docs/OBSERVABILITY.md, in "
+        "both directions"
+    ),
+    "unreferenced-api": (
+        "a function declared in a src/ header that nothing outside tests/ "
+        "names (bench/, examples/ and perfbench/ count as callers); "
+        "delete it with its tests or escape it with the reason it stays"
+    ),
     "malformed-escape": (
         "mnsim-analyze: allow(...) escape without a written reason, or "
         "naming a rule that does not exist"
@@ -122,6 +135,8 @@ RULE_SCOPE: dict[str, tuple[tuple[str, ...] | None, tuple[str, ...]]] = {
         ("src/", "tests/", "bench/", "examples/"), ("src/util/",)
     ),
     "mn-code-extraction": (("src/",), ()),
+    "obs-catalogue": (("src/",), ()),
+    "unreferenced-api": (("src/",), ()),
     "parallel-capture": (("src/",), ("src/util/parallel.",)),
     "raw-thread": (("src/",), ("src/util/parallel.",)),
     "atomic-order": (("src/",), ()),
@@ -965,27 +980,6 @@ def check_unseeded_rng(ctx: FileContext) -> list[Finding]:
             if close == j + 1:
                 flag(t, msg)
     return findings
-
-
-# ---- rule: mn-code-extraction ------------------------------------------------
-
-MN_CODE = re.compile(r"\bMN-[A-Z]{2,4}-\d{3}\b")
-
-
-def extract_mn_codes(ctx: FileContext) -> dict[str, tuple[int, int]]:
-    """code -> (line, col) of its first string-literal occurrence.
-
-    Exact by construction: only codes inside string literals count, so a
-    code mentioned in a comment ("see MN-SPI-008") can never masquerade
-    as an emission site the way it does for a line-regex scan.
-    """
-    out: dict[str, tuple[int, int]] = {}
-    for t in ctx.tokens:
-        if t.kind != "str":
-            continue
-        for code in MN_CODE.findall(t.text):
-            out.setdefault(code, (t.line, t.col))
-    return out
 
 
 # ---- rule: raw-double --------------------------------------------------------

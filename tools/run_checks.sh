@@ -3,7 +3,7 @@
 # run, in dependency order, against a single build tree. Run from the
 # repo root (or anywhere; the script cd's home first):
 #
-#   tools/run_checks.sh            # build + tests + analyzer + tool gates
+#   tools/run_checks.sh            # build (+ perfbench) + tests + analyzer + tool gates
 #   tools/run_checks.sh --fpe      # same, with the FPE tripwire armed
 #   tools/run_checks.sh --no-build # reuse ./build as-is (fast re-check)
 #
@@ -34,6 +34,10 @@ if [ "$BUILD" = 1 ]; then
     -DMNSIM_WERROR=ON -DMNSIM_FPE="$FPE"
   step "build"
   cmake --build build -j "$(nproc)"
+
+  step "perfbench build (its own project over ../src, as perfbench/run.py builds it)"
+  { cmake -S perfbench -B build-perfbench >/dev/null &&
+    cmake --build build-perfbench -j "$(nproc)"; } || failures=$((failures+1))
 fi
 
 step "ctest (C++ suite + tooling suites + compile-fail harness)"

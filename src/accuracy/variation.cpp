@@ -19,9 +19,7 @@ VariationMcResult variation_monte_carlo(const CrossbarErrorInputs& in,
   if (opt.trials <= 0)
     throw std::invalid_argument("variation_monte_carlo: trials");
 
-  const Ohms base = opt.worst_case_cells
-                        ? in.device.r_min
-                        : in.device.harmonic_mean_resistance();
+  const Ohms base = in.device.r_min;
 
   auto spec = spice::CrossbarSpec::uniform(
       in.rows, in.cols, in.device, in.segment_resistance.value(),

@@ -3,11 +3,12 @@
 // The closed form bounds the output error when every cell's resistance
 // deviates by up to +/- sigma; this module cross-checks the bound by
 // Monte-Carlo: per-cell resistances drawn uniformly from
-// [(1-sigma) R, (1+sigma) R], the full crossbar solved circuit-level, and
-// each trial scored as the worst relative error over ALL columns against
-// the variation-free ideal (variation is i.i.d. per cell, so any column
-// can be the worst one — not just the far column the wire analysis
-// singles out).
+// [(1-sigma) R, (1+sigma) R] around R = r_min (the paper's worst case:
+// every cell at its lowest resistance), the full crossbar solved
+// circuit-level, and each trial scored as the worst relative error over
+// ALL columns against the variation-free ideal (variation is i.i.d. per
+// cell, so any column can be the worst one — not just the far column the
+// wire analysis singles out).
 #pragma once
 
 #include <cstdint>
@@ -20,8 +21,6 @@ namespace mnsim::accuracy {
 struct VariationMcOptions {
   int trials = 50;
   std::uint32_t seed = 7;
-  // true: cells at r_min (the paper's worst case); false: harmonic mean.
-  bool worst_case_cells = true;
   // Worker threads for the trial sweep: 1 = serial, 0 = hardware
   // concurrency. Each trial draws from its own counter-derived RNG
   // stream, so the results are bit-identical for every thread count.

@@ -67,8 +67,7 @@ spice::DcOptions AcceleratorConfig::solver_options() const {
   opt.cg_tolerance = solver_cg_tolerance;
   opt.cg_max_iterations =
       static_cast<std::size_t>(std::max<long>(solver_cg_max_iterations, 0));
-  opt.allow_cg_retry = solver_allow_fallback;
-  opt.allow_dense_fallback = solver_allow_fallback;
+  opt.allow_fallback = solver_allow_fallback;
   opt.allow_schur = solver_structured;
   opt.preflight = check_preflight;
   return opt;

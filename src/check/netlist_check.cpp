@@ -12,6 +12,9 @@ using spice::kGround;
 using spice::Netlist;
 using spice::NodeId;
 
+// MN-NET-005 fires above this max g / min g spread.
+constexpr double kConductanceSpreadWarning = 1e12;
+
 // Appended with += : GCC 12 at -O3 reports a -Wrestrict false positive
 // on "n" + std::to_string(n).
 std::string node_name(NodeId n) {
@@ -244,33 +247,31 @@ DiagnosticList check_netlist(const Netlist& nl,
   }
   for (const auto& s : nl.sources()) touch(s.node);
 
-  if (options.connectivity) {
-    // DC-conductive connectivity: resistors and memristors conduct,
-    // capacitors are open, a source ties its node to ground.
-    DisjointSet dsu(nodes);
-    for (const auto& r : nl.resistors()) dsu.unite(r.a, r.b);
-    for (const auto& m : nl.memristors()) dsu.unite(m.a, m.b);
-    for (const auto& s : nl.sources()) dsu.unite(s.node, kGround);
-    const int ground_root = dsu.find(kGround);
+  // DC-conductive connectivity: resistors and memristors conduct,
+  // capacitors are open, a source ties its node to ground.
+  DisjointSet dsu(nodes);
+  for (const auto& r : nl.resistors()) dsu.unite(r.a, r.b);
+  for (const auto& m : nl.memristors()) dsu.unite(m.a, m.b);
+  for (const auto& s : nl.sources()) dsu.unite(s.node, kGround);
+  const int ground_root = dsu.find(kGround);
 
-    for (int n = 1; n < nodes; ++n) {
-      if (!touched[static_cast<std::size_t>(n)]) {
-        auto& d = out.emit("MN-NET-002", Severity::kError,
-                           "node " + node_name(n) +
-                               " is allocated but connected to nothing");
-        d.location = "node " + node_name(n);
-        d.hint = "remove the node or wire an element to it";
-      } else if (dsu.find(n) != ground_root) {
-        auto& d = out.emit(
-            "MN-NET-001", Severity::kError,
-            "node " + node_name(n) +
-                " has no DC path to ground (floating island: the reduced "
-                "conductance matrix is singular there)");
-        d.location = "node " + node_name(n);
-        d.hint =
-            "add a conductive path (resistor/memristor/source) from the "
-            "island to ground";
-      }
+  for (int n = 1; n < nodes; ++n) {
+    if (!touched[static_cast<std::size_t>(n)]) {
+      auto& d = out.emit("MN-NET-002", Severity::kError,
+                         "node " + node_name(n) +
+                             " is allocated but connected to nothing");
+      d.location = "node " + node_name(n);
+      d.hint = "remove the node or wire an element to it";
+    } else if (dsu.find(n) != ground_root) {
+      auto& d = out.emit(
+          "MN-NET-001", Severity::kError,
+          "node " + node_name(n) +
+              " has no DC path to ground (floating island: the reduced "
+              "conductance matrix is singular there)");
+      d.location = "node " + node_name(n);
+      d.hint =
+          "add a conductive path (resistor/memristor/source) from the "
+          "island to ground";
     }
   }
 
@@ -285,12 +286,12 @@ DiagnosticList check_netlist(const Netlist& nl,
     };
     for (const auto& r : nl.resistors()) account(1.0 / r.ohms);
     for (const auto& m : nl.memristors()) account(1.0 / m.r_state);
-    if (g_min > 0.0 && g_max / g_min > options.conductance_spread_warning) {
+    if (g_min > 0.0 && g_max / g_min > kConductanceSpreadWarning) {
       auto& d = out.emit(
           "MN-NET-005", Severity::kWarning,
           "conductance spread " + std::to_string(g_max / g_min) +
               " exceeds " +
-              std::to_string(options.conductance_spread_warning) +
+              std::to_string(kConductanceSpreadWarning) +
               "; expect an ill-conditioned solve (CG retries or dense "
               "fallback)");
       d.hint = "see docs/ROBUSTNESS.md for the graceful-degradation ladder";

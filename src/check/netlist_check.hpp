@@ -17,10 +17,11 @@
 //     and a node touched by nothing has an empty row (MN-NET-002). These
 //     two also cover every structurally singular pattern: a node touched
 //     only by capacitors is an island of its own,
-//   * plausibility warnings — duplicate names within a kind (MN-NET-010),
-//     conductance spread beyond `conductance_spread_warning` predicting
-//     an ill-conditioned system (MN-NET-005), and a netlist with no
-//     sources solving to all-zero voltages (MN-NET-011).
+//   * plausibility warnings (NetlistCheckOptions::warnings) — duplicate
+//     names within a kind (MN-NET-010), a max/min conductance spread
+//     beyond 1e12 predicting an ill-conditioned system (MN-NET-005), and
+//     a netlist with no sources solving to all-zero voltages
+//     (MN-NET-011).
 //
 // spice::solve_dc runs this analysis with warnings off as its pre-flight
 // (DcOptions::preflight) and refuses-with-diagnosis via check::CheckError
@@ -34,9 +35,7 @@
 namespace mnsim::check {
 
 struct NetlistCheckOptions {
-  bool connectivity = true;       // union-find floating-island analysis
-  bool warnings = true;           // plausibility warnings (005/010/011)
-  double conductance_spread_warning = 1e12;  // max g / min g threshold
+  bool warnings = true;  // plausibility warnings (005/010/011)
 };
 
 // Full structural analysis; never throws on bad structure (that is the

@@ -266,6 +266,17 @@ std::uint64_t sweep_fingerprint(const nn::Network& network,
   os << "solver " << number(base.solver_cg_tolerance) << ' '
      << base.solver_cg_max_iterations << ' '
      << (base.solver_allow_fallback ? 1 : 0) << '\n';
+  // The Schur rung moves circuit-check numbers at the bit level, and the
+  // [check] keys decide a point's pass/fail. Their line appears only off
+  // the defaults, so journals written under the defaults keep their
+  // fingerprints.
+  const auto judged = [](const arch::AcceleratorConfig& c) {
+    return "judged " + std::to_string(c.solver_structured) + ' ' +
+           std::to_string(c.check_preflight) + ' ' +
+           std::to_string(c.check_warnings_as_errors) + ' ' +
+           number(c.check_wire_drop_warning) + '\n';
+  };
+  if (judged(base) != judged({})) os << judged(base);
   // The cycle line only appears when the engine is armed: legacy journals
   // written before the [cycle] section keep their fingerprints.
   if (base.cycle_enabled)

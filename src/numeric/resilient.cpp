@@ -7,6 +7,7 @@
 
 #include "numeric/dense.hpp"
 #include "numeric/factorization.hpp"
+#include "numeric/pcg.hpp"
 #include "obs/trace.hpp"
 #include "util/cancel.hpp"
 
@@ -14,12 +15,10 @@ namespace mnsim::numeric {
 
 namespace {
 
-double norm2(const std::vector<double>& v) {
-  double s = 0.0;
-  for (double x : v) s += x * x;
-  return std::sqrt(s);
-}
+double norm2(const std::vector<double>& v) { return std::sqrt(dot(v, v)); }
 
+// The true residual ||b - A x|| of report.x and its ratio to ||b||:
+// every rung, the Schur rung included, is judged on the real matrix.
 void fill_residual(const CsrMatrix& a, const std::vector<double>& b,
                    ResilientSolveReport& report) {
   if (report.x.size() != a.size()) {
@@ -39,18 +38,6 @@ bool finite(const std::vector<double>& v) {
   for (double x : v)
     if (!std::isfinite(x)) return false;
   return true;
-}
-
-// True relative residual ||b - A x|| / ||b|| — the acceptance check for
-// the Schur rung, which must be judged against the real matrix, not its
-// own internal view of it.
-double relative_residual_of(const CsrMatrix& a, const std::vector<double>& b,
-                            const std::vector<double>& x) {
-  std::vector<double> ax;
-  a.multiply(x, ax);
-  for (std::size_t i = 0; i < ax.size(); ++i) ax[i] = b[i] - ax[i];
-  const double b_norm = norm2(b);
-  return norm2(ax) / (b_norm > 0 ? b_norm : 1.0);
 }
 
 }  // namespace
@@ -83,38 +70,30 @@ ResilientSolveReport solve_spd_resilient(const CsrMatrix& a,
   report.warm_started = guess != nullptr;
 
   // Rung 0: bipartite Schur solve when the caller knows the crossbar
-  // structure. A prefactored handle (batched solves) wins over a raw
-  // partition; either way a mismatch is a reject, never an error, and
+  // structure. A broken structure is a reject, never an error, and
   // acceptance is judged on the true residual of the full system so a
   // stale factorization or broken structure assumption cannot smuggle a
   // wrong answer past the ladder.
-  const SchurFactorization* schur = nullptr;
-  SchurFactorization local_schur;
-  if (opt.schur_factorization && opt.schur_factorization->valid() &&
-      opt.schur_factorization->size() == n) {
-    schur = opt.schur_factorization;
-  } else if (opt.partition && !opt.partition->empty()) {
-    obs::Span build_span("numeric.schur_build");
-    local_schur = SchurFactorization::build(a, *opt.partition);
-    if (local_schur.valid())
-      schur = &local_schur;
-    else
-      ++report.schur_rejects;
+  const SchurFactorization* schur = opt.schur;
+  if (schur && !(schur->valid() && schur->size() == n)) {
+    ++report.schur_rejects;
+    schur = nullptr;
   }
   if (schur) {
     obs::Span span("numeric.schur");
     // Solve slightly tighter than requested so back-substitution
     // roundoff cannot push the true residual over the acceptance line.
-    SchurSolveResult sr =
-        schur->solve(b, opt.tolerance * 0.5, opt.schur_max_iterations, guess);
+    CgResult sr = schur->solve(b, opt.tolerance * 0.5, guess);
     report.schur_iterations = sr.iterations;
-    if (sr.converged && finite(sr.x) &&
-        relative_residual_of(a, b, sr.x) <= opt.tolerance) {
+    if (sr.converged && finite(sr.x)) {
+      // Every later rung that returns overwrites x and the residual.
       report.x = std::move(sr.x);
-      report.method = SolveMethod::kSchur;
-      report.converged = true;
       fill_residual(a, b, report);
-      return report;
+      if (report.relative_residual <= opt.tolerance) {
+        report.method = SolveMethod::kSchur;
+        report.converged = true;
+        return report;
+      }
     }
     ++report.schur_rejects;
     report.rung_notes.push_back(
@@ -151,15 +130,15 @@ ResilientSolveReport solve_spd_resilient(const CsrMatrix& a,
   // stalled iterate is usually a good starting point, and the extra
   // budget lets the Jacobi-preconditioned recurrence grind further down
   // before the expensive dense rung.
-  if (opt.allow_cg_retry && !cg.breakdown && finite(cg.x)) {
+  if (opt.allow_fallback && !cg.breakdown && finite(cg.x)) {
     util::throw_if_cancelled("numeric.cg_retry");
     const std::size_t base =
-        opt.max_iterations ? opt.max_iterations : 4 * n + 100;
+        opt.max_iterations ? opt.max_iterations : default_cg_iterations(n);
     ++report.cg_retries;
     CgResult retry = [&] {
       obs::Span span("numeric.cg_retry");
       return conjugate_gradient(a, b, opt.tolerance,
-                                base * opt.retry_budget_factor, &cg.x);
+                                base * kRetryBudgetFactor, &cg.x);
     }();
     report.cg_iterations += retry.iterations;
     report.cg_breakdown = report.cg_breakdown || retry.breakdown;
@@ -184,7 +163,7 @@ ResilientSolveReport solve_spd_resilient(const CsrMatrix& a,
   // by size. Cholesky first: half the flops of LU plus a built-in SPD
   // certificate; systems that are not numerically SPD (diagonal
   // defects, hollow permutations) fall through to pivoted LU.
-  if (opt.allow_dense_fallback && n <= opt.dense_fallback_limit) {
+  if (opt.allow_fallback && n <= kDenseFallbackLimit) {
     util::throw_if_cancelled("numeric.lu_fallback");
     obs::Span span("numeric.lu_fallback");
     ++report.lu_fallbacks;

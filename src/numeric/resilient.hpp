@@ -5,12 +5,12 @@
 // conjugate gradients can stagnate far above the requested tolerance on
 // such systems. Instead of giving up, this module degrades gracefully:
 //   0. a structure-exploiting Schur-complement solve when the caller
-//      supplied a crossbar partition (numeric/schur.hpp) — exact chain
-//      elimination plus a tightly preconditioned small iteration,
+//      supplied a crossbar factorization (numeric/schur.hpp) — exact
+//      chain elimination plus a tightly preconditioned small iteration,
 //   1. CG at the requested tolerance,
-//   2. a warm-started CG retry with a larger iteration budget,
+//   2. a warm-started CG retry with kRetryBudgetFactor times the budget,
 //   3. a dense direct fallback (Cholesky, then LU with partial
-//      pivoting) for systems small enough to expand.
+//      pivoting) for systems of at most kDenseFallbackLimit unknowns.
 // Every rung records what it did so callers can surface degraded solves
 // instead of hiding them.
 #pragma once
@@ -27,30 +27,24 @@ namespace mnsim::numeric {
 enum class SolveMethod { kCg, kCgRetry, kDenseLu, kFailed, kSchur,
                          kDenseCholesky };
 
+// Rung 2 runs kRetryBudgetFactor times rung 1's iteration budget.
+inline constexpr std::size_t kRetryBudgetFactor = 8;
+// Dense expansion is O(n^2) memory: rung 3 refuses larger systems.
+inline constexpr std::size_t kDenseFallbackLimit = 4096;
+
 struct ResilientSolveOptions {
   double tolerance = 1e-10;
   std::size_t max_iterations = 0;  // 0 = CG default (4n + 100)
-  // Iteration-budget multiplier for the warm-started retry rung.
-  std::size_t retry_budget_factor = 8;
-  bool allow_cg_retry = true;
-  bool allow_dense_fallback = true;
-  // Dense expansion is O(n^2) memory; refuse above this many unknowns.
-  std::size_t dense_fallback_limit = 4096;
+  bool allow_fallback = true;  // rungs 2 and 3
   // When non-null (size n), the first CG rung warm-starts from this
   // iterate instead of zero — sweep engines pass the solution of a
   // previously solved system with the same topology. The pointee must
   // stay alive for the duration of the call.
   const std::vector<double>* initial_guess = nullptr;
-  // When non-null and non-empty, rung 0 tries the bipartite Schur
-  // solver on this partition before generic CG. A structure or value
-  // mismatch is not an error: the rung reports a reject and the ladder
-  // proceeds as before. The pointee must outlive the call.
-  const BipartitePartition* partition = nullptr;
-  // Prefactored Schur handle for factor-once/solve-many batches; when
-  // non-null and valid it takes precedence over `partition` (no
-  // re-extraction). Must have been built from this exact matrix.
-  const SchurFactorization* schur_factorization = nullptr;
-  std::size_t schur_max_iterations = 0;  // 0 = default (4n_kept + 100)
+  // When non-null, rung 0 solves through this factorization of this
+  // exact matrix. An invalid one (its build found the structure broken)
+  // counts one schur_reject and the ladder proceeds.
+  const SchurFactorization* schur = nullptr;
 };
 
 struct ResilientSolveReport {

@@ -1,19 +1,14 @@
 #include "numeric/schur.hpp"
 
 #include <cmath>
+#include <utility>
 
-#include "util/cancel.hpp"
+#include "numeric/pcg.hpp"
 #include "util/fp.hpp"
 
 namespace mnsim::numeric {
 
 namespace {
-
-double dot(const std::vector<double>& a, const std::vector<double>& b) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
-  return s;
-}
 
 // Flat chain layout shared by both sides during extraction.
 struct ChainLayout {
@@ -212,14 +207,11 @@ void SchurFactorization::apply_schur(const std::vector<double>& x,
   }
 }
 
-SchurSolveResult SchurFactorization::solve(
+CgResult SchurFactorization::solve(
     const std::vector<double>& b, double tolerance,
-    std::size_t max_iterations,
     const std::vector<double>* initial_guess) const {
-  SchurSolveResult result;
   const std::size_t nb = b_global_.size();
   const std::size_t nc = c_global_.size();
-  if (max_iterations == 0) max_iterations = 4 * nc + 100;
 
   std::vector<double> b_b(nb), b_c(nc);
   for (std::size_t l = 0; l < nb; ++l) b_b[l] = b[b_global_[l]];
@@ -239,50 +231,24 @@ SchurSolveResult SchurFactorization::solve(
   // The stopping criterion matches the full-system CG rung: the Schur
   // residual equals the full residual (the eliminated side is exact).
   const double b_norm = std::sqrt(dot(b, b));
-  const double stop = tolerance * (b_norm > 0 ? b_norm : 1.0);
-
-  std::vector<double> x(nc, 0.0), r(nc), scratch;
+  std::vector<double> guess;
   if (initial_guess) {
-    for (std::size_t l = 0; l < nc; ++l) x[l] = (*initial_guess)[c_global_[l]];
-    apply_schur(x, r, scratch);
-    for (std::size_t l = 0; l < nc; ++l) r[l] = rhs[l] - r[l];
-  } else {
-    r = rhs;
+    guess.resize(nc);
+    for (std::size_t l = 0; l < nc; ++l)
+      guess[l] = (*initial_guess)[c_global_[l]];
   }
-
-  std::vector<double> z = r;
-  chain_solve_c(z);
-  std::vector<double> p = z, ap(nc);
-  double rz = dot(r, z);
-
-  for (std::size_t it = 0; it < max_iterations; ++it) {
-    if ((it & 15u) == 0) util::throw_if_cancelled("numeric.schur");
-    result.residual_norm = std::sqrt(dot(r, r));
-    if (result.residual_norm <= stop) {
-      result.converged = true;
-      result.iterations = it;
-      break;
-    }
-    apply_schur(p, ap, scratch);
-    const double pap = dot(p, ap);
-    if (pap <= 0.0) break;  // S not SPD: structure assumptions broke down
-    const double alpha = rz / pap;
-    for (std::size_t l = 0; l < nc; ++l) {
-      x[l] += alpha * p[l];
-      r[l] -= alpha * ap[l];
-    }
-    z = r;
-    chain_solve_c(z);
-    const double rz_next = dot(r, z);
-    const double beta = rz_next / rz;
-    rz = rz_next;
-    for (std::size_t l = 0; l < nc; ++l) p[l] = z[l] + beta * p[l];
-    result.iterations = it + 1;
-  }
-  if (!result.converged) {
-    result.residual_norm = std::sqrt(dot(r, r));
-    result.converged = result.residual_norm <= stop;
-  }
+  std::vector<double> scratch;
+  CgResult result = preconditioned_cg(
+      [&](const std::vector<double>& v, std::vector<double>& sv) {
+        apply_schur(v, sv, scratch);
+      },
+      [this](const std::vector<double>& r, std::vector<double>& z) {
+        z = r;
+        chain_solve_c(z);
+      },
+      rhs, std::move(guess), tolerance * (b_norm > 0 ? b_norm : 1.0), 0,
+      "numeric.schur");
+  const std::vector<double>& x = result.x;
 
   // Back-substitute the eliminated side: x_b = A_bb^-1 (b_b - A_bc x_c).
   std::vector<double> xb = b_b;
@@ -294,9 +260,10 @@ SchurSolveResult SchurFactorization::solve(
   }
   chain_solve_b(xb);
 
-  result.x.assign(n_, 0.0);
-  for (std::size_t l = 0; l < nb; ++l) result.x[b_global_[l]] = xb[l];
-  for (std::size_t l = 0; l < nc; ++l) result.x[c_global_[l]] = x[l];
+  std::vector<double> full(n_, 0.0);
+  for (std::size_t l = 0; l < nb; ++l) full[b_global_[l]] = xb[l];
+  for (std::size_t l = 0; l < nc; ++l) full[c_global_[l]] = x[l];
+  result.x = std::move(full);
   return result;
 }
 

@@ -49,14 +49,6 @@ struct BipartitePartition {
   }
 };
 
-struct SchurSolveResult {
-  std::vector<double> x;          // full-system solution (size n)
-  std::size_t iterations = 0;     // PCG iterations on the Schur system
-  bool converged = false;
-  double residual_norm = 0.0;     // ||b~ - S x_c|| at exit (= full-system
-                                  // residual up to back-substitution roundoff)
-};
-
 // Factor-once handle: extracts the chain structure from `a`, factors
 // every chain (LDL^T), and keeps the cross-coupling block. build()
 // never throws on a mismatch -- a matrix whose sparsity or values break
@@ -75,14 +67,15 @@ class SchurFactorization {
   [[nodiscard]] bool valid() const { return valid_; }
   [[nodiscard]] std::size_t size() const { return n_; }
 
-  // Solves A x = b through the eliminated/Schur split. `initial_guess`
-  // (full-system size, may be null) seeds the Schur-side iteration.
+  // Solves A x = b through the eliminated/Schur split, the Schur side
+  // by the PCG kernel (numeric/pcg.hpp) preconditioned by the kept
+  // chains. `initial_guess` (full-system size, may be null) seeds it.
   // Convergence criterion matches the CG rung: the Schur residual --
   // which equals the full-system residual, the eliminated side being
-  // solved exactly -- must fall below tolerance * ||b||.
-  [[nodiscard]] SchurSolveResult solve(
+  // solved exactly -- must fall below tolerance * ||b||. x is the
+  // full-system solution; the rest describes the Schur iteration.
+  [[nodiscard]] CgResult solve(
       const std::vector<double>& b, double tolerance,
-      std::size_t max_iterations,
       const std::vector<double>* initial_guess = nullptr) const;
 
  private:

@@ -5,7 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "util/cancel.hpp"
+#include "numeric/pcg.hpp"
 #include "util/fp.hpp"
 
 namespace mnsim::numeric {
@@ -137,16 +137,6 @@ bool CsrMatrix::add_at(std::size_t row, std::size_t col, double value) {
   return true;
 }
 
-namespace {
-
-double dot(const std::vector<double>& a, const std::vector<double>& b) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
-  return s;
-}
-
-}  // namespace
-
 CgResult conjugate_gradient(const CsrMatrix& a, const std::vector<double>& b,
                             double tolerance, std::size_t max_iterations,
                             const std::vector<double>* initial_guess) {
@@ -155,71 +145,35 @@ CgResult conjugate_gradient(const CsrMatrix& a, const std::vector<double>& b,
     throw std::invalid_argument("conjugate_gradient: size mismatch");
   if (initial_guess && initial_guess->size() != n)
     throw std::invalid_argument("conjugate_gradient: guess size mismatch");
-  if (max_iterations == 0) max_iterations = 4 * n + 100;
 
-  CgResult result;
-  std::vector<double> r(n);
-  if (initial_guess) {
-    result.x = *initial_guess;
-    a.multiply(result.x, r);  // r = b - A x0
-    for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
-  } else {
-    result.x.assign(n, 0.0);
-    r = b;  // r = b - A*0
-  }
   bool diag_defect = false;
-  std::vector<double> diag = a.jacobi_diagonal(&diag_defect);
+  const std::vector<double> diag = a.jacobi_diagonal(&diag_defect);
   if (diag_defect) {
     // A zero / missing diagonal entry means the matrix is not SPD and
     // the Jacobi preconditioner is undefined: iterating would at best
     // stall and at worst silently converge to a wrong answer under the
     // substituted 1.0. Report the defect so the resilient ladder can
     // route straight to the pivoted dense fallback.
-    result.diagonal_defect = true;
-    result.breakdown = true;
+    CgResult result;
+    result.diagonal_defect = result.breakdown = true;
+    result.x = initial_guess ? *initial_guess : std::vector<double>(n, 0.0);
+    std::vector<double> r;
+    a.multiply(result.x, r);
+    for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
     result.residual_norm = std::sqrt(dot(r, r));
     return result;
   }
-  std::vector<double> z(n), p(n), ap(n);
-  for (std::size_t i = 0; i < n; ++i) z[i] = r[i] / diag[i];
-  p = z;
-  double rz = dot(r, z);
-  const double b_norm = std::sqrt(dot(b, b));
-  const double stop = tolerance * (b_norm > 0 ? b_norm : 1.0);
 
-  for (std::size_t it = 0; it < max_iterations; ++it) {
-    // Cooperative watchdog poll (util/cancel.hpp): a sweep abandoning a
-    // pathological design point unwinds here instead of grinding out the
-    // full iteration budget. Every 64 iterations keeps the poll cost
-    // unmeasurable.
-    if ((it & 63u) == 0) util::throw_if_cancelled("numeric.cg");
-    result.residual_norm = std::sqrt(dot(r, r));
-    if (result.residual_norm <= stop) {
-      result.converged = true;
-      result.iterations = it;
-      return result;
-    }
-    a.multiply(p, ap);
-    double pap = dot(p, ap);
-    if (pap <= 0.0) {  // not SPD (or breakdown)
-      result.breakdown = true;
-      break;
-    }
-    double alpha = rz / pap;
-    for (std::size_t i = 0; i < n; ++i) {
-      result.x[i] += alpha * p[i];
-      r[i] -= alpha * ap[i];
-    }
-    for (std::size_t i = 0; i < n; ++i) z[i] = r[i] / diag[i];
-    double rz_next = dot(r, z);
-    double beta = rz_next / rz;
-    rz = rz_next;
-    for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
-    result.iterations = it + 1;
-  }
-  result.residual_norm = std::sqrt(dot(r, r));
-  result.converged = result.residual_norm <= stop;
-  return result;
+  const double b_norm = std::sqrt(dot(b, b));
+  return preconditioned_cg(
+      [&a](const std::vector<double>& v, std::vector<double>& av) {
+        a.multiply(v, av);
+      },
+      [&diag](const std::vector<double>& r, std::vector<double>& z) {
+        for (std::size_t i = 0; i < r.size(); ++i) z[i] = r[i] / diag[i];
+      },
+      b, initial_guess ? *initial_guess : std::vector<double>(),
+      tolerance * (b_norm > 0 ? b_norm : 1.0), max_iterations, "numeric.cg");
 }
 
 }  // namespace mnsim::numeric

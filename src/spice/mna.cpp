@@ -280,10 +280,10 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
   }
 
   const bool nonlinear = !nl.linear_memristors() && !nl.memristors().empty();
-  const int max_iter = nonlinear ? opt.max_newton_iterations : 1;
+  const int max_iter = nonlinear ? kMaxNewtonIterations : 1;
 
   double prev_delta = 0.0;
-  int damping_budget = std::max(opt.max_damping_retries, 0);
+  int damping_budget = kMaxDampingRetries;
 
   for (int it = 0; it < max_iter; ++it) {
     // Watchdog poll between Newton iterations (util/cancel.hpp); the
@@ -345,20 +345,25 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
       }
     }
 
-    numeric::ResilientSolveOptions solve_opt;
-    solve_opt.tolerance = opt.cg_tolerance;
-    solve_opt.max_iterations = opt.cg_max_iterations;
-    solve_opt.allow_cg_retry = opt.allow_cg_retry;
-    solve_opt.allow_dense_fallback = opt.allow_dense_fallback;
-    solve_opt.dense_fallback_limit = opt.dense_fallback_limit;
-    solve_opt.initial_guess = have_guess ? &guess : nullptr;
-    solve_opt.partition = partition;
     // The batch engine's factor-once handle is only valid while the
-    // matrix is a value-refill of the pattern it was built from.
-    solve_opt.schur_factorization =
-        (prefactored != nullptr && refilled) ? prefactored : nullptr;
+    // matrix is a value-refill of the pattern it was built from;
+    // otherwise the Schur rung factors this matrix on the partition.
+    const bool reuse = prefactored != nullptr && refilled;
     const auto solve = [&] {
       obs::Span solve_span("spice.linear_solve");
+      numeric::ResilientSolveOptions solve_opt;
+      solve_opt.tolerance = opt.cg_tolerance;
+      solve_opt.max_iterations = opt.cg_max_iterations;
+      solve_opt.allow_fallback = opt.allow_fallback;
+      solve_opt.initial_guess = have_guess ? &guess : nullptr;
+      numeric::SchurFactorization built;
+      if (reuse) {
+        solve_opt.schur = prefactored;
+      } else if (partition != nullptr) {
+        obs::Span build_span("numeric.schur_build");
+        built = numeric::SchurFactorization::build(a, *partition);
+        solve_opt.schur = &built;
+      }
       return numeric::solve_spd_resilient(a, rhs, solve_opt);
     }();
     result.diagnostics.cg_iterations +=
@@ -370,8 +375,7 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
     result.diagnostics.schur_rejects += solve.schur_rejects;
     if (solve.method == numeric::SolveMethod::kSchur) {
       ++result.diagnostics.schur_solves;
-      if (solve_opt.schur_factorization != nullptr)
-        ++result.diagnostics.factor_reuses;
+      if (reuse) ++result.diagnostics.factor_reuses;
     }
     result.diagnostics.condition_estimate = std::max(
         result.diagnostics.condition_estimate, solve.condition_estimate);
@@ -432,7 +436,7 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
     result.newton_iterations = it + 1;
     result.diagnostics.newton_iterations = result.newton_iterations;
     result.diagnostics.newton_residual = max_delta;
-    if (!nonlinear || max_delta < opt.newton_tolerance) {
+    if (!nonlinear || max_delta < kNewtonTolerance) {
       result.converged = true;
       break;
     }

@@ -29,19 +29,22 @@
 
 namespace mnsim::spice {
 
+// Newton loop limits: converged once the largest node-voltage update
+// falls below kNewtonTolerance; a non-finite or growing update is halved
+// and re-applied, at most kMaxDampingRetries times per solve.
+inline constexpr double kNewtonTolerance = 1e-9;  // [V]
+inline constexpr int kMaxNewtonIterations = 60;
+inline constexpr int kMaxDampingRetries = 8;
+
 struct DcOptions {
-  double newton_tolerance = 1e-9;   // max |dV| between iterations [V]
-  int max_newton_iterations = 60;
   double cg_tolerance = 1e-12;
   std::size_t cg_max_iterations = 0;  // 0 = auto (4n + 100)
 
   // Graceful-degradation ladder for the inner linear solves: a stalled
   // CG is retried warm-started with a larger budget, then falls back to
-  // dense LU (bounded by dense_fallback_limit unknowns). With the whole
-  // ladder disabled a stalled solve throws, as the historical behavior.
-  bool allow_cg_retry = true;
-  bool allow_dense_fallback = true;
-  std::size_t dense_fallback_limit = 4096;
+  // dense LU (numeric/resilient.hpp). Off, a stalled solve throws, as
+  // the historical behavior. Config key: [solver] Allow_Fallback.
+  bool allow_fallback = true;
 
   // Structure-exploiting rung: when the netlist carries wire-chain
   // metadata (WireStructure, attached by build_crossbar_netlist), try
@@ -49,11 +52,6 @@ struct DcOptions {
   // on the true residual, so disabling this only costs performance.
   // Config key: [solver] Structured.
   bool allow_schur = true;
-
-  // Newton step damping: when an iterate comes back non-finite or the
-  // update grows instead of shrinking, the step is halved and re-applied,
-  // at most `max_damping_retries` times per solve.
-  int max_damping_retries = 8;
 
   // Semantic pre-flight (check/netlist_check.hpp): run the structural
   // analyzer (construction invariants, connectivity via union-find)
@@ -149,8 +147,8 @@ struct MnaCache {
 struct DcResult {
   std::vector<double> node_voltages;  // index = NodeId (0 = ground = 0 V)
   int newton_iterations = 0;
-  // True only when the Newton loop met newton_tolerance; a run that
-  // exhausted max_newton_iterations reports false with the final update
+  // True only when the Newton loop met kNewtonTolerance; a run that
+  // exhausted kMaxNewtonIterations reports false with the final update
   // size in diagnostics.newton_residual.
   bool converged = false;
   SolverDiagnostics diagnostics;

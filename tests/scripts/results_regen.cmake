@@ -2,13 +2,10 @@
 # bench that drives dse::explore(), the Table II validation (the paper
 # table produced through functional Monte-Carlo) and the other
 # deterministic benches, the RC-interconnect transient and nonlinearity
-# ablations included, in a scratch directory and compares the 19 CSVs
+# ablations included, in a scratch directory and compares the 20 CSVs
 # they write with the checked-in results/.
 #
-# Not compared: ablation_variation.csv (also written by
-# bench_ablation_device), whose checked-in file is stale (its re-baseline
-# is a separate ROADMAP item), and the host-timed table3_speedup.csv and
-# solver_batch.csv.
+# Not compared: the host-timed table3_speedup.csv and solver_batch.csv.
 #
 #   cmake -DBENCH_DIR=<dir of the bench binaries> -DRESULTS=<repo>/results
 #         -DWORKDIR=<scratch dir> -P results_regen.cmake
@@ -24,7 +21,8 @@ set(benches bench_table4_large_bank_dse bench_table6_vgg16_dse
 set(csvs table4_large_bank_dse.csv table6_vgg16_dse.csv
          fig8_area_latency.csv fig9a_radar_large_bank.csv
          fig9b_radar_vgg16.csv ablation_hetero.csv table2_validation.csv
-         ablation_adc.csv ablation_device.csv ablation_precision.csv
+         ablation_adc.csv ablation_device.csv ablation_variation.csv
+         ablation_precision.csv
          fig5_error_fit.csv fig6_area_validation.csv fig7_parallelism.csv
          memory_mode_margin.csv memory_mode_ops.csv
          table5_crossbar_tradeoff.csv table7_prime_isaac.csv

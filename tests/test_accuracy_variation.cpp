@@ -57,14 +57,6 @@ TEST(VariationMc, DeterministicForSeed) {
   EXPECT_NE(a.samples.front(), c.samples.front());
 }
 
-TEST(VariationMc, AverageCaseCellsSupported) {
-  VariationMcOptions o = fast();
-  o.worst_case_cells = false;
-  auto r = variation_monte_carlo(make(0.2), o);
-  EXPECT_GT(r.closed_form_bound, 0.0);
-  EXPECT_GT(r.mean_error, 0.0);
-}
-
 TEST(VariationMc, ScoresWorstColumnNotJustLast) {
   // Regression: each trial must report the max relative error over ALL
   // columns. Variation is i.i.d. per cell, so on an asymmetric crossbar

@@ -8,15 +8,19 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 
+#include "arch/params.hpp"
 #include "check/diagnostic.hpp"
 #include "dse/shard.hpp"
 #include "nn/topologies.hpp"
 #include "sim/json_report.hpp"
 #include "util/cancel.hpp"
+#include "util/config.hpp"
 
 namespace mnsim::dse {
 namespace {
@@ -163,6 +167,88 @@ TEST(Fingerprint, SensitiveToEveryInputButNotExecutionPolicy) {
   base3.sweep_shard_count = 4;
   base3.trace_enabled = true;
   EXPECT_EQ(sweep_fingerprint(net, base3, space, cons), ref);
+
+  // Every accelerator key moves it, but for execution policy ([parallel],
+  // [trace], [sweep]), the cycle event cap (it bounds the event log, not
+  // the timing) and the three keys the sweep sets per point. The cycle
+  // engine is armed on the base so its keys count.
+  auto armed = base;
+  armed.cycle_enabled = true;
+  const std::uint64_t armed_ref = sweep_fingerprint(net, armed, space, cons);
+  EXPECT_NE(armed_ref, ref);
+  // A value off the default for every key of arch::config_keys().
+  const std::map<std::string, std::string> changed = {
+      {"Interface_Number", "[64, 32]"},
+      {"Crossbar_Size", "64"},
+      {"Pooling_Size", "3"},
+      {"Weight_Polarity", "1"},
+      {"CMOS_Tech", "45"},
+      {"Cell_Type", "0T1R"},
+      {"Memristor_Model", "PCM"},
+      {"Interconnect_Tech", "22"},
+      {"Parallelism_Degree", "4"},
+      {"Resistance_Range", "[1000, 1e6]"},
+      {"Output_Bits", "6"},
+      {"Sense_Resistance", "100"},
+      {"Device_Sigma", "0.1"},
+      {"Pipelined", "false"},
+      {"fault.Stuck_At_0_Rate", "0.01"},
+      {"fault.Stuck_At_1_Rate", "0.02"},
+      {"fault.Wordline_Defect_Rate", "0.03"},
+      {"fault.Bitline_Defect_Rate", "0.04"},
+      {"fault.Retention_Time", "1000"},
+      {"fault.Seed", "99"},
+      {"fault.Circuit_Check", "true"},
+      {"fault.Circuit_Check_Size", "16"},
+      {"solver.CG_Tolerance", "1e-10"},
+      {"solver.CG_Max_Iterations", "50"},
+      {"solver.Allow_Fallback", "false"},
+      {"solver.Structured", "false"},
+      {"parallel.Threads", "7"},
+      {"check.Enabled", "false"},
+      {"check.Warnings_As_Errors", "true"},
+      {"check.Wire_Drop_Warning", "0.2"},
+      {"trace.Enabled", "true"},
+      {"trace.Output", "trace.json"},
+      {"trace.Metrics", "false"},
+      {"sweep.Checkpoint", "/elsewhere"},
+      {"sweep.Shard_Index", "1"},
+      {"sweep.Shard_Count", "4"},
+      {"sweep.Resume", "true"},
+      {"sweep.Point_Deadline_Ms", "123"},
+      {"sweep.Max_Attempts", "9"},
+      {"cycle.Enabled", "false"},
+      {"cycle.Dataflow", "os"},
+      {"cycle.Fill_Policy", "demand"},
+      {"cycle.Ifmap_KB", "64"},
+      {"cycle.Filter_KB", "128"},
+      {"cycle.Ofmap_KB", "16"},
+      {"cycle.Bandwidth_GBps", "4"},
+      {"cycle.Clock_GHz", "1"},
+      {"cycle.Max_Events", "10"},
+  };
+  const std::set<std::string> neutral = {"Crossbar_Size", "Parallelism_Degree",
+                                         "Interconnect_Tech",
+                                         "cycle.Max_Events"};
+  for (const auto& key : arch::config_keys()) {
+    const auto it = changed.find(key.name);
+    ASSERT_NE(it, changed.end()) << key.name << " has no test value";
+    util::Config cfg;
+    cfg.set(key.name, it->second);
+    auto c = armed;
+    key.read(key, cfg, c);
+    ASSERT_FALSE(c == armed) << key.name << " = " << it->second
+                             << " is the default";
+    const bool policy = key.name.starts_with("parallel.") ||
+                        key.name.starts_with("trace.") ||
+                        key.name.starts_with("sweep.");
+    if (policy || neutral.count(key.name) != 0)
+      EXPECT_EQ(sweep_fingerprint(net, c, space, cons), armed_ref)
+          << key.name;
+    else
+      EXPECT_NE(sweep_fingerprint(net, c, space, cons), armed_ref)
+          << key.name;
+  }
 }
 
 // ---- record format ----------------------------------------------------------

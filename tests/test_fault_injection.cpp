@@ -405,15 +405,15 @@ TEST(SolverDegradation, IterationStarvedCgFallsBackToLu) {
   auto spec = spice::CrossbarSpec::uniform(8, 8, dev, 0.022, 60.0,
                                            dev.r_min.value());
   spice::DcOptions opt;
-  opt.cg_max_iterations = 2;  // starve CG: it cannot converge in 2 steps
-  opt.allow_cg_retry = false;
-  opt.allow_dense_fallback = true;
+  // Starve CG: neither 2 steps nor the retry's 8x that converge.
+  opt.cg_max_iterations = 2;
   // The structured Schur rung would rescue this solve before CG ever
   // starves; disable it so the test still exercises the LU fallback.
   opt.allow_schur = false;
 
   const auto sol = spice::solve_crossbar(spec, opt);
   EXPECT_TRUE(sol.dc.converged);
+  EXPECT_GT(sol.dc.diagnostics.cg_retries, 0);
   EXPECT_GT(sol.dc.diagnostics.lu_fallbacks, 0);
   EXPECT_TRUE(sol.dc.diagnostics.degraded());
   EXPECT_LT(sol.dc.diagnostics.linear_residual, 1e-6);
@@ -432,8 +432,7 @@ TEST(SolverDegradation, AllFallbacksDisabledThrows) {
                                            dev.r_min.value());
   spice::DcOptions opt;
   opt.cg_max_iterations = 2;
-  opt.allow_cg_retry = false;
-  opt.allow_dense_fallback = false;
+  opt.allow_fallback = false;
   opt.allow_schur = false;  // no rescue rung: the ladder must exhaust
   EXPECT_THROW(spice::solve_crossbar(spec, opt), std::runtime_error);
 }
@@ -570,7 +569,7 @@ TEST(ArchFlow, ConfigFileRoundTrip) {
   const auto opt = cfg.solver_options();
   EXPECT_DOUBLE_EQ(opt.cg_tolerance, 1e-10);
   EXPECT_EQ(opt.cg_max_iterations, 50u);
-  EXPECT_TRUE(opt.allow_dense_fallback);
+  EXPECT_TRUE(opt.allow_fallback);
 }
 
 // --- DSE under faults --------------------------------------------------------

@@ -17,6 +17,7 @@
 #include "spice/crossbar_netlist.hpp"
 #include "spice/mna.hpp"
 #include "tech/memristor.hpp"
+#include "util/cancel.hpp"
 
 namespace mnsim::numeric {
 namespace {
@@ -216,7 +217,7 @@ TEST(SchurSolver, MatchesDenseReferenceOnBipartiteSystem) {
   const SchurFactorization schur =
       SchurFactorization::build(f.a, f.partition);
   ASSERT_TRUE(schur.valid());
-  const SchurSolveResult sr = schur.solve(f.b, 1e-12, 0);
+  const CgResult sr = schur.solve(f.b, 1e-12);
   EXPECT_TRUE(sr.converged);
 
   const std::vector<double> rows = f.a.to_dense_rows();
@@ -259,8 +260,10 @@ TEST(SchurSolver, PartitionMustCoverEveryUnknownExactlyOnce) {
 
 TEST(ResilientSolve, SchurRungServesPartitionedSystem) {
   const BipartiteFixture f = make_bipartite();
+  const SchurFactorization schur =
+      SchurFactorization::build(f.a, f.partition);
   ResilientSolveOptions opt;
-  opt.partition = &f.partition;
+  opt.schur = &schur;
   const ResilientSolveReport rep = solve_spd_resilient(f.a, f.b, opt);
   EXPECT_TRUE(rep.converged);
   EXPECT_EQ(rep.method, SolveMethod::kSchur);
@@ -268,6 +271,18 @@ TEST(ResilientSolve, SchurRungServesPartitionedSystem) {
   EXPECT_EQ(rep.schur_rejects, 0);
   EXPECT_EQ(rep.cg_iterations, 0u);
   EXPECT_LT(rep.relative_residual, 1e-10);
+
+  // A second build of the identical matrix solves bit-identically: a
+  // batch's factor-once handle and a per-solve build give one answer,
+  // the foundation of the batch engine's guarantee.
+  const SchurFactorization again =
+      SchurFactorization::build(f.a, f.partition);
+  opt.schur = &again;
+  const ResilientSolveReport rep2 = solve_spd_resilient(f.a, f.b, opt);
+  ASSERT_EQ(rep2.method, SolveMethod::kSchur);
+  ASSERT_EQ(rep.x.size(), rep2.x.size());
+  for (std::size_t i = 0; i < rep.x.size(); ++i) EXPECT_EQ(rep.x[i], rep2.x[i]);
+  EXPECT_EQ(rep.schur_iterations, rep2.schur_iterations);
 }
 
 TEST(ResilientSolve, BrokenPartitionFallsBackToCg) {
@@ -276,35 +291,71 @@ TEST(ResilientSolve, BrokenPartitionFallsBackToCg) {
   // Swap two unknowns between chains: coverage is still exact, but the
   // claimed adjacency no longer matches the matrix.
   std::swap(wrong.eliminated_chains[0][1], wrong.eliminated_chains[1][1]);
+  const SchurFactorization broken = SchurFactorization::build(f.a, wrong);
+  ASSERT_FALSE(broken.valid());
   ResilientSolveOptions opt;
-  opt.partition = &wrong;
+  opt.schur = &broken;
   const ResilientSolveReport rep = solve_spd_resilient(f.a, f.b, opt);
   EXPECT_TRUE(rep.converged);
   EXPECT_EQ(rep.method, SolveMethod::kCg);
   EXPECT_EQ(rep.schur_rejects, 1);
+  EXPECT_EQ(rep.schur_iterations, 0u);
   EXPECT_LT(rep.relative_residual, 1e-10);
 }
 
-TEST(ResilientSolve, PrefactoredHandleMatchesPartitionPath) {
+TEST(SchurSolver, CancelledTokenStopsTheIteration) {
+  // Both users of the PCG kernel unwind on a requested token, each
+  // under its own label.
   const BipartiteFixture f = make_bipartite();
   const SchurFactorization schur =
       SchurFactorization::build(f.a, f.partition);
   ASSERT_TRUE(schur.valid());
+  util::CancelToken token;
+  token.request();
+  util::ScopedCancel scope(&token);
+  try {
+    (void)schur.solve(f.b, 1e-12);
+    FAIL() << "expected util::CancelledError";
+  } catch (const util::CancelledError& e) {
+    EXPECT_EQ(e.where(), "numeric.schur");
+  }
+  try {
+    (void)conjugate_gradient(f.a, f.b);
+    FAIL() << "expected util::CancelledError";
+  } catch (const util::CancelledError& e) {
+    EXPECT_EQ(e.where(), "numeric.cg");
+  }
+}
 
-  ResilientSolveOptions via_partition;
-  via_partition.partition = &f.partition;
-  ResilientSolveOptions via_handle;
-  via_handle.schur_factorization = &schur;
+TEST(SchurSolver, NonSpdSchurSystemReportsNonConvergence) {
+  // [[1, 2], [2, 1]] (eigenvalues 3 and -1): each one-unknown chain
+  // factors, but the Schur complement 1 - 2 * 1^-1 * 2 = -3 is negative,
+  // so the PCG kernel breaks down on p'Sp <= 0 instead of converging.
+  SparseBuilder sb(2);
+  sb.add(0, 0, 1.0);
+  sb.add(1, 1, 1.0);
+  sb.add(0, 1, 2.0);
+  sb.add(1, 0, 2.0);
+  const CsrMatrix a(sb);
+  BipartitePartition partition;
+  partition.eliminated_chains = {{0}};
+  partition.kept_chains = {{1}};
+  const SchurFactorization schur = SchurFactorization::build(a, partition);
+  ASSERT_TRUE(schur.valid());
+  const std::vector<double> b{1.0, 0.0};
+  const CgResult sr = schur.solve(b, 1e-12);
+  EXPECT_FALSE(sr.converged);
+  EXPECT_TRUE(sr.breakdown);
 
-  const ResilientSolveReport a = solve_spd_resilient(f.a, f.b, via_partition);
-  const ResilientSolveReport b = solve_spd_resilient(f.a, f.b, via_handle);
-  ASSERT_EQ(a.method, SolveMethod::kSchur);
-  ASSERT_EQ(b.method, SolveMethod::kSchur);
-  // Factoring the identical matrix is deterministic, so the two paths
-  // are bit-identical — the foundation of the batch engine's guarantee.
-  ASSERT_EQ(a.x.size(), b.x.size());
-  for (std::size_t i = 0; i < a.x.size(); ++i) EXPECT_EQ(a.x[i], b.x[i]);
-  EXPECT_EQ(a.schur_iterations, b.schur_iterations);
+  // The ladder rejects the rung and still solves the system exactly.
+  ResilientSolveOptions opt;
+  opt.schur = &schur;
+  const ResilientSolveReport rep = solve_spd_resilient(a, b, opt);
+  EXPECT_EQ(rep.schur_rejects, 1);
+  ASSERT_TRUE(rep.converged);
+  EXPECT_EQ(rep.method, SolveMethod::kDenseLu);
+  EXPECT_NEAR(rep.x[0], -1.0 / 3.0, 1e-12);
+  EXPECT_NEAR(rep.x[1], 2.0 / 3.0, 1e-12);
 }
 
 // --- end-to-end through the MNA layer ----------------------------------------

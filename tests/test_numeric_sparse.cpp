@@ -358,8 +358,9 @@ TEST(ResilientSolve, CleanSystemUsesPlainCg) {
 TEST(ResilientSolve, StarvedCgEscalatesToRetryThenConverges) {
   const int n = 40;
   ResilientSolveOptions opt;
-  opt.max_iterations = 3;        // rung 1 cannot finish
-  opt.retry_budget_factor = 64;  // rung 2 gets plenty
+  // Rung 1 cannot finish in 10 iterations; rung 2's kRetryBudgetFactor
+  // times that (80) is plenty for this well-conditioned chain.
+  opt.max_iterations = 10;
   auto rep = solve_spd_resilient(chain_matrix(n), chain_rhs(n), opt);
   EXPECT_TRUE(rep.converged);
   EXPECT_EQ(rep.method, SolveMethod::kCgRetry);
@@ -371,10 +372,10 @@ TEST(ResilientSolve, StarvedCgEscalatesToRetryThenConverges) {
 TEST(ResilientSolve, ExhaustedCgFallsBackToDenseDirect) {
   const int n = 40;
   ResilientSolveOptions opt;
-  opt.max_iterations = 2;
-  opt.retry_budget_factor = 2;  // retry still starved (4 iterations)
+  opt.max_iterations = 1;  // retry still starved (kRetryBudgetFactor = 8)
   auto rep = solve_spd_resilient(chain_matrix(n), chain_rhs(n), opt);
   EXPECT_TRUE(rep.converged);
+  EXPECT_EQ(rep.cg_retries, 1);
   // The dense rung tries Cholesky first; this chain matrix is SPD, so
   // it never needs the pivoted-LU half of the rung.
   EXPECT_EQ(rep.method, SolveMethod::kDenseCholesky);
@@ -392,13 +393,14 @@ TEST(ResilientSolve, FailureIsReportedNotThrown) {
   const int n = 40;
   ResilientSolveOptions opt;
   opt.max_iterations = 2;
-  opt.retry_budget_factor = 2;
-  opt.allow_dense_fallback = false;
+  opt.allow_fallback = false;  // neither the retry nor the dense rung
   ResilientSolveReport rep;
   EXPECT_NO_THROW(
       rep = solve_spd_resilient(chain_matrix(n), chain_rhs(n), opt));
   EXPECT_FALSE(rep.converged);
   EXPECT_EQ(rep.method, SolveMethod::kFailed);
+  EXPECT_EQ(rep.cg_retries, 0);
+  EXPECT_EQ(rep.lu_fallbacks, 0);
   EXPECT_GT(rep.residual_norm, 0.0);  // best-effort iterate, quantified
 }
 
@@ -421,13 +423,17 @@ TEST(ResilientSolve, DiagonalDefectRoutesStraightToDenseLu) {
 }
 
 TEST(ResilientSolve, DenseFallbackRespectsSizeLimit) {
-  const int n = 40;
+  // One unknown past the limit: both CG rungs starve, and the system is
+  // too large to expand, so the ladder fails with the best iterate.
+  const int n = static_cast<int>(kDenseFallbackLimit) + 1;
   ResilientSolveOptions opt;
-  opt.max_iterations = 2;
-  opt.retry_budget_factor = 2;
-  opt.dense_fallback_limit = 8;  // system too large to expand
-  auto rep = solve_spd_resilient(chain_matrix(n), chain_rhs(n), opt);
+  opt.max_iterations = 1;
+  ResilientSolveReport rep;
+  EXPECT_NO_THROW(
+      rep = solve_spd_resilient(chain_matrix(n), chain_rhs(n), opt));
   EXPECT_FALSE(rep.converged);
+  EXPECT_EQ(rep.method, SolveMethod::kFailed);
+  EXPECT_EQ(rep.cg_retries, 1);
   EXPECT_EQ(rep.lu_fallbacks, 0);
 }
 

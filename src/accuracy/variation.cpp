@@ -49,7 +49,7 @@ VariationMcResult variation_monte_carlo(const CrossbarErrorInputs& in,
   // from (seed, trial) — the draw sequence depends only on the trial
   // index — then hand the whole sweep to the batched solver, which
   // builds the netlist, vets the topology and primes the CSR pattern
-  // once for all trials (spice::solve_dc_batch_visit).
+  // once for all trials (spice::solve_crossbar_batch).
   const auto trials = static_cast<std::size_t>(opt.trials);
   std::vector<spice::CrossbarBatchEntry> entries(trials);
   for (std::size_t trial = 0; trial < trials; ++trial) {

@@ -21,8 +21,9 @@
 // Steady-State Memristor Crossbar Array Circuit Simulation").
 //
 // The factorization object separates the factor-once work (structure
-// extraction, chain LDL^T factors) from the per-RHS solve, so batched
-// multi-RHS workloads (spice::solve_dc_batch_visit) pay extraction once.
+// extraction, chain LDL^T factors) from the per-RHS solve, so multi-RHS
+// workloads on one matrix (a shared-matrix spice::solve_crossbar_batch, a
+// linear transient) pay extraction once, through spice::MnaCache::factor.
 // Everything here is deterministic: no randomness, no thread-count or
 // schedule dependence, so the platform's bit-identity contracts hold.
 #pragma once
@@ -55,8 +56,8 @@ struct BipartitePartition {
 // the assumed structure (an entry outside the chains, a non-positive
 // chain pivot) yields valid() == false and the caller falls back to the
 // generic ladder. The factorization is tied to the exact values of `a`:
-// reuse it only while the matrix is unchanged (the batched solver
-// guards this; see spice::solve_dc_batch_visit).
+// reuse it only while the matrix is unchanged (spice::MnaCache keeps one
+// only for refills its owner vouches reproduce `a`).
 class SchurFactorization {
  public:
   SchurFactorization() = default;

@@ -1,10 +1,15 @@
 #include "spice/crossbar_netlist.hpp"
 
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
+#include "numeric/schur.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/fp.hpp"
+#include "util/parallel.hpp"
 
 namespace mnsim::spice {
 
@@ -181,7 +186,8 @@ bool CrossbarSolveCache::matches(const CrossbarSpec& spec) const {
          util::exactly_equal(k.sense_resistance, spec.sense_resistance) &&
          k.linear_memristors == spec.linear_memristors &&
          k.ideal_wires == spec.ideal_wires &&
-         k.segment_capacitance == spec.segment_capacitance &&
+         util::exactly_equal(k.segment_capacitance,
+                             spec.segment_capacitance) &&
          k.device.kind == spec.device.kind &&
          k.device.r_min == spec.device.r_min &&
          k.device.r_max == spec.device.r_max &&
@@ -190,6 +196,21 @@ bool CrossbarSolveCache::matches(const CrossbarSpec& spec) const {
 }
 
 namespace {
+
+// The fields matches() compares. The value arrays stay empty, so
+// re-keying and batch-worker clones copy no rows x cols matrix.
+CrossbarSpec topology_key(const CrossbarSpec& spec) {
+  CrossbarSpec key;
+  key.rows = spec.rows;
+  key.cols = spec.cols;
+  key.device = spec.device;
+  key.segment_resistance = spec.segment_resistance;
+  key.sense_resistance = spec.sense_resistance;
+  key.linear_memristors = spec.linear_memristors;
+  key.ideal_wires = spec.ideal_wires;
+  key.segment_capacitance = spec.segment_capacitance;
+  return key;
+}
 
 CrossbarSolution solve_built(const Netlist& nl,
                              const std::vector<NodeId>& column_nodes,
@@ -204,6 +225,23 @@ CrossbarSolution solve_built(const Netlist& nl,
   return sol;
 }
 
+// Value-only reprogramming of a cached netlist, then the solve on its
+// cache. build_crossbar_netlist adds memristors row-major (index
+// i*cols + j) and sources in row order.
+CrossbarSolution reprogram_and_solve(
+    CrossbarSolveCache& cache, const std::vector<double>& input_voltages,
+    const std::vector<std::vector<double>>& cell_resistance,
+    const DcOptions& options) {
+  const auto rows = static_cast<std::size_t>(cache.key.rows);
+  const auto cols = static_cast<std::size_t>(cache.key.cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    cache.netlist.set_source_voltage(i, input_voltages[i]);
+    for (std::size_t j = 0; j < cols; ++j)
+      cache.netlist.set_memristor_state(i * cols + j, cell_resistance[i][j]);
+  }
+  return solve_built(cache.netlist, cache.column_nodes, options, &cache.mna);
+}
+
 }  // namespace
 
 CrossbarSolution solve_crossbar(const CrossbarSpec& spec,
@@ -214,24 +252,15 @@ CrossbarSolution solve_crossbar(const CrossbarSpec& spec,
     Netlist nl = build_crossbar_netlist(spec, &column_nodes);
     return solve_built(nl, column_nodes, options, nullptr);
   }
-
-  if (!cache->matches(spec)) {
-    cache->netlist = build_crossbar_netlist(spec, &cache->column_nodes);
-    cache->key = spec;
-    cache->mna = MnaCache{};  // topology changed: drop pattern + warm start
-    cache->valid = true;
-  } else {
-    // Value-only reprogramming. build_crossbar_netlist adds memristors
-    // row-major (index i*cols + j) and sources in row order.
+  if (cache->matches(spec)) {
     spec.validate();
-    const auto cols = static_cast<std::size_t>(spec.cols);
-    for (std::size_t i = 0; i < static_cast<std::size_t>(spec.rows); ++i) {
-      cache->netlist.set_source_voltage(i, spec.input_voltages[i]);
-      for (std::size_t j = 0; j < cols; ++j)
-        cache->netlist.set_memristor_state(i * cols + j,
-                                           spec.cell_resistance[i][j]);
-    }
+    return reprogram_and_solve(*cache, spec.input_voltages,
+                               spec.cell_resistance, options);
   }
+  cache->netlist = build_crossbar_netlist(spec, &cache->column_nodes);
+  cache->key = topology_key(spec);
+  cache->mna = MnaCache{};  // topology changed: drop pattern + warm start
+  cache->valid = true;
   return solve_built(cache->netlist, cache->column_nodes, options,
                      &cache->mna);
 }
@@ -243,51 +272,78 @@ std::vector<CrossbarBatchResult> solve_crossbar_batch(
   std::vector<CrossbarBatchResult> results(entries.size());
   if (entries.empty()) return results;
 
-  std::vector<NodeId> column_nodes;
-  const Netlist nl = build_crossbar_netlist(base, &column_nodes);
-
-  // Translate to element-order overrides: sources are added in row
-  // order, memristors row-major (i * cols + j).
+  // Every entry's conductance matrix equals the base's when the cells
+  // are linear and no entry reprograms them (inputs only enter the
+  // right-hand side). Decided statically from the batch shape, never
+  // from per-worker history, so results cannot depend on scheduling.
   const auto rows = static_cast<std::size_t>(base.rows);
   const auto cols = static_cast<std::size_t>(base.cols);
-  std::vector<DcBatchEntry> dc_entries(entries.size());
-  for (std::size_t k = 0; k < entries.size(); ++k) {
-    const auto& e = entries[k];
-    if (!e.input_voltages.empty()) {
-      if (e.input_voltages.size() != rows)
+  bool shared_matrix = base.linear_memristors;
+  for (const auto& e : entries) {
+    if (!e.input_voltages.empty() && e.input_voltages.size() != rows)
+      throw std::invalid_argument(
+          "solve_crossbar_batch: input_voltages size mismatch");
+    if (e.cell_resistance.empty()) continue;
+    shared_matrix = false;
+    if (e.cell_resistance.size() != rows)
+      throw std::invalid_argument(
+          "solve_crossbar_batch: cell_resistance rows mismatch");
+    for (const auto& row : e.cell_resistance)
+      if (row.size() != cols)
         throw std::invalid_argument(
-            "solve_crossbar_batch: input_voltages size mismatch");
-      dc_entries[k].source_voltages = e.input_voltages;
-    }
-    if (!e.cell_resistance.empty()) {
-      if (e.cell_resistance.size() != rows)
-        throw std::invalid_argument(
-            "solve_crossbar_batch: cell_resistance rows mismatch");
-      auto& states = dc_entries[k].memristor_states;
-      states.reserve(rows * cols);
-      for (const auto& row : e.cell_resistance) {
-        if (row.size() != cols)
-          throw std::invalid_argument(
-              "solve_crossbar_batch: cell_resistance cols mismatch");
-        states.insert(states.end(), row.begin(), row.end());
-      }
-    }
+            "solve_crossbar_batch: cell_resistance cols mismatch");
   }
 
-  DcBatchOptions batch_opt;
-  batch_opt.dc = options;
-  batch_opt.threads = threads;
-  batch_opt.warm_start_voltages = warm_start_voltages;
-  solve_dc_batch_visit(
-      nl, dc_entries, batch_opt,
-      [&](std::size_t index, const Netlist& programmed, const DcResult& dc) {
+  // One master cache, primed serially: the netlist is built, vetted and
+  // assembled into its CSR pattern once, so every entry is a value-only
+  // refill on a worker clone — the same floats a fresh build would give.
+  CrossbarSolveCache master;
+  master.netlist = build_crossbar_netlist(base, &master.column_nodes);
+  master.key = topology_key(base);
+  master.valid = true;
+  obs::Span span("spice.solve_dc_batch");
+  prime_cache(master.netlist, options, master.mna);
+  master.mna.warm_start_voltages = warm_start_voltages;
+  if (shared_matrix && !master.mna.partition.empty()) {
+    obs::Span factor_span("numeric.batch");
+    master.mna.factor = std::make_shared<const numeric::SchurFactorization>(
+        numeric::SchurFactorization::build(master.mna.matrix,
+                                           master.mna.partition));
+  }
+
+  obs::Registry& reg = obs::Registry::global();
+  if (reg.enabled()) {
+    reg.add("spice.dc_batches");
+    reg.add("spice.dc_batch_entries", static_cast<long>(entries.size()));
+  }
+
+  util::ThreadPool pool(threads);
+  // Every mutable object the entry loop touches is either indexed by
+  // `worker` (one cache clone per pool worker, never shared), by `index`
+  // (one result slot per entry) or internally locked (the obs registry).
+  // The last worker takes the master itself; the clones share the
+  // factor read-only. CrossbarSolveCache is
+  // deliberately lock-free (see crossbar_netlist.hpp) — this worker-slot
+  // discipline, checked by mnsim-analyze's parallel-capture rule, is
+  // what makes that safe.
+  std::vector<CrossbarSolveCache> caches(pool.worker_count() - 1, master);
+  caches.push_back(std::move(master));
+  pool.for_each_index(
+      entries.size(), [&](std::size_t index, std::size_t worker) {
+        // An empty override writes the base value, so an entry never
+        // sees the previous entry's programming.
+        const CrossbarBatchEntry& e = entries[index];
+        CrossbarSolution sol = reprogram_and_solve(
+            caches[worker],
+            e.input_voltages.empty() ? base.input_voltages : e.input_voltages,
+            e.cell_resistance.empty() ? base.cell_resistance
+                                      : e.cell_resistance,
+            options);
         CrossbarBatchResult& out = results[index];
-        out.column_output_voltage.reserve(column_nodes.size());
-        for (NodeId node : column_nodes)
-          out.column_output_voltage.push_back(dc.voltage(node));
-        out.total_power = total_source_power(programmed, dc);
-        out.converged = dc.converged;
-        out.diagnostics = dc.diagnostics;
+        out.column_output_voltage = std::move(sol.column_output_voltage);
+        out.total_power = sol.total_power;
+        out.converged = sol.dc.converged;
+        out.diagnostics = sol.dc.diagnostics;
       });
   return results;
 }

@@ -67,7 +67,9 @@ Netlist build_crossbar_netlist(const CrossbarSpec& spec,
 // (see mna.hpp's MnaCache note and util/thread_safety.hpp).
 struct CrossbarSolveCache {
   bool valid = false;
-  CrossbarSpec key;      // topology fields of the spec the netlist matches
+  // The topology fields of the spec the netlist matches; its value
+  // arrays (input_voltages, cell_resistance) stay empty.
+  CrossbarSpec key;
   Netlist netlist;       // built once, values reprogrammed per solve
   std::vector<NodeId> column_nodes;
   MnaCache mna;
@@ -87,12 +89,16 @@ CrossbarSolution solve_crossbar(const CrossbarSpec& spec,
 // --- batched crossbar solves ------------------------------------------
 //
 // Sweep-shaped workloads (Monte-Carlo trials, per-input inference) are
-// many solves of one crossbar topology with varying values. This driver
-// rides spice::solve_dc_batch_visit: the netlist is built once, preflight and
-// pattern priming happen once, and when only input voltages vary (linear
-// cells) the structured solver factors once for the whole batch. Results
-// are bit-identical to per-entry solve_crossbar calls served from caches
-// primed on the base spec, at any thread count.
+// many solves of one crossbar topology with varying values. The batch
+// primes one master CrossbarSolveCache (netlist built, preflight and CSR
+// pattern once; spice::prime_cache) and runs every entry on a per-worker
+// clone through the same reprogram-and-solve step a cached
+// solve_crossbar takes. When only input voltages vary over linear cells,
+// every entry shares one conductance matrix: the Schur factor is built
+// once into the master's MnaCache::factor and the clones share it.
+// Results and diagnostics are bit-identical to per-entry solve_crossbar
+// calls served from caches primed on the base spec, at any thread count,
+// except that the shared factor counts one factor_reuses per entry.
 
 // Value-only overrides; empty containers keep the base spec's values.
 // Non-empty ones must match the base shape (rows / rows x cols).

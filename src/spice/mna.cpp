@@ -11,7 +11,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/cancel.hpp"
-#include "util/parallel.hpp"
 
 namespace mnsim::spice {
 
@@ -172,10 +171,16 @@ std::size_t max_stamps(const Netlist& nl, const StepContext* step) {
   return 4 * (nl.resistors().size() + nl.memristors().size() + capacitors);
 }
 
-// Refuse-with-diagnosis pre-flight. The warnings-off analysis decides;
-// only a refused netlist pays for the full one, so the thrown
-// diagnostics (warnings included) are exactly check_netlist(nl)'s.
-void preflight(const Netlist& nl) {
+// Vets the topology before any numeric work. With preflight on this is
+// refuse-with-diagnosis: the warnings-off analysis decides, and only a
+// refused netlist pays for the full one, so the thrown diagnostics
+// (warnings included) are exactly check_netlist(nl)'s. With it off, the
+// invariant subset, Netlist::validate().
+void vet(const Netlist& nl, bool preflight) {
+  if (!preflight) {
+    nl.validate();
+    return;
+  }
   obs::Span span("spice.preflight");
   check::NetlistCheckOptions quick;
   quick.warnings = false;
@@ -219,25 +224,47 @@ numeric::BipartitePartition translate_partition(const WireStructure& ws,
   return p;
 }
 
+// Unknown-index partition for the Schur rung, cached alongside the CSR
+// pattern (it encodes the same topology); null when the rung is off or
+// the netlist carries no usable structure.
+const numeric::BipartitePartition* cached_partition(const Netlist& nl,
+                                                    const DcOptions& opt,
+                                                    const Indexer& ix,
+                                                    MnaCache& mc) {
+  if (!opt.allow_schur || nl.wire_structure().empty()) return nullptr;
+  if (!mc.partition_valid) {
+    mc.partition = translate_partition(
+        nl.wire_structure(), ix, static_cast<std::size_t>(ix.unknown_count));
+    mc.partition_valid = true;
+  }
+  return mc.partition.empty() ? nullptr : &mc.partition;
+}
+
+// Assembles `nl` into a fresh CSR pattern and records the scatter map
+// later refills follow. A factor kept for the old pattern goes with it.
+void build_pattern(const Netlist& nl, const Indexer& ix,
+                   const std::vector<double>& voltages,
+                   std::vector<double>& rhs, const StepContext* step,
+                   MnaCache& mc) {
+  numeric::SparseBuilder builder(static_cast<std::size_t>(ix.unknown_count));
+  builder.reserve(max_stamps(nl, step));
+  assemble(nl, ix, voltages, builder, rhs, step);
+  mc.matrix = numeric::CsrMatrix(builder, &mc.scatter);
+  mc.pattern_valid = true;
+  mc.factor.reset();
+}
+
 // The actual solve; the public solve_dc wraps it in a trace span and
 // publishes the diagnostics into the metrics registry on every exit
-// path. `prefactored` is the batch engine's factor-once Schur handle
-// (null outside solve_dc_batch_visit); it is only consulted while the cached
-// matrix is being value-refilled, i.e. while the batch's shared-matrix
-// guarantee holds. `step` makes this one backward-Euler time step
-// (solve_transient); it is null for a DC solve.
+// path. `step` makes this one backward-Euler time step (solve_transient);
+// it is null for a DC solve.
 DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
-                       MnaCache* cache,
-                       const numeric::SchurFactorization* prefactored,
-                       const StepContext* step = nullptr) {
+                       MnaCache* cache, const StepContext* step = nullptr) {
   // Refuse-with-diagnosis: vet the topology before any numeric work.
   // A cache with a valid pattern means this structure already passed, so
   // sweep iterations skip straight to assembly.
   const bool vetted = cache != nullptr && cache->pattern_valid;
-  if (opt.preflight && !vetted)
-    preflight(nl);
-  else
-    nl.validate();
+  vet(nl, opt.preflight && !vetted);
   const Indexer ix = build_indexer(nl);
   const int nodes = nl.node_count() + 1;
   const auto n_unknowns = static_cast<std::size_t>(ix.unknown_count);
@@ -251,17 +278,9 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
   const bool external = cache != nullptr;
   MnaCache& mc = external ? *cache : local_cache;
 
-  // Unknown-index partition for the Schur rung, cached alongside the
-  // CSR pattern (it encodes the same topology). A failed mid-solve
-  // refill invalidates both.
-  const numeric::BipartitePartition* partition = nullptr;
-  if (opt.allow_schur && !nl.wire_structure().empty()) {
-    if (!mc.partition_valid) {
-      mc.partition = translate_partition(nl.wire_structure(), ix, n_unknowns);
-      mc.partition_valid = true;
-    }
-    if (!mc.partition.empty()) partition = &mc.partition;
-  }
+  // A failed mid-solve refill invalidates the partition with the pattern.
+  const numeric::BipartitePartition* partition =
+      cached_partition(nl, opt, ix, mc);
 
   DcResult result;
   result.node_voltages.assign(nodes, 0.0);
@@ -274,10 +293,7 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
     else if (warm)
       result.node_voltages[n] = mc.warm_start_voltages[n];
   }
-  if (warm) {
-    ++result.diagnostics.warm_starts;
-    ++mc.warm_starts;
-  }
+  if (warm) ++result.diagnostics.warm_starts;
 
   const bool nonlinear = !nl.linear_memristors() && !nl.memristors().empty();
   const int max_iter = nonlinear ? kMaxNewtonIterations : 1;
@@ -309,23 +325,15 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
           std::fill(rhs.begin(), rhs.end(), 0.0);
           mc.pattern_valid = false;
           // The structure this solve was indexed against has changed;
-          // the cached partition (and any prefactored handle built on
-          // it) no longer describes this matrix.
+          // the cached partition no longer describes this matrix.
           mc.partition_valid = false;
           partition = nullptr;
-          prefactored = nullptr;
         }
       }
-      if (!refilled) {
-        numeric::SparseBuilder builder(n_unknowns);
-        builder.reserve(max_stamps(nl, step));
-        assemble(nl, ix, result.node_voltages, builder, rhs, step);
-        mc.matrix = numeric::CsrMatrix(builder, &mc.scatter);
-        mc.pattern_valid = true;
-      } else if (external) {
+      if (!refilled)
+        build_pattern(nl, ix, result.node_voltages, rhs, step, mc);
+      else if (external)
         ++result.diagnostics.cache_hits;
-        ++mc.cache_hits;
-      }
     }
     const numeric::CsrMatrix& a = mc.matrix;
 
@@ -345,10 +353,12 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
       }
     }
 
-    // The batch engine's factor-once handle is only valid while the
-    // matrix is a value-refill of the pattern it was built from;
-    // otherwise the Schur rung factors this matrix on the partition.
-    const bool reuse = prefactored != nullptr && refilled;
+    // A factor kept in the cache survives only refills of its pattern
+    // (a rebuild drops it); otherwise the Schur rung factors this matrix
+    // on the partition. A linear transient keeps the factor it builds:
+    // its step matrix is the same at every step of the run.
+    const bool reuse = mc.factor != nullptr;
+    const bool keep = step != nullptr && !nonlinear;
     const auto solve = [&] {
       obs::Span solve_span("spice.linear_solve");
       numeric::ResilientSolveOptions solve_opt;
@@ -358,13 +368,17 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
       solve_opt.initial_guess = have_guess ? &guess : nullptr;
       numeric::SchurFactorization built;
       if (reuse) {
-        solve_opt.schur = prefactored;
+        solve_opt.schur = mc.factor.get();
       } else if (partition != nullptr) {
         obs::Span build_span("numeric.schur_build");
         built = numeric::SchurFactorization::build(a, *partition);
         solve_opt.schur = &built;
       }
-      return numeric::solve_spd_resilient(a, rhs, solve_opt);
+      auto report = numeric::solve_spd_resilient(a, rhs, solve_opt);
+      if (keep && solve_opt.schur == &built)
+        mc.factor = std::make_shared<const numeric::SchurFactorization>(
+            std::move(built));
+      return report;
     }();
     result.diagnostics.cg_iterations +=
         static_cast<long>(solve.cg_iterations);
@@ -445,14 +459,11 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
   return result;
 }
 
-// The traced + metered entry every public solve goes through; the batch
-// engine calls it per entry so batched solves are observable exactly
-// like scalar ones.
-DcResult solve_dc_traced(const Netlist& nl, const DcOptions& opt,
-                         MnaCache* cache,
-                         const numeric::SchurFactorization* prefactored) {
+}  // namespace
+
+DcResult solve_dc(const Netlist& nl, const DcOptions& opt, MnaCache* cache) {
   obs::Span span("spice.solve_dc");
-  DcResult result = solve_dc_impl(nl, opt, cache, prefactored);
+  DcResult result = solve_dc_impl(nl, opt, cache);
 
   // Publish the per-solve diagnostics into the uniform metrics layer.
   // The struct keeps riding in DcResult for per-result reporting; the
@@ -480,146 +491,16 @@ DcResult solve_dc_traced(const Netlist& nl, const DcOptions& opt,
   return result;
 }
 
-}  // namespace
-
-DcResult solve_dc(const Netlist& nl, const DcOptions& opt, MnaCache* cache) {
-  return solve_dc_traced(nl, opt, cache, nullptr);
-}
-
-void solve_dc_batch_visit(
-    const Netlist& base, const std::vector<DcBatchEntry>& entries,
-    const DcBatchOptions& opt,
-    const std::function<void(std::size_t, const Netlist&, const DcResult&)>&
-        visit) {
-  obs::Span span("spice.solve_dc_batch");
-  if (entries.empty()) return;
-
-  const std::size_t n_src = base.sources().size();
-  const std::size_t n_mem = base.memristors().size();
-  for (const auto& e : entries) {
-    if (!e.source_voltages.empty() && e.source_voltages.size() != n_src)
-      throw std::invalid_argument(
-          "solve_dc_batch_visit: entry source_voltages size mismatch");
-    if (!e.memristor_states.empty() && e.memristor_states.size() != n_mem)
-      throw std::invalid_argument(
-          "solve_dc_batch_visit: entry memristor_states size mismatch");
-  }
-
-  // Vet the topology once — value overrides cannot change structure, so
-  // per-entry preflight would re-prove the same facts N times.
-  if (opt.dc.preflight)
-    preflight(base);
-  else
-    base.validate();
-
-  // Prime the master cache with one assembly of the base netlist: the
-  // CSR pattern (and the partition) depend only on topology, so every
-  // worker clone starts with a valid pattern and each entry is a pure
-  // value-refill — the same floats a fresh build would produce.
-  const Indexer ix = build_indexer(base);
-  const int nodes = base.node_count() + 1;
-  const auto n_unknowns = static_cast<std::size_t>(ix.unknown_count);
-  MnaCache master;
+void prime_cache(const Netlist& nl, const DcOptions& opt, MnaCache& cache) {
+  vet(nl, opt.preflight);
+  const Indexer ix = build_indexer(nl);
   {
     obs::Span asm_span("spice.assemble");
-    std::vector<double> voltages(static_cast<std::size_t>(nodes), 0.0);
-    for (int n = 0; n < nodes; ++n)
-      if (ix.unknown_of_node[static_cast<std::size_t>(n)] < 0)
-        voltages[static_cast<std::size_t>(n)] =
-            ix.pinned_voltage[static_cast<std::size_t>(n)];
-    std::vector<double> rhs(n_unknowns, 0.0);
-    numeric::SparseBuilder builder(n_unknowns);
-    builder.reserve(max_stamps(base, nullptr));
-    assemble(base, ix, voltages, builder, rhs);
-    master.matrix = numeric::CsrMatrix(builder, &master.scatter);
-    master.pattern_valid = true;
+    std::vector<double> rhs(static_cast<std::size_t>(ix.unknown_count), 0.0);
+    build_pattern(nl, ix, ix.pinned_voltage, rhs, nullptr, cache);
   }
-  if (opt.warm_start_voltages.size() == static_cast<std::size_t>(nodes))
-    master.warm_start_voltages = opt.warm_start_voltages;
-
-  if (opt.dc.allow_schur && !base.wire_structure().empty()) {
-    master.partition =
-        translate_partition(base.wire_structure(), ix, n_unknowns);
-    master.partition_valid = true;
-  }
-
-  // Factor-once fast path, decided statically from the batch shape so
-  // results and diagnostics cannot depend on scheduling: with linear
-  // memristors and no per-entry state overrides, every entry's
-  // conductance matrix is value-identical to the master's (sources only
-  // enter the right-hand side), so one Schur factorization serves the
-  // whole batch.
-  const bool linear = base.linear_memristors() || base.memristors().empty();
-  bool shared_matrix = linear;
-  for (const auto& e : entries)
-    if (!e.memristor_states.empty()) {
-      shared_matrix = false;
-      break;
-    }
-  numeric::SchurFactorization prefactored;
-  if (shared_matrix && master.partition_valid &&
-      !master.partition.empty()) {
-    obs::Span factor_span("numeric.batch");
-    prefactored =
-        numeric::SchurFactorization::build(master.matrix, master.partition);
-  }
-  const numeric::SchurFactorization* handle =
-      prefactored.valid() ? &prefactored : nullptr;
-
-  DcOptions entry_opt = opt.dc;
-  entry_opt.preflight = false;  // vetted above; clones carry a valid pattern
-
-  util::ThreadPool pool(opt.threads);
-  // Master-cache-plus-clones: every mutable object the entry loop below
-  // touches is either indexed by `worker` (caches, netlists, dirty
-  // flags — one slot per pool worker, never shared) or internally
-  // locked (the obs registry). MnaCache itself is deliberately
-  // lock-free (see mna.hpp) — this worker-slot discipline, checked by
-  // mnsim-analyze's parallel-capture rule, is what makes that safe.
-  std::vector<MnaCache> caches(pool.worker_count(), master);
-  std::vector<Netlist> netlists(pool.worker_count(), base);
-  // Workers restore base values before an entry that does not override
-  // them, so entries never see a previous entry's programming.
-  std::vector<double> base_sources(n_src), base_states(n_mem);
-  for (std::size_t s = 0; s < n_src; ++s)
-    base_sources[s] = base.sources()[s].volts;
-  for (std::size_t m = 0; m < n_mem; ++m)
-    base_states[m] = base.memristors()[m].r_state;
-  std::vector<char> src_dirty(pool.worker_count(), 0);
-  std::vector<char> mem_dirty(pool.worker_count(), 0);
-
-  obs::Registry& reg = obs::Registry::global();
-  if (reg.enabled()) {
-    reg.add("spice.dc_batches");
-    reg.add("spice.dc_batch_entries", static_cast<long>(entries.size()));
-  }
-
-  pool.for_each_index(
-      entries.size(), [&](std::size_t index, std::size_t worker) {
-        Netlist& nl = netlists[worker];
-        const DcBatchEntry& e = entries[index];
-        if (!e.source_voltages.empty()) {
-          for (std::size_t s = 0; s < n_src; ++s)
-            nl.set_source_voltage(s, e.source_voltages[s]);
-          src_dirty[worker] = 1;
-        } else if (src_dirty[worker]) {
-          for (std::size_t s = 0; s < n_src; ++s)
-            nl.set_source_voltage(s, base_sources[s]);
-          src_dirty[worker] = 0;
-        }
-        if (!e.memristor_states.empty()) {
-          for (std::size_t m = 0; m < n_mem; ++m)
-            nl.set_memristor_state(m, e.memristor_states[m]);
-          mem_dirty[worker] = 1;
-        } else if (mem_dirty[worker]) {
-          for (std::size_t m = 0; m < n_mem; ++m)
-            nl.set_memristor_state(m, base_states[m]);
-          mem_dirty[worker] = 0;
-        }
-        const DcResult result =
-            solve_dc_traced(nl, entry_opt, &caches[worker], handle);
-        visit(index, nl, result);
-      });
+  cache.partition_valid = false;
+  (void)cached_partition(nl, opt, ix, cache);
 }
 
 double memristor_current(const Netlist& nl, const MemristorElement& m,
@@ -720,7 +601,7 @@ TransientResult solve_transient(const Netlist& nl,
   const DcOptions dc;
   for (long k = 1; k <= steps; ++k) {
     const StepContext step{dt, cache.warm_start_voltages};
-    DcResult r = solve_dc_impl(nl, dc, &cache, nullptr, &step);
+    DcResult r = solve_dc_impl(nl, dc, &cache, &step);
     if (!r.converged) result.converged = false;
     result.diagnostics.absorb(r.diagnostics);
     cache.warm_start_voltages = std::move(r.node_voltages);

@@ -20,7 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <vector>
 
 #include "numeric/schur.hpp"
@@ -85,8 +85,8 @@ struct SolverDiagnostics {
   long warm_starts = 0;
   // Structure-exploiting solver bookkeeping: linear solves served by the
   // bipartite Schur rung, PCG iterations it spent, attempts it rejected
-  // back to the generic ladder, and solves that reused a prefactored
-  // Schur handle built once for a whole batch (solve_dc_batch_visit).
+  // back to the generic ladder, and Schur solves through the factor an
+  // MnaCache keeps (MnaCache::factor) instead of a freshly built one.
   long schur_solves = 0;
   long schur_iterations = 0;
   int schur_rejects = 0;
@@ -135,13 +135,19 @@ struct MnaCache {
   numeric::CsrMatrix matrix;             // pattern + last stamped values
   std::vector<std::uint32_t> scatter;    // CSR slot of the k-th stamp
   std::vector<double> warm_start_voltages;  // by node id; empty = cold
-  long cache_hits = 0;    // assemblies that reused the pattern
-  long warm_starts = 0;   // solves that started from warm_start_voltages
   // Wire-structure partition translated to unknown indices (empty when
   // the netlist carries no usable structure); recomputed whenever the
   // pattern is re-primed, like the CSR pattern itself.
   bool partition_valid = false;
   numeric::BipartitePartition partition;
+  // Schur factor of the matrix every refill of this pattern reproduces,
+  // or null. Whoever sets it vouches that the values will not change:
+  // solve_crossbar_batch for a shared-matrix batch (its worker clones
+  // share the one immutable factor), and a linear transient for its
+  // fixed step matrix. Solves on a refilled pattern use it instead of
+  // factoring (counted in factor_reuses; an invalid one counts one
+  // schur_reject); a pattern rebuild drops it.
+  std::shared_ptr<const numeric::SchurFactorization> factor;
 };
 
 struct DcResult {
@@ -165,51 +171,15 @@ struct DcResult {
 DcResult solve_dc(const Netlist& netlist, const DcOptions& options = {},
                   MnaCache* cache = nullptr);
 
-// --- batched DC solves ------------------------------------------------
-//
-// A sweep-shaped workload — many solves of one topology with varying
-// element values — pays per-solve overheads N times through the scalar
-// API: preflight, pattern priming, and (for the structured rung) Schur
-// extraction + chain factorization. solve_dc_batch_visit amortizes them:
-// preflight and assembly pattern are primed once, every entry is served
-// from a worker-cloned cache, and when the batch provably shares one
-// conductance matrix (linear memristors, no per-entry state overrides)
-// the Schur factorization is built once and reused for every entry.
-//
-// Determinism: results are bit-identical to N independent solve_dc
-// calls (each with a fresh cache primed on the base netlist and the
-// same warm-start vector) at any thread count. Entries never see each
-// other's values, warm starts come only from the fixed base reference,
-// and the factor-reuse fast path is decided statically from the batch
-// shape — never from per-worker history — so per-entry results and
-// diagnostics are schedule-independent.
-
-// Value-only overrides for one batch entry; empty vectors keep the base
-// netlist's values. Non-empty vectors must match the base element
-// counts exactly (sources / memristors, in insertion order).
-struct DcBatchEntry {
-  std::vector<double> source_voltages;
-  std::vector<double> memristor_states;
-};
-
-struct DcBatchOptions {
-  DcOptions dc;
-  int threads = 1;  // 0 = all hardware threads
-  // Warm-start reference by node id (typically the base operating
-  // point); applied identically to every entry. Empty = cold starts.
-  std::vector<double> warm_start_voltages;
-};
-
-// Streaming form: `visit(index, netlist, result)` runs once per entry
-// with the worker's netlist programmed to that entry's values — use it
-// to reduce (column outputs, power) without retaining every full
-// DcResult. Called concurrently for distinct indices; it must be safe
-// for that (e.g. write to a preallocated slot per index).
-void solve_dc_batch_visit(
-    const Netlist& base, const std::vector<DcBatchEntry>& entries,
-    const DcBatchOptions& options,
-    const std::function<void(std::size_t, const Netlist&, const DcResult&)>&
-        visit);
+// Primes `cache` for value-only re-solves of `netlist`'s topology
+// without solving it: vets the netlist (the preflight, or validate()
+// with options.preflight off), assembles it once into the CSR pattern
+// and scatter map — the same pattern build solve_dc runs on a cold
+// cache — and translates its wire structure into the Schur partition
+// when options.allow_schur. Every later solve_dc on the cache starts
+// with a refill. The warm start is left as it was; a kept factor goes.
+void prime_cache(const Netlist& netlist, const DcOptions& options,
+                 MnaCache& cache);
 
 // Current through a memristor element at the solved operating point
 // (positive a -> b); honours the netlist's linear_memristors flag.
@@ -238,6 +208,9 @@ double total_source_power(const Netlist& netlist, const DcResult& dc);
 // apply. The transient therefore refuses exactly the netlists solve_dc
 // refuses (check::CheckError from the preflight, e.g. MN-NET-001 for a
 // node with no DC path to ground, even when a capacitor ties it there).
+// On a linear netlist the step matrix (G + C/dt) is the same at every
+// step, so the Schur factor built on the first step stays in the cache
+// and every later step only refills and solves (factor_reuses).
 
 struct TransientOptions {
   double time_step = 1e-12;  // dt [s]

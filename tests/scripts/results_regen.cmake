@@ -5,7 +5,10 @@
 # ablations included, in a scratch directory and compares the 20 CSVs
 # they write with the checked-in results/.
 #
-# Not compared: the host-timed table3_speedup.csv and solver_batch.csv.
+# Not compared: the host-timed table3_speedup.csv. The other host-timed
+# files, solver_batch.csv and cycle_sim.csv, are not tracked at all
+# (.gitignore): CI regenerates them just before tools/perf_gate.py reads
+# them, and a gate run without the benches fails on the missing file.
 #
 #   cmake -DBENCH_DIR=<dir of the bench binaries> -DRESULTS=<repo>/results
 #         -DWORKDIR=<scratch dir> -P results_regen.cmake

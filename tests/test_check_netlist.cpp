@@ -340,14 +340,6 @@ TEST(NetlistCheck, SolveDcRefusalCarriesFullDiagnostics) {
   } catch (const CheckError& e) {
     EXPECT_EQ(e.diagnostics().render_json(), want.render_json());
   }
-  try {
-    spice::solve_dc_batch_visit(
-        nl, {spice::DcBatchEntry{}}, {},
-        [](std::size_t, const Netlist&, const spice::DcResult&) {});
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& e) {
-    EXPECT_EQ(e.diagnostics().render_json(), want.render_json());
-  }
 }
 
 // The validate() wrapper keeps the historical std::invalid_argument but

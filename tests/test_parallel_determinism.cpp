@@ -199,112 +199,117 @@ TEST(ParallelDeterminism, FunctionalMcFaultedMatchesSerial) {
   EXPECT_GT(serial.faults_injected, 0);  // the defect maps actually bit
 }
 
-// --- batched DC solves -----------------------------------------------------
+// --- batched crossbar solves ----------------------------------------------
 //
-// solve_dc_batch_visit's contract: bit-identical to N independent
-// solve_dc calls, at any thread count, for both batch shapes — the
-// factor-once shared-matrix path (linear cells, only sources vary) and
-// the general per-entry-matrix path (nonlinear cells, per-entry
-// conductance maps).
+// solve_crossbar_batch's contract: every entry's outputs and diagnostics
+// are bit-identical to solve_crossbar on a cache primed on the base spec,
+// at any thread count, for both batch shapes — the shared-matrix shape
+// (linear cells, only inputs vary: one Schur factor serves the batch)
+// and per-entry conductance maps (nonlinear cells). The shared factor is
+// the one difference: it counts one factor_reuses per entry.
 
-// Every entry's result, result[i] for entries[i].
-std::vector<spice::DcResult> solve_batch(
-    const spice::Netlist& base, const std::vector<spice::DcBatchEntry>& entries,
-    const spice::DcBatchOptions& options) {
-  std::vector<spice::DcResult> out(entries.size());
-  spice::solve_dc_batch_visit(
-      base, entries, options,
-      [&out](std::size_t index, const spice::Netlist&,
-             const spice::DcResult& result) { out[index] = result; });
+// The entry's spec: the base with the entry's non-empty overrides.
+spice::CrossbarSpec entry_spec(const spice::CrossbarSpec& base,
+                               const spice::CrossbarBatchEntry& e) {
+  spice::CrossbarSpec spec = base;
+  if (!e.input_voltages.empty()) spec.input_voltages = e.input_voltages;
+  if (!e.cell_resistance.empty()) spec.cell_resistance = e.cell_resistance;
+  return spec;
+}
+
+// solve_crossbar per entry, on one cache primed on the base spec.
+std::vector<spice::CrossbarSolution> cached_solves(
+    const spice::CrossbarSpec& base,
+    const std::vector<spice::CrossbarBatchEntry>& entries) {
+  spice::CrossbarSolveCache cache;
+  (void)spice::solve_crossbar(base, {}, &cache);
+  std::vector<spice::CrossbarSolution> out;
+  for (const auto& e : entries)
+    out.push_back(spice::solve_crossbar(entry_spec(base, e), {}, &cache));
   return out;
 }
 
-void expect_bitwise_equal(const spice::DcResult& a, const spice::DcResult& b,
+// Bitwise equality of everything a batch entry reports, factor_reuses
+// aside (the caller checks it).
+void expect_bitwise_equal(const spice::CrossbarBatchResult& a,
+                          const spice::CrossbarSolution& b,
                           std::size_t entry) {
-  ASSERT_EQ(a.node_voltages.size(), b.node_voltages.size());
-  for (std::size_t n = 0; n < a.node_voltages.size(); ++n)
-    ASSERT_EQ(a.node_voltages[n], b.node_voltages[n])
-        << "entry " << entry << " node " << n;
-  EXPECT_EQ(a.converged, b.converged);
-  EXPECT_EQ(a.newton_iterations, b.newton_iterations);
+  ASSERT_EQ(a.column_output_voltage.size(), b.column_output_voltage.size());
+  for (std::size_t j = 0; j < a.column_output_voltage.size(); ++j)
+    EXPECT_EQ(a.column_output_voltage[j], b.column_output_voltage[j])
+        << "entry " << entry << " column " << j;
+  EXPECT_EQ(a.total_power, b.total_power) << "entry " << entry;
+  EXPECT_EQ(a.converged, b.dc.converged) << "entry " << entry;
+  const spice::SolverDiagnostics& x = a.diagnostics;
+  const spice::SolverDiagnostics& y = b.dc.diagnostics;
+  EXPECT_EQ(x.newton_iterations, y.newton_iterations) << "entry " << entry;
+  EXPECT_EQ(x.newton_residual, y.newton_residual) << "entry " << entry;
+  EXPECT_EQ(x.cg_iterations, y.cg_iterations) << "entry " << entry;
+  EXPECT_EQ(x.cg_retries, y.cg_retries) << "entry " << entry;
+  EXPECT_EQ(x.lu_fallbacks, y.lu_fallbacks) << "entry " << entry;
+  EXPECT_EQ(x.damped_steps, y.damped_steps) << "entry " << entry;
+  EXPECT_EQ(x.linear_residual, y.linear_residual) << "entry " << entry;
+  EXPECT_EQ(x.faults_injected, y.faults_injected) << "entry " << entry;
+  EXPECT_EQ(x.cache_hits, y.cache_hits) << "entry " << entry;
+  EXPECT_EQ(x.warm_starts, y.warm_starts) << "entry " << entry;
+  EXPECT_EQ(x.schur_solves, y.schur_solves) << "entry " << entry;
+  EXPECT_EQ(x.schur_iterations, y.schur_iterations) << "entry " << entry;
+  EXPECT_EQ(x.schur_rejects, y.schur_rejects) << "entry " << entry;
+  EXPECT_EQ(x.condition_estimate, y.condition_estimate) << "entry " << entry;
+  EXPECT_EQ(x.threads, y.threads) << "entry " << entry;
 }
 
-TEST(ParallelDeterminism, DcBatchSharedMatrixMatchesIndependentSolves) {
+TEST(ParallelDeterminism, CrossbarBatchSharedMatrixMatchesCachedSolves) {
   const auto device = tech::default_rram();
   auto spec = spice::CrossbarSpec::uniform(10, 8, device, 0.022, 60.0,
                                            device.r_min.value());
   spec.linear_memristors = true;
-  const spice::Netlist base = spice::build_crossbar_netlist(spec, nullptr);
 
-  // Only source voltages vary: every entry shares one conductance
-  // matrix, so the batch engine factors the Schur system once.
-  std::vector<spice::DcBatchEntry> entries(9);
+  // Only input voltages vary: every entry shares one conductance
+  // matrix, so the batch factors the Schur system once.
+  std::vector<spice::CrossbarBatchEntry> entries(9);
   for (std::size_t k = 0; k < entries.size(); ++k)
-    entries[k].source_voltages.assign(
+    entries[k].input_voltages.assign(
         10, device.v_read.value() * (0.3 + 0.07 * static_cast<double>(k)));
 
-  std::vector<spice::DcResult> reference;
-  for (const auto& e : entries) {
-    spice::Netlist nl = base;
-    for (std::size_t s = 0; s < e.source_voltages.size(); ++s)
-      nl.set_source_voltage(s, e.source_voltages[s]);
-    reference.push_back(spice::solve_dc(nl));
-  }
-
-  std::vector<std::vector<spice::DcResult>> runs;
+  const auto reference = cached_solves(spec, entries);
   for (int threads : {1, 4, 8}) {
-    spice::DcBatchOptions opt;
-    opt.threads = threads;
-    runs.push_back(solve_batch(base, entries, opt));
-  }
-  for (const auto& run : runs) {
-    ASSERT_EQ(run.size(), reference.size());
-    for (std::size_t k = 0; k < run.size(); ++k)
-      expect_bitwise_equal(run[k], reference[k], k);
-  }
-  // The factor-once fast path actually engaged, identically per entry
-  // at every thread count (the decision is static, never per-worker).
-  for (const auto& run : runs)
-    for (std::size_t k = 0; k < run.size(); ++k) {
-      EXPECT_EQ(run[k].diagnostics.factor_reuses, 1) << "entry " << k;
-      EXPECT_EQ(run[k].diagnostics.schur_solves, 1) << "entry " << k;
-      EXPECT_EQ(run[k].diagnostics.cache_hits,
-                runs[0][k].diagnostics.cache_hits);
-      EXPECT_EQ(run[k].diagnostics.schur_iterations,
-                runs[0][k].diagnostics.schur_iterations);
+    const auto batch =
+        spice::solve_crossbar_batch(spec, entries, {}, threads);
+    ASSERT_EQ(batch.size(), reference.size());
+    for (std::size_t k = 0; k < batch.size(); ++k) {
+      expect_bitwise_equal(batch[k], reference[k], k);
+      // The factor-once path engaged for every entry at every thread
+      // count (the decision is static, never per-worker); the cached
+      // scalar solve factors its own matrix.
+      EXPECT_EQ(batch[k].diagnostics.factor_reuses, 1) << "entry " << k;
+      EXPECT_EQ(batch[k].diagnostics.schur_solves, 1) << "entry " << k;
+      EXPECT_EQ(reference[k].dc.diagnostics.factor_reuses, 0);
     }
+  }
 }
 
-TEST(ParallelDeterminism, DcBatchPerEntryMatricesMatchIndependentSolves) {
+TEST(ParallelDeterminism, CrossbarBatchPerEntryMapsMatchCachedSolves) {
   const auto device = tech::default_rram();
   const auto spec = spice::CrossbarSpec::uniform(8, 8, device, 0.022, 60.0,
                                                  device.r_min.value());
-  const spice::Netlist base = spice::build_crossbar_netlist(spec, nullptr);
-  const std::size_t cells = base.memristors().size();
 
   // Per-entry conductance maps on the nonlinear device: every entry
   // assembles (and Schur-factors) its own matrices per Newton iterate.
-  std::vector<spice::DcBatchEntry> entries(7);
+  std::vector<spice::CrossbarBatchEntry> entries(7);
   for (std::size_t k = 0; k < entries.size(); ++k) {
-    entries[k].memristor_states.resize(cells);
-    for (std::size_t c = 0; c < cells; ++c)
-      entries[k].memristor_states[c] =
-          device.r_min.value() *
-          (1.0 + 0.03 * static_cast<double>((k + c) % 11));
+    entries[k].cell_resistance = spec.cell_resistance;
+    for (std::size_t i = 0; i < 8; ++i)
+      for (std::size_t j = 0; j < 8; ++j)
+        entries[k].cell_resistance[i][j] =
+            device.r_min.value() *
+            (1.0 + 0.03 * static_cast<double>((k + i * 8 + j) % 11));
   }
 
-  std::vector<spice::DcResult> reference;
-  for (const auto& e : entries) {
-    spice::Netlist nl = base;
-    for (std::size_t c = 0; c < cells; ++c)
-      nl.set_memristor_state(c, e.memristor_states[c]);
-    reference.push_back(spice::solve_dc(nl));
-  }
-
+  const auto reference = cached_solves(spec, entries);
   for (int threads : {1, 4, 8}) {
-    spice::DcBatchOptions opt;
-    opt.threads = threads;
-    const auto batch = solve_batch(base, entries, opt);
+    const auto batch =
+        spice::solve_crossbar_batch(spec, entries, {}, threads);
     ASSERT_EQ(batch.size(), reference.size());
     for (std::size_t k = 0; k < batch.size(); ++k) {
       expect_bitwise_equal(batch[k], reference[k], k);
@@ -314,6 +319,33 @@ TEST(ParallelDeterminism, DcBatchPerEntryMatricesMatchIndependentSolves) {
       EXPECT_GT(batch[k].diagnostics.schur_solves, 0);
     }
   }
+}
+
+TEST(ParallelDeterminism, CrossbarBatchEmptyOverrideRestoresBase) {
+  const auto device = tech::default_rram();
+  const auto spec = spice::CrossbarSpec::uniform(6, 5, device, 0.022, 60.0,
+                                                 device.r_min.value());
+
+  // One worker serves cells, then nothing, then inputs, then nothing:
+  // each empty entry must solve the base spec, not its predecessor's
+  // programming.
+  std::vector<spice::CrossbarBatchEntry> entries(4);
+  entries[0].cell_resistance = spec.cell_resistance;
+  for (auto& row : entries[0].cell_resistance)
+    for (double& r : row) r *= 3.0;
+  entries[2].input_voltages.assign(6, 0.5 * device.v_read.value());
+
+  const auto batch = spice::solve_crossbar_batch(spec, entries, {}, 1);
+  const auto reference = cached_solves(spec, entries);
+  const auto base = cached_solves(spec, {spice::CrossbarBatchEntry{}});
+  ASSERT_EQ(batch.size(), entries.size());
+  for (std::size_t k = 0; k < batch.size(); ++k)
+    expect_bitwise_equal(batch[k], reference[k], k);
+  expect_bitwise_equal(batch[1], base[0], 1);
+  expect_bitwise_equal(batch[3], base[0], 3);
+  // The overrides did bite, so a stale programming would have shown.
+  EXPECT_NE(batch[0].column_output_voltage, batch[1].column_output_voltage);
+  EXPECT_NE(batch[2].column_output_voltage, batch[3].column_output_voltage);
 }
 
 TEST(ParallelDeterminism, CrossbarBatchMatchesScalarSolves) {

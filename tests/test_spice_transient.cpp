@@ -117,6 +117,36 @@ TEST(Transient, CrossbarSettlesNearElmorePrediction) {
   EXPECT_LT(measured, 5.0 * tau * std::log(100.0));
 }
 
+TEST(Transient, LinearCrossbarFactorsStepMatrixOnce) {
+  // Linear cells: the step matrix G + C/dt is the same at every step, so
+  // the first step's Schur factor serves every later one, and the run
+  // still settles onto the DC operating point.
+  auto device = tech::default_rram();
+  auto spec =
+      CrossbarSpec::uniform(8, 8, device, 5.0, 60.0, device.r_min.value());
+  spec.segment_capacitance = 50e-15;
+  spec.linear_memristors = true;
+
+  Netlist nl = build_crossbar_netlist(spec, nullptr);
+  std::vector<NodeId> probes;
+  for (NodeId n = 1; n <= nl.node_count(); ++n) probes.push_back(n);
+  TransientOptions opt;
+  opt.time_step = 20e-12;
+  opt.end_time = 40e-9;
+  auto res = solve_transient(nl, probes, opt);
+  ASSERT_TRUE(res.converged);
+  const auto steps = static_cast<long>(res.time.size()) - 1;
+  ASSERT_GT(steps, 1);
+  EXPECT_EQ(res.diagnostics.schur_solves, steps);
+  EXPECT_EQ(res.diagnostics.factor_reuses, steps - 1);
+  EXPECT_EQ(res.diagnostics.schur_rejects, 0);
+
+  const DcResult dc = solve_dc(nl);
+  for (std::size_t i = 0; i < probes.size(); ++i)
+    EXPECT_NEAR(res.probe_voltages[i].back(), dc.voltage(probes[i]), 1e-9)
+        << "node " << probes[i];
+}
+
 TEST(Transient, InvalidArgumentsThrow) {
   Netlist nl;
   NodeId n = nl.add_node();

@@ -39,17 +39,13 @@ VariationMcResult variation_monte_carlo(const CrossbarErrorInputs& in,
       std::max(std::fabs(relative_output_error(in, base, w, +1)),
                std::fabs(relative_output_error(in, base, w, -1)));
 
-  // Solve the unperturbed spec once: its operating point is the fixed
-  // warm-start reference every trial seeds from (never the previous
-  // trial, so trial results do not depend on work scheduling).
-  const std::vector<double> warm_start =
-      spice::solve_crossbar(spec).dc.node_voltages;
-
   // Pre-generate every trial's cell map from its own RNG stream derived
   // from (seed, trial) — the draw sequence depends only on the trial
   // index — then hand the whole sweep to the batched solver, which
   // builds the netlist, vets the topology and primes the CSR pattern
-  // once for all trials (spice::solve_crossbar_batch).
+  // once for all trials (spice::solve_crossbar_batch). Every trial
+  // warm-starts from the unperturbed spec's operating point, never from
+  // the previous trial, so results do not depend on work scheduling.
   const auto trials = static_cast<std::size_t>(opt.trials);
   std::vector<spice::CrossbarBatchEntry> entries(trials);
   for (std::size_t trial = 0; trial < trials; ++trial) {
@@ -64,7 +60,8 @@ VariationMcResult variation_monte_carlo(const CrossbarErrorInputs& in,
 
   result.threads = util::resolve_thread_count(opt.threads);
   const auto sols =
-      spice::solve_crossbar_batch(spec, entries, {}, opt.threads, warm_start);
+      spice::solve_crossbar_batch(spec, entries, {}, opt.threads,
+                                  /*warm_start_from_base=*/true);
 
   result.samples.resize(trials, 0.0);
   for (std::size_t trial = 0; trial < trials; ++trial) {

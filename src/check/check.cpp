@@ -6,17 +6,11 @@
 #include "check/config_check.hpp"
 #include "check/netlist_check.hpp"
 #include "check/network_check.hpp"
-#include "nn/parser.hpp"
 #include "spice/import.hpp"
 
 namespace mnsim::check {
 
 namespace {
-
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
 
 void check_deck_text(const std::string& path, const std::string& text,
                      DiagnosticList& out) {
@@ -37,33 +31,11 @@ void check_deck_text(const std::string& path, const std::string& text,
   out.merge(std::move(structural));
 }
 
-void check_network_text(const std::string& path, const util::Config& cfg,
-                        DiagnosticList& out) {
-  DiagnosticList registry = check_network_description(cfg);
-  registry.set_file(path);
-  out.merge(std::move(registry));
-
-  nn::Network network;
-  try {
-    network = nn::parse_network(cfg);
-  } catch (const std::exception& e) {
-    // Value-level parse failures (bad kind spelling, layer gaps, missing
-    // keys). Skip the bridge when the registry pass already explained the
-    // problem more precisely.
-    if (!out.has_errors())
-      out.emit("MN-CFG-003", Severity::kError, e.what()).file = path;
-    return;
-  }
-  DiagnosticList structural = check_network(network);
-  structural.set_file(path);
-  out.merge(std::move(structural));
-}
-
 }  // namespace
 
 InputKind detect_input_kind(const std::string& path, const std::string& text) {
-  if (ends_with(path, ".sp") || ends_with(path, ".cir") ||
-      ends_with(path, ".spice")) {
+  if (path.ends_with(".sp") || path.ends_with(".cir") ||
+      path.ends_with(".spice")) {
     return InputKind::kSpiceDeck;
   }
   if (text.find("[network]") != std::string::npos ||
@@ -101,13 +73,9 @@ DiagnosticList check_file(const std::string& path,
       if (options.warnings_as_errors) out.promote_warnings();
       return out;
     }
-    if (kind == InputKind::kNetwork) {
-      check_network_text(path, cfg, out);
-    } else {
-      DiagnosticList cfg_diags = check_accelerator_config(cfg);
-      cfg_diags.set_file(path);
-      out.merge(std::move(cfg_diags));
-    }
+    // Both passes stamp the file from cfg's source.
+    out.merge(kind == InputKind::kNetwork ? check_network_description(cfg)
+                                          : check_accelerator_config(cfg));
   }
   if (options.warnings_as_errors) out.promote_warnings();
   return out;

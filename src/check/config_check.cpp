@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "check/network_check.hpp"
+#include "nn/parser.hpp"
 #include "tech/interconnect.hpp"
 #include "util/units.hpp"
 
@@ -80,13 +82,17 @@ std::string nearest_key(const std::string& key,
   return best_distance <= budget ? best : std::string();
 }
 
-namespace {
-
-void stamp(Diagnostic& d, const util::Config& cfg, const std::string& key) {
+Diagnostic& emit_at_key(DiagnosticList& out, const util::Config& cfg,
+                        const char* code, Severity severity,
+                        std::string message, const std::string& key) {
+  auto& d = out.emit(code, severity, std::move(message));
   d.file = cfg.source();
   d.line = cfg.line_of(key);
   d.location = key;
+  return d;
 }
+
+namespace {
 
 // Unknown-key / unknown-section pass against the key table.
 void registry_pass(const util::Config& cfg, DiagnosticList& out) {
@@ -103,21 +109,19 @@ void registry_pass(const util::Config& cfg, DiagnosticList& out) {
     if (!known_section) {
       // Report the foreign section once; its keys are not typos of ours.
       if (unknown_sections.insert(section).second) {
-        auto& d = out.emit("MN-CFG-002", Severity::kWarning,
-                           "unknown section [" + section + "]");
-        stamp(d, cfg, key);
+        auto& d = emit_at_key(out, cfg, "MN-CFG-002", Severity::kWarning,
+                              "unknown section [" + section + "]", key);
         d.location = "[" + section + "]";
         const std::string near = nearest_key(section, sections);
         if (!near.empty()) d.hint = "did you mean [" + near + "]?";
       }
       continue;
     }
-    auto& d = out.emit("MN-CFG-001", Severity::kError,
-                       "unknown key '" + bare + "'" +
-                           (section.empty()
-                                ? std::string()
-                                : " in section [" + section + "]"));
-    stamp(d, cfg, key);
+    auto& d = emit_at_key(
+        out, cfg, "MN-CFG-001", Severity::kError,
+        "unknown key '" + bare + "'" +
+            (section.empty() ? std::string() : " in section [" + section + "]"),
+        key);
     const std::string near = nearest_key(key, keys);
     if (!near.empty()) {
       const auto [near_section, near_bare] = split_key(near);
@@ -134,9 +138,8 @@ void registry_pass(const util::Config& cfg, DiagnosticList& out) {
 void value_error(DiagnosticList& out, const util::Config& cfg,
                  const std::string& key, const std::string& message,
                  std::string hint = {}) {
-  auto& d = out.emit("MN-CFG-003", Severity::kError, message);
-  stamp(d, cfg, key);
-  d.hint = std::move(hint);
+  emit_at_key(out, cfg, "MN-CFG-003", Severity::kError, message, key).hint =
+      std::move(hint);
 }
 
 // MN-CFG-005 on a well-formed Resistance_Range outside the plausible
@@ -148,14 +151,13 @@ void resistance_plausibility(const util::Config& cfg,
   const Ohms r_min{built.resistance_min};
   const Ohms r_max{built.resistance_max};
   if (r_min >= Ohms{1.0} && r_max <= Ohms{1e9}) return;
-  auto& d = out.emit("MN-CFG-005", Severity::kWarning,
-                     "'Resistance_Range' = [" +
-                         std::to_string(built.resistance_min) + ", " +
-                         std::to_string(built.resistance_max) +
-                         "] ohm is outside the plausible memristor band "
-                         "[1, 1e9] ohm");
-  stamp(d, cfg, "Resistance_Range");
-  d.hint = "values are ohms, not kilo-ohms; 500k is written 500e3";
+  emit_at_key(out, cfg, "MN-CFG-005", Severity::kWarning,
+              "'Resistance_Range' = [" +
+                  std::to_string(built.resistance_min) + ", " +
+                  std::to_string(built.resistance_max) +
+                  "] ohm is outside the plausible memristor band [1, 1e9] ohm",
+              "Resistance_Range")
+      .hint = "values are ohms, not kilo-ohms; 500k is written 500e3";
 }
 
 // Cross-key: the shard index must fall inside the shard count.
@@ -256,10 +258,10 @@ DiagnosticList check_config_consistency(const arch::AcceleratorConfig& cfg) {
 
 void check_unread_keys(const util::Config& cfg, DiagnosticList& out) {
   for (const auto& key : cfg.unread_keys()) {
-    auto& d = out.emit("MN-CFG-006", Severity::kWarning,
-                       "key '" + key + "' was parsed but never read by any "
-                       "consumer");
-    stamp(d, cfg, key);
+    auto& d = emit_at_key(out, cfg, "MN-CFG-006", Severity::kWarning,
+                          "key '" + key +
+                              "' was parsed but never read by any consumer",
+                          key);
     const std::string near = nearest_key(key, registry().keys);
     if (!near.empty() && near != key)
       d.hint = "possible typo of '" + near + "'";
@@ -302,82 +304,18 @@ DiagnosticList check_accelerator_config(const util::Config& cfg) {
   return out;
 }
 
-namespace {
-
-const std::vector<std::string>& network_section_keys() {
-  static const std::vector<std::string> keys = {"name", "type", "input_bits",
-                                                "weight_bits"};
-  return keys;
-}
-
-const std::vector<std::string>& layer_keys_for(const std::string& kind) {
-  static const std::vector<std::string> fc = {"kind", "name", "in", "out",
-                                              "bias"};
-  static const std::vector<std::string> conv = {
-      "kind",     "name",      "in_channels", "out_channels",
-      "kernel",   "in_width",  "in_height",   "padding",
-      "stride"};
-  static const std::vector<std::string> pool = {"kind", "name", "window"};
-  static const std::vector<std::string> any = {
-      "kind",     "name",      "in",          "out",     "bias",
-      "in_channels", "out_channels", "kernel", "in_width", "in_height",
-      "padding",  "stride",    "window"};
-  if (kind == "fc") return fc;
-  if (kind == "conv") return conv;
-  if (kind == "pool") return pool;
-  return any;
-}
-
-bool is_layer_section(const std::string& section) {
-  if (section.rfind("layer", 0) != 0 || section.size() <= 5) return false;
-  return std::all_of(section.begin() + 5, section.end(), [](char c) {
-    return std::isdigit(static_cast<unsigned char>(c)) != 0;
-  });
-}
-
-}  // namespace
-
 DiagnosticList check_network_description(const util::Config& cfg) {
   DiagnosticList out;
-  for (const auto& [key, value] : cfg.entries()) {
-    (void)value;
-    const auto [section, bare] = split_key(key);
-    if (section == "network") {
-      const auto& known = network_section_keys();
-      if (std::find(known.begin(), known.end(), bare) == known.end()) {
-        auto& d = out.emit("MN-CFG-001", Severity::kError,
-                           "unknown key '" + bare + "' in section [network]");
-        stamp(d, cfg, key);
-        const std::string near = nearest_key(bare, known);
-        if (!near.empty()) d.hint = "did you mean '" + near + "'?";
-      }
-      continue;
-    }
-    if (is_layer_section(section)) {
-      const std::string kind =
-          cfg.has(section + ".kind") ? cfg.get_string(section + ".kind")
-                                     : std::string();
-      const auto& known = layer_keys_for(kind);
-      if (std::find(known.begin(), known.end(), bare) == known.end()) {
-        auto& d = out.emit(
-            "MN-CFG-001", Severity::kError,
-            "unknown key '" + bare + "' in section [" + section + "]" +
-                (kind.empty() ? std::string()
-                              : " (layer kind '" + kind + "')"));
-        stamp(d, cfg, key);
-        const std::string near = nearest_key(bare, known);
-        if (!near.empty()) d.hint = "did you mean '" + near + "'?";
-      }
-      continue;
-    }
-    auto& d = out.emit("MN-CFG-002", Severity::kWarning,
-                       section.empty()
-                           ? "key '" + bare + "' outside any section"
-                           : "unknown section [" + section + "]");
-    stamp(d, cfg, key);
-    if (!section.empty()) d.location = "[" + section + "]";
-    if (is_layer_section(bare) || section.empty())
-      d.hint = "network descriptions use [network] and [layerN] sections";
+  const nn::Network network = nn::read_network(cfg, out);
+  if (out.has_errors()) return out;
+
+  // A layer's structural diagnostics point at the line of its `kind`.
+  for (Diagnostic& d : check_network(network).take()) {
+    d.file = cfg.source();
+    if (d.location.size() > 2 && d.location.front() == '[')
+      d.line = cfg.line_of(d.location.substr(1, d.location.size() - 2) +
+                           ".kind");
+    out.add(std::move(d));
   }
   return out;
 }

@@ -6,7 +6,7 @@
 //     in a known section is the classic silent typo (`Theads = 8`) and
 //     reports MN-CFG-001 with a did-you-mean hint (edit distance over
 //     the registry), an unknown section reports MN-CFG-002. The
-//     accelerator registry is arch::config_keys(),
+//     registries are arch::config_keys() and nn::network_keys(),
 //   * per-key value validation — type, range, and structure (power-of-
 //     two crossbars, [min, max] lists, enum spellings) as MN-CFG-003,
 //     through the same key-table readers AcceleratorConfig::from_config
@@ -34,9 +34,9 @@ namespace mnsim::check {
 [[nodiscard]] DiagnosticList check_accelerator_config(
     const util::Config& config);
 
-// Registry pass over a network-description file (section/key dialect of
-// nn/parser.hpp); value problems surface through the parse bridge in
-// check_file / check_network.
+// Full pass over a network-description file: nn::read_network (the key
+// table of nn/parser.hpp: MN-CFG-001/002/003, each at its key), then,
+// when every value was read, the structural passes of check_network.
 [[nodiscard]] DiagnosticList check_network_description(
     const util::Config& config);
 
@@ -49,6 +49,11 @@ namespace mnsim::check {
 // MN-CFG-006 for every parsed-but-never-probed key of `config`. Call
 // after the consumer (e.g. AcceleratorConfig::from_config) has run.
 void check_unread_keys(const util::Config& config, DiagnosticList& out);
+
+// Emits a diagnostic at `key` of `config`: its file, line and location.
+Diagnostic& emit_at_key(DiagnosticList& out, const util::Config& config,
+                        const char* code, Severity severity,
+                        std::string message, const std::string& key);
 
 // Closest registry entry within a small edit distance, for did-you-mean
 // hints; empty when nothing is plausibly close.

@@ -1,5 +1,6 @@
 #include "check/diagnostic.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/json.hpp"
@@ -128,6 +129,17 @@ std::string check_error_message(const DiagnosticList& diagnostics) {
 }
 
 }  // namespace
+
+void throw_if_errors(const DiagnosticList& diagnostics, const char* prefix) {
+  const std::size_t errors = diagnostics.error_count();
+  if (errors == 0) return;
+  const auto& d = *std::find_if(
+      diagnostics.begin(), diagnostics.end(),
+      [](const Diagnostic& e) { return e.severity == Severity::kError; });
+  throw std::invalid_argument(
+      prefix + d.message + " [" + d.code + "]" +
+      (errors > 1 ? " (and " + std::to_string(errors - 1) + " more)" : ""));
+}
 
 CheckError::CheckError(DiagnosticList diagnostics)
     : std::runtime_error(check_error_message(diagnostics)),

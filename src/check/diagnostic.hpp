@@ -94,6 +94,10 @@ class CheckError : public std::runtime_error {
   DiagnosticList diagnostics_;
 };
 
+// The validate() wrappers' throw: std::invalid_argument with `prefix`,
+// the first error's message and code, and the count of further errors.
+void throw_if_errors(const DiagnosticList& diagnostics, const char* prefix);
+
 // A single-diagnostic parse failure (SPICE import, config files): keeps
 // the std::runtime_error contract of the historical throws while
 // carrying code + file:line for uniform rendering.

@@ -10,10 +10,28 @@ namespace mnsim::check {
 
 namespace {
 
+constexpr std::size_t kStandalone = static_cast<std::size_t>(-1);
+
 std::string layer_label(const nn::Layer& layer, std::size_t index) {
-  std::string label = "layer " + std::to_string(index);
+  std::string label = "layer";
+  if (index != kStandalone) label += " " + std::to_string(index + 1);
   if (!layer.name.empty()) label += " '" + layer.name + "'";
   return label;
+}
+
+// "a x b": a geometry in a message.
+std::string by(long a, long b) {
+  return std::to_string(a) + "x" + std::to_string(b);
+}
+
+// About layer `index`, located at its section: built only on error.
+Diagnostic& emit_at(DiagnosticList& out, const nn::Layer& l, std::size_t index,
+                    const char* code, Severity severity,
+                    const std::string& what) {
+  auto& d = out.emit(code, severity, layer_label(l, index) + ": " + what);
+  if (index != kStandalone)
+    d.location = "[layer" + std::to_string(index + 1) + "]";
+  return d;
 }
 
 // Feature-map state threaded through the shape-chain walk. A network is
@@ -32,57 +50,45 @@ struct ShapeState {
   }
 };
 
-// Individual-layer validity as diagnostics (the MN-NN-002 family).
-// Mirrors nn::Layer::validate() so check_network can report *all*
-// problems instead of throwing on the first.
-void check_layer_dims(const nn::Layer& l, std::size_t index,
-                      DiagnosticList& out) {
-  const std::string label = layer_label(l, index);
+// The MN-NN-002 dimension rules of one layer.
+void layer_dims(const nn::Layer& l, std::size_t index, DiagnosticList& out) {
+  const auto error = [&](const std::string& what) -> Diagnostic& {
+    return emit_at(out, l, index, "MN-NN-002", Severity::kError, what);
+  };
   switch (l.kind) {
     case nn::LayerKind::kFullyConnected:
-      if (l.in_features <= 0 || l.out_features <= 0) {
-        out.emit("MN-NN-002", Severity::kError,
-                 label + ": fully-connected features must be positive (in=" +
-                     std::to_string(l.in_features) +
-                     ", out=" + std::to_string(l.out_features) + ")");
-      }
+      if (l.in_features <= 0 || l.out_features <= 0)
+        error("fully-connected features must be positive (in=" +
+              std::to_string(l.in_features) +
+              ", out=" + std::to_string(l.out_features) + ")");
       break;
     case nn::LayerKind::kConvolution:
-      if (l.in_channels <= 0 || l.out_channels <= 0 || l.kernel <= 0) {
-        out.emit("MN-NN-002", Severity::kError,
-                 label + ": convolution shape must be positive (in_channels=" +
-                     std::to_string(l.in_channels) +
-                     ", out_channels=" + std::to_string(l.out_channels) +
-                     ", kernel=" + std::to_string(l.kernel) + ")");
-        break;
-      }
-      if (l.stride <= 0) {
-        out.emit("MN-NN-002", Severity::kError,
-                 label + ": stride must be positive");
-        break;
-      }
-      if (l.in_width < l.kernel - 2 * l.padding ||
-          l.in_height < l.kernel - 2 * l.padding) {
-        out.emit("MN-NN-002", Severity::kError,
-                 label + ": " + std::to_string(l.kernel) + "x" +
-                     std::to_string(l.kernel) + " kernel does not fit the " +
-                     std::to_string(l.in_width) + "x" +
-                     std::to_string(l.in_height) + " input map")
+      if (l.in_channels <= 0 || l.out_channels <= 0 || l.kernel <= 0)
+        error("convolution shape must be positive (in_channels=" +
+              std::to_string(l.in_channels) +
+              ", out_channels=" + std::to_string(l.out_channels) +
+              ", kernel=" + std::to_string(l.kernel) + ")");
+      else if (l.stride <= 0 || l.padding < 0)
+        error("stride must be positive and padding non-negative");
+      else if (l.in_width < l.kernel - 2 * l.padding ||
+               l.in_height < l.kernel - 2 * l.padding)
+        error(by(l.kernel, l.kernel) + " kernel does not fit the " +
+              by(l.in_width, l.in_height) + " input map")
             .hint = "enlarge the input map, shrink the kernel, or add padding";
-      }
       break;
     case nn::LayerKind::kPooling:
-      if (l.pool_size <= 0) {
-        out.emit("MN-NN-002", Severity::kError,
-                 label + ": pooling window must be positive");
-      }
+      if (l.pool_size <= 0) error("pooling window must be positive");
       break;
   }
 }
 
 }  // namespace
 
-DiagnosticList check_network(const nn::Network& network) {
+void check_layer(const nn::Layer& layer, DiagnosticList& out) {
+  layer_dims(layer, kStandalone, out);
+}
+
+DiagnosticList check_network_rules(const nn::Network& network) {
   DiagnosticList out;
   if (network.layers.empty()) {
     out.emit("MN-NN-002", Severity::kError,
@@ -95,121 +101,99 @@ DiagnosticList check_network(const nn::Network& network) {
                  "' has no weighted (neuromorphic) layers — nothing maps "
                  "onto crossbars");
   }
-  if (network.input_bits < 1 || network.input_bits > 16) {
-    out.emit("MN-NN-002", Severity::kError,
-             "input_bits = " + std::to_string(network.input_bits) +
-             " is outside the supported 1..16 range");
-  }
-  if (network.weight_bits < 1 || network.weight_bits > 16) {
-    out.emit("MN-NN-002", Severity::kError,
-             "weight_bits = " + std::to_string(network.weight_bits) +
-             " is outside the supported 1..16 range");
-  }
-
-  bool dims_ok = true;
-  {
-    const std::size_t before = out.error_count();
-    for (std::size_t i = 0; i < network.layers.size(); ++i)
-      check_layer_dims(network.layers[i], i, out);
-    dims_ok = out.error_count() == before;
-  }
-  // The shape chain is meaningless over layers with broken dimensions;
-  // report the per-layer problems alone rather than cascade mismatches.
-  if (!dims_ok) return out;
-
-  ShapeState state;
+  for (const auto& [name, bits] : {std::pair{"input_bits", network.input_bits},
+                                   {"weight_bits", network.weight_bits}})
+    if (bits < 1 || bits > 16)
+      out.emit("MN-NN-002", Severity::kError,
+               std::string(name) + " = " + std::to_string(bits) +
+                   " is outside the supported 1..16 range");
   bool seen_weighted = false;
   for (std::size_t i = 0; i < network.layers.size(); ++i) {
     const nn::Layer& l = network.layers[i];
-    const std::string label = layer_label(l, i);
+    layer_dims(l, i, out);
+    if (l.kind == nn::LayerKind::kPooling && !seen_weighted)
+      emit_at(out, l, i, "MN-NN-003", Severity::kError,
+              "pooling before any weighted layer — pooling attaches to the "
+              "preceding computation bank")
+          .hint = "move the pooling layer after a conv or fc layer";
+    seen_weighted = seen_weighted || l.is_weighted();
+  }
+  return out;
+}
+
+DiagnosticList check_network(const nn::Network& network) {
+  DiagnosticList out = check_network_rules(network);
+  // The shape chain is meaningless over layers with broken dimensions;
+  // report the per-layer problems alone rather than cascade mismatches.
+  const bool dims_ok =
+      std::none_of(out.begin(), out.end(), [](const Diagnostic& d) {
+        return d.code == "MN-NN-002" && !d.location.empty();
+      });
+  if (network.layers.empty() || !dims_ok) return out;
+
+  ShapeState state;
+  for (std::size_t i = 0; i < network.layers.size(); ++i) {
+    const nn::Layer& l = network.layers[i];
+    const auto emit = [&](const char* code, Severity severity,
+                          const std::string& what) -> Diagnostic& {
+      return emit_at(out, l, i, code, severity, what);
+    };
     switch (l.kind) {
       case nn::LayerKind::kConvolution: {
-        if (state.known) {
-          if (state.spatial) {
-            if (l.in_channels != state.channels ||
-                l.in_width != state.width || l.in_height != state.height) {
-              out.emit("MN-NN-001", Severity::kError,
-                       label + ": input map " +
-                           std::to_string(l.in_channels) + "x" +
-                           std::to_string(l.in_width) + "x" +
-                           std::to_string(l.in_height) +
-                           " does not match the previous layer's output " +
-                           std::to_string(state.channels) + "x" +
-                           std::to_string(state.width) + "x" +
-                           std::to_string(state.height) +
-                           " (channels x width x height)");
-            }
-          } else if (static_cast<long>(l.in_channels) * l.in_width *
-                         l.in_height != state.flat) {
-            out.emit("MN-NN-001", Severity::kError,
-                     label + ": input map holds " +
-                         std::to_string(static_cast<long>(l.in_channels) *
-                                        l.in_width * l.in_height) +
-                         " values but the previous layer produces " +
-                         std::to_string(state.flat));
-          }
+        const long values = static_cast<long>(l.in_channels) * l.in_width *
+                            l.in_height;
+        if (state.known && state.spatial &&
+            (l.in_channels != state.channels || l.in_width != state.width ||
+             l.in_height != state.height)) {
+          emit("MN-NN-001", Severity::kError,
+               "input map " + std::to_string(l.in_channels) + "x" +
+                   by(l.in_width, l.in_height) +
+                   " does not match the previous layer's output " +
+                   std::to_string(state.channels) + "x" +
+                   by(state.width, state.height) +
+                   " (channels x width x height)");
+        } else if (state.known && !state.spatial && values != state.flat) {
+          emit("MN-NN-001", Severity::kError,
+               "input map holds " + std::to_string(values) +
+                   " values but the previous layer produces " +
+                   std::to_string(state.flat));
         }
-        state.known = true;
-        state.spatial = true;
-        state.channels = l.out_channels;
-        state.width = l.out_width();
-        state.height = l.out_height();
-        seen_weighted = true;
+        state = {true, true, l.out_channels, l.out_width(), l.out_height(), 0};
         break;
       }
-      case nn::LayerKind::kFullyConnected: {
-        if (state.known && l.in_features != state.flattened()) {
-          out.emit("MN-NN-001", Severity::kError,
-                   label + ": in = " + std::to_string(l.in_features) +
-                       " does not match the previous layer's " +
-                       std::to_string(state.flattened()) +
-                       " flattened outputs");
-        }
-        state.known = true;
-        state.spatial = false;
-        state.flat = l.out_features;
-        seen_weighted = true;
+      case nn::LayerKind::kFullyConnected:
+        if (state.known && l.in_features != state.flattened())
+          emit("MN-NN-001", Severity::kError,
+               "in = " + std::to_string(l.in_features) +
+                   " does not match the previous layer's " +
+                   std::to_string(state.flattened()) + " flattened outputs");
+        state = {true, false, 0, 0, 0, l.out_features};
         break;
-      }
-      case nn::LayerKind::kPooling: {
-        if (!seen_weighted) {
-          out.emit("MN-NN-003", Severity::kError,
-                   label + ": pooling before any weighted layer — pooling "
-                           "attaches to the preceding computation bank")
-              .hint = "move the pooling layer after a conv or fc layer";
-          break;
-        }
+      case nn::LayerKind::kPooling:
+        // Pooling before any weighted layer: check_network_rules.
+        if (!state.known) break;
         if (!state.spatial) {
-          out.emit("MN-NN-003", Severity::kError,
-                   label + ": pooling after a fully-connected layer has no "
-                           "spatial map to pool")
+          emit("MN-NN-003", Severity::kError,
+               "pooling after a fully-connected layer has no spatial map to "
+               "pool")
               .hint = "pool the conv output before the fc layer, or drop the "
                       "pooling layer";
           break;
         }
         if (l.pool_size > state.width || l.pool_size > state.height) {
-          out.emit("MN-NN-003", Severity::kError,
-                   label + ": " + std::to_string(l.pool_size) + "x" +
-                       std::to_string(l.pool_size) +
-                       " window is larger than the " +
-                       std::to_string(state.width) + "x" +
-                       std::to_string(state.height) + " feature map");
+          emit("MN-NN-003", Severity::kError,
+               by(l.pool_size, l.pool_size) + " window is larger than the " +
+                   by(state.width, state.height) + " feature map");
           break;
         }
-        if (state.width % l.pool_size != 0 ||
-            state.height % l.pool_size != 0) {
-          out.emit("MN-NN-003", Severity::kWarning,
-                   label + ": " + std::to_string(l.pool_size) + "x" +
-                       std::to_string(l.pool_size) +
-                       " window does not tile the " +
-                       std::to_string(state.width) + "x" +
-                       std::to_string(state.height) +
-                       " map evenly — edge pixels are dropped");
-        }
+        if (state.width % l.pool_size != 0 || state.height % l.pool_size != 0)
+          emit("MN-NN-003", Severity::kWarning,
+               by(l.pool_size, l.pool_size) + " window does not tile the " +
+                   by(state.width, state.height) +
+                   " map evenly — edge pixels are dropped");
         state.width /= l.pool_size;
         state.height /= l.pool_size;
         break;
-      }
     }
   }
   return out;
@@ -222,28 +206,24 @@ DiagnosticList check_mapping(const nn::Network& network,
   for (std::size_t i = 0; i < network.layers.size(); ++i) {
     const nn::Layer& l = network.layers[i];
     if (!l.is_weighted()) continue;
-    const std::string label = layer_label(l, i);
     arch::LayerMapping mapping;
     try {
       mapping = arch::map_layer(l, network, cfg);
     } catch (const std::exception& e) {
-      out.emit("MN-NN-004", Severity::kError,
-               label + ": cannot map onto " +
-                   std::to_string(cfg.crossbar_size) + "x" +
-                   std::to_string(cfg.crossbar_size) + " crossbars: " +
-                   e.what());
+      emit_at(out, l, i, "MN-NN-004", Severity::kError,
+              "cannot map onto " + by(cfg.crossbar_size, cfg.crossbar_size) +
+                  " crossbars: " + e.what());
       continue;
     }
-    if (mapping.cells_per_weight > 4) {
-      out.emit("MN-NN-006", Severity::kWarning,
-               label + ": each " + std::to_string(network.weight_bits) +
-                   "-bit weight spreads across " +
-                   std::to_string(mapping.cells_per_weight) + " cells (" +
-                   cfg.memristor_model + " stores " +
-                   std::to_string(device_bits) + " bits/cell)")
+    if (mapping.cells_per_weight > 4)
+      emit_at(out, l, i, "MN-NN-006", Severity::kWarning,
+              "each " + std::to_string(network.weight_bits) +
+                  "-bit weight spreads across " +
+                  std::to_string(mapping.cells_per_weight) + " cells (" +
+                  cfg.memristor_model + " stores " +
+                  std::to_string(device_bits) + " bits/cell)")
           .hint = "a higher-precision cell or lower weight_bits shrinks the "
                   "array and the adder/shifter tree";
-    }
   }
   return out;
 }

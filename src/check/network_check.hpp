@@ -26,8 +26,18 @@
 
 namespace mnsim::check {
 
-// Structural pass over a network description alone (shape chain,
-// dimensions, pooling placement).
+// The rules nn::Layer::validate() throws on: MN-NN-002 dimensions.
+void check_layer(const nn::Layer& layer, DiagnosticList& out);
+
+// The rules nn::Network::validate() throws on: MN-NN-002 (no layers, no
+// weighted layer, precision bits, check_layer) and MN-NN-003 pooling
+// before any weighted layer. Diagnostics are built only on error.
+[[nodiscard]] DiagnosticList check_network_rules(const nn::Network& network);
+
+// Structural pass over a network description alone: check_network_rules,
+// then (over sound layer dimensions) the shape chain and the remaining
+// pooling placement. A layer's diagnostics are located at its section
+// ("[layer3]" is the third layer).
 [[nodiscard]] DiagnosticList check_network(const nn::Network& network);
 
 // Cross-checks a network against an accelerator configuration: every

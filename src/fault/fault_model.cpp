@@ -177,33 +177,6 @@ void apply_to_signed_weights(const DefectMap& positive,
           pos(i, o) / positive.drift_factor - neg(i, o) / negative.drift_factor;
 }
 
-namespace {
-
-// Column outputs of the wire-free star model (Eq. 9 generalized), the
-// behavior-level reference ideal_column_outputs also uses. Open cells
-// contribute ~1e-12 S, i.e. effectively nothing.
-std::vector<double> star_outputs(
-    const std::vector<std::vector<double>>& cell_r, double v_in,
-    double sense_resistance) {
-  const int rows = static_cast<int>(cell_r.size());
-  const int cols = static_cast<int>(cell_r.front().size());
-  std::vector<double> out(static_cast<std::size_t>(cols), 0.0);
-  const double gs = 1.0 / sense_resistance;
-  for (int j = 0; j < cols; ++j) {
-    double num = 0.0;
-    double den = gs;
-    for (int i = 0; i < rows; ++i) {
-      const double g = 1.0 / cell_r[i][j];
-      num += g * v_in;
-      den += g;
-    }
-    out[j] = num / den;
-  }
-  return out;
-}
-
-}  // namespace
-
 FaultErrorResult estimate_fault_error(const accuracy::CrossbarErrorInputs& in,
                                       const FaultConfig& config) {
   in.validate();
@@ -215,15 +188,17 @@ FaultErrorResult estimate_fault_error(const accuracy::CrossbarErrorInputs& in,
   result.faults_injected = map.fault_count();
   result.seed = map.seed;
 
+  // Wire-free star model outputs (Eq. 9, spice::ideal_column_outputs),
+  // inputs at v_read, before and after the defects; open cells
+  // contribute ~1e-12 S, i.e. effectively nothing.
   auto deviations = [&](double base_state) {
-    std::vector<std::vector<double>> cells(
-        static_cast<std::size_t>(in.rows),
-        std::vector<double>(static_cast<std::size_t>(in.cols), base_state));
-    const auto clean = star_outputs(cells, in.device.v_read.value(),
-                                    in.sense_resistance.value());
-    apply_to_resistance_map(map, in.device, cells);
-    const auto faulted = star_outputs(cells, in.device.v_read.value(),
-                                      in.sense_resistance.value());
+    auto spec = spice::CrossbarSpec::uniform(
+        in.rows, in.cols, in.device, 0.0, in.sense_resistance.value(),
+        base_state);
+    spec.ideal_wires = true;
+    const auto clean = spice::ideal_column_outputs(spec);
+    apply_to_resistance_map(map, in.device, spec.cell_resistance);
+    const auto faulted = spice::ideal_column_outputs(spec);
     std::vector<double> dev(clean.size(), 0.0);
     for (std::size_t j = 0; j < clean.size(); ++j)
       dev[j] = clean[j] > 0 ? std::fabs(faulted[j] - clean[j]) / clean[j]

@@ -1,14 +1,12 @@
 #include "nn/network.hpp"
 
+#include "check/network_check.hpp"
+
 namespace mnsim::nn {
 
 Layer Layer::fully_connected(std::string name, int in, int out, bool bias) {
-  Layer l;
-  l.kind = LayerKind::kFullyConnected;
-  l.name = std::move(name);
-  l.in_features = in;
-  l.out_features = out;
-  l.has_bias = bias;
+  Layer l{.kind = LayerKind::kFullyConnected, .name = std::move(name),
+                .in_features = in, .out_features = out, .has_bias = bias};
   l.validate();
   return l;
 }
@@ -16,24 +14,17 @@ Layer Layer::fully_connected(std::string name, int in, int out, bool bias) {
 Layer Layer::convolution(std::string name, int in_channels, int out_channels,
                          int kernel, int in_width, int in_height,
                          int padding) {
-  Layer l;
-  l.kind = LayerKind::kConvolution;
-  l.name = std::move(name);
-  l.in_channels = in_channels;
-  l.out_channels = out_channels;
-  l.kernel = kernel;
-  l.in_width = in_width;
-  l.in_height = in_height;
-  l.padding = padding;
+  Layer l{.kind = LayerKind::kConvolution, .name = std::move(name),
+                .in_channels = in_channels, .out_channels = out_channels,
+                .kernel = kernel, .in_width = in_width,
+                .in_height = in_height, .padding = padding};
   l.validate();
   return l;
 }
 
 Layer Layer::pooling(std::string name, int window) {
-  Layer l;
-  l.kind = LayerKind::kPooling;
-  l.name = std::move(name);
-  l.pool_size = window;
+  Layer l{.kind = LayerKind::kPooling, .name = std::move(name),
+                .pool_size = window};
   l.validate();
   return l;
 }
@@ -93,24 +84,9 @@ long Layer::output_count() const {
 }
 
 void Layer::validate() const {
-  switch (kind) {
-    case LayerKind::kFullyConnected:
-      if (in_features <= 0 || out_features <= 0)
-        throw std::invalid_argument("Layer '" + name + "': FC features");
-      break;
-    case LayerKind::kConvolution:
-      if (in_channels <= 0 || out_channels <= 0 || kernel <= 0)
-        throw std::invalid_argument("Layer '" + name + "': conv shape");
-      if (in_width < kernel - 2 * padding || in_height < kernel - 2 * padding)
-        throw std::invalid_argument("Layer '" + name +
-                                    "': kernel larger than input");
-      if (stride <= 0) throw std::invalid_argument("Layer: stride");
-      break;
-    case LayerKind::kPooling:
-      if (pool_size <= 0)
-        throw std::invalid_argument("Layer '" + name + "': pool size");
-      break;
-  }
+  check::DiagnosticList diags;
+  check::check_layer(*this, diags);
+  check::throw_if_errors(diags, "");
 }
 
 int Network::depth() const {
@@ -143,20 +119,7 @@ long Network::output_size() const {
 }
 
 void Network::validate() const {
-  if (layers.empty()) throw std::invalid_argument("Network: no layers");
-  if (depth() == 0)
-    throw std::invalid_argument("Network: no weighted (neuromorphic) layers");
-  if (input_bits < 1 || input_bits > 16 || weight_bits < 1 ||
-      weight_bits > 16)
-    throw std::invalid_argument("Network: precision bits");
-  bool first = true;
-  for (const auto& l : layers) {
-    l.validate();
-    if (l.kind == LayerKind::kPooling && first)
-      throw std::invalid_argument(
-          "Network: pooling before any weighted layer");
-    if (l.is_weighted()) first = false;
-  }
+  check::throw_if_errors(check::check_network_rules(*this), "Network: ");
 }
 
 }  // namespace mnsim::nn

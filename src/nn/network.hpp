@@ -68,7 +68,9 @@ struct Layer {
     return kind != LayerKind::kPooling;
   }
 
+  // Throws check::check_layer's first error (message and code).
   void validate() const;
+  bool operator==(const Layer&) const = default;
 };
 
 struct Network {
@@ -89,7 +91,9 @@ struct Network {
   [[nodiscard]] long input_size() const;
   [[nodiscard]] long output_size() const;
 
+  // Throws check::check_network_rules's first error (message and code).
   void validate() const;
+  bool operator==(const Network&) const = default;
 };
 
 }  // namespace mnsim::nn

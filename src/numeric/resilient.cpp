@@ -67,7 +67,6 @@ ResilientSolveReport solve_spd_resilient(const CsrMatrix& a,
        finite(*opt.initial_guess))
           ? opt.initial_guess
           : nullptr;
-  report.warm_started = guess != nullptr;
 
   // Rung 0: bipartite Schur solve when the caller knows the crossbar
   // structure. A broken structure is a reject, never an error, and
@@ -110,8 +109,6 @@ ResilientSolveReport solve_spd_resilient(const CsrMatrix& a,
                               guess);
   }();
   report.cg_iterations += cg.iterations;
-  report.cg_breakdown = cg.breakdown;
-  report.diagonal_defect = cg.diagonal_defect;
   if (cg.converged && finite(cg.x)) {
     report.x = std::move(cg.x);
     report.method = SolveMethod::kCg;
@@ -141,7 +138,6 @@ ResilientSolveReport solve_spd_resilient(const CsrMatrix& a,
                                 base * kRetryBudgetFactor, &cg.x);
     }();
     report.cg_iterations += retry.iterations;
-    report.cg_breakdown = report.cg_breakdown || retry.breakdown;
     if (!(retry.converged && finite(retry.x)))
       report.rung_notes.push_back(
           retry.breakdown ? "cg_retry: p'Ap <= 0 breakdown"

@@ -54,10 +54,6 @@ struct ResilientSolveReport {
   std::size_t cg_iterations = 0;  // total across both CG rungs
   int cg_retries = 0;             // 1 when the retry rung ran
   int lu_fallbacks = 0;           // 1 when the dense rung ran
-  bool cg_breakdown = false;      // p'Ap <= 0 seen in either CG rung
-  bool diagonal_defect = false;   // zero/missing diagonal: CG refused,
-                                  // routed straight to the dense rung
-  bool warm_started = false;      // a usable initial_guess was supplied
   std::size_t schur_iterations = 0;  // PCG iterations on the Schur system
   int schur_rejects = 0;          // 1 when rung 0 ran but was not accepted
   // Diagonal-growth condition estimate from the dense rung's

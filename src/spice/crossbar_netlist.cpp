@@ -267,8 +267,7 @@ CrossbarSolution solve_crossbar(const CrossbarSpec& spec,
 
 std::vector<CrossbarBatchResult> solve_crossbar_batch(
     const CrossbarSpec& base, const std::vector<CrossbarBatchEntry>& entries,
-    const DcOptions& options, int threads,
-    const std::vector<double>& warm_start_voltages) {
+    const DcOptions& options, int threads, bool warm_start_from_base) {
   std::vector<CrossbarBatchResult> results(entries.size());
   if (entries.empty()) return results;
 
@@ -303,7 +302,10 @@ std::vector<CrossbarBatchResult> solve_crossbar_batch(
   master.valid = true;
   obs::Span span("spice.solve_dc_batch");
   prime_cache(master.netlist, options, master.mna);
-  master.mna.warm_start_voltages = warm_start_voltages;
+  // A refill of the primed pattern reproduces a cold solve's floats.
+  if (warm_start_from_base)
+    master.mna.warm_start_voltages =
+        solve_dc(master.netlist, options, &master.mna).node_voltages;
   if (shared_matrix && !master.mna.partition.empty()) {
     obs::Span factor_span("numeric.batch");
     master.mna.factor = std::make_shared<const numeric::SchurFactorization>(

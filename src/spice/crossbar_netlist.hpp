@@ -116,13 +116,13 @@ struct CrossbarBatchResult {
   SolverDiagnostics diagnostics;
 };
 
-// result[i] corresponds to entries[i]. `warm_start_voltages` (by node
-// id, typically the base spec's solved operating point; empty = cold)
-// seeds every entry identically so results stay schedule-independent.
+// result[i] corresponds to entries[i]. `warm_start_from_base` seeds every
+// entry identically (schedule-independent) from the base spec's operating
+// point, solved once on the primed master; otherwise entries solve cold.
 std::vector<CrossbarBatchResult> solve_crossbar_batch(
     const CrossbarSpec& base, const std::vector<CrossbarBatchEntry>& entries,
     const DcOptions& options = {}, int threads = 1,
-    const std::vector<double>& warm_start_voltages = {});
+    bool warm_start_from_base = false);
 
 // The ideal (wire-free, linear-cell) column outputs from the voltage
 // divider Eq. 9 generalized to per-cell states: the analytic reference

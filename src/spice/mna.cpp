@@ -395,10 +395,12 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
         result.diagnostics.condition_estimate, solve.condition_estimate);
     result.diagnostics.linear_residual = std::max(
         result.diagnostics.linear_residual, solve.relative_residual);
-    if (!solve.converged)
-      throw std::runtime_error(
-          "solve_dc: linear solve failed (CG stalled and no fallback "
-          "succeeded)");
+    if (!solve.converged) {
+      std::string why;  // every rejected rung: a failed sweep point says why
+      for (const auto& note : solve.rung_notes)
+        why += (why.empty() ? "" : "; ") + note;
+      throw std::runtime_error("solve_dc: linear solve failed (" + why + ")");
+    }
 
     // Newton update with step damping: a non-finite iterate, or an update
     // that doubles instead of contracting, takes a half step (repeatedly,

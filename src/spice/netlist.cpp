@@ -68,18 +68,7 @@ void Netlist::validate() const {
   // expect std::invalid_argument still get one, now carrying the first
   // diagnostic's full message (which names the conflicting sources
   // instead of just the node).
-  const check::DiagnosticList diags = check::check_netlist_invariants(*this);
-  if (!diags.has_errors()) return;
-  std::string message;
-  std::size_t errors = 0;
-  for (const auto& d : diags) {
-    if (d.severity != check::Severity::kError) continue;
-    if (errors == 0) message = "Netlist: " + d.message + " [" + d.code + "]";
-    ++errors;
-  }
-  if (errors > 1)
-    message += " (and " + std::to_string(errors - 1) + " more)";
-  throw std::invalid_argument(message);
+  check::throw_if_errors(check::check_netlist_invariants(*this), "Netlist: ");
 }
 
 }  // namespace mnsim::spice

@@ -96,12 +96,6 @@ std::string Config::get_string(const std::string& key) const {
   return *v;
 }
 
-std::string Config::get_string_or(const std::string& key,
-                                  std::string fallback) const {
-  auto v = find(key);
-  return v ? *v : std::move(fallback);
-}
-
 namespace {
 
 double to_double(const std::string& key, const std::string& v) {
@@ -122,16 +116,12 @@ double Config::get_double(const std::string& key) const {
 }
 
 long Config::get_int(const std::string& key) const {
-  double d = get_double(key);
-  long l = static_cast<long>(d);
-  if (static_cast<double>(l) != d) {
+  const double d = get_double(key);
+  // Range first: outside [-2^63, 2^63), or NaN, the cast is undefined.
+  if (!(d >= -0x1p63 && d < 0x1p63) ||
+      static_cast<double>(static_cast<long>(d)) != d)
     throw ConfigError("config key '" + key + "' is not an integer");
-  }
-  return l;
-}
-
-long Config::get_int_or(const std::string& key, long fallback) const {
-  return has(key) ? get_int(key) : fallback;
+  return static_cast<long>(d);
 }
 
 bool Config::get_bool(const std::string& key) const {
@@ -140,10 +130,6 @@ bool Config::get_bool(const std::string& key) const {
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
   throw ConfigError("config key '" + key + "': '" + v + "' is not a bool");
-}
-
-bool Config::get_bool_or(const std::string& key, bool fallback) const {
-  return has(key) ? get_bool(key) : fallback;
 }
 
 std::vector<double> Config::get_list(const std::string& key) const {

@@ -44,16 +44,12 @@ class Config {
 
   [[nodiscard]] bool has(const std::string& key) const;
 
-  // Typed getters. The non-optional forms throw ConfigError when the key
-  // is missing; the `_or` forms return the fallback.
+  // Typed getters; each throws ConfigError when the key is missing or
+  // its value is not of the type (get_int: an integer a long holds).
   [[nodiscard]] std::string get_string(const std::string& key) const;
-  [[nodiscard]] std::string get_string_or(const std::string& key,
-                                          std::string fallback) const;
   [[nodiscard]] double get_double(const std::string& key) const;
   [[nodiscard]] long get_int(const std::string& key) const;
-  [[nodiscard]] long get_int_or(const std::string& key, long fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key) const;
-  [[nodiscard]] bool get_bool_or(const std::string& key, bool fallback) const;
 
   // List values: "[a, b, c]" or "a, b, c".
   [[nodiscard]] std::vector<double> get_list(const std::string& key) const;

@@ -3,7 +3,9 @@
 // AcceleratorConfig::from_config / sim::load_config and `mnsim check`
 // must agree on every ranged key, integer values must be range-checked
 // before they are narrowed, and docs/CONFIGURATION.md must document
-// each key once with the struct's own default.
+// each key once with the struct's own default. The same page documents
+// the network-description key table (nn::network_keys()), held to it by
+// NetworkDocMatchesTable.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -17,6 +19,7 @@
 
 #include "arch/params.hpp"
 #include "check/config_check.hpp"
+#include "nn/parser.hpp"
 #include "sim/mnsim.hpp"
 #include "util/config.hpp"
 
@@ -224,6 +227,114 @@ TEST(ConfigKeys, ConfigurationDocMatchesTable) {
     bool known = false;
     for (const ConfigKey& key : arch::config_keys()) known |= key.name == name;
     EXPECT_TRUE(known) << "CONFIGURATION.md documents unknown key " << name;
+  }
+}
+
+// ---- network-description docs drift ----------------------------------------
+
+std::string kinds_of(unsigned scope) {
+  if (scope & nn::NetworkKey::kNetwork) return "network";
+  std::string out;
+  for (const auto& [bit, name] :
+       {std::pair{nn::NetworkKey::kFc, "fc"}, {nn::NetworkKey::kConv, "conv"},
+        {nn::NetworkKey::kPool, "pool"}})
+    if (scope & bit) out += (out.empty() ? "" : ", ") + std::string(name);
+  return out;
+}
+
+// (key, kinds) -> the cells of every row of the "## Network description"
+// key table.
+std::map<std::pair<std::string, std::string>,
+         std::vector<std::vector<std::string>>>
+documented_network_rows() {
+  std::ifstream doc(MNSIM_CONFIGURATION_MD);
+  EXPECT_TRUE(doc.good()) << MNSIM_CONFIGURATION_MD;
+  std::map<std::pair<std::string, std::string>,
+           std::vector<std::vector<std::string>>>
+      rows;
+  bool in_section = false;
+  bool fenced = false;
+  bool in_table = false;
+  for (std::string line; std::getline(doc, line);) {
+    if (line.rfind("```", 0) == 0) fenced = !fenced;
+    if (fenced) continue;
+    if (line.rfind("## ", 0) == 0)
+      in_section = line.rfind("## Network description", 0) == 0;
+    if (!in_section || line.empty() || line[0] != '|') {
+      in_table = false;
+      continue;
+    }
+    const auto cells = cells_of(line);
+    if (cells.at(0) == "Key") {
+      in_table = cells.size() == 5 && cells[1] == "Kinds";
+      continue;
+    }
+    if (!in_table || cells.at(0).rfind("---", 0) == 0) continue;
+    rows[{cells[0].substr(1, cells[0].size() - 2), cells.at(1)}].push_back(
+        cells);
+  }
+  return rows;
+}
+
+// The smallest network text holding `key` (when `value` is set) in a
+// section the key belongs to.
+std::string network_text(const nn::NetworkKey& key,
+                         const std::optional<std::string>& value) {
+  const std::string line = value ? key.name + " = " + *value + "\n" : "";
+  const std::string conv =
+      "kind = conv\nin_channels = 1\nout_channels = 1\nkernel = 1\n"
+      "in_width = 4\nin_height = 4\n";
+  if (key.scope & nn::NetworkKey::kNetwork)
+    return "[network]\n" + line + "[layer1]\nkind = fc\nin = 4\nout = 4\n";
+  if (key.scope & nn::NetworkKey::kFc)
+    return "[layer1]\nkind = fc\nin = 4\nout = 4\n" + line;
+  if (key.scope & nn::NetworkKey::kConv) return "[layer1]\n" + conv + line;
+  return "[layer1]\n" + conv + "[layer2]\nkind = pool\nwindow = 2\n" + line;
+}
+
+TEST(ConfigKeys, NetworkDocMatchesTable) {
+  const auto rows = documented_network_rows();
+  for (const auto& key : nn::network_keys()) {
+    SCOPED_TRACE(key.name + " (" + kinds_of(key.scope) + ")");
+    const auto it = rows.find({key.name, kinds_of(key.scope)});
+    if (it == rows.end() || it->second.size() != 1) {
+      ADD_FAILURE() << "want one CONFIGURATION.md row";
+      continue;
+    }
+    const auto& cells = it->second.front();
+    EXPECT_EQ(cells.at(3), key.range ? "`[" + std::to_string(key.range->min) +
+                                           ", " +
+                                           std::to_string(key.range->max) +
+                                           "]`"
+                                     : std::string("—"));
+    std::string value = cells.at(4);
+    if (key.required) {
+      EXPECT_EQ(value, "*(required)*");
+      continue;
+    }
+    if (value == "*(section name)*") {
+      // network_text puts a pool-only key in [layer2], others in [layer1].
+      value = key.scope == nn::NetworkKey::kPool ? "layer2" : "layer1";
+    } else {
+      ASSERT_GE(value.size(), 2u);
+      value = value.substr(1, value.size() - 2);
+    }
+    // The documented default, written out, loads as the key left out.
+    try {
+      EXPECT_TRUE(
+          nn::parse_network(util::Config::parse(network_text(key, value))) ==
+          nn::parse_network(util::Config::parse(network_text(key, {}))))
+          << "documented default '" << value << "' is not the default";
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "documented default '" << value << "': " << e.what();
+    }
+  }
+  for (const auto& [row, cells] : rows) {
+    bool known = false;
+    for (const auto& key : nn::network_keys())
+      known |= key.name == row.first && kinds_of(key.scope) == row.second;
+    EXPECT_TRUE(known) << "CONFIGURATION.md documents unknown key "
+                       << row.first << " (" << row.second << ")";
   }
 }
 

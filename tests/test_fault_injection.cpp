@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "arch/accelerator.hpp"
@@ -435,6 +437,26 @@ TEST(SolverDegradation, AllFallbacksDisabledThrows) {
   opt.allow_fallback = false;
   opt.allow_schur = false;  // no rescue rung: the ladder must exhaust
   EXPECT_THROW(spice::solve_crossbar(spec, opt), std::runtime_error);
+}
+
+// The failure names why each rung was rejected, so a quarantined sweep
+// point's `failure` says more than "linear solve failed".
+TEST(SolverDegradation, FailedSolveNamesRejectedRungs) {
+  const auto dev = device();
+  auto spec = spice::CrossbarSpec::uniform(8, 8, dev, 0.022, 60.0,
+                                           dev.r_min.value());
+  spice::DcOptions opt;
+  opt.cg_max_iterations = 2;
+  opt.allow_fallback = false;
+  opt.allow_schur = false;
+  try {
+    (void)spice::solve_crossbar(spec, opt);
+    ADD_FAILURE() << "the starved solve succeeded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("cg: stalled above tolerance"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SolverDegradation, FaultedCrossbarStillSolves) {

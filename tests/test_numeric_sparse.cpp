@@ -415,7 +415,9 @@ TEST(ResilientSolve, DiagonalDefectRoutesStraightToDenseLu) {
   auto rep = solve_spd_resilient(CsrMatrix(b), {1.0, 2.0}, opt);
   EXPECT_TRUE(rep.converged);
   EXPECT_EQ(rep.method, SolveMethod::kDenseLu);
-  EXPECT_TRUE(rep.diagonal_defect);
+  ASSERT_FALSE(rep.rung_notes.empty());
+  EXPECT_NE(rep.rung_notes[0].find("zero/missing diagonal"), std::string::npos)
+      << rep.rung_notes[0];
   EXPECT_EQ(rep.cg_retries, 0);
   EXPECT_EQ(rep.lu_fallbacks, 1);
   EXPECT_NEAR(rep.x[0], 2.0, 1e-12);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace mnsim::util {
 namespace {
 
@@ -57,11 +59,14 @@ TEST(Config, MissingKeyThrows) {
   EXPECT_THROW((void)cfg.get_double("nope"), ConfigError);
 }
 
-TEST(Config, FallbacksReturned) {
-  Config cfg;
-  EXPECT_EQ(cfg.get_int_or("nope", 7), 7);
-  EXPECT_EQ(cfg.get_string_or("nope", "dflt"), "dflt");
-  EXPECT_TRUE(cfg.get_bool_or("nope", true));
+// A number no long holds is refused before the (undefined) cast.
+TEST(Config, IntegersOutsideLongThrow) {
+  auto cfg = Config::parse(
+      "a = 1e30\nb = -1e30\nc = nan\nd = inf\ne = 9223372036854775808\n"
+      "f = -9223372036854775808\n");
+  for (const char* key : {"a", "b", "c", "d", "e"})
+    EXPECT_THROW((void)cfg.get_int(key), ConfigError) << key;
+  EXPECT_EQ(cfg.get_int("f"), std::numeric_limits<long>::min());
 }
 
 TEST(Config, TypeErrorsThrow) {

@@ -44,7 +44,6 @@ BankReport simulate_bank(const nn::Layer& layer,
                          spice::CrossbarSolveCache* solve_cache) {
   if (!layer.is_weighted())
     throw std::invalid_argument("simulate_bank: layer holds no weights");
-  network.validate();
 
   const auto cmos = config.cmos();
   BankReport rep;

@@ -64,9 +64,13 @@ struct BankLayers {
 // the first weighted layer belongs to no bank.
 std::vector<BankLayers> gather_banks(const nn::Network& network);
 
-// Simulates the bank for `layer` (must be weighted). `attached_pooling`
-// is the pooling layer following it, if any; `next_weighted` (when given
-// and convolutional) sizes the Eq. 6 output line buffer. When
+// Simulates the bank for `layer` (must be weighted; a non-weighted one
+// throws std::invalid_argument) of `network`, which the caller has
+// validated (Network::validate(): simulate_accelerator and
+// dse::optimize_per_bank do so once at entry, not once per bank).
+// `attached_pooling` is the pooling layer following it, if any;
+// `next_weighted` (when given and convolutional) sizes the Eq. 6 output
+// line buffer. When
 // `solve_cache` is non-null the fault circuit-check solve reuses the
 // cached crossbar topology across banks sharing one geometry (the
 // common case: every bank clipped to fault.circuit_check_size), counted

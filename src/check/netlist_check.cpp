@@ -8,6 +8,7 @@ namespace mnsim::check {
 
 namespace {
 
+using spice::ElementKind;
 using spice::kGround;
 using spice::Netlist;
 using spice::NodeId;
@@ -107,7 +108,8 @@ void invariant_errors(const Netlist& nl, DiagnosticList& out) {
 
   for (std::size_t i = 0; i < nl.resistors().size(); ++i) {
     const auto& r = nl.resistors()[i];
-    const std::string label = element_label("resistor", r.name, i);
+    const std::string label = element_label(
+        "resistor", nl.element_name(ElementKind::kResistor, i), i);
     if (!node_ok(nl, r.a)) bad_node(label, r.a);
     if (!node_ok(nl, r.b)) bad_node(label, r.b);
     if (node_ok(nl, r.a) && r.a == r.b) shorted(label, r.a);
@@ -121,7 +123,8 @@ void invariant_errors(const Netlist& nl, DiagnosticList& out) {
   }
   for (std::size_t i = 0; i < nl.memristors().size(); ++i) {
     const auto& m = nl.memristors()[i];
-    const std::string label = element_label("memristor", m.name, i);
+    const std::string label = element_label(
+        "memristor", nl.element_name(ElementKind::kMemristor, i), i);
     if (!node_ok(nl, m.a)) bad_node(label, m.a);
     if (!node_ok(nl, m.b)) bad_node(label, m.b);
     if (node_ok(nl, m.a) && m.a == m.b) shorted(label, m.a);
@@ -134,7 +137,8 @@ void invariant_errors(const Netlist& nl, DiagnosticList& out) {
   }
   for (std::size_t i = 0; i < nl.capacitors().size(); ++i) {
     const auto& c = nl.capacitors()[i];
-    const std::string label = element_label("capacitor", c.name, i);
+    const std::string label = element_label(
+        "capacitor", nl.element_name(ElementKind::kCapacitor, i), i);
     if (!node_ok(nl, c.a)) bad_node(label, c.a);
     if (!node_ok(nl, c.b)) bad_node(label, c.b);
     if (node_ok(nl, c.a) && c.a == c.b) shorted(label, c.a);
@@ -150,7 +154,8 @@ void invariant_errors(const Netlist& nl, DiagnosticList& out) {
   std::map<NodeId, std::vector<std::size_t>> pins;
   for (std::size_t i = 0; i < nl.sources().size(); ++i) {
     const auto& s = nl.sources()[i];
-    const std::string label = element_label("source", s.name, i);
+    const std::string label = element_label(
+        "source", nl.element_name(ElementKind::kSource, i), i);
     if (!node_ok(nl, s.node)) {
       bad_node(label, s.node);
       continue;
@@ -170,8 +175,10 @@ void invariant_errors(const Netlist& nl, DiagnosticList& out) {
     for (std::size_t i = 0; i < sources.size(); ++i) {
       const auto& s = nl.sources()[sources[i]];
       if (i > 0) who += i + 1 == sources.size() ? " and " : ", ";
-      who += element_label("source", s.name, sources[i]) + " (" +
-             std::to_string(s.volts) + " V)";
+      who += element_label("source",
+                           nl.element_name(ElementKind::kSource, sources[i]),
+                           sources[i]) +
+             " (" + std::to_string(s.volts) + " V)";
     }
     auto& d = out.emit("MN-NET-003", Severity::kError,
                        "node " + node_name(node) +
@@ -189,11 +196,17 @@ void duplicate_names(const Netlist& nl, DiagnosticList& out) {
   auto count_name = [&](const char* kind, const std::string& name) {
     if (!name.empty()) ++name_uses[std::string(kind) + " '" + name + "'"];
   };
-  for (const auto& r : nl.resistors()) count_name("resistor", r.name);
-  for (const auto& m : nl.memristors()) count_name("memristor", m.name);
-  for (const auto& c : nl.capacitors()) count_name("capacitor", c.name);
-  for (const auto& s : nl.sources())
-    if (node_ok(nl, s.node) && s.node != kGround) count_name("source", s.name);
+  for (std::size_t i = 0; i < nl.resistors().size(); ++i)
+    count_name("resistor", nl.element_name(ElementKind::kResistor, i));
+  for (std::size_t i = 0; i < nl.memristors().size(); ++i)
+    count_name("memristor", nl.element_name(ElementKind::kMemristor, i));
+  for (std::size_t i = 0; i < nl.capacitors().size(); ++i)
+    count_name("capacitor", nl.element_name(ElementKind::kCapacitor, i));
+  for (std::size_t i = 0; i < nl.sources().size(); ++i) {
+    const auto& s = nl.sources()[i];
+    if (node_ok(nl, s.node) && s.node != kGround)
+      count_name("source", nl.element_name(ElementKind::kSource, i));
+  }
   for (const auto& [name, uses] : name_uses) {
     if (uses > 1) {
       auto& d = out.emit("MN-NET-010", Severity::kWarning,

@@ -18,8 +18,10 @@ namespace {
 double norm2(const std::vector<double>& v) { return std::sqrt(dot(v, v)); }
 
 // The true residual ||b - A x|| of report.x and its ratio to ||b||:
-// every rung, the Schur rung included, is judged on the real matrix.
-void fill_residual(const CsrMatrix& a, const std::vector<double>& b,
+// every rung, the Schur rung included, is judged on the real matrix (a
+// CsrMatrix or a ChainSystem, which sum A x alike).
+template <typename Matrix>
+void fill_residual(const Matrix& a, const std::vector<double>& b,
                    ResilientSolveReport& report) {
   if (report.x.size() != a.size()) {
     report.residual_norm = norm2(b);
@@ -40,6 +42,15 @@ bool finite(const std::vector<double>& v) {
   return true;
 }
 
+// The caller's warm start, when it is usable for an n-unknown system.
+const std::vector<double>* usable_guess(const ResilientSolveOptions& opt,
+                                        std::size_t n) {
+  return opt.initial_guess && opt.initial_guess->size() == n &&
+                 finite(*opt.initial_guess)
+             ? opt.initial_guess
+             : nullptr;
+}
+
 }  // namespace
 
 namespace internal {
@@ -56,50 +67,47 @@ void keep_better(CgResult& best, CgResult&& candidate) {
 
 }  // namespace internal
 
-ResilientSolveReport solve_spd_resilient(const CsrMatrix& a,
-                                         const std::vector<double>& b,
-                                         const ResilientSolveOptions& opt) {
+ResilientSolveReport solve_schur(const ChainSystem& a,
+                                 const SchurFactorization& factor,
+                                 const std::vector<double>& b,
+                                 const ResilientSolveOptions& opt) {
   const std::size_t n = a.size();
   ResilientSolveReport report;
-
-  const std::vector<double>* guess =
-      (opt.initial_guess && opt.initial_guess->size() == n &&
-       finite(*opt.initial_guess))
-          ? opt.initial_guess
-          : nullptr;
-
-  // Rung 0: bipartite Schur solve when the caller knows the crossbar
-  // structure. A broken structure is a reject, never an error, and
-  // acceptance is judged on the true residual of the full system so a
-  // stale factorization or broken structure assumption cannot smuggle a
-  // wrong answer past the ladder.
-  const SchurFactorization* schur = opt.schur;
-  if (schur && !(schur->valid() && schur->size() == n)) {
+  // A broken structure is a reject, never an error.
+  if (!(factor.valid() && factor.size() == n)) {
     ++report.schur_rejects;
-    schur = nullptr;
+    return report;
   }
-  if (schur) {
-    obs::Span span("numeric.schur");
-    // Solve slightly tighter than requested so back-substitution
-    // roundoff cannot push the true residual over the acceptance line.
-    CgResult sr = schur->solve(b, opt.tolerance * 0.5, guess);
-    report.schur_iterations = sr.iterations;
-    if (sr.converged && finite(sr.x)) {
-      // Every later rung that returns overwrites x and the residual.
-      report.x = std::move(sr.x);
-      fill_residual(a, b, report);
-      if (report.relative_residual <= opt.tolerance) {
-        report.method = SolveMethod::kSchur;
-        report.converged = true;
-        return report;
-      }
+  obs::Span span("numeric.schur");
+  // Solve slightly tighter than requested so back-substitution
+  // roundoff cannot push the true residual over the acceptance line.
+  CgResult sr = factor.solve(b, opt.tolerance * 0.5, usable_guess(opt, n));
+  report.schur_iterations = sr.iterations;
+  if (sr.converged && finite(sr.x)) {
+    // Every later rung that returns overwrites x and the residual.
+    report.x = std::move(sr.x);
+    fill_residual(a, b, report);
+    if (report.relative_residual <= opt.tolerance) {
+      report.method = SolveMethod::kSchur;
+      report.converged = true;
+      return report;
     }
-    ++report.schur_rejects;
-    report.rung_notes.push_back(
-        sr.converged ? "schur: converged iterate rejected by true-residual "
-                       "acceptance check"
-                     : "schur: inner PCG did not converge");
   }
+  ++report.schur_rejects;
+  report.rung_notes.push_back(
+      sr.converged ? "schur: converged iterate rejected by true-residual "
+                     "acceptance check"
+                   : "schur: inner PCG did not converge");
+  return report;
+}
+
+ResilientSolveReport solve_spd_resilient(const CsrMatrix& a,
+                                         const std::vector<double>& b,
+                                         const ResilientSolveOptions& opt,
+                                         ResilientSolveReport rung0) {
+  const std::size_t n = a.size();
+  ResilientSolveReport report = std::move(rung0);
+  const std::vector<double>* guess = usable_guess(opt, n);
 
   // Rung 1: preconditioned CG, warm-started when the caller supplied a
   // same-topology reference iterate.

@@ -4,9 +4,10 @@
 // matrices whose entries span many decades; plain Jacobi-preconditioned
 // conjugate gradients can stagnate far above the requested tolerance on
 // such systems. Instead of giving up, this module degrades gracefully:
-//   0. a structure-exploiting Schur-complement solve when the caller
-//      supplied a crossbar factorization (numeric/schur.hpp) — exact
-//      chain elimination plus a tightly preconditioned small iteration,
+//   0. a structure-exploiting Schur-complement solve (solve_schur) when
+//      the caller assembled a crossbar's ChainSystem (numeric/schur.hpp)
+//      — exact chain elimination plus a tightly preconditioned small
+//      iteration,
 //   1. CG at the requested tolerance,
 //   2. a warm-started CG retry with kRetryBudgetFactor times the budget,
 //   3. a dense direct fallback (Cholesky, then LU with partial
@@ -41,10 +42,6 @@ struct ResilientSolveOptions {
   // previously solved system with the same topology. The pointee must
   // stay alive for the duration of the call.
   const std::vector<double>* initial_guess = nullptr;
-  // When non-null, rung 0 solves through this factorization of this
-  // exact matrix. An invalid one (its build found the structure broken)
-  // counts one schur_reject and the ladder proceeds.
-  const SchurFactorization* schur = nullptr;
 };
 
 struct ResilientSolveReport {
@@ -72,13 +69,29 @@ struct ResilientSolveReport {
   }
 };
 
-// Solves A x = b through the ladder above. Never throws on a stalled
-// iteration — a fully failed solve returns converged = false with the
-// best iterate found (method kFailed when even the dense rung was
-// singular or unavailable).
+// Rung 0: solves A x = b through `factor`, a factorization of the
+// assembled `a`. Acceptance is judged on the true residual of the full
+// system, computed from `a`, so a stale factorization or a broken
+// structure assumption cannot smuggle a wrong answer past the ladder. A
+// rejected solve -- an invalid factor (a broken structure or a
+// non-positive chain pivot), a PCG that did not converge, or a failed
+// residual check -- returns converged = false with one schur_reject;
+// hand the report on to solve_spd_resilient.
+ResilientSolveReport solve_schur(const ChainSystem& a,
+                                 const SchurFactorization& factor,
+                                 const std::vector<double>& b,
+                                 const ResilientSolveOptions& options);
+
+// Solves A x = b through rungs 1-3 of the ladder above. `rung0` is the
+// report of a rejected solve_schur of the same system, whose Schur
+// bookkeeping and notes the ladder carries on; empty when rung 0 did
+// not run. Never throws on a stalled iteration — a fully failed solve
+// returns converged = false with the best iterate found (method kFailed
+// when even the dense rung was singular or unavailable).
 ResilientSolveReport solve_spd_resilient(const CsrMatrix& a,
                                          const std::vector<double>& b,
-                                         const ResilientSolveOptions& options);
+                                         const ResilientSolveOptions& options,
+                                         ResilientSolveReport rung0 = {});
 
 namespace internal {
 // Keeps in `best` whichever iterate has the smaller residual norm,

@@ -20,15 +20,23 @@
 // ill-conditioned system (see PAPERS.md: XbarSim and "A Fast Method for
 // Steady-State Memristor Crossbar Array Circuit Simulation").
 //
-// The factorization object separates the factor-once work (structure
-// extraction, chain LDL^T factors) from the per-RHS solve, so multi-RHS
-// workloads on one matrix (a shared-matrix spice::solve_crossbar_batch, a
-// linear transient) pay extraction once, through spice::MnaCache::factor.
+// The rung's input is a ChainSystem: the reduced matrix stored as the
+// chain tridiagonals and cell couplings themselves, which the MNA
+// assembly stamps straight into (spice/mna.cpp). Factoring it is the
+// chain LDL^T alone -- there is no general sparse matrix to extract the
+// structure from. A SchurFactorization separates that factor-once work
+// from the per-RHS solve, so multi-RHS workloads on one matrix (a
+// shared-matrix spice::solve_crossbar_batch, a linear transient) factor
+// once, through spice::MnaCache::factor.
 // Everything here is deterministic: no randomness, no thread-count or
 // schedule dependence, so the platform's bit-identity contracts hold.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "numeric/sparse.hpp"
@@ -44,26 +52,195 @@ namespace mnsim::numeric {
 struct BipartitePartition {
   std::vector<std::vector<std::size_t>> eliminated_chains;
   std::vector<std::vector<std::size_t>> kept_chains;
+  // The unknown pairs a cell may couple across the two sides (a
+  // crossbar's memristors), in either order. Pairs inside one side are
+  // chain couplings and ignored here; repeats share one coupling.
+  std::vector<std::pair<std::size_t, std::size_t>> cells;
 
   [[nodiscard]] bool empty() const {
     return eliminated_chains.empty() || kept_chains.empty();
   }
 };
 
-// Factor-once handle: extracts the chain structure from `a`, factors
-// every chain (LDL^T), and keeps the cross-coupling block. build()
-// never throws on a mismatch -- a matrix whose sparsity or values break
-// the assumed structure (an entry outside the chains, a non-positive
-// chain pivot) yields valid() == false and the caller falls back to the
-// generic ladder. The factorization is tied to the exact values of `a`:
-// reuse it only while the matrix is unchanged (spice::MnaCache keeps one
-// only for refills its owner vouches reproduce `a`).
+// Where a partition puts each unknown, shared (immutable) by a
+// ChainSystem, its copies and the factorizations built from it. Every
+// unknown has a position: the eliminated chains' unknowns first, chain
+// by chain in wire order, [0, nb), then the kept chains', [nb, n).
+struct ChainLayout {
+  std::size_t n = 0;
+  std::size_t nb = 0;
+  std::vector<std::uint32_t> position;  // unknown -> position
+  std::vector<std::uint32_t> unknown;   // position -> unknown
+  std::vector<char> chain_first;        // position starts a chain
+  // Chain k of a side covers side-local positions [start[k], start[k+1]).
+  std::vector<std::size_t> b_chain_start;
+  std::vector<std::size_t> c_chain_start;
+  // Cell couplings, from the partition's cells: eliminated position p
+  // couples to kept positions cross_col[k] for k in
+  // [cross_start[p], cross_start[p+1]), in ascending unknown order.
+  std::vector<std::uint32_t> cross_start;  // nb + 1 entries
+  std::vector<std::uint32_t> cross_col;
+  // Matrix-vector product plan: the entries of unknown g's row, in
+  // ascending column unknown, are (value slot, column) pairs
+  // [plan_start[g], plan_start[g+1]) -- CsrMatrix::multiply's order.
+  struct Term {
+    std::uint32_t slot;
+    std::uint32_t col;
+  };
+  std::vector<std::uint32_t> plan_start;
+  std::vector<Term> plan;
+};
+
+// The reduced matrix of a partitioned system in the Schur rung's own
+// layout: per position its diagonal and its coupling to the previous and
+// next position of its chain, and per cell coupling its two entries
+// A(b, c) and A(c, b). It is a stamp sink (add(row, col, value)), so the
+// MNA assembly fills it in place of a CSR matrix: every slot starts at
+// 0.0 and sums its adds in the order they come, the same floats a CSR
+// assembly of the same stamps holds.
+//
+// The pattern is fixed when the system is laid out: the chains and the
+// partition's cells. An add that lands on no slot -- a coupling inside
+// one side that is not a chain neighbour, a cross coupling that is not a
+// cell, an out-of-range index -- makes finish() return false: the matrix
+// does not have the claimed structure and the caller takes the generic
+// path. When the first assembly misses, the system is broken() for good.
+class ChainSystem {
+ public:
+  ChainSystem() = default;
+  // Lays out `partition` over unknowns [0, n). A partition that does not
+  // cover every unknown exactly once, names a cell outside [0, n) (or n
+  // beyond what 32-bit slot indices address) yields an empty() system.
+  ChainSystem(const BipartitePartition& partition, std::size_t n);
+
+  [[nodiscard]] bool empty() const { return layout_ == nullptr; }
+  // An assembly has finished with every add on a slot; later ones are
+  // refills of the same pattern.
+  [[nodiscard]] bool assembled() const { return assembled_; }
+  [[nodiscard]] bool broken() const { return broken_; }
+  [[nodiscard]] std::size_t size() const { return layout_ ? layout_->n : 0; }
+
+  // --- assembly -------------------------------------------------------
+  // Starts an assembly from all-zero slots.
+  void begin();
+  void add(std::size_t row, std::size_t col, double value) {
+    const ChainLayout& l = *layout_;
+    if (row >= l.n || col >= l.n) {
+      ok_ = false;
+      return;
+    }
+    const std::uint32_t p = l.position[row];
+    if (row == col) {
+      values_[p] += value;
+      return;
+    }
+    const std::uint32_t q = l.position[col];
+    if ((p < l.nb) == (q < l.nb))
+      add_chain(p, q, value);
+    else if (p < l.nb)
+      add_cell(p, q, value, kCell);
+    else
+      add_cell(q, p, value, kMirror);
+  }
+  // The four adds of a conductance g between unknowns row != col: g on
+  // both diagonals, -g on both couplings. Each lands on its own slot, so
+  // one call sums exactly as the four add() calls would.
+  void couple(std::size_t row, std::size_t col, double g) {
+    const ChainLayout& l = *layout_;
+    if (row >= l.n || col >= l.n || row == col) {
+      ok_ = false;
+      return;
+    }
+    const std::uint32_t p = l.position[row];
+    const std::uint32_t q = l.position[col];
+    values_[p] += g;
+    values_[q] += g;
+    if ((p < l.nb) == (q < l.nb)) {
+      add_chain(p, q, -g);
+      add_chain(q, p, -g);
+    } else if (p < l.nb) {
+      add_cell(p, q, -g, kCell | kMirror);
+    } else {
+      add_cell(q, p, -g, kCell | kMirror);
+    }
+  }
+  // Snapshots the slots mid-assembly; restore_base() starts a later
+  // assembly from that snapshot instead of from zero. Adds made after
+  // the snapshot then sum onto the same partial sums a full assembly
+  // would reach, so the values are unchanged.
+  void save_base();
+  void restore_base();
+  // A snapshot has been taken since the system was laid out.
+  [[nodiscard]] bool has_base() const { return !base_.empty(); }
+  // Ends an assembly; true when every add landed on a slot.
+  bool finish();
+
+  // y = A x, each row summed in ascending column unknown from 0.0, as
+  // CsrMatrix::multiply sums it.
+  void multiply(const std::vector<double>& x, std::vector<double>& y) const;
+
+  // The slot (row, col) sums into, or nullopt when there is none.
+  // mnsim-analyze: allow(unreferenced-api, test oracle: test_spice_mna compares every slot with the CSR assembly of the same stamps)
+  [[nodiscard]] std::optional<double> value(std::size_t row,
+                                            std::size_t col) const;
+
+ private:
+  friend class SchurFactorization;
+
+  // Which entries of a cell coupling an add reaches: A(b, c), A(c, b).
+  static constexpr unsigned kCell = 1;
+  static constexpr unsigned kMirror = 2;
+
+  // An add between positions p and q of one side: the previous- or
+  // next-neighbour coupling of p, or a miss.
+  void add_chain(std::uint32_t p, std::uint32_t q, double value) {
+    const ChainLayout& l = *layout_;
+    if (q + 1 == p && !l.chain_first[p])
+      values_[l.n + p] += value;
+    else if (p + 1 == q && !l.chain_first[q])
+      values_[2 * l.n + p] += value;
+    else
+      ok_ = false;
+  }
+  // An add to the coupling of eliminated position b and kept position c,
+  // or a miss.
+  void add_cell(std::uint32_t b, std::uint32_t c, double value,
+                unsigned which) {
+    const ChainLayout& l = *layout_;
+    for (std::uint32_t k = l.cross_start[b]; k < l.cross_start[b + 1]; ++k) {
+      if (l.cross_col[k] == c) {
+        if (which & kCell) values_[3 * l.n + k] += value;
+        if (which & kMirror) values_[3 * l.n + l.cross_col.size() + k] += value;
+        return;
+      }
+    }
+    ok_ = false;
+  }
+
+  std::shared_ptr<const ChainLayout> layout_;
+  // Slots: diagonal [0, n), previous-neighbour coupling [n, 2n),
+  // next-neighbour coupling [2n, 3n), by position; then A(b, c) and then
+  // A(c, b) of every cell coupling, in cross_start/cross_col order.
+  std::vector<double> values_;
+  std::vector<double> base_;
+  bool base_ok_ = true;
+  bool ok_ = true;
+  bool assembled_ = false;
+  bool broken_ = false;
+};
+
+// Factor-once handle: factors every chain of an assembled ChainSystem
+// (LDL^T) and keeps what the solve needs. build() never throws -- a
+// system that is not assembled, broken, or has a non-positive chain
+// pivot yields valid() == false and the caller falls back to the generic
+// ladder. The factorization is tied to the system's values when it was
+// built: reuse it only while they are unchanged (spice::MnaCache keeps
+// one only for refills its owner vouches reproduce them).
 class SchurFactorization {
  public:
   SchurFactorization() = default;
 
-  static SchurFactorization build(const CsrMatrix& a,
-                                  const BipartitePartition& partition);
+  static SchurFactorization build(const ChainSystem& system);
 
   [[nodiscard]] bool valid() const { return valid_; }
   [[nodiscard]] std::size_t size() const { return n_; }
@@ -82,26 +259,15 @@ class SchurFactorization {
  private:
   bool valid_ = false;
   std::size_t n_ = 0;
+  std::shared_ptr<const ChainLayout> layout_;
 
-  // Global index <-> (side, local) maps. Locals are dense and ordered
-  // chain-by-chain so per-chain data can live in flat arrays.
-  std::vector<std::size_t> b_global_;  // B-local -> global
-  std::vector<std::size_t> c_global_;  // C-local -> global
-  std::vector<int> side_;              // 0 = eliminated (B), 1 = kept (C)
-  std::vector<std::size_t> local_;     // global -> side-local index
-
-  // Chain layout: chain k's locals are [start[k], start[k+1]).
-  std::vector<std::size_t> b_chain_start_;
-  std::vector<std::size_t> c_chain_start_;
-
-  // Factored chains (LDL^T): piv = D, lfac = unit-lower multipliers,
-  // off = original sub-diagonal (off[first-of-chain] unused). The kept
-  // side also keeps its original diagonal for the S matvec.
-  std::vector<double> b_piv_, b_lfac_, b_off_;
+  // Factored chains (LDL^T): piv = D, lfac = unit-lower multipliers. The
+  // kept side also keeps its diagonal and previous-neighbour coupling
+  // for the A_cc matvec.
+  std::vector<double> b_piv_, b_lfac_;
   std::vector<double> c_piv_, c_lfac_, c_off_, c_diag_;
-
-  // Cross block A_bc in CSR over B-locals (columns are C-locals).
-  std::vector<std::size_t> bc_start_, bc_col_;
+  // Cell couplings of the eliminated rows (A_bc), in the layout's
+  // cross_start/cross_col order.
   std::vector<double> bc_val_;
 
   void chain_solve_b(std::vector<double>& v) const;

@@ -92,10 +92,10 @@ class CsrMatrix {
   // fallback of solve_spd_resilient. Callers should bound n themselves.
   [[nodiscard]] std::vector<double> to_dense_rows() const;
 
-  // Raw CSR views (read-only) for structure-exploiting solvers that
-  // walk rows directly (numeric/schur.hpp): row r's entries live at
+  // Raw CSR views (read-only): row r's entries live at
   // [row_start()[r], row_start()[r+1]) in cols()/values(), sorted by
   // column within each row.
+  // mnsim-analyze: allow(unreferenced-api, test oracle: the chain-system tests compare numeric::ChainSystem with the CSR entry by entry)
   [[nodiscard]] const std::vector<std::size_t>& row_start() const {
     return row_start_;
   }

@@ -52,15 +52,77 @@ void CrossbarSpec::validate() const {
   device.validate();
 }
 
+namespace {
+
+// "<prefix><i>_<j>", appended with += (GCC 12 at -O3 reports a
+// -Wrestrict false positive on "prefix" + std::to_string(i)).
+std::string tap_name(const char* prefix, std::size_t i, std::size_t j) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  name += '_';
+  name += std::to_string(j);
+  return name;
+}
+
+std::string indexed_name(const char* prefix, std::size_t i) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  return name;
+}
+
+// The names of build_crossbar_netlist's elements, from kind and index:
+// sources Vin<i>; cells X<i>_<j>; resistors, in insertion order, the row
+// wires Rrow<i>_<j>, the column wires Rcol<i>_<j> and Rcol_end<j> (or,
+// with ideal wires, the unnamed tap-to-sense shorts), then the sense
+// loads Rs<j>. Capacitors are unnamed.
+Netlist::Namer crossbar_namer(const CrossbarSpec& spec) {
+  const auto m = static_cast<std::size_t>(spec.rows);
+  const auto n = static_cast<std::size_t>(spec.cols);
+  const bool ideal = spec.ideal_wires;
+  return [m, n, ideal](ElementKind kind, std::size_t k) -> std::string {
+    switch (kind) {
+      case ElementKind::kSource:
+        return indexed_name("Vin", k);
+      case ElementKind::kMemristor:
+        return tap_name("X", k / n, k % n);
+      case ElementKind::kCapacitor:
+        return {};
+      case ElementKind::kResistor:
+        break;
+    }
+    if (k < m * n)
+      return ideal ? std::string() : tap_name("Rrow", k / n, k % n);
+    k -= m * n;
+    if (!ideal) {
+      if (k < m * n) {
+        const std::size_t j = k / m;
+        const std::size_t i = k % m;
+        return i + 1 < m ? tap_name("Rcol", i, j)
+                         : indexed_name("Rcol_end", j);
+      }
+      k -= m * n;
+    }
+    return indexed_name("Rs", k);
+  };
+}
+
+}  // namespace
+
 Netlist build_crossbar_netlist(const CrossbarSpec& spec,
                                std::vector<NodeId>* out_column_nodes) {
   obs::Span span("spice.build_netlist");
   spec.validate();
   Netlist nl(spec.device);
   nl.set_linear_memristors(spec.linear_memristors);
+  nl.set_namer(crossbar_namer(spec));
 
   const int m = spec.rows;
   const int n = spec.cols;
+  const auto cells = static_cast<std::size_t>(m) * static_cast<std::size_t>(n);
+  const auto columns = static_cast<std::size_t>(n);
+  const bool caps = spec.segment_capacitance > 0 && !spec.ideal_wires;
+  nl.reserve((spec.ideal_wires ? cells : 2 * cells) + columns, cells,
+             static_cast<std::size_t>(m), caps ? 2 * cells + columns : 0);
 
   // One driven node per row; row taps at each cell; column taps at each
   // cell; a sense node per column (shared with the last column tap).
@@ -80,16 +142,14 @@ Netlist build_crossbar_netlist(const CrossbarSpec& spec,
     }
 
   for (int i = 0; i < m; ++i)
-    nl.add_source(source_node[i], spec.input_voltages[i],
-                  "Vin" + std::to_string(i));
+    nl.add_source(source_node[i], spec.input_voltages[i]);
 
   // Row wires: source -> tap(0) -> tap(1) -> ...
   if (!spec.ideal_wires) {
     for (int i = 0; i < m; ++i) {
       NodeId prev = source_node[i];
       for (int j = 0; j < n; ++j) {
-        nl.add_resistor(prev, row_tap[i][j], spec.segment_resistance,
-                        "Rrow" + std::to_string(i) + "_" + std::to_string(j));
+        nl.add_resistor(prev, row_tap[i][j], spec.segment_resistance);
         prev = row_tap[i][j];
       }
     }
@@ -97,14 +157,9 @@ Netlist build_crossbar_netlist(const CrossbarSpec& spec,
 
   // Cells.
   for (int i = 0; i < m; ++i)
-    for (int j = 0; j < n; ++j) {
-      std::string cell_name = "X";
-      cell_name += std::to_string(i);
-      cell_name += '_';
-      cell_name += std::to_string(j);
+    for (int j = 0; j < n; ++j)
       nl.add_memristor(row_tap[i][j], col_tap[i][j],
-                       spec.cell_resistance[i][j], std::move(cell_name));
-    }
+                       spec.cell_resistance[i][j]);
 
   // Column wires run down to the sense resistor below the last row; when
   // wires are ideal the column taps are merged by zero-resistance
@@ -124,19 +179,16 @@ Netlist build_crossbar_netlist(const CrossbarSpec& spec,
     for (int j = 0; j < n; ++j) {
       for (int i = 0; i + 1 < m; ++i)
         nl.add_resistor(col_tap[i][j], col_tap[i + 1][j],
-                        spec.segment_resistance,
-                        "Rcol" + std::to_string(i) + "_" + std::to_string(j));
+                        spec.segment_resistance);
       nl.add_resistor(col_tap[m - 1][j], sense_node[j],
-                      spec.segment_resistance,
-                      "Rcol_end" + std::to_string(j));
+                      spec.segment_resistance);
     }
   }
 
   for (int j = 0; j < n; ++j)
-    nl.add_resistor(sense_node[j], kGround, spec.sense_resistance,
-                    "Rs" + std::to_string(j));
+    nl.add_resistor(sense_node[j], kGround, spec.sense_resistance);
 
-  if (spec.segment_capacitance > 0 && !spec.ideal_wires) {
+  if (caps) {
     for (int i = 0; i < m; ++i)
       for (int j = 0; j < n; ++j) {
         nl.add_capacitor(row_tap[i][j], kGround, spec.segment_capacitance);
@@ -260,6 +312,7 @@ CrossbarSolution solve_crossbar(const CrossbarSpec& spec,
   cache->netlist = build_crossbar_netlist(spec, &cache->column_nodes);
   cache->key = topology_key(spec);
   cache->mna = MnaCache{};  // topology changed: drop pattern + warm start
+  cache->mna.reprogrammed_only = true;
   cache->valid = true;
   return solve_built(cache->netlist, cache->column_nodes, options,
                      &cache->mna);
@@ -299,6 +352,7 @@ std::vector<CrossbarBatchResult> solve_crossbar_batch(
   CrossbarSolveCache master;
   master.netlist = build_crossbar_netlist(base, &master.column_nodes);
   master.key = topology_key(base);
+  master.mna.reprogrammed_only = true;
   master.valid = true;
   obs::Span span("spice.solve_dc_batch");
   prime_cache(master.netlist, options, master.mna);
@@ -306,11 +360,10 @@ std::vector<CrossbarBatchResult> solve_crossbar_batch(
   if (warm_start_from_base)
     master.mna.warm_start_voltages =
         solve_dc(master.netlist, options, &master.mna).node_voltages;
-  if (shared_matrix && !master.mna.partition.empty()) {
+  if (shared_matrix && master.mna.system.assembled()) {
     obs::Span factor_span("numeric.batch");
     master.mna.factor = std::make_shared<const numeric::SchurFactorization>(
-        numeric::SchurFactorization::build(master.mna.matrix,
-                                           master.mna.partition));
+        numeric::SchurFactorization::build(master.mna.system));
   }
 
   obs::Registry& reg = obs::Registry::global();

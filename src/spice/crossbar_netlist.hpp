@@ -70,7 +70,10 @@ struct CrossbarSolveCache {
   // The topology fields of the spec the netlist matches; its value
   // arrays (input_voltages, cell_resistance) stay empty.
   CrossbarSpec key;
-  Netlist netlist;       // built once, values reprogrammed per solve
+  // Built once, values reprogrammed per solve. Change it only through
+  // set_memristor_state / set_source_voltage: `mna` relies on that
+  // (MnaCache::reprogrammed_only).
+  Netlist netlist;
   std::vector<NodeId> column_nodes;
   MnaCache mna;
 

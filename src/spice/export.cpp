@@ -49,28 +49,35 @@ std::string export_spice(const Netlist& nl, const std::string& title) {
     return std::string(prefix) + "auto" + std::to_string(auto_id++);
   };
 
-  for (const auto& r : nl.resistors()) {
-    os << "R" << name_or(r.name, "r") << ' ' << node_name(r.a) << ' '
-       << node_name(r.b) << ' ' << fmt(r.ohms) << "\n";
+  for (std::size_t i = 0; i < nl.resistors().size(); ++i) {
+    const auto& r = nl.resistors()[i];
+    os << "R" << name_or(nl.element_name(ElementKind::kResistor, i), "r")
+       << ' ' << node_name(r.a) << ' ' << node_name(r.b) << ' '
+       << fmt(r.ohms) << "\n";
   }
-  for (const auto& c : nl.capacitors()) {
-    os << "C" << name_or(c.name, "c") << ' ' << node_name(c.a) << ' '
-       << node_name(c.b) << ' ' << fmt(c.farads) << "\n";
+  for (std::size_t i = 0; i < nl.capacitors().size(); ++i) {
+    const auto& c = nl.capacitors()[i];
+    os << "C" << name_or(nl.element_name(ElementKind::kCapacitor, i), "c")
+       << ' ' << node_name(c.a) << ' ' << node_name(c.b) << ' '
+       << fmt(c.farads) << "\n";
   }
-  for (const auto& s : nl.sources()) {
-    os << "V" << name_or(s.name, "v") << ' ' << node_name(s.node) << " 0 DC "
-       << fmt(s.volts) << "\n";
+  for (std::size_t i = 0; i < nl.sources().size(); ++i) {
+    const auto& s = nl.sources()[i];
+    os << "V" << name_or(nl.element_name(ElementKind::kSource, i), "v")
+       << ' ' << node_name(s.node) << " 0 DC " << fmt(s.volts) << "\n";
   }
   const auto& dev = nl.device();
-  for (const auto& m : nl.memristors()) {
+  for (std::size_t i = 0; i < nl.memristors().size(); ++i) {
+    const auto& m = nl.memristors()[i];
+    const std::string name =
+        name_or(nl.element_name(ElementKind::kMemristor, i), "x");
     if (nl.linear_memristors()) {
-      os << "R" << name_or(m.name, "x") << ' ' << node_name(m.a) << ' '
-         << node_name(m.b) << ' ' << fmt(m.r_state) << "\n";
+      os << "R" << name << ' ' << node_name(m.a) << ' ' << node_name(m.b)
+         << ' ' << fmt(m.r_state) << "\n";
     } else {
       // Behavioral element: I = (vt / R) * sinh(V / vt).
-      os << "B" << name_or(m.name, "x") << ' ' << node_name(m.a) << ' '
-         << node_name(m.b) << " I="
-         << fmt(dev.nonlinearity_vt.value() / m.r_state)
+      os << "B" << name << ' ' << node_name(m.a) << ' ' << node_name(m.b)
+         << " I=" << fmt(dev.nonlinearity_vt.value() / m.r_state)
          << "*sinh(V(" << node_name(m.a) << ',' << node_name(m.b) << ")/"
          << fmt(dev.nonlinearity_vt.value()) << ")\n";
     }

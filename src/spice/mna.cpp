@@ -81,32 +81,60 @@ struct CsrRefillSink {
   }
 };
 
-// Stamps a conductance g between nodes a and b, with an optional parallel
-// current source i_src flowing a -> b (companion model), into (A, rhs).
-// MatrixSink is anything with add(row, col, value): a SparseBuilder on
-// first assembly, a CsrRefillSink when the pattern is cached.
+// A sink that drops every matrix add: stamps through it only touch the
+// right-hand side.
+struct RhsOnly {
+  void add(std::size_t, std::size_t, double) {}
+};
+
+// A conductance g between two free unknowns: g on both diagonals, -g on
+// both couplings, in the order a SparseBuilder records them (its scatter
+// map follows this order).
 template <typename MatrixSink>
+void couple(MatrixSink& a, std::size_t ua, std::size_t ub, double g) {
+  a.add(ua, ua, g);
+  a.add(ua, ub, -g);
+  a.add(ub, ub, g);
+  a.add(ub, ua, -g);
+}
+
+// The chain system takes the four adds in one call: each lands on its
+// own slot, so the sums are the same.
+void couple(numeric::ChainSystem& a, std::size_t ua, std::size_t ub,
+            double g) {
+  a.couple(ua, ub, g);
+}
+
+// Stamps a conductance g between nodes a and b, with a parallel current
+// source i_src flowing a -> b (companion model) when kSource, into
+// (A, rhs). Without one the right-hand side skips the source's zero:
+// the assembled sums start at +0.0 and so are never -0.0, which makes
+// adding +-0.0 an exact no-op. MatrixSink is anything
+// with add(row, col, value): a SparseBuilder on first assembly, a
+// CsrRefillSink when the pattern is cached, or the chain system of a
+// structured netlist.
+template <bool kSource, typename MatrixSink>
 void stamp(const Indexer& ix, MatrixSink& a, std::vector<double>& rhs,
            NodeId na, NodeId nb, double g, double i_src) {
   const int ua = ix.unknown_of_node[na];
   const int ub = ix.unknown_of_node[nb];
-  const double va = ua < 0 ? ix.pinned_voltage[na] : 0.0;
-  const double vb = ub < 0 ? ix.pinned_voltage[nb] : 0.0;
+  if (ua >= 0 && ub >= 0) {
+    couple(a, static_cast<std::size_t>(ua), static_cast<std::size_t>(ub), g);
+    if (kSource) {
+      rhs[static_cast<std::size_t>(ua)] -= i_src;
+      rhs[static_cast<std::size_t>(ub)] += i_src;
+    }
+    return;
+  }
   if (ua >= 0) {
     a.add(static_cast<std::size_t>(ua), static_cast<std::size_t>(ua), g);
-    rhs[static_cast<std::size_t>(ua)] -= i_src;
-    if (ub >= 0)
-      a.add(static_cast<std::size_t>(ua), static_cast<std::size_t>(ub), -g);
-    else
-      rhs[static_cast<std::size_t>(ua)] += g * vb;
+    if (kSource) rhs[static_cast<std::size_t>(ua)] -= i_src;
+    rhs[static_cast<std::size_t>(ua)] += g * ix.pinned_voltage[nb];
   }
   if (ub >= 0) {
     a.add(static_cast<std::size_t>(ub), static_cast<std::size_t>(ub), g);
-    rhs[static_cast<std::size_t>(ub)] += i_src;
-    if (ua >= 0)
-      a.add(static_cast<std::size_t>(ub), static_cast<std::size_t>(ua), -g);
-    else
-      rhs[static_cast<std::size_t>(ub)] += g * va;
+    if (kSource) rhs[static_cast<std::size_t>(ub)] += i_src;
+    rhs[static_cast<std::size_t>(ub)] += g * ix.pinned_voltage[na];
   }
 }
 
@@ -117,25 +145,29 @@ struct StepContext {
   const std::vector<double>& v_prev;
 };
 
-// Stamps every element of `nl` into (sink, rhs) with the companion model
-// linearized around `voltages` (by node id). One call = one assembly.
-// With a step context the capacitors are stamped too; without one they
+// The resistor stamps: wires, sense loads, anything linear. They do not
+// depend on the iterate.
+template <typename MatrixSink>
+void stamp_resistors(const Netlist& nl, const Indexer& ix, MatrixSink& sink,
+                     std::vector<double>& rhs) {
+  for (const auto& r : nl.resistors())
+    stamp<false>(ix, sink, rhs, r.a, r.b, 1.0 / r.ohms, 0.0);
+}
+
+// The companion stamps, linearized around `voltages` (by node id): every
+// memristor, and with a step context every capacitor; without one they
 // are open, as at a DC operating point.
 template <typename MatrixSink>
-void assemble(const Netlist& nl, const Indexer& ix,
-              const std::vector<double>& voltages, MatrixSink& sink,
-              std::vector<double>& rhs, const StepContext* step = nullptr) {
+void stamp_companions(const Netlist& nl, const Indexer& ix,
+                      const std::vector<double>& voltages, MatrixSink& sink,
+                      std::vector<double>& rhs, const StepContext* step) {
   const auto& dev = nl.device();
   // The sinh/cosh companion model overflows for iterates far outside the
   // physical range; clamp the argument so a wild Newton step degrades
   // into damping instead of NaN propagation.
-
-  for (const auto& r : nl.resistors())
-    stamp(ix, sink, rhs, r.a, r.b, 1.0 / r.ohms, 0.0);
-
   for (const auto& m : nl.memristors()) {
     if (nl.linear_memristors()) {
-      stamp(ix, sink, rhs, m.a, m.b, 1.0 / m.r_state, 0.0);
+      stamp<false>(ix, sink, rhs, m.a, m.b, 1.0 / m.r_state, 0.0);
       continue;
     }
     // Companion model around the previous iterate, linearized at the
@@ -151,7 +183,7 @@ void assemble(const Netlist& nl, const Indexer& ix,
     const double a_coef = vt / m.r_state;
     const double i0 = a_coef * std::sinh(vc / vt);
     const double gd = std::cosh(vc / vt) / m.r_state;
-    stamp(ix, sink, rhs, m.a, m.b, gd, i0 - gd * vc);
+    stamp<true>(ix, sink, rhs, m.a, m.b, gd, i0 - gd * vc);
   }
 
   if (step == nullptr) return;
@@ -160,8 +192,18 @@ void assemble(const Netlist& nl, const Indexer& ix,
   for (const auto& c : nl.capacitors()) {
     const double g = c.farads / step->dt;
     const double v_prev = step->v_prev[c.a] - step->v_prev[c.b];
-    stamp(ix, sink, rhs, c.a, c.b, g, -g * v_prev);
+    stamp<true>(ix, sink, rhs, c.a, c.b, g, -g * v_prev);
   }
+}
+
+// Stamps every element of `nl` into (sink, rhs), resistors first. One
+// call = one assembly.
+template <typename MatrixSink>
+void assemble(const Netlist& nl, const Indexer& ix,
+              const std::vector<double>& voltages, MatrixSink& sink,
+              std::vector<double>& rhs, const StepContext* step = nullptr) {
+  stamp_resistors(nl, ix, sink, rhs);
+  stamp_companions(nl, ix, voltages, sink, rhs, step);
 }
 
 // Upper bound on the matrix adds of one assembly: four per stamped
@@ -188,13 +230,15 @@ void vet(const Netlist& nl, bool preflight) {
     throw check::CheckError(check::check_netlist(nl));
 }
 
-// Translates wire-chain node ids to reduced-system unknown indices. An
-// unusable structure (a pinned node inside a chain, chains that do not
-// cover every unknown exactly once) yields an empty partition — the
-// solver then simply skips the Schur rung.
-numeric::BipartitePartition translate_partition(const WireStructure& ws,
+// Translates wire-chain node ids to reduced-system unknown indices, and
+// each memristor between two free nodes to a cell. An unusable structure
+// (a pinned node inside a chain, chains that do not cover every unknown
+// exactly once) yields an empty partition — the solver then simply skips
+// the Schur rung.
+numeric::BipartitePartition translate_partition(const Netlist& nl,
                                                 const Indexer& ix,
                                                 std::size_t n_unknowns) {
+  const WireStructure& ws = nl.wire_structure();
   numeric::BipartitePartition p;
   std::size_t covered = 0;
   const auto convert = [&](const std::vector<std::vector<NodeId>>& chains,
@@ -221,27 +265,94 @@ numeric::BipartitePartition translate_partition(const WireStructure& ws,
   if (!convert(ws.row_chains, p.eliminated_chains) ||
       !convert(ws.col_chains, p.kept_chains) || covered != n_unknowns)
     return {};
+  p.cells.reserve(nl.memristors().size());
+  for (const auto& m : nl.memristors()) {
+    const int ua = ix.unknown_of_node[m.a];
+    const int ub = ix.unknown_of_node[m.b];
+    if (ua >= 0 && ub >= 0)
+      p.cells.emplace_back(static_cast<std::size_t>(ua),
+                           static_cast<std::size_t>(ub));
+  }
   return p;
 }
 
-// Unknown-index partition for the Schur rung, cached alongside the CSR
-// pattern (it encodes the same topology); null when the rung is off or
-// the netlist carries no usable structure.
-const numeric::BipartitePartition* cached_partition(const Netlist& nl,
-                                                    const DcOptions& opt,
-                                                    const Indexer& ix,
-                                                    MnaCache& mc) {
+// The chain system the Schur rung solves, laid out from the wire
+// structure and the memristors and cached with the topology; null when
+// the rung is off or the netlist carries no usable structure. A fresh
+// layout drops the factor kept for the old one.
+numeric::ChainSystem* structured_system(const Netlist& nl,
+                                        const DcOptions& opt,
+                                        const Indexer& ix, MnaCache& mc) {
   if (!opt.allow_schur || nl.wire_structure().empty()) return nullptr;
-  if (!mc.partition_valid) {
-    mc.partition = translate_partition(
-        nl.wire_structure(), ix, static_cast<std::size_t>(ix.unknown_count));
-    mc.partition_valid = true;
+  const auto n = static_cast<std::size_t>(ix.unknown_count);
+  if (!mc.system_valid || (!mc.system.empty() && mc.system.size() != n)) {
+    mc.system = numeric::ChainSystem(
+        translate_partition(nl, ix, n), n);
+    mc.system_valid = true;
+    mc.factor.reset();
   }
-  return mc.partition.empty() ? nullptr : &mc.partition;
+  return mc.system.empty() ? nullptr : &mc.system;
+}
+
+// This solve's wire-only snapshot of the chain system and right-hand
+// side: the resistor stamps, which every Newton iteration repeats.
+// `kept` marks a chain-system snapshot an earlier solve took of the same
+// resistors (MnaCache::reprogrammed_only): this solve only re-stamps the
+// resistors' right-hand side, which the source voltages enter.
+struct WireBase {
+  bool saved = false;
+  bool kept = false;
+  std::vector<double> rhs;
+};
+
+// The snapshot a solve on `mc` assembles with, or null when it assembles
+// once from zero: a nonlinear solve takes one on its first assembly and
+// starts every later one from it; on a cache whose owner vouches for its
+// wires every solve takes one, or starts from the one kept in the chain
+// system.
+WireBase* wire_base_for(const Netlist& nl, const MnaCache& mc,
+                        const numeric::ChainSystem* system, WireBase& base) {
+  const bool nonlinear = !nl.linear_memristors() && !nl.memristors().empty();
+  if (!nonlinear && !mc.reprogrammed_only) return nullptr;
+  base.kept = mc.reprogrammed_only && system != nullptr && system->has_base();
+  return &base;
+}
+
+// One assembly into the chain system; false when a stamp missed its
+// slots (see numeric::ChainSystem). With a base that holds a snapshot,
+// the assembly starts from it and re-stamps only the companions (and,
+// first in a solve on a kept snapshot, the resistors' right-hand side);
+// with one that does not yet, it takes the snapshot after the resistors.
+// Resistors are stamped first either way, so every slot sums the same
+// adds in the same order.
+bool assemble_chains(const Netlist& nl, const Indexer& ix,
+                     const std::vector<double>& voltages,
+                     numeric::ChainSystem& system, std::vector<double>& rhs,
+                     const StepContext* step, WireBase* base) {
+  if (base != nullptr && base->saved) {
+    system.restore_base();
+    rhs = base->rhs;
+  } else if (base != nullptr && base->kept) {
+    system.restore_base();
+    RhsOnly no_matrix;
+    stamp_resistors(nl, ix, no_matrix, rhs);
+    base->rhs = rhs;
+    base->saved = true;
+  } else {
+    system.begin();
+    stamp_resistors(nl, ix, system, rhs);
+    if (base != nullptr) {
+      system.save_base();
+      base->rhs = rhs;
+      base->saved = true;
+    }
+  }
+  stamp_companions(nl, ix, voltages, system, rhs, step);
+  return system.finish();
 }
 
 // Assembles `nl` into a fresh CSR pattern and records the scatter map
-// later refills follow. A factor kept for the old pattern goes with it.
+// later refills follow.
 void build_pattern(const Netlist& nl, const Indexer& ix,
                    const std::vector<double>& voltages,
                    std::vector<double>& rhs, const StepContext* step,
@@ -251,7 +362,85 @@ void build_pattern(const Netlist& nl, const Indexer& ix,
   assemble(nl, ix, voltages, builder, rhs, step);
   mc.matrix = numeric::CsrMatrix(builder, &mc.scatter);
   mc.pattern_valid = true;
-  mc.factor.reset();
+}
+
+// One assembly into the cache's CSR pattern: a refill through the
+// scatter map when the topology matches, else (first assembly, or
+// structure changed) a rebuild that re-primes the cache. True on a
+// refill.
+bool assemble_csr(const Netlist& nl, const Indexer& ix,
+                  const std::vector<double>& voltages,
+                  std::vector<double>& rhs, const StepContext* step,
+                  MnaCache& mc) {
+  if (mc.pattern_valid && mc.matrix.size() == rhs.size()) {
+    mc.matrix.zero_values();
+    CsrRefillSink sink{&mc.matrix, &mc.scatter};
+    assemble(nl, ix, voltages, sink, rhs, step);
+    if (sink.ok) return true;
+    std::fill(rhs.begin(), rhs.end(), 0.0);
+    mc.pattern_valid = false;
+    // The structure the cache was laid out for has changed; its chain
+    // system no longer describes this matrix either.
+    mc.system_valid = false;
+  }
+  build_pattern(nl, ix, voltages, rhs, step, mc);
+  return false;
+}
+
+// What one Newton iteration's assembly did.
+struct Assembly {
+  bool on_chain = false;  // the chain system holds the matrix
+  bool refilled = false;  // it refilled a pattern (a cache hit)
+};
+
+// One Newton iteration's assembly at `voltages`: into the chain system
+// when it holds the structure, else into the CSR pattern. Either refills
+// the pattern an earlier assembly of this topology laid out, or builds
+// it. `system` is the solve's chain system (null without one); it is
+// laid out afresh when a rewired netlist no longer fits it, and set to
+// null once the CSR pattern had to be rebuilt. `base` is the solve's
+// wire-only snapshot (wire_base_for).
+Assembly assemble_iteration(const Netlist& nl, const DcOptions& opt,
+                            const Indexer& ix,
+                            const std::vector<double>& voltages,
+                            std::vector<double>& rhs, const StepContext* step,
+                            MnaCache& mc, numeric::ChainSystem*& system,
+                            WireBase* base) {
+  obs::Span asm_span("spice.assemble");
+  Assembly a;
+  if (system != nullptr && !system->broken()) {
+    a.refilled = system->assembled();
+    if (a.refilled && mc.factor != nullptr && mc.reprogrammed_only) {
+      // The system holds the matrix the kept factor was built from, and
+      // its owner vouches the values do not change: only the right-hand
+      // side is new.
+      RhsOnly no_matrix;
+      assemble(nl, ix, voltages, no_matrix, rhs, step);
+      a.on_chain = true;
+      return a;
+    }
+    a.on_chain = assemble_chains(nl, ix, voltages, *system, rhs, step, base);
+    if (!a.on_chain && a.refilled) {
+      // The netlist no longer fits the pattern (a rewired netlist on this
+      // cache): lay the structure out afresh.
+      std::fill(rhs.begin(), rhs.end(), 0.0);
+      mc.system_valid = false;
+      if (base != nullptr) *base = WireBase{};
+      a.refilled = false;
+      system = structured_system(nl, opt, ix, mc);
+      if (system != nullptr)
+        a.on_chain =
+            assemble_chains(nl, ix, voltages, *system, rhs, step, base);
+    }
+    if (!a.on_chain) std::fill(rhs.begin(), rhs.end(), 0.0);
+  }
+  if (!a.on_chain) {
+    a.refilled = assemble_csr(nl, ix, voltages, rhs, step, mc);
+    // A rebuilt CSR pattern means the topology moved: this solve stops
+    // trusting the chain system.
+    if (!mc.system_valid) system = nullptr;
+  }
+  return a;
 }
 
 // The actual solve; the public solve_dc wraps it in a trace span and
@@ -262,9 +451,13 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
                        MnaCache* cache, const StepContext* step = nullptr) {
   // Refuse-with-diagnosis: vet the topology before any numeric work.
   // A cache with a valid pattern means this structure already passed, so
-  // sweep iterations skip straight to assembly.
-  const bool vetted = cache != nullptr && cache->pattern_valid;
-  vet(nl, opt.preflight && !vetted);
+  // sweep iterations skip the preflight; a netlist its owner vouches for
+  // (MnaCache::reprogrammed_only) has kept the invariants since, so it
+  // skips validate() too.
+  const bool vetted = cache != nullptr &&
+                      (cache->pattern_valid || cache->system.assembled());
+  if (!(vetted && cache->reprogrammed_only))
+    vet(nl, opt.preflight && !vetted);
   const Indexer ix = build_indexer(nl);
   const int nodes = nl.node_count() + 1;
   const auto n_unknowns = static_cast<std::size_t>(ix.unknown_count);
@@ -278,9 +471,12 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
   const bool external = cache != nullptr;
   MnaCache& mc = external ? *cache : local_cache;
 
-  // A failed mid-solve refill invalidates the partition with the pattern.
-  const numeric::BipartitePartition* partition =
-      cached_partition(nl, opt, ix, mc);
+  // A netlist with a usable wire structure assembles into its chain
+  // system and is solved there by the Schur rung; the CSR pattern is
+  // built only when the rung rejects. A broken system (a stamp off its
+  // chain and cell slots) assembles into the CSR and counts one reject
+  // per linear solve.
+  numeric::ChainSystem* system = structured_system(nl, opt, ix, mc);
 
   DcResult result;
   result.node_voltages.assign(nodes, 0.0);
@@ -300,6 +496,10 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
 
   double prev_delta = 0.0;
   int damping_budget = kMaxDampingRetries;
+  // From the second Newton iteration on, the chain assembly starts from
+  // the wire-only snapshot the first one took.
+  WireBase wire_base;
+  WireBase* const base = wire_base_for(nl, mc, system, wire_base);
 
   for (int it = 0; it < max_iter; ++it) {
     // Watchdog poll between Newton iterations (util/cancel.hpp); the
@@ -308,34 +508,10 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
     obs::Span iter_span("spice.newton_iteration");
     std::vector<double> rhs(n_unknowns, 0.0);
 
-    // Assembly: refill the cached CSR pattern in place when its topology
-    // matches (one flat pass through the cached scatter map), else (first
-    // solve, or structure changed) rebuild from a SparseBuilder and
-    // re-prime the cache.
-    bool refilled = false;
-    {
-      obs::Span asm_span("spice.assemble");
-      if (mc.pattern_valid && mc.matrix.size() == n_unknowns) {
-        mc.matrix.zero_values();
-        CsrRefillSink sink{&mc.matrix, &mc.scatter};
-        assemble(nl, ix, result.node_voltages, sink, rhs, step);
-        if (sink.ok) {
-          refilled = true;
-        } else {
-          std::fill(rhs.begin(), rhs.end(), 0.0);
-          mc.pattern_valid = false;
-          // The structure this solve was indexed against has changed;
-          // the cached partition no longer describes this matrix.
-          mc.partition_valid = false;
-          partition = nullptr;
-        }
-      }
-      if (!refilled)
-        build_pattern(nl, ix, result.node_voltages, rhs, step, mc);
-      else if (external)
-        ++result.diagnostics.cache_hits;
-    }
-    const numeric::CsrMatrix& a = mc.matrix;
+    const Assembly assembly = assemble_iteration(
+        nl, opt, ix, result.node_voltages, rhs, step, mc, system, base);
+    const bool on_chain = assembly.on_chain;
+    if (assembly.refilled && external) ++result.diagnostics.cache_hits;
 
     // Warm-start the inner CG from the current iterate whenever it is
     // informative: always past the first Newton iteration, and on the
@@ -353,12 +529,13 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
       }
     }
 
-    // A factor kept in the cache survives only refills of its pattern
-    // (a rebuild drops it); otherwise the Schur rung factors this matrix
-    // on the partition. A linear transient keeps the factor it builds:
-    // its step matrix is the same at every step of the run.
-    const bool reuse = mc.factor != nullptr;
+    // Rung 0 runs on the chain system, through the factor the cache
+    // keeps or one built for this matrix; a rejected solve assembles the
+    // CSR at the same iterate and continues down the generic ladder. A
+    // linear transient keeps the factor it builds: its step matrix is
+    // the same at every step of the run.
     const bool keep = step != nullptr && !nonlinear;
+    bool reused = false;
     const auto solve = [&] {
       obs::Span solve_span("spice.linear_solve");
       numeric::ResilientSolveOptions solve_opt;
@@ -366,19 +543,29 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
       solve_opt.max_iterations = opt.cg_max_iterations;
       solve_opt.allow_fallback = opt.allow_fallback;
       solve_opt.initial_guess = have_guess ? &guess : nullptr;
-      numeric::SchurFactorization built;
-      if (reuse) {
-        solve_opt.schur = mc.factor.get();
-      } else if (partition != nullptr) {
-        obs::Span build_span("numeric.schur_build");
-        built = numeric::SchurFactorization::build(a, *partition);
-        solve_opt.schur = &built;
+      numeric::ResilientSolveReport report;
+      if (system != nullptr) {
+        numeric::SchurFactorization built;
+        const numeric::SchurFactorization* factor = mc.factor.get();
+        reused = factor != nullptr;
+        if (!reused) {
+          obs::Span build_span("numeric.schur_build");
+          built = numeric::SchurFactorization::build(*system);
+          factor = &built;
+        }
+        report = numeric::solve_schur(*system, *factor, rhs, solve_opt);
+        if (keep && !reused)
+          mc.factor = std::make_shared<const numeric::SchurFactorization>(
+              std::move(built));
       }
-      auto report = numeric::solve_spd_resilient(a, rhs, solve_opt);
-      if (keep && solve_opt.schur == &built)
-        mc.factor = std::make_shared<const numeric::SchurFactorization>(
-            std::move(built));
-      return report;
+      if (report.converged) return report;
+      if (on_chain) {
+        obs::Span asm_span("spice.assemble");
+        std::vector<double> csr_rhs(n_unknowns, 0.0);
+        (void)assemble_csr(nl, ix, result.node_voltages, csr_rhs, step, mc);
+      }
+      return numeric::solve_spd_resilient(mc.matrix, rhs, solve_opt,
+                                          std::move(report));
     }();
     result.diagnostics.cg_iterations +=
         static_cast<long>(solve.cg_iterations);
@@ -389,7 +576,7 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
     result.diagnostics.schur_rejects += solve.schur_rejects;
     if (solve.method == numeric::SolveMethod::kSchur) {
       ++result.diagnostics.schur_solves;
-      if (reuse) ++result.diagnostics.factor_reuses;
+      if (reused) ++result.diagnostics.factor_reuses;
     }
     result.diagnostics.condition_estimate = std::max(
         result.diagnostics.condition_estimate, solve.condition_estimate);
@@ -496,13 +683,39 @@ DcResult solve_dc(const Netlist& nl, const DcOptions& opt, MnaCache* cache) {
 void prime_cache(const Netlist& nl, const DcOptions& opt, MnaCache& cache) {
   vet(nl, opt.preflight);
   const Indexer ix = build_indexer(nl);
-  {
-    obs::Span asm_span("spice.assemble");
-    std::vector<double> rhs(static_cast<std::size_t>(ix.unknown_count), 0.0);
-    build_pattern(nl, ix, ix.pinned_voltage, rhs, nullptr, cache);
+  obs::Span asm_span("spice.assemble");
+  std::vector<double> rhs(static_cast<std::size_t>(ix.unknown_count), 0.0);
+  cache.pattern_valid = false;
+  cache.matrix = numeric::CsrMatrix();
+  cache.scatter.clear();
+  cache.system_valid = false;
+  cache.factor.reset();
+  numeric::ChainSystem* system = structured_system(nl, opt, ix, cache);
+  WireBase base;  // kept in the chain system for reprogrammed_only solves
+  if (system != nullptr && assemble_chains(nl, ix, ix.pinned_voltage,
+                                           *system, rhs, nullptr, &base))
+    return;
+  std::fill(rhs.begin(), rhs.end(), 0.0);
+  build_pattern(nl, ix, ix.pinned_voltage, rhs, nullptr, cache);
+}
+
+std::vector<double> assemble_newton(
+    const Netlist& nl, const DcOptions& opt,
+    const std::vector<std::vector<double>>& iterates, MnaCache& cache,
+    double time_step, const std::vector<double>* previous) {
+  const Indexer ix = build_indexer(nl);
+  numeric::ChainSystem* system = structured_system(nl, opt, ix, cache);
+  WireBase wire_base;
+  WireBase* const base = wire_base_for(nl, cache, system, wire_base);
+  std::vector<double> rhs;
+  for (const auto& voltages : iterates) {
+    const StepContext step{time_step, previous ? *previous : voltages};
+    rhs.assign(static_cast<std::size_t>(ix.unknown_count), 0.0);
+    (void)assemble_iteration(nl, opt, ix, voltages, rhs,
+                             time_step > 0 ? &step : nullptr, cache, system,
+                             base);
   }
-  cache.partition_valid = false;
-  (void)cached_partition(nl, opt, ix, cache);
+  return rhs;
 }
 
 double memristor_current(const Netlist& nl, const MemristorElement& m,
@@ -587,6 +800,7 @@ TransientResult solve_transient(const Netlist& nl,
   // condition is every node at zero, the sources stepping at t = 0+.
   MnaCache cache;
   cache.warm_start_voltages.assign(static_cast<std::size_t>(nodes), 0.0);
+  cache.reprogrammed_only = true;  // the netlist is the same at every step
 
   TransientResult result;
   result.converged = true;

@@ -61,7 +61,8 @@ struct DcOptions {
   // carry the warnings too. Skipped on cache hits — the topology was
   // vetted when the pattern was primed — so repeated sweeps pay the
   // cost once per structure; with preflight off (or on a cache hit) the
-  // solve runs the invariant subset, Netlist::validate().
+  // solve runs the invariant subset, Netlist::validate(), unless the
+  // cache's owner vouches for the netlist (MnaCache::reprogrammed_only).
   bool preflight = true;
 };
 
@@ -78,9 +79,9 @@ struct SolverDiagnostics {
   double linear_residual = 0.0;   // worst relative residual of any solve
   int faults_injected = 0;        // defects applied to the netlist's array
   // Sweep-acceleration bookkeeping (docs/PERFORMANCE.md): assemblies
-  // that refilled a cached CSR sparsity pattern instead of rebuilding
-  // it, and linear solves that warm-started CG from a previous solution
-  // of the same topology.
+  // that refilled a cached pattern (chain system or CSR) instead of
+  // building it, and linear solves that warm-started CG from a previous
+  // solution of the same topology.
   long cache_hits = 0;
   long warm_starts = 0;
   // Structure-exploiting solver bookkeeping: linear solves served by the
@@ -108,20 +109,26 @@ struct SolverDiagnostics {
 
 // Reusable per-topology solver state for repeated DC solves of netlists
 // sharing one structure (same nodes, same element connectivity, values
-// free to change): the CSR sparsity pattern of the reduced conductance
-// matrix, refilled in place per assembly through the scatter map (the
-// CSR slot of every stamp, in stamp order), and an optional warm-start
-// voltage vector (by node id) used as the Newton/CG starting iterate.
+// free to change), and an optional warm-start voltage vector (by node
+// id) used as the Newton/CG starting iterate.
 //
-// One cache serves one structure. A refill verifies each scatter slot
-// and falls back to a column search when the stamp sequence moved (a
-// rewired netlist with the same element count); solve_dc falls back to
-// a full rebuild (and re-primes the cache) whenever a stamp misses the
-// pattern altogether. A
-// cache must not be shared between threads — sweep engines keep one per
-// worker, cloned from a serially primed master so results stay
-// schedule-independent (see util/parallel.hpp's determinism contract:
-// warm_start_voltages is caller-managed and never auto-updated).
+// A netlist with a usable WireStructure is assembled straight into its
+// chain system: the Schur rung's own arrays (numeric::ChainSystem), its
+// pattern laid out from the wire chains and the memristors and refilled
+// in place by every assembly. The CSR sparsity pattern of the reduced conductance matrix
+// -- refilled in place per assembly through the scatter map (the CSR
+// slot of every stamp, in stamp order) -- is built only for netlists
+// without one, and for iterates the Schur rung rejects.
+//
+// One cache serves one structure. A refill verifies every stamp's slot
+// (the CSR one falls back to a column search when the stamp sequence
+// moved: a rewired netlist with the same element count); solve_dc lays
+// the chain system out afresh, or rebuilds the CSR pattern, whenever a
+// stamp misses the pattern altogether. A cache must not be shared
+// between threads — sweep engines keep one per worker, cloned from a
+// serially primed master so results stay schedule-independent (see
+// util/parallel.hpp's determinism contract: warm_start_voltages is
+// caller-managed and never auto-updated).
 //
 // Deliberately carries no mutex and no MN_GUARDED_BY annotations: the
 // thread-safety story is compartmentalization, not locking. Each worker
@@ -135,19 +142,30 @@ struct MnaCache {
   numeric::CsrMatrix matrix;             // pattern + last stamped values
   std::vector<std::uint32_t> scatter;    // CSR slot of the k-th stamp
   std::vector<double> warm_start_voltages;  // by node id; empty = cold
-  // Wire-structure partition translated to unknown indices (empty when
-  // the netlist carries no usable structure); recomputed whenever the
-  // pattern is re-primed, like the CSR pattern itself.
-  bool partition_valid = false;
-  numeric::BipartitePartition partition;
-  // Schur factor of the matrix every refill of this pattern reproduces,
-  // or null. Whoever sets it vouches that the values will not change:
-  // solve_crossbar_batch for a shared-matrix batch (its worker clones
-  // share the one immutable factor), and a linear transient for its
-  // fixed step matrix. Solves on a refilled pattern use it instead of
-  // factoring (counted in factor_reuses; an invalid one counts one
-  // schur_reject); a pattern rebuild drops it.
+  // The wire structure laid out over this topology's unknowns (empty
+  // when the netlist carries no usable structure, broken() when its
+  // stamps do not fit it) and the values of its last assembly.
+  bool system_valid = false;
+  numeric::ChainSystem system;
+  // Schur factor of the chain system every refill of this pattern
+  // reproduces, or null. Whoever sets it vouches that the values will
+  // not change: solve_crossbar_batch for a shared-matrix batch (its
+  // worker clones share the one immutable factor), and a linear
+  // transient for its fixed step matrix. Solves on a refilled system use
+  // it instead of factoring (counted in factor_reuses; an invalid one
+  // counts one schur_reject), and on a reprogrammed_only cache assemble
+  // only the right-hand side; a fresh layout drops it.
   std::shared_ptr<const numeric::SchurFactorization> factor;
+  // Set by an owner that vouches every solve on this cache is of the
+  // netlist it was primed with, changed since only through
+  // set_memristor_state / set_source_voltage: CrossbarSolveCache, whose
+  // netlist is reprogrammed per solve, and a transient run, whose netlist
+  // does not change. Its structure, pinned nodes and resistors are then
+  // those the cache was vetted and laid out for, and the setters keep
+  // Netlist::validate()'s invariants, so a solve skips validate() and
+  // starts its first chain assembly from the wire-only snapshot an
+  // earlier one took, re-stamping only the resistors' right-hand side.
+  bool reprogrammed_only = false;
 };
 
 struct DcResult {
@@ -162,8 +180,8 @@ struct DcResult {
   [[nodiscard]] double voltage(NodeId n) const { return node_voltages[n]; }
 };
 
-// Solves the DC operating point. When `cache` is non-null the CSR
-// sparsity pattern is reused across calls (values-only refill) and the
+// Solves the DC operating point. When `cache` is non-null the assembly
+// pattern is reused across calls (values-only refill) and the
 // solve warm-starts from cache->warm_start_voltages when set; the
 // corresponding cache_hits / warm_starts land in the result's
 // diagnostics. Passing nullptr keeps the historical one-shot behavior
@@ -173,13 +191,28 @@ DcResult solve_dc(const Netlist& netlist, const DcOptions& options = {},
 
 // Primes `cache` for value-only re-solves of `netlist`'s topology
 // without solving it: vets the netlist (the preflight, or validate()
-// with options.preflight off), assembles it once into the CSR pattern
-// and scatter map — the same pattern build solve_dc runs on a cold
-// cache — and translates its wire structure into the Schur partition
-// when options.allow_schur. Every later solve_dc on the cache starts
-// with a refill. The warm start is left as it was; a kept factor goes.
+// with options.preflight off) and assembles it once -- into its chain
+// system when options.allow_schur and its wire structure holds, else
+// into the CSR pattern and scatter map -- the same pattern build
+// solve_dc runs on a cold cache. Every later solve_dc on the cache
+// starts with a refill. The warm start is left as it was; a kept factor
+// goes.
 void prime_cache(const Netlist& netlist, const DcOptions& options,
                  MnaCache& cache);
+
+// The assemblies a Newton solve of `netlist` runs at `iterates` (node
+// voltages by node id, in order) on a cache primed by prime_cache with
+// the same options, through the per-iteration assembly solve_dc runs:
+// the chain system (a nonlinear netlist's from the second iterate on
+// starting from the first one's wire-only snapshot), or the CSR pattern.
+// With time_step > 0 each is a backward-Euler step from `previous` (by
+// node id; the iterate itself when null), capacitors stamped. Returns
+// the last assembly's right-hand side; the cache holds its matrix.
+// mnsim-analyze: allow(unreferenced-api, test oracle: test_spice_mna compares the chain system it fills with the CSR refill, slot by slot)
+std::vector<double> assemble_newton(
+    const Netlist& netlist, const DcOptions& options,
+    const std::vector<std::vector<double>>& iterates, MnaCache& cache,
+    double time_step = 0.0, const std::vector<double>* previous = nullptr);
 
 // Current through a memristor element at the solved operating point
 // (positive a -> b); honours the netlist's linear_memristors flag.

@@ -14,13 +14,22 @@ void Netlist::check_node(NodeId n) const {
                                 " not allocated");
 }
 
+void Netlist::reserve(std::size_t resistors, std::size_t memristors,
+                      std::size_t sources, std::size_t capacitors) {
+  resistors_.reserve(resistors);
+  memristors_.reserve(memristors);
+  sources_.reserve(sources);
+  capacitors_.reserve(capacitors);
+}
+
 void Netlist::add_resistor(NodeId a, NodeId b, double ohms,
                            std::string name) {
   check_node(a);
   check_node(b);
   if (!(ohms > 0)) throw std::invalid_argument("Netlist: resistance <= 0");
   if (a == b) throw std::invalid_argument("Netlist: resistor shorted");
-  resistors_.push_back({a, b, ohms, std::move(name)});
+  resistors_.push_back({a, b, ohms});
+  record_name(ElementKind::kResistor, resistors_.size() - 1, std::move(name));
 }
 
 void Netlist::add_memristor(NodeId a, NodeId b, double r_state,
@@ -30,14 +39,17 @@ void Netlist::add_memristor(NodeId a, NodeId b, double r_state,
   if (!(r_state > 0))
     throw std::invalid_argument("Netlist: memristor state <= 0");
   if (a == b) throw std::invalid_argument("Netlist: memristor shorted");
-  memristors_.push_back({a, b, r_state, std::move(name)});
+  memristors_.push_back({a, b, r_state});
+  record_name(ElementKind::kMemristor, memristors_.size() - 1,
+              std::move(name));
 }
 
 void Netlist::add_source(NodeId node, double volts, std::string name) {
   check_node(node);
   if (node == kGround)
     throw std::invalid_argument("Netlist: source on ground node");
-  sources_.push_back({node, volts, std::move(name)});
+  sources_.push_back({node, volts});
+  record_name(ElementKind::kSource, sources_.size() - 1, std::move(name));
 }
 
 void Netlist::add_capacitor(NodeId a, NodeId b, double farads,
@@ -45,7 +57,23 @@ void Netlist::add_capacitor(NodeId a, NodeId b, double farads,
   check_node(a);
   check_node(b);
   if (!(farads > 0)) throw std::invalid_argument("Netlist: capacitance <= 0");
-  capacitors_.push_back({a, b, farads, std::move(name)});
+  capacitors_.push_back({a, b, farads});
+  record_name(ElementKind::kCapacitor, capacitors_.size() - 1,
+              std::move(name));
+}
+
+void Netlist::record_name(ElementKind kind, std::size_t index,
+                          std::string&& name) {
+  auto& names = names_[static_cast<std::size_t>(kind)];
+  if (name.empty() && names.empty()) return;
+  names.resize(index);
+  names.push_back(std::move(name));
+}
+
+std::string Netlist::element_name(ElementKind kind, std::size_t index) const {
+  const auto& names = names_[static_cast<std::size_t>(kind)];
+  if (index < names.size() && !names[index].empty()) return names[index];
+  return namer_ ? namer_(kind, index) : std::string();
 }
 
 void Netlist::set_memristor_state(std::size_t index, double r_state) {

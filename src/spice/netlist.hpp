@@ -10,7 +10,9 @@
 // Newton-iterated modified nodal analysis in mna.hpp.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,32 +25,31 @@ namespace mnsim::spice {
 using NodeId = int;
 inline constexpr NodeId kGround = 0;
 
+// Element names live in the Netlist (element_name), not in the elements.
 struct Resistor {
   NodeId a = kGround;
   NodeId b = kGround;
   double ohms = 0.0;
-  std::string name;
 };
 
 struct MemristorElement {
   NodeId a = kGround;      // current flows a -> b for positive v(a)-v(b)
   NodeId b = kGround;
   double r_state = 1e3;    // programmed (linear-limit) resistance
-  std::string name;
 };
 
 struct VoltageSource {
   NodeId node = kGround;   // ideal source from `node` to ground
   double volts = 0.0;
-  std::string name;
 };
 
 struct Capacitor {
   NodeId a = kGround;
   NodeId b = kGround;
   double farads = 0.0;
-  std::string name;
 };
+
+enum class ElementKind { kResistor, kMemristor, kSource, kCapacitor };
 
 // Optional crossbar wire metadata a netlist builder can attach: the
 // node-id chains (in wire order) of each row wire and each column wire
@@ -56,9 +57,11 @@ struct Capacitor {
 // coupled by wire-segment resistors, the two sides only by one
 // memristor per tap pair — exactly the bipartite structure the Schur
 // rung of the linear-solve ladder exploits (numeric/schur.hpp). The
-// solver verifies the claim against the assembled matrix and falls back
-// to the generic ladder when it does not hold, so stale or wrong
-// structure degrades performance, never correctness.
+// solver lays out that structure's chain slots, and from the memristors
+// joining its two sides its cell slots, and assembles straight into
+// them; a stamp that lands on none of them, a non-positive chain pivot or a
+// failed residual check sends the solve to the generic ladder, so stale
+// or wrong structure degrades performance, never correctness.
 struct WireStructure {
   std::vector<std::vector<NodeId>> row_chains;  // row taps, wire order
   std::vector<std::vector<NodeId>> col_chains;  // column taps + sense node
@@ -77,6 +80,9 @@ class Netlist {
   NodeId add_node();
   [[nodiscard]] int node_count() const { return next_node_ - 1; }
 
+  // Capacity for the elements a builder is about to add.
+  void reserve(std::size_t resistors, std::size_t memristors,
+               std::size_t sources, std::size_t capacitors);
   void add_resistor(NodeId a, NodeId b, double ohms, std::string name = {});
   void add_memristor(NodeId a, NodeId b, double r_state,
                      std::string name = {});
@@ -87,9 +93,21 @@ class Netlist {
   // Value-only mutation for sweep reuse: updates element `index` (in
   // insertion order) without touching the topology, so a netlist built
   // once can be re-programmed per Monte-Carlo trial instead of being
-  // reconstructed (node allocation + element names dominate build cost).
+  // reconstructed (node allocation and element storage). Both setters
+  // keep validate()'s invariants, which is what lets a cache that vouches
+  // for its netlist skip validate() (MnaCache::reprogrammed_only).
   void set_memristor_state(std::size_t index, double r_state);
   void set_source_voltage(std::size_t index, double volts);
+
+  // An element's name: the one it was added with (an imported deck's),
+  // else what the namer gives for its kind and index, else empty. A
+  // builder whose names follow from kind and index (build_crossbar_netlist)
+  // sets a namer and stores none, so a name costs nothing until an export
+  // or a diagnostic asks for it.
+  using Namer = std::function<std::string(ElementKind, std::size_t)>;
+  void set_namer(Namer namer) { namer_ = std::move(namer); }
+  [[nodiscard]] std::string element_name(ElementKind kind,
+                                         std::size_t index) const;
 
   // Wire-structure metadata for structure-exploiting solves; empty by
   // default (generic netlists). Value-only mutation never invalidates
@@ -132,6 +150,9 @@ class Netlist {
   friend class NetlistTestPeer;
 
   void check_node(NodeId n) const;
+  // Keeps the names of `kind` in step with its elements once any of them
+  // is named; `index` is the element just added.
+  void record_name(ElementKind kind, std::size_t index, std::string&& name);
 
   tech::MemristorModel device_;
   NodeId next_node_ = 1;
@@ -141,6 +162,9 @@ class Netlist {
   std::vector<MemristorElement> memristors_;
   std::vector<VoltageSource> sources_;
   std::vector<Capacitor> capacitors_;
+  // Stored names by kind (ElementKind order); empty until one is named.
+  std::array<std::vector<std::string>, 4> names_;
+  Namer namer_;
 };
 
 }  // namespace mnsim::spice

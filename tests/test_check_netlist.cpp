@@ -22,10 +22,12 @@ namespace mnsim::spice {
 class NetlistTestPeer {
  public:
   static void push_resistor(Netlist& nl, NodeId a, NodeId b, double ohms) {
-    nl.resistors_.push_back({a, b, ohms, "raw"});
+    nl.resistors_.push_back({a, b, ohms});
+    nl.record_name(ElementKind::kResistor, nl.resistors_.size() - 1, "raw");
   }
   static void push_source(Netlist& nl, NodeId node, double volts) {
-    nl.sources_.push_back({node, volts, "raw"});
+    nl.sources_.push_back({node, volts});
+    nl.record_name(ElementKind::kSource, nl.sources_.size() - 1, "raw");
   }
 };
 

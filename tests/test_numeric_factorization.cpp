@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <random>
 #include <stdexcept>
 
@@ -208,14 +210,32 @@ BipartiteFixture make_bipartite() {
   f.a = CsrMatrix(sb);
   f.partition.eliminated_chains = {{0, 1, 2}, {3, 4, 5}};
   f.partition.kept_chains = {{6, 7, 8}, {9, 10, 11}};
+  for (std::size_t k = 0; k < 6; ++k) f.partition.cells.emplace_back(k, 6 + k);
   f.b = random_vec(f.n, 3);
   return f;
 }
 
+// The chain system of `a` on `partition`, fed every CSR entry in row
+// order: the sink the MNA assembly fills, given a finished matrix.
+ChainSystem chains_of(const CsrMatrix& a, const BipartitePartition& p) {
+  ChainSystem system(p, a.size());
+  if (system.empty()) return system;
+  system.begin();
+  const auto& rs = a.row_start();
+  for (std::size_t r = 0; r < a.size(); ++r)
+    for (std::size_t k = rs[r]; k < rs[r + 1]; ++k)
+      system.add(r, a.cols()[k], a.values()[k]);
+  (void)system.finish();
+  return system;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
 TEST(SchurSolver, MatchesDenseReferenceOnBipartiteSystem) {
   const BipartiteFixture f = make_bipartite();
-  const SchurFactorization schur =
-      SchurFactorization::build(f.a, f.partition);
+  const ChainSystem system = chains_of(f.a, f.partition);
+  ASSERT_TRUE(system.assembled());
+  const SchurFactorization schur = SchurFactorization::build(system);
   ASSERT_TRUE(schur.valid());
   const CgResult sr = schur.solve(f.b, 1e-12);
   EXPECT_TRUE(sr.converged);
@@ -229,10 +249,73 @@ TEST(SchurSolver, MatchesDenseReferenceOnBipartiteSystem) {
     EXPECT_NEAR(sr.x[i], ref[i], 1e-9) << "unknown " << i;
 }
 
+// Every slot holds the CSR value of its entry, and the product sums each
+// row in the CSR's order: A x agrees bit for bit.
+TEST(SchurSolver, ChainSystemHoldsTheCsrValuesBitForBit) {
+  const BipartiteFixture f = make_bipartite();
+  const ChainSystem system = chains_of(f.a, f.partition);
+  ASSERT_TRUE(system.assembled());
+  const auto& rs = f.a.row_start();
+  for (std::size_t r = 0; r < f.n; ++r)
+    for (std::size_t k = rs[r]; k < rs[r + 1]; ++k) {
+      const auto v = system.value(r, f.a.cols()[k]);
+      ASSERT_TRUE(v.has_value()) << r << "," << f.a.cols()[k];
+      EXPECT_EQ(bits(*v), bits(f.a.values()[k]));
+    }
+  EXPECT_FALSE(system.value(0, 2).has_value());  // same chain, not adjacent
+  const std::vector<double> x = random_vec(f.n, 9);
+  std::vector<double> want, got;
+  f.a.multiply(x, want);
+  system.multiply(x, got);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < f.n; ++i) EXPECT_EQ(bits(got[i]), bits(want[i]));
+}
+
+// A snapshot taken mid-assembly resumes to the same sums as a full
+// assembly, on the first assembly and on every refill after it.
+TEST(SchurSolver, ChainSnapshotResumesToTheFullAssembly) {
+  const BipartiteFixture f = make_bipartite();
+  struct Add {
+    std::size_t row, col;
+    double value;
+  };
+  std::vector<Add> adds;
+  const auto& rs = f.a.row_start();
+  for (std::size_t r = 0; r < f.n; ++r)
+    for (std::size_t k = rs[r]; k < rs[r + 1]; ++k)
+      adds.push_back({r, f.a.cols()[k], f.a.values()[k]});
+  const std::size_t half = adds.size() / 2;
+  std::mt19937 rng(5);
+  std::uniform_real_distribution<double> tweak(-0.01, 0.01);
+
+  ChainSystem resumed(f.partition, f.n);
+  resumed.begin();
+  for (std::size_t k = 0; k < half; ++k)
+    resumed.add(adds[k].row, adds[k].col, adds[k].value);
+  resumed.save_base();
+  for (int pass = 0; pass < 3; ++pass) {
+    if (pass > 0) resumed.restore_base();
+    std::vector<Add> tail(adds.begin() + static_cast<long>(half), adds.end());
+    for (auto& a : tail) a.value += tweak(rng);
+    for (const auto& a : tail) resumed.add(a.row, a.col, a.value);
+    ASSERT_TRUE(resumed.finish());
+
+    ChainSystem full(f.partition, f.n);
+    full.begin();
+    for (std::size_t k = 0; k < half; ++k)
+      full.add(adds[k].row, adds[k].col, adds[k].value);
+    for (const auto& a : tail) full.add(a.row, a.col, a.value);
+    ASSERT_TRUE(full.finish());
+    for (const auto& a : adds)
+      EXPECT_EQ(bits(*resumed.value(a.row, a.col)),
+                bits(*full.value(a.row, a.col)));
+  }
+}
+
 TEST(SchurSolver, RejectsStructureViolations) {
   BipartiteFixture f = make_bipartite();
   // An entry coupling the two eliminated chains breaks the
-  // chain-tridiagonal assumption: build must refuse, not mis-solve.
+  // chain-tridiagonal assumption: the sink must refuse, not mis-solve.
   SparseBuilder sb(f.n);
   const auto& rs = f.a.row_start();
   const auto& cols = f.a.cols();
@@ -245,26 +328,41 @@ TEST(SchurSolver, RejectsStructureViolations) {
   sb.add(2, 2, 0.5);
   sb.add(3, 3, 0.5);
   const CsrMatrix broken(sb);
-  EXPECT_FALSE(SchurFactorization::build(broken, f.partition).valid());
+  const ChainSystem system = chains_of(broken, f.partition);
+  EXPECT_TRUE(system.broken());
+  EXPECT_FALSE(system.assembled());
+  EXPECT_FALSE(SchurFactorization::build(system).valid());
+
+  // A cross coupling that is not one of the partition's cells misses
+  // too; after a good assembly it fails the refill without breaking the
+  // system.
+  ChainSystem assembled = chains_of(f.a, f.partition);
+  ASSERT_TRUE(assembled.assembled());
+  assembled.begin();
+  assembled.add(0, 7, -0.1);
+  EXPECT_FALSE(assembled.finish());
+  EXPECT_FALSE(assembled.broken());
+  EXPECT_FALSE(SchurFactorization::build(assembled).valid());
 }
 
 TEST(SchurSolver, PartitionMustCoverEveryUnknownExactlyOnce) {
   const BipartiteFixture f = make_bipartite();
   BipartitePartition missing = f.partition;
   missing.kept_chains[1] = {9, 10};  // 11 uncovered
-  EXPECT_FALSE(SchurFactorization::build(f.a, missing).valid());
+  EXPECT_TRUE(ChainSystem(missing, f.n).empty());
+  EXPECT_FALSE(SchurFactorization::build(chains_of(f.a, missing)).valid());
   BipartitePartition doubled = f.partition;
   doubled.kept_chains[1] = {9, 10, 8};  // 8 covered twice, 11 never
-  EXPECT_FALSE(SchurFactorization::build(f.a, doubled).valid());
+  EXPECT_TRUE(ChainSystem(doubled, f.n).empty());
+  EXPECT_FALSE(SchurFactorization::build(chains_of(f.a, doubled)).valid());
 }
 
 TEST(ResilientSolve, SchurRungServesPartitionedSystem) {
   const BipartiteFixture f = make_bipartite();
-  const SchurFactorization schur =
-      SchurFactorization::build(f.a, f.partition);
-  ResilientSolveOptions opt;
-  opt.schur = &schur;
-  const ResilientSolveReport rep = solve_spd_resilient(f.a, f.b, opt);
+  const ChainSystem system = chains_of(f.a, f.partition);
+  const SchurFactorization schur = SchurFactorization::build(system);
+  const ResilientSolveOptions opt;
+  const ResilientSolveReport rep = solve_schur(system, schur, f.b, opt);
   EXPECT_TRUE(rep.converged);
   EXPECT_EQ(rep.method, SolveMethod::kSchur);
   EXPECT_GT(rep.schur_iterations, 0u);
@@ -275,10 +373,8 @@ TEST(ResilientSolve, SchurRungServesPartitionedSystem) {
   // A second build of the identical matrix solves bit-identically: a
   // batch's factor-once handle and a per-solve build give one answer,
   // the foundation of the batch engine's guarantee.
-  const SchurFactorization again =
-      SchurFactorization::build(f.a, f.partition);
-  opt.schur = &again;
-  const ResilientSolveReport rep2 = solve_spd_resilient(f.a, f.b, opt);
+  const SchurFactorization again = SchurFactorization::build(system);
+  const ResilientSolveReport rep2 = solve_schur(system, again, f.b, opt);
   ASSERT_EQ(rep2.method, SolveMethod::kSchur);
   ASSERT_EQ(rep.x.size(), rep2.x.size());
   for (std::size_t i = 0; i < rep.x.size(); ++i) EXPECT_EQ(rep.x[i], rep2.x[i]);
@@ -291,11 +387,15 @@ TEST(ResilientSolve, BrokenPartitionFallsBackToCg) {
   // Swap two unknowns between chains: coverage is still exact, but the
   // claimed adjacency no longer matches the matrix.
   std::swap(wrong.eliminated_chains[0][1], wrong.eliminated_chains[1][1]);
-  const SchurFactorization broken = SchurFactorization::build(f.a, wrong);
+  const ChainSystem system = chains_of(f.a, wrong);
+  ASSERT_TRUE(system.broken());
+  const SchurFactorization broken = SchurFactorization::build(system);
   ASSERT_FALSE(broken.valid());
-  ResilientSolveOptions opt;
-  opt.schur = &broken;
-  const ResilientSolveReport rep = solve_spd_resilient(f.a, f.b, opt);
+  const ResilientSolveOptions opt;
+  ResilientSolveReport rep = solve_schur(system, broken, f.b, opt);
+  EXPECT_FALSE(rep.converged);
+  EXPECT_EQ(rep.schur_rejects, 1);
+  rep = solve_spd_resilient(f.a, f.b, opt, std::move(rep));
   EXPECT_TRUE(rep.converged);
   EXPECT_EQ(rep.method, SolveMethod::kCg);
   EXPECT_EQ(rep.schur_rejects, 1);
@@ -308,7 +408,7 @@ TEST(SchurSolver, CancelledTokenStopsTheIteration) {
   // under its own label.
   const BipartiteFixture f = make_bipartite();
   const SchurFactorization schur =
-      SchurFactorization::build(f.a, f.partition);
+      SchurFactorization::build(chains_of(f.a, f.partition));
   ASSERT_TRUE(schur.valid());
   util::CancelToken token;
   token.request();
@@ -340,7 +440,9 @@ TEST(SchurSolver, NonSpdSchurSystemReportsNonConvergence) {
   BipartitePartition partition;
   partition.eliminated_chains = {{0}};
   partition.kept_chains = {{1}};
-  const SchurFactorization schur = SchurFactorization::build(a, partition);
+  partition.cells = {{0, 1}};
+  const ChainSystem system = chains_of(a, partition);
+  const SchurFactorization schur = SchurFactorization::build(system);
   ASSERT_TRUE(schur.valid());
   const std::vector<double> b{1.0, 0.0};
   const CgResult sr = schur.solve(b, 1e-12);
@@ -348,9 +450,10 @@ TEST(SchurSolver, NonSpdSchurSystemReportsNonConvergence) {
   EXPECT_TRUE(sr.breakdown);
 
   // The ladder rejects the rung and still solves the system exactly.
-  ResilientSolveOptions opt;
-  opt.schur = &schur;
-  const ResilientSolveReport rep = solve_spd_resilient(a, b, opt);
+  const ResilientSolveOptions opt;
+  ResilientSolveReport rep = solve_schur(system, schur, b, opt);
+  EXPECT_FALSE(rep.converged);
+  rep = solve_spd_resilient(a, b, opt, std::move(rep));
   EXPECT_EQ(rep.schur_rejects, 1);
   ASSERT_TRUE(rep.converged);
   EXPECT_EQ(rep.method, SolveMethod::kDenseLu);

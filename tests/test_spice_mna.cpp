@@ -7,6 +7,9 @@
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <string>
+
+#include "spice/crossbar_netlist.hpp"
 
 namespace mnsim::spice {
 namespace {
@@ -293,6 +296,208 @@ TEST(Mna, SourcePowerMatchesPerSourceScanBitForBit) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
               std::bit_cast<std::uint64_t>(want))
         << "trial " << trial << ": " << got << " vs " << want;
+  }
+}
+
+// --- crossbars: assembly straight into the Schur rung's chain system -------
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+CrossbarSpec seeded_crossbar(int size, bool linear, std::mt19937& rng) {
+  const auto device = tech::default_rram();
+  CrossbarSpec spec = CrossbarSpec::uniform(size, size, device, 0.3, 60.0,
+                                            device.r_min.value());
+  std::uniform_real_distribution<double> siemens(
+      1.0 / device.r_max.value(), 1.0 / device.r_min.value());
+  std::uniform_real_distribution<double> volts(0.0, device.v_read.value());
+  for (auto& row : spec.cell_resistance)
+    for (double& r : row) r = 1.0 / siemens(rng);
+  for (double& v : spec.input_voltages) v = volts(rng);
+  spec.linear_memristors = linear;
+  return spec;
+}
+
+// The chain system holds, at every slot, the value the CSR refill of the
+// same stamps holds, bit for bit: first assemblies and the ones resumed
+// from the wire-only snapshot, DC and one backward-Euler step, at seeded
+// iterates. Neither the right-hand side nor A x differs in a bit.
+TEST(MnaChains, StampsMatchTheCsrRefillBitForBit) {
+  std::mt19937 rng(21);
+  for (const int size : {8, 24, 64})
+    for (const bool linear : {false, true})
+      for (const double cap : {0.0, 2e-15}) {
+        SCOPED_TRACE(std::to_string(size) + (linear ? " linear" : "") +
+                     (cap > 0 ? " step" : ""));
+        CrossbarSpec spec = seeded_crossbar(size, linear, rng);
+        spec.segment_capacitance = cap;
+        const Netlist nl = build_crossbar_netlist(spec, nullptr);
+        const auto nodes = static_cast<std::size_t>(nl.node_count()) + 1;
+        std::uniform_real_distribution<double> volts(-0.1, 0.4);
+        std::vector<std::vector<double>> iterates(3);
+        for (auto& v : iterates) {
+          v.resize(nodes);
+          for (double& x : v) x = volts(rng);
+        }
+        std::vector<double> previous(nodes);
+        for (double& x : previous) x = volts(rng);
+        const double dt = cap > 0 ? 1e-12 : 0.0;
+
+        DcOptions generic;
+        generic.allow_schur = false;
+        MnaCache csr;
+        MnaCache chains;
+        prime_cache(nl, generic, csr);
+        prime_cache(nl, {}, chains);
+        ASSERT_TRUE(chains.system.assembled());
+        for (std::size_t k = 1; k <= iterates.size(); ++k) {
+          const std::vector<std::vector<double>> run(
+              iterates.begin(), iterates.begin() + static_cast<long>(k));
+          expect_same_bits(assemble_newton(nl, {}, run, chains, dt, &previous),
+                           assemble_newton(nl, generic, run, csr, dt,
+                                           &previous));
+          const numeric::CsrMatrix& a = csr.matrix;
+          for (std::size_t r = 0; r < a.size(); ++r)
+            for (std::size_t e = a.row_start()[r]; e < a.row_start()[r + 1];
+                 ++e) {
+              const auto v = chains.system.value(r, a.cols()[e]);
+              ASSERT_TRUE(v.has_value()) << r << "," << a.cols()[e];
+              ASSERT_EQ(bits(*v), bits(a.values()[e])) << r << "," << e;
+            }
+          std::vector<double> x(a.size());
+          for (double& xi : x) xi = volts(rng);
+          std::vector<double> want;
+          std::vector<double> got;
+          a.multiply(x, want);
+          chains.system.multiply(x, got);
+          expect_same_bits(got, want);
+        }
+        EXPECT_FALSE(chains.pattern_valid);
+      }
+}
+
+// Wrong wire metadata never changes an answer: every linear solve counts
+// a schur_reject and the result is bit for bit the generic ladder's.
+TEST(MnaChains, WrongWireStructureRejectsToTheGenericLadder) {
+  std::mt19937 rng(33);
+  for (int trial = 0; trial < 6; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const int size = std::uniform_int_distribution<int>(6, 20)(rng);
+    const Netlist built =
+        build_crossbar_netlist(seeded_crossbar(size, trial % 2 == 1, rng),
+                               nullptr);
+    Netlist nl = built;
+    WireStructure ws = nl.wire_structure();
+    std::uniform_int_distribution<int> pick(0, size - 2);
+    const auto k = static_cast<std::size_t>(pick(rng));
+    auto& chains = trial % 3 == 2 ? ws.col_chains : ws.row_chains;
+    if (trial % 3 == 1) {
+      // A row chain and a column chain swapped.
+      std::swap(ws.row_chains[k],
+                ws.col_chains[static_cast<std::size_t>(pick(rng))]);
+    } else {
+      // A chain boundary shifted by one node.
+      chains[k].push_back(chains[k + 1].front());
+      chains[k + 1].erase(chains[k + 1].begin());
+    }
+    nl.set_wire_structure(ws);
+
+    DcOptions generic;
+    generic.allow_schur = false;
+    const DcResult want = solve_dc(nl, generic);
+    ASSERT_TRUE(want.converged);
+    MnaCache cache;
+    for (int solve = 0; solve < 2; ++solve) {
+      const DcResult got = solve_dc(nl, {}, &cache);
+      EXPECT_EQ(got.diagnostics.schur_rejects, got.newton_iterations);
+      EXPECT_EQ(got.diagnostics.schur_solves, 0);
+      EXPECT_EQ(got.newton_iterations, want.newton_iterations);
+      EXPECT_EQ(bits(got.diagnostics.linear_residual),
+                bits(want.diagnostics.linear_residual));
+      expect_same_bits(got.node_voltages, want.node_voltages);
+    }
+    // The rejected solves ran on a CSR pattern.
+    EXPECT_TRUE(cache.pattern_valid);
+    EXPECT_TRUE(cache.system.broken());
+  }
+}
+
+// A cache whose chain system was laid out for one crossbar and is then
+// handed a rewired one (a cell moved to another column) misses its cell
+// slots, lays the structure out afresh and solves bit for bit like a
+// fresh solve.
+TEST(MnaChains, RewiredNetlistOnAnAssembledChainSystemMatchesFreshSolve) {
+  std::mt19937 rng(17);
+  const Netlist base = build_crossbar_netlist(seeded_crossbar(8, false, rng),
+                                              nullptr);
+  Netlist rewired(base.device());
+  for (int n = 0; n < base.node_count(); ++n) (void)rewired.add_node();
+  for (const auto& r : base.resistors()) rewired.add_resistor(r.a, r.b, r.ohms);
+  const auto& cells = base.memristors();
+  for (std::size_t k = 0; k < cells.size(); ++k) {
+    // Cell 0 joins row tap (0,0) to column tap (0,1) instead of (0,0).
+    const NodeId b = k == 0 ? cells[1].b : cells[k].b;
+    rewired.add_memristor(cells[k].a, b, cells[k].r_state);
+  }
+  for (const auto& src : base.sources())
+    rewired.add_source(src.node, src.volts);
+  rewired.set_wire_structure(base.wire_structure());
+
+  MnaCache cache;
+  (void)solve_dc(base, {}, &cache);
+  ASSERT_TRUE(cache.system.assembled());
+  const DcResult got = solve_dc(rewired, {}, &cache);
+  const DcResult want = solve_dc(rewired);
+  EXPECT_EQ(got.diagnostics.schur_solves, got.newton_iterations);
+  EXPECT_FALSE(cache.pattern_valid);
+  expect_same_bits(got.node_voltages, want.node_voltages);
+}
+
+// An accepted crossbar solve never builds the CSR pattern; a forced reject
+// (a starved Schur iteration) builds it and still converges.
+TEST(MnaChains, AcceptedCrossbarSolveLeavesNoCsrPattern) {
+  std::mt19937 rng(9);
+  const CrossbarSpec spec = seeded_crossbar(16, false, rng);
+  CrossbarSolveCache cache;
+  for (int solve = 0; solve < 2; ++solve) {
+    const CrossbarSolution sol = solve_crossbar(spec, {}, &cache);
+    ASSERT_TRUE(sol.dc.converged);
+    EXPECT_EQ(sol.dc.diagnostics.schur_solves, sol.dc.newton_iterations);
+    EXPECT_EQ(sol.dc.diagnostics.schur_rejects, 0);
+  }
+  EXPECT_TRUE(cache.mna.system.assembled());
+  EXPECT_FALSE(cache.mna.pattern_valid);
+  EXPECT_EQ(cache.mna.matrix.size(), 0u);
+
+  DcOptions starved;
+  starved.cg_tolerance = 1e-30;
+  CrossbarSolveCache rejected;
+  const CrossbarSolution sol = solve_crossbar(spec, starved, &rejected);
+  EXPECT_GT(sol.dc.diagnostics.schur_rejects, 0);
+  EXPECT_EQ(sol.dc.diagnostics.schur_solves, 0);
+  EXPECT_TRUE(rejected.mna.pattern_valid);
+  EXPECT_GT(rejected.mna.matrix.size(), 0u);
+}
+
+// A CrossbarSolveCache's solves start from the wire-only snapshot an
+// earlier solve kept and skip validate(); reprogrammed with new inputs
+// and cells, every solve is bit for bit a cold one.
+TEST(MnaChains, ReprogrammedCacheMatchesColdSolvesBitForBit) {
+  std::mt19937 rng(41);
+  for (const bool linear : {false, true}) {
+    SCOPED_TRACE(linear ? "linear" : "nonlinear");
+    CrossbarSolveCache cache;
+    for (int round = 0; round < 4; ++round) {
+      const CrossbarSpec spec = seeded_crossbar(12, linear, rng);
+      const CrossbarSolution got = solve_crossbar(spec, {}, &cache);
+      const CrossbarSolution want = solve_crossbar(spec);
+      ASSERT_TRUE(cache.mna.reprogrammed_only);
+      EXPECT_TRUE(cache.mna.system.has_base());
+      EXPECT_EQ(got.dc.newton_iterations, want.dc.newton_iterations);
+      EXPECT_EQ(bits(got.dc.diagnostics.linear_residual),
+                bits(want.dc.diagnostics.linear_residual));
+      EXPECT_EQ(bits(got.total_power), bits(want.total_power));
+      expect_same_bits(got.dc.node_voltages, want.dc.node_voltages);
+    }
   }
 }
 

@@ -59,7 +59,7 @@ TEST(Netlist, StoresElementsInOrder) {
   nl.add_memristor(a, b, 1e3, "x1");
   nl.add_source(a, 0.5, "vin");
   EXPECT_EQ(nl.resistors().size(), 1u);
-  EXPECT_EQ(nl.resistors()[0].name, "r1");
+  EXPECT_EQ(nl.element_name(ElementKind::kResistor, 0), "r1");
   EXPECT_EQ(nl.memristors()[0].r_state, 1e3);
   EXPECT_EQ(nl.sources()[0].volts, 0.5);
 }

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace mnsim::check {
@@ -48,7 +49,9 @@ bool node_ok(const Netlist& nl, NodeId n) {
 // Union-find over node ids.
 class DisjointSet {
  public:
-  explicit DisjointSet(int n) : parent_(static_cast<std::size_t>(n)) {
+  explicit DisjointSet(int n)
+      : parent_(static_cast<std::size_t>(n)),
+        size_(static_cast<std::size_t>(n), 1) {
     for (int i = 0; i < n; ++i) parent_[static_cast<std::size_t>(i)] = i;
   }
   int find(int x) {
@@ -60,10 +63,20 @@ class DisjointSet {
     }
     return x;
   }
-  void unite(int a, int b) { parent_[static_cast<std::size_t>(find(a))] = find(b); }
+  // Union by size: the smaller tree hangs under the larger root, so no
+  // find walks more than log2(n) links.
+  void unite(int a, int b) {
+    auto ra = static_cast<std::size_t>(find(a));
+    auto rb = static_cast<std::size_t>(find(b));
+    if (ra == rb) return;
+    if (size_[ra] < size_[rb]) std::swap(ra, rb);
+    parent_[rb] = static_cast<int>(ra);
+    size_[ra] += size_[rb];
+  }
 
  private:
   std::vector<int> parent_;
+  std::vector<int> size_;
 };
 
 // Screen for every invariant error without building a label: true when

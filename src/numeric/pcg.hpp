@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -18,6 +19,19 @@ inline double dot(const std::vector<double>& a, const std::vector<double>& b) {
   double s = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
   return s;
+}
+
+// {a'a, a'b} in one pass: two independent left-to-right sums, each the
+// float dot() returns.
+inline std::pair<double, double> dot_self_and(const std::vector<double>& a,
+                                              const std::vector<double>& b) {
+  double aa = 0.0;
+  double ab = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    aa += a[i] * a[i];
+    ab += a[i] * b[i];
+  }
+  return {aa, ab};
 }
 
 // Iteration cap of an n-unknown solve whose caller passes 0.
@@ -52,11 +66,12 @@ CgResult preconditioned_cg(const MatVec& apply,
   std::vector<double> z(n), ap(n);
   precondition(r, z);
   std::vector<double> p = z;
-  double rz = dot(r, z);
+  double rr, rz;
+  std::tie(rr, rz) = dot_self_and(r, z);
 
   for (std::size_t it = 0; it < max_iterations; ++it) {
     if ((it & 15u) == 0) util::throw_if_cancelled(cancel_label);
-    result.residual_norm = std::sqrt(dot(r, r));
+    result.residual_norm = std::sqrt(rr);
     if (result.residual_norm <= stop) {
       result.converged = true;
       result.iterations = it;
@@ -74,13 +89,14 @@ CgResult preconditioned_cg(const MatVec& apply,
       r[i] -= alpha * ap[i];
     }
     precondition(r, z);
-    const double rz_next = dot(r, z);
+    double rz_next;
+    std::tie(rr, rz_next) = dot_self_and(r, z);
     const double beta = rz_next / rz;
     rz = rz_next;
     for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
     result.iterations = it + 1;
   }
-  result.residual_norm = std::sqrt(dot(r, r));
+  result.residual_norm = std::sqrt(rr);
   result.converged = result.residual_norm <= stop;
   return result;
 }

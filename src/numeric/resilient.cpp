@@ -17,23 +17,34 @@ namespace {
 
 double norm2(const std::vector<double>& v) { return std::sqrt(dot(v, v)); }
 
+void set_residual(double residual_norm, double b_norm,
+                  ResilientSolveReport& report) {
+  report.residual_norm = residual_norm;
+  report.relative_residual =
+      residual_norm / (b_norm > 0 ? b_norm : 1.0);
+}
+
 // The true residual ||b - A x|| of report.x and its ratio to ||b||:
-// every rung, the Schur rung included, is judged on the real matrix (a
-// CsrMatrix or a ChainSystem, which sum A x alike).
-template <typename Matrix>
-void fill_residual(const Matrix& a, const std::vector<double>& b,
+// every rung, the Schur rung included, is judged on the real matrix.
+void fill_residual(const CsrMatrix& a, const std::vector<double>& b,
                    ResilientSolveReport& report) {
-  if (report.x.size() != a.size()) {
-    report.residual_norm = norm2(b);
-  } else {
+  const double b_norm = norm2(b);
+  double residual_norm = b_norm;
+  if (report.x.size() == a.size()) {
     std::vector<double> ax;
     a.multiply(report.x, ax);
     for (std::size_t i = 0; i < ax.size(); ++i) ax[i] = b[i] - ax[i];
-    report.residual_norm = norm2(ax);
+    residual_norm = norm2(ax);
   }
-  const double b_norm = norm2(b);
-  report.relative_residual =
-      report.residual_norm / (b_norm > 0 ? b_norm : 1.0);
+  set_residual(residual_norm, b_norm, report);
+}
+
+// The same for a ChainSystem, in its one pass: A x is summed as a
+// CsrMatrix sums it, so the floats are those of the overload above.
+void fill_residual(const ChainSystem& a, const std::vector<double>& b,
+                   ResilientSolveReport& report) {
+  const auto [rr, bb] = a.residual(report.x, b);
+  set_residual(std::sqrt(rr), std::sqrt(bb), report);
 }
 
 bool finite(const std::vector<double>& v) {

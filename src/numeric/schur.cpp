@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "numeric/pcg.hpp"
@@ -14,42 +15,136 @@ namespace mnsim::numeric {
 namespace {
 
 constexpr std::uint32_t kUnplaced = std::numeric_limits<std::uint32_t>::max();
+// Equal-length chains factored and solved side by side: their
+// recurrences overlap in the pipeline instead of waiting on each other.
+constexpr std::size_t kLockstep = 4;
 
-// LDL^T of each tridiagonal chain (diagonal `diag`, previous-neighbour
-// coupling `off`, both by side-local position); false on a non-positive
-// pivot (the matrix restricted to the chain is not positive definite).
-bool factor_chains(const std::vector<std::size_t>& start, const double* diag,
-                   const double* off, std::vector<double>& piv,
-                   std::vector<double>& lfac) {
-  piv.resize(start.back());
-  lfac.resize(start.back());
-  for (std::size_t k = 0; k + 1 < start.size(); ++k) {
-    for (std::size_t l = start[k]; l < start[k + 1]; ++l) {
-      if (l > start[k]) {
-        lfac[l] = off[l] / piv[l - 1];
-        piv[l] = diag[l] - lfac[l] * off[l];
-      } else {
-        piv[l] = diag[l];
-      }
-      if (!(piv[l] > 0.0)) return false;
+// Runs `step(integral_constant<G>, s, len)` over the chains of `start`
+// (chain k covers [start[k], start[k+1])): each run of kLockstep
+// consecutive chains of one length as one group of G = kLockstep chains
+// at s, s + len, ..., every other chain alone (G = 1). Stops at the first
+// step that returns false and returns false.
+template <typename Step>
+bool for_each_group(const std::vector<std::size_t>& start, const Step& step) {
+  const std::size_t chains = start.size() - 1;
+  for (std::size_t k = 0; k < chains;) {
+    const std::size_t s = start[k];
+    const std::size_t len = start[k + 1] - s;
+    std::size_t same = 1;
+    while (same < kLockstep && k + same < chains &&
+           start[k + same + 1] - start[k + same] == len)
+      ++same;
+    if (len == 0) {
+      ++k;
+    } else if (same == kLockstep) {
+      if (!step(std::integral_constant<std::size_t, kLockstep>{}, s, len))
+        return false;
+      k += kLockstep;
+    } else {
+      if (!step(std::integral_constant<std::size_t, 1>{}, s, len))
+        return false;
+      ++k;
     }
   }
   return true;
 }
 
-void chain_solve(const std::vector<std::size_t>& start,
-                 const std::vector<double>& piv,
-                 const std::vector<double>& lfac, std::vector<double>& v) {
-  for (std::size_t k = 0; k + 1 < start.size(); ++k) {
-    const std::size_t s = start[k];
-    const std::size_t e = start[k + 1];
-    for (std::size_t l = s + 1; l < e; ++l) v[l] -= lfac[l] * v[l - 1];
-    for (std::size_t l = s; l < e; ++l) v[l] /= piv[l];
-    for (std::size_t l = e - 1; l-- > s;) v[l] -= lfac[l + 1] * v[l + 1];
+// LDL^T of the G chains at s + g len (g < G), all of length len, one
+// position of every chain per step. Each chain sees the sequential
+// recurrence, so every pivot and multiplier has the same bits. After
+// each step the group's pivots are checked (quietly: a NaN must not trap)
+// before the next step divides by them.
+template <std::size_t G>
+bool factor_group(std::size_t s, std::size_t len, const double* diag,
+                  const double* off, double* piv, double* lfac) {
+  double prev[G];
+  bool ok = true;
+  for (std::size_t g = 0; g < G; ++g) {
+    const std::size_t p = s + g * len;
+    prev[g] = piv[p] = diag[p];
+    ok &= std::isgreater(prev[g], 0.0);
+  }
+  if (!ok) return false;
+  for (std::size_t l = 1; l < len; ++l) {
+    for (std::size_t g = 0; g < G; ++g) {
+      const std::size_t p = s + g * len + l;
+      const double m = off[p] / prev[g];
+      lfac[p] = m;
+      prev[g] = piv[p] = diag[p] - m * off[p];
+      ok &= std::isgreater(prev[g], 0.0);
+    }
+    if (!ok) return false;
+  }
+  return true;
+}
+
+// out = (L D L^T)^-1 in over the G chains at s + g len, where in(p) is
+// the right-hand side at position p (it may read out[p], not out[q] for
+// q != p). Forward elimination and the division by the pivot share one
+// sweep (the undivided value carries to the next position), then the
+// back substitution: per element the sequential operations, in order.
+template <std::size_t G, typename In>
+void solve_group(std::size_t s, std::size_t len, const double* piv,
+                 const double* lfac, const In& in, double* out) {
+  double w[G];
+  for (std::size_t g = 0; g < G; ++g) {
+    const std::size_t p = s + g * len;
+    w[g] = in(p);
+    out[p] = w[g] / piv[p];
+  }
+  for (std::size_t l = 1; l < len; ++l) {
+    for (std::size_t g = 0; g < G; ++g) {
+      const std::size_t p = s + g * len + l;
+      w[g] = in(p) - lfac[p] * w[g];
+      out[p] = w[g] / piv[p];
+    }
+  }
+  for (std::size_t g = 0; g < G; ++g) w[g] = out[s + g * len + len - 1];
+  for (std::size_t l = len - 1; l-- > 0;) {
+    for (std::size_t g = 0; g < G; ++g) {
+      const std::size_t p = s + g * len + l;
+      w[g] = out[p] - lfac[p + 1] * w[g];
+      out[p] = w[g];
+    }
   }
 }
 
+// Every chain of `start` through solve_group.
+template <typename In>
+void solve_chains(const std::vector<std::size_t>& start,
+                  const std::vector<double>& piv,
+                  const std::vector<double>& lfac, const In& in, double* out) {
+  for_each_group(start, [&](auto group, std::size_t s, std::size_t len) {
+    solve_group<decltype(group)::value>(s, len, piv.data(), lfac.data(), in,
+                                        out);
+    return true;
+  });
+}
+
 }  // namespace
+
+namespace internal {
+
+bool factor_chains(const std::vector<std::size_t>& start, const double* diag,
+                   const double* off, std::vector<double>& piv,
+                   std::vector<double>& lfac) {
+  piv.resize(start.back());
+  lfac.resize(start.back());
+  return for_each_group(start, [&](auto group, std::size_t s,
+                                   std::size_t len) {
+    return factor_group<decltype(group)::value>(s, len, diag, off,
+                                                piv.data(), lfac.data());
+  });
+}
+
+void chain_solve(const std::vector<std::size_t>& start,
+                 const std::vector<double>& piv,
+                 const std::vector<double>& lfac, const double* in,
+                 double* out) {
+  solve_chains(start, piv, lfac, [in](std::size_t p) { return in[p]; }, out);
+}
+
+}  // namespace internal
 
 ChainSystem::ChainSystem(const BipartitePartition& partition, std::size_t n) {
   // Slots (up to 5n) and positions are 32-bit.
@@ -127,23 +222,26 @@ ChainSystem::ChainSystem(const BipartitePartition& partition, std::size_t n) {
   l->cross_start[nb] = static_cast<std::uint32_t>(kept);
   col.resize(kept);
 
-  // The multiply plan: each row's slots in ascending column unknown. A
-  // kept position's cell entries are the mirrors of the couplings that
-  // name it. Each row is insertion-sorted (it has a handful of terms).
-  const std::size_t cell = 3 * n;
-  const std::size_t mirror = cell + col.size();
-  std::vector<std::uint32_t> by_c(n - nb + 1, 0);
+  // The same couplings by kept position, counting-sorted: each kept
+  // position's list comes out in ascending eliminated position.
+  std::vector<std::uint32_t>& by_c = l->kept_cross_start;
+  by_c.assign(n - nb + 1, 0);
   for (std::uint32_t c : col) ++by_c[c - nb + 1];
   for (std::size_t c = 0; c + nb < n; ++c) by_c[c + 1] += by_c[c];
-  std::vector<ChainLayout::Term> c_terms(col.size());
+  l->kept_cross.resize(col.size());
   {
     std::vector<std::uint32_t> cursor(by_c.begin(), by_c.end() - 1);
     for (std::uint32_t b = 0; b < nb; ++b)
       for (std::uint32_t k = l->cross_start[b]; k < l->cross_start[b + 1];
            ++k)
-        c_terms[cursor[col[k] - nb]++] = {
-            static_cast<std::uint32_t>(mirror + k), l->unknown[b]};
+        l->kept_cross[cursor[col[k] - nb]++] = {b, k};
   }
+
+  // The multiply plan: each row's slots in ascending column unknown. A
+  // kept position's cell entries are the mirrors of the couplings that
+  // name it. Each row is insertion-sorted (it has a handful of terms).
+  const std::size_t cell = 3 * n;
+  const std::size_t mirror = cell + col.size();
   std::vector<ChainLayout::Term>& plan = l->plan;
   plan.reserve(3 * n + 2 * col.size());
   l->plan_start.resize(n + 1);
@@ -166,7 +264,7 @@ ChainSystem::ChainSystem(const BipartitePartition& partition, std::size_t n) {
         put(cell + k, l->unknown[col[k]]);
     } else {
       for (std::uint32_t i = by_c[p - nb]; i < by_c[p - nb + 1]; ++i)
-        put(c_terms[i].slot, c_terms[i].col);
+        put(mirror + l->kept_cross[i].k, l->unknown[l->kept_cross[i].b]);
     }
     l->plan_start[g + 1] = static_cast<std::uint32_t>(plan.size());
   }
@@ -211,6 +309,24 @@ void ChainSystem::multiply(const std::vector<double>& x,
   }
 }
 
+std::pair<double, double> ChainSystem::residual(
+    const std::vector<double>& x, const std::vector<double>& b) const {
+  const ChainLayout& l = *layout_;
+  if (x.size() != l.n || b.size() != l.n)
+    throw std::invalid_argument("ChainSystem::residual: size mismatch");
+  double rr = 0.0;
+  double bb = 0.0;
+  for (std::size_t g = 0; g < l.n; ++g) {
+    double acc = 0.0;
+    for (std::uint32_t k = l.plan_start[g]; k < l.plan_start[g + 1]; ++k)
+      acc += values_[l.plan[k].slot] * x[l.plan[k].col];
+    const double r = b[g] - acc;
+    rr += r * r;
+    bb += b[g] * b[g];
+  }
+  return {rr, bb};
+}
+
 std::optional<double> ChainSystem::value(std::size_t row,
                                          std::size_t col) const {
   const ChainLayout& l = *layout_;
@@ -239,12 +355,13 @@ SchurFactorization SchurFactorization::build(const ChainSystem& system) {
   f.layout_ = system.layout_;
   const double* diag = system.values_.data();
   const double* prev = diag + l.n;
-  if (!factor_chains(l.b_chain_start, diag, prev, f.b_piv_, f.b_lfac_))
+  if (!internal::factor_chains(l.b_chain_start, diag, prev, f.b_piv_,
+                               f.b_lfac_))
     return f;
   f.c_diag_.assign(diag + l.nb, diag + l.n);
   f.c_off_.assign(prev + l.nb, prev + l.n);
-  if (!factor_chains(l.c_chain_start, f.c_diag_.data(), f.c_off_.data(),
-                     f.c_piv_, f.c_lfac_))
+  if (!internal::factor_chains(l.c_chain_start, f.c_diag_.data(),
+                               f.c_off_.data(), f.c_piv_, f.c_lfac_))
     return f;
   const double* bc = diag + 3 * l.n;
   f.bc_val_.assign(bc, bc + l.cross_start[l.nb]);
@@ -252,47 +369,53 @@ SchurFactorization SchurFactorization::build(const ChainSystem& system) {
   return f;
 }
 
-void SchurFactorization::chain_solve_b(std::vector<double>& v) const {
-  chain_solve(layout_->b_chain_start, b_piv_, b_lfac_, v);
+double SchurFactorization::cross_product(std::size_t lb,
+                                         const std::vector<double>& x) const {
+  const std::size_t nb = layout_->nb;
+  const std::vector<std::uint32_t>& start = layout_->cross_start;
+  const std::vector<std::uint32_t>& col = layout_->cross_col;
+  double acc = 0.0;
+  for (std::size_t k = start[lb]; k < start[lb + 1]; ++k)
+    acc += bc_val_[k] * x[col[k] - nb];
+  return acc;
 }
 
-void SchurFactorization::chain_solve_c(std::vector<double>& v) const {
-  chain_solve(layout_->c_chain_start, c_piv_, c_lfac_, v);
-}
-
-void SchurFactorization::acc_multiply(const std::vector<double>& x,
-                                      std::vector<double>& y) const {
-  const std::vector<std::size_t>& start = layout_->c_chain_start;
-  y.assign(x.size(), 0.0);
-  for (std::size_t l = 0; l < x.size(); ++l) y[l] = c_diag_[l] * x[l];
-  for (std::size_t k = 0; k + 1 < start.size(); ++k) {
-    for (std::size_t l = start[k] + 1; l < start[k + 1]; ++l) {
-      y[l] += c_off_[l] * x[l - 1];
-      y[l - 1] += c_off_[l] * x[l];
-    }
+void SchurFactorization::subtract_cells(std::size_t lc,
+                                        const std::vector<double>& w,
+                                        double& y) const {
+  const ChainLayout& l = *layout_;
+  for (std::uint32_t i = l.kept_cross_start[lc];
+       i < l.kept_cross_start[lc + 1]; ++i) {
+    const double wb = w[l.kept_cross[i].b];
+    if (!util::exactly_zero(wb)) y -= bc_val_[l.kept_cross[i].k] * wb;
   }
 }
 
 void SchurFactorization::apply_schur(const std::vector<double>& x,
                                      std::vector<double>& y,
                                      std::vector<double>& scratch) const {
-  const std::size_t nb = layout_->nb;
-  const std::vector<std::uint32_t>& start = layout_->cross_start;
-  const std::vector<std::uint32_t>& col = layout_->cross_col;
-  scratch.assign(nb, 0.0);
-  for (std::size_t lb = 0; lb < nb; ++lb) {
-    double acc = 0.0;
-    for (std::size_t k = start[lb]; k < start[lb + 1]; ++k)
-      acc += bc_val_[k] * x[col[k] - nb];
-    scratch[lb] = acc;
-  }
-  chain_solve_b(scratch);
-  acc_multiply(x, y);
-  for (std::size_t lb = 0; lb < nb; ++lb) {
-    const double w = scratch[lb];
-    if (util::exactly_zero(w)) continue;
-    for (std::size_t k = start[lb]; k < start[lb + 1]; ++k)
-      y[col[k] - nb] -= bc_val_[k] * w;
+  // scratch = A_bb^-1 A_bc x, the cell products gathered as the chain
+  // solve reaches them.
+  solve_chains(
+      layout_->b_chain_start, b_piv_, b_lfac_,
+      [&](std::size_t lb) { return cross_product(lb, x); }, scratch.data());
+  // y = A_cc x - A_cb scratch, row by row, in a fixed order the pinned
+  // outputs depend on: (d x[l] + off[l] x[l-1]) + off[l+1] x[l+1], then
+  // the cells in ascending eliminated position.
+  const std::vector<std::size_t>& start = layout_->c_chain_start;
+  const double* d = c_diag_.data();
+  const double* off = c_off_.data();
+  y.resize(x.size());
+  for (std::size_t k = 0; k + 1 < start.size(); ++k) {
+    const std::size_t s = start[k];
+    const std::size_t e = start[k + 1];
+    for (std::size_t l = s; l < e; ++l) {
+      double acc = d[l] * x[l];
+      if (l > s) acc += off[l] * x[l - 1];
+      if (l + 1 < e) acc += off[l + 1] * x[l + 1];
+      subtract_cells(l, scratch, acc);
+      y[l] = acc;
+    }
   }
 }
 
@@ -302,22 +425,17 @@ CgResult SchurFactorization::solve(
   const std::size_t nb = layout_->nb;
   const std::size_t nc = n_ - nb;
   const std::vector<std::uint32_t>& unknown = layout_->unknown;
-  const std::vector<std::uint32_t>& start = layout_->cross_start;
-  const std::vector<std::uint32_t>& col = layout_->cross_col;
-
-  std::vector<double> b_b(nb), b_c(nc);
-  for (std::size_t l = 0; l < nb; ++l) b_b[l] = b[unknown[l]];
-  for (std::size_t l = 0; l < nc; ++l) b_c[l] = b[unknown[nb + l]];
 
   // Schur right-hand side: b~ = b_c - A_cb A_bb^-1 b_b.
-  std::vector<double> t = b_b;
-  chain_solve_b(t);
-  std::vector<double> rhs = b_c;
-  for (std::size_t lb = 0; lb < nb; ++lb) {
-    const double w = t[lb];
-    if (util::exactly_zero(w)) continue;
-    for (std::size_t k = start[lb]; k < start[lb + 1]; ++k)
-      rhs[col[k] - nb] -= bc_val_[k] * w;
+  std::vector<double> t(nb);
+  solve_chains(
+      layout_->b_chain_start, b_piv_, b_lfac_,
+      [&](std::size_t lb) { return b[unknown[lb]]; }, t.data());
+  std::vector<double> rhs(nc);
+  for (std::size_t l = 0; l < nc; ++l) {
+    double v = b[unknown[nb + l]];
+    subtract_cells(l, t, v);
+    rhs[l] = v;
   }
 
   // The stopping criterion matches the full-system CG rung: the Schur
@@ -329,31 +447,27 @@ CgResult SchurFactorization::solve(
     for (std::size_t l = 0; l < nc; ++l)
       guess[l] = (*initial_guess)[unknown[nb + l]];
   }
-  std::vector<double> scratch;
+  // t is free until the back substitution: the operator's scratch.
   CgResult result = preconditioned_cg(
       [&](const std::vector<double>& v, std::vector<double>& sv) {
-        apply_schur(v, sv, scratch);
+        apply_schur(v, sv, t);
       },
       [this](const std::vector<double>& r, std::vector<double>& z) {
-        z = r;
-        chain_solve_c(z);
+        internal::chain_solve(layout_->c_chain_start, c_piv_, c_lfac_,
+                              r.data(), z.data());
       },
       rhs, std::move(guess), tolerance * (b_norm > 0 ? b_norm : 1.0), 0,
       "numeric.schur");
   const std::vector<double>& x = result.x;
 
   // Back-substitute the eliminated side: x_b = A_bb^-1 (b_b - A_bc x_c).
-  std::vector<double> xb = b_b;
-  for (std::size_t lb = 0; lb < nb; ++lb) {
-    double acc = 0.0;
-    for (std::size_t k = start[lb]; k < start[lb + 1]; ++k)
-      acc += bc_val_[k] * x[col[k] - nb];
-    xb[lb] -= acc;
-  }
-  chain_solve_b(xb);
+  solve_chains(
+      layout_->b_chain_start, b_piv_, b_lfac_,
+      [&](std::size_t lb) { return b[unknown[lb]] - cross_product(lb, x); },
+      t.data());
 
-  std::vector<double> full(n_, 0.0);
-  for (std::size_t l = 0; l < nb; ++l) full[unknown[l]] = xb[l];
+  std::vector<double> full(n_);
+  for (std::size_t l = 0; l < nb; ++l) full[unknown[l]] = t[l];
   for (std::size_t l = 0; l < nc; ++l) full[unknown[nb + l]] = x[l];
   result.x = std::move(full);
   return result;

@@ -28,6 +28,17 @@
 // from the per-RHS solve, so multi-RHS workloads on one matrix (a
 // shared-matrix spice::solve_crossbar_batch, a linear transient) factor
 // once, through spice::MnaCache::factor.
+//
+// A crossbar has M row chains of length N and N column chains of length
+// M + 1, so the chain kernels (factor, forward/back substitution) run
+// runs of equal-length chains in lockstep, a few chains per step: their
+// recurrences overlap in the pipeline instead of each waiting on its own
+// latency. Every element still sees the operations of a chain-by-chain
+// sweep in the same order (division stays division, no contraction), so
+// lockstep changes no bit; the lockstep factor checks each step's pivots
+// before the next step divides by them. The Schur operator gathers: the
+// cell products are summed as the eliminated chain solve reaches each
+// row, and each kept row sums its chain terms and then its cells.
 // Everything here is deterministic: no randomness, no thread-count or
 // schedule dependence, so the platform's bit-identity contracts hold.
 #pragma once
@@ -80,6 +91,15 @@ struct ChainLayout {
   // [cross_start[p], cross_start[p+1]), in ascending unknown order.
   std::vector<std::uint32_t> cross_start;  // nb + 1 entries
   std::vector<std::uint32_t> cross_col;
+  // The same couplings by kept side-local position c: entries
+  // [kept_cross_start[c], kept_cross_start[c+1]) of kept_cross, each an
+  // eliminated position b and its index k in cross_col, ascending in b.
+  struct Cell {
+    std::uint32_t b;
+    std::uint32_t k;
+  };
+  std::vector<std::uint32_t> kept_cross_start;  // n - nb + 1 entries
+  std::vector<Cell> kept_cross;
   // Matrix-vector product plan: the entries of unknown g's row, in
   // ascending column unknown, are (value slot, column) pairs
   // [plan_start[g], plan_start[g+1]) -- CsrMatrix::multiply's order.
@@ -178,6 +198,12 @@ class ChainSystem {
   // y = A x, each row summed in ascending column unknown from 0.0, as
   // CsrMatrix::multiply sums it.
   void multiply(const std::vector<double>& x, std::vector<double>& y) const;
+  // The true residual of x in one pass: {||b - A x||^2, ||b||^2}, each
+  // row of A x summed as multiply() sums it, both squares summed in
+  // ascending unknown order -- the floats of multiply(), b - A x and two
+  // dot products.
+  [[nodiscard]] std::pair<double, double> residual(
+      const std::vector<double>& x, const std::vector<double>& b) const;
 
   // The slot (row, col) sums into, or nullopt when there is none.
   // mnsim-analyze: allow(unreferenced-api, test oracle: test_spice_mna compares every slot with the CSR assembly of the same stamps)
@@ -231,11 +257,13 @@ class ChainSystem {
 
 // Factor-once handle: factors every chain of an assembled ChainSystem
 // (LDL^T) and keeps what the solve needs. build() never throws -- a
-// system that is not assembled, broken, or has a non-positive chain
-// pivot yields valid() == false and the caller falls back to the generic
-// ladder. The factorization is tied to the system's values when it was
-// built: reuse it only while they are unchanged (spice::MnaCache keeps
-// one only for refills its owner vouches reproduce them).
+// system that is not assembled, broken, or has a chain pivot that is not
+// positive (NaN included) yields valid() == false and the caller falls
+// back to the generic ladder. The factorization is tied to the system's
+// values when it was built: reuse it only while they are unchanged
+// (spice::MnaCache keeps one only for refills its owner vouches
+// reproduce them). solve() is const and keeps its buffers local, so one
+// factor serves several threads at once.
 class SchurFactorization {
  public:
   SchurFactorization() = default;
@@ -270,12 +298,39 @@ class SchurFactorization {
   // cross_start/cross_col order.
   std::vector<double> bc_val_;
 
-  void chain_solve_b(std::vector<double>& v) const;
-  void chain_solve_c(std::vector<double>& v) const;
-  void acc_multiply(const std::vector<double>& x,
-                    std::vector<double>& y) const;
+  // (A_bc x)[lb]: eliminated position lb's cells against kept-side x.
+  [[nodiscard]] double cross_product(std::size_t lb,
+                                     const std::vector<double>& x) const;
+  // y -= (A_cb w)[lc], the cells of kept position lc in ascending
+  // eliminated position, each skipped where w is zero.
+  void subtract_cells(std::size_t lc, const std::vector<double>& w,
+                      double& y) const;
+  // y = S x = A_cc x - A_cb A_bb^-1 A_bc x; scratch (nb long) holds
+  // the middle product.
   void apply_schur(const std::vector<double>& x, std::vector<double>& y,
                    std::vector<double>& scratch) const;
 };
+
+namespace internal {
+
+// The chain kernels of SchurFactorization, over the chains of `start`
+// (chain k covers side-local positions [start[k], start[k+1])). Runs of
+// equal-length chains go in lockstep, a few at a time; each element sees
+// the operations of a chain-by-chain sweep in their order, so the floats
+// are those of one.
+//
+// LDL^T of each tridiagonal chain (diagonal `diag`, previous-neighbour
+// coupling `off`): pivots `piv` (D), unit-lower multipliers `lfac`. False
+// on a pivot that is not positive (or NaN), before any division by it.
+bool factor_chains(const std::vector<std::size_t>& start, const double* diag,
+                   const double* off, std::vector<double>& piv,
+                   std::vector<double>& lfac);
+// out = (L D L^T)^-1 in, chain by chain; `in` may be `out`.
+void chain_solve(const std::vector<std::size_t>& start,
+                 const std::vector<double>& piv,
+                 const std::vector<double>& lfac, const double* in,
+                 double* out);
+
+}  // namespace internal
 
 }  // namespace mnsim::numeric

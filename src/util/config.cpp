@@ -1,6 +1,7 @@
 #include "util/config.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -118,7 +119,9 @@ double Config::get_double(const std::string& key) const {
 long Config::get_int(const std::string& key) const {
   const double d = get_double(key);
   // Range first: outside [-2^63, 2^63), or NaN, the cast is undefined.
-  if (!(d >= -0x1p63 && d < 0x1p63) ||
+  // The comparisons are quiet: an ordered compare with NaN would raise
+  // FE_INVALID (a trap under the MNSIM_FPE tripwire).
+  if (!(std::isgreaterequal(d, -0x1p63) && std::isless(d, 0x1p63)) ||
       static_cast<double>(static_cast<long>(d)) != d)
     throw ConfigError("config key '" + key + "' is not an integer");
   return static_cast<long>(d);

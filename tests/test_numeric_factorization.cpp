@@ -9,10 +9,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <stdexcept>
 
 #include "numeric/dense.hpp"
+#include "numeric/pcg.hpp"
 #include "numeric/resilient.hpp"
 #include "numeric/schur.hpp"
 #include "numeric/sparse.hpp"
@@ -459,6 +461,376 @@ TEST(SchurSolver, NonSpdSchurSystemReportsNonConvergence) {
   EXPECT_EQ(rep.method, SolveMethod::kDenseLu);
   EXPECT_NEAR(rep.x[0], -1.0 / 3.0, 1e-12);
   EXPECT_NEAR(rep.x[1], 2.0 / 3.0, 1e-12);
+}
+
+// --- lockstep chain kernels ---------------------------------------------------
+
+// The chain-by-chain kernels: the oracle the lockstep ones must match
+// bit for bit. (The pivot test is quiet, so a NaN pivot cannot trap.)
+bool sequential_factor_chains(const std::vector<std::size_t>& start,
+                              const double* diag, const double* off,
+                              std::vector<double>& piv,
+                              std::vector<double>& lfac) {
+  piv.resize(start.back());
+  lfac.resize(start.back());
+  for (std::size_t k = 0; k + 1 < start.size(); ++k) {
+    for (std::size_t l = start[k]; l < start[k + 1]; ++l) {
+      if (l > start[k]) {
+        lfac[l] = off[l] / piv[l - 1];
+        piv[l] = diag[l] - lfac[l] * off[l];
+      } else {
+        piv[l] = diag[l];
+      }
+      if (!std::isgreater(piv[l], 0.0)) return false;
+    }
+  }
+  return true;
+}
+
+void sequential_chain_solve(const std::vector<std::size_t>& start,
+                            const std::vector<double>& piv,
+                            const std::vector<double>& lfac,
+                            std::vector<double>& v) {
+  for (std::size_t k = 0; k + 1 < start.size(); ++k) {
+    const std::size_t s = start[k];
+    const std::size_t e = start[k + 1];
+    for (std::size_t l = s + 1; l < e; ++l) v[l] -= lfac[l] * v[l - 1];
+    for (std::size_t l = s; l < e; ++l) v[l] /= piv[l];
+    for (std::size_t l = e - 1; l-- > s;) v[l] -= lfac[l + 1] * v[l + 1];
+  }
+}
+
+std::vector<std::size_t> chain_starts(const std::vector<std::size_t>& lengths) {
+  std::vector<std::size_t> start{0};
+  for (std::size_t len : lengths) start.push_back(start.back() + len);
+  return start;
+}
+
+// Diagonally dominant chain values: every pivot is positive.
+void random_chains(std::size_t n, unsigned seed, std::vector<double>& diag,
+                   std::vector<double>& off) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> d(2.0, 3.0);
+  std::uniform_real_distribution<double> o(-1.0, -0.1);
+  diag.resize(n);
+  off.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    diag[i] = d(rng);
+    off[i] = o(rng);
+  }
+}
+
+TEST(SchurSolver, LockstepChainsMatchSequentialBitForBit) {
+  // Chain counts around the group size, a tail after full groups, runs
+  // broken by an unequal length, and length-1 chains.
+  const std::vector<std::vector<std::size_t>> shapes = {
+      {7},
+      {5, 5, 5},
+      {9, 9, 9, 9},
+      {9, 9, 9, 9, 9},
+      {6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6},
+      {4, 4, 3, 4, 4, 4, 4, 4, 2},
+      {1, 1, 1, 1, 1, 1},
+      {1, 8, 1, 8, 8, 8, 8, 1},
+      {33, 33, 33, 33, 33, 33, 33, 33, 34, 34}};
+  unsigned seed = 40;
+  for (const auto& lengths : shapes) {
+    const std::vector<std::size_t> start = chain_starts(lengths);
+    const std::size_t n = start.back();
+    std::vector<double> diag, off;
+    random_chains(n, seed++, diag, off);
+    std::vector<double> piv, lfac, seq_piv, seq_lfac;
+    ASSERT_TRUE(internal::factor_chains(start, diag.data(), off.data(), piv,
+                                        lfac));
+    ASSERT_TRUE(sequential_factor_chains(start, diag.data(), off.data(),
+                                         seq_piv, seq_lfac));
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(bits(piv[i]), bits(seq_piv[i])) << "pivot " << i;
+      EXPECT_EQ(bits(lfac[i]), bits(seq_lfac[i])) << "multiplier " << i;
+    }
+    const std::vector<double> rhs = random_vec(n, seed++);
+    std::vector<double> expected = rhs;
+    sequential_chain_solve(start, seq_piv, seq_lfac, expected);
+    std::vector<double> out(n);
+    internal::chain_solve(start, piv, lfac, rhs.data(), out.data());
+    std::vector<double> in_place = rhs;
+    internal::chain_solve(start, piv, lfac, in_place.data(), in_place.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(bits(out[i]), bits(expected[i])) << "solve " << i;
+      EXPECT_EQ(bits(in_place[i]), bits(expected[i])) << "in place " << i;
+    }
+  }
+}
+
+TEST(SchurSolver, LockstepFactorRefusesBadPivotsBeforeDividing) {
+  // Two full groups of 5-long chains and a tail of two 3-long ones. A
+  // bad entry goes into a non-leading chain of a group or into the tail,
+  // at the chain's first position or further in; the factor must refuse
+  // it before the next step divides by it (under MNSIM_FPE a division by
+  // zero or a compare against NaN would trap).
+  const std::vector<std::size_t> start =
+      chain_starts({5, 5, 5, 5, 5, 5, 5, 5, 3, 3});
+  const std::size_t n = start.back();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Bad {
+    std::size_t chain, offset;
+    double diag, off;
+  };
+  const std::vector<Bad> cases = {
+      {2, 0, -1.0, 0.0},  // negative first pivot, inside a group
+      {5, 3, 0.0, 0.0},   // exactly zero pivot, inside the second group
+      {9, 1, 0.0, 0.0},   // zero pivot in the tail
+      {1, 2, nan, -0.5},  // NaN diagonal, inside a group
+      {8, 0, nan, 0.0},   // NaN diagonal, first position of the tail
+      {9, 2, nan, -0.5}}; // NaN diagonal, last position of the tail
+  for (const Bad& c : cases) {
+    std::vector<double> diag, off;
+    random_chains(n, 7, diag, off);
+    const std::size_t p = start[c.chain] + c.offset;
+    diag[p] = c.diag;
+    if (c.offset > 0) off[p] = c.off;
+    std::vector<double> piv, lfac;
+    EXPECT_FALSE(
+        internal::factor_chains(start, diag.data(), off.data(), piv, lfac))
+        << "chain " << c.chain << " offset " << c.offset;
+    if (!std::isnan(c.diag)) {
+      EXPECT_FALSE(sequential_factor_chains(start, diag.data(), off.data(),
+                                            piv, lfac));
+    }
+  }
+
+  // The same through the chain system: eliminated side as above, kept
+  // side one group of 4-long chains and a tail chain, one cell per kept
+  // unknown. The bad diagonal outweighs what the couplings add to it.
+  const std::size_t nb = n;
+  const std::size_t nc = 20;
+  BipartitePartition partition;
+  for (std::size_t k = 0; k + 1 < start.size(); ++k) {
+    partition.eliminated_chains.emplace_back();
+    for (std::size_t i = start[k]; i < start[k + 1]; ++i)
+      partition.eliminated_chains.back().push_back(i);
+  }
+  for (std::size_t k = 0; k < nc / 4; ++k)
+    partition.kept_chains.push_back(
+        {nb + 4 * k, nb + 4 * k + 1, nb + 4 * k + 2, nb + 4 * k + 3});
+  for (std::size_t c = 0; c < nc; ++c) partition.cells.emplace_back(c, nb + c);
+  const std::vector<std::size_t> bad_unknowns = {
+      start[2], start[5] + 3, start[8], start[9] + 2,  // eliminated side
+      nb + 4 + 1, nb + 8, nb + 16, nb + 19};           // kept side
+  for (double bad_value : {-10.0, nan}) {
+    for (std::size_t bad : bad_unknowns) {
+      ChainSystem system(partition, nb + nc);
+      ASSERT_FALSE(system.empty());
+      system.begin();
+      for (const auto* side :
+           {&partition.eliminated_chains, &partition.kept_chains})
+        for (const auto& chain : *side)
+          for (std::size_t i = 0; i < chain.size(); ++i) {
+            system.add(chain[i], chain[i], chain[i] == bad ? bad_value : 3.0);
+            if (i > 0) system.couple(chain[i - 1], chain[i], 0.5);
+          }
+      for (std::size_t k = 0; k < nc; ++k) system.couple(k, nb + k, 0.01);
+      ASSERT_TRUE(system.finish());
+      EXPECT_FALSE(SchurFactorization::build(system).valid())
+          << "unknown " << bad << " diagonal " << bad_value;
+    }
+  }
+}
+
+// --- fused PCG reductions and the one-pass residual ---------------------------
+
+// The PCG loop with r'r and r'z summed in separate passes: the oracle.
+template <typename MatVec, typename Precondition>
+CgResult two_pass_cg(const MatVec& apply, const Precondition& precondition,
+                     const std::vector<double>& b, std::vector<double> x0,
+                     double stop, std::size_t max_iterations) {
+  const std::size_t n = b.size();
+  CgResult result;
+  result.x = std::move(x0);
+  std::vector<double> r(n);
+  if (!result.x.empty()) {
+    apply(result.x, r);
+    for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
+  } else {
+    result.x.assign(n, 0.0);
+    r = b;
+  }
+  std::vector<double> z(n), ap(n);
+  precondition(r, z);
+  std::vector<double> p = z;
+  double rz = dot(r, z);
+  for (std::size_t it = 0; it < max_iterations; ++it) {
+    result.residual_norm = std::sqrt(dot(r, r));
+    if (result.residual_norm <= stop) {
+      result.converged = true;
+      result.iterations = it;
+      return result;
+    }
+    apply(p, ap);
+    const double pap = dot(p, ap);
+    if (pap <= 0.0) {
+      result.breakdown = true;
+      break;
+    }
+    const double alpha = rz / pap;
+    for (std::size_t i = 0; i < n; ++i) {
+      result.x[i] += alpha * p[i];
+      r[i] -= alpha * ap[i];
+    }
+    precondition(r, z);
+    const double rz_next = dot(r, z);
+    const double beta = rz_next / rz;
+    rz = rz_next;
+    for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
+    result.iterations = it + 1;
+  }
+  result.residual_norm = std::sqrt(dot(r, r));
+  result.converged = result.residual_norm <= stop;
+  return result;
+}
+
+void expect_same_iterate(const CgResult& a, const CgResult& b) {
+  ASSERT_EQ(a.x.size(), b.x.size());
+  for (std::size_t i = 0; i < a.x.size(); ++i)
+    EXPECT_EQ(bits(a.x[i]), bits(b.x[i])) << "x[" << i << "]";
+  EXPECT_EQ(bits(a.residual_norm), bits(b.residual_norm));
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.converged, b.converged);
+  EXPECT_EQ(a.breakdown, b.breakdown);
+}
+
+// A seeded sparse SPD matrix: random symmetric couplings on a band, the
+// diagonal lifted past the row sums by a seeded margin.
+CsrMatrix random_sparse_spd(std::size_t n, unsigned seed, double sign = 1.0) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> g(0.01, 1.0);
+  std::vector<double> row_sum(n, 0.0);
+  SparseBuilder sb(n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t k : {std::size_t{1}, std::size_t{7}}) {
+      if (i + k >= n) continue;
+      const double v = g(rng);
+      sb.add(i, i + k, -sign * v);
+      sb.add(i + k, i, -sign * v);
+      row_sum[i] += v;
+      row_sum[i + k] += v;
+    }
+  for (std::size_t i = 0; i < n; ++i)
+    sb.add(i, i, sign * (row_sum[i] + 0.01 * g(rng)));
+  return CsrMatrix(sb);
+}
+
+TEST(PcgKernel, FusedReductionsMatchTwoPassLoopBitForBit) {
+  // Jacobi CG on seeded SPD systems, cold and warm, converging and cut
+  // off by the iteration cap.
+  for (unsigned seed = 1; seed <= 6; ++seed) {
+    const std::size_t n = 40 + 17 * seed;
+    const CsrMatrix a = random_sparse_spd(n, seed);
+    const std::vector<double> b = random_vec(n, 100 + seed);
+    const std::vector<double> diag = a.jacobi_diagonal(nullptr);
+    const auto apply = [&a](const std::vector<double>& v,
+                            std::vector<double>& av) { a.multiply(v, av); };
+    const auto jacobi = [&diag](const std::vector<double>& r,
+                                std::vector<double>& z) {
+      for (std::size_t i = 0; i < r.size(); ++i) z[i] = r[i] / diag[i];
+    };
+    const double stop = 1e-12 * std::sqrt(dot(b, b));
+    for (std::size_t cap : {std::size_t{3}, std::size_t{12},
+                            default_cg_iterations(n)}) {
+      for (bool warm : {false, true}) {
+        const std::vector<double> x0 =
+            warm ? random_vec(n, 200 + seed) : std::vector<double>();
+        const CgResult fused =
+            preconditioned_cg(apply, jacobi, b, x0, stop, cap, "test");
+        expect_same_iterate(fused, two_pass_cg(apply, jacobi, b, x0, stop,
+                                               cap));
+        if (cap < 12) {
+          EXPECT_FALSE(fused.converged);
+        }
+        if (!warm && cap == default_cg_iterations(n)) {
+          // conjugate_gradient is this kernel with the Jacobi pair.
+          expect_same_iterate(conjugate_gradient(a, b, 1e-12, cap), fused);
+        }
+      }
+    }
+  }
+
+  // The Schur rung's pair: a chain-preconditioned operator (kept-side
+  // chains factored by the lockstep kernel, weak cross terms added).
+  for (unsigned seed = 1; seed <= 4; ++seed) {
+    const std::vector<std::size_t> start =
+        chain_starts({12, 12, 12, 12, 12, 12, 7});
+    const std::size_t n = start.back();
+    std::vector<double> diag, off;
+    random_chains(n, 300 + seed, diag, off);
+    std::vector<double> piv, lfac;
+    ASSERT_TRUE(internal::factor_chains(start, diag.data(), off.data(), piv,
+                                        lfac));
+    const CsrMatrix cross = random_sparse_spd(n, 400 + seed);
+    const auto apply = [&](const std::vector<double>& v,
+                           std::vector<double>& av) {
+      cross.multiply(v, av);
+      for (std::size_t i = 0; i < n; ++i) av[i] *= 0.05;
+      for (std::size_t k = 0; k + 1 < start.size(); ++k)
+        for (std::size_t l = start[k]; l < start[k + 1]; ++l) {
+          av[l] += diag[l] * v[l];
+          if (l > start[k]) {
+            av[l] += off[l] * v[l - 1];
+            av[l - 1] += off[l] * v[l];
+          }
+        }
+    };
+    const auto chains = [&](const std::vector<double>& r,
+                            std::vector<double>& z) {
+      internal::chain_solve(start, piv, lfac, r.data(), z.data());
+    };
+    const std::vector<double> b = random_vec(n, 500 + seed);
+    for (std::size_t cap : {std::size_t{2}, std::size_t{200}}) {
+      const CgResult fused =
+          preconditioned_cg(apply, chains, b, {}, 1e-13, cap, "test");
+      expect_same_iterate(fused, two_pass_cg(apply, chains, b, {}, 1e-13, cap));
+    }
+  }
+
+  // Breakdown: a negative definite operator stops both loops at once.
+  const CsrMatrix neg = random_sparse_spd(30, 9, -1.0);
+  const auto apply = [&neg](const std::vector<double>& v,
+                            std::vector<double>& av) { neg.multiply(v, av); };
+  const auto none = [](const std::vector<double>& r, std::vector<double>& z) {
+    z = r;
+  };
+  const std::vector<double> b = random_vec(30, 10);
+  const CgResult fused = preconditioned_cg(apply, none, b, {}, 1e-12, 50, "test");
+  EXPECT_TRUE(fused.breakdown);
+  expect_same_iterate(fused, two_pass_cg(apply, none, b, {}, 1e-12, 50));
+}
+
+TEST(SchurSolver, OnePassResidualMatchesMultiplyAndNorm) {
+  // The residual() pass sums exactly what multiply(), b - A x and two
+  // dot products sum: on the fixture and on a crossbar's chain system.
+  const auto device = tech::default_rram();
+  auto spec = spice::CrossbarSpec::uniform(9, 13, device, 0.022, 60.0,
+                                           device.r_min.value());
+  spec.linear_memristors = true;
+  spice::CrossbarSolveCache cache;
+  ASSERT_TRUE(spice::solve_crossbar(spec, {}, &cache).dc.converged);
+  const BipartiteFixture f = make_bipartite();
+  const ChainSystem fixture = chains_of(f.a, f.partition);
+  const ChainSystem& crossbar = cache.mna.system;
+  for (const ChainSystem* system : {&fixture, &crossbar}) {
+    ASSERT_TRUE(system->assembled());
+    const std::size_t n = system->size();
+    for (unsigned seed = 1; seed <= 3; ++seed) {
+      const std::vector<double> x = random_vec(n, 600 + seed);
+      const std::vector<double> b = random_vec(n, 700 + seed);
+      std::vector<double> r;
+      system->multiply(x, r);
+      for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
+      const auto [rr, bb] = system->residual(x, b);
+      EXPECT_EQ(bits(rr), bits(dot(r, r)));
+      EXPECT_EQ(bits(bb), bits(dot(b, b)));
+    }
+  }
 }
 
 // --- end-to-end through the MNA layer ----------------------------------------

@@ -8,7 +8,8 @@ finding detection and scope for every rule, both escape placements
 and known rule name, the baseline lifecycle (write, honor, go-stale),
 SARIF output shape (including exact endColumn spans and per-rule
 helpUri), the MN-* and span/metric catalogue syncs in both directions,
-header functions nothing outside tests/ calls, the rule catalogue's
+header functions nothing outside tests/ calls, value-changing
+floating-point flags in CMake files, the rule catalogue's
 headings in docs/STATIC_ANALYSIS.md, and a clean run over the real repo.
 """
 from __future__ import annotations
@@ -599,6 +600,38 @@ class UnreferencedApi(AnalyzeFixture):
         proc = self.run_analyze()
         self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
         self.assertIn(f"{self.HEADER}:1:1: malformed-escape", proc.stdout)
+
+
+class FpFlags(AnalyzeFixture):
+    def setUp(self):
+        super().setUp()
+        self.add_source("src/a.cpp", "int f() { return 1; }\n")
+
+    def test_value_changing_flags_are_flagged(self):
+        self.add_source("CMakeLists.txt",
+                        "project(x)\n"
+                        "target_compile_options(x PRIVATE -march=native)\n")
+        self.add_source("cmake/flags.cmake",
+                        'set(CMAKE_CXX_FLAGS "-O2 -ffast-math")\n'
+                        'string(APPEND F " -mfma -ffp-contract=fast")\n')
+        proc = self.run_analyze()
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        for site, flag in (("CMakeLists.txt:2:34", "-march=native"),
+                           ("cmake/flags.cmake:1:26", "-ffast-math"),
+                           ("cmake/flags.cmake:2:19", "-mfma"),
+                           ("cmake/flags.cmake:2:25", "-ffp-contract=fast")):
+            self.assertIn(f"{site}: fp-flags: '{flag}'", proc.stdout)
+
+    def test_safe_flags_comments_and_build_trees_are_clean(self):
+        self.add_source("CMakeLists.txt",
+                        "# never -ffast-math or -march=native here\n"
+                        "add_compile_options(-O3 -fno-fast-math "
+                        "-ffp-contract=off)\n")
+        # A configured build tree holds generated CMake files of its own.
+        self.add_source("build/CMakeCache.txt", "\n")
+        self.add_source("build/CMakeLists.txt", "add_compile_options(-Ofast)\n")
+        proc = self.run_analyze()
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
 
 
 def obs_names(text: str) -> tuple[set[str], set[str], list]:

@@ -4,12 +4,13 @@
 Run as `python3 tools/analyze` from the repo root (or anywhere, with
 --repo). It lexes every .cpp/.hpp under src/, tests/, bench/ and
 examples/ with an exact C++ tokenizer (tools/analyze/cpptok.py) and runs
-fifteen rules over the tokens, each with its own scope: numeric
-hygiene, source layering, the concurrency discipline (parallel-capture /
-raw-thread / atomic-order) that complements the Clang -Wthread-safety
-capability annotations, and three repo-level rules: the MN-* and
-span/metric catalogues held to their docs, and header functions that
-nothing outside tests/ calls (perfbench/ is read for callers only). It
+sixteen rules, each with its own scope: numeric hygiene, source
+layering, the concurrency discipline (parallel-capture / raw-thread /
+atomic-order) that complements the Clang -Wthread-safety capability
+annotations, and four repo-level rules: the MN-* and span/metric
+catalogues held to their docs, header functions that nothing outside
+tests/ calls (perfbench/ is read for callers only), and compile flags in
+the CMake files that change floating-point results. It
 needs no build, no compile database and nothing beyond the Python
 standard library. See docs/STATIC_ANALYSIS.md for the catalogue and the
 escape/baseline workflow.

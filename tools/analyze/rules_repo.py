@@ -3,6 +3,7 @@
   mn-code-extraction  MN-* codes in src/ string literals vs DIAGNOSTICS.md
   obs-catalogue       obs::Span / obs::Registry names vs OBSERVABILITY.md
   unreferenced-api    a src/ header function nothing outside tests/ names
+  fp-flags            a CMake file that turns on value-changing FP codegen
 
 The two catalogue rules share `doc_sync`: names produced in src/ against
 names listed in a doc, both directions, reported as ordinary findings
@@ -12,6 +13,7 @@ names listed in a doc, both directions, reported as ordinary findings
 from __future__ import annotations
 
 import collections
+import os
 import pathlib
 import re
 from collections.abc import Callable
@@ -423,9 +425,55 @@ def unreferenced_api_findings(contexts: dict[str, FileContext],
     return findings
 
 
+# ---- rule: fp-flags -----------------------------------------------------------
+
+# Compiler flags that let the compiler change the floats a build computes:
+# reassociation (-ffast-math, -Ofast), fused multiply-add contraction
+# (-ffp-contract=fast, -mfma*) and host-dependent code generation
+# (-march, -mtune). The bit-identity contracts (golden tests, the
+# benchmark references, the lockstep chain kernels' equality with a
+# sequential sweep) assume ISO evaluation with no contraction.
+FP_FLAG = re.compile(
+    r"(?<![\w-])(-ffast-math|-Ofast|-ffp-contract=fast|-mfma\w*"
+    r"|-march\b[=\w.+-]*|-mtune\b[=\w.+-]*)")
+
+
+def cmake_files(repo: pathlib.Path) -> list[pathlib.Path]:
+    """Every CMakeLists.txt and *.cmake of the checkout, skipping hidden
+    directories and build trees (a directory holding CMakeCache.txt)."""
+    found: list[pathlib.Path] = []
+    for dirpath, dirnames, filenames in os.walk(repo):
+        if "CMakeCache.txt" in filenames:
+            dirnames[:] = []
+            continue
+        dirnames[:] = sorted(d for d in dirnames if not d.startswith("."))
+        found.extend(pathlib.Path(dirpath) / f for f in sorted(filenames)
+                     if f == "CMakeLists.txt" or f.endswith(".cmake"))
+    return found
+
+
+def fp_flag_findings(repo: pathlib.Path) -> list[Finding]:
+    findings = []
+    for path in cmake_files(repo):
+        rel = path.relative_to(repo).as_posix()
+        for line_no, line in enumerate(_read(path).splitlines(), start=1):
+            code = line.split("#", 1)[0]
+            for m in FP_FLAG.finditer(code):
+                findings.append(Finding(
+                    rule="fp-flags", path=rel, line=line_no,
+                    col=m.start() + 1,
+                    message=(f"'{m.group(1)}' lets the compiler change "
+                             f"floating-point results; the bit-identity "
+                             f"contracts assume ISO evaluation with no "
+                             f"contraction"),
+                    line_text=line, end_col=m.end() + 1))
+    return findings
+
+
 def repo_findings(contexts: dict[str, FileContext],
                   references: dict[str, FileContext],
                   repo: pathlib.Path) -> list[Finding]:
     return (mn_code_findings(contexts, repo)
             + obs_catalogue_findings(contexts, repo)
-            + unreferenced_api_findings(contexts, references))
+            + unreferenced_api_findings(contexts, references)
+            + fp_flag_findings(repo))

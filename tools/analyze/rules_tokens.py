@@ -113,6 +113,11 @@ RULE_DOCS: dict[str, str] = {
         "names (bench/, examples/ and perfbench/ count as callers); "
         "delete it with its tests or escape it with the reason it stays"
     ),
+    "fp-flags": (
+        "-ffast-math, -Ofast, -ffp-contract=fast, -mfma or -march/-mtune "
+        "in a CMakeLists.txt or .cmake file; the bit-identity contracts "
+        "assume ISO floating-point evaluation with no contraction"
+    ),
     "malformed-escape": (
         "mnsim-analyze: allow(...) escape without a written reason, or "
         "naming a rule that does not exist"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -11,6 +12,15 @@
 
 namespace mnsim::arch {
 namespace {
+
+// The stretch tests scale cycle counts (up to ~4.5e15, the MN-CYC-004
+// bound) by tile counts, which passes 2^63; 128 bits hold every product
+// they form.
+__extension__ typedef __int128 Wide;
+
+// Largest schedule the integer cycle domain admits (MN-CYC-004): far
+// inside the exact range of long, and of double for the seconds.
+constexpr double kMaxScheduleCycles = 4.5e15;
 
 // Integer cycles of one matrix-vector pass. A scheduled pass occupies at
 // least one cycle so zero-latency degenerate banks still serialize.
@@ -46,6 +56,400 @@ double tile_sum(long n, double bytes) {
   for (long k = 0; k < n; ++k) sum += bytes;
   return sum;
 }
+
+check::CheckError cycle_domain_error(std::string location,
+                                     std::string hint) {
+  check::DiagnosticList diags;
+  auto& d = diags.emit("MN-CYC-004", check::Severity::kError,
+                       "cycle schedule would overflow the integer "
+                       "cycle domain");
+  d.location = std::move(location);
+  d.hint = std::move(hint);
+  return check::CheckError(std::move(diags));
+}
+
+// The first `max` events of the whole run, in walk order.
+struct EventLog {
+  std::vector<TileEvent>& events;
+  long max = 0;
+  long recorded = 0;  // events.size(), kept where the walks see it
+
+  [[nodiscard]] bool recording() const { return recorded < max; }
+  void record(int bank, long tile, TilePhase phase, long start, long end) {
+    if (recorded < max) {
+      events.push_back({bank, tile, phase, start, end});
+      ++recorded;
+    }
+  }
+};
+
+// A bank's avail[k] — the cycle its tile-k output has landed in the
+// backing store — as runs of consecutive tiles, each either affine
+// (first + slope * (k - begin)) or explicit (one stored value per tile).
+// A self-paced stretch is one affine run however long it is, so neither
+// its own bank nor the next one visits its tiles. avail never falls with
+// k, so every slope is >= 0.
+class AvailRuns {
+ public:
+  struct Run {
+    long begin = 0;
+    long end = 0;      // one past the last index
+    long first = 0;    // affine: the value at begin
+    long slope = 0;    // affine: the increment per index
+    long offset = -1;  // explicit: values index of begin; -1 if affine
+  };
+
+  // Every negative index reads 0: a tile that needs no upstream tile has
+  // its dependency met at cycle 0. A zero-slope run from far below any
+  // index says so without a branch.
+  AvailRuns() { clear(0); }
+
+  // Starts a bank of `tiles` tiles.
+  void clear(long tiles) {
+    runs_.assign(1, Run{std::numeric_limits<long>::min() / 2, 0, 0, 0, -1});
+    values_.clear();
+    tiles_ = tiles;
+  }
+
+  [[nodiscard]] long size() const { return runs_.back().end; }
+  [[nodiscard]] long back() const { return value(runs_.back(), size() - 1); }
+  [[nodiscard]] const Run& run(std::size_t r) const { return runs_[r]; }
+  [[nodiscard]] const long* values(const Run& run) const {
+    return values_.data() + run.offset;
+  }
+  [[nodiscard]] long value(const Run& run, long i) const {
+    return run.offset < 0 ? run.first + run.slope * (i - run.begin)
+                          : values(run)[i - run.begin];
+  }
+
+  void push(long v) {
+    Run& last = runs_.back();
+    if (last.offset < 0 &&
+        v == last.first + last.slope * (last.end - last.begin)) {
+      ++last.end;
+    } else if (last.offset >= 0) {
+      values_.push_back(v);
+      ++last.end;
+    } else {
+      open_explicit();
+      values_.push_back(v);
+      ++runs_.back().end;
+    }
+  }
+
+  void push_affine(long n, long first, long slope) {
+    Run& last = runs_.back();
+    if (last.offset < 0 && last.slope == slope &&
+        first == last.first + slope * (last.end - last.begin)) {
+      last.end += n;
+    } else if (last.offset >= 0 && n < kShortRun) {
+      // A short stretch between stored values joins them, so that the
+      // next bank reads long runs.
+      for (long t = 0; t < n; ++t) values_.push_back(first + t * slope);
+      last.end += n;
+    } else {
+      const long end = last.end;
+      runs_.push_back({end, end + n, first, slope, -1});
+    }
+  }
+
+  // avail of the next n tiles: src[t] + add.
+  void push_shifted(const long* src, long n, long add) {
+    if (runs_.back().offset < 0) open_explicit();
+    const std::size_t at = values_.size();
+    // Room for every tile the bank has left: one allocation per bank
+    // rather than a doubling series of fresh, page-faulting ones.
+    if (values_.capacity() < at + static_cast<std::size_t>(n))
+      values_.reserve(at + static_cast<std::size_t>(tiles_ - size()));
+    values_.resize(at + static_cast<std::size_t>(n));
+    long* dst = values_.data() + at;
+    for (long t = 0; t < n; ++t) dst[t] = src[t] + add;
+    runs_.back().end += n;
+  }
+
+ private:
+  void open_explicit() {
+    const long end = runs_.back().end;
+    runs_.push_back({end, end, 0, 0, static_cast<long>(values_.size())});
+  }
+
+  static constexpr long kShortRun = 16;
+
+  std::vector<Run> runs_;
+  std::vector<long> values_;
+  long tiles_ = 0;
+};
+
+// Reads an upstream AvailRuns at non-decreasing indices, as the walks
+// visit them.
+class AvailReader {
+ public:
+  explicit AvailReader(const AvailRuns& runs) : runs_(runs) {}
+
+  const AvailRuns::Run& seek(long i) {
+    while (runs_.run(cursor_).end <= i) ++cursor_;
+    return runs_.run(cursor_);
+  }
+  long at(long i) { return runs_.value(seek(i), i); }
+  [[nodiscard]] const AvailRuns& runs() const { return runs_; }
+
+ private:
+  const AvailRuns& runs_;
+  std::size_t cursor_ = 0;
+};
+
+// floor(k * D / den) for a tile cursor k, as a quotient and remainder
+// that advance one tile at a time (carrying at most once per tile) or
+// jump to any tile.
+struct TileShare {
+  long total = 0;  // D
+  long den = 1;
+  long step_q = 0;
+  long step_r = 0;
+  long q = 0;
+  long r = 0;
+
+  TileShare(long d, long denominator)
+      : total(d), den(denominator), step_q(d / denominator),
+        step_r(d % denominator) {}
+
+  void next() {
+    const long over = r + step_r - den;
+    const bool carry = over >= 0;
+    r = carry ? over : over + den;
+    q += step_q + carry;
+  }
+  void seek(long k) {
+    const Wide x = static_cast<Wide>(k) * total;
+    q = static_cast<long>(x / den);
+    r = static_cast<long>(x % den);
+  }
+};
+
+// One streamed bank: neither operand resident, so fill, compute and
+// drain serialize over the bank's one backing bus (see the header and
+// docs/PERFORMANCE.md, "Cycle-accurate mode"). Per tile
+//   fe(k) = max(dep(k), de(k-1)) + f,  e(k) = fe(k) + cpt,
+//   de(k) = avail[k] = e(k) + d        (de(-1) = 0),  T = f + cpt + d,
+// and tile k > 0 waits max(e(k-1), dep(k)) - e(k-1) cycles on its
+// dependency and the rest, up to fe(k), on its fill. The schedule runs a
+// stretch of tiles at a time where one of two closed forms holds, and
+// walks the recurrence tile by tile elsewhere:
+//   self-paced        dep(j) <= e(j-1) for every tile j of the stretch:
+//                     de rises by T per tile, each tile adds f + d to
+//                     the fill stall and nothing to the dependency stall;
+//   dependency-bound  dep(a) >= de(a-1) and dep(j) - dep(j-1) >= T after
+//                     it: de(j) = dep(j) + T, each tile adds f to the
+//                     fill stall, and the dependency stall telescopes.
+class StreamedBank {
+ public:
+  struct Timing {
+    long tiles;
+    long fill;   // f
+    long cpt;    // compute cycles per tile
+    long drain;  // d
+    long warmup;       // w: upstream tiles every tile needs
+    long streamed;     // D: upstream tiles shared out over the bank
+  };
+
+  StreamedBank(const Timing& t, const AvailRuns& upstream, AvailRuns& out,
+               EventLog& log, int bank_id)
+      : t_(t), period_(t.fill + t.cpt + t.drain),
+        den_(std::max<long>(t.tiles - 1, 1)), up_(upstream), out_(out),
+        log_(log), bank_id_(bank_id), share_(t.streamed, den_) {
+    // A one-tile bank takes all of D.
+    if (t.tiles == 1) share_.q = t.streamed;
+  }
+
+  void schedule() {
+    // Tile 0 opens the active window, and every tile whose events are
+    // recorded is walked, so the event log is the walk's.
+    while (k_ < t_.tiles && (k_ == 0 || log_.recording()))
+      walk(up_.at(index()));
+    while (k_ < t_.tiles) {
+      if (!self_paced_by_bound()) gather();
+    }
+  }
+
+  long start = 0;
+  long finish() const { return e_; }
+  long dependency_stall = 0;
+  long fill_stall = 0;
+  long walked = 0;
+
+ private:
+  static constexpr long kChunk = 128;
+
+  // Upstream index tile k_ reads: needed - 1, where needed = w + share
+  // (never above the upstream tile count, see simulate_cycles).
+  [[nodiscard]] long index() const { return t_.warmup - 1 + share_.q; }
+
+  // The last tile whose upstream index lies inside `run`.
+  [[nodiscard]] long last_tile(const AvailRuns::Run& run) const {
+    if (t_.streamed == 0) return t_.tiles - 1;
+    // index(j) < end  <=>  floor(j D / den) <= end - w
+    //                 <=>  j D < (end - w + 1) den.
+    const Wide hi =
+        (static_cast<Wide>(run.end - t_.warmup + 1) * den_ - 1) / t_.streamed;
+    return hi < t_.tiles - 1 ? static_cast<long>(hi) : t_.tiles - 1;
+  }
+
+  // The per-tile recurrence, for tile k_ with dependency `dep`.
+  void walk(long dep) {
+    const long ready = std::max(e_, dep);
+    const long fill_end = std::max(dep, de_) + t_.fill;
+    const long end = fill_end + t_.cpt;
+    const long drain_end = end + t_.drain;
+    if (k_ > 0) {
+      dependency_stall += ready - e_;
+      fill_stall += fill_end - ready;
+    } else {
+      start = fill_end;
+    }
+    log_.record(bank_id_, k_, TilePhase::kFill, fill_end - t_.fill, fill_end);
+    log_.record(bank_id_, k_, TilePhase::kCompute, fill_end, end);
+    log_.record(bank_id_, k_, TilePhase::kDrain, end, drain_end);
+    out_.push(drain_end);
+    e_ = end;
+    de_ = drain_end;
+    ++k_;
+    ++walked;
+    share_.next();
+  }
+
+  void commit_self_paced(long n) {
+    out_.push_affine(n, de_ + period_, period_);
+    fill_stall += n * (t_.fill + t_.drain);
+    e_ += n * period_;
+    de_ += n * period_;
+    k_ += n;
+  }
+
+  // Tiles [k_, k_ + n) with dependencies dep[0..n), dependency-bound.
+  void commit_dependency_bound(const long* dep, long n) {
+    out_.push_shifted(dep, n, period_);
+    // sum_j dep(j) - e(j-1) with e(j-1) = dep(j-1) + f + cpt after the
+    // first tile.
+    dependency_stall += dep[n - 1] - e_ - (n - 1) * (t_.fill + t_.cpt);
+    fill_stall += n * t_.fill;
+    e_ = dep[n - 1] + t_.fill + t_.cpt;
+    de_ = dep[n - 1] + period_;
+    k_ += n;
+  }
+
+  // A self-paced stretch from tile k_ proven without visiting its tiles,
+  // over one affine upstream run A + S*i (S >= 0). A floor is at most its
+  // real value and S >= 0, so dep(j) <= A + S*(w - 1 + j D/den - begin),
+  // which is affine in j, as is e(j-1) = e(k_-1) + (j - k_) T: their
+  // difference is affine, and testing it at both ends of the stretch is
+  // exact. The test runs in integers scaled by den.
+  bool self_paced_by_bound() {
+    const AvailRuns::Run& run = up_.seek(index());
+    if (run.offset >= 0) return false;
+    // g(j) = den * (bound(j) - e(j-1)); the stretch is where g <= 0.
+    const Wide g = static_cast<Wide>(den_) * (run.first - e_) +
+                   static_cast<Wide>(run.slope) *
+                       (static_cast<Wide>(den_) *
+                            (static_cast<Wide>(t_.warmup) - 1 - run.begin) +
+                        static_cast<Wide>(k_) * t_.streamed);
+    if (g > 0) return false;
+    long n = last_tile(run) - k_ + 1;
+    const Wide rise = static_cast<Wide>(run.slope) * t_.streamed -
+                      static_cast<Wide>(den_) * period_;
+    if (rise > 0) {
+      const Wide more = -g / rise;  // tiles after k_ with g still <= 0
+      if (more < n - 1) n = static_cast<long>(more) + 1;
+    }
+    commit_self_paced(n);
+    share_.seek(k_);
+    return true;
+  }
+
+  struct Pass {
+    TileShare share;  // at the tile after the chunk
+    bool self_paced;  // every tile of the chunk is self-paced
+    bool bound;       // every tile of the chunk is dependency-bound
+  };
+
+  // dep[t] = dependency(share) of tiles k_ + t, t < n, and both closed
+  // forms tested in the same pass: self-paced while dep(j) <= e(j-1),
+  // dependency-bound while dep(j) >= dep(j-1) + T (de(k_-1) for the
+  // first tile).
+  template <typename Dependency>
+  Pass gather_pass(long n, long* dep, Dependency dependency) const {
+    TileShare s = share_;
+    const long period = period_;
+    long e = e_;
+    long prev = de_ - period;
+    long self_paced = 1;
+    long bound = 1;
+    for (long t = 0; t < n; ++t) {
+      const long d = dependency(s.q);
+      s.next();
+      dep[t] = d;
+      self_paced &= d <= e;
+      bound &= d - prev >= period;
+      e += period;
+      prev = d;
+    }
+    return {s, self_paced != 0, bound != 0};
+  }
+
+  // Up to kChunk tiles from k_ inside one upstream run: gather their
+  // dependencies in one branch-free pass, test both closed forms over the
+  // whole chunk, and commit the one that holds.
+  void gather() {
+    const AvailRuns::Run& run = up_.seek(index());
+    const long n = std::min(kChunk, last_tile(run) - k_ + 1);
+    long dep[kChunk];
+    const long base = t_.warmup - 1 - run.begin;
+    const long* v = run.offset < 0 ? nullptr : up_.runs().values(run);
+    const Pass pass =
+        v == nullptr
+            ? gather_pass(n, dep,
+                          [first = run.first, slope = run.slope,
+                           base](long q) { return first + slope * (base + q); })
+            : gather_pass(n, dep, [v, base](long q) { return v[base + q]; });
+    if (pass.self_paced || pass.bound) {
+      if (pass.self_paced)
+        commit_self_paced(n);
+      else
+        commit_dependency_bound(dep, n);
+      share_ = pass.share;
+      return;
+    }
+
+    // Mixed chunk: split it into its self-paced and dependency-bound
+    // stretches in place, and walk the tiles that fit neither (their
+    // dependency lands while the previous drain is in flight).
+    for (long t = 0; t < n;) {
+      long end = t + 1;
+      if (dep[t] <= e_) {
+        while (end < n && dep[end] <= e_ + (end - t) * period_) ++end;
+        commit_self_paced(end - t);
+      } else if (dep[t] >= de_) {
+        while (end < n && dep[end] - dep[end - 1] >= period_) ++end;
+        commit_dependency_bound(dep + t, end - t);
+      } else {
+        walk(dep[t]);
+      }
+      t = end;
+    }
+    share_ = pass.share;
+  }
+
+  const Timing t_;
+  const long period_;  // T
+  const long den_;
+  AvailReader up_;
+  AvailRuns& out_;
+  EventLog& log_;
+  const int bank_id_;
+  TileShare share_;
+  long k_ = 0;   // next tile
+  long e_ = 0;   // e(k_-1)
+  long de_ = 0;  // de(k_-1)
+};
 
 }  // namespace
 
@@ -129,10 +533,24 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
   double clock_hz = config.cycle_clock_ghz * 1e9;
   if (!(clock_hz > 0)) {
     double min_latency = 0.0;
-    for (const auto& bank : report.banks) {
+    std::size_t min_bank = 0;
+    for (std::size_t b = 0; b < report.banks.size(); ++b) {
+      const auto& bank = report.banks[b];
       if (bank.iterations <= 0 || !(bank.pass_latency > 0)) continue;
-      if (min_latency == 0.0 || bank.pass_latency < min_latency)
+      if (min_latency == 0.0 || bank.pass_latency < min_latency) {
         min_latency = bank.pass_latency;
+        min_bank = b;
+      }
+    }
+    // A pass so short (subnormal, say) that the derived clock would not
+    // be finite: refuse before the division overflows.
+    if (min_latency > 0 &&
+        min_latency < static_cast<double>(kAutoCyclesPerPass) /
+                          std::numeric_limits<double>::max()) {
+      throw cycle_domain_error(
+          "bank " + std::to_string(min_bank),
+          "the pass latency is too short to derive a clock from; check the "
+          "report's pass latencies, or pin [cycle] Clock_GHz");
     }
     clock_hz = min_latency > 0
                    ? static_cast<double>(kAutoCyclesPerPass) / min_latency
@@ -144,25 +562,25 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
   // Overflow guard: the integer schedule must stay far inside the exact
   // range of long (and double, for the seconds conversion). Bound the
   // worst case — fully serialized compute plus every transfer — before
-  // walking anything.
+  // walking anything. A pass or a transfer that alone exceeds the bound
+  // is refused before its cycle count is formed, so the bound itself
+  // cannot overflow.
   {
+    const char* hint = "lower [cycle] Clock_GHz (or leave it 0 for auto)";
     double bound = 0.0;
-    for (const auto& bank : report.banks) {
+    for (std::size_t b = 0; b < report.banks.size(); ++b) {
+      const auto& bank = report.banks[b];
       if (bank.iterations <= 0) continue;
-      const double cpt = std::max(1.0, bank.pass_latency * clock_hz);
       const double tile_bytes =
           (bank.mapping.matrix_rows + bank.mapping.matrix_cols) * elem_bytes;
+      if (bank.pass_latency > kMaxScheduleCycles / clock_hz ||
+          tile_bytes > kMaxScheduleCycles * bytes_per_cycle)
+        throw cycle_domain_error("bank " + std::to_string(b), hint);
+      const double cpt = std::max(1.0, bank.pass_latency * clock_hz);
       bound += static_cast<double>(bank.iterations) *
                (cpt + 2.0 + tile_bytes / bytes_per_cycle);
     }
-    if (bound > 4.5e15) {
-      check::DiagnosticList diags;
-      auto& d = diags.emit("MN-CYC-004", check::Severity::kError,
-                           "cycle schedule would overflow the integer "
-                           "cycle domain");
-      d.hint = "lower [cycle] Clock_GHz (or leave it 0 for auto)";
-      throw check::CheckError(std::move(diags));
-    }
+    if (bound > kMaxScheduleCycles) throw cycle_domain_error("", hint);
   }
 
   result.clock_hz = clock_hz;
@@ -170,29 +588,21 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
   result.fill_policy = config.cycle_fill_policy;
   result.banks.resize(report.banks.size());
 
-  const long max_events = std::max<long>(config.cycle_max_events, 0);
-  long recorded = 0;  // result.events.size(), kept where the walks see it
-  auto record = [&](int bank, long tile, TilePhase phase, long start,
-                    long end) {
-    if (recorded < max_events) {
-      result.events.push_back({bank, tile, phase, start, end});
-      ++recorded;
-    }
-  };
+  EventLog log{result.events, std::max<long>(config.cycle_max_events, 0)};
+  long walked_tiles = 0;
 
-  // avail[k]: cycle at which the bank's tile-k output has landed in the
-  // backing store (drain end) and may be consumed downstream.
-  std::vector<long> up_avail;
+  // avail of the upstream bank and of the bank being scheduled.
+  AvailRuns up_avail;
+  AvailRuns avail;
   long makespan = 0;
 
   for (std::size_t b = 0; b < report.banks.size(); ++b) {
     const auto& bank = report.banks[b];
     CycleBankStats& stats = result.banks[b];
     const long tiles = bank.iterations;
-    std::vector<long> avail(static_cast<std::size_t>(std::max<long>(tiles, 0)),
-                            0);
+    avail.clear(tiles);
     if (tiles <= 0) {
-      up_avail = std::move(avail);
+      std::swap(up_avail, avail);
       continue;
     }
 
@@ -266,36 +676,13 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
     // producer's warm-up plus the proportional streamed share
     // floor(k * D / (tiles - 1)), D = up_passes - up_warmup (a one-tile
     // bank takes all of D) — the trace simulator's Eq. 6 dependency rule.
-    // The walks visit k in order, so the share advances as a quotient
-    // and remainder, carrying at most once per tile.
-    const long den = std::max<long>(tiles - 1, 1);
+    // For k <= tiles - 1 the share is at most D, so no tile needs more
+    // than the upstream's up_passes tiles. Tile k's dependency is met at
+    // up_avail[needed - 1], and at cycle 0 when it needs none.
     const long streamed_total = std::max<long>(up_passes - up_warmup, 0);
-    const long step_q = streamed_total / den;
-    const long step_r = streamed_total % den;
-    long share_q = tiles > 1 ? 0 : up_passes - up_warmup;
-    long share_r = 0;
-    // Cycle the next tile's dependency is met (0 when it needs nothing
-    // upstream). Call once per tile, in order.
-    auto next_dependency = [&] {
-      const long needed = std::min<long>(up_passes, up_warmup + share_q);
-      share_q += step_q;
-      share_r += step_r;
-      if (share_r >= den) {
-        share_r -= den;
-        ++share_q;
-      }
-      return needed > 0 ? up_avail[static_cast<std::size_t>(needed - 1)] : 0;
-    };
 
-    // The walks accumulate in locals: stats lives in memory that the
-    // per-tile stores into avail could alias.
     const bool resident_ifmap = stats.resident_ifmap;
     const bool resident_ofmap = stats.resident_ofmap;
-    long start_cycle = 0;
-    long dependency_stall = 0;
-    long fill_stall = 0;
-    long drain_stall = 0;
-    long prev_end = 0;
     if (!resident_ifmap && !resident_ofmap) {
       // Streamed bank: every tile is filled, computed and drained over
       // the bank's one backing bus, which serves transfers in issue
@@ -304,40 +691,38 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
       // de(k) = e(k) + d > e(k). Against that floor none of the other
       // bounds of the general walk below can bind: the ifmap slot frees
       // at e(k+1-C) <= e(k), the demand policy waits for e(k), and the
-      // ofmap slot frees at de(k+1-C) <= de(k). The schedule is exactly
-      //   fe(k) = max(dep(k), de(k-1)) + f,  e(k) = fe(k) + cpt,
-      //   de(k) = e(k) + d                   (de(-1) = 0),
-      // tile k > 0 waits max(e(k-1), dep(k)) - e(k-1) cycles on its
-      // dependency and the rest, up to fe(k), on its fill; drains never
-      // stall, and the bus is busy tiles * (f + d) cycles. Neither the
-      // fill policy nor the slot capacities change a streamed schedule.
-      long drain_end = 0;
-      for (long k = 0; k < tiles; ++k) {
-        const long dep = next_dependency();
-        const long ready = std::max(prev_end, dep);
-        const long fill_end = std::max(dep, drain_end) + fill_cycles;
-        const long end = fill_end + cpt;
-        drain_end = end + drain_cycles;
-        if (k > 0) {
-          dependency_stall += ready - prev_end;
-          fill_stall += fill_end - ready;
-        } else {
-          start_cycle = fill_end;
-        }
-        record(bank_id, k, TilePhase::kFill, fill_end - fill_cycles, fill_end);
-        record(bank_id, k, TilePhase::kCompute, fill_end, end);
-        record(bank_id, k, TilePhase::kDrain, end, drain_end);
-        avail[static_cast<std::size_t>(k)] = drain_end;
-        prev_end = end;
-      }
+      // ofmap slot frees at de(k+1-C) <= de(k). Drains never stall, the
+      // bus is busy tiles * (f + d) cycles, and neither the fill policy
+      // nor the slot capacities change a streamed schedule; StreamedBank
+      // schedules the rest.
+      StreamedBank streamed({tiles, fill_cycles, cpt, drain_cycles,
+                             up_warmup, streamed_total},
+                            up_avail, avail, log, bank_id);
+      streamed.schedule();
+      walked_tiles += streamed.walked;
+      stats.start_cycle = streamed.start;
+      stats.finish_cycle = streamed.finish();
+      stats.dependency_stall_cycles = streamed.dependency_stall;
+      stats.fill_stall_cycles = streamed.fill_stall;
       stats.bus_busy_cycles = tiles * (fill_cycles + drain_cycles);
       stats.ifmap_bytes = tile_sum(tiles, if_tile);
       stats.ofmap_bytes = tile_sum(tiles, of_tile);
     } else {
-      // One operand resident. The backing bus serializes transfers in
-      // issue order; each slot ring is indexed by a wrapping cursor and
-      // holds the cycle its previous occupant was released (consumed for
-      // ifmap slots, drained for ofmap slots).
+      // One operand resident: the general walk, tile by tile. The
+      // backing bus serializes transfers in issue order; each slot ring
+      // is indexed by a wrapping cursor and holds the cycle its previous
+      // occupant was released (consumed for ifmap slots, drained for
+      // ofmap slots).
+      walked_tiles += tiles;
+      AvailReader up(up_avail);
+      TileShare share(streamed_total, std::max<long>(tiles - 1, 1));
+      if (tiles == 1) share.q = streamed_total;
+      auto next_dependency = [&] {
+        const long dep = up.at(up_warmup - 1 + share.q);
+        share.next();
+        return dep;
+      };
+
       long bus_until = 0;
       long bus_cycles = 0;
       auto transfer = [&](long earliest, long duration) {
@@ -357,19 +742,22 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
       // the upstream bank has drained everything this bank consumes.
       long bulk_fill_end = 0;
       if (resident_ifmap) {
-        const long dep =
-            up_passes > 0 ? up_avail[static_cast<std::size_t>(up_passes - 1)]
-                          : 0;
+        const long dep = up.at(up_passes - 1);
         const double bytes = static_cast<double>(tiles) * if_tile;
         const long duration = transfer_cycles(bytes, bytes_per_cycle);
         bulk_fill_end = transfer(dep, duration);
-        record(bank_id, 0, TilePhase::kFill, bulk_fill_end - duration,
-               bulk_fill_end);
+        log.record(bank_id, 0, TilePhase::kFill, bulk_fill_end - duration,
+                   bulk_fill_end);
         stats.ifmap_bytes = bytes;
       } else {
         stats.ifmap_bytes = tile_sum(tiles, if_tile);
       }
 
+      long start_cycle = 0;
+      long dependency_stall = 0;
+      long fill_stall = 0;
+      long drain_stall = 0;
+      long prev_end = 0;
       for (long k = 0; k < tiles; ++k) {
         // Ifmap fill: starts once the data exists, the target slot is
         // free and — demand policy — the PE has asked for it. The bulk
@@ -381,8 +769,8 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
           long floor = std::max(dep, if_ring[if_slot]);
           if (demand) floor = std::max(floor, prev_end);
           fill_end = transfer(floor, fill_cycles);
-          record(bank_id, k, TilePhase::kFill, fill_end - fill_cycles,
-                 fill_end);
+          log.record(bank_id, k, TilePhase::kFill, fill_end - fill_cycles,
+                     fill_end);
         }
 
         // Ofmap slot: resident outputs always have space; streamed
@@ -405,22 +793,20 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
 
         const long start = t3;
         const long end = start + cpt;
-        record(bank_id, k, TilePhase::kCompute, start, end);
+        log.record(bank_id, k, TilePhase::kCompute, start, end);
         if (k == 0) start_cycle = start;
         if (!resident_ifmap) {
           if_ring[if_slot] = end;
           if (++if_slot == if_ring.size()) if_slot = 0;
         }
 
-        if (resident_ofmap) {
-          avail[static_cast<std::size_t>(k)] = end;  // patched by bulk drain
-        } else {
+        if (!resident_ofmap) {
           const long drain_end = transfer(end, drain_cycles);
-          record(bank_id, k, TilePhase::kDrain, drain_end - drain_cycles,
-                 drain_end);
+          log.record(bank_id, k, TilePhase::kDrain, drain_end - drain_cycles,
+                     drain_end);
           of_ring[of_slot] = drain_end;
           if (++of_slot == of_ring.size()) of_slot = 0;
-          avail[static_cast<std::size_t>(k)] = drain_end;
+          avail.push(drain_end);
         }
         prev_end = end;
       }
@@ -431,20 +817,20 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
         const double bytes = static_cast<double>(tiles) * of_tile;
         const long duration = transfer_cycles(bytes, bytes_per_cycle);
         const long drain_end = transfer(prev_end, duration);
-        record(bank_id, tiles - 1, TilePhase::kDrain, drain_end - duration,
-               drain_end);
-        std::fill(avail.begin(), avail.end(), drain_end);
+        log.record(bank_id, tiles - 1, TilePhase::kDrain,
+                   drain_end - duration, drain_end);
+        avail.push_affine(tiles, drain_end, 0);
         stats.ofmap_bytes = bytes;
       } else {
         stats.ofmap_bytes = tile_sum(tiles, of_tile);
       }
       stats.bus_busy_cycles = bus_cycles;
+      stats.start_cycle = start_cycle;
+      stats.dependency_stall_cycles = dependency_stall;
+      stats.fill_stall_cycles = fill_stall;
+      stats.drain_stall_cycles = drain_stall;
+      stats.finish_cycle = prev_end;
     }
-    stats.start_cycle = start_cycle;
-    stats.dependency_stall_cycles = dependency_stall;
-    stats.fill_stall_cycles = fill_stall;
-    stats.drain_stall_cycles = drain_stall;
-    stats.finish_cycle = prev_end;
     const long active = stats.span_cycles();
     stats.utilization =
         active > 0 ? static_cast<double>(stats.busy_cycles) /
@@ -452,7 +838,7 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
                    : 0.0;
     // The bank's last activity is its final drain, bulk or per tile.
     makespan = std::max(makespan, avail.back());
-    up_avail = std::move(avail);
+    std::swap(up_avail, avail);
   }
 
   result.makespan_cycles = makespan;
@@ -485,13 +871,16 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
           : 0.0;
 
   obs::Registry& reg = obs::Registry::global();
-  reg.add("cycle.tiles", result.total_tiles);
-  reg.add("cycle.busy_cycles", result.total_busy_cycles);
-  reg.add("cycle.stall_cycles", result.total_stall_cycles);
-  reg.add("cycle.backing_bytes",
-          static_cast<long>(result.backing_traffic_bytes));
-  reg.set("cycle.pe_active_fraction", result.pe_active_fraction);
-  reg.set("cycle.makespan_seconds", result.makespan_seconds);
+  if (reg.enabled()) {
+    reg.add("cycle.tiles", result.total_tiles);
+    reg.add("cycle.walked_tiles", walked_tiles);
+    reg.add("cycle.busy_cycles", result.total_busy_cycles);
+    reg.add("cycle.stall_cycles", result.total_stall_cycles);
+    reg.add("cycle.backing_bytes",
+            static_cast<long>(result.backing_traffic_bytes));
+    reg.set("cycle.pe_active_fraction", result.pe_active_fraction);
+    reg.set("cycle.makespan_seconds", result.makespan_seconds);
+  }
   return result;
 }
 

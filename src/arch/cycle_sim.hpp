@@ -33,8 +33,16 @@
 // and drain, so it never drain-stalls and its schedule depends on
 // neither the fill policy nor the slot capacities; drain stalls need a
 // resident ifmap, and the fill policy acts only with a resident ofmap.
-// The engine walks streamed banks in that closed form and the others in
-// the general slot-ring walk; both are exact (docs/PERFORMANCE.md).
+// The engine schedules streamed banks in that closed form, a stretch of
+// tiles at a time: a self-paced stretch (every dependency already met
+// when the previous compute ends) costs O(1) and leaves one affine run
+// of drain ends for the next bank; a dependency-bound stretch (every
+// fill waits on, and only on, its dependency) is one branch-free gather
+// pass. Tiles that fit neither, and every tile while events are still
+// being recorded, go through the per-tile walk. Banks with a resident
+// operand keep the general slot-ring walk. All of it is exact: the
+// result does not depend on how much of the schedule was walked
+// (docs/PERFORMANCE.md).
 #pragma once
 
 #include "arch/accelerator.hpp"

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -268,6 +269,56 @@ TEST(CycleSim, Validation) {
   fast.cycle_clock_ghz = 1000.0;
   try {
     simulate_cycles(huge, fast);
+    FAIL() << "expected CheckError";
+  } catch (const check::CheckError& e) {
+    EXPECT_TRUE(has_code(e.diagnostics(), "MN-CYC-004"));
+  }
+}
+
+// Arms the invalid / divide-by-zero / overflow traps over a scope, as the
+// MNSIM_FPE test harness does for a whole binary, so an overflow dies
+// with SIGFPE instead of passing as a plausible number.
+class ArmedFpTraps {
+ public:
+#if defined(__GLIBC__) && defined(__x86_64__)
+  ArmedFpTraps() {
+    std::feclearexcept(FE_ALL_EXCEPT);
+    previous_ = ::feenableexcept(kTraps);
+  }
+  ~ArmedFpTraps() {
+    ::fedisableexcept(kTraps & ~previous_);
+    std::feclearexcept(FE_ALL_EXCEPT);
+  }
+
+ private:
+  static constexpr int kTraps = FE_INVALID | FE_DIVBYZERO | FE_OVERFLOW;
+  int previous_ = 0;
+#endif
+};
+
+TEST(CycleSim, SubnormalPassLatencyIsRefusedBeforeTheClockOverflows) {
+  // The auto clock is kAutoCyclesPerPass over the shortest pass; a
+  // subnormal latency passes the MN-CYC-002 screen but would make that
+  // quotient overflow. It must be refused with a code, not trap or leak
+  // an infinite clock into the schedule.
+  auto rep = simulate_accelerator(nn::make_vgg16(), base());
+  for (auto& bank : rep.banks) bank.pass_latency = 1e-310;
+  const ArmedFpTraps traps{};
+  try {
+    simulate_cycles(rep, unconstrained());
+    FAIL() << "expected CheckError";
+  } catch (const check::CheckError& e) {
+    EXPECT_TRUE(has_code(e.diagnostics(), "MN-CYC-004"));
+    for (const auto& d : e.diagnostics()) EXPECT_FALSE(d.hint.empty());
+  }
+
+  // A finite but huge auto clock that turns another bank's pass into more
+  // cycles than a double holds is refused the same way.
+  rep.banks[0].pass_latency = 1e-300;
+  for (std::size_t b = 1; b < rep.banks.size(); ++b)
+    rep.banks[b].pass_latency = 1e10;
+  try {
+    simulate_cycles(rep, unconstrained());
     FAIL() << "expected CheckError";
   } catch (const check::CheckError& e) {
     EXPECT_TRUE(has_code(e.diagnostics(), "MN-CYC-004"));

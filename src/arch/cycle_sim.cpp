@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -83,119 +83,65 @@ struct EventLog {
   }
 };
 
-// A bank's avail[k] — the cycle its tile-k output has landed in the
-// backing store — as runs of consecutive tiles, each either affine
-// (first + slope * (k - begin)) or explicit (one stored value per tile).
-// A self-paced stretch is one affine run however long it is, so neither
-// its own bank nor the next one visits its tiles. avail never falls with
-// k, so every slope is >= 0.
-class AvailRuns {
- public:
-  struct Run {
-    long begin = 0;
-    long end = 0;      // one past the last index
-    long first = 0;    // affine: the value at begin
-    long slope = 0;    // affine: the increment per index
-    long offset = -1;  // explicit: values index of begin; -1 if affine
-  };
+// Rise bounds saturate here: far above any schedule (MN-CYC-004 caps a
+// cycle count at 4.5e15) and far below overflow.
+constexpr long kRiseCap = 1L << 62;
 
-  // Every negative index reads 0: a tile that needs no upstream tile has
-  // its dependency met at cycle 0. A zero-slope run from far below any
-  // index says so without a branch.
-  AvailRuns() { clear(0); }
+long saturate(Wide x) {
+  return x < 0 ? 0 : x > kRiseCap ? kRiseCap : static_cast<long>(x);
+}
 
-  // Starts a bank of `tiles` tiles.
-  void clear(long tiles) {
-    runs_.assign(1, Run{std::numeric_limits<long>::min() / 2, 0, 0, 0, -1});
-    values_.clear();
-    tiles_ = tiles;
-  }
+// floor(a * b / c) and ceil(a * b / c) for a, b >= 0 and c > 0, in 64
+// bits while the product fits. Every caller's quotient fits a long.
+long mul_div(long a, long b, long c) {
+  long p = 0;
+  if (!__builtin_mul_overflow(a, b, &p)) return p / c;
+  return static_cast<long>(static_cast<Wide>(a) * b / c);
+}
+long mul_div_ceil(long a, long b, long c) {
+  long p = 0;
+  if (!__builtin_mul_overflow(a, b, &p)) return p / c + (p % c != 0);
+  const Wide x = static_cast<Wide>(a) * b;
+  return static_cast<long>(x / c + (x % c != 0));
+}
 
-  [[nodiscard]] long size() const { return runs_.back().end; }
-  [[nodiscard]] long back() const { return value(runs_.back(), size() - 1); }
-  [[nodiscard]] const Run& run(std::size_t r) const { return runs_[r]; }
-  [[nodiscard]] const long* values(const Run& run) const {
-    return values_.data() + run.offset;
-  }
-  [[nodiscard]] long value(const Run& run, long i) const {
-    return run.offset < 0 ? run.first + run.slope * (i - run.begin)
-                          : values(run)[i - run.begin];
-  }
+// Division by one positive divisor, many times: through its double
+// reciprocal while the dividend is below 2^52, where the estimate is off
+// by at most one and one correction makes it exact, and in 128 bits past
+// that. Every caller's quotient fits a long.
+struct Divisor {
+  long d = 1;
+  double inv = 1.0;
 
-  void push(long v) {
-    Run& last = runs_.back();
-    if (last.offset < 0 &&
-        v == last.first + last.slope * (last.end - last.begin)) {
-      ++last.end;
-    } else if (last.offset >= 0) {
-      values_.push_back(v);
-      ++last.end;
-    } else {
-      open_explicit();
-      values_.push_back(v);
-      ++runs_.back().end;
+  explicit Divisor(long divisor) : d(divisor), inv(1.0 / divisor) {}
+
+  static constexpr long kExact = 1L << 52;
+
+  // floor(x / d) for 0 <= x < kExact, and its remainder.
+  long floor_exact(long x, long& rem) const {
+    long q = static_cast<long>(static_cast<double>(x) * inv);
+    long r = x - q * d;
+    if (r < 0) {
+      --q;
+      r += d;
+    } else if (r >= d) {
+      ++q;
+      r -= d;
     }
+    rem = r;
+    return q;
   }
-
-  void push_affine(long n, long first, long slope) {
-    Run& last = runs_.back();
-    if (last.offset < 0 && last.slope == slope &&
-        first == last.first + slope * (last.end - last.begin)) {
-      last.end += n;
-    } else if (last.offset >= 0 && n < kShortRun) {
-      // A short stretch between stored values joins them, so that the
-      // next bank reads long runs.
-      for (long t = 0; t < n; ++t) values_.push_back(first + t * slope);
-      last.end += n;
-    } else {
-      const long end = last.end;
-      runs_.push_back({end, end + n, first, slope, -1});
-    }
+  // floor(x / d) for x >= 0, and its remainder.
+  long floor(Wide x, long& rem) const {
+    if (x < kExact) return floor_exact(static_cast<long>(x), rem);
+    rem = static_cast<long>(x % d);
+    return static_cast<long>(x / d);
   }
-
-  // avail of the next n tiles: src[t] + add.
-  void push_shifted(const long* src, long n, long add) {
-    if (runs_.back().offset < 0) open_explicit();
-    const std::size_t at = values_.size();
-    // Room for every tile the bank has left: one allocation per bank
-    // rather than a doubling series of fresh, page-faulting ones.
-    if (values_.capacity() < at + static_cast<std::size_t>(n))
-      values_.reserve(at + static_cast<std::size_t>(tiles_ - size()));
-    values_.resize(at + static_cast<std::size_t>(n));
-    long* dst = values_.data() + at;
-    for (long t = 0; t < n; ++t) dst[t] = src[t] + add;
-    runs_.back().end += n;
+  [[nodiscard]] long ceil(Wide x) const {
+    long rem = 0;
+    const long q = floor(x, rem);
+    return q + (rem != 0);
   }
-
- private:
-  void open_explicit() {
-    const long end = runs_.back().end;
-    runs_.push_back({end, end, 0, 0, static_cast<long>(values_.size())});
-  }
-
-  static constexpr long kShortRun = 16;
-
-  std::vector<Run> runs_;
-  std::vector<long> values_;
-  long tiles_ = 0;
-};
-
-// Reads an upstream AvailRuns at non-decreasing indices, as the walks
-// visit them.
-class AvailReader {
- public:
-  explicit AvailReader(const AvailRuns& runs) : runs_(runs) {}
-
-  const AvailRuns::Run& seek(long i) {
-    while (runs_.run(cursor_).end <= i) ++cursor_;
-    return runs_.run(cursor_);
-  }
-  long at(long i) { return runs_.value(seek(i), i); }
-  [[nodiscard]] const AvailRuns& runs() const { return runs_; }
-
- private:
-  const AvailRuns& runs_;
-  std::size_t cursor_ = 0;
 };
 
 // floor(k * D / den) for a tile cursor k, as a quotient and remainder
@@ -203,7 +149,7 @@ class AvailReader {
 // jump to any tile.
 struct TileShare {
   long total = 0;  // D
-  long den = 1;
+  Divisor den;
   long step_q = 0;
   long step_r = 0;
   long q = 0;
@@ -213,17 +159,403 @@ struct TileShare {
       : total(d), den(denominator), step_q(d / denominator),
         step_r(d % denominator) {}
 
-  void next() {
-    const long over = r + step_r - den;
+  // Returns whether the quotient carried.
+  bool next() {
+    const long over = r + step_r - den.d;
     const bool carry = over >= 0;
-    r = carry ? over : over + den;
+    r = carry ? over : over + den.d;
     q += step_q + carry;
+    return carry;
   }
-  void seek(long k) {
-    const Wide x = static_cast<Wide>(k) * total;
-    q = static_cast<long>(x / den);
-    r = static_cast<long>(x % den);
+  void seek(long k) { q = den.floor(static_cast<Wide>(k) * total, r); }
+  // The tiles up to and including this one that read its quotient,
+  // 1 + floor(r / D): always 1 when D >= den, and at most 2 when
+  // 2 D > den.
+  [[nodiscard]] long group() const {
+    if (total >= den.d) return 1;
+    if (2 * total > den.d) return 1 + (r >= total);
+    return 1 + r / total;
   }
+};
+
+// A bank's avail[k] — the cycle its tile-k output has landed in the
+// backing store — as runs of consecutive tiles of three kinds:
+//   affine     first + slope * (k - begin): a self-paced stretch;
+//   explicit   one stored value per tile: walked and gathered tiles;
+//   resampled  up(w - 1 + floor(k D / den)) + T * c(k), read through the
+//              upstream bank's runs and stored as nothing: a
+//              dependency-bound stretch, in which the first of the c(k)
+//              tiles that read one upstream index waits on it and the
+//              rest follow it by T each.
+// Every run keeps a lower bound on its rise from one index to the next,
+// which is what the next bank's proofs read. avail never falls with k,
+// so every rise and slope is >= 0.
+class AvailRuns {
+ public:
+  enum class Kind : unsigned char { kAffine, kExplicit, kResampled };
+  struct Run {
+    long begin = 0;
+    long end = 0;      // one past the last index
+    long first = 0;    // affine: the value at begin
+    long slope = 0;    // affine: the increment per index
+    long offset = 0;   // explicit: values index of begin;
+                       // resampled: the upstream run every index reads
+    long rise = 0;     // avail(i + 1) - avail(i) >= rise inside the run
+    long up_rise = 0;  // resampled: the same bound for the upstream
+                       // indices the run reads
+    Kind kind = Kind::kAffine;
+    // The last rise_over(run, m) asked: the next bank asks every run
+    // for the same m, and so does each bank below for the one run its
+    // runs read.
+    mutable long memo_m = 0;
+    mutable long memo_rise = 0;
+  };
+  // How a bank's resampled runs read its upstream bank.
+  struct Resample {
+    const AvailRuns* up = nullptr;
+    long warmup = 0;    // w
+    long streamed = 0;  // D > 0
+    long den = 1;
+    long period = 0;    // T
+    long sharing = 1;   // ceil(den / D): most tiles that read one index
+    Divisor by_den{1};
+    Divisor by_gap{1};  // den - D, when D < den
+    // rise_over(run, 1), which every new run asks: with D >= den a tile
+    // is floor(D/den) indices past the one before; with D < den a tile
+    // that reads the next index may follow single_repeats repeats.
+    long step = 0;
+    long single_repeats = 0;
+  };
+
+  // Every negative index reads 0: a tile that needs no upstream tile has
+  // its dependency met at cycle 0. A zero-slope run from far below any
+  // index says so without a branch.
+  explicit AvailRuns(long id = 0) : id_(id) { clear(0); }
+
+  // Starts a bank of `tiles` tiles.
+  void clear(long tiles) {
+    runs_.assign(1, Run{std::numeric_limits<long>::min() / 2, 0, 0, 0, 0,
+                        0, 0, Kind::kAffine});
+    values_.clear();
+    tiles_ = tiles;
+    last_ = 0;
+    values_from_ = kNoValues;
+  }
+  void set_resample(const Resample& p) { resample_ = p; }
+
+  [[nodiscard]] long size() const { return runs_.back().end; }
+  [[nodiscard]] long back() const { return last_; }
+  [[nodiscard]] const Run& run(std::size_t r) const { return runs_[r]; }
+  [[nodiscard]] const long* values(const Run& run) const {
+    return values_.data() + run.offset;
+  }
+  [[nodiscard]] const Resample& resample() const { return resample_; }
+  // The lowest bank (by id) whose stored values these runs read, directly
+  // or through resampled runs; kNoValues if none.
+  [[nodiscard]] long values_from() const { return values_from_; }
+  void release_values() { std::vector<long>().swap(values_); }
+
+  void push(long v) {
+    Run& last = runs_.back();
+    if (last.kind == Kind::kAffine &&
+        v == last.first + last.slope * (last.end - last.begin)) {
+      ++last.end;
+    } else if (last.kind == Kind::kExplicit) {
+      if (last.end > last.begin) last.rise = std::min(last.rise, v - last_);
+      values_.push_back(v);
+      ++last.end;
+    } else {
+      open_explicit();
+      values_.push_back(v);
+      ++runs_.back().end;
+    }
+    last_ = v;
+  }
+
+  void push_affine(long n, long first, long slope) {
+    Run& last = runs_.back();
+    if (last.kind == Kind::kAffine && last.slope == slope &&
+        first == last.first + slope * (last.end - last.begin)) {
+      last.end += n;
+    } else if (last.kind == Kind::kExplicit && n < kShortRun) {
+      // A short stretch between stored values joins them, so that the
+      // next bank reads long runs.
+      if (last.end > last.begin) last.rise = std::min(last.rise, first - last_);
+      if (n > 1) last.rise = std::min(last.rise, slope);
+      for (long t = 0; t < n; ++t) values_.push_back(first + t * slope);
+      last.end += n;
+    } else {
+      const long end = last.end;
+      runs_.push_back({end, end + n, first, slope, 0, slope, 0, Kind::kAffine});
+    }
+    last_ = first + (n - 1) * slope;
+  }
+
+  // avail of the next n tiles: src[t] + add.
+  void push_shifted(const long* src, long n, long add) {
+    if (runs_.back().kind != Kind::kExplicit) open_explicit();
+    Run& last = runs_.back();
+    const std::size_t at = values_.size();
+    // Room for every tile the bank has left: one allocation per bank
+    // rather than a doubling series of fresh, page-faulting ones.
+    if (values_.capacity() < at + static_cast<std::size_t>(n))
+      values_.reserve(at + static_cast<std::size_t>(tiles_ - size()));
+    values_.resize(at + static_cast<std::size_t>(n));
+    long* dst = values_.data() + at;
+    long rise = last.rise;
+    long prev = last.end > last.begin ? last_ : src[0] + add;
+    for (long t = 0; t < n; ++t) {
+      dst[t] = src[t] + add;
+      rise = std::min(rise, dst[t] - prev);
+      prev = dst[t];
+    }
+    last.rise = rise;
+    last.end += n;
+    last_ = prev;
+  }
+
+  // avail of the next n tiles: resampled from upstream run `up_run`
+  // (whose rise over the indices they read is at least up_rise), the
+  // last of them `last`.
+  void push_resampled(long n, std::size_t up_run, long up_rise, long last) {
+    Run& prev = runs_.back();
+    const Run& read = resample_.up->run(up_run);
+    last_ = last;
+    // The tiles before read the same upstream run through the same
+    // formula, so they are one run if the up_rise of each holds over all
+    // of the upstream run.
+    if (prev.kind == Kind::kResampled &&
+        prev.offset == static_cast<long>(up_run) && prev.up_rise == up_rise &&
+        up_rise <= read.rise) {
+      prev.end += n;
+      return;
+    }
+    const long end = prev.end;
+    runs_.push_back({end, end + n, 0, 0, static_cast<long>(up_run), 0,
+                     up_rise, Kind::kResampled});
+    runs_.back().rise = resampled_rise_over(runs_.back(), 1);
+    const long from = read.kind == Kind::kExplicit ? resample_.up->id_
+                      : read.kind == Kind::kResampled
+                          ? resample_.up->values_from_
+                          : kNoValues;
+    values_from_ = std::min(values_from_, from);
+  }
+
+  // A lower bound on avail(i + m) - avail(i) for i and i + m inside
+  // `run`, m >= 1, in O(depth of the resampled runs below it).
+  [[nodiscard]] long rise_over(const Run& run, long m) const {
+    if (m == 1) return run.rise;
+    if (run.kind == Kind::kAffine)
+      return saturate(static_cast<Wide>(run.slope) * m);
+    if (run.kind == Kind::kExplicit)
+      return saturate(static_cast<Wide>(run.rise) * m);
+    if (run.memo_m != m) {
+      run.memo_rise = resampled_rise_over(run, m);
+      run.memo_m = m;
+    }
+    return run.memo_rise;
+  }
+
+ private:
+  [[nodiscard]] long resampled_rise_over(const Run& run, long m) const {
+    // m tiles advance the upstream index by a >= floor(m D / den), and a
+    // rise over a steps is at least the bound over fewer steps plus the
+    // single-step rise for each step more.
+    const Resample& p = resample_;
+    const Run& up = p.up->run(static_cast<std::size_t>(run.offset));
+    const auto upstream = [&](long a) {
+      return std::max(p.up->rise_over(up, a),
+                      saturate(static_cast<Wide>(a) * run.up_rise));
+    };
+    if (m == 1) {
+      if (p.streamed >= p.den) return upstream(p.step);
+      return saturate(std::min<Wide>(
+          p.period, static_cast<Wide>(upstream(1)) -
+                        static_cast<Wide>(p.period) * p.single_repeats));
+    }
+    const long a0 = mul_div(m, p.streamed, p.den);
+    if (p.streamed >= p.den) return upstream(a0);  // c(k) = 1 throughout
+    // D < den: avail(i + m) - avail(i) = up-rise over a steps
+    // + T (c(i + m) - c(i)), with c(i + m) >= 1. If c(i) = 1 + s, the
+    // group of tile i began s tiles before it, so a >= floor((m + s) D /
+    // den); if that is 0, all m tiles repeat one index and the rise is
+    // exactly T m. Take the worst s for each a: at most three of them.
+    const long base = std::max<long>(a0, 1);
+    const long x = upstream(base);
+    const long a_top = mul_div(m + p.sharing - 1, p.streamed, p.den);
+    Wide best = kRiseCap;
+    for (long a = a0; a <= a_top; ++a) {
+      const long s = std::min(p.sharing - 1,
+                              mul_div_ceil(a + 1, p.den, p.streamed) - 1 - m);
+      const Wide v = a == 0 ? static_cast<Wide>(p.period) * m
+                            : static_cast<Wide>(x) +
+                                  static_cast<Wide>(a - base) * run.up_rise -
+                                  static_cast<Wide>(p.period) * s;
+      best = std::min(best, v);
+    }
+    return saturate(best);
+  }
+
+
+ public:
+  // Whether some indices of the resampled runs repeat the previous
+  // index's upstream dependency (D < den). A step into such an index
+  // rises by exactly T, and the step after it by at least after_rise;
+  // every other step of a resampled run rises by at least its up_rise,
+  // since both ends have c = 1.
+  [[nodiscard]] bool repeats() const {
+    return resample_.streamed < resample_.den;
+  }
+  [[nodiscard]] bool repeats_at(long i) const {
+    long rem = 0;
+    resample_.by_den.floor(static_cast<Wide>(i) * resample_.streamed, rem);
+    return i > 0 && rem >= resample_.streamed;
+  }
+  [[nodiscard]] long after_rise(const Run& run) const {
+    // The index after a group of c <= sharing tiles.
+    return saturate(static_cast<Wide>(run.up_rise) -
+                    static_cast<Wide>(resample_.period) *
+                        (resample_.sharing - 1));
+  }
+  // The first index past x that repeats its predecessor's dependency.
+  // floor(i D / den) = i - ceil(i E / den) with E = den - D, and that
+  // ceiling steps up at i exactly when (i - 1) E / den <= m < i E / den
+  // for an integer m: at i = floor(m den / E) + 1, m >= 0.
+  [[nodiscard]] long next_repeat(long x) const {
+    const long e = resample_.den - resample_.streamed;
+    long rem = 0;
+    const long m = resample_.by_den.ceil(static_cast<Wide>(x) * e);
+    return resample_.by_gap.floor(static_cast<Wide>(m) * resample_.den, rem) +
+           1;
+  }
+
+  // avail at n >= 1 indices idx[0] <= ... <= idx[n - 1], into out. The
+  // resampled ones read their upstream indices as one batch a bank down,
+  // so the floors of a batch do not wait on one another. scratch holds
+  // 3 n longs for every bank of resampled runs below this one.
+  void values_at(const long* idx, long n, long* out, long* scratch) const {
+    std::size_t r = run_of(idx[0]);
+    if (runs_[r].end > idx[n - 1]) {
+      values_in(runs_[r], idx, n, out, scratch);
+      return;
+    }
+    const Resample& p = resample_;
+    long* up_idx = scratch;
+    long* up_val = scratch + n;
+    long* from = scratch + 2 * n;
+    long m = 0;
+    for (long t = 0; t < n; ++t) {
+      const long i = idx[t];
+      while (runs_[r].end <= i) ++r;
+      const Run& run = runs_[r];
+      if (run.kind == Kind::kAffine) {
+        out[t] = run.first + run.slope * (i - run.begin);
+      } else if (run.kind == Kind::kExplicit) {
+        out[t] = values(run)[i - run.begin];
+      } else {
+        long rem = 0;
+        const long q = p.by_den.floor(static_cast<Wide>(i) * p.streamed, rem);
+        out[t] = p.period * group(rem);
+        up_idx[m] = p.warmup - 1 + q;
+        from[m++] = t;
+      }
+    }
+    if (m == 0) return;
+    p.up->values_at(up_idx, m, up_val, scratch + 3 * n);
+    for (long k = 0; k < m; ++k) out[from[k]] += up_val[k];
+  }
+
+  // The same for indices that all lie inside `run`: a resampled run reads
+  // them all inside the one upstream run it reads.
+  void values_in(const Run& run, const long* idx, long n, long* out,
+                 long* scratch) const {
+    if (run.kind == Kind::kAffine) {
+      for (long t = 0; t < n; ++t)
+        out[t] = run.first + run.slope * (idx[t] - run.begin);
+      return;
+    }
+    if (run.kind == Kind::kExplicit) {
+      const long* v = values(run);
+      for (long t = 0; t < n; ++t) out[t] = v[idx[t] - run.begin];
+      return;
+    }
+    const Resample& p = resample_;
+    long* up_idx = scratch;
+    long* up_val = scratch + n;
+    if (static_cast<Wide>(idx[n - 1]) * p.streamed < Divisor::kExact) {
+      for (long t = 0; t < n; ++t) {
+        long rem = 0;
+        up_idx[t] =
+            p.warmup - 1 + p.by_den.floor_exact(idx[t] * p.streamed, rem);
+        out[t] = p.period * group(rem);
+      }
+    } else {
+      for (long t = 0; t < n; ++t) {
+        long rem = 0;
+        up_idx[t] = p.warmup - 1 +
+                    p.by_den.floor(static_cast<Wide>(idx[t]) * p.streamed, rem);
+        out[t] = p.period * group(rem);
+      }
+    }
+    p.up->values_in(p.up->run(static_cast<std::size_t>(run.offset)), up_idx,
+                    n, up_val, scratch + 3 * n);
+    for (long t = 0; t < n; ++t) out[t] += up_val[t];
+  }
+
+  // The run holding index i.
+  [[nodiscard]] std::size_t run_of(long i) const {
+    const auto it = std::upper_bound(
+        runs_.begin(), runs_.end(), i,
+        [](long x, const Run& run) { return x < run.begin; });
+    return static_cast<std::size_t>(it - runs_.begin()) - 1;
+  }
+
+  static constexpr long kNoValues = std::numeric_limits<long>::max();
+
+ private:
+  // c(k) of a resampled tile whose floor left remainder `rem`: the tiles
+  // up to and including it that read its upstream index, 1 + floor(rem /
+  // D) (see TileShare::group).
+  [[nodiscard]] long group(long rem) const {
+    const Resample& p = resample_;
+    if (p.streamed >= p.den) return 1;
+    if (2 * p.streamed > p.den) return 1 + (rem >= p.streamed);
+    return 1 + rem / p.streamed;
+  }
+
+  void open_explicit() {
+    const long end = runs_.back().end;
+    runs_.push_back({end, end, 0, 0, static_cast<long>(values_.size()),
+                     kRiseCap, 0, Kind::kExplicit});
+    values_from_ = std::min(values_from_, id_);
+  }
+
+  static constexpr long kShortRun = 16;
+
+  std::vector<Run> runs_;
+  std::vector<long> values_;
+  Resample resample_;
+  long tiles_ = 0;
+  long last_ = 0;  // the last value pushed
+  long id_ = 0;
+  long values_from_ = kNoValues;
+};
+
+// Finds the runs of one AvailRuns holding the indices a walk visits, in
+// non-decreasing order.
+class RunSeeker {
+ public:
+  explicit RunSeeker(const AvailRuns& runs) : runs_(runs) {}
+
+  const AvailRuns::Run& seek(long i) {
+    while (runs_.run(run_).end <= i) ++run_;
+    return runs_.run(run_);
+  }
+  [[nodiscard]] std::size_t index() const { return run_; }
+
+ private:
+  const AvailRuns& runs_;
+  std::size_t run_ = 0;
 };
 
 // One streamed bank: neither operand resident, so fill, compute and
@@ -232,15 +564,18 @@ struct TileShare {
 //   fe(k) = max(dep(k), de(k-1)) + f,  e(k) = fe(k) + cpt,
 //   de(k) = avail[k] = e(k) + d        (de(-1) = 0),  T = f + cpt + d,
 // and tile k > 0 waits max(e(k-1), dep(k)) - e(k-1) cycles on its
-// dependency and the rest, up to fe(k), on its fill. The schedule runs a
-// stretch of tiles at a time where one of two closed forms holds, and
-// walks the recurrence tile by tile elsewhere:
+// dependency and the rest, up to fe(k), on its fill. A tile that reads
+// the same upstream index as the one before it (D < den) is always
+// self-paced: its dependency was met before that tile computed. The
+// schedule runs a stretch of tiles at a time where one of two closed
+// forms holds, and walks the recurrence tile by tile elsewhere:
 //   self-paced        dep(j) <= e(j-1) for every tile j of the stretch:
 //                     de rises by T per tile, each tile adds f + d to
 //                     the fill stall and nothing to the dependency stall;
-//   dependency-bound  dep(a) >= de(a-1) and dep(j) - dep(j-1) >= T after
-//                     it: de(j) = dep(j) + T, each tile adds f to the
-//                     fill stall, and the dependency stall telescopes.
+//   dependency-bound  every tile that reads a new upstream index waits
+//                     on it (dep(j) >= de(j-1)) and the c - 1 after it
+//                     that read it again are self-paced: de(j) =
+//                     dep(j) + T c(j), and the stalls telescope.
 class StreamedBank {
  public:
   struct Timing {
@@ -252,22 +587,48 @@ class StreamedBank {
     long streamed;     // D: upstream tiles shared out over the bank
   };
 
+  // `scratch` has room for AvailRuns::values_at over kChunk indices.
   StreamedBank(const Timing& t, const AvailRuns& upstream, AvailRuns& out,
-               EventLog& log, int bank_id)
+               long* scratch, EventLog& log, int bank_id)
       : t_(t), period_(t.fill + t.cpt + t.drain),
-        den_(std::max<long>(t.tiles - 1, 1)), up_(upstream), out_(out),
-        log_(log), bank_id_(bank_id), share_(t.streamed, den_) {
+        den_(std::max<long>(t.tiles - 1, 1)),
+        sharing_(t.streamed > 0 ? mul_div_ceil(1, den_, t.streamed) : 1),
+        by_streamed_(std::max<long>(t.streamed, 1)), up_(upstream),
+        seeker_(upstream), out_(out), scratch_(scratch), log_(log),
+        bank_id_(bank_id), share_(t.streamed, den_) {
     // A one-tile bank takes all of D.
     if (t.tiles == 1) share_.q = t.streamed;
+    out_.set_resample(
+        {&upstream, t.warmup, t.streamed, den_, period_, sharing_,
+         Divisor(den_), Divisor(std::max<long>(den_ - t.streamed, 1)),
+         t.streamed / den_,
+         t.streamed > 0 && t.streamed < den_
+             ? std::min(sharing_ - 1, mul_div_ceil(2, den_, t.streamed) - 2)
+             : 0});
   }
+
+  static constexpr long kChunk = 128;
 
   void schedule() {
     // Tile 0 opens the active window, and every tile whose events are
     // recorded is walked, so the event log is the walk's.
     while (k_ < t_.tiles && (k_ == 0 || log_.recording()))
-      walk(up_.at(index()));
+      walk(dependency(index()));
     while (k_ < t_.tiles) {
-      if (!self_paced_by_bound()) gather();
+      if (repeats_index()) continue;
+      const AvailRuns::Run& run = seeker_.seek(index());
+      if (run.kind == AvailRuns::Kind::kAffine && self_paced_by_bound(run))
+        continue;
+      if (dependency_bound_by_bound(run)) continue;
+      // A tile or two next to an exception cost less to walk than a
+      // chunk does to gather through resampled runs.
+      if (run.kind == AvailRuns::Kind::kResampled && walks_ < kMaxWalks) {
+        ++walks_;
+        walk(dependency(index()));
+        continue;
+      }
+      walks_ = 0;
+      gather();
     }
   }
 
@@ -276,22 +637,41 @@ class StreamedBank {
   long dependency_stall = 0;
   long fill_stall = 0;
   long walked = 0;
+  long gathered = 0;
 
  private:
-  static constexpr long kChunk = 128;
+  // A resampled stretch shorter than this is gathered instead: its O(1)
+  // proof reads two values through every bank of resampled runs above
+  // it, and gathering it leaves stored values, which the next bank reads
+  // at no depth.
+  static constexpr long kMinStretch = 8;
+  // Tiles walked in a row before the rest goes to gathers.
+  static constexpr long kMaxWalks = 4;
+
+  long dependency(long i) const {
+    long v = 0;
+    up_.values_at(&i, 1, &v, scratch_);
+    return v;
+  }
 
   // Upstream index tile k_ reads: needed - 1, where needed = w + share
   // (never above the upstream tile count, see simulate_cycles).
   [[nodiscard]] long index() const { return t_.warmup - 1 + share_.q; }
 
+  // The first tile whose upstream index is i or more (i >= w; D > 0),
+  // or the tile count if none is:
+  // index(j) >= i  <=>  floor(j D / den) >= i - w + 1
+  //                <=>  j D >= (i - w + 1) den.
+  [[nodiscard]] long first_tile_reading(long i) const {
+    const Wide x = static_cast<Wide>(i - t_.warmup + 1) * den_;
+    if (x > static_cast<Wide>(t_.tiles) * t_.streamed) return t_.tiles;
+    return std::min(by_streamed_.ceil(x), t_.tiles);
+  }
+
   // The last tile whose upstream index lies inside `run`.
   [[nodiscard]] long last_tile(const AvailRuns::Run& run) const {
     if (t_.streamed == 0) return t_.tiles - 1;
-    // index(j) < end  <=>  floor(j D / den) <= end - w
-    //                 <=>  j D < (end - w + 1) den.
-    const Wide hi =
-        (static_cast<Wide>(run.end - t_.warmup + 1) * den_ - 1) / t_.streamed;
-    return hi < t_.tiles - 1 ? static_cast<long>(hi) : t_.tiles - 1;
+    return first_tile_reading(run.end) - 1;
   }
 
   // The per-tile recurrence, for tile k_ with dependency `dep`.
@@ -337,15 +717,24 @@ class StreamedBank {
     k_ += n;
   }
 
+  // Tile k_ reads the index tile k_ - 1 read, and so do the tiles after
+  // it up to the next carry: all self-paced, committed at once.
+  bool repeats_index() {
+    if (t_.streamed >= den_ || share_.r < t_.streamed) return false;
+    const long next =
+        t_.streamed > 0 ? first_tile_reading(index() + 1) : t_.tiles;
+    commit_self_paced(next - k_);
+    share_.seek(k_);
+    return true;
+  }
+
   // A self-paced stretch from tile k_ proven without visiting its tiles,
   // over one affine upstream run A + S*i (S >= 0). A floor is at most its
   // real value and S >= 0, so dep(j) <= A + S*(w - 1 + j D/den - begin),
   // which is affine in j, as is e(j-1) = e(k_-1) + (j - k_) T: their
   // difference is affine, and testing it at both ends of the stretch is
   // exact. The test runs in integers scaled by den.
-  bool self_paced_by_bound() {
-    const AvailRuns::Run& run = up_.seek(index());
-    if (run.offset >= 0) return false;
+  bool self_paced_by_bound(const AvailRuns::Run& run) {
     // g(j) = den * (bound(j) - e(j-1)); the stretch is where g <= 0.
     const Wide g = static_cast<Wide>(den_) * (run.first - e_) +
                    static_cast<Wide>(run.slope) *
@@ -362,6 +751,77 @@ class StreamedBank {
     }
     commit_self_paced(n);
     share_.seek(k_);
+    return true;
+  }
+
+  // A dependency-bound stretch from tile k_ (which reads a new upstream
+  // index) over the upstream run holding its index, proven in O(1) from
+  // the run's rise bound. Tile k_ is tested exactly; after it, a tile
+  // that reads an index Δ past the one the c tiles before it read waits
+  // on it if the run rises by c T over Δ indices. With D >= den, c = 1
+  // and Δ >= floor(D/den). With D < den, Δ = 1 and c <= sharing; where
+  // the bound holds only for c = 1 the stretch stops after the group of
+  // this bank's next repeated index, and where the upstream run's own
+  // repeated indices (which rise by just their T) break it, before the
+  // first tile that reads one. Committed as one resampled run.
+  bool dependency_bound_by_bound(const AvailRuns::Run& run) {
+    long last = last_tile(run);
+    long up_rise = run.rise;
+    if (t_.streamed >= den_) {
+      if (up_.rise_over(run, t_.streamed / den_) < period_) return false;
+    } else {
+      const Wide need = static_cast<Wide>(period_) * sharing_;
+      if (up_rise < need && run.kind == AvailRuns::Kind::kResampled &&
+          up_.repeats()) {
+        // Up to the upstream's next repeated index only the step after
+        // tile k_'s index can be weak, and only if that one repeats.
+        long plain = run.up_rise;
+        if (up_.repeats_at(index())) plain = std::min(plain, up_.after_rise(run));
+        if (plain > up_rise) {
+          up_rise = plain;
+          const long x = up_.next_repeat(index());
+          if (x < run.end) last = std::min(last, first_tile_reading(x) - 1);
+        }
+      }
+      if (up_rise < period_) return false;
+      if (up_rise < need) {
+        const long r = out_.next_repeat(k_);
+        if (r < t_.tiles) {
+          TileShare at = share_;
+          at.seek(r);
+          last = std::min(last, first_tile_reading(t_.warmup + at.q) - 1);
+        }
+      }
+    }
+    const long n = last - k_ + 1;
+    if (n < kMinStretch) return false;
+    TileShare end = share_;
+    end.seek(last);
+    const long idx[2] = {index(), t_.warmup - 1 + end.q};
+    long dep[2];
+    up_.values_in(run, idx, 2, dep, scratch_);
+    if (dep[0] < de_) {
+      // Tile k_ does not wait on its dependency: walk it and try again
+      // from the next.
+      if (walks_ >= kMaxWalks) return false;
+      ++walks_;
+      walk(dep[0]);
+      return true;
+    }
+    walks_ = 0;
+    const long e_last = dep[1] + period_ * end.group() - t_.drain;
+    const long groups = t_.streamed >= den_ ? n : end.q - share_.q + 1;
+    // sum_j fe(j) - e(j-1) = e(last) - e(k_-1) - n cpt; every tile adds f
+    // to the fill stall and each repeat d more, and the rest is waiting
+    // on the dependency.
+    dependency_stall += e_last - e_ - n * period_ + groups * t_.drain;
+    fill_stall += n * t_.fill + (n - groups) * t_.drain;
+    out_.push_resampled(n, seeker_.index(), up_rise, e_last + t_.drain);
+    e_ = e_last;
+    de_ = e_last + t_.drain;
+    k_ = last + 1;
+    share_ = end;
+    share_.next();
     return true;
   }
 
@@ -395,21 +855,44 @@ class StreamedBank {
     return {s, self_paced != 0, bound != 0};
   }
 
-  // Up to kChunk tiles from k_ inside one upstream run: gather their
-  // dependencies in one branch-free pass, test both closed forms over the
+  // Up to kChunk tiles from k_: gather their dependencies in one
+  // branch-free pass (inside one affine or explicit upstream run, or
+  // through resampled runs as one batch), test both closed forms over the
   // whole chunk, and commit the one that holds.
   void gather() {
-    const AvailRuns::Run& run = up_.seek(index());
-    const long n = std::min(kChunk, last_tile(run) - k_ + 1);
+    const AvailRuns::Run& run = seeker_.seek(index());
+    long n = std::min(kChunk, last_tile(run) - k_ + 1);
     long dep[kChunk];
     const long base = t_.warmup - 1 - run.begin;
-    const long* v = run.offset < 0 ? nullptr : up_.runs().values(run);
-    const Pass pass =
-        v == nullptr
-            ? gather_pass(n, dep,
-                          [first = run.first, slope = run.slope,
-                           base](long q) { return first + slope * (base + q); })
-            : gather_pass(n, dep, [v, base](long q) { return v[base + q]; });
+    Pass pass{share_, false, false};
+    switch (run.kind) {
+      case AvailRuns::Kind::kAffine:
+        pass = gather_pass(n, dep,
+                           [first = run.first, slope = run.slope,
+                            base](long q) { return first + slope * (base + q); });
+        break;
+      case AvailRuns::Kind::kExplicit:
+        pass = gather_pass(n, dep, [v = up_.values(run), base](long q) {
+          return v[base + q];
+        });
+        break;
+      case AvailRuns::Kind::kResampled: {
+        n = std::min(kChunk, t_.tiles - k_);
+        long idx[kChunk];
+        TileShare s = share_;
+        long t = 0;
+        do {
+          idx[t] = t_.warmup - 1 + s.q;
+          s.next();
+        } while (++t < n);
+        long read[kChunk];
+        up_.values_at(idx, n, read, scratch_);
+        pass = gather_pass(n, dep,
+                           [next = read](long) mutable { return *next++; });
+        break;
+      }
+    }
+    gathered += n;
     if (pass.self_paced || pass.bound) {
       if (pass.self_paced)
         commit_self_paced(n);
@@ -439,18 +922,22 @@ class StreamedBank {
   }
 
   const Timing t_;
-  const long period_;  // T
+  const long period_;   // T
   const long den_;
-  AvailReader up_;
+  const long sharing_;  // ceil(den / D): most tiles that read one index
+  const Divisor by_streamed_;
+  const AvailRuns& up_;
+  RunSeeker seeker_;
   AvailRuns& out_;
+  long* const scratch_;
   EventLog& log_;
   const int bank_id_;
   TileShare share_;
   long k_ = 0;   // next tile
   long e_ = 0;   // e(k_-1)
   long de_ = 0;  // de(k_-1)
+  long walks_ = 0;  // tiles walked since the last stretch or gather
 };
-
 }  // namespace
 
 CycleSimResult simulate_cycles(const AcceleratorReport& report,
@@ -492,9 +979,16 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
             .location = loc;
       }
       if (bank.iterations <= 0 || diags.has_errors()) continue;
+      if (bank.mapping.matrix_rows < 0 || bank.mapping.matrix_cols < 0) {
+        diags.emit("MN-CYC-002", check::Severity::kError,
+                   loc + " has a negative matrix size")
+            .location = loc;
+        continue;
+      }
       const double if_tile = bank.mapping.matrix_rows * elem_bytes;
       const double of_tile = bank.mapping.matrix_cols * elem_bytes;
-      if (if_tile > if_capacity) {
+      // A slot holds at least one byte, even of an empty tile.
+      if (std::max(if_tile, 1.0) > if_capacity) {
         auto& d = diags.emit(
             "MN-CYC-003", check::Severity::kError,
             loc + ": ifmap scratchpad smaller than one tile");
@@ -502,7 +996,7 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
         d.hint = "one ifmap tile is " + std::to_string(if_tile) +
                  " bytes; raise [cycle] Ifmap_KB";
       }
-      if (of_tile > of_capacity) {
+      if (std::max(of_tile, 1.0) > of_capacity) {
         auto& d = diags.emit(
             "MN-CYC-003", check::Severity::kError,
             loc + ": ofmap scratchpad smaller than one tile");
@@ -567,6 +1061,9 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
   // cannot overflow.
   {
     const char* hint = "lower [cycle] Clock_GHz (or leave it 0 for auto)";
+    // A clock past the range of double moves no byte in a cycle.
+    if (!std::isfinite(clock_hz) || !(bytes_per_cycle > 0))
+      throw cycle_domain_error("", hint);
     double bound = 0.0;
     for (std::size_t b = 0; b < report.banks.size(); ++b) {
       const auto& bank = report.banks[b];
@@ -589,22 +1086,41 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
   result.banks.resize(report.banks.size());
 
   EventLog log{result.events, std::max<long>(config.cycle_max_events, 0)};
+  {
+    // A tile records at most three events (a bulk transfer takes the
+    // place of a tile's), so a run that records everything fills this
+    // vector once instead of doubling it.
+    long most = static_cast<long>(report.banks.size());
+    for (const auto& bank : report.banks)
+      most += 3 * std::max<long>(bank.iterations, 0);
+    result.events.reserve(static_cast<std::size_t>(std::min(log.max, most)));
+  }
   long walked_tiles = 0;
+  long gathered_tiles = 0;
 
-  // avail of the upstream bank and of the bank being scheduled.
-  AvailRuns up_avail;
-  AvailRuns avail;
+  // avail[b + 1] is bank b's avail, and avail[0] the no-upstream of bank
+  // 0. A resampled run reads the bank above it, which may read the one
+  // above that, so every bank's runs live for the whole call; stored
+  // values are released once no later bank can read them. Reading through
+  // resampled runs takes 3 * kChunk longs of scratch a bank.
+  const std::size_t n_banks = report.banks.size();
+  std::vector<AvailRuns> avail;
+  avail.reserve(n_banks + 1);
+  for (std::size_t b = 0; b <= n_banks; ++b)
+    avail.emplace_back(static_cast<long>(b));
+  const std::unique_ptr<long[]> scratch(
+      new long[3 * StreamedBank::kChunk * (n_banks + 1)]);
+  std::size_t released = 0;
   long makespan = 0;
 
-  for (std::size_t b = 0; b < report.banks.size(); ++b) {
+  for (std::size_t b = 0; b < n_banks; ++b) {
     const auto& bank = report.banks[b];
     CycleBankStats& stats = result.banks[b];
     const long tiles = bank.iterations;
-    avail.clear(tiles);
-    if (tiles <= 0) {
-      std::swap(up_avail, avail);
-      continue;
-    }
+    AvailRuns& out = avail[b + 1];
+    out.clear(tiles);
+    if (tiles <= 0) continue;
+    const AvailRuns& up = avail[b];
 
     // mnsim-analyze: allow(quantity-narrowing, pass_cycles returns long, already rounded through llround)
     const long cpt = pass_cycles(bank.pass_latency, clock_hz);
@@ -662,12 +1178,6 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
     const long up_warmup =
         b > 0 ? std::min(report.banks[b - 1].warmup_passes, up_passes) : 0;
 
-    if (!(bytes_per_cycle > 0))
-      throw std::invalid_argument("backing bus: bytes per cycle");
-    if (if_cap < 1 || of_cap < 1)
-      throw std::invalid_argument("Scratchpad: capacity must hold one tile");
-    if (if_tile < 0 || of_tile < 0)
-      throw std::invalid_argument("backing bus: bytes");
     // Bus cycles of one streamed fill / drain: the same for every tile.
     const long fill_cycles = transfer_cycles(if_tile, bytes_per_cycle);
     const long drain_cycles = transfer_cycles(of_tile, bytes_per_cycle);
@@ -697,9 +1207,10 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
       // schedules the rest.
       StreamedBank streamed({tiles, fill_cycles, cpt, drain_cycles,
                              up_warmup, streamed_total},
-                            up_avail, avail, log, bank_id);
+                            up, out, scratch.get(), log, bank_id);
       streamed.schedule();
       walked_tiles += streamed.walked;
+      gathered_tiles += streamed.gathered;
       stats.start_cycle = streamed.start;
       stats.finish_cycle = streamed.finish();
       stats.dependency_stall_cycles = streamed.dependency_stall;
@@ -714,11 +1225,15 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
       // occupant was released (consumed for ifmap slots, drained for
       // ofmap slots).
       walked_tiles += tiles;
-      AvailReader up(up_avail);
+      const auto read = [&up, at = scratch.get()](long i) {
+        long v = 0;
+        up.values_at(&i, 1, &v, at);
+        return v;
+      };
       TileShare share(streamed_total, std::max<long>(tiles - 1, 1));
       if (tiles == 1) share.q = streamed_total;
       auto next_dependency = [&] {
-        const long dep = up.at(up_warmup - 1 + share.q);
+        const long dep = read(up_warmup - 1 + share.q);
         share.next();
         return dep;
       };
@@ -742,7 +1257,7 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
       // the upstream bank has drained everything this bank consumes.
       long bulk_fill_end = 0;
       if (resident_ifmap) {
-        const long dep = up.at(up_passes - 1);
+        const long dep = read(up_passes - 1);
         const double bytes = static_cast<double>(tiles) * if_tile;
         const long duration = transfer_cycles(bytes, bytes_per_cycle);
         bulk_fill_end = transfer(dep, duration);
@@ -806,7 +1321,7 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
                      drain_end);
           of_ring[of_slot] = drain_end;
           if (++of_slot == of_ring.size()) of_slot = 0;
-          avail.push(drain_end);
+          out.push(drain_end);
         }
         prev_end = end;
       }
@@ -819,7 +1334,7 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
         const long drain_end = transfer(prev_end, duration);
         log.record(bank_id, tiles - 1, TilePhase::kDrain,
                    drain_end - duration, drain_end);
-        avail.push_affine(tiles, drain_end, 0);
+        out.push_affine(tiles, drain_end, 0);
         stats.ofmap_bytes = bytes;
       } else {
         stats.ofmap_bytes = tile_sum(tiles, of_tile);
@@ -837,8 +1352,11 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
                          static_cast<double>(active)
                    : 0.0;
     // The bank's last activity is its final drain, bulk or per tile.
-    makespan = std::max(makespan, avail.back());
-    std::swap(up_avail, avail);
+    makespan = std::max(makespan, out.back());
+    // Later banks read only this one's runs and what they reach.
+    const std::size_t keep = static_cast<std::size_t>(
+        std::min(static_cast<long>(b) + 1, out.values_from()));
+    for (; released < keep; ++released) avail[released].release_values();
   }
 
   result.makespan_cycles = makespan;
@@ -874,6 +1392,7 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
   if (reg.enabled()) {
     reg.add("cycle.tiles", result.total_tiles);
     reg.add("cycle.walked_tiles", walked_tiles);
+    reg.add("cycle.gathered_tiles", gathered_tiles);
     reg.add("cycle.busy_cycles", result.total_busy_cycles);
     reg.add("cycle.stall_cycles", result.total_stall_cycles);
     reg.add("cycle.backing_bytes",

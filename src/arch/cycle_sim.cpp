@@ -105,35 +105,38 @@ long mul_div_ceil(long a, long b, long c) {
   return static_cast<long>(x / c + (x % c != 0));
 }
 
-// Division by one positive divisor, many times: through its double
-// reciprocal while the dividend is below 2^52, where the estimate is off
-// by at most one and one correction makes it exact, and in 128 bits past
-// that. Every caller's quotient fits a long.
+// Division by one positive divisor, many times: a multiply by
+// M = floor(2^64 / d) + 1 and a shift while x d < 2^64, where
+// x M / 2^64 exceeds x / d by less than x / 2^64 < 1 / d, so the floor is
+// exact; in 128 bits past that. Every caller's quotient fits a long.
 struct Divisor {
   long d = 1;
-  double inv = 1.0;
+  unsigned long magic = 0;  // M; 0 for d = 1
+  long exact = 0;           // the x below which the multiply is exact
 
-  explicit Divisor(long divisor) : d(divisor), inv(1.0 / divisor) {}
+  explicit Divisor(long divisor)
+      : d(divisor),
+        magic(divisor > 1
+                  ? static_cast<unsigned long>(
+                        (static_cast<unsigned __int128>(1) << 64) /
+                        static_cast<unsigned long>(divisor)) +
+                        1
+                  : 0),
+        exact(divisor > 1 ? std::numeric_limits<long>::max() / divisor
+                          : std::numeric_limits<long>::max()) {}
 
-  static constexpr long kExact = 1L << 52;
-
-  // floor(x / d) for 0 <= x < kExact, and its remainder.
+  // floor(x / d) for 0 <= x < exact, and its remainder.
   long floor_exact(long x, long& rem) const {
-    long q = static_cast<long>(static_cast<double>(x) * inv);
-    long r = x - q * d;
-    if (r < 0) {
-      --q;
-      r += d;
-    } else if (r >= d) {
-      ++q;
-      r -= d;
-    }
-    rem = r;
+    const long q =
+        d > 1 ? static_cast<long>(
+                    (static_cast<unsigned __int128>(x) * magic) >> 64)
+              : x;
+    rem = x - q * d;
     return q;
   }
   // floor(x / d) for x >= 0, and its remainder.
   long floor(Wide x, long& rem) const {
-    if (x < kExact) return floor_exact(static_cast<long>(x), rem);
+    if (x < exact) return floor_exact(static_cast<long>(x), rem);
     rem = static_cast<long>(x % d);
     return static_cast<long>(x / d);
   }
@@ -199,7 +202,8 @@ class AvailRuns {
     long first = 0;    // affine: the value at begin
     long slope = 0;    // affine: the increment per index
     long offset = 0;   // explicit: values index of begin;
-                       // resampled: the upstream run every index reads
+                       // resampled: the upstream run every index reads,
+                       // or kAnyRun
     long rise = 0;     // avail(i + 1) - avail(i) >= rise inside the run
     long up_rise = 0;  // resampled: the same bound for the upstream
                        // indices the run reads
@@ -317,23 +321,28 @@ class AvailRuns {
   // avail of the next n tiles: resampled from upstream run `up_run`
   // (whose rise over the indices they read is at least up_rise), the
   // last of them `last`.
-  void push_resampled(long n, std::size_t up_run, long up_rise, long last) {
+  void push_resampled(long n, long up_run, long up_rise, long last) {
     Run& prev = runs_.back();
-    const Run& read = resample_.up->run(up_run);
+    const AvailRuns& up = *resample_.up;
     last_ = last;
     // The tiles before read the same upstream run through the same
     // formula, so they are one run if the up_rise of each holds over all
     // of the upstream run.
-    if (prev.kind == Kind::kResampled &&
-        prev.offset == static_cast<long>(up_run) && prev.up_rise == up_rise &&
-        up_rise <= read.rise) {
+    if (up_run != kAnyRun && prev.kind == Kind::kResampled &&
+        prev.offset == up_run && prev.up_rise == up_rise &&
+        up_rise <= up.run(static_cast<std::size_t>(up_run)).rise) {
       prev.end += n;
       return;
     }
     const long end = prev.end;
-    runs_.push_back({end, end + n, 0, 0, static_cast<long>(up_run), 0,
-                     up_rise, Kind::kResampled});
+    runs_.push_back({end, end + n, 0, 0, up_run, 0, up_rise,
+                     Kind::kResampled});
     runs_.back().rise = resampled_rise_over(runs_.back(), 1);
+    if (up_run == kAnyRun) {
+      values_from_ = std::min({values_from_, up.id_, up.values_from_});
+      return;
+    }
+    const Run& read = up.run(static_cast<std::size_t>(up_run));
     const long from = read.kind == Kind::kExplicit ? resample_.up->id_
                       : read.kind == Kind::kResampled
                           ? resample_.up->values_from_
@@ -362,10 +371,12 @@ class AvailRuns {
     // rise over a steps is at least the bound over fewer steps plus the
     // single-step rise for each step more.
     const Resample& p = resample_;
-    const Run& up = p.up->run(static_cast<std::size_t>(run.offset));
     const auto upstream = [&](long a) {
-      return std::max(p.up->rise_over(up, a),
-                      saturate(static_cast<Wide>(a) * run.up_rise));
+      const long per_step = saturate(static_cast<Wide>(a) * run.up_rise);
+      if (run.offset == kAnyRun) return per_step;
+      return std::max(
+          p.up->rise_over(p.up->run(static_cast<std::size_t>(run.offset)), a),
+          per_step);
     };
     if (m == 1) {
       if (p.streamed >= p.den) return upstream(p.step);
@@ -482,7 +493,7 @@ class AvailRuns {
     const Resample& p = resample_;
     long* up_idx = scratch;
     long* up_val = scratch + n;
-    if (static_cast<Wide>(idx[n - 1]) * p.streamed < Divisor::kExact) {
+    if (static_cast<Wide>(idx[n - 1]) * p.streamed < p.by_den.exact) {
       for (long t = 0; t < n; ++t) {
         long rem = 0;
         up_idx[t] =
@@ -497,8 +508,11 @@ class AvailRuns {
         out[t] = p.period * group(rem);
       }
     }
-    p.up->values_in(p.up->run(static_cast<std::size_t>(run.offset)), up_idx,
-                    n, up_val, scratch + 3 * n);
+    if (run.offset == kAnyRun)
+      p.up->values_at(up_idx, n, up_val, scratch + 3 * n);
+    else
+      p.up->values_in(p.up->run(static_cast<std::size_t>(run.offset)), up_idx,
+                      n, up_val, scratch + 3 * n);
     for (long t = 0; t < n; ++t) out[t] += up_val[t];
   }
 
@@ -511,6 +525,11 @@ class AvailRuns {
   }
 
   static constexpr long kNoValues = std::numeric_limits<long>::max();
+  static constexpr long kAnyRun = -1;
+
+  // avail(i + 1) - avail(i) for any i, across runs too: a streamed bank's
+  // de(k) = max(dep(k), de(k - 1)) + T rises by T at least.
+  [[nodiscard]] long floor_rise() const { return resample_.period; }
 
  private:
   // c(k) of a resampled tile whose floor left remainder `rem`: the tiles
@@ -644,9 +663,9 @@ class StreamedBank {
   // proof reads two values through every bank of resampled runs above
   // it, and gathering it leaves stored values, which the next bank reads
   // at no depth.
-  static constexpr long kMinStretch = 8;
+  static constexpr long kMinStretch = 2;
   // Tiles walked in a row before the rest goes to gathers.
-  static constexpr long kMaxWalks = 4;
+  static constexpr long kMaxWalks = 8;
 
   long dependency(long i) const {
     long v = 0;
@@ -765,10 +784,31 @@ class StreamedBank {
   // repeated indices (which rise by just their T) break it, before the
   // first tile that reads one. Committed as one resampled run.
   bool dependency_bound_by_bound(const AvailRuns::Run& run) {
+    if (index() == read_ + 1 && seeker_.index() == read_run_ &&
+        up_.repeats() && up_.repeats_at(index())) {
+      // The index after the last stretch's last one repeats its upstream
+      // dependency, so it lands exactly T_up later: a tile that does not
+      // wait on it is walked with no read.
+      const long dep = read_value_ + up_.resample().period;
+      if (dep < de_ && walks_ < kMaxWalks) {
+        ++walks_;
+        walk(dep);
+        return true;
+      }
+    }
     long last = last_tile(run);
     long up_rise = run.rise;
+    long up_run = static_cast<long>(seeker_.index());
     if (t_.streamed >= den_) {
-      if (up_.rise_over(run, t_.streamed / den_) < period_) return false;
+      const long step = t_.streamed / den_;
+      if (up_.rise_over(run, step) < period_ || last - k_ + 1 < kMinStretch) {
+        // The upstream rises by its own period per index across all its
+        // runs: if that is enough, the rest of the bank is one stretch.
+        if (static_cast<Wide>(up_.floor_rise()) * step < period_) return false;
+        last = t_.tiles - 1;
+        up_rise = up_.floor_rise();
+        up_run = AvailRuns::kAnyRun;
+      }
     } else {
       const Wide need = static_cast<Wide>(period_) * sharing_;
       if (up_rise < need && run.kind == AvailRuns::Kind::kResampled &&
@@ -799,7 +839,10 @@ class StreamedBank {
     end.seek(last);
     const long idx[2] = {index(), t_.warmup - 1 + end.q};
     long dep[2];
-    up_.values_in(run, idx, 2, dep, scratch_);
+    if (up_run == AvailRuns::kAnyRun)
+      up_.values_at(idx, 2, dep, scratch_);
+    else
+      up_.values_in(run, idx, 2, dep, scratch_);
     if (dep[0] < de_) {
       // Tile k_ does not wait on its dependency: walk it and try again
       // from the next.
@@ -816,7 +859,10 @@ class StreamedBank {
     // on the dependency.
     dependency_stall += e_last - e_ - n * period_ + groups * t_.drain;
     fill_stall += n * t_.fill + (n - groups) * t_.drain;
-    out_.push_resampled(n, seeker_.index(), up_rise, e_last + t_.drain);
+    out_.push_resampled(n, up_run, up_rise, e_last + t_.drain);
+    read_ = idx[1];
+    read_value_ = dep[1];
+    read_run_ = seeker_.index();
     e_ = e_last;
     de_ = e_last + t_.drain;
     k_ = last + 1;
@@ -937,6 +983,10 @@ class StreamedBank {
   long e_ = 0;   // e(k_-1)
   long de_ = 0;  // de(k_-1)
   long walks_ = 0;  // tiles walked since the last stretch or gather
+  // The last upstream index a stretch's last tile read, its run and value.
+  long read_ = -2;
+  std::size_t read_run_ = 0;
+  long read_value_ = 0;
 };
 }  // namespace
 
@@ -1024,6 +1074,12 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
   // Clock: pinned by [cycle] Clock_GHz, or auto-derived so the shortest
   // scheduled pass spans kAutoCyclesPerPass cycles (quantization error
   // of the makespan <= ~1/kAutoCyclesPerPass).
+  // A pinned clock past the range of double in hertz is refused before
+  // the product overflows.
+  if (config.cycle_clock_ghz > std::numeric_limits<double>::max() / 1e9) {
+    throw cycle_domain_error("", "lower [cycle] Clock_GHz (or leave it 0 "
+                                 "for auto)");
+  }
   double clock_hz = config.cycle_clock_ghz * 1e9;
   if (!(clock_hz > 0)) {
     double min_latency = 0.0;
@@ -1061,9 +1117,9 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
   // cannot overflow.
   {
     const char* hint = "lower [cycle] Clock_GHz (or leave it 0 for auto)";
-    // A clock past the range of double moves no byte in a cycle.
-    if (!std::isfinite(clock_hz) || !(bytes_per_cycle > 0))
-      throw cycle_domain_error("", hint);
+    // A bus so slow against the clock that it moves no representable
+    // part of a byte in a cycle.
+    if (!(bytes_per_cycle > 0)) throw cycle_domain_error("", hint);
     double bound = 0.0;
     for (std::size_t b = 0; b < report.banks.size(); ++b) {
       const auto& bank = report.banks[b];

@@ -18,13 +18,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <optional>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/cycle_sim.hpp"
 #include "arch/trace_sim.hpp"
 #include "check/diagnostic.hpp"
+#include "dse/space.hpp"
 #include "nn/generator.hpp"
 #include "nn/topologies.hpp"
 #include "obs/metrics.hpp"
@@ -39,11 +43,13 @@ struct Outcome {
   std::optional<CycleSimResult> result;
   std::vector<std::string> codes;
   long walked_tiles = 0;
+  long gathered_tiles = 0;
 };
 
 Outcome run(const AcceleratorReport& rep, const AcceleratorConfig& cfg) {
   obs::Registry& reg = obs::Registry::global();
   const long walked_before = reg.counter("cycle.walked_tiles");
+  const long gathered_before = reg.counter("cycle.gathered_tiles");
   Outcome out;
   try {
     out.result = simulate_cycles(rep, cfg);
@@ -51,6 +57,7 @@ Outcome run(const AcceleratorReport& rep, const AcceleratorConfig& cfg) {
     for (const auto& d : e.diagnostics()) out.codes.push_back(d.code);
   }
   out.walked_tiles = reg.counter("cycle.walked_tiles") - walked_before;
+  out.gathered_tiles = reg.counter("cycle.gathered_tiles") - gathered_before;
   return out;
 }
 
@@ -216,12 +223,14 @@ TEST(CycleDifferential, GeneratedNetworks) {
 
 TEST(CycleDifferential, FastForwardCoversTheVgg16CaseStudy) {
   // With the default event cap the walk covers only the recorded tiles,
-  // tile 0 of each bank and the few tiles that fit neither closed form.
+  // tile 0 of each bank and the few tiles that fit neither closed form,
+  // and the O(1) stretch proofs leave almost nothing to gather.
   const auto rep = simulate_accelerator(nn::make_vgg16(), base());
   const Outcome out = run(rep, base());
   ASSERT_TRUE(out.result.has_value());
   EXPECT_EQ(out.result->total_tiles, 137791);
   EXPECT_LT(out.walked_tiles, out.result->total_tiles / 100);
+  EXPECT_LT(out.gathered_tiles, out.result->total_tiles / 100);
 }
 
 // ---- Hand-built reports ---------------------------------------------------
@@ -397,6 +406,133 @@ TEST(CycleDifferential, StretchTestsPastTwoToThe63) {
   EXPECT_GT(fast.result->makespan_cycles, 1'000'000'000'000'000L);
   EXPECT_LT(fast.walked_tiles, 10);
   (void)expect_caps_agree(rep, cfg, "near the cycle-domain bound");
+}
+
+// A chain in VGG-16's pool / conv pattern: `pools` times a bank that
+// reads about four upstream tiles per tile (D/den ~ 4) followed by
+// `convs` banks that read about one (D/den ~ 0.98, one repeated index
+// every ~50 tiles), each pass `cpt(b)` cycles.
+template <typename Cycles>
+AcceleratorReport pool_conv_chain(int pools, int convs, Cycles cpt) {
+  std::vector<BankSpec> specs;
+  long tiles = 40000;
+  specs.push_back({tiles, 1, cpt(0)});
+  for (int p = 0; p < pools; ++p) {
+    tiles /= 4;
+    specs.push_back({tiles, 4, cpt(static_cast<int>(specs.size()))});
+    for (int c = 0; c < convs; ++c)
+      specs.push_back({tiles, std::max<long>(tiles / 50, 1),
+                       cpt(static_cast<int>(specs.size()))});
+  }
+  return hand_built(specs);
+}
+
+TEST(CycleDifferential, PoolConvChains) {
+  // Twelve-bank chains with every bank a little slower, a little faster,
+  // or exactly as fast as the one before (a repeated index then lands
+  // one period after its predecessor, the edge of the stretch proofs),
+  // and seeded mixes.
+  const std::vector<std::pair<std::string, std::function<long(int)>>> shapes =
+      {{"equal", [](int) { return 300L; }},
+       {"slower", [](int b) { return 300L + b; }},
+       {"faster", [](int b) { return 300L - b; }},
+       {"pool-slow", [](int b) { return b % 3 == 1 ? 1100L : 280L; }}};
+  for (const auto& [name, cpt] : shapes) {
+    (void)expect_caps_agree(pool_conv_chain(4, 2, cpt), pinned(), name);
+  }
+  std::mt19937 rng(29);
+  for (int draw = 0; draw < 6; ++draw) {
+    std::vector<long> cycles;
+    for (int b = 0; b < 13; ++b)
+      cycles.push_back(std::uniform_int_distribution<long>(200, 420)(rng));
+    (void)expect_caps_agree(
+        pool_conv_chain(4, 2, [&](int b) { return cycles[static_cast<std::size_t>(b)]; }),
+        pinned(), "seeded " + std::to_string(draw));
+  }
+}
+
+TEST(CycleDifferential, RepeatedIndicesAroundOneHalf) {
+  // D/den just below 1/2 puts two repeated indices next to each other
+  // (groups of three tiles); just above, they alternate with single
+  // tiles. Chained, so that a bank reads another bank's repeats.
+  for (long tiles : {199L, 200L, 201L, 202L}) {
+    for (long cpt : {290L, 300L, 310L}) {
+      const auto rep = hand_built({{400, 1, 700},
+                                   {tiles, 300, 300},
+                                   {tiles, 2, cpt},
+                                   {2 * tiles, 100, cpt},
+                                   {tiles, 5, 300}});
+      (void)expect_caps_agree(rep, pinned(),
+                              "tiles " + std::to_string(tiles) + " cpt " +
+                                  std::to_string(cpt));
+    }
+  }
+}
+
+TEST(CycleDifferential, StretchProofAtItsEdge) {
+  // Bank 0 is self-paced, one affine run rising by T0 = 100 a tile, and
+  // bank 1 reads exactly four of its tiles a tile (D = 4 den): the proof
+  // needs 4 T0 >= T1. Bank 2 reads bank 1 with D < den, two tiles to a
+  // repeated index: it needs a rise of 2 T2 per index, or T2 between its
+  // own repeats. T1 and T2 sit one cycle either side of each edge.
+  for (long t1 : {399L, 400L, 401L}) {
+    for (long t2 : {199L, 200L, 201L, 399L, 400L, 401L}) {
+      const auto rep = hand_built(
+          {{4001, 1, 98}, {1001, 1, t1 - 2}, {1001, 20, t2 - 2}});
+      const auto all = expect_caps_agree(
+          rep, pinned(),
+          "T1 " + std::to_string(t1) + " T2 " + std::to_string(t2));
+      ASSERT_TRUE(all.has_value());
+      ASSERT_EQ(all->banks[1].compute_cycles_per_tile, t1 - 2);
+    }
+  }
+}
+
+TEST(CycleDifferential, ChainsNearTheCycleDomainBound) {
+  // A pool / conv chain whose cycle counts reach ~1e15 (the MN-CYC-004
+  // bound is 4.5e15): the resampled runs' values, rises and stall sums
+  // run at the top of the integer cycle domain, and a rise bound scaled
+  // by an index count saturates instead of passing 2^63.
+  const auto rep = hand_built({{20000, 1, 50'000'000'000L},
+                               {5000, 4, 190'000'000'000L},
+                               {5000, 100, 200'000'000'000L},
+                               {5000, 100, 200'000'000'001L},
+                               {1250, 4, 210'000'000'000L},
+                               {1250, 25, 209'000'000'000L}});
+  AcceleratorConfig cfg = pinned();
+  cfg.cycle_max_events = 0;
+  const Outcome fast = run(rep, cfg);
+  ASSERT_TRUE(fast.result.has_value());
+  EXPECT_GT(fast.result->makespan_cycles, 1'000'000'000'000'000L);
+  (void)expect_caps_agree(rep, cfg, "near the cycle-domain bound");
+}
+
+TEST(CycleDifferential, GeneratedNetworksOverTheCnnDesignSpace) {
+  // Seeded networks at the crossbar sizes and parallelism degrees the
+  // Table VI sweep visits: every report, every cap agrees.
+  const dse::DesignSpace space = dse::DesignSpace::paper_cnn();
+  // Seeds whose networks are convolutional, 1k-11k tiles each.
+  for (std::uint32_t seed : {1u, 13u, 20u, 33u, 38u}) {
+    nn::GeneratorOptions opt;
+    opt.seed = seed;
+    opt.min_layers = 4;
+    opt.max_layers = 9;
+    opt.max_width = 512;
+    const nn::Network net = nn::random_network(opt);
+    for (int size : space.crossbar_sizes) {
+      for (int parallelism : {1, 8, 0}) {
+        if (parallelism > size) continue;
+        AcceleratorConfig cfg = base();
+        cfg.crossbar_size = size;
+        cfg.parallelism = parallelism;
+        cfg.output_bits = 8;
+        (void)expect_caps_agree(
+            simulate_accelerator(net, cfg), cfg,
+            "seed " + std::to_string(seed) + " size " + std::to_string(size) +
+                " parallelism " + std::to_string(parallelism));
+      }
+    }
+  }
 }
 
 // ---- Timing differential --------------------------------------------------

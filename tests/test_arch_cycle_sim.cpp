@@ -6,6 +6,8 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "arch/trace_sim.hpp"
 #include "check/diagnostic.hpp"
@@ -273,6 +275,50 @@ TEST(CycleSim, Validation) {
   } catch (const check::CheckError& e) {
     EXPECT_TRUE(has_code(e.diagnostics(), "MN-CYC-004"));
   }
+}
+
+TEST(CycleSim, MalformedBanksAreRefusedBeforeScheduling) {
+  // Each of these used to escape the bank loop as an uncoded
+  // std::invalid_argument; the pre-flight refuses them with a code.
+  const auto refused_with = [](const AcceleratorReport& rep,
+                               const AcceleratorConfig& cfg) {
+    try {
+      simulate_cycles(rep, cfg);
+    } catch (const check::CheckError& e) {
+      std::vector<std::string> codes;
+      for (const auto& d : e.diagnostics()) codes.push_back(d.code);
+      return codes;
+    }
+    return std::vector<std::string>{"accepted"};
+  };
+
+  // A negative matrix size gives a tile a negative byte count.
+  auto negative = synthetic();
+  negative.banks[0].mapping.matrix_rows = -5;
+  EXPECT_EQ(refused_with(negative, unconstrained()),
+            std::vector<std::string>{"MN-CYC-002"});
+
+  // An empty tile still takes a one-byte slot, which a scratchpad of a
+  // tenth of a byte does not hold.
+  auto empty_tile = synthetic();
+  empty_tile.banks[1].mapping.matrix_rows = 0;
+  AcceleratorConfig sliver = unconstrained();
+  sliver.cycle_ifmap_kb = 1e-4;
+  EXPECT_EQ(refused_with(empty_tile, sliver),
+            std::vector<std::string>{"MN-CYC-003"});
+
+  // A bus that moves no representable part of a byte in a cycle.
+  AcceleratorConfig stalled = unconstrained();
+  stalled.cycle_bandwidth_gbps = 1e-300;
+  stalled.cycle_clock_ghz = 1e298;
+  EXPECT_EQ(refused_with(synthetic(), stalled),
+            std::vector<std::string>{"MN-CYC-004"});
+
+  // And a pinned clock whose hertz overflow a double.
+  AcceleratorConfig overflowing = unconstrained();
+  overflowing.cycle_clock_ghz = 1e300;
+  EXPECT_EQ(refused_with(synthetic(), overflowing),
+            std::vector<std::string>{"MN-CYC-004"});
 }
 
 // Arms the invalid / divide-by-zero / overflow traps over a scope, as the

@@ -208,6 +208,9 @@ class AvailRuns {
     long up_rise = 0;  // resampled: the same bound for the upstream
                        // indices the run reads
     Kind kind = Kind::kAffine;
+    // resampled: tile k reads the start of its upstream index's group
+    // instead, and c(k) counts the tiles since the first that reads it.
+    bool snap = false;
     // The last rise_over(run, m) asked: the next bank asks every run
     // for the same m, and so does each bank below for the one run its
     // runs read.
@@ -229,6 +232,10 @@ class AvailRuns {
     // that reads the next index may follow single_repeats repeats.
     long step = 0;
     long single_repeats = 0;
+    // Snapped runs: the most tiles that read one upstream group
+    // (ceil(up sharing * den / D)), and division by D.
+    long snap_sharing = 0;
+    Divisor by_streamed{1};
   };
 
   // Every negative index reads 0: a tile that needs no upstream tile has
@@ -321,22 +328,25 @@ class AvailRuns {
   // avail of the next n tiles: resampled from upstream run `up_run`
   // (whose rise over the indices they read is at least up_rise), the
   // last of them `last`.
-  void push_resampled(long n, long up_run, long up_rise, long last) {
+  void push_resampled(long n, long up_run, long up_rise, long last,
+                      bool snap) {
     Run& prev = runs_.back();
     const AvailRuns& up = *resample_.up;
     last_ = last;
     // The tiles before read the same upstream run through the same
     // formula, so they are one run if the up_rise of each holds over all
-    // of the upstream run.
+    // of the upstream run (for snapped runs, between its groups).
     if (up_run != kAnyRun && prev.kind == Kind::kResampled &&
         prev.offset == up_run && prev.up_rise == up_rise &&
-        up_rise <= up.run(static_cast<std::size_t>(up_run)).rise) {
+        prev.snap == snap &&
+        (snap ||
+         up_rise <= up.run(static_cast<std::size_t>(up_run)).rise)) {
       prev.end += n;
       return;
     }
     const long end = prev.end;
     runs_.push_back({end, end + n, 0, 0, up_run, 0, up_rise,
-                     Kind::kResampled});
+                     Kind::kResampled, snap});
     runs_.back().rise = resampled_rise_over(runs_.back(), 1);
     if (up_run == kAnyRun) {
       values_from_ = std::min({values_from_, up.id_, up.values_from_});
@@ -371,6 +381,21 @@ class AvailRuns {
     // rise over a steps is at least the bound over fewer steps plus the
     // single-step rise for each step more.
     const Resample& p = resample_;
+    if (run.snap) {
+      // A tile after the first of its group follows it by T, and the
+      // first follows the previous group's first by an upstream step
+      // (>= up_rise) plus T for every tile in between but one. Over m
+      // tiles all in one group that is T m; otherwise a window that sees
+      // one group start rises by at least up_rise - T (groups hold up to
+      // snap_sharing tiles, so at most snap_sharing - m of them lie
+      // before the window), and one that sees more by more, since
+      // up_rise >= T snap_sharing.
+      Wide v = static_cast<Wide>(run.up_rise) -
+               static_cast<Wide>(p.period) *
+                   std::max<long>(0, p.snap_sharing - m);
+      if (m < p.snap_sharing) v = std::min(v, static_cast<Wide>(p.period) * m);
+      return saturate(v);
+    }
     const auto upstream = [&](long a) {
       const long per_step = saturate(static_cast<Wide>(a) * run.up_rise);
       if (run.offset == kAnyRun) return per_step;
@@ -415,7 +440,7 @@ class AvailRuns {
   // every other step of a resampled run rises by at least its up_rise,
   // since both ends have c = 1.
   [[nodiscard]] bool repeats() const {
-    return resample_.streamed < resample_.den;
+    return resample_.streamed > 0 && resample_.streamed < resample_.den;
   }
   [[nodiscard]] bool repeats_at(long i) const {
     long rem = 0;
@@ -446,34 +471,13 @@ class AvailRuns {
   // 3 n longs for every bank of resampled runs below this one.
   void values_at(const long* idx, long n, long* out, long* scratch) const {
     std::size_t r = run_of(idx[0]);
-    if (runs_[r].end > idx[n - 1]) {
-      values_in(runs_[r], idx, n, out, scratch);
-      return;
+    for (long t = 0; t < n;) {
+      while (runs_[r].end <= idx[t]) ++r;
+      long u = t + 1;
+      while (u < n && idx[u] < runs_[r].end) ++u;
+      values_in(runs_[r], idx + t, u - t, out + t, scratch);
+      t = u;
     }
-    const Resample& p = resample_;
-    long* up_idx = scratch;
-    long* up_val = scratch + n;
-    long* from = scratch + 2 * n;
-    long m = 0;
-    for (long t = 0; t < n; ++t) {
-      const long i = idx[t];
-      while (runs_[r].end <= i) ++r;
-      const Run& run = runs_[r];
-      if (run.kind == Kind::kAffine) {
-        out[t] = run.first + run.slope * (i - run.begin);
-      } else if (run.kind == Kind::kExplicit) {
-        out[t] = values(run)[i - run.begin];
-      } else {
-        long rem = 0;
-        const long q = p.by_den.floor(static_cast<Wide>(i) * p.streamed, rem);
-        out[t] = p.period * group(rem);
-        up_idx[m] = p.warmup - 1 + q;
-        from[m++] = t;
-      }
-    }
-    if (m == 0) return;
-    p.up->values_at(up_idx, m, up_val, scratch + 3 * n);
-    for (long k = 0; k < m; ++k) out[from[k]] += up_val[k];
   }
 
   // The same for indices that all lie inside `run`: a resampled run reads
@@ -493,7 +497,15 @@ class AvailRuns {
     const Resample& p = resample_;
     long* up_idx = scratch;
     long* up_val = scratch + n;
-    if (static_cast<Wide>(idx[n - 1]) * p.streamed < p.by_den.exact) {
+    if (run.snap) {
+      for (long t = 0; t < n; ++t) {
+        long rem = 0;
+        const long i = p.warmup - 1 +
+                       p.by_den.floor(static_cast<Wide>(idx[t]) * p.streamed, rem);
+        up_idx[t] = p.up->group_start(i);
+        out[t] = p.period * (idx[t] - first_reading(up_idx[t]) + 1);
+      }
+    } else if (static_cast<Wide>(idx[n - 1]) * p.streamed < p.by_den.exact) {
       for (long t = 0; t < n; ++t) {
         long rem = 0;
         up_idx[t] =
@@ -514,6 +526,24 @@ class AvailRuns {
       p.up->values_in(p.up->run(static_cast<std::size_t>(run.offset)), up_idx,
                       n, up_val, scratch + 3 * n);
     for (long t = 0; t < n; ++t) out[t] += up_val[t];
+  }
+
+  // The first index of the group of indices that read the same upstream
+  // index as i, and that upstream index's quotient floor(i D / den).
+  [[nodiscard]] long group_start(long i) const {
+    long rem = 0;
+    resample_.by_den.floor(static_cast<Wide>(i) * resample_.streamed, rem);
+    return i - group(rem) + 1;
+  }
+  [[nodiscard]] long quotient(long i) const {
+    long rem = 0;
+    return resample_.by_den.floor(static_cast<Wide>(i) * resample_.streamed,
+                                  rem);
+  }
+  // The first tile whose upstream index is i or more (i >= w - 1).
+  [[nodiscard]] long first_reading(long i) const {
+    const Resample& p = resample_;
+    return p.by_streamed.ceil(static_cast<Wide>(i - p.warmup + 1) * p.den);
   }
 
   // The run holding index i.
@@ -623,7 +653,11 @@ class StreamedBank {
          t.streamed / den_,
          t.streamed > 0 && t.streamed < den_
              ? std::min(sharing_ - 1, mul_div_ceil(2, den_, t.streamed) - 2)
-             : 0});
+             : 0,
+         t.streamed > 0 && t.streamed < den_ && upstream.repeats()
+             ? mul_div_ceil(upstream.resample().sharing, den_, t.streamed)
+             : 0,
+         by_streamed_});
   }
 
   static constexpr long kChunk = 128;
@@ -785,7 +819,7 @@ class StreamedBank {
   // first tile that reads one. Committed as one resampled run.
   bool dependency_bound_by_bound(const AvailRuns::Run& run) {
     if (index() == read_ + 1 && seeker_.index() == read_run_ &&
-        up_.repeats() && up_.repeats_at(index())) {
+        repeats_in(run) && up_.repeats_at(index())) {
       // The index after the last stretch's last one repeats its upstream
       // dependency, so it lands exactly T_up later: a tile that does not
       // wait on it is walked with no read.
@@ -799,6 +833,7 @@ class StreamedBank {
     long last = last_tile(run);
     long up_rise = run.rise;
     long up_run = static_cast<long>(seeker_.index());
+    bool snap = false;
     if (t_.streamed >= den_) {
       const long step = t_.streamed / den_;
       if (up_.rise_over(run, step) < period_ || last - k_ + 1 < kMinStretch) {
@@ -809,10 +844,15 @@ class StreamedBank {
         up_rise = up_.floor_rise();
         up_run = AvailRuns::kAnyRun;
       }
+    } else if (snappable(run)) {
+      // Every tile that reads a repeated upstream index lands by the
+      // previous tile's drain, so the bank waits only on the first index
+      // of each upstream group.
+      snap = true;
+      up_rise = run.up_rise;
     } else {
       const Wide need = static_cast<Wide>(period_) * sharing_;
-      if (up_rise < need && run.kind == AvailRuns::Kind::kResampled &&
-          up_.repeats()) {
+      if (up_rise < need && repeats_in(run)) {
         // Up to the upstream's next repeated index only the step after
         // tile k_'s index can be weak, and only if that one repeats.
         long plain = run.up_rise;
@@ -837,7 +877,13 @@ class StreamedBank {
     if (n < kMinStretch) return false;
     TileShare end = share_;
     end.seek(last);
-    const long idx[2] = {index(), t_.warmup - 1 + end.q};
+    const long read_last = t_.warmup - 1 + end.q;
+    // The upstream index the last tile's avail counts from, and its
+    // tiles since the first that read it.
+    const long from_last = snap ? up_.group_start(read_last) : read_last;
+    const long c_last = snap ? last - first_tile_reading(from_last) + 1
+                             : end.group();
+    const long idx[2] = {index(), from_last};
     long dep[2];
     if (up_run == AvailRuns::kAnyRun)
       up_.values_at(idx, 2, dep, scratch_);
@@ -852,15 +898,20 @@ class StreamedBank {
       return true;
     }
     walks_ = 0;
-    const long e_last = dep[1] + period_ * end.group() - t_.drain;
-    const long groups = t_.streamed >= den_ ? n : end.q - share_.q + 1;
-    // sum_j fe(j) - e(j-1) = e(last) - e(k_-1) - n cpt; every tile adds f
-    // to the fill stall and each repeat d more, and the rest is waiting
-    // on the dependency.
-    dependency_stall += e_last - e_ - n * period_ + groups * t_.drain;
-    fill_stall += n * t_.fill + (n - groups) * t_.drain;
-    out_.push_resampled(n, up_run, up_rise, e_last + t_.drain);
-    read_ = idx[1];
+    const long e_last = dep[1] + period_ * c_last - t_.drain;
+    const long groups = snap ? up_.quotient(read_last) - up_.quotient(index()) + 1
+                        : t_.streamed >= den_ ? n
+                                              : end.q - share_.q + 1;
+    const long waits = snap ? snap_waits(index(), read_last) : 0;
+    // sum_j fe(j) - e(j-1) = e(last) - e(k_-1) - n cpt. A tile that waits
+    // on its dependency adds f to the fill stall; any other adds f + d,
+    // less what it waits for a repeated upstream index (`waits`); the rest
+    // is waiting on the dependency.
+    dependency_stall +=
+        e_last - e_ - n * period_ + groups * t_.drain + waits;
+    fill_stall += n * (t_.fill + t_.drain) - groups * t_.drain - waits;
+    out_.push_resampled(n, up_run, up_rise, e_last + t_.drain, snap);
+    read_ = snap ? -2 : idx[1];
     read_value_ = dep[1];
     read_run_ = seeker_.index();
     e_ = e_last;
@@ -869,6 +920,48 @@ class StreamedBank {
     share_ = end;
     share_.next();
     return true;
+  }
+
+  // Whether `run` is a resampled upstream run that reads some upstream
+  // index twice in a row: the index of the second read repeats the
+  // first's dependency (AvailRuns::repeats).
+  [[nodiscard]] bool repeats_in(const AvailRuns::Run& run) const {
+    return run.kind == AvailRuns::Kind::kResampled && !run.snap &&
+           up_.repeats();
+  }
+
+  // Whether a stretch from tile k_ over resampled upstream run `run`
+  // with repeated indices can read only the first index of each upstream
+  // group. A repeated index y lands T_up after y - 1, by the drain of the
+  // tile that read y - 1 if T_up <= T, so it never binds. The first
+  // index of a group lands a whole upstream step (>= up_rise) after the
+  // previous group's, which up to snap_sharing tiles read: binding if
+  // up_rise >= T snap_sharing. Tile k_ must read a group's first index.
+  [[nodiscard]] bool snappable(const AvailRuns::Run& run) const {
+    const long sharing = out_.resample().snap_sharing;
+    return repeats_in(run) && sharing > 0 &&
+           up_.resample().period <= period_ &&
+           static_cast<Wide>(run.up_rise) >=
+               static_cast<Wide>(period_) * sharing &&
+           !up_.repeats_at(index());
+  }
+
+  // What the tiles of a snapped stretch wait for the repeated upstream
+  // indices y in (from, to]: the first tile reading y waits
+  // max(0, up(y) - e(j-1)), where up(y) is T_up (c_up(y) - 1) past the
+  // group's first index and e(j-1) is T c - d past it, c the tiles that
+  // read the group before y.
+  long snap_waits(long from, long to) const {
+    const AvailRuns::Resample& u = up_.resample();
+    if (u.period * (u.sharing - 1) + t_.drain <= period_) return 0;
+    long waits = 0;
+    for (long y = up_.next_repeat(from); y <= to; y = up_.next_repeat(y)) {
+      const long first = up_.group_start(y);
+      const long before = first_tile_reading(y) - first_tile_reading(first);
+      waits += std::max<long>(
+          0, u.period * (y - first) + t_.drain - period_ * before);
+    }
+    return waits;
   }
 
   struct Pass {

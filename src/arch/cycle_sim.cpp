@@ -147,6 +147,15 @@ struct Divisor {
   }
 };
 
+// The tiles up to and including tile k that read its upstream index,
+// c(k) = 1 + floor(r / D), where r is the remainder of floor(k D / den):
+// always 1 when D >= den, and at most 2 when 2 D > den.
+long group_of(long r, long streamed, long den) {
+  if (streamed >= den) return 1;
+  if (2 * streamed > den) return 1 + (r >= streamed);
+  return 1 + r / streamed;
+}
+
 // floor(k * D / den) for a tile cursor k, as a quotient and remainder
 // that advance one tile at a time (carrying at most once per tile) or
 // jump to any tile.
@@ -171,14 +180,7 @@ struct TileShare {
     return carry;
   }
   void seek(long k) { q = den.floor(static_cast<Wide>(k) * total, r); }
-  // The tiles up to and including this one that read its quotient,
-  // 1 + floor(r / D): always 1 when D >= den, and at most 2 when
-  // 2 D > den.
-  [[nodiscard]] long group() const {
-    if (total >= den.d) return 1;
-    if (2 * total > den.d) return 1 + (r >= total);
-    return 1 + r / total;
-  }
+  [[nodiscard]] long group() const { return group_of(r, total, den.d); }
 };
 
 // A bank's avail[k] — the cycle its tile-k output has landed in the
@@ -189,10 +191,14 @@ struct TileShare {
 //              upstream bank's runs and stored as nothing: a
 //              dependency-bound stretch, in which the first of the c(k)
 //              tiles that read one upstream index waits on it and the
-//              rest follow it by T each.
+//              rest follow it by T each. A resampled run reads one
+//              upstream run, or any of them (kAnyRun). A snapped one
+//              reads, for each tile, the first index of the upstream
+//              group its index belongs to, and c(k) counts from the
+//              first tile that reads that group.
 // Every run keeps a lower bound on its rise from one index to the next,
-// which is what the next bank's proofs read. avail never falls with k,
-// so every rise and slope is >= 0.
+// and rise_over() one over m indices: what the next bank's proofs read.
+// avail never falls with k, so every rise and slope is >= 0.
 class AvailRuns {
  public:
   enum class Kind : unsigned char { kAffine, kExplicit, kResampled };
@@ -382,14 +388,15 @@ class AvailRuns {
     // single-step rise for each step more.
     const Resample& p = resample_;
     if (run.snap) {
-      // A tile after the first of its group follows it by T, and the
-      // first follows the previous group's first by an upstream step
-      // (>= up_rise) plus T for every tile in between but one. Over m
-      // tiles all in one group that is T m; otherwise a window that sees
-      // one group start rises by at least up_rise - T (groups hold up to
-      // snap_sharing tiles, so at most snap_sharing - m of them lie
-      // before the window), and one that sees more by more, since
-      // up_rise >= T snap_sharing.
+      // Inside a group avail rises by T a tile; the first tile of a group
+      // lands an upstream step (>= up_rise) after the previous group's
+      // first, less T for each tile of that group after its first. Over
+      // m tiles inside one group the rise is T m. A window of m tiles
+      // that starts s tiles into a group of c <= snap_sharing and sees
+      // one group start ends m - (c - s - 1) tiles into the next group,
+      // so it rises by up_rise - T (c - m) >= up_rise - T (snap_sharing -
+      // m); seeing more group starts adds an up_rise >= T snap_sharing
+      // for each.
       Wide v = static_cast<Wide>(run.up_rise) -
                static_cast<Wide>(p.period) *
                    std::max<long>(0, p.snap_sharing - m);
@@ -466,9 +473,10 @@ class AvailRuns {
   }
 
   // avail at n >= 1 indices idx[0] <= ... <= idx[n - 1], into out. The
-  // resampled ones read their upstream indices as one batch a bank down,
-  // so the floors of a batch do not wait on one another. scratch holds
-  // 3 n longs for every bank of resampled runs below this one.
+  // indices inside one resampled run read their upstream indices as one
+  // batch a bank down, so the floors of a batch do not wait on one
+  // another. scratch holds 2 n longs for every bank of resampled runs
+  // below this one.
   void values_at(const long* idx, long n, long* out, long* scratch) const {
     std::size_t r = run_of(idx[0]);
     for (long t = 0; t < n;) {
@@ -521,10 +529,10 @@ class AvailRuns {
       }
     }
     if (run.offset == kAnyRun)
-      p.up->values_at(up_idx, n, up_val, scratch + 3 * n);
+      p.up->values_at(up_idx, n, up_val, scratch + 2 * n);
     else
       p.up->values_in(p.up->run(static_cast<std::size_t>(run.offset)), up_idx,
-                      n, up_val, scratch + 3 * n);
+                      n, up_val, scratch + 2 * n);
     for (long t = 0; t < n; ++t) out[t] += up_val[t];
   }
 
@@ -562,14 +570,8 @@ class AvailRuns {
   [[nodiscard]] long floor_rise() const { return resample_.period; }
 
  private:
-  // c(k) of a resampled tile whose floor left remainder `rem`: the tiles
-  // up to and including it that read its upstream index, 1 + floor(rem /
-  // D) (see TileShare::group).
   [[nodiscard]] long group(long rem) const {
-    const Resample& p = resample_;
-    if (p.streamed >= p.den) return 1;
-    if (2 * p.streamed > p.den) return 1 + (rem >= p.streamed);
-    return 1 + rem / p.streamed;
+    return group_of(rem, resample_.streamed, resample_.den);
   }
 
   void open_explicit() {
@@ -642,8 +644,7 @@ class StreamedBank {
       : t_(t), period_(t.fill + t.cpt + t.drain),
         den_(std::max<long>(t.tiles - 1, 1)),
         sharing_(t.streamed > 0 ? mul_div_ceil(1, den_, t.streamed) : 1),
-        by_streamed_(std::max<long>(t.streamed, 1)), up_(upstream),
-        seeker_(upstream), out_(out), scratch_(scratch), log_(log),
+        up_(upstream), seeker_(upstream), out_(out), scratch_(scratch), log_(log),
         bank_id_(bank_id), share_(t.streamed, den_) {
     // A one-tile bank takes all of D.
     if (t.tiles == 1) share_.q = t.streamed;
@@ -657,7 +658,7 @@ class StreamedBank {
          t.streamed > 0 && t.streamed < den_ && upstream.repeats()
              ? mul_div_ceil(upstream.resample().sharing, den_, t.streamed)
              : 0,
-         by_streamed_});
+         Divisor(std::max<long>(t.streamed, 1))});
   }
 
   static constexpr long kChunk = 128;
@@ -716,9 +717,10 @@ class StreamedBank {
   // index(j) >= i  <=>  floor(j D / den) >= i - w + 1
   //                <=>  j D >= (i - w + 1) den.
   [[nodiscard]] long first_tile_reading(long i) const {
-    const Wide x = static_cast<Wide>(i - t_.warmup + 1) * den_;
-    if (x > static_cast<Wide>(t_.tiles) * t_.streamed) return t_.tiles;
-    return std::min(by_streamed_.ceil(x), t_.tiles);
+    if (static_cast<Wide>(i - t_.warmup + 1) * den_ >
+        static_cast<Wide>(t_.tiles) * t_.streamed)
+      return t_.tiles;
+    return std::min(out_.first_reading(i), t_.tiles);
   }
 
   // The last tile whose upstream index lies inside `run`.
@@ -1064,7 +1066,6 @@ class StreamedBank {
   const long period_;   // T
   const long den_;
   const long sharing_;  // ceil(den / D): most tiles that read one index
-  const Divisor by_streamed_;
   const AvailRuns& up_;
   RunSeeker seeker_;
   AvailRuns& out_;
@@ -1251,14 +1252,14 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
   // 0. A resampled run reads the bank above it, which may read the one
   // above that, so every bank's runs live for the whole call; stored
   // values are released once no later bank can read them. Reading through
-  // resampled runs takes 3 * kChunk longs of scratch a bank.
+  // resampled runs takes 2 * kChunk longs of scratch a bank.
   const std::size_t n_banks = report.banks.size();
   std::vector<AvailRuns> avail;
   avail.reserve(n_banks + 1);
   for (std::size_t b = 0; b <= n_banks; ++b)
     avail.emplace_back(static_cast<long>(b));
   const std::unique_ptr<long[]> scratch(
-      new long[3 * StreamedBank::kChunk * (n_banks + 1)]);
+      new long[2 * StreamedBank::kChunk * (n_banks + 1)]);
   std::size_t released = 0;
   long makespan = 0;
 

@@ -648,17 +648,27 @@ class StreamedBank {
         bank_id_(bank_id), share_(t.streamed, den_) {
     // A one-tile bank takes all of D.
     if (t.tiles == 1) share_.q = t.streamed;
-    out_.set_resample(
-        {&upstream, t.warmup, t.streamed, den_, period_, sharing_,
-         Divisor(den_), Divisor(std::max<long>(den_ - t.streamed, 1)),
-         t.streamed / den_,
-         t.streamed > 0 && t.streamed < den_
-             ? std::min(sharing_ - 1, mul_div_ceil(2, den_, t.streamed) - 2)
-             : 0,
-         t.streamed > 0 && t.streamed < den_ && upstream.repeats()
-             ? mul_div_ceil(upstream.resample().sharing, den_, t.streamed)
-             : 0,
-         Divisor(std::max<long>(t.streamed, 1))});
+    const bool repeats = t.streamed > 0 && t.streamed < den_;
+    out_.set_resample({
+        .up = &upstream,
+        .warmup = t.warmup,
+        .streamed = t.streamed,
+        .den = den_,
+        .period = period_,
+        .sharing = sharing_,
+        .by_den = Divisor(den_),
+        .by_gap = Divisor(std::max<long>(den_ - t.streamed, 1)),
+        .step = t.streamed / den_,
+        .single_repeats =
+            repeats ? std::min(sharing_ - 1,
+                               mul_div_ceil(2, den_, t.streamed) - 2)
+                    : 0,
+        .snap_sharing = repeats && upstream.repeats()
+                            ? mul_div_ceil(upstream.resample().sharing, den_,
+                                           t.streamed)
+                            : 0,
+        .by_streamed = Divisor(std::max<long>(t.streamed, 1)),
+    });
   }
 
   static constexpr long kChunk = 128;
@@ -694,10 +704,9 @@ class StreamedBank {
   long gathered = 0;
 
  private:
-  // A resampled stretch shorter than this is gathered instead: its O(1)
-  // proof reads two values through every bank of resampled runs above
-  // it, and gathering it leaves stored values, which the next bank reads
-  // at no depth.
+  // A proven stretch shorter than this is walked or gathered instead:
+  // its proof reads two values through every bank of resampled runs
+  // above it, where walking one tile reads one.
   static constexpr long kMinStretch = 2;
   // Tiles walked in a row before the rest goes to gathers.
   static constexpr long kMaxWalks = 8;

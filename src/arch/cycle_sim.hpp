@@ -34,14 +34,21 @@
 // neither the fill policy nor the slot capacities; drain stalls need a
 // resident ifmap, and the fill policy acts only with a resident ofmap.
 // The engine schedules streamed banks in that closed form, a stretch of
-// tiles at a time: a self-paced stretch (every dependency already met
-// when the previous compute ends) costs O(1) and leaves one affine run
-// of drain ends for the next bank; a dependency-bound stretch (every
-// fill waits on, and only on, its dependency) is one branch-free gather
-// pass. Tiles that fit neither, and every tile while events are still
-// being recorded, go through the per-tile walk. Banks with a resident
-// operand keep the general slot-ring walk. All of it is exact: the
-// result does not depend on how much of the schedule was walked
+// tiles at a time, and keeps each bank's drain ends as runs for the next
+// bank. A self-paced stretch (every dependency already met when the
+// previous compute ends) costs O(1) and leaves one affine run. A
+// dependency-bound stretch (every tile that reads a new upstream index
+// waits on, and only on, it) is proven in O(1) per upstream run from a
+// lower bound on that run's rise, and leaves one resampled run: the
+// upstream value at the tile's index (or, where the upstream repeats
+// indices at a period no longer than the bank's, at the first index of
+// its group) plus T for each tile since the first that read it, stored
+// as nothing and read through the upstream's runs. A stretch no bound
+// proves goes to a branch-free gather pass that stores its values; tiles
+// that fit neither form, and every tile while events are still being
+// recorded, go through the per-tile walk. Banks with a resident operand
+// keep the general slot-ring walk. All of it is exact: the result does
+// not depend on how much of the schedule was walked or gathered
 // (docs/PERFORMANCE.md).
 #pragma once
 

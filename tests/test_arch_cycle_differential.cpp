@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <optional>
 #include <random>
@@ -486,6 +487,83 @@ TEST(CycleDifferential, StretchProofAtItsEdge) {
       ASSERT_EQ(all->banks[1].compute_cycles_per_tile, t1 - 2);
     }
   }
+}
+
+TEST(CycleDifferential, StretchProofAtItsEdgeWithLittleSlack) {
+  // Bank 1 runs 100 tiles of period 99 per bank-0 tile of period 9905,
+  // so its avail comes in affine bursts five cycles apart. Bank 2 reads
+  // four of those tiles a tile: at T2 = 4 * 99 it keeps pace inside a
+  // burst, and one cycle slower it uses up the five cycles of slack a
+  // burst starts with after five tiles.
+  for (long t2 : {395L, 396L, 397L, 398L}) {
+    const auto rep = hand_built(
+        {{40, 1, 9903}, {3901, 1, 97}, {976, 1, t2 - 2}, {976, 20, 300}});
+    (void)expect_caps_agree(rep, pinned(), "T2 " + std::to_string(t2));
+  }
+}
+
+// Every bank streamed (neither operand resident): the recurrence of the
+// StreamedBank comment, tile by tile, with f = d = 1 at an unconstrained
+// bus; a bank's warm-up is what the next bank waits for, as in the
+// report. Returns each bank's finish cycle, dependency and fill stalls.
+std::vector<std::array<long, 3>> streamed_recurrence(
+    const std::vector<BankSpec>& specs) {
+  std::vector<std::array<long, 3>> out;
+  std::vector<long> up;
+  long up_warmup = 0;  // the upstream bank's warm-up passes
+  for (const BankSpec& spec : specs) {
+    const long up_tiles = static_cast<long>(up.size());
+    const long warmup = std::min(up_warmup, up_tiles);
+    const long streamed = up_tiles - warmup;
+    up_warmup = spec.warmup;
+    const long den = std::max<long>(spec.tiles - 1, 1);
+    std::vector<long> avail(static_cast<std::size_t>(spec.tiles));
+    long e = 0, de = 0, dep_stall = 0, fill_stall = 0;
+    for (long k = 0; k < spec.tiles; ++k) {
+      const long share = spec.tiles == 1 ? streamed
+                                         : static_cast<long>(
+                                               static_cast<__int128>(k) *
+                                               streamed / den);
+      const long needed = warmup + share;
+      const long dep = needed > 0 ? up[static_cast<std::size_t>(needed - 1)] : 0;
+      const long ready = std::max(e, dep);
+      const long fill_end = std::max(dep, de) + 1;
+      if (k > 0) {
+        dep_stall += ready - e;
+        fill_stall += fill_end - ready;
+      }
+      e = fill_end + spec.pass_cycles;
+      de = e + 1;
+      avail[static_cast<std::size_t>(k)] = de;
+    }
+    out.push_back({e, dep_stall, fill_stall});
+    up = std::move(avail);
+  }
+  return out;
+}
+
+TEST(CycleDifferential, MillionTileBanksAgainstTheRecurrence) {
+  // Banks of millions of tiles, each a little faster than the one
+  // before, so that banks 1-3 are resampled runs: reading bank 1 at an
+  // index near 3e6 takes a floor whose dividend times den passes 2^64,
+  // where the multiply and shift give way to 128-bit division. Too many
+  // tiles to record every event, so the oracle is the recurrence.
+  const std::vector<BankSpec> specs = {{3'000'000, 1, 20},
+                                       {2'999'000, 40, 18},
+                                       {750'000, 4, 60},
+                                       {749'000, 300, 60}};
+  const std::vector<std::array<long, 3>> expected = streamed_recurrence(specs);
+  AcceleratorConfig cfg = pinned();
+  cfg.cycle_max_events = 0;
+  const Outcome out = run(hand_built(specs), cfg);
+  ASSERT_TRUE(out.result.has_value());
+  for (std::size_t b = 0; b < specs.size(); ++b) {
+    SCOPED_TRACE("bank " + std::to_string(b));
+    EXPECT_EQ(out.result->banks[b].finish_cycle, expected[b][0]);
+    EXPECT_EQ(out.result->banks[b].dependency_stall_cycles, expected[b][1]);
+    EXPECT_EQ(out.result->banks[b].fill_stall_cycles, expected[b][2]);
+  }
+  EXPECT_LT(out.walked_tiles + out.gathered_tiles, 100000);
 }
 
 TEST(CycleDifferential, ChainsNearTheCycleDomainBound) {

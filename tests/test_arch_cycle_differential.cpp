@@ -502,6 +502,20 @@ TEST(CycleDifferential, StretchProofAtItsEdgeWithLittleSlack) {
   }
 }
 
+TEST(CycleDifferential, PoolOverAConvOfNearlyEqualPeriod) {
+  // Found by random chains: bank 5 reads about two tiles of bank 4 a
+  // tile (D/den = 608/318, floor 1) at a period one cycle longer than
+  // bank 4's, so its proof, a rise of T over floor(D/den) indices from
+  // the upstream run or from the upstream period, sits at its edge.
+  (void)expect_caps_agree(hand_built({{640, 27, 323},
+                                      {640, 1437, 322},
+                                      {640, 26, 326},
+                                      {640, 19, 322},
+                                      {640, 32, 324},
+                                      {319, 14, 325}}),
+                          pinned(), "fuzzed chain");
+}
+
 // Every bank streamed (neither operand resident): the recurrence of the
 // StreamedBank comment, tile by tile, with f = d = 1 at an unconstrained
 // bus; a bank's warm-up is what the next bank waits for, as in the

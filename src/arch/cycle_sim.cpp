@@ -91,20 +91,6 @@ long saturate(Wide x) {
   return x < 0 ? 0 : x > kRiseCap ? kRiseCap : static_cast<long>(x);
 }
 
-// floor(a * b / c) and ceil(a * b / c) for a, b >= 0 and c > 0, in 64
-// bits while the product fits. Every caller's quotient fits a long.
-long mul_div(long a, long b, long c) {
-  long p = 0;
-  if (!__builtin_mul_overflow(a, b, &p)) return p / c;
-  return static_cast<long>(static_cast<Wide>(a) * b / c);
-}
-long mul_div_ceil(long a, long b, long c) {
-  long p = 0;
-  if (!__builtin_mul_overflow(a, b, &p)) return p / c + (p % c != 0);
-  const Wide x = static_cast<Wide>(a) * b;
-  return static_cast<long>(x / c + (x % c != 0));
-}
-
 // Division by one positive divisor, many times: a multiply by
 // M = floor(2^64 / d) + 1 and a shift while x d < 2^64, where
 // x M / 2^64 exceeds x / d by less than x / 2^64 < 1 / d, so the floor is
@@ -416,7 +402,8 @@ class AvailRuns {
           p.period, static_cast<Wide>(upstream(1)) -
                         static_cast<Wide>(p.period) * p.single_repeats));
     }
-    const long a0 = mul_div(m, p.streamed, p.den);
+    long rem = 0;
+    const long a0 = p.by_den.floor(static_cast<Wide>(m) * p.streamed, rem);
     if (p.streamed >= p.den) return upstream(a0);  // c(k) = 1 throughout
     // D < den: avail(i + m) - avail(i) = up-rise over a steps
     // + T (c(i + m) - c(i)), with c(i + m) >= 1. If c(i) = 1 + s, the
@@ -425,11 +412,13 @@ class AvailRuns {
     // exactly T m. Take the worst s for each a: at most three of them.
     const long base = std::max<long>(a0, 1);
     const long x = upstream(base);
-    const long a_top = mul_div(m + p.sharing - 1, p.streamed, p.den);
+    const long a_top =
+        p.by_den.floor(static_cast<Wide>(m + p.sharing - 1) * p.streamed, rem);
     Wide best = kRiseCap;
     for (long a = a0; a <= a_top; ++a) {
-      const long s = std::min(p.sharing - 1,
-                              mul_div_ceil(a + 1, p.den, p.streamed) - 1 - m);
+      const long s = std::min(
+          p.sharing - 1,
+          p.by_streamed.ceil(static_cast<Wide>(a + 1) * p.den) - 1 - m);
       const Wide v = a == 0 ? static_cast<Wide>(p.period) * m
                             : static_cast<Wide>(x) +
                                   static_cast<Wide>(a - base) * run.up_rise -
@@ -643,12 +632,13 @@ class StreamedBank {
                long* scratch, EventLog& log, int bank_id)
       : t_(t), period_(t.fill + t.cpt + t.drain),
         den_(std::max<long>(t.tiles - 1, 1)),
-        sharing_(t.streamed > 0 ? mul_div_ceil(1, den_, t.streamed) : 1),
+        sharing_(t.streamed > 0 ? (den_ + t.streamed - 1) / t.streamed : 1),
         up_(upstream), seeker_(upstream), out_(out), scratch_(scratch), log_(log),
         bank_id_(bank_id), share_(t.streamed, den_) {
     // A one-tile bank takes all of D.
     if (t.tiles == 1) share_.q = t.streamed;
     const bool repeats = t.streamed > 0 && t.streamed < den_;
+    const Divisor by_streamed(std::max<long>(t.streamed, 1));
     out_.set_resample({
         .up = &upstream,
         .warmup = t.warmup,
@@ -661,13 +651,14 @@ class StreamedBank {
         .step = t.streamed / den_,
         .single_repeats =
             repeats ? std::min(sharing_ - 1,
-                               mul_div_ceil(2, den_, t.streamed) - 2)
+                               by_streamed.ceil(static_cast<Wide>(2) * den_) - 2)
                     : 0,
-        .snap_sharing = repeats && upstream.repeats()
-                            ? mul_div_ceil(upstream.resample().sharing, den_,
-                                           t.streamed)
-                            : 0,
-        .by_streamed = Divisor(std::max<long>(t.streamed, 1)),
+        .snap_sharing =
+            repeats && upstream.repeats()
+                ? by_streamed.ceil(static_cast<Wide>(upstream.resample().sharing) *
+                                   den_)
+                : 0,
+        .by_streamed = by_streamed,
     });
   }
 
@@ -821,13 +812,16 @@ class StreamedBank {
   // A dependency-bound stretch from tile k_ (which reads a new upstream
   // index) over the upstream run holding its index, proven in O(1) from
   // the run's rise bound. Tile k_ is tested exactly; after it, a tile
-  // that reads an index Δ past the one the c tiles before it read waits
-  // on it if the run rises by c T over Δ indices. With D >= den, c = 1
-  // and Δ >= floor(D/den). With D < den, Δ = 1 and c <= sharing; where
-  // the bound holds only for c = 1 the stretch stops after the group of
-  // this bank's next repeated index, and where the upstream run's own
-  // repeated indices (which rise by just their T) break it, before the
-  // first tile that reads one. Committed as one resampled run.
+  // that reads an index s past the one the c tiles before it read waits
+  // on it if the run rises by c T over s indices. With D >= den, c = 1
+  // and s >= floor(D/den), and where the upstream's own period covers T
+  // over s indices the stretch runs over all its runs to the bank's end.
+  // With D < den, s = 1 and c <= sharing: a snappable run needs no cut;
+  // otherwise, where the bound holds only for c = 1 the stretch stops
+  // after the group of this bank's next repeated index, and where the
+  // upstream run's own repeated indices (which rise by just their T)
+  // break it, before the first tile that reads one. Committed as one
+  // resampled run.
   bool dependency_bound_by_bound(const AvailRuns::Run& run) {
     if (index() == read_ + 1 && seeker_.index() == read_run_ &&
         repeats_in(run) && up_.repeats_at(index())) {

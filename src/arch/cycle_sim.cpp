@@ -100,14 +100,13 @@ struct Divisor {
   unsigned long magic = 0;  // M; 0 for d = 1
   long exact = 0;           // the x below which the multiply is exact
 
+  // floor(2^64 / d) is floor((2^64 - 1) / d), plus one when d is a power
+  // of two, so a 64-bit division forms M.
   explicit Divisor(long divisor)
       : d(divisor),
-        magic(divisor > 1
-                  ? static_cast<unsigned long>(
-                        (static_cast<unsigned __int128>(1) << 64) /
-                        static_cast<unsigned long>(divisor)) +
-                        1
-                  : 0),
+        magic(divisor > 1 ? ~0UL / static_cast<unsigned long>(divisor) + 1 +
+                                ((divisor & (divisor - 1)) == 0)
+                          : 0),
         exact(divisor > 1 ? std::numeric_limits<long>::max() / divisor
                           : std::numeric_limits<long>::max()) {}
 
@@ -235,10 +234,13 @@ class AvailRuns {
   // index says so without a branch.
   explicit AvailRuns(long id = 0) : id_(id) { clear(0); }
 
-  // Starts a bank of `tiles` tiles.
+  // Starts a bank of `tiles` tiles. Most banks take a handful of runs, so
+  // room for a few is made once.
   void clear(long tiles) {
-    runs_.assign(1, Run{std::numeric_limits<long>::min() / 2, 0, 0, 0, 0,
-                        0, 0, Kind::kAffine});
+    runs_.clear();
+    runs_.reserve(kFewRuns);
+    runs_.push_back(Run{std::numeric_limits<long>::min() / 2, 0, 0, 0, 0, 0,
+                        0, Kind::kAffine});
     values_.clear();
     tiles_ = tiles;
     last_ = 0;
@@ -571,6 +573,7 @@ class AvailRuns {
   }
 
   static constexpr long kShortRun = 16;
+  static constexpr std::size_t kFewRuns = 8;
 
   std::vector<Run> runs_;
   std::vector<long> values_;
@@ -581,14 +584,15 @@ class AvailRuns {
   long values_from_ = kNoValues;
 };
 
-// Finds the runs of one AvailRuns holding the indices a walk visits, in
-// non-decreasing order.
+// Finds the runs of one AvailRuns holding the indices a walk visits,
+// mostly in non-decreasing order.
 class RunSeeker {
  public:
   explicit RunSeeker(const AvailRuns& runs) : runs_(runs) {}
 
   const AvailRuns::Run& seek(long i) {
     while (runs_.run(run_).end <= i) ++run_;
+    while (runs_.run(run_).begin > i) --run_;
     return runs_.run(run_);
   }
   [[nodiscard]] std::size_t index() const { return run_; }
@@ -675,14 +679,19 @@ class StreamedBank {
       if (run.kind == AvailRuns::Kind::kAffine && self_paced_by_bound(run))
         continue;
       if (dependency_bound_by_bound(run)) continue;
+      if (run.kind != AvailRuns::Kind::kResampled) {
+        gather();
+        continue;
+      }
+      if (self_paced_ && self_paced_to_run_end(run)) continue;
       // A tile or two next to an exception cost less to walk than a
-      // chunk does to gather through resampled runs.
-      if (run.kind == AvailRuns::Kind::kResampled && walks_ < kMaxWalks) {
+      // chunk does to gather through resampled runs; after a gather,
+      // gathers go on until a stretch is proven again.
+      if (walks_ < kMaxWalks) {
         ++walks_;
         walk(dependency(index()));
         continue;
       }
-      walks_ = 0;
       gather();
     }
   }
@@ -700,11 +709,12 @@ class StreamedBank {
   // above it, where walking one tile reads one.
   static constexpr long kMinStretch = 2;
   // Tiles walked in a row before the rest goes to gathers.
-  static constexpr long kMaxWalks = 8;
+  static constexpr long kMaxWalks = 2;
 
-  long dependency(long i) const {
+  // The upstream avail at index i, which the walks visit in order.
+  long dependency(long i) {
     long v = 0;
-    up_.values_at(&i, 1, &v, scratch_);
+    up_.values_in(seeker_.seek(i), &i, 1, &v, scratch_);
     return v;
   }
 
@@ -731,6 +741,7 @@ class StreamedBank {
 
   // The per-tile recurrence, for tile k_ with dependency `dep`.
   void walk(long dep) {
+    self_paced_ = dep <= e_;
     const long ready = std::max(e_, dep);
     const long fill_end = std::max(dep, de_) + t_.fill;
     const long end = fill_end + t_.cpt;
@@ -927,6 +938,28 @@ class StreamedBank {
     return true;
   }
 
+  // A self-paced stretch from tile k_ to the last tile that reads inside
+  // resampled upstream run `run`, proven where the dependency of that
+  // last tile landed by e(k_-1): dependencies never fall with j, and
+  // e(j-1) never falls below e(k_-1). Tried after a self-paced tile.
+  bool self_paced_to_run_end(const AvailRuns::Run& run) {
+    const long last = last_tile(run);
+    if (last - k_ + 1 < kMinStretch) return false;
+    TileShare end = share_;
+    end.seek(last);
+    const long i = t_.warmup - 1 + end.q;
+    long dep = 0;
+    up_.values_in(run, &i, 1, &dep, scratch_);
+    if (dep > e_) {
+      self_paced_ = false;
+      return false;
+    }
+    commit_self_paced(last - k_ + 1);
+    share_ = end;
+    share_.next();
+    return true;
+  }
+
   // Whether `run` is a resampled upstream run that reads some upstream
   // index twice in a row: the index of the second read repeats the
   // first's dependency (AvailRuns::repeats).
@@ -1004,6 +1037,7 @@ class StreamedBank {
   // through resampled runs as one batch), test both closed forms over the
   // whole chunk, and commit the one that holds.
   void gather() {
+    walks_ = kMaxWalks;
     const AvailRuns::Run& run = seeker_.seek(index());
     long n = std::min(kChunk, last_tile(run) - k_ + 1);
     long dep[kChunk];
@@ -1042,6 +1076,7 @@ class StreamedBank {
         commit_self_paced(n);
       else
         commit_dependency_bound(dep, n);
+      self_paced_ = pass.self_paced;
       share_ = pass.share;
       return;
     }
@@ -1051,6 +1086,7 @@ class StreamedBank {
     // dependency lands while the previous drain is in flight).
     for (long t = 0; t < n;) {
       long end = t + 1;
+      self_paced_ = dep[t] <= e_;
       if (dep[t] <= e_) {
         while (end < n && dep[end] <= e_ + (end - t) * period_) ++end;
         commit_self_paced(end - t);
@@ -1079,7 +1115,8 @@ class StreamedBank {
   long k_ = 0;   // next tile
   long e_ = 0;   // e(k_-1)
   long de_ = 0;  // de(k_-1)
-  long walks_ = 0;  // tiles walked since the last stretch or gather
+  long walks_ = 0;  // tiles walked since the last stretch
+  bool self_paced_ = false;  // the last tile walked or gathered was
   // The last upstream index a stretch's last tile read, its run and value.
   long read_ = -2;
   std::size_t read_run_ = 0;
@@ -1378,9 +1415,10 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
       // occupant was released (consumed for ifmap slots, drained for
       // ofmap slots).
       walked_tiles += tiles;
-      const auto read = [&up, at = scratch.get()](long i) {
+      RunSeeker seeker(up);
+      const auto read = [&up, &seeker, at = scratch.get()](long i) {
         long v = 0;
-        up.values_at(&i, 1, &v, at);
+        up.values_in(seeker.seek(i), &i, 1, &v, at);
         return v;
       };
       TileShare share(streamed_total, std::max<long>(tiles - 1, 1));

@@ -499,8 +499,9 @@ class AvailRuns {
     if (run.snap) {
       for (long t = 0; t < n; ++t) {
         long rem = 0;
-        const long i = p.warmup - 1 +
-                       p.by_den.floor(static_cast<Wide>(idx[t]) * p.streamed, rem);
+        const long i =
+            p.warmup - 1 +
+            p.by_den.floor(static_cast<Wide>(idx[t]) * p.streamed, rem);
         up_idx[t] = p.up->group_start(i);
         out[t] = p.period * (idx[t] - first_reading(up_idx[t]) + 1);
       }
@@ -637,12 +638,13 @@ class StreamedBank {
       : t_(t), period_(t.fill + t.cpt + t.drain),
         den_(std::max<long>(t.tiles - 1, 1)),
         sharing_(t.streamed > 0 ? (den_ + t.streamed - 1) / t.streamed : 1),
-        up_(upstream), seeker_(upstream), out_(out), scratch_(scratch), log_(log),
-        bank_id_(bank_id), share_(t.streamed, den_) {
+        up_(upstream), seeker_(upstream), out_(out), scratch_(scratch),
+        log_(log), bank_id_(bank_id), share_(t.streamed, den_) {
     // A one-tile bank takes all of D.
     if (t.tiles == 1) share_.q = t.streamed;
     const bool repeats = t.streamed > 0 && t.streamed < den_;
     const Divisor by_streamed(std::max<long>(t.streamed, 1));
+    const long up_sharing = upstream.resample().sharing;
     out_.set_resample({
         .up = &upstream,
         .warmup = t.warmup,
@@ -654,13 +656,13 @@ class StreamedBank {
         .by_gap = Divisor(std::max<long>(den_ - t.streamed, 1)),
         .step = t.streamed / den_,
         .single_repeats =
-            repeats ? std::min(sharing_ - 1,
-                               by_streamed.ceil(static_cast<Wide>(2) * den_) - 2)
-                    : 0,
+            repeats
+                ? std::min(sharing_ - 1,
+                           by_streamed.ceil(static_cast<Wide>(2) * den_) - 2)
+                : 0,
         .snap_sharing =
             repeats && upstream.repeats()
-                ? by_streamed.ceil(static_cast<Wide>(upstream.resample().sharing) *
-                                   den_)
+                ? by_streamed.ceil(static_cast<Wide>(up_sharing) * den_)
                 : 0,
         .by_streamed = by_streamed,
     });
@@ -872,7 +874,8 @@ class StreamedBank {
         // Up to the upstream's next repeated index only the step after
         // tile k_'s index can be weak, and only if that one repeats.
         long plain = run.up_rise;
-        if (up_.repeats_at(index())) plain = std::min(plain, up_.after_rise(run));
+        if (up_.repeats_at(index()))
+          plain = std::min(plain, up_.after_rise(run));
         if (plain > up_rise) {
           up_rise = plain;
           const long x = up_.next_repeat(index());
@@ -915,9 +918,10 @@ class StreamedBank {
     }
     walks_ = 0;
     const long e_last = dep[1] + period_ * c_last - t_.drain;
-    const long groups = snap ? up_.quotient(read_last) - up_.quotient(index()) + 1
-                        : t_.streamed >= den_ ? n
-                                              : end.q - share_.q + 1;
+    const long groups =
+        snap ? up_.quotient(read_last) - up_.quotient(index()) + 1
+        : t_.streamed >= den_ ? n
+                              : end.q - share_.q + 1;
     const long waits = snap ? snap_waits(index(), read_last) : 0;
     // sum_j fe(j) - e(j-1) = e(last) - e(k_-1) - n cpt. A tile that waits
     // on its dependency adds f to the fill stall; any other adds f + d,
@@ -1045,9 +1049,10 @@ class StreamedBank {
     Pass pass{share_, false, false};
     switch (run.kind) {
       case AvailRuns::Kind::kAffine:
-        pass = gather_pass(n, dep,
-                           [first = run.first, slope = run.slope,
-                            base](long q) { return first + slope * (base + q); });
+        pass = gather_pass(
+            n, dep, [first = run.first, slope = run.slope, base](long q) {
+              return first + slope * (base + q);
+            });
         break;
       case AvailRuns::Kind::kExplicit:
         pass = gather_pass(n, dep, [v = up_.values(run), base](long q) {

@@ -447,7 +447,8 @@ TEST(CycleDifferential, PoolConvChains) {
     for (int b = 0; b < 13; ++b)
       cycles.push_back(std::uniform_int_distribution<long>(200, 420)(rng));
     (void)expect_caps_agree(
-        pool_conv_chain(4, 2, [&](int b) { return cycles[static_cast<std::size_t>(b)]; }),
+        pool_conv_chain(
+            4, 2, [&](int b) { return cycles[static_cast<std::size_t>(b)]; }),
         pinned(), "seeded " + std::to_string(draw));
   }
 }
@@ -539,7 +540,8 @@ std::vector<std::array<long, 3>> streamed_recurrence(
                                                static_cast<__int128>(k) *
                                                streamed / den);
       const long needed = warmup + share;
-      const long dep = needed > 0 ? up[static_cast<std::size_t>(needed - 1)] : 0;
+      const long dep =
+          needed > 0 ? up[static_cast<std::size_t>(needed - 1)] : 0;
       const long ready = std::max(e, dep);
       const long fill_end = std::max(dep, de) + 1;
       if (k > 0) {

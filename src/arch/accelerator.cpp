@@ -1,8 +1,10 @@
 #include "arch/accelerator.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "accuracy/digital_error.hpp"
+#include "arch/design_context.hpp"
 #include "check/check.hpp"
 #include "check/config_check.hpp"
 #include "circuit/buffer.hpp"
@@ -54,51 +56,34 @@ void accumulate_breakdown(AcceleratorBreakdown& bd, const BankReport& bank) {
   peripheral(bd.buffers, bank.output_buffer);
 }
 
-}  // namespace
-
-AcceleratorReport simulate_accelerator(const nn::Network& network,
-                                       const AcceleratorConfig& config) {
-  const auto banks = static_cast<std::size_t>(std::max(network.depth(), 1));
-  return simulate_accelerator(network,
-                              std::vector<AcceleratorConfig>(banks, config));
+// Semantic pre-flight ([check] Enabled): shape chain, mapping
+// feasibility and configuration consistency, before any bank is built.
+// `configs.front()` vets the whole system; a heterogeneous design's
+// extra configurations each get a consistency pass. Errors throw with the
+// full diagnosis; warnings ride in the report (or block too, under
+// Warnings_As_Errors).
+std::vector<check::Diagnostic> preflight(
+    const nn::Network& network, std::span<const AcceleratorConfig> configs) {
+  const AcceleratorConfig& config = configs.front();
+  if (!config.check_preflight) return {};
+  check::DiagnosticList diags = check::check_system(network, config);
+  for (const AcceleratorConfig& extra : configs.subspan(1))
+    diags.merge(check::check_config_consistency(extra));
+  if (config.check_warnings_as_errors) diags.promote_warnings();
+  if (diags.has_errors()) throw check::CheckError(std::move(diags));
+  return diags.take();
 }
 
-AcceleratorReport simulate_accelerator(
-    const nn::Network& network,
-    const std::vector<AcceleratorConfig>& per_bank_configs) {
-  obs::Span span("arch.simulate_accelerator");
-  network.validate();
-  if (per_bank_configs.empty())
-    throw std::invalid_argument("simulate_accelerator: no configurations");
-  for (const auto& cfg : per_bank_configs) cfg.validate();
-  const AcceleratorConfig& config = per_bank_configs.front();
-
+// Simulates `banks` in order, bank i over `contexts[i]`, or over the one
+// context of a homogeneous design, and rolls them up with the I/O
+// interfaces and the Eq. 15 accuracy chain.
+AcceleratorReport simulate_banks(const nn::Network& network,
+                                 const std::vector<BankLayers>& banks,
+                                 std::span<DesignContext> contexts,
+                                 std::vector<check::Diagnostic> diagnostics) {
+  const AcceleratorConfig& config = contexts.front().config();
   AcceleratorReport rep;
-
-  // Semantic pre-flight ([check] Enabled): shape chain, mapping
-  // feasibility and configuration consistency, before any bank is built.
-  // Errors throw with the full diagnosis; warnings ride in the report
-  // (or block too, under Warnings_As_Errors).
-  if (config.check_preflight) {
-    // The front configuration vets the whole system; heterogeneous
-    // designs additionally get a consistency pass per extra config.
-    check::DiagnosticList diags = check::check_system(network, config);
-    for (std::size_t i = 1; i < per_bank_configs.size(); ++i)
-      diags.merge(check::check_config_consistency(per_bank_configs[i]));
-    if (config.check_warnings_as_errors) diags.promote_warnings();
-    if (diags.has_errors()) throw check::CheckError(std::move(diags));
-    rep.diagnostics = diags.take();
-  }
-  const auto cmos = config.cmos();
-
-  const std::vector<BankLayers> banks = gather_banks(network);
-
-  if (per_bank_configs.size() != banks.size())
-    throw std::invalid_argument(
-        "simulate_accelerator: need one configuration per weighted layer (" +
-        std::to_string(banks.size()) + "), got " +
-        std::to_string(per_bank_configs.size()));
-
+  rep.diagnostics = std::move(diagnostics);
   std::vector<double> eps_worst;
   std::vector<double> eps_avg;
   // One crossbar solve cache shared by every bank's fault circuit-check:
@@ -112,11 +97,9 @@ AcceleratorReport simulate_accelerator(
     // the CG/LU/Newton loops a bank's circuit checks may enter.
     util::throw_if_cancelled("arch.bank");
     obs::Span bank_span("arch.bank");
-    const BankLayers& layers = banks[i];
     BankReport bank =
-        simulate_bank(*layers.layer, layers.attached_pooling,
-                      layers.next_weighted, network, per_bank_configs[i],
-                      &solve_cache);
+        simulate_bank(banks[i], network,
+                      contexts[contexts.size() == 1 ? 0 : i], &solve_cache);
     rep.area += bank.area;
     rep.leakage_power += bank.leakage_power;
     rep.sample_latency += bank.sample_latency;
@@ -130,7 +113,7 @@ AcceleratorReport simulate_accelerator(
     accumulate_breakdown(rep.breakdown, bank);
     rep.banks.push_back(std::move(bank));
   }
-  rep.fault_config = per_bank_configs.front().fault;
+  rep.fault_config = config.fault;
 
   obs::Registry& reg = obs::Registry::global();
   reg.add("arch.banks", static_cast<long>(rep.banks.size()));
@@ -145,14 +128,14 @@ AcceleratorReport simulate_accelerator(
     io_in.wires = config.interface_in;
     io_in.sample_bits = network.input_size() * network.input_bits;
     io_in.bus_clock = units::Hertz{config.bus_clock};
-    io_in.tech = cmos;
+    io_in.tech = contexts.front().cmos();
     rep.io_input = io_in.ppa();
 
     circuit::IoInterfaceModel io_out;
     io_out.wires = config.interface_out;
     io_out.sample_bits = network.output_size() * config.output_bits;
     io_out.bus_clock = units::Hertz{config.bus_clock};
-    io_out.tech = cmos;
+    io_out.tech = contexts.front().cmos();
     rep.io_output = io_out.ppa();
   }
 
@@ -176,13 +159,46 @@ AcceleratorReport simulate_accelerator(
   // Accuracy propagation across banks (Eq. 15), then digitization
   // (Eq. 12-14) at the read-circuit quantization.
   const int k = 1 << config.output_bits;
-  // One config per bank and at least one config: never empty.
+  // A validated network has at least one bank: never empty.
   rep.epsilon_worst = accuracy::propagate_layers(eps_worst).back();
   rep.epsilon_average = accuracy::propagate_layers(eps_avg).back();
   rep.max_error_rate = accuracy::max_error_rate(k, rep.epsilon_worst);
   rep.avg_error_rate = accuracy::avg_error_rate(k, rep.epsilon_average);
   rep.relative_accuracy = 1.0 - rep.avg_error_rate;
   return rep;
+}
+
+}  // namespace
+
+AcceleratorReport simulate_accelerator(const nn::Network& network,
+                                       const AcceleratorConfig& config) {
+  obs::Span span("arch.simulate_accelerator");
+  network.validate();
+  DesignContext context(config);
+  auto diagnostics = preflight(network, std::span(&config, 1));
+  return simulate_banks(network, gather_banks(network),
+                        std::span(&context, 1), std::move(diagnostics));
+}
+
+AcceleratorReport simulate_accelerator(
+    const nn::Network& network,
+    const std::vector<AcceleratorConfig>& per_bank_configs) {
+  obs::Span span("arch.simulate_accelerator");
+  network.validate();
+  if (per_bank_configs.empty())
+    throw std::invalid_argument("simulate_accelerator: no configurations");
+  std::vector<DesignContext> contexts;
+  contexts.reserve(per_bank_configs.size());
+  for (const auto& cfg : per_bank_configs) contexts.emplace_back(cfg);
+
+  auto diagnostics = preflight(network, per_bank_configs);
+  const std::vector<BankLayers> banks = gather_banks(network);
+  if (per_bank_configs.size() != banks.size())
+    throw std::invalid_argument(
+        "simulate_accelerator: need one configuration per weighted layer (" +
+        std::to_string(banks.size()) + "), got " +
+        std::to_string(per_bank_configs.size()));
+  return simulate_banks(network, banks, contexts, std::move(diagnostics));
 }
 
 }  // namespace mnsim::arch

@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "accuracy/voltage_error.hpp"
+#include "arch/design_context.hpp"
 #include "circuit/buffer.hpp"
 #include "circuit/logic.hpp"
 #include "circuit/neuron.hpp"
 #include "fault/fault_model.hpp"
 #include "spice/crossbar_netlist.hpp"
-#include "tech/interconnect.hpp"
 
 namespace mnsim::arch {
 
@@ -44,18 +43,30 @@ BankReport simulate_bank(const nn::Layer& layer,
                          spice::CrossbarSolveCache* solve_cache) {
   if (!layer.is_weighted())
     throw std::invalid_argument("simulate_bank: layer holds no weights");
+  DesignContext context(config);
+  return simulate_bank({&layer, attached_pooling, next_weighted}, network,
+                       context, solve_cache);
+}
 
-  const auto cmos = config.cmos();
+BankReport simulate_bank(const BankLayers& layers,
+                         const nn::Network& network, DesignContext& context,
+                         spice::CrossbarSolveCache* solve_cache) {
+  const nn::Layer& layer = *layers.layer;
+  const nn::Layer* attached_pooling = layers.attached_pooling;
+  const nn::Layer* next_weighted = layers.next_weighted;
+  const AcceleratorConfig& config = context.config();
+  const tech::CmosTech& cmos = context.cmos();
   BankReport rep;
-  rep.mapping = map_layer(layer, network, config);
+  rep.mapping = map_layer(layer, network, context);
   rep.iterations = layer.compute_iterations();
 
   // --- units -----------------------------------------------------------------
   // Up to four unit variants: full, edge-row, edge-col, corner.
   const auto& m = rep.mapping;
-  const UnitReport full = simulate_unit(m.rows_used_full, m.cols_used_full,
-                                        network.input_bits,
-                                        network.weight_bits, config);
+  auto unit_for = [&](int r, int c) {
+    return context.unit(r, c, network.input_bits, network.weight_bits);
+  };
+  const UnitReport full = unit_for(m.rows_used_full, m.cols_used_full);
   rep.unit = full;
 
   struct Variant {
@@ -67,10 +78,6 @@ BankReport simulate_bank(const nn::Layer& layer,
   const long full_cols = m.col_blocks - 1;
   const bool edge_r = m.rows_used_edge != m.rows_used_full;
   const bool edge_c = m.cols_used_edge != m.cols_used_full;
-  auto unit_for = [&](int r, int c) {
-    return simulate_unit(r, c, network.input_bits, network.weight_bits,
-                         config);
-  };
   if (!edge_r && !edge_c) {
     variants.push_back({m.unit_count, full});
   } else if (edge_r && !edge_c) {
@@ -110,7 +117,7 @@ BankReport simulate_bank(const nn::Layer& layer,
   tree.inputs = m.row_blocks;
   tree.bits = adc_bits;
   tree.shift_merge = m.cells_per_weight > 1;
-  tree.max_shift = (m.cells_per_weight - 1) * config.device().level_bits;
+  tree.max_shift = (m.cells_per_weight - 1) * context.device().level_bits;
   tree.tech = cmos;
   rep.adder_tree = tree.ppa().times(rep.output_lanes);
   rep.adder_tree.latency = tree.ppa().latency;  // lanes are parallel
@@ -203,14 +210,7 @@ BankReport simulate_bank(const nn::Layer& layer,
                           rep.leakage_power * rep.sample_latency;
 
   // --- computing accuracy of this bank's crossbars -------------------------------
-  accuracy::CrossbarErrorInputs err;
-  err.rows = m.rows_used_full;
-  err.cols = m.cols_used_full;
-  err.device = config.device();
-  err.segment_resistance =
-      tech::interconnect_tech(config.interconnect_node_nm).segment_resistance;
-  err.sense_resistance = units::Ohms{config.sense_resistance};
-  const auto eps = accuracy::estimate_voltage_error(err);
+  const auto eps = context.voltage_error(m.rows_used_full, m.cols_used_full);
   rep.epsilon_worst = eps.worst;
   rep.epsilon_average = eps.average;
 
@@ -219,6 +219,7 @@ BankReport simulate_bank(const nn::Layer& layer,
   // chain; optionally cross-validated with a defect-injected
   // circuit-level solve whose diagnostics ride up the report.
   if (config.fault.enabled()) {
+    const auto err = context.error_inputs(m.rows_used_full, m.cols_used_full);
     const auto fe = fault::estimate_fault_error(err, config.fault);
     rep.epsilon_worst = fe.combined_worst;
     rep.epsilon_average = fe.combined_average;

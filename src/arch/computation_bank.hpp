@@ -74,12 +74,18 @@ std::vector<BankLayers> gather_banks(const nn::Network& network);
 // `solve_cache` is non-null the fault circuit-check solve reuses the
 // cached crossbar topology across banks sharing one geometry (the
 // common case: every bank clipped to fault.circuit_check_size), counted
-// in the bank's solver diagnostics.
+// in the bank's solver diagnostics. Validates `config`.
 BankReport simulate_bank(const nn::Layer& layer,
                          const nn::Layer* attached_pooling,
                          const nn::Layer* next_weighted,
                          const nn::Network& network,
                          const AcceleratorConfig& config,
+                         spice::CrossbarSolveCache* solve_cache = nullptr);
+
+// The same bank over the already-checked configuration of `context`,
+// whose memo the banks of one design point share.
+BankReport simulate_bank(const BankLayers& layers,
+                         const nn::Network& network, DesignContext& context,
                          spice::CrossbarSolveCache* solve_cache = nullptr);
 
 }  // namespace mnsim::arch

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "arch/design_context.hpp"
 #include "circuit/adc.hpp"
 #include "circuit/dac.hpp"
 #include "circuit/decoder.hpp"
@@ -21,13 +22,19 @@ circuit::Ppa UnitReport::total() const {
 
 UnitReport simulate_unit(int rows_used, int cols_used, int input_bits,
                          int weight_bits, const AcceleratorConfig& config) {
-  config.validate();
+  return simulate_unit(DesignContext(config), rows_used, cols_used,
+                       input_bits, weight_bits);
+}
+
+UnitReport simulate_unit(const DesignContext& context, int rows_used,
+                         int cols_used, int input_bits, int weight_bits) {
+  const AcceleratorConfig& config = context.config();
   if (rows_used <= 0 || cols_used <= 0 ||
       rows_used > config.crossbar_size || cols_used > config.crossbar_size)
     throw std::invalid_argument("simulate_unit: used extent out of range");
 
-  const auto cmos = config.cmos();
-  const auto device = config.device();
+  const tech::CmosTech& cmos = context.cmos();
+  const tech::MemristorModel& device = context.device();
   const int crossbar_count =
       (config.weight_polarity == 2 && config.signed_two_crossbars) ? 2 : 1;
 

@@ -15,6 +15,8 @@
 
 namespace mnsim::arch {
 
+class DesignContext;
+
 struct UnitReport {
   int rows_used = 0;
   int cols_used = 0;
@@ -45,8 +47,13 @@ struct UnitReport {
 // Simulates one computation unit holding a rows_used x cols_used weight
 // block (cols_used counts physical cell columns, i.e. after the
 // cells-per-weight expansion). `input_bits`/`weight_bits` come from the
-// network description.
+// network description. Validates `config` first.
 UnitReport simulate_unit(int rows_used, int cols_used, int input_bits,
                          int weight_bits, const AcceleratorConfig& config);
+
+// The same unit over the already-checked configuration of `context`
+// (DesignContext::unit memoizes it per geometry).
+UnitReport simulate_unit(const DesignContext& context, int rows_used,
+                         int cols_used, int input_bits, int weight_bits);
 
 }  // namespace mnsim::arch

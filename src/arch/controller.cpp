@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "arch/design_context.hpp"
 #include "arch/mapper.hpp"
 
 namespace mnsim::arch {
@@ -39,11 +40,12 @@ std::vector<Instruction> generate_inference_trace(
 std::vector<Instruction> generate_program_trace(
     const nn::Network& network, const AcceleratorConfig& config) {
   network.validate();
+  const DesignContext context(config);
   std::vector<Instruction> trace;
   int bank = 0;
   for (const auto& layer : network.layers) {
     if (!layer.is_weighted()) continue;
-    const LayerMapping m = map_layer(layer, network, config);
+    const LayerMapping m = map_layer(layer, network, context);
     for (long unit = 0; unit < m.unit_count; ++unit) {
       Instruction inst;
       inst.opcode = Opcode::kWrite;

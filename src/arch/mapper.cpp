@@ -2,7 +2,19 @@
 
 #include <stdexcept>
 
+#include "arch/design_context.hpp"
+
 namespace mnsim::arch {
+
+namespace {
+
+void require_weighted(const nn::Layer& layer) {
+  if (!layer.is_weighted())
+    throw std::invalid_argument("map_layer: layer '" + layer.name +
+                                "' holds no weights");
+}
+
+}  // namespace
 
 int cells_per_weight(int weight_bits, int device_level_bits, int polarity) {
   if (weight_bits < 1 || device_level_bits < 1)
@@ -16,17 +28,19 @@ int cells_per_weight(int weight_bits, int device_level_bits, int polarity) {
 
 LayerMapping map_layer(const nn::Layer& layer, const nn::Network& network,
                        const AcceleratorConfig& config) {
-  if (!layer.is_weighted())
-    throw std::invalid_argument("map_layer: layer '" + layer.name +
-                                "' holds no weights");
-  config.validate();
+  require_weighted(layer);
+  return map_layer(layer, network, DesignContext(config));
+}
 
-  const auto device = config.device();
+LayerMapping map_layer(const nn::Layer& layer, const nn::Network& network,
+                       const DesignContext& context) {
+  require_weighted(layer);
+  const AcceleratorConfig& config = context.config();
   LayerMapping m;
   m.matrix_rows = layer.matrix_rows();
   m.matrix_cols = layer.matrix_cols();
   m.cells_per_weight = cells_per_weight(network.weight_bits,
-                                        device.level_bits,
+                                        context.device().level_bits,
                                         config.weight_polarity);
 
   m.physical_cols = m.matrix_cols * m.cells_per_weight;

@@ -14,6 +14,8 @@
 
 namespace mnsim::arch {
 
+class DesignContext;
+
 struct LayerMapping {
   long matrix_rows = 0;      // R: inputs of one matrix-vector product
   long matrix_cols = 0;      // C: layer outputs per product
@@ -30,9 +32,15 @@ struct LayerMapping {
   long total_crossbars = 0;
 };
 
-// Throws std::invalid_argument for non-weighted layers.
+// Throws std::invalid_argument for non-weighted layers, then validates
+// `config`.
 LayerMapping map_layer(const nn::Layer& layer, const nn::Network& network,
                        const AcceleratorConfig& config);
+
+// The same mapping over the already-checked configuration of `context`;
+// still throws for non-weighted layers.
+LayerMapping map_layer(const nn::Layer& layer, const nn::Network& network,
+                       const DesignContext& context);
 
 // Cells needed per weight magnitude given the device level count
 // (paper Sec. III-B.2: low/high weight bits in multiple crossbars).

@@ -1,9 +1,11 @@
 #include "check/network_check.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
+#include "arch/design_context.hpp"
 #include "arch/mapper.hpp"
 
 namespace mnsim::check {
@@ -203,16 +205,32 @@ DiagnosticList check_mapping(const nn::Network& network,
                              const arch::AcceleratorConfig& cfg) {
   DiagnosticList out;
   const int device_bits = cfg.device().level_bits;
+  // The configuration is checked once; when it is invalid, every weighted
+  // layer reports why it cannot be mapped.
+  std::optional<arch::DesignContext> context;
+  std::string config_error;
+  try {
+    context.emplace(cfg);
+  } catch (const std::exception& e) {
+    config_error = e.what();
+  }
   for (std::size_t i = 0; i < network.layers.size(); ++i) {
     const nn::Layer& l = network.layers[i];
     if (!l.is_weighted()) continue;
-    arch::LayerMapping mapping;
-    try {
-      mapping = arch::map_layer(l, network, cfg);
-    } catch (const std::exception& e) {
+    const auto cannot_map = [&](const std::string& why) {
       emit_at(out, l, i, "MN-NN-004", Severity::kError,
               "cannot map onto " + by(cfg.crossbar_size, cfg.crossbar_size) +
-                  " crossbars: " + e.what());
+                  " crossbars: " + why);
+    };
+    if (!context) {
+      cannot_map(config_error);
+      continue;
+    }
+    arch::LayerMapping mapping;
+    try {
+      mapping = arch::map_layer(l, network, *context);
+    } catch (const std::exception& e) {
+      cannot_map(e.what());
       continue;
     }
     if (mapping.cells_per_weight > 4)

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "arch/computation_bank.hpp"
+#include "arch/design_context.hpp"
 
 namespace mnsim::dse {
 
@@ -55,13 +56,14 @@ HeteroResult optimize_per_bank(const nn::Network& network,
   HeteroResult result;
   const auto points = space.enumerate();
 
-  // Evaluate every candidate per bank.
+  // Evaluate every candidate per bank: one checked context per design
+  // point, whose memo the banks sharing a crossbar geometry share.
   std::vector<std::vector<Candidate>> candidates(banks.size());
-  for (std::size_t b = 0; b < banks.size(); ++b) {
-    for (const auto& point : points) {
-      const auto bank = arch::simulate_bank(
-          *banks[b].layer, banks[b].attached_pooling, banks[b].next_weighted,
-          network, apply_point(base, point));
+  for (const auto& point : points) {
+    const arch::AcceleratorConfig config = apply_point(base, point);
+    arch::DesignContext context(config);
+    for (std::size_t b = 0; b < banks.size(); ++b) {
+      const auto bank = arch::simulate_bank(banks[b], network, context);
       ++result.bank_evaluations;
       candidates[b].push_back({point, bank_objective(bank, objective),
                                std::log1p(bank.epsilon_worst)});

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <type_traits>
+
 #include "accuracy/digital_error.hpp"
+#include "check/check.hpp"
+#include "check/config_check.hpp"
+#include "dse/explorer.hpp"
+#include "nn/generator.hpp"
 #include "nn/topologies.hpp"
 
 namespace mnsim::arch {
@@ -146,6 +155,289 @@ TEST(Accelerator, DeviceVariationRaisesError) {
   cfg.device_sigma = 0.2;
   auto noisy = simulate_accelerator(net, cfg);
   EXPECT_GT(noisy.epsilon_worst, clean.epsilon_worst);
+}
+
+// --- one derivation per design point ---------------------------------------
+// simulate_accelerator checks each configuration once and evaluates each
+// crossbar geometry once a call; the public simulate_bank checks and
+// evaluates afresh. The two must agree bit for bit.
+
+template <typename T>
+std::uint64_t bits(T v) {
+  if constexpr (std::is_floating_point_v<T>)
+    return std::bit_cast<std::uint64_t>(v);
+  else
+    return static_cast<std::uint64_t>(v);
+}
+
+#define EXPECT_SAME(field) EXPECT_EQ(bits(a.field), bits(b.field)) << #field
+
+void expect_same(const circuit::Ppa& a, const circuit::Ppa& b,
+                 const char* what) {
+  SCOPED_TRACE(what);
+  EXPECT_SAME(area);
+  EXPECT_SAME(dynamic_power);
+  EXPECT_SAME(leakage_power);
+  EXPECT_SAME(latency);
+}
+
+void expect_same(const LayerMapping& a, const LayerMapping& b) {
+  EXPECT_SAME(matrix_rows);
+  EXPECT_SAME(matrix_cols);
+  EXPECT_SAME(cells_per_weight);
+  EXPECT_SAME(physical_cols);
+  EXPECT_SAME(row_blocks);
+  EXPECT_SAME(col_blocks);
+  EXPECT_SAME(unit_count);
+  EXPECT_SAME(rows_used_full);
+  EXPECT_SAME(cols_used_full);
+  EXPECT_SAME(rows_used_edge);
+  EXPECT_SAME(cols_used_edge);
+  EXPECT_SAME(crossbars_per_unit);
+  EXPECT_SAME(total_crossbars);
+}
+
+void expect_same(const UnitReport& a, const UnitReport& b) {
+  EXPECT_SAME(rows_used);
+  EXPECT_SAME(cols_used);
+  EXPECT_SAME(lanes);
+  EXPECT_SAME(read_cycles);
+  EXPECT_SAME(fixed_latency);
+  EXPECT_SAME(cycle_latency);
+  EXPECT_SAME(pass_latency);
+  EXPECT_SAME(dynamic_energy_per_pass);
+  EXPECT_SAME(leakage_power);
+  EXPECT_SAME(area);
+  EXPECT_SAME(crossbar_energy);
+  EXPECT_SAME(dac_energy);
+  EXPECT_SAME(adc_energy);
+  EXPECT_SAME(digital_energy);
+  expect_same(a.crossbars, b.crossbars, "unit.crossbars");
+  expect_same(a.dacs, b.dacs, "unit.dacs");
+  expect_same(a.decoders, b.decoders, "unit.decoders");
+  expect_same(a.muxes, b.muxes, "unit.muxes");
+  expect_same(a.subtractors, b.subtractors, "unit.subtractors");
+  expect_same(a.adcs, b.adcs, "unit.adcs");
+  expect_same(a.control, b.control, "unit.control");
+}
+
+void expect_same(const spice::SolverDiagnostics& a,
+                 const spice::SolverDiagnostics& b) {
+  EXPECT_SAME(newton_iterations);
+  EXPECT_SAME(newton_residual);
+  EXPECT_SAME(cg_iterations);
+  EXPECT_SAME(cg_retries);
+  EXPECT_SAME(lu_fallbacks);
+  EXPECT_SAME(damped_steps);
+  EXPECT_SAME(linear_residual);
+  EXPECT_SAME(faults_injected);
+  EXPECT_SAME(cache_hits);
+  EXPECT_SAME(warm_starts);
+  EXPECT_SAME(schur_solves);
+  EXPECT_SAME(schur_iterations);
+  EXPECT_SAME(schur_rejects);
+  EXPECT_SAME(factor_reuses);
+  EXPECT_SAME(condition_estimate);
+  EXPECT_SAME(threads);
+}
+
+void expect_same(const BankReport& a, const BankReport& b) {
+  expect_same(a.mapping, b.mapping);
+  expect_same(a.unit, b.unit);
+  EXPECT_SAME(iterations);
+  EXPECT_SAME(warmup_passes);
+  expect_same(a.units_total, b.units_total, "units_total");
+  expect_same(a.adder_tree, b.adder_tree, "adder_tree");
+  expect_same(a.pooling, b.pooling, "pooling");
+  expect_same(a.pooling_buffer, b.pooling_buffer, "pooling_buffer");
+  expect_same(a.neurons, b.neurons, "neurons");
+  expect_same(a.output_buffer, b.output_buffer, "output_buffer");
+  EXPECT_SAME(area);
+  EXPECT_SAME(leakage_power);
+  EXPECT_SAME(pass_latency);
+  EXPECT_SAME(sample_latency);
+  EXPECT_SAME(dynamic_energy_per_sample);
+  EXPECT_SAME(energy_per_sample);
+  EXPECT_SAME(neuron_count);
+  EXPECT_SAME(output_lanes);
+  EXPECT_SAME(epsilon_worst);
+  EXPECT_SAME(epsilon_average);
+  expect_same(a.solver, b.solver);
+}
+
+#undef EXPECT_SAME
+
+// Which unit variants a bank holds besides the full one.
+struct VariantsSeen {
+  int edge_row = 0;   // last block-row shorter, columns full
+  int edge_col = 0;   // last block-column narrower, rows full
+  int corner = 0;     // both
+};
+
+void expect_banks_match_direct_calls(const nn::Network& network,
+                                     const std::vector<AcceleratorConfig>& cfgs,
+                                     const AcceleratorReport& rep,
+                                     VariantsSeen* seen = nullptr) {
+  const auto banks = gather_banks(network);
+  ASSERT_EQ(rep.banks.size(), banks.size());
+  for (std::size_t i = 0; i < banks.size(); ++i) {
+    SCOPED_TRACE("bank " + std::to_string(i));
+    const AcceleratorConfig& cfg = cfgs.size() == 1 ? cfgs[0] : cfgs[i];
+    const BankReport direct =
+        simulate_bank(*banks[i].layer, banks[i].attached_pooling,
+                      banks[i].next_weighted, network, cfg);
+    expect_same(rep.banks[i], direct);
+    if (seen) {
+      const auto& m = direct.mapping;
+      const bool edge_r = m.rows_used_edge != m.rows_used_full;
+      const bool edge_c = m.cols_used_edge != m.cols_used_full;
+      seen->edge_row += edge_r && !edge_c;
+      seen->edge_col += edge_c && !edge_r;
+      seen->corner += edge_r && edge_c;
+    }
+  }
+}
+
+TEST(Accelerator, BanksMatchDirectSimulateBankBitForBit) {
+  std::vector<nn::Network> networks = {nn::make_vgg16(), nn::make_caffenet()};
+  for (std::uint32_t seed : {3u, 11u, 29u, 57u}) {
+    nn::GeneratorOptions gen;
+    gen.seed = seed;
+    gen.min_layers = 3;
+    gen.max_layers = 5;
+    gen.min_width = 16;
+    gen.max_width = 1024;
+    networks.push_back(nn::random_network(gen));
+  }
+  // Paper-space points: crossbar sizes that tile the layers evenly and
+  // unevenly, read parallelism below, at and above the used columns, and
+  // fine to coarse wires.
+  const std::vector<dse::DesignPoint> points = {
+      {8, 1, 18},    {32, 8, 22},  {64, 0, 28},   {128, 16, 36},
+      {256, 0, 45},  {512, 128, 90}, {1024, 2, 45}};
+  // A clean design and one with device variation and injected defects
+  // (no circuit check: its solve cache is shared across the banks of a
+  // call by design, which shows in the cache-hit counters).
+  AcceleratorConfig clean;
+  clean.cmos_node_nm = 45;
+  AcceleratorConfig faulted = clean;
+  faulted.device_sigma = 0.1;
+  faulted.fault.stuck_at_zero_rate = 0.01;
+  faulted.fault.broken_bitline_rate = 0.005;
+  VariantsSeen seen;
+  for (const auto& base_cfg : {clean, faulted}) {
+    for (const auto& net : networks) {
+      for (const auto& point : points) {
+        // A defect map draws every cell: keep the faulted arrays small.
+        if (base_cfg.fault.enabled() && point.crossbar_size > 128) continue;
+        SCOPED_TRACE(net.name + " at " +
+                     std::to_string(point.crossbar_size) + "/" +
+                     std::to_string(point.parallelism) + "/" +
+                     std::to_string(point.interconnect_node) +
+                     (base_cfg.fault.enabled() ? " faulted" : ""));
+        const AcceleratorConfig cfg = dse::apply_point(base_cfg, point);
+        expect_banks_match_direct_calls(
+            net, {cfg}, simulate_accelerator(net, cfg), &seen);
+      }
+    }
+  }
+  // Every unit variant of simulate_bank ran through the shared memo.
+  EXPECT_GT(seen.edge_row, 0);
+  EXPECT_GT(seen.edge_col, 0);
+  EXPECT_GT(seen.corner, 0);
+}
+
+TEST(Accelerator, HeterogeneousBanksMatchDirectSimulateBank) {
+  const auto vgg = nn::make_vgg16();
+  AcceleratorConfig base_cfg;
+  base_cfg.cmos_node_nm = 45;
+  const std::vector<dse::DesignPoint> cycle = {
+      {64, 8, 28}, {128, 0, 45}, {256, 32, 18}, {128, 0, 45}};
+  std::vector<AcceleratorConfig> cfgs;
+  for (int i = 0; i < vgg.depth(); ++i)
+    cfgs.push_back(dse::apply_point(base_cfg, cycle[i % cycle.size()]));
+  expect_banks_match_direct_calls(vgg, cfgs, simulate_accelerator(vgg, cfgs));
+}
+
+bool same_diagnostic(const check::Diagnostic& a, const check::Diagnostic& b) {
+  return a.code == b.code && a.severity == b.severity &&
+         a.message == b.message && a.file == b.file && a.line == b.line &&
+         a.location == b.location && a.hint == b.hint;
+}
+
+void expect_same_diagnostics(const std::vector<check::Diagnostic>& got,
+                             const check::DiagnosticList& want) {
+  ASSERT_EQ(got.size(), want.size());
+  std::size_t i = 0;
+  for (const auto& d : want) {
+    EXPECT_TRUE(same_diagnostic(got[i], d))
+        << got[i].render() << " vs " << d.render();
+    ++i;
+  }
+}
+
+TEST(Accelerator, HomogeneousDesignReportsEachWarningOnce) {
+  // Parallelism 128 over 64-column crossbars: one MN-CFG-004 warning for
+  // the design, not one per bank.
+  const auto vgg = nn::make_vgg16();
+  auto cfg = base();
+  cfg.crossbar_size = 64;
+  cfg.parallelism = 128;
+  const auto rep = simulate_accelerator(vgg, cfg);
+  const auto want = check::check_system(vgg, cfg);
+  expect_same_diagnostics(rep.diagnostics, want);
+  EXPECT_EQ(std::count_if(rep.diagnostics.begin(), rep.diagnostics.end(),
+                          [](const check::Diagnostic& d) {
+                            return d.code == "MN-CFG-004";
+                          }),
+            1);
+
+  // The per-bank overload still vets each extra configuration.
+  const std::vector<AcceleratorConfig> cfgs(
+      static_cast<std::size_t>(vgg.depth()), cfg);
+  auto want_hetero = check::check_system(vgg, cfg);
+  for (std::size_t i = 1; i < cfgs.size(); ++i)
+    want_hetero.merge(check::check_config_consistency(cfgs[i]));
+  expect_same_diagnostics(simulate_accelerator(vgg, cfgs).diagnostics,
+                          want_hetero);
+}
+
+TEST(Accelerator, ExploreIsThreadCountInvariant) {
+  // Each design point's memo lives inside its own simulate call, so the
+  // sweep's workers share nothing: four threads give the serial result
+  // bit for bit.
+  const auto vgg = nn::make_vgg16();
+  dse::DesignSpace space;
+  space.crossbar_sizes = {64, 128, 256};
+  space.parallelism_degrees = {1, 16, 0};
+  space.interconnect_nodes = {28, 45};
+  auto serial_cfg = base();
+  serial_cfg.parallel_threads = 1;
+  auto parallel_cfg = serial_cfg;
+  parallel_cfg.parallel_threads = 4;
+  const auto serial = dse::explore(vgg, serial_cfg, space, 0.5);
+  const auto parallel = dse::explore(vgg, parallel_cfg, space, 0.5);
+  EXPECT_EQ(serial.feasible_count, parallel.feasible_count);
+  EXPECT_EQ(serial.failed_count, parallel.failed_count);
+  ASSERT_EQ(serial.designs.size(), parallel.designs.size());
+  for (std::size_t i = 0; i < serial.designs.size(); ++i) {
+    SCOPED_TRACE("design " + std::to_string(i));
+    const auto& a = serial.designs[i];
+    const auto& b = parallel.designs[i];
+    EXPECT_EQ(a.point.crossbar_size, b.point.crossbar_size);
+    EXPECT_EQ(a.point.parallelism, b.point.parallelism);
+    EXPECT_EQ(a.point.interconnect_node, b.point.interconnect_node);
+    EXPECT_EQ(a.feasible, b.feasible);
+    EXPECT_EQ(a.failure, b.failure);
+    EXPECT_EQ(bits(a.metrics.area), bits(b.metrics.area));
+    EXPECT_EQ(bits(a.metrics.energy_per_sample),
+              bits(b.metrics.energy_per_sample));
+    EXPECT_EQ(bits(a.metrics.latency), bits(b.metrics.latency));
+    EXPECT_EQ(bits(a.metrics.sample_latency), bits(b.metrics.sample_latency));
+    EXPECT_EQ(bits(a.metrics.power), bits(b.metrics.power));
+    EXPECT_EQ(bits(a.metrics.max_error_rate), bits(b.metrics.max_error_rate));
+    EXPECT_EQ(bits(a.metrics.avg_error_rate), bits(b.metrics.avg_error_rate));
+  }
 }
 
 }  // namespace

@@ -98,6 +98,14 @@ TEST(Bank, RejectsPoolingAsMainLayer) {
                std::invalid_argument);
 }
 
+TEST(Bank, RejectsAnInvalidConfig) {
+  auto net = nn::make_large_bank_layer();
+  auto cfg = base();
+  cfg.crossbar_size = 100;  // not a power of two
+  EXPECT_THROW(simulate_bank(net.layers[0], nullptr, nullptr, net, cfg),
+               std::invalid_argument);
+}
+
 TEST(Bank, OutputLanesFollowParallelism) {
   auto net = nn::make_large_bank_layer();
   auto cfg = base();

@@ -130,5 +130,12 @@ TEST(MapLayer, PoolingLayerRejected) {
   EXPECT_THROW(map_layer(*pool, net, cfg), std::invalid_argument);
 }
 
+TEST(MapLayer, InvalidConfigRejected) {
+  auto net = nn::make_large_bank_layer();
+  AcceleratorConfig cfg;
+  cfg.weight_polarity = 3;
+  EXPECT_THROW(map_layer(net.layers[0], net, cfg), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace mnsim::arch

@@ -110,6 +110,12 @@ TEST(Unit, InvalidExtentsThrow) {
   EXPECT_THROW(simulate_unit(300, 10, 8, 4, cfg), std::invalid_argument);
 }
 
+TEST(Unit, InvalidConfigThrows) {
+  auto cfg = base();
+  cfg.interface_in = 0;  // read by no unit model, only by the check
+  EXPECT_THROW(simulate_unit(10, 10, 8, 4, cfg), std::invalid_argument);
+}
+
 TEST(Unit, PcmDeviceSupported) {
   auto cfg = base();
   cfg.memristor_model = "PCM";

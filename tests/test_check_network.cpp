@@ -109,6 +109,22 @@ TEST(NetworkCheck, UnmappableLayerIsDiagnosed) {
   EXPECT_TRUE(has_code(check_mapping(net, cfg), "MN-NN-004"));
 }
 
+// An invalid configuration is checked once, and every weighted layer
+// reports why it cannot be mapped.
+TEST(NetworkCheck, InvalidConfigLeavesEveryLayerUnmappable) {
+  const nn::Network net = mlp(8, 8, 4);
+  arch::AcceleratorConfig cfg;
+  cfg.crossbar_size = 100;
+  const DiagnosticList diags = check_mapping(net, cfg);
+  ASSERT_EQ(diags.size(), 2u);
+  for (const Diagnostic& d : diags) {
+    EXPECT_EQ(d.code, "MN-NN-004");
+    EXPECT_NE(d.message.find("crossbar size must be a power of two"),
+              std::string::npos)
+        << d.message;
+  }
+}
+
 // MN-NN-006: weights smeared across many cells warn.
 TEST(NetworkCheck, ManyCellsPerWeightWarns) {
   nn::Network net = mlp(8, 8, 4);

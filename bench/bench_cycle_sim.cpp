@@ -1,9 +1,10 @@
 // Cycle-level dataflow engine: wall-clock against the pass-level trace
 // walker it generalizes, plus the makespan cross-check.
 //
-// Two workloads on the VGG-16 report (the largest tile count of the
-// built-in topologies), each reported as a same-host ratio so the gate
-// is machine-independent (tools/perf_gate.py vs BENCH_cycle.json):
+// Workloads on VGG-16 reports (the largest tile count of the built-in
+// topologies) and on hand-built chains, each reported as a same-host
+// ratio so the gates are machine-independent (tools/perf_gate.py vs
+// BENCH_cycle.json):
 //   cycle-vs-trace    trace wall-clock over cycle wall-clock with
 //                     unconstrained scratchpads. The trace walks every
 //                     pass; the cycle engine schedules streamed banks a
@@ -16,7 +17,22 @@
 //                     the default 256-event cap. The floor guards the cap
 //                     actually short-circuiting the per-event
 //                     bookkeeping and the walk.
+//   repeats-capped    the same at the Table VI point with a 256 x 256
+//                     crossbar and parallelism 1, where banks 3, 5, 6 and
+//                     9 read upstream runs with repeated indices. A bank
+//                     that takes one stretch per upstream repeat, not one
+//                     per upstream run, costs several times the default
+//                     call there and fails the floor.
+//   found-chains      a tile-by-tile recurrence over the engine on three
+//                     hand-built chains: a pool bank whose D/den lies just
+//                     below an integer (3e6, 3e6 and 7.5e5 tiles) and 40-
+//                     and 120-bank chains of 20,000-tile banks whose
+//                     periods differ by up to 3 cycles. Measured, not
+//                     gated.
+#include <algorithm>
 #include <cstdio>
+#include <random>
+#include <vector>
 
 #include "arch/cycle_sim.hpp"
 #include "arch/trace_sim.hpp"
@@ -26,7 +42,80 @@
 
 using namespace mnsim;
 
+using bench::min_seconds;
 using bench::time_seconds;
+
+namespace {
+
+// A bank of a hand-built chain: tiles, warm-up passes and pass cycles.
+struct BankSpec {
+  long tiles;
+  long warmup;
+  long pass_cycles;
+};
+
+arch::AcceleratorReport hand_built(const std::vector<BankSpec>& specs) {
+  arch::AcceleratorReport rep;
+  rep.banks.resize(specs.size());
+  for (std::size_t b = 0; b < specs.size(); ++b) {
+    arch::BankReport& bank = rep.banks[b];
+    bank.mapping.matrix_rows = 64;
+    bank.mapping.matrix_cols = 32;
+    bank.mapping.physical_cols = 64;
+    bank.mapping.crossbars_per_unit = 1;
+    bank.iterations = specs[b].tiles;
+    bank.warmup_passes = specs[b].warmup;
+    bank.pass_latency = static_cast<double>(specs[b].pass_cycles) * 1e-9;
+  }
+  return rep;
+}
+
+// The streamed-bank recurrence tile by tile, at a pinned 1 GHz clock and
+// an unconstrained bus (one-cycle fills and drains): the last drain.
+long recurrence(const std::vector<BankSpec>& specs) {
+  std::vector<long> up;
+  std::vector<long> avail;
+  long up_warmup = 0;
+  long last = 0;
+  for (const BankSpec& spec : specs) {
+    const long up_tiles = static_cast<long>(up.size());
+    const long warmup = std::min(up_warmup, up_tiles);
+    const long streamed = up_tiles - warmup;
+    const long den = std::max<long>(spec.tiles - 1, 1);
+    avail.assign(static_cast<std::size_t>(spec.tiles), 0);
+    long de = 0;
+    for (long k = 0; k < spec.tiles; ++k) {
+      const long needed =
+          warmup + (spec.tiles == 1
+                        ? streamed
+                        : static_cast<long>(static_cast<__int128>(k) *
+                                            streamed / den));
+      const long dep = needed > 0 ? up[static_cast<std::size_t>(needed - 1)]
+                                  : 0;
+      de = std::max(dep, de) + spec.pass_cycles + 2;
+      avail[static_cast<std::size_t>(k)] = de;
+    }
+    last = std::max(last, de);
+    up.swap(avail);
+    up_warmup = spec.warmup;
+  }
+  return last;
+}
+
+// `banks` banks of 20,000 tiles, warm-ups of 1-40 tiles, passes of
+// 300-303 cycles.
+std::vector<BankSpec> near_equal_chain(int banks, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::vector<BankSpec> specs;
+  for (int b = 0; b < banks; ++b) {
+    const long cpt = std::uniform_int_distribution<long>(300, 303)(rng);
+    specs.push_back(
+        {20000, std::uniform_int_distribution<long>(1, 40)(rng), cpt});
+  }
+  return specs;
+}
+
+}  // namespace
 
 int main() {
   arch::AcceleratorConfig cfg;
@@ -85,6 +174,51 @@ int main() {
         time_seconds([&] { (void)arch::simulate_cycles(report, cfg); },
                      repeats);
     record("events-capped", cycles.total_tiles, full_s, capped_s);
+  }
+
+  // --- repeats-capped: one stretch per upstream run -------------------------
+  {
+    arch::AcceleratorConfig point;
+    point.cmos_node_nm = 45;
+    point.interconnect_node_nm = 45;
+    point.output_bits = 8;
+    point.crossbar_size = 256;
+    point.parallelism = 1;
+    point.cycle_enabled = true;
+    const auto point_report = arch::simulate_accelerator(net, point);
+    auto uncapped = point;
+    uncapped.cycle_max_events = 1L << 30;
+    const double full_s = min_seconds(
+        [&] { (void)arch::simulate_cycles(point_report, uncapped); }, 3);
+    const double capped_s = min_seconds(
+        [&] { (void)arch::simulate_cycles(point_report, point); }, 200);
+    record("repeats-capped", cycles.total_tiles, full_s, capped_s);
+  }
+
+  // --- found-chains: the recurrence over the engine --------------------------
+  {
+    arch::AcceleratorConfig pinned = cfg;
+    pinned.cycle_clock_ghz = 1.0;
+    const std::vector<std::vector<BankSpec>> chains = {
+        {{3'000'000, 1, 20}, {3'000'000, 1500, 22}, {750'000, 4, 85}},
+        near_equal_chain(40, 45),
+        near_equal_chain(120, 125)};
+    long tiles = 0;
+    double recurrence_s = 0.0;
+    double engine_s = 0.0;
+    for (const auto& specs : chains) {
+      const auto chain = hand_built(specs);
+      const auto result = arch::simulate_cycles(chain, pinned);
+      if (recurrence(specs) != result.makespan_cycles) {
+        std::printf("found-chains: makespan differs from the recurrence\n");
+        return 1;
+      }
+      tiles += result.total_tiles;
+      recurrence_s += min_seconds([&] { (void)recurrence(specs); }, 3);
+      engine_s += min_seconds(
+          [&] { (void)arch::simulate_cycles(chain, pinned); }, 3);
+    }
+    record("found-chains", tiles, recurrence_s, engine_s);
   }
 
   table.print();

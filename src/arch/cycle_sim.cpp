@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -156,31 +155,34 @@ struct TileShare {
       : total(d), den(denominator), step_q(d / denominator),
         step_r(d % denominator) {}
 
-  // Returns whether the quotient carried.
-  bool next() {
+  void next() {
     const long over = r + step_r - den.d;
     const bool carry = over >= 0;
     r = carry ? over : over + den.d;
     q += step_q + carry;
-    return carry;
   }
   void seek(long k) { q = den.floor(static_cast<Wide>(k) * total, r); }
-  [[nodiscard]] long group() const { return group_of(r, total, den.d); }
 };
+
+// The m >= x at which ceil(m e / q) steps up (0 < e <= q), in order:
+// m = floor(t q / e) for t = ceil(x e / q), ceil(x e / q) + 1, ..., as
+// the quotient of a cursor that advances without dividing.
+TileShare step_ups(long x, long e, long q) {
+  TileShare at(q, e);
+  at.seek(static_cast<long>((static_cast<Wide>(x) * e + q - 1) / q));
+  return at;
+}
 
 // A bank's avail[k] — the cycle its tile-k output has landed in the
 // backing store — as runs of consecutive tiles of three kinds:
 //   affine     first + slope * (k - begin): a self-paced stretch;
-//   explicit   one stored value per tile: walked and gathered tiles;
+//   explicit   one stored value per tile: walked tiles;
 //   resampled  up(w - 1 + floor(k D / den)) + T * c(k), read through the
 //              upstream bank's runs and stored as nothing: a
 //              dependency-bound stretch, in which the first of the c(k)
 //              tiles that read one upstream index waits on it and the
 //              rest follow it by T each. A resampled run reads one
-//              upstream run, or any of them (kAnyRun). A snapped one
-//              reads, for each tile, the first index of the upstream
-//              group its index belongs to, and c(k) counts from the
-//              first tile that reads that group.
+//              upstream run, or any of them (kAnyRun).
 // Every run keeps a lower bound on its rise from one index to the next,
 // and rise_over() one over m indices: what the next bank's proofs read.
 // avail never falls with k, so every rise and slope is >= 0.
@@ -190,8 +192,8 @@ class AvailRuns {
   struct Run {
     long begin = 0;
     long end = 0;      // one past the last index
-    long first = 0;    // affine: the value at begin
-    long slope = 0;    // affine: the increment per index
+    long first = 0;    // affine: the value at begin; resampled: lows index
+    long slope = 0;    // affine: the increment per index; resampled: lows
     long offset = 0;   // explicit: values index of begin;
                        // resampled: the upstream run every index reads,
                        // or kAnyRun
@@ -199,9 +201,13 @@ class AvailRuns {
     long up_rise = 0;  // resampled: the same bound for the upstream
                        // indices the run reads
     Kind kind = Kind::kAffine;
-    // resampled: tile k reads the start of its upstream index's group
-    // instead, and c(k) counts the tiles since the first that reads it.
-    bool snap = false;
+    // resampled: some index inside an upstream group sets no new maximum
+    // of h, so a tile's running maximum is read from the start of its
+    // upstream group (see avail_in). Otherwise the `slope` upstream
+    // indices listed from lows()[first] on set none either, each right
+    // after one that does, which a tile reading them reads instead.
+    bool window = false;
+    long drop = 0;  // either way: the most a value exceeds up + T c(k)
     // The last rise_over(run, m) asked: the next bank asks every run
     // for the same m, and so does each bank below for the one run its
     // runs read.
@@ -217,43 +223,32 @@ class AvailRuns {
     long period = 0;    // T
     long sharing = 1;   // ceil(den / D): most tiles that read one index
     Divisor by_den{1};
-    Divisor by_gap{1};  // den - D, when D < den
-    // rise_over(run, 1), which every new run asks: with D >= den a tile
-    // is floor(D/den) indices past the one before; with D < den a tile
-    // that reads the next index may follow single_repeats repeats.
-    long step = 0;
-    long single_repeats = 0;
-    // Snapped runs: the most tiles that read one upstream group
-    // (ceil(up sharing * den / D)), and division by D.
-    long snap_sharing = 0;
     Divisor by_streamed{1};
+    // D < den over an upstream bank that repeats indices too.
+    bool grouped = false;
   };
 
   // Every negative index reads 0: a tile that needs no upstream tile has
   // its dependency met at cycle 0. A zero-slope run from far below any
   // index says so without a branch.
-  explicit AvailRuns(long id = 0) : id_(id) { clear(0); }
+  explicit AvailRuns(long id = 0) : id_(id) { clear(); }
 
-  // Starts a bank of `tiles` tiles. Most banks take a handful of runs, so
-  // room for a few is made once.
-  void clear(long tiles) {
+  // Starts a bank. Most banks take a handful of runs, so room for a few
+  // is made once.
+  void clear() {
     runs_.clear();
     runs_.reserve(kFewRuns);
     runs_.push_back(Run{std::numeric_limits<long>::min() / 2, 0, 0, 0, 0, 0,
                         0, Kind::kAffine});
     values_.clear();
-    tiles_ = tiles;
+    lows_.clear();
     last_ = 0;
     values_from_ = kNoValues;
   }
   void set_resample(const Resample& p) { resample_ = p; }
 
-  [[nodiscard]] long size() const { return runs_.back().end; }
   [[nodiscard]] long back() const { return last_; }
   [[nodiscard]] const Run& run(std::size_t r) const { return runs_[r]; }
-  [[nodiscard]] const long* values(const Run& run) const {
-    return values_.data() + run.offset;
-  }
   [[nodiscard]] const Resample& resample() const { return resample_; }
   // The lowest bank (by id) whose stored values these runs read, directly
   // or through resampled runs; kNoValues if none.
@@ -270,9 +265,11 @@ class AvailRuns {
       values_.push_back(v);
       ++last.end;
     } else {
-      open_explicit();
+      const long end = last.end;
+      runs_.push_back({end, end + 1, 0, 0, static_cast<long>(values_.size()),
+                       kRiseCap, 0, Kind::kExplicit});
+      values_from_ = std::min(values_from_, id_);
       values_.push_back(v);
-      ++runs_.back().end;
     }
     last_ = v;
   }
@@ -296,62 +293,47 @@ class AvailRuns {
     last_ = first + (n - 1) * slope;
   }
 
-  // avail of the next n tiles: src[t] + add.
-  void push_shifted(const long* src, long n, long add) {
-    if (runs_.back().kind != Kind::kExplicit) open_explicit();
-    Run& last = runs_.back();
-    const std::size_t at = values_.size();
-    // Room for every tile the bank has left: one allocation per bank
-    // rather than a doubling series of fresh, page-faulting ones.
-    if (values_.capacity() < at + static_cast<std::size_t>(n))
-      values_.reserve(at + static_cast<std::size_t>(tiles_ - size()));
-    values_.resize(at + static_cast<std::size_t>(n));
-    long* dst = values_.data() + at;
-    long rise = last.rise;
-    long prev = last.end > last.begin ? last_ : src[0] + add;
-    for (long t = 0; t < n; ++t) {
-      dst[t] = src[t] + add;
-      rise = std::min(rise, dst[t] - prev);
-      prev = dst[t];
-    }
-    last.rise = rise;
-    last.end += n;
-    last_ = prev;
-  }
-
   // avail of the next n tiles: resampled from upstream run `up_run`
-  // (whose rise over the indices they read is at least up_rise), the
-  // last of them `last`.
-  void push_resampled(long n, long up_run, long up_rise, long last,
-                      bool snap) {
+  // (whose rise over the indices they read is at least up_rise). Returns
+  // the last of them.
+  // Indices listed in `lows` read the index before theirs (see Run).
+  long push_resampled(long n, long up_run, long up_rise, bool window,
+                      long drop, const std::vector<long>& lows) {
     Run& prev = runs_.back();
     const AvailRuns& up = *resample_.up;
-    last_ = last;
-    // The tiles before read the same upstream run through the same
+    const long first_low = static_cast<long>(lows_.size());
+    lows_.insert(lows_.end(), lows.begin(), lows.end());
+    // The tiles before read the same upstream runs through the same
     // formula, so they are one run if the up_rise of each holds over all
-    // of the upstream run (for snapped runs, between its groups).
-    if (up_run != kAnyRun && prev.kind == Kind::kResampled &&
-        prev.offset == up_run && prev.up_rise == up_rise &&
-        prev.snap == snap &&
-        (snap ||
+    // that they read.
+    if (prev.kind == Kind::kResampled && prev.offset == up_run &&
+        prev.up_rise == up_rise && prev.window == window &&
+        (prev.slope == 0) == lows.empty() &&
+        (up_run == kAnyRun ||
          up_rise <= up.run(static_cast<std::size_t>(up_run)).rise)) {
       prev.end += n;
-      return;
+      if (prev.slope == 0) prev.first = first_low;
+      prev.slope += static_cast<long>(lows.size());
+      prev.drop = std::max(prev.drop, drop);
+      prev.memo_m = 0;
+      last_ = avail_in(prev, prev.end - 1);
+      return last_;
     }
     const long end = prev.end;
-    runs_.push_back({end, end + n, 0, 0, up_run, 0, up_rise,
-                     Kind::kResampled, snap});
+    runs_.push_back({end, end + n, first_low,
+                     static_cast<long>(lows.size()), up_run, 0, up_rise,
+                     Kind::kResampled, window, drop});
     runs_.back().rise = resampled_rise_over(runs_.back(), 1);
-    if (up_run == kAnyRun) {
-      values_from_ = std::min({values_from_, up.id_, up.values_from_});
-      return;
-    }
-    const Run& read = up.run(static_cast<std::size_t>(up_run));
-    const long from = read.kind == Kind::kExplicit ? resample_.up->id_
-                      : read.kind == Kind::kResampled
-                          ? resample_.up->values_from_
-                          : kNoValues;
+    const Run* read = up_run == kAnyRun || window || !lows.empty()
+                          ? nullptr
+                          : &up.run(static_cast<std::size_t>(up_run));
+    const long from = read == nullptr ? std::min(up.id_, up.values_from_)
+                      : read->kind == Kind::kExplicit ? up.id_
+                      : read->kind == Kind::kResampled ? up.values_from_
+                                                       : kNoValues;
     values_from_ = std::min(values_from_, from);
+    last_ = avail_in(runs_.back(), end + n - 1);
+    return last_;
   }
 
   // A lower bound on avail(i + m) - avail(i) for i and i + m inside
@@ -369,40 +351,149 @@ class AvailRuns {
     return run.memo_rise;
   }
 
+  // A lower bound on the rise of the upstream over a of the indices that
+  // plain resampled run `run` reads.
+  [[nodiscard]] long up_rise_over(const Run& run, long a) const {
+    const long per_step = saturate(static_cast<Wide>(a) * run.up_rise);
+    if (run.offset == kAnyRun) return per_step;
+    return std::max(
+        resample_.up->rise_over(
+            resample_.up->run(static_cast<std::size_t>(run.offset)), a),
+        per_step);
+  }
+
+  // avail at index i, inside `run`.
+  [[nodiscard]] long avail_in(const Run& run, long i) const {
+    if (run.kind == Kind::kAffine)
+      return run.first + run.slope * (i - run.begin);
+    if (run.kind == Kind::kExplicit)
+      return values_[static_cast<std::size_t>(run.offset + i - run.begin)];
+    const Resample& p = resample_;
+    long rem = 0;
+    const long up_i =
+        p.warmup - 1 + p.by_den.floor(static_cast<Wide>(i) * p.streamed, rem);
+    if (!run.window) {
+      const auto lows = lows_.begin() + run.first;
+      if (run.slope == 0 || !std::binary_search(lows, lows + run.slope, up_i))
+        return up_avail(run, up_i) + p.period * group(rem);
+      return up_avail(run, up_i - 1) +
+             p.period * (i + 1 - first_reading(up_i - 1));
+    }
+    // avail(k) = (k + 1) T + the running maximum of H(x) = up(x) -
+    // first(x) T over the indices read so far, which a windowed run
+    // reaches back from x = up_i only to the start s of its upstream
+    // group: up(x) = up(s) + T_up (x - s) inside it.
+    const long start = p.up->group_start(up_i);
+    long best = std::numeric_limits<long>::min();
+    for (long x = std::max(start, p.warmup - 1); x <= up_i; ++x)
+      best = std::max(best, p.up->resample_.period * (x - start) -
+                                p.period * first_reading(x));
+    return up_avail(run, start) + p.period * (i + 1) + best;
+  }
+  [[nodiscard]] long avail(long i) const {
+    return avail_in(runs_[run_of(i)], i);
+  }
+
+  // Whether this bank reads some upstream index with more than one tile.
+  [[nodiscard]] bool repeats() const {
+    return resample_.streamed > 0 && resample_.streamed < resample_.den;
+  }
+  // The first index of the group of indices that read the same upstream
+  // index as i (i itself when the bank repeats none).
+  [[nodiscard]] long group_start(long i) const {
+    if (!repeats() || i <= 0) return i;
+    long rem = 0;
+    resample_.by_den.floor(static_cast<Wide>(i) * resample_.streamed, rem);
+    return i - group(rem) + 1;
+  }
+  // floor(i D / den): which upstream index (less w - 1) i reads.
+  [[nodiscard]] long quotient(long i) const {
+    long rem = 0;
+    return resample_.by_den.floor(static_cast<Wide>(i) * resample_.streamed,
+                                  rem);
+  }
+
+  // Whether avail(j) - avail(i) >= need, for i <= j, decided exactly: by
+  // the rise bounds where they suffice, else one bank down through a
+  // resampled run (the T c(k) parts are exact), else from the values.
+  [[nodiscard]] bool rises(long i, long j, long need) const {
+    if (need <= 0) return true;
+    if (i == j) return false;
+    if (static_cast<Wide>(j - i) * floor_rise() >= need) return true;
+    const Run& run = runs_[run_of(i)];
+    if (j >= run.end) return avail(j) - avail_in(run, i) >= need;
+    if (rise_over(run, j - i) >= need) return true;
+    const Resample& p = resample_;
+    if (run.kind != Kind::kResampled || run.window || run.slope > 0)
+      return avail_in(run, j) - avail_in(run, i) >= need;
+    long ri = 0;
+    long rj = 0;
+    const long qi = p.by_den.floor(static_cast<Wide>(i) * p.streamed, ri);
+    const long qj = p.by_den.floor(static_cast<Wide>(j) * p.streamed, rj);
+    return p.up->rises(
+        p.warmup - 1 + qi, p.warmup - 1 + qj,
+        saturate(static_cast<Wide>(need) -
+                 static_cast<Wide>(p.period) * (group(rj) - group(ri))));
+  }
+
+  // The first tile whose upstream index is i or more (i >= w - 1).
+  [[nodiscard]] long first_reading(long i) const {
+    const Resample& p = resample_;
+    return p.by_streamed.ceil(static_cast<Wide>(i - p.warmup + 1) * p.den);
+  }
+
+  // The run holding index i: mostly the one that held the last index
+  // asked, or the next.
+  [[nodiscard]] std::size_t run_of(long i) const {
+    const std::size_t n = runs_.size();
+    if (hint_ < n && runs_[hint_].begin <= i) {
+      if (i < runs_[hint_].end) return hint_;
+      if (hint_ + 1 < n && i < runs_[hint_ + 1].end) return ++hint_;
+    }
+    const auto it = std::upper_bound(
+        runs_.begin(), runs_.end(), i,
+        [](long x, const Run& run) { return x < run.begin; });
+    hint_ = static_cast<std::size_t>(it - runs_.begin()) - 1;
+    return hint_;
+  }
+
+  static constexpr long kNoValues = std::numeric_limits<long>::max();
+  static constexpr long kAnyRun = -1;
+
+  // avail(i + 1) - avail(i) for any i >= -1, across runs too, and
+  // avail(i) >= (i + 1) floor_rise: a streamed bank's
+  // de(k) = max(dep(k), de(k - 1)) + T rises by T at least. 0 for a bank
+  // with a resident operand.
+  [[nodiscard]] long floor_rise() const { return resample_.period; }
+
  private:
   [[nodiscard]] long resampled_rise_over(const Run& run, long m) const {
     // m tiles advance the upstream index by a >= floor(m D / den), and a
     // rise over a steps is at least the bound over fewer steps plus the
     // single-step rise for each step more.
     const Resample& p = resample_;
-    if (run.snap) {
-      // Inside a group avail rises by T a tile; the first tile of a group
-      // lands an upstream step (>= up_rise) after the previous group's
-      // first, less T for each tile of that group after its first. Over
-      // m tiles inside one group the rise is T m. A window of m tiles
-      // that starts s tiles into a group of c <= snap_sharing and sees
-      // one group start ends m - (c - s - 1) tiles into the next group,
-      // so it rises by up_rise - T (c - m) >= up_rise - T (snap_sharing -
-      // m); seeing more group starts adds an up_rise >= T snap_sharing
-      // for each.
-      Wide v = static_cast<Wide>(run.up_rise) -
-               static_cast<Wide>(p.period) *
-                   std::max<long>(0, p.snap_sharing - m);
-      if (m < p.snap_sharing) v = std::min(v, static_cast<Wide>(p.period) * m);
-      return saturate(v);
+    // A run read through group starts or listed lows is at most `drop`
+    // above the plain formula, whose bound follows; it rises by T a tile.
+    if (run.window || run.slope > 0) {
+      Run plain = run;
+      plain.window = false;
+      plain.slope = 0;
+      const Wide rise = resampled_rise_over(plain, m);
+      return saturate(
+          std::max(static_cast<Wide>(p.period) * m, rise - run.drop));
     }
-    const auto upstream = [&](long a) {
-      const long per_step = saturate(static_cast<Wide>(a) * run.up_rise);
-      if (run.offset == kAnyRun) return per_step;
-      return std::max(
-          p.up->rise_over(p.up->run(static_cast<std::size_t>(run.offset)), a),
-          per_step);
-    };
+    const auto upstream = [&](long a) { return up_rise_over(run, a); };
     if (m == 1) {
-      if (p.streamed >= p.den) return upstream(p.step);
+      // With D >= den a tile is floor(D/den) indices past the one before;
+      // with D < den a tile that reads the next index may follow up to
+      // min(sharing, ceil(2 den / D) - 1) - 1 repeats.
+      if (p.streamed >= p.den) return upstream(p.streamed / p.den);
+      const long repeats =
+          std::min(p.sharing - 1,
+                   p.by_streamed.ceil(static_cast<Wide>(2) * p.den) - 2);
       return saturate(std::min<Wide>(
           p.period, static_cast<Wide>(upstream(1)) -
-                        static_cast<Wide>(p.period) * p.single_repeats));
+                        static_cast<Wide>(p.period) * repeats));
     }
     long rem = 0;
     const long a0 = p.by_den.floor(static_cast<Wide>(m) * p.streamed, rem);
@@ -430,147 +521,15 @@ class AvailRuns {
     return saturate(best);
   }
 
-
- public:
-  // Whether some indices of the resampled runs repeat the previous
-  // index's upstream dependency (D < den). A step into such an index
-  // rises by exactly T, and the step after it by at least after_rise;
-  // every other step of a resampled run rises by at least its up_rise,
-  // since both ends have c = 1.
-  [[nodiscard]] bool repeats() const {
-    return resample_.streamed > 0 && resample_.streamed < resample_.den;
-  }
-  [[nodiscard]] bool repeats_at(long i) const {
-    long rem = 0;
-    resample_.by_den.floor(static_cast<Wide>(i) * resample_.streamed, rem);
-    return i > 0 && rem >= resample_.streamed;
-  }
-  [[nodiscard]] long after_rise(const Run& run) const {
-    // The index after a group of c <= sharing tiles.
-    return saturate(static_cast<Wide>(run.up_rise) -
-                    static_cast<Wide>(resample_.period) *
-                        (resample_.sharing - 1));
-  }
-  // The first index past x that repeats its predecessor's dependency.
-  // floor(i D / den) = i - ceil(i E / den) with E = den - D, and that
-  // ceiling steps up at i exactly when (i - 1) E / den <= m < i E / den
-  // for an integer m: at i = floor(m den / E) + 1, m >= 0.
-  [[nodiscard]] long next_repeat(long x) const {
-    const long e = resample_.den - resample_.streamed;
-    long rem = 0;
-    const long m = resample_.by_den.ceil(static_cast<Wide>(x) * e);
-    return resample_.by_gap.floor(static_cast<Wide>(m) * resample_.den, rem) +
-           1;
-  }
-
-  // avail at n >= 1 indices idx[0] <= ... <= idx[n - 1], into out. The
-  // indices inside one resampled run read their upstream indices as one
-  // batch a bank down, so the floors of a batch do not wait on one
-  // another. scratch holds 2 n longs for every bank of resampled runs
-  // below this one.
-  void values_at(const long* idx, long n, long* out, long* scratch) const {
-    std::size_t r = run_of(idx[0]);
-    for (long t = 0; t < n;) {
-      while (runs_[r].end <= idx[t]) ++r;
-      long u = t + 1;
-      while (u < n && idx[u] < runs_[r].end) ++u;
-      values_in(runs_[r], idx + t, u - t, out + t, scratch);
-      t = u;
-    }
-  }
-
-  // The same for indices that all lie inside `run`: a resampled run reads
-  // them all inside the one upstream run it reads.
-  void values_in(const Run& run, const long* idx, long n, long* out,
-                 long* scratch) const {
-    if (run.kind == Kind::kAffine) {
-      for (long t = 0; t < n; ++t)
-        out[t] = run.first + run.slope * (idx[t] - run.begin);
-      return;
-    }
-    if (run.kind == Kind::kExplicit) {
-      const long* v = values(run);
-      for (long t = 0; t < n; ++t) out[t] = v[idx[t] - run.begin];
-      return;
-    }
-    const Resample& p = resample_;
-    long* up_idx = scratch;
-    long* up_val = scratch + n;
-    if (run.snap) {
-      for (long t = 0; t < n; ++t) {
-        long rem = 0;
-        const long i =
-            p.warmup - 1 +
-            p.by_den.floor(static_cast<Wide>(idx[t]) * p.streamed, rem);
-        up_idx[t] = p.up->group_start(i);
-        out[t] = p.period * (idx[t] - first_reading(up_idx[t]) + 1);
-      }
-    } else if (static_cast<Wide>(idx[n - 1]) * p.streamed < p.by_den.exact) {
-      for (long t = 0; t < n; ++t) {
-        long rem = 0;
-        up_idx[t] =
-            p.warmup - 1 + p.by_den.floor_exact(idx[t] * p.streamed, rem);
-        out[t] = p.period * group(rem);
-      }
-    } else {
-      for (long t = 0; t < n; ++t) {
-        long rem = 0;
-        up_idx[t] = p.warmup - 1 +
-                    p.by_den.floor(static_cast<Wide>(idx[t]) * p.streamed, rem);
-        out[t] = p.period * group(rem);
-      }
-    }
-    if (run.offset == kAnyRun)
-      p.up->values_at(up_idx, n, up_val, scratch + 2 * n);
-    else
-      p.up->values_in(p.up->run(static_cast<std::size_t>(run.offset)), up_idx,
-                      n, up_val, scratch + 2 * n);
-    for (long t = 0; t < n; ++t) out[t] += up_val[t];
-  }
-
-  // The first index of the group of indices that read the same upstream
-  // index as i, and that upstream index's quotient floor(i D / den).
-  [[nodiscard]] long group_start(long i) const {
-    long rem = 0;
-    resample_.by_den.floor(static_cast<Wide>(i) * resample_.streamed, rem);
-    return i - group(rem) + 1;
-  }
-  [[nodiscard]] long quotient(long i) const {
-    long rem = 0;
-    return resample_.by_den.floor(static_cast<Wide>(i) * resample_.streamed,
-                                  rem);
-  }
-  // The first tile whose upstream index is i or more (i >= w - 1).
-  [[nodiscard]] long first_reading(long i) const {
-    const Resample& p = resample_;
-    return p.by_streamed.ceil(static_cast<Wide>(i - p.warmup + 1) * p.den);
-  }
-
-  // The run holding index i.
-  [[nodiscard]] std::size_t run_of(long i) const {
-    const auto it = std::upper_bound(
-        runs_.begin(), runs_.end(), i,
-        [](long x, const Run& run) { return x < run.begin; });
-    return static_cast<std::size_t>(it - runs_.begin()) - 1;
-  }
-
-  static constexpr long kNoValues = std::numeric_limits<long>::max();
-  static constexpr long kAnyRun = -1;
-
-  // avail(i + 1) - avail(i) for any i, across runs too: a streamed bank's
-  // de(k) = max(dep(k), de(k - 1)) + T rises by T at least.
-  [[nodiscard]] long floor_rise() const { return resample_.period; }
-
- private:
   [[nodiscard]] long group(long rem) const {
     return group_of(rem, resample_.streamed, resample_.den);
   }
-
-  void open_explicit() {
-    const long end = runs_.back().end;
-    runs_.push_back({end, end, 0, 0, static_cast<long>(values_.size()),
-                     kRiseCap, 0, Kind::kExplicit});
-    values_from_ = std::min(values_from_, id_);
+  // The upstream avail at index i, which resampled run `run` reads.
+  [[nodiscard]] long up_avail(const Run& run, long i) const {
+    const AvailRuns& up = *resample_.up;
+    if (run.offset == kAnyRun) return up.avail(i);
+    const Run& read = up.run(static_cast<std::size_t>(run.offset));
+    return i >= read.begin ? up.avail_in(read, i) : up.avail(i);
   }
 
   static constexpr long kShortRun = 16;
@@ -578,9 +537,10 @@ class AvailRuns {
 
   std::vector<Run> runs_;
   std::vector<long> values_;
+  std::vector<long> lows_;
   Resample resample_;
-  long tiles_ = 0;
   long last_ = 0;  // the last value pushed
+  mutable std::size_t hint_ = 0;  // the run run_of last found
   long id_ = 0;
   long values_from_ = kNoValues;
 };
@@ -597,6 +557,8 @@ class RunSeeker {
     return runs_.run(run_);
   }
   [[nodiscard]] std::size_t index() const { return run_; }
+  // The upstream avail at index i.
+  long avail(long i) { return runs_.avail_in(seek(i), i); }
 
  private:
   const AvailRuns& runs_;
@@ -609,18 +571,23 @@ class RunSeeker {
 //   fe(k) = max(dep(k), de(k-1)) + f,  e(k) = fe(k) + cpt,
 //   de(k) = avail[k] = e(k) + d        (de(-1) = 0),  T = f + cpt + d,
 // and tile k > 0 waits max(e(k-1), dep(k)) - e(k-1) cycles on its
-// dependency and the rest, up to fe(k), on its fill. A tile that reads
-// the same upstream index as the one before it (D < den) is always
-// self-paced: its dependency was met before that tile computed. The
-// schedule runs a stretch of tiles at a time where one of two closed
-// forms holds, and walks the recurrence tile by tile elsewhere:
+// dependency and the rest, up to fe(k), on its fill. In max-plus form
+//   de(k) = (k + 1) T + G(k),  G(k) = max(0, max over j <= k of h(j)),
+//   h(j) = dep(j) - j T,
+// so a bank's schedule is the running maximum G of h. A tile that reads
+// the same upstream index as the one before it (D < den) has h lower by
+// T, so it never sets a new maximum: it is self-paced. The schedule runs
+// a stretch of tiles at a time where one of two closed forms holds, and
+// walks the recurrence tile by tile elsewhere:
 //   self-paced        dep(j) <= e(j-1) for every tile j of the stretch:
-//                     de rises by T per tile, each tile adds f + d to
-//                     the fill stall and nothing to the dependency stall;
-//   dependency-bound  every tile that reads a new upstream index waits
-//                     on it (dep(j) >= de(j-1)) and the c - 1 after it
-//                     that read it again are self-paced: de(j) =
-//                     dep(j) + T c(j), and the stalls telescope.
+//                     G stays put, de rises by T per tile, each tile adds
+//                     f + d to the fill stall and nothing to the
+//                     dependency stall;
+//   dependency-bound  h sets a new maximum at every tile that reads a new
+//                     upstream index, which waits on it and on nothing
+//                     else, and the c - 1 after it that read it again are
+//                     self-paced: de(j) = dep(j) + T c(j), and the stalls
+//                     telescope.
 class StreamedBank {
  public:
   struct Timing {
@@ -632,19 +599,16 @@ class StreamedBank {
     long streamed;     // D: upstream tiles shared out over the bank
   };
 
-  // `scratch` has room for AvailRuns::values_at over kChunk indices.
   StreamedBank(const Timing& t, const AvailRuns& upstream, AvailRuns& out,
-               long* scratch, EventLog& log, int bank_id)
+               EventLog& log, int bank_id)
       : t_(t), period_(t.fill + t.cpt + t.drain),
         den_(std::max<long>(t.tiles - 1, 1)),
         sharing_(t.streamed > 0 ? (den_ + t.streamed - 1) / t.streamed : 1),
-        up_(upstream), seeker_(upstream), out_(out), scratch_(scratch),
-        log_(log), bank_id_(bank_id), share_(t.streamed, den_) {
+        up_(upstream), seeker_(upstream), out_(out), log_(log),
+        bank_id_(bank_id), share_(t.streamed, den_),
+        by_streamed_(std::max<long>(t.streamed, 1)) {
     // A one-tile bank takes all of D.
     if (t.tiles == 1) share_.q = t.streamed;
-    const bool repeats = t.streamed > 0 && t.streamed < den_;
-    const Divisor by_streamed(std::max<long>(t.streamed, 1));
-    const long up_sharing = upstream.resample().sharing;
     out_.set_resample({
         .up = &upstream,
         .warmup = t.warmup,
@@ -653,48 +617,22 @@ class StreamedBank {
         .period = period_,
         .sharing = sharing_,
         .by_den = Divisor(den_),
-        .by_gap = Divisor(std::max<long>(den_ - t.streamed, 1)),
-        .step = t.streamed / den_,
-        .single_repeats =
-            repeats
-                ? std::min(sharing_ - 1,
-                           by_streamed.ceil(static_cast<Wide>(2) * den_) - 2)
-                : 0,
-        .snap_sharing =
-            repeats && upstream.repeats()
-                ? by_streamed.ceil(static_cast<Wide>(up_sharing) * den_)
-                : 0,
-        .by_streamed = by_streamed,
+        .by_streamed = by_streamed_,
+        .grouped = t.streamed > 0 && t.streamed < den_ && upstream.repeats(),
     });
   }
-
-  static constexpr long kChunk = 128;
 
   void schedule() {
     // Tile 0 opens the active window, and every tile whose events are
     // recorded is walked, so the event log is the walk's.
     while (k_ < t_.tiles && (k_ == 0 || log_.recording()))
-      walk(dependency(index()));
+      walk(seeker_.avail(index()));
     while (k_ < t_.tiles) {
       if (repeats_index()) continue;
-      const AvailRuns::Run& run = seeker_.seek(index());
-      if (run.kind == AvailRuns::Kind::kAffine && self_paced_by_bound(run))
+      const long dep = seeker_.avail(index());
+      if (dep >= de_ ? dependency_bound() : dep <= e_ && self_paced())
         continue;
-      if (dependency_bound_by_bound(run)) continue;
-      if (run.kind != AvailRuns::Kind::kResampled) {
-        gather();
-        continue;
-      }
-      if (self_paced_ && self_paced_to_run_end(run)) continue;
-      // A tile or two next to an exception cost less to walk than a
-      // chunk does to gather through resampled runs; after a gather,
-      // gathers go on until a stretch is proven again.
-      if (walks_ < kMaxWalks) {
-        ++walks_;
-        walk(dependency(index()));
-        continue;
-      }
-      gather();
+      walk(dep);
     }
   }
 
@@ -703,22 +641,12 @@ class StreamedBank {
   long dependency_stall = 0;
   long fill_stall = 0;
   long walked = 0;
-  long gathered = 0;
+  long stretches = 0;
 
  private:
-  // A proven stretch shorter than this is walked or gathered instead:
-  // its proof reads two values through every bank of resampled runs
-  // above it, where walking one tile reads one.
+  // A proven stretch shorter than this is walked instead: committing it
+  // costs as much as walking it, and leaves a run for the next bank.
   static constexpr long kMinStretch = 2;
-  // Tiles walked in a row before the rest goes to gathers.
-  static constexpr long kMaxWalks = 2;
-
-  // The upstream avail at index i, which the walks visit in order.
-  long dependency(long i) {
-    long v = 0;
-    up_.values_in(seeker_.seek(i), &i, 1, &v, scratch_);
-    return v;
-  }
 
   // Upstream index tile k_ reads: needed - 1, where needed = w + share
   // (never above the upstream tile count, see simulate_cycles).
@@ -735,15 +663,15 @@ class StreamedBank {
     return std::min(out_.first_reading(i), t_.tiles);
   }
 
-  // The last tile whose upstream index lies inside `run`.
-  [[nodiscard]] long last_tile(const AvailRuns::Run& run) const {
-    if (t_.streamed == 0) return t_.tiles - 1;
-    return first_tile_reading(run.end) - 1;
+  // A lower bound on the upstream's rise over s indices inside `run`, or
+  // anywhere (null): a streamed upstream rises by its period an index.
+  [[nodiscard]] long rise_bound(const AvailRuns::Run* run, long s) const {
+    const long f = saturate(static_cast<Wide>(up_.floor_rise()) * s);
+    return run == nullptr ? f : std::max(f, up_.rise_over(*run, s));
   }
 
   // The per-tile recurrence, for tile k_ with dependency `dep`.
   void walk(long dep) {
-    self_paced_ = dep <= e_;
     const long ready = std::max(e_, dep);
     const long fill_end = std::max(dep, de_) + t_.fill;
     const long end = fill_end + t_.cpt;
@@ -771,18 +699,7 @@ class StreamedBank {
     e_ += n * period_;
     de_ += n * period_;
     k_ += n;
-  }
-
-  // Tiles [k_, k_ + n) with dependencies dep[0..n), dependency-bound.
-  void commit_dependency_bound(const long* dep, long n) {
-    out_.push_shifted(dep, n, period_);
-    // sum_j dep(j) - e(j-1) with e(j-1) = dep(j-1) + f + cpt after the
-    // first tile.
-    dependency_stall += dep[n - 1] - e_ - (n - 1) * (t_.fill + t_.cpt);
-    fill_stall += n * t_.fill;
-    e_ = dep[n - 1] + t_.fill + t_.cpt;
-    de_ = dep[n - 1] + period_;
-    k_ += n;
+    ++stretches;
   }
 
   // Tile k_ reads the index tile k_ - 1 read, and so do the tiles after
@@ -796,314 +713,413 @@ class StreamedBank {
     return true;
   }
 
-  // A self-paced stretch from tile k_ proven without visiting its tiles,
-  // over one affine upstream run A + S*i (S >= 0). A floor is at most its
-  // real value and S >= 0, so dep(j) <= A + S*(w - 1 + j D/den - begin),
-  // which is affine in j, as is e(j-1) = e(k_-1) + (j - k_) T: their
-  // difference is affine, and testing it at both ends of the stretch is
-  // exact. The test runs in integers scaled by den.
-  bool self_paced_by_bound(const AvailRuns::Run& run) {
+  // Whether every tile j of [k_, b] is self-paced, dep(j) <= e(j-1),
+  // from one read: the upstream rises by at least rho per index, so
+  // dep(j) <= dep(b) - rho (idx(b) - idx(j)). A floor is at most its real
+  // value, so that bound is at most affine in j, as is
+  // e(j-1) = e(k_-1) + (j - k_) T: their difference is affine, and
+  // testing it at both ends of the stretch is exact. The test runs in
+  // integers scaled by den.
+  bool self_paced_through(long b) {
+    TileShare at = share_;
+    at.seek(b);
+    const long ib = t_.warmup - 1 + at.q;
+    const AvailRuns::Run& run = seeker_.seek(index());
+    const bool inside = ib < run.end;
+    // All the stretch reads one index: dep(j) = dep(b).
+    const long rho = ib == index() ? 0
+                     : std::max(inside ? run.rise : 0L, up_.floor_rise());
+    const long dep_b = inside ? up_.avail_in(run, ib) : up_.avail(ib);
     // g(j) = den * (bound(j) - e(j-1)); the stretch is where g <= 0.
-    const Wide g = static_cast<Wide>(den_) * (run.first - e_) +
-                   static_cast<Wide>(run.slope) *
-                       (static_cast<Wide>(den_) *
-                            (static_cast<Wide>(t_.warmup) - 1 - run.begin) +
-                        static_cast<Wide>(k_) * t_.streamed);
-    if (g > 0) return false;
-    long n = last_tile(run) - k_ + 1;
-    const Wide rise = static_cast<Wide>(run.slope) * t_.streamed -
-                      static_cast<Wide>(den_) * period_;
-    if (rise > 0) {
-      const Wide more = -g / rise;  // tiles after k_ with g still <= 0
-      if (more < n - 1) n = static_cast<long>(more) + 1;
+    const Wide c = static_cast<Wide>(dep_b) -
+                   static_cast<Wide>(rho) * at.q - e_ +
+                   static_cast<Wide>(k_) * period_;
+    const Wide slope = static_cast<Wide>(rho) * t_.streamed -
+                       static_cast<Wide>(den_) * period_;
+    const auto g = [&](long j) { return c * den_ + slope * j; };
+    return g(k_) <= 0 && g(b) <= 0;
+  }
+
+  // Whether tile j >= k_ is self-paced if every tile of [k_, j) is:
+  // dep(j) <= e(k_-1) + (j - k_) T.
+  bool self_paced_at(long j) {
+    TileShare at = share_;
+    at.seek(j);
+    return seeker_.avail(t_.warmup - 1 + at.q) <=
+           e_ + (j - k_) * period_;
+  }
+
+  // Tile k_ is self-paced: commit the self-paced stretch from it, all of
+  // the rest if self_paced_through proves it. Where the upstream rises by
+  // T or more over the commoner step, h never falls except at the rarer
+  // steps (into a repeated index here or upstream, or a short pool step),
+  // so its maxima lie just before those and at the end: each is read,
+  // and in the first segment that fails the first tile that is not
+  // self-paced is found by galloping and bisection. Elsewhere
+  // self_paced_through proves stretches of 2, 4, 8, ... tiles.
+  bool self_paced() {
+    if (self_paced_through(t_.tiles - 1)) {
+      commit_self_paced(t_.tiles - k_);
+      return true;
     }
-    commit_self_paced(n);
+    const AvailRuns::Run& run = seeker_.seek(index());
+    const bool pool = t_.streamed >= den_;
+    const long rem = t_.streamed % den_;
+    const long s0 = pool ? t_.streamed / den_ : 1;
+    const auto rises_by = [&](bool any, long s) {
+      return rise_bound(any ? nullptr : &run, s) >= period_;
+    };
+    const long common = pool && rem != 0 ? s0 + 1 : s0;
+    const bool any = rises_by(true, common);
+    // Over a plain resampled run of an upstream that repeats indices, from
+    // one group start to the next the upstream rises by its up_rise.
+    const AvailRuns::Resample& u = up_.resample();
+    const bool grouped = !any && out_.resample().grouped &&
+                         run.kind == AvailRuns::Kind::kResampled &&
+                         !run.window && run.slope == 0 &&
+                         run.up_rise >= period_;
+    if (!any && !grouped && !rises_by(false, common)) {
+      bool committed = false;
+      for (long n = kMinStretch; k_ < t_.tiles - 1; n *= 2) {
+        const long b = std::min(k_ + n, t_.tiles) - 1;
+        if (!self_paced_through(b)) break;
+        commit_self_paced(b - k_ + 1);
+        share_.seek(k_);
+        committed = true;
+      }
+      return committed;
+    }
+    const long b = any ? t_.tiles - 1 : first_tile_reading(run.end) - 1;
+    // The rarer steps start where ceil(j (den - D mod den) / den) steps
+    // up; upstream, h can also fall into and out of a repeated index y,
+    // just before the first tiles that read y and y + 1.
+    const bool breaks = !pool || (rem != 0 && !rises_by(any, s0));
+    TileShare fall = step_ups(k_, den_ - rem, den_);
+    TileShare up_fall = step_ups(index(), grouped ? u.den - u.streamed : 1,
+                                 grouped ? u.den : 1);
+    bool past = false;
+    const auto up_break = [&] {
+      return out_.first_reading(up_fall.q + 1 + past) - 1;
+    };
+    long done = k_ + 1;  // [k_, done) is self-paced
+    while (done <= b) {
+      long c = b;
+      if (breaks) {
+        while (fall.q < done) fall.next();
+        c = std::min(fall.q, b);
+      }
+      if (grouped) {
+        for (; up_break() < done; past = !past)
+          if (past) up_fall.next();
+        c = std::min(c, up_break());
+      }
+      if (self_paced_at(c)) {
+        done = c + 1;
+        continue;
+      }
+      // h never falls over [done, c]: find its first tile that is not
+      // self-paced.
+      long lo = done - 1;
+      long hi = c;
+      for (long step = 1; lo + step < hi; step *= 2) {
+        if (!self_paced_at(lo + step)) {
+          hi = lo + step;
+          break;
+        }
+        lo += step;
+      }
+      while (hi - lo > 1) {
+        const long mid = lo + (hi - lo) / 2;
+        (self_paced_at(mid) ? lo : hi) = mid;
+      }
+      done = hi;
+      break;
+    }
+    commit_self_paced(done - k_);
     share_.seek(k_);
     return true;
   }
 
-  // A dependency-bound stretch from tile k_ (which reads a new upstream
-  // index) over the upstream run holding its index, proven in O(1) from
-  // the run's rise bound. Tile k_ is tested exactly; after it, a tile
-  // that reads an index s past the one the c tiles before it read waits
-  // on it if the run rises by c T over s indices. With D >= den, c = 1
-  // and s >= floor(D/den), and where the upstream's own period covers T
-  // over s indices the stretch runs over all its runs to the bank's end.
-  // With D < den, s = 1 and c <= sharing: a snappable run needs no cut;
-  // otherwise, where the bound holds only for c = 1 the stretch stops
-  // after the group of this bank's next repeated index, and where the
-  // upstream run's own repeated indices (which rise by just their T)
-  // break it, before the first tile that reads one. Committed as one
-  // resampled run.
-  bool dependency_bound_by_bound(const AvailRuns::Run& run) {
-    if (index() == read_ + 1 && seeker_.index() == read_run_ &&
-        repeats_in(run) && up_.repeats_at(index())) {
-      // The index after the last stretch's last one repeats its upstream
-      // dependency, so it lands exactly T_up later: a tile that does not
-      // wait on it is walked with no read.
-      const long dep = read_value_ + up_.resample().period;
-      if (dep < de_ && walks_ < kMaxWalks) {
-        ++walks_;
-        walk(dep);
-        return true;
-      }
-    }
-    long last = last_tile(run);
-    long up_rise = run.rise;
-    long up_run = static_cast<long>(seeker_.index());
-    bool snap = false;
+  // How far a dependency-bound stretch from tile k_ reaches, and what its
+  // tiles that set no new maximum of h add to the stalls. A last before
+  // k_ means that some step would need a look and none was allowed.
+  struct Reach {
+    long last;       // the stretch's last tile
+    long lows = 0;   // indices read that set no new maximum
+    long waits = 0;  // what the first tiles reading them wait on them
+    bool back = false;  // each of them is followed by one that does
+    long drop = 0;      // the most such an index's h is below the maximum
+  };
+  // The indices of a `back` stretch that set no new maximum.
+  std::vector<long> lows_;
+
+  // The stretch from tile k_ up to `last` over which every tile that reads
+  // a new upstream index sets a new maximum of h: the step from each such
+  // index i to the next, i', rises avail(i') - avail(i) >= c T for the c
+  // tiles that read i. `run` is the upstream run all of it reads, or null
+  // for any (and then only the upstream's period bounds a rise). A step of
+  // the commoner kind whose rise bound holds needs no look; with `look`,
+  // each other step (D < den: after a group of `sharing` tiles; D >= den:
+  // one that advances floor(D/den) indices) is asked of the upstream
+  // exactly, and the first that fails ends the stretch before it.
+  Reach new_maxima_through(const AvailRuns::Run* run, long last, bool look) {
+    if (out_.resample().grouped)
+      return new_group_maxima_through(run, last, look);
+    const auto bound = [&](long s) { return rise_bound(run, s); };
     if (t_.streamed >= den_) {
-      const long step = t_.streamed / den_;
-      if (up_.rise_over(run, step) < period_ || last - k_ + 1 < kMinStretch) {
-        // The upstream rises by its own period per index across all its
-        // runs: if that is enough, the rest of the bank is one stretch.
-        if (static_cast<Wide>(up_.floor_rise()) * step < period_) return false;
-        last = t_.tiles - 1;
-        up_rise = up_.floor_rise();
-        up_run = AvailRuns::kAnyRun;
-      }
-    } else if (snappable(run)) {
-      // Every tile that reads a repeated upstream index lands by the
-      // previous tile's drain, so the bank waits only on the first index
-      // of each upstream group.
-      snap = true;
-      up_rise = run.up_rise;
-    } else {
-      const Wide need = static_cast<Wide>(period_) * sharing_;
-      if (up_rise < need && repeats_in(run)) {
-        // Up to the upstream's next repeated index only the step after
-        // tile k_'s index can be weak, and only if that one repeats.
-        long plain = run.up_rise;
-        if (up_.repeats_at(index()))
-          plain = std::min(plain, up_.after_rise(run));
-        if (plain > up_rise) {
-          up_rise = plain;
-          const long x = up_.next_repeat(index());
-          if (x < run.end) last = std::min(last, first_tile_reading(x) - 1);
+      const long s0 = t_.streamed / den_;
+      if (bound(s0) >= period_) return {last};
+      if (!look) return {k_ - 1};
+      // The steps that advance s0 indices, rather than s0 + 1: where
+      // floor(j (D mod den) / den) = j - ceil(j (den - D mod den) / den)
+      // does not step up.
+      const bool all = bound(s0 + 1) < period_;
+      TileShare short_step = step_ups(k_, den_ - t_.streamed % den_, den_);
+      for (long j = k_; j < last; ++j) {
+        if (!all) {
+          j = short_step.q;
+          if (j >= last) break;
+          short_step.next();
         }
+        if (!up_.rises(t_.warmup - 1 + out_.quotient(j),
+                       t_.warmup - 1 + out_.quotient(j + 1), period_))
+          return {j};
       }
-      if (up_rise < period_) return false;
-      if (up_rise < need) {
-        const long r = out_.next_repeat(k_);
-        if (r < t_.tiles) {
-          TileShare at = share_;
-          at.seek(r);
-          last = std::min(last, first_tile_reading(t_.warmup + at.q) - 1);
-        }
-      }
+      return {last};
     }
+    const long rise = bound(1);
+    if (static_cast<Wide>(rise) >= static_cast<Wide>(period_) * sharing_)
+      return {last};
+    if (!look) return {k_ - 1};
+    // The groups of `sharing` tiles, rather than sharing - 1: where
+    // ceil(m (den mod D) / D) steps up, m = i - w + 1 for upstream index i.
+    const bool all = rise < static_cast<Wide>(period_) * (den_ / t_.streamed);
+    // Where h over any two steps rises (the tiles of two indices are at
+    // most ceil(2 den / D)), an index that sets no new maximum is followed
+    // by one that does: the stretch runs to `last` as a run that reads back
+    // one index, and each step that fails counts as such an index, with
+    // what its tile waits.
+    Reach reach{last};
+    reach.back = !all && bound(2) >= static_cast<Wide>(period_) *
+                                          by_streamed_.ceil(
+                                              static_cast<Wide>(2) * den_);
+    // (Groups differ in size, den mod D > 0, unless `all`.)
+    TileShare big =
+        step_ups(share_.q, std::max<long>(den_ % t_.streamed, 1), t_.streamed);
+    // Over a plain resampled upstream run with D >= den, a step advances
+    // s or s + 1 of its upstream's indices: where the longer steps are
+    // proven, only the shorter ones need looks.
+    const AvailRuns::Resample& u = up_.resample();
+    const Wide need = static_cast<Wide>(period_) * sharing_;
+    const bool short_only =
+        !all && run != nullptr && run->kind == AvailRuns::Kind::kResampled &&
+        !run->window && run->slope == 0 && u.streamed >= u.den &&
+        u.streamed % u.den != 0 &&
+        up_.up_rise_over(*run, u.streamed / u.den + 1) >= need;
+    TileShare short_up =
+        step_ups(index(), short_only ? u.den - u.streamed % u.den : 1,
+                 short_only ? u.den : 1);
+    const long m_last = out_.quotient(last);
+    for (long m = share_.q; m < m_last; ++m) {
+      if (!all) {
+        m = big.q;
+        if (m >= m_last) break;
+        big.next();
+      }
+      const long i = t_.warmup - 1 + m;
+      if (short_only) {
+        while (short_up.q < i) short_up.next();
+        if (short_up.q != i) continue;
+      }
+      const long c = all ? out_.first_reading(i + 1) - out_.first_reading(i)
+                         : sharing_;
+      if (up_.rises(i, i + 1, saturate(static_cast<Wide>(period_) * c)))
+        continue;
+      if (!reach.back) return {out_.first_reading(i + 1) - 1};
+      const long h = up_.avail(i + 1) - up_.avail(i) - period_ * c;
+      ++reach.lows;
+      reach.waits += std::max<long>(0, h + t_.drain);
+      reach.drop = std::max(reach.drop, -h);
+      lows_.push_back(i + 1);
+    }
+    return reach;
+  }
+
+  // new_maxima_through for D < den over an upstream bank that repeats
+  // indices too. Inside an upstream group [s, s') the upstream rises by
+  // exactly T_up an index, so h moves by T_up - c T from one index to the
+  // next, known without a read, and only the group starts s' need to set
+  // new maxima: avail(s') - avail(s) >= first(s') T + the most of
+  // T_up (x - s) - first(x) T over the group. Each index inside a group
+  // that sets no new maximum (a tie counts as one that does) is counted,
+  // with what its first tile waits: h - M + d, M the running maximum,
+  // when positive. Groups of one index read by sharing - 1 tiles, or
+  // fewer, need no visit when their bound holds.
+  Reach new_group_maxima_through(const AvailRuns::Run* run, long last,
+                                 bool look) {
+    const AvailRuns::Resample& u = up_.resample();
+    const long t_up = u.period;
+    // A plain resampled upstream run rises by at least its up_rise from
+    // one group start to the next.
+    const long group_rise = run != nullptr &&
+                                    run->kind == AvailRuns::Kind::kResampled &&
+                                    !run->window && run->slope == 0
+                                ? run->up_rise
+                                : 0;
+    const auto bound = [&](long g) {
+      return std::max(rise_bound(run, g), group_rise);
+    };
+    const long c_small = den_ / t_.streamed;
+    // The most a group of g indices can need: T_up p + T times the tiles
+    // of its last g - p indices, at most ceil((g - p) den / D).
+    const auto worst = [&](long g) {
+      Wide most = 0;
+      for (long p = 0; p < g; ++p)
+        most = std::max(most, static_cast<Wide>(t_up) * p +
+                                  static_cast<Wide>(period_) *
+                                      by_streamed_.ceil(
+                                          static_cast<Wide>(g - p) * den_));
+      return most;
+    };
+    const long g_small = u.den / u.streamed;
+    const bool needs_look = bound(g_small) < worst(g_small) ||
+                            bound(u.sharing) < worst(u.sharing);
+    if (needs_look && !look) return {k_ - 1};
+    // A group of g_small indices of c_small tiles each needs T_up p +
+    // T c_small (g_small - p), the most at an end.
+    const bool all =
+        needs_look &&
+        bound(g_small) <
+            std::max(static_cast<Wide>(period_) * c_small * g_small,
+                     static_cast<Wide>(t_up) * (g_small - 1) +
+                         static_cast<Wide>(period_) * c_small);
+    // Inside a group every index sets a new maximum, or none does and
+    // none waits.
+    const bool rising = static_cast<Wide>(t_up) >=
+                        static_cast<Wide>(period_) * sharing_;
+    const bool deep = static_cast<Wide>(t_up) + t_.drain <=
+                      static_cast<Wide>(period_) * c_small;
+    const long i0 = index();
+    const long i_last = t_.warmup - 1 + out_.quotient(last);
+    Reach reach{last};
+    // The upstream's repeated indices y, from y - 1 = floor(t den / (den -
+    // D)) upstream, and this bank's indices read by `sharing` tiles, from
+    // i - w + 1 = floor(t D / (den mod D)): both advance without dividing.
+    TileShare repeat = step_ups(i0, u.den - u.streamed, u.den);
+    const long e = den_ % t_.streamed;
+    TileShare big =
+        step_ups(i0 - t_.warmup + 1, std::max<long>(e, 1), t_.streamed);
+    const auto big_from = [&](long x) {
+      if (e == 0) return std::numeric_limits<long>::max();
+      while (t_.warmup - 1 + big.q < x) big.next();
+      return t_.warmup - 1 + big.q;
+    };
+    // The group starting at s, from its index `from` on: its indices
+    // after `from` that set no new maximum, and (with `check`) whether the
+    // start of the next sets one. Returns that start, or -1 where it ends
+    // the stretch.
+    const auto group = [&](long s, long from, bool check) {
+      long rel = 0;  // h(x) - h(from)
+      long top = 0;  // and its running maximum
+      long tiles = 0;
+      long x = from;
+      for (;;) {
+        const long c = c_small + (big_from(x) == x);
+        tiles += c;
+        while (repeat.q < x) repeat.next();
+        if (repeat.q != x || ++x > i_last) break;
+        rel += t_up - c * period_;
+        if (rel >= top) {
+          top = rel;
+        } else {
+          ++reach.lows;
+          reach.waits += std::max<long>(0, rel - top + t_.drain);
+          reach.drop = std::max(reach.drop, top - rel);
+        }
+      }
+      const long s_end = x + 1;
+      if (!check || s_end > i_last) return s_end;
+      // avail(s') - avail(from), both inside `run`, against the group's
+      // running maximum past h(from); avail(from) is T_up (from - s) past
+      // avail(s), which is inside `run` too if s >= its begin.
+      const Wide need = static_cast<Wide>(period_) * tiles + top;
+      Wide rise = rise_bound(run, s_end - from);
+      if (group_rise > 0 && s >= run->begin)
+        rise = std::max(rise, static_cast<Wide>(group_rise) -
+                                  static_cast<Wide>(t_up) * (from - s));
+      if (rise >= need || up_.rises(from, s_end, saturate(need)))
+        return s_end;
+      reach.last = out_.first_reading(s_end) - 1;
+      return -1L;
+    };
+    // The group tile k_ opens, from its index on (the indices before it
+    // set no new maximum past h(k_)), looked at whatever the bounds say:
+    // it may start before `run`. Then every group that holds a repeated
+    // upstream index or, where steps need looks, an index that `sharing`
+    // tiles read; all of them where even the others need looks.
+    long x = group(up_.group_start(i0), i0, true);
+    if (x > 0 && !needs_look && (rising || deep)) {
+      if (deep && x <= i_last) {
+        reach.lows += i_last - x - (up_.quotient(i_last) - up_.quotient(x));
+        // Each index of a group falls by c T - T_up or less.
+        reach.drop = std::max(reach.drop, (u.sharing - 1) *
+                                              (sharing_ * period_ - t_up));
+      }
+      return reach;
+    }
+    while (x > 0 && x <= i_last) {
+      while (repeat.q < x) repeat.next();
+      long s = all ? x : repeat.q;
+      if (needs_look) s = std::min(s, big_from(x));
+      if (s > i_last) break;
+      x = group(s, s, needs_look);
+    }
+    return reach;
+  }
+
+  // Tile k_ reads a new upstream index and waits on it (dep >= de(k_-1)):
+  // commit the dependency-bound stretch from it as one resampled run over
+  // the upstream run its index lies in, if the rise bounds prove it; else
+  // over the rest of the bank, if the upstream's own period per index
+  // proves it; else over the run, looking at the steps they do not prove.
+  bool dependency_bound() {
+    const AvailRuns::Run& run = seeker_.seek(index());
+    const long run_last = first_tile_reading(run.end) - 1;
+    bool any = false;
+    lows_.clear();
+    Reach reach = new_maxima_through(&run, run_last, false);
+    if (reach.last < k_) {
+      reach = new_maxima_through(nullptr, t_.tiles - 1, false);
+      any = reach.last >= k_;
+      if (!any) reach = new_maxima_through(&run, run_last, true);
+    }
+    const long last = reach.last;
     const long n = last - k_ + 1;
     if (n < kMinStretch) return false;
     TileShare end = share_;
     end.seek(last);
-    const long read_last = t_.warmup - 1 + end.q;
-    // The upstream index the last tile's avail counts from, and its
-    // tiles since the first that read it.
-    const long from_last = snap ? up_.group_start(read_last) : read_last;
-    const long c_last = snap ? last - first_tile_reading(from_last) + 1
-                             : end.group();
-    const long idx[2] = {index(), from_last};
-    long dep[2];
-    if (up_run == AvailRuns::kAnyRun)
-      up_.values_at(idx, 2, dep, scratch_);
-    else
-      up_.values_in(run, idx, 2, dep, scratch_);
-    if (dep[0] < de_) {
-      // Tile k_ does not wait on its dependency: walk it and try again
-      // from the next.
-      if (walks_ >= kMaxWalks) return false;
-      ++walks_;
-      walk(dep[0]);
-      return true;
-    }
-    walks_ = 0;
-    const long e_last = dep[1] + period_ * c_last - t_.drain;
-    const long groups =
-        snap ? up_.quotient(read_last) - up_.quotient(index()) + 1
-        : t_.streamed >= den_ ? n
-                              : end.q - share_.q + 1;
-    const long waits = snap ? snap_waits(index(), read_last) : 0;
+    const long floor_rise = up_.floor_rise();
+    const long drain_last = out_.push_resampled(
+        n, any ? AvailRuns::kAnyRun : static_cast<long>(seeker_.index()),
+        any ? floor_rise : std::max(run.rise, floor_rise),
+        reach.lows > 0 && !reach.back, reach.drop, lows_);
+    const long e_last = drain_last - t_.drain;
+    const long records =
+        (t_.streamed >= den_ ? n : end.q - share_.q + 1) - reach.lows;
     // sum_j fe(j) - e(j-1) = e(last) - e(k_-1) - n cpt. A tile that waits
     // on its dependency adds f to the fill stall; any other adds f + d,
-    // less what it waits for a repeated upstream index (`waits`); the rest
-    // is waiting on the dependency.
+    // less what it waits on its dependency (`waits`); the rest is waiting
+    // on the dependency.
     dependency_stall +=
-        e_last - e_ - n * period_ + groups * t_.drain + waits;
-    fill_stall += n * (t_.fill + t_.drain) - groups * t_.drain - waits;
-    out_.push_resampled(n, up_run, up_rise, e_last + t_.drain, snap);
-    read_ = snap ? -2 : idx[1];
-    read_value_ = dep[1];
-    read_run_ = seeker_.index();
+        e_last - e_ - n * period_ + records * t_.drain + reach.waits;
+    fill_stall += n * (t_.fill + t_.drain) - records * t_.drain - reach.waits;
     e_ = e_last;
-    de_ = e_last + t_.drain;
+    de_ = drain_last;
     k_ = last + 1;
     share_ = end;
     share_.next();
+    ++stretches;
     return true;
-  }
-
-  // A self-paced stretch from tile k_ to the last tile that reads inside
-  // resampled upstream run `run`, proven where the dependency of that
-  // last tile landed by e(k_-1): dependencies never fall with j, and
-  // e(j-1) never falls below e(k_-1). Tried after a self-paced tile.
-  bool self_paced_to_run_end(const AvailRuns::Run& run) {
-    const long last = last_tile(run);
-    if (last - k_ + 1 < kMinStretch) return false;
-    TileShare end = share_;
-    end.seek(last);
-    const long i = t_.warmup - 1 + end.q;
-    long dep = 0;
-    up_.values_in(run, &i, 1, &dep, scratch_);
-    if (dep > e_) {
-      self_paced_ = false;
-      return false;
-    }
-    commit_self_paced(last - k_ + 1);
-    share_ = end;
-    share_.next();
-    return true;
-  }
-
-  // Whether `run` is a resampled upstream run that reads some upstream
-  // index twice in a row: the index of the second read repeats the
-  // first's dependency (AvailRuns::repeats).
-  [[nodiscard]] bool repeats_in(const AvailRuns::Run& run) const {
-    return run.kind == AvailRuns::Kind::kResampled && !run.snap &&
-           up_.repeats();
-  }
-
-  // Whether a stretch from tile k_ over resampled upstream run `run`
-  // with repeated indices can read only the first index of each upstream
-  // group. A repeated index y lands T_up after y - 1, by the drain of the
-  // tile that read y - 1 if T_up <= T, so it never binds. The first
-  // index of a group lands a whole upstream step (>= up_rise) after the
-  // previous group's, which up to snap_sharing tiles read: binding if
-  // up_rise >= T snap_sharing. Tile k_ must read a group's first index.
-  [[nodiscard]] bool snappable(const AvailRuns::Run& run) const {
-    const long sharing = out_.resample().snap_sharing;
-    return repeats_in(run) && sharing > 0 &&
-           up_.resample().period <= period_ &&
-           static_cast<Wide>(run.up_rise) >=
-               static_cast<Wide>(period_) * sharing &&
-           !up_.repeats_at(index());
-  }
-
-  // What the tiles of a snapped stretch wait for the repeated upstream
-  // indices y in (from, to]: the first tile reading y waits
-  // max(0, up(y) - e(j-1)), where up(y) is T_up (c_up(y) - 1) past the
-  // group's first index and e(j-1) is T c - d past it, c the tiles that
-  // read the group before y.
-  long snap_waits(long from, long to) const {
-    const AvailRuns::Resample& u = up_.resample();
-    if (u.period * (u.sharing - 1) + t_.drain <= period_) return 0;
-    long waits = 0;
-    for (long y = up_.next_repeat(from); y <= to; y = up_.next_repeat(y)) {
-      const long first = up_.group_start(y);
-      const long before = first_tile_reading(y) - first_tile_reading(first);
-      waits += std::max<long>(
-          0, u.period * (y - first) + t_.drain - period_ * before);
-    }
-    return waits;
-  }
-
-  struct Pass {
-    TileShare share;  // at the tile after the chunk
-    bool self_paced;  // every tile of the chunk is self-paced
-    bool bound;       // every tile of the chunk is dependency-bound
-  };
-
-  // dep[t] = dependency(share) of tiles k_ + t, t < n, and both closed
-  // forms tested in the same pass: self-paced while dep(j) <= e(j-1),
-  // dependency-bound while dep(j) >= dep(j-1) + T (de(k_-1) for the
-  // first tile).
-  template <typename Dependency>
-  Pass gather_pass(long n, long* dep, Dependency dependency) const {
-    TileShare s = share_;
-    const long period = period_;
-    long e = e_;
-    long prev = de_ - period;
-    long self_paced = 1;
-    long bound = 1;
-    for (long t = 0; t < n; ++t) {
-      const long d = dependency(s.q);
-      s.next();
-      dep[t] = d;
-      self_paced &= d <= e;
-      bound &= d - prev >= period;
-      e += period;
-      prev = d;
-    }
-    return {s, self_paced != 0, bound != 0};
-  }
-
-  // Up to kChunk tiles from k_: gather their dependencies in one
-  // branch-free pass (inside one affine or explicit upstream run, or
-  // through resampled runs as one batch), test both closed forms over the
-  // whole chunk, and commit the one that holds.
-  void gather() {
-    walks_ = kMaxWalks;
-    const AvailRuns::Run& run = seeker_.seek(index());
-    long n = std::min(kChunk, last_tile(run) - k_ + 1);
-    long dep[kChunk];
-    const long base = t_.warmup - 1 - run.begin;
-    Pass pass{share_, false, false};
-    switch (run.kind) {
-      case AvailRuns::Kind::kAffine:
-        pass = gather_pass(
-            n, dep, [first = run.first, slope = run.slope, base](long q) {
-              return first + slope * (base + q);
-            });
-        break;
-      case AvailRuns::Kind::kExplicit:
-        pass = gather_pass(n, dep, [v = up_.values(run), base](long q) {
-          return v[base + q];
-        });
-        break;
-      case AvailRuns::Kind::kResampled: {
-        n = std::min(kChunk, t_.tiles - k_);
-        long idx[kChunk];
-        TileShare s = share_;
-        long t = 0;
-        do {
-          idx[t] = t_.warmup - 1 + s.q;
-          s.next();
-        } while (++t < n);
-        long read[kChunk];
-        up_.values_at(idx, n, read, scratch_);
-        pass = gather_pass(n, dep,
-                           [next = read](long) mutable { return *next++; });
-        break;
-      }
-    }
-    gathered += n;
-    if (pass.self_paced || pass.bound) {
-      if (pass.self_paced)
-        commit_self_paced(n);
-      else
-        commit_dependency_bound(dep, n);
-      self_paced_ = pass.self_paced;
-      share_ = pass.share;
-      return;
-    }
-
-    // Mixed chunk: split it into its self-paced and dependency-bound
-    // stretches in place, and walk the tiles that fit neither (their
-    // dependency lands while the previous drain is in flight).
-    for (long t = 0; t < n;) {
-      long end = t + 1;
-      self_paced_ = dep[t] <= e_;
-      if (dep[t] <= e_) {
-        while (end < n && dep[end] <= e_ + (end - t) * period_) ++end;
-        commit_self_paced(end - t);
-      } else if (dep[t] >= de_) {
-        while (end < n && dep[end] - dep[end - 1] >= period_) ++end;
-        commit_dependency_bound(dep + t, end - t);
-      } else {
-        walk(dep[t]);
-      }
-      t = end;
-    }
-    share_ = pass.share;
   }
 
   const Timing t_;
@@ -1113,19 +1129,13 @@ class StreamedBank {
   const AvailRuns& up_;
   RunSeeker seeker_;
   AvailRuns& out_;
-  long* const scratch_;
   EventLog& log_;
   const int bank_id_;
   TileShare share_;
+  const Divisor by_streamed_;
   long k_ = 0;   // next tile
   long e_ = 0;   // e(k_-1)
   long de_ = 0;  // de(k_-1)
-  long walks_ = 0;  // tiles walked since the last stretch
-  bool self_paced_ = false;  // the last tile walked or gathered was
-  // The last upstream index a stretch's last tile read, its run and value.
-  long read_ = -2;
-  std::size_t read_run_ = 0;
-  long read_value_ = 0;
 };
 }  // namespace
 
@@ -1154,44 +1164,37 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
                  "cycle simulation needs at least one computation bank");
     for (std::size_t b = 0; b < report.banks.size(); ++b) {
       const auto& bank = report.banks[b];
-      const std::string loc = "bank " + std::to_string(b);
+      // A coded error at this bank; its text is built only then.
+      const auto emit = [&](const char* code,
+                            const char* what) -> check::Diagnostic& {
+        const std::string loc = "bank " + std::to_string(b);
+        auto& d = diags.emit(code, check::Severity::kError, loc + what);
+        d.location = loc;
+        return d;
+      };
       // isfinite first: an ordered compare on a NaN raises FE_INVALID.
       if (!std::isfinite(bank.pass_latency) || bank.pass_latency < 0 ||
-          bank.pass_latency >= 1e30) {
-        diags.emit("MN-CYC-002", check::Severity::kError,
-                   loc + " has a non-finite or negative pass latency")
-            .location = loc;
-      }
-      if (bank.iterations < 0) {
-        diags.emit("MN-CYC-002", check::Severity::kError,
-                   loc + " has a negative iteration count")
-            .location = loc;
-      }
+          bank.pass_latency >= 1e30)
+        emit("MN-CYC-002", " has a non-finite or negative pass latency");
+      if (bank.iterations < 0)
+        emit("MN-CYC-002", " has a negative iteration count");
       if (bank.iterations <= 0 || diags.has_errors()) continue;
       if (bank.mapping.matrix_rows < 0 || bank.mapping.matrix_cols < 0) {
-        diags.emit("MN-CYC-002", check::Severity::kError,
-                   loc + " has a negative matrix size")
-            .location = loc;
+        emit("MN-CYC-002", " has a negative matrix size");
         continue;
       }
       const double if_tile = bank.mapping.matrix_rows * elem_bytes;
       const double of_tile = bank.mapping.matrix_cols * elem_bytes;
       // A slot holds at least one byte, even of an empty tile.
       if (std::max(if_tile, 1.0) > if_capacity) {
-        auto& d = diags.emit(
-            "MN-CYC-003", check::Severity::kError,
-            loc + ": ifmap scratchpad smaller than one tile");
-        d.location = loc;
-        d.hint = "one ifmap tile is " + std::to_string(if_tile) +
-                 " bytes; raise [cycle] Ifmap_KB";
+        emit("MN-CYC-003", ": ifmap scratchpad smaller than one tile").hint =
+            "one ifmap tile is " + std::to_string(if_tile) +
+            " bytes; raise [cycle] Ifmap_KB";
       }
       if (std::max(of_tile, 1.0) > of_capacity) {
-        auto& d = diags.emit(
-            "MN-CYC-003", check::Severity::kError,
-            loc + ": ofmap scratchpad smaller than one tile");
-        d.location = loc;
-        d.hint = "one ofmap tile is " + std::to_string(of_tile) +
-                 " bytes; raise [cycle] Ofmap_KB";
+        emit("MN-CYC-003", ": ofmap scratchpad smaller than one tile").hint =
+            "one ofmap tile is " + std::to_string(of_tile) +
+            " bytes; raise [cycle] Ofmap_KB";
       }
       // Weight programming stages one crossbar cell image at a time
       // through the filter scratchpad.
@@ -1199,12 +1202,11 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
           static_cast<double>(config.crossbar_size) * config.crossbar_size *
           cell_bits / 8.0);
       if (xbar_image > filter_capacity) {
-        auto& d = diags.emit(
-            "MN-CYC-003", check::Severity::kError,
-            loc + ": filter scratchpad smaller than one crossbar image");
-        d.location = loc;
-        d.hint = "one crossbar cell image is " + std::to_string(xbar_image) +
-                 " bytes; raise [cycle] Filter_KB";
+        emit("MN-CYC-003",
+             ": filter scratchpad smaller than one crossbar image")
+            .hint = "one crossbar cell image is " +
+                    std::to_string(xbar_image) +
+                    " bytes; raise [cycle] Filter_KB";
       }
     }
     if (diags.has_errors()) throw check::CheckError(std::move(diags));
@@ -1291,20 +1293,17 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
     result.events.reserve(static_cast<std::size_t>(std::min(log.max, most)));
   }
   long walked_tiles = 0;
-  long gathered_tiles = 0;
+  long stretches = 0;
 
   // avail[b + 1] is bank b's avail, and avail[0] the no-upstream of bank
   // 0. A resampled run reads the bank above it, which may read the one
   // above that, so every bank's runs live for the whole call; stored
-  // values are released once no later bank can read them. Reading through
-  // resampled runs takes 2 * kChunk longs of scratch a bank.
+  // values are released once no later bank can read them.
   const std::size_t n_banks = report.banks.size();
   std::vector<AvailRuns> avail;
   avail.reserve(n_banks + 1);
   for (std::size_t b = 0; b <= n_banks; ++b)
     avail.emplace_back(static_cast<long>(b));
-  const std::unique_ptr<long[]> scratch(
-      new long[2 * StreamedBank::kChunk * (n_banks + 1)]);
   std::size_t released = 0;
   long makespan = 0;
 
@@ -1313,7 +1312,7 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
     CycleBankStats& stats = result.banks[b];
     const long tiles = bank.iterations;
     AvailRuns& out = avail[b + 1];
-    out.clear(tiles);
+    out.clear();
     if (tiles <= 0) continue;
     const AvailRuns& up = avail[b];
 
@@ -1402,10 +1401,10 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
       // schedules the rest.
       StreamedBank streamed({tiles, fill_cycles, cpt, drain_cycles,
                              up_warmup, streamed_total},
-                            up, out, scratch.get(), log, bank_id);
+                            up, out, log, bank_id);
       streamed.schedule();
       walked_tiles += streamed.walked;
-      gathered_tiles += streamed.gathered;
+      stretches += streamed.stretches;
       stats.start_cycle = streamed.start;
       stats.finish_cycle = streamed.finish();
       stats.dependency_stall_cycles = streamed.dependency_stall;
@@ -1421,11 +1420,7 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
       // ofmap slots).
       walked_tiles += tiles;
       RunSeeker seeker(up);
-      const auto read = [&up, &seeker, at = scratch.get()](long i) {
-        long v = 0;
-        up.values_in(seeker.seek(i), &i, 1, &v, at);
-        return v;
-      };
+      const auto read = [&seeker](long i) { return seeker.avail(i); };
       TileShare share(streamed_total, std::max<long>(tiles - 1, 1));
       if (tiles == 1) share.q = streamed_total;
       auto next_dependency = [&] {
@@ -1588,7 +1583,7 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
   if (reg.enabled()) {
     reg.add("cycle.tiles", result.total_tiles);
     reg.add("cycle.walked_tiles", walked_tiles);
-    reg.add("cycle.gathered_tiles", gathered_tiles);
+    reg.add("cycle.stretches", stretches);
     reg.add("cycle.busy_cycles", result.total_busy_cycles);
     reg.add("cycle.stall_cycles", result.total_stall_cycles);
     reg.add("cycle.backing_bytes",

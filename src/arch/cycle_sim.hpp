@@ -35,21 +35,28 @@
 // resident ifmap, and the fill policy acts only with a resident ofmap.
 // The engine schedules streamed banks in that closed form, a stretch of
 // tiles at a time, and keeps each bank's drain ends as runs for the next
-// bank. A self-paced stretch (every dependency already met when the
-// previous compute ends) costs O(1) and leaves one affine run. A
-// dependency-bound stretch (every tile that reads a new upstream index
-// waits on, and only on, it) is proven in O(1) per upstream run from a
-// lower bound on that run's rise, and leaves one resampled run: the
-// upstream value at the tile's index (or, where the upstream repeats
-// indices at a period no longer than the bank's, at the first index of
-// its group) plus T for each tile since the first that read it, stored
-// as nothing and read through the upstream's runs. A stretch no bound
-// proves goes to a branch-free gather pass that stores its values; tiles
-// that fit neither form, and every tile while events are still being
-// recorded, go through the per-tile walk. Banks with a resident operand
-// keep the general slot-ring walk. All of it is exact: the result does
-// not depend on how much of the schedule was walked or gathered
-// (docs/PERFORMANCE.md).
+// bank. In max-plus form a streamed bank's drain end is
+// de(k) = (k + 1) T + max(0, max over j <= k of dep(j) - j T): the
+// running maximum of h(j) = dep(j) - j T. Over one upstream run the
+// engine asks whether h rises from each upstream index the bank reads to
+// the next: a rise bound of the run proves the commoner steps at once,
+// and the rarer ones (a group of tiles sharing an index, a step of
+// floor(D/den) indices, an upstream repeat) are found by division-free
+// cursors and asked of the upstream exactly. Where every step rises the
+// stretch is one resampled run: the upstream value at the tile's index
+// plus T for each tile since the first that read it, stored as nothing
+// and read through the upstream's runs. Where the upstream repeats
+// indices too, h moves by a known amount inside each upstream group, so
+// only group starts need to rise and the run reads each tile's maximum
+// from its group start; an index whose step falls is counted (with the
+// cycles its first tile waits) and, if the next index always rises past
+// it, listed in the run. A self-paced stretch (every dependency met when
+// the previous compute ends, so h never reaches the maximum) leaves one
+// affine run. Tiles that fit neither form, and every tile while events
+// are still being recorded, go through the per-tile walk. Banks with a
+// resident operand keep the general slot-ring walk. All of it is
+// integer arithmetic and exact: the result does not depend on how much
+// of the schedule was walked (docs/PERFORMANCE.md).
 #pragma once
 
 #include "arch/accelerator.hpp"

@@ -44,13 +44,13 @@ struct Outcome {
   std::optional<CycleSimResult> result;
   std::vector<std::string> codes;
   long walked_tiles = 0;
-  long gathered_tiles = 0;
+  long stretches = 0;
 };
 
 Outcome run(const AcceleratorReport& rep, const AcceleratorConfig& cfg) {
   obs::Registry& reg = obs::Registry::global();
   const long walked_before = reg.counter("cycle.walked_tiles");
-  const long gathered_before = reg.counter("cycle.gathered_tiles");
+  const long stretches_before = reg.counter("cycle.stretches");
   Outcome out;
   try {
     out.result = simulate_cycles(rep, cfg);
@@ -58,7 +58,7 @@ Outcome run(const AcceleratorReport& rep, const AcceleratorConfig& cfg) {
     for (const auto& d : e.diagnostics()) out.codes.push_back(d.code);
   }
   out.walked_tiles = reg.counter("cycle.walked_tiles") - walked_before;
-  out.gathered_tiles = reg.counter("cycle.gathered_tiles") - gathered_before;
+  out.stretches = reg.counter("cycle.stretches") - stretches_before;
   return out;
 }
 
@@ -225,13 +225,46 @@ TEST(CycleDifferential, GeneratedNetworks) {
 TEST(CycleDifferential, FastForwardCoversTheVgg16CaseStudy) {
   // With the default event cap the walk covers only the recorded tiles,
   // tile 0 of each bank and the few tiles that fit neither closed form,
-  // and the O(1) stretch proofs leave almost nothing to gather.
+  // and a handful of stretches a bank covers the rest.
   const auto rep = simulate_accelerator(nn::make_vgg16(), base());
   const Outcome out = run(rep, base());
   ASSERT_TRUE(out.result.has_value());
   EXPECT_EQ(out.result->total_tiles, 137791);
   EXPECT_LT(out.walked_tiles, out.result->total_tiles / 100);
-  EXPECT_LT(out.gathered_tiles, out.result->total_tiles / 100);
+  EXPECT_LT(out.stretches, 4 * static_cast<long>(rep.banks.size()));
+}
+
+TEST(CycleDifferential, Vgg16OverTheCnnDesignSpace) {
+  // VGG-16 at every crossbar size and parallelism degree of the Table VI
+  // sweep (45 nm, 8-bit outputs, default scratchpads): every field agrees
+  // at every cap. Crossbars of 128-512 with parallelism below 128 are
+  // where banks 3, 5, 6 and 9 read upstream runs with repeated indices;
+  // a 1024 x 1024 cell image does not fit the filter scratchpad.
+  const dse::DesignSpace space = dse::DesignSpace::paper_cnn();
+  const nn::Network vgg = nn::make_vgg16();
+  for (int size : space.crossbar_sizes) {
+    for (int parallelism : space.parallelism_degrees) {
+      if (parallelism > size) continue;
+      AcceleratorConfig cfg = base();
+      cfg.crossbar_size = size;
+      cfg.parallelism = parallelism;
+      cfg.output_bits = 8;
+      const std::string what = "size " + std::to_string(size) +
+                               " parallelism " + std::to_string(parallelism);
+      const auto all = expect_caps_agree(simulate_accelerator(vgg, cfg), cfg,
+                                         what);
+      if (size == 1024) {
+        EXPECT_FALSE(all.has_value()) << what;
+        const Outcome refused = run(simulate_accelerator(vgg, cfg), cfg);
+        EXPECT_EQ(refused.codes, std::vector<std::string>(
+                                     refused.codes.size(), "MN-CYC-003"))
+            << what;
+        EXPECT_FALSE(refused.codes.empty()) << what;
+      } else {
+        EXPECT_TRUE(all.has_value()) << what;
+      }
+    }
+  }
 }
 
 // ---- Hand-built reports ---------------------------------------------------
@@ -517,6 +550,32 @@ TEST(CycleDifferential, PoolOverAConvOfNearlyEqualPeriod) {
                           pinned(), "fuzzed chain");
 }
 
+TEST(CycleDifferential, GroupsOfThreeAtSlowTransfers) {
+  // Found by random chains, at 8 bytes a cycle (fills of 8 cycles,
+  // drains of 4): the last bank reads D/den = 1961/2995 of a bank that
+  // reads 944/1985 of its own upstream, so its upstream groups hold up to
+  // three indices, and the start of the next group needs more than either
+  // end of the group suggests: the T_up of one repeat plus the tiles of
+  // the two indices after it.
+  AcceleratorConfig cfg = pinned();
+  cfg.cycle_bandwidth_gbps = 8.0;
+  (void)expect_caps_agree(hand_built({{2737, 442, 616},
+                                      {2225, 28, 661},
+                                      {976, 32, 463},
+                                      {1986, 25, 394},
+                                      {2996, 39, 248}}),
+                          cfg, "five banks");
+  (void)expect_caps_agree(hand_built({{2844, 24, 76},
+                                      {237, 1, 474},
+                                      {948, 45, 701},
+                                      {1422, 2, 418},
+                                      {237, 31, 45},
+                                      {948, 45, 421},
+                                      {1422, 40, 301},
+                                      {711, 613, 692}}),
+                          cfg, "eight banks");
+}
+
 // Every bank streamed (neither operand resident): the recurrence of the
 // StreamedBank comment, tile by tile, with f = d = 1 at an unconstrained
 // bus; a bank's warm-up is what the next bank waits for, as in the
@@ -579,7 +638,79 @@ TEST(CycleDifferential, MillionTileBanksAgainstTheRecurrence) {
     EXPECT_EQ(out.result->banks[b].dependency_stall_cycles, expected[b][1]);
     EXPECT_EQ(out.result->banks[b].fill_stall_cycles, expected[b][2]);
   }
-  EXPECT_LT(out.walked_tiles + out.gathered_tiles, 100000);
+  EXPECT_LT(out.walked_tiles + out.stretches, 100000);
+}
+
+// Runs `specs` at caps 0 and 256 and checks every bank against the
+// tile-by-tile recurrence: for chains too long to record every event.
+void expect_recurrence(const std::vector<BankSpec>& specs,
+                       const std::string& what) {
+  SCOPED_TRACE(what);
+  const std::vector<std::array<long, 3>> expected = streamed_recurrence(specs);
+  const AcceleratorReport rep = hand_built(specs);
+  AcceleratorConfig cfg = pinned();
+  cfg.cycle_max_events = 0;
+  const Outcome fast = run(rep, cfg);
+  cfg.cycle_max_events = 256;
+  const Outcome some = run(rep, cfg);
+  ASSERT_TRUE(fast.result.has_value());
+  ASSERT_TRUE(some.result.has_value());
+  expect_same(*fast.result, *some.result, "cap 256");
+  for (std::size_t b = 0; b < specs.size(); ++b) {
+    SCOPED_TRACE("bank " + std::to_string(b));
+    EXPECT_EQ(fast.result->banks[b].finish_cycle, expected[b][0]);
+    EXPECT_EQ(fast.result->banks[b].dependency_stall_cycles, expected[b][1]);
+    EXPECT_EQ(fast.result->banks[b].fill_stall_cycles, expected[b][2]);
+  }
+}
+
+TEST(CycleDifferential, PoolJustBelowAnIntegerShare) {
+  // A pool bank that reads D/den = 3.998 upstream tiles a tile at a period
+  // of 87 cycles, between three (72) and four (96) upstream periods of 24:
+  // the steps that advance three indices set no new maximum of h, the
+  // others do. Full size against the recurrence, and a hundredth of it
+  // (about the same share, the same periods) at every cap.
+  expect_recurrence(
+      {{3'000'000, 1, 20}, {3'000'000, 1500, 22}, {750'000, 4, 85}},
+      "3e6 / 3e6 / 7.5e5 tiles");
+  (void)expect_caps_agree(
+      hand_built({{30'000, 1, 20}, {30'000, 15, 22}, {7'500, 4, 85}}),
+      pinned(), "3e4 / 3e4 / 7.5e3 tiles");
+}
+
+// A chain of `banks` banks of `tiles` tiles each, with warm-ups of 1-40
+// upstream tiles (so D/den just below 1: a repeated index every few
+// hundred to few thousand tiles) and passes of 300-303 cycles, or one
+// cycle longer a bank (`ramp`).
+std::vector<BankSpec> near_equal_chain(int banks, long tiles, unsigned seed,
+                                       bool ramp) {
+  std::mt19937 rng(seed);
+  std::vector<BankSpec> specs;
+  for (int b = 0; b < banks; ++b) {
+    const long cpt =
+        ramp ? 300L + b : std::uniform_int_distribution<long>(300, 303)(rng);
+    specs.push_back(
+        {tiles, std::uniform_int_distribution<long>(1, 40)(rng), cpt});
+  }
+  return specs;
+}
+
+TEST(CycleDifferential, LongChainsOfNearlyEqualPeriods) {
+  // 40- and 120-bank chains whose periods differ by up to three cycles:
+  // most banks turn from self-paced to dependency-bound or back somewhere,
+  // and each reads an upstream run with repeated indices. Full size
+  // (20,000 tiles a bank) against the recurrence, a tenth of it at every
+  // cap, and a chain of banks each one cycle slower than the one before.
+  for (int banks : {40, 120}) {
+    const std::string what = std::to_string(banks) + " banks";
+    expect_recurrence(near_equal_chain(banks, 20000, 5u + banks, false),
+                      what);
+    (void)expect_caps_agree(
+        hand_built(near_equal_chain(banks, 2000, 5u + banks, false)),
+        pinned(), what + ", 2000 tiles");
+  }
+  (void)expect_caps_agree(hand_built(near_equal_chain(120, 2000, 9u, true)),
+                          pinned(), "ramp");
 }
 
 TEST(CycleDifferential, ChainsNearTheCycleDomainBound) {

@@ -182,7 +182,7 @@ TileShare step_ups(long x, long e, long q) {
 //              dependency-bound stretch, in which the first of the c(k)
 //              tiles that read one upstream index waits on it and the
 //              rest follow it by T each. A resampled run reads one
-//              upstream run, or any of them (kAnyRun).
+//              upstream run.
 // Every run keeps a lower bound on its rise from one index to the next,
 // and rise_over() one over m indices: what the next bank's proofs read.
 // avail never falls with k, so every rise and slope is >= 0.
@@ -195,8 +195,7 @@ class AvailRuns {
     long first = 0;    // affine: the value at begin; resampled: lows index
     long slope = 0;    // affine: the increment per index; resampled: lows
     long offset = 0;   // explicit: values index of begin;
-                       // resampled: the upstream run every index reads,
-                       // or kAnyRun
+                       // resampled: the upstream run every index reads
     long rise = 0;     // avail(i + 1) - avail(i) >= rise inside the run
     long up_rise = 0;  // resampled: the same bound for the upstream
                        // indices the run reads
@@ -309,8 +308,7 @@ class AvailRuns {
     if (prev.kind == Kind::kResampled && prev.offset == up_run &&
         prev.up_rise == up_rise && prev.window == window &&
         (prev.slope == 0) == lows.empty() &&
-        (up_run == kAnyRun ||
-         up_rise <= up.run(static_cast<std::size_t>(up_run)).rise)) {
+        up_rise <= up.run(static_cast<std::size_t>(up_run)).rise) {
       prev.end += n;
       if (prev.slope == 0) prev.first = first_low;
       prev.slope += static_cast<long>(lows.size());
@@ -324,7 +322,7 @@ class AvailRuns {
                      static_cast<long>(lows.size()), up_run, 0, up_rise,
                      Kind::kResampled, window, drop});
     runs_.back().rise = resampled_rise_over(runs_.back(), 1);
-    const Run* read = up_run == kAnyRun || window || !lows.empty()
+    const Run* read = window || !lows.empty()
                           ? nullptr
                           : &up.run(static_cast<std::size_t>(up_run));
     const long from = read == nullptr ? std::min(up.id_, up.values_from_)
@@ -355,7 +353,6 @@ class AvailRuns {
   // plain resampled run `run` reads.
   [[nodiscard]] long up_rise_over(const Run& run, long a) const {
     const long per_step = saturate(static_cast<Wide>(a) * run.up_rise);
-    if (run.offset == kAnyRun) return per_step;
     return std::max(
         resample_.up->rise_over(
             resample_.up->run(static_cast<std::size_t>(run.offset)), a),
@@ -373,8 +370,7 @@ class AvailRuns {
     const long up_i =
         p.warmup - 1 + p.by_den.floor(static_cast<Wide>(i) * p.streamed, rem);
     if (!run.window) {
-      const auto lows = lows_.begin() + run.first;
-      if (run.slope == 0 || !std::binary_search(lows, lows + run.slope, up_i))
+      if (!listed(run, up_i))
         return up_avail(run, up_i) + p.period * group(rem);
       return up_avail(run, up_i - 1) +
              p.period * (i + 1 - first_reading(up_i - 1));
@@ -424,16 +420,30 @@ class AvailRuns {
     if (j >= run.end) return avail(j) - avail_in(run, i) >= need;
     if (rise_over(run, j - i) >= need) return true;
     const Resample& p = resample_;
-    if (run.kind != Kind::kResampled || run.window || run.slope > 0)
+    if (run.kind != Kind::kResampled)
       return avail_in(run, j) - avail_in(run, i) >= need;
     long ri = 0;
     long rj = 0;
-    const long qi = p.by_den.floor(static_cast<Wide>(i) * p.streamed, ri);
-    const long qj = p.by_den.floor(static_cast<Wide>(j) * p.streamed, rj);
-    return p.up->rises(
-        p.warmup - 1 + qi, p.warmup - 1 + qj,
-        saturate(static_cast<Wide>(need) -
-                 static_cast<Wide>(p.period) * (group(rj) - group(ri))));
+    const long ui = p.warmup - 1 +
+                    p.by_den.floor(static_cast<Wide>(i) * p.streamed, ri);
+    const long uj = p.warmup - 1 +
+                    p.by_den.floor(static_cast<Wide>(j) * p.streamed, rj);
+    // A windowed or listed value is never below the plain formula's and
+    // at most `drop` above it: the plain rise decides where both ends
+    // are plain, and proves the rise where it has the room.
+    const bool plain_i = !run.window && !listed(run, ui);
+    const bool plain_j = !run.window && !listed(run, uj);
+    const Wide up_need = static_cast<Wide>(need) + (plain_i ? 0 : run.drop) -
+                         static_cast<Wide>(p.period) * (group(rj) - group(ri));
+    if (p.up->rises(ui, uj, saturate(up_need))) return true;
+    return !(plain_i && plain_j) &&
+           avail_in(run, j) - avail_in(run, i) >= need;
+  }
+
+  // Whether `run` lists upstream index i among its lows (see Run).
+  [[nodiscard]] bool listed(const Run& run, long i) const {
+    const auto lows = lows_.begin() + run.first;
+    return run.slope > 0 && std::binary_search(lows, lows + run.slope, i);
   }
 
   // The first tile whose upstream index is i or more (i >= w - 1).
@@ -458,7 +468,6 @@ class AvailRuns {
   }
 
   static constexpr long kNoValues = std::numeric_limits<long>::max();
-  static constexpr long kAnyRun = -1;
 
   // avail(i + 1) - avail(i) for any i >= -1, across runs too, and
   // avail(i) >= (i + 1) floor_rise: a streamed bank's
@@ -527,7 +536,6 @@ class AvailRuns {
   // The upstream avail at index i, which resampled run `run` reads.
   [[nodiscard]] long up_avail(const Run& run, long i) const {
     const AvailRuns& up = *resample_.up;
-    if (run.offset == kAnyRun) return up.avail(i);
     const Run& read = up.run(static_cast<std::size_t>(run.offset));
     return i >= read.begin ? up.avail_in(read, i) : up.avail(i);
   }
@@ -791,15 +799,15 @@ class StreamedBank {
     }
     const long b = any ? t_.tiles - 1 : first_tile_reading(run.end) - 1;
     // The rarer steps start where ceil(j (den - D mod den) / den) steps
-    // up; upstream, h can also fall into and out of a repeated index y,
-    // just before the first tiles that read y and y + 1.
+    // up. Upstream (T_up < T, else `any`), h falls into each repeated
+    // index y, just after the last tile that reads y - 1; it may fall
+    // again out of y, but from below that tile's h.
     const bool breaks = !pool || (rem != 0 && !rises_by(any, s0));
     TileShare fall = step_ups(k_, den_ - rem, den_);
     TileShare up_fall = step_ups(index(), grouped ? u.den - u.streamed : 1,
                                  grouped ? u.den : 1);
-    bool past = false;
     const auto up_break = [&] {
-      return out_.first_reading(up_fall.q + 1 + past) - 1;
+      return out_.first_reading(up_fall.q + 1) - 1;
     };
     long done = k_ + 1;  // [k_, done) is self-paced
     while (done <= b) {
@@ -809,8 +817,7 @@ class StreamedBank {
         c = std::min(fall.q, b);
       }
       if (grouped) {
-        for (; up_break() < done; past = !past)
-          if (past) up_fall.next();
+        while (up_break() < done) up_fall.next();
         c = std::min(c, up_break());
       }
       if (self_paced_at(c)) {
@@ -841,39 +848,33 @@ class StreamedBank {
   }
 
   // How far a dependency-bound stretch from tile k_ reaches, and what its
-  // tiles that set no new maximum of h add to the stalls. A last before
-  // k_ means that some step would need a look and none was allowed.
+  // tiles that set no new maximum of h add to the stalls.
   struct Reach {
     long last;       // the stretch's last tile
     long lows = 0;   // indices read that set no new maximum
     long waits = 0;  // what the first tiles reading them wait on them
-    bool back = false;  // each of them is followed by one that does
-    long drop = 0;      // the most such an index's h is below the maximum
+    long drop = 0;   // the most such an index's h is below the maximum
   };
-  // The indices of a `back` stretch that set no new maximum.
+  // Of them, those each followed by one that does, when listed.
   std::vector<long> lows_;
 
   // The stretch from tile k_ up to `last` over which every tile that reads
   // a new upstream index sets a new maximum of h: the step from each such
   // index i to the next, i', rises avail(i') - avail(i) >= c T for the c
-  // tiles that read i. `run` is the upstream run all of it reads, or null
-  // for any (and then only the upstream's period bounds a rise). A step of
-  // the commoner kind whose rise bound holds needs no look; with `look`,
-  // each other step (D < den: after a group of `sharing` tiles; D >= den:
-  // one that advances floor(D/den) indices) is asked of the upstream
-  // exactly, and the first that fails ends the stretch before it.
-  Reach new_maxima_through(const AvailRuns::Run* run, long last, bool look) {
-    if (out_.resample().grouped)
-      return new_group_maxima_through(run, last, look);
-    const auto bound = [&](long s) { return rise_bound(run, s); };
+  // tiles that read i; `run` is the upstream run all of it reads. A step
+  // of the commoner kind whose rise bound holds needs no look; each other
+  // step (D < den: after a group of `sharing` tiles; D >= den: one that
+  // advances floor(D/den) indices) is asked of the upstream exactly, and
+  // the first that fails ends the stretch before it.
+  Reach new_maxima_through(const AvailRuns::Run& run, long last) {
+    if (out_.resample().grouped) return new_group_maxima_through(run, last);
     if (t_.streamed >= den_) {
       const long s0 = t_.streamed / den_;
-      if (bound(s0) >= period_) return {last};
-      if (!look) return {k_ - 1};
+      if (rise_bound(&run, s0) >= period_) return {last};
       // The steps that advance s0 indices, rather than s0 + 1: where
       // floor(j (D mod den) / den) = j - ceil(j (den - D mod den) / den)
       // does not step up.
-      const bool all = bound(s0 + 1) < period_;
+      const bool all = rise_bound(&run, s0 + 1) < period_;
       TileShare short_step = step_ups(k_, den_ - t_.streamed % den_, den_);
       for (long j = k_; j < last; ++j) {
         if (!all) {
@@ -887,10 +888,9 @@ class StreamedBank {
       }
       return {last};
     }
-    const long rise = bound(1);
+    const long rise = rise_bound(&run, 1);
     if (static_cast<Wide>(rise) >= static_cast<Wide>(period_) * sharing_)
       return {last};
-    if (!look) return {k_ - 1};
     // The groups of `sharing` tiles, rather than sharing - 1: where
     // ceil(m (den mod D) / D) steps up, m = i - w + 1 for upstream index i.
     const bool all = rise < static_cast<Wide>(period_) * (den_ / t_.streamed);
@@ -900,9 +900,10 @@ class StreamedBank {
     // one index, and each step that fails counts as such an index, with
     // what its tile waits.
     Reach reach{last};
-    reach.back = !all && bound(2) >= static_cast<Wide>(period_) *
-                                          by_streamed_.ceil(
-                                              static_cast<Wide>(2) * den_);
+    const bool back =
+        !all && rise_bound(&run, 2) >=
+                    static_cast<Wide>(period_) *
+                        by_streamed_.ceil(static_cast<Wide>(2) * den_);
     // (Groups differ in size, den mod D > 0, unless `all`.)
     TileShare big =
         step_ups(share_.q, std::max<long>(den_ % t_.streamed, 1), t_.streamed);
@@ -912,10 +913,10 @@ class StreamedBank {
     const AvailRuns::Resample& u = up_.resample();
     const Wide need = static_cast<Wide>(period_) * sharing_;
     const bool short_only =
-        !all && run != nullptr && run->kind == AvailRuns::Kind::kResampled &&
-        !run->window && run->slope == 0 && u.streamed >= u.den &&
+        !all && run.kind == AvailRuns::Kind::kResampled && !run.window &&
+        run.slope == 0 && u.streamed >= u.den &&
         u.streamed % u.den != 0 &&
-        up_.up_rise_over(*run, u.streamed / u.den + 1) >= need;
+        up_.up_rise_over(run, u.streamed / u.den + 1) >= need;
     TileShare short_up =
         step_ups(index(), short_only ? u.den - u.streamed % u.den : 1,
                  short_only ? u.den : 1);
@@ -935,7 +936,7 @@ class StreamedBank {
                          : sharing_;
       if (up_.rises(i, i + 1, saturate(static_cast<Wide>(period_) * c)))
         continue;
-      if (!reach.back) return {out_.first_reading(i + 1) - 1};
+      if (!back) return {out_.first_reading(i + 1) - 1};
       const long h = up_.avail(i + 1) - up_.avail(i) - period_ * c;
       ++reach.lows;
       reach.waits += std::max<long>(0, h + t_.drain);
@@ -955,19 +956,17 @@ class StreamedBank {
   // with what its first tile waits: h - M + d, M the running maximum,
   // when positive. Groups of one index read by sharing - 1 tiles, or
   // fewer, need no visit when their bound holds.
-  Reach new_group_maxima_through(const AvailRuns::Run* run, long last,
-                                 bool look) {
+  Reach new_group_maxima_through(const AvailRuns::Run& run, long last) {
     const AvailRuns::Resample& u = up_.resample();
     const long t_up = u.period;
     // A plain resampled upstream run rises by at least its up_rise from
     // one group start to the next.
-    const long group_rise = run != nullptr &&
-                                    run->kind == AvailRuns::Kind::kResampled &&
-                                    !run->window && run->slope == 0
-                                ? run->up_rise
+    const long group_rise = run.kind == AvailRuns::Kind::kResampled &&
+                                    !run.window && run.slope == 0
+                                ? run.up_rise
                                 : 0;
     const auto bound = [&](long g) {
-      return std::max(rise_bound(run, g), group_rise);
+      return std::max(rise_bound(&run, g), group_rise);
     };
     const long c_small = den_ / t_.streamed;
     // The most a group of g indices can need: T_up p + T times the tiles
@@ -984,7 +983,6 @@ class StreamedBank {
     const long g_small = u.den / u.streamed;
     const bool needs_look = bound(g_small) < worst(g_small) ||
                             bound(u.sharing) < worst(u.sharing);
-    if (needs_look && !look) return {k_ - 1};
     // A group of g_small indices of c_small tiles each needs T_up p +
     // T c_small (g_small - p), the most at an end.
     const bool all =
@@ -1043,8 +1041,8 @@ class StreamedBank {
       // running maximum past h(from); avail(from) is T_up (from - s) past
       // avail(s), which is inside `run` too if s >= its begin.
       const Wide need = static_cast<Wide>(period_) * tiles + top;
-      Wide rise = rise_bound(run, s_end - from);
-      if (group_rise > 0 && s >= run->begin)
+      Wide rise = rise_bound(&run, s_end - from);
+      if (group_rise > 0 && s >= run.begin)
         rise = std::max(rise, static_cast<Wide>(group_rise) -
                                   static_cast<Wide>(t_up) * (from - s));
       if (rise >= need || up_.rises(from, s_end, saturate(need)))
@@ -1062,8 +1060,9 @@ class StreamedBank {
       if (deep && x <= i_last) {
         reach.lows += i_last - x - (up_.quotient(i_last) - up_.quotient(x));
         // Each index of a group falls by c T - T_up or less.
-        reach.drop = std::max(reach.drop, (u.sharing - 1) *
-                                              (sharing_ * period_ - t_up));
+        const Wide fall = static_cast<Wide>(sharing_) * period_ - t_up;
+        reach.drop = std::max(
+            reach.drop, saturate(static_cast<Wide>(u.sharing - 1) * fall));
       }
       return reach;
     }
@@ -1078,31 +1077,22 @@ class StreamedBank {
   }
 
   // Tile k_ reads a new upstream index and waits on it (dep >= de(k_-1)):
-  // commit the dependency-bound stretch from it as one resampled run over
-  // the upstream run its index lies in, if the rise bounds prove it; else
-  // over the rest of the bank, if the upstream's own period per index
-  // proves it; else over the run, looking at the steps they do not prove.
+  // commit the dependency-bound stretch from it over the upstream run its
+  // index lies in as one resampled run.
   bool dependency_bound() {
     const AvailRuns::Run& run = seeker_.seek(index());
-    const long run_last = first_tile_reading(run.end) - 1;
-    bool any = false;
     lows_.clear();
-    Reach reach = new_maxima_through(&run, run_last, false);
-    if (reach.last < k_) {
-      reach = new_maxima_through(nullptr, t_.tiles - 1, false);
-      any = reach.last >= k_;
-      if (!any) reach = new_maxima_through(&run, run_last, true);
-    }
+    const Reach reach =
+        new_maxima_through(run, first_tile_reading(run.end) - 1);
     const long last = reach.last;
     const long n = last - k_ + 1;
     if (n < kMinStretch) return false;
     TileShare end = share_;
     end.seek(last);
-    const long floor_rise = up_.floor_rise();
     const long drain_last = out_.push_resampled(
-        n, any ? AvailRuns::kAnyRun : static_cast<long>(seeker_.index()),
-        any ? floor_rise : std::max(run.rise, floor_rise),
-        reach.lows > 0 && !reach.back, reach.drop, lows_);
+        n, static_cast<long>(seeker_.index()),
+        std::max(run.rise, up_.floor_rise()), reach.lows > 0 && lows_.empty(),
+        reach.drop, lows_);
     const long e_last = drain_last - t_.drain;
     const long records =
         (t_.streamed >= den_ ? n : end.q - share_.q + 1) - reach.lows;

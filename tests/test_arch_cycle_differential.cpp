@@ -576,6 +576,38 @@ TEST(CycleDifferential, GroupsOfThreeAtSlowTransfers) {
                           cfg, "eight banks");
 }
 
+TEST(CycleDifferential, SeededRandomChains) {
+  // Two to nine banks of up to 3,000 tiles in five shapes (independent
+  // sizes; equal sizes; pool-like quarters; periods within four cycles
+  // of each other; sizes alternating about a factor of two), warm-ups
+  // up to past the upstream's tiles, and transfers of one to 128 cycles:
+  // the shapes in which repeated indices here and upstream, groups of
+  // several indices and near-equal periods meet.
+  std::mt19937_64 rng(4);
+  const auto draw = [&](long lo, long hi) {
+    return std::uniform_int_distribution<long>(lo, hi)(rng);
+  };
+  for (int chain = 0; chain < 1000; ++chain) {
+    const int shape = static_cast<int>(draw(0, 4));
+    const long base = draw(1, 3000);
+    std::vector<BankSpec> specs;
+    for (long b = 0, banks = draw(2, 9); b < banks; ++b) {
+      long tiles = shape == 0 ? draw(0, 3000) : base;
+      if (shape == 2 && b % 3 == 1) tiles = std::max(1L, base / 4);
+      if (shape == 4) tiles = b % 2 ? base : 2 * base + draw(-3, 3);
+      const long warmup = draw(0, 3) == 0 ? draw(0, tiles + 5) : draw(1, 50);
+      long cpt = shape == 3 ? 300 + draw(-4, 4) : draw(1, 800);
+      if (draw(0, 5) == 0) cpt = draw(1, 5);
+      specs.push_back({tiles, warmup, cpt});
+    }
+    AcceleratorConfig cfg = pinned();
+    cfg.cycle_bandwidth_gbps = std::array{0.5, 2.0, 8.0, 64.0, 1e6}[
+        static_cast<std::size_t>(draw(0, 4))];
+    (void)expect_caps_agree(hand_built(specs), cfg,
+                            "chain " + std::to_string(chain));
+  }
+}
+
 // Every bank streamed (neither operand resident): the recurrence of the
 // StreamedBank comment, tile by tile, with f = d = 1 at an unconstrained
 // bus; a bank's warm-up is what the next bank waits for, as in the

@@ -8,8 +8,8 @@
 //   cycle-vs-trace    trace wall-clock over cycle wall-clock with
 //                     unconstrained scratchpads. The trace walks every
 //                     pass; the cycle engine schedules streamed banks a
-//                     stretch of tiles at a time (self-paced stretches
-//                     in O(1), dependency-bound ones in one gather pass)
+//                     stretch of tiles at a time (self-paced ones, and
+//                     dependency-bound ones over an upstream run each)
 //                     and walks only the recorded tiles and the few that
 //                     fit neither form. Dropping far below the floor
 //                     means the engine grew superlinear work per tile.

@@ -203,7 +203,7 @@ class AvailRuns {
     // resampled: some index inside an upstream group sets no new maximum
     // of h, so a tile's running maximum is read from the start of its
     // upstream group (see avail_in). Otherwise the `slope` upstream
-    // indices listed from lows()[first] on set none either, each right
+    // indices listed from lows_[first] on set none either, each right
     // after one that does, which a tile reading them reads instead.
     bool window = false;
     long drop = 0;  // either way: the most a value exceeds up + T c(k)
@@ -293,9 +293,9 @@ class AvailRuns {
   }
 
   // avail of the next n tiles: resampled from upstream run `up_run`
-  // (whose rise over the indices they read is at least up_rise). Returns
-  // the last of them.
-  // Indices listed in `lows` read the index before theirs (see Run).
+  // (whose rise over the indices they read is at least up_rise), windowed
+  // or reading, for each upstream index listed in `lows`, the one before
+  // it (see Run). Returns the last of them.
   long push_resampled(long n, long up_run, long up_rise, bool window,
                       long drop, const std::vector<long>& lows) {
     Run& prev = runs_.back();
@@ -592,10 +592,11 @@ class RunSeeker {
 //                     f + d to the fill stall and nothing to the
 //                     dependency stall;
 //   dependency-bound  h sets a new maximum at every tile that reads a new
-//                     upstream index, which waits on it and on nothing
-//                     else, and the c - 1 after it that read it again are
-//                     self-paced: de(j) = dep(j) + T c(j), and the stalls
-//                     telescope.
+//                     upstream index (or at all but a few, each counted
+//                     with what it waits: see Reach), which waits on it
+//                     and on nothing else, and the c - 1 after it that
+//                     read it again are self-paced: de(j) = dep(j) + T c(j),
+//                     and the stalls telescope.
 class StreamedBank {
  public:
   struct Timing {

@@ -679,6 +679,20 @@ class StreamedBank {
     return run == nullptr ? f : std::max(f, up_.rise_over(*run, s));
   }
 
+  // Bank `a`'s plain resampled run `run` with D >= den rises from a tile
+  // v to v + 1 by one step of floor(D/den) or floor(D/den) + 1 of its
+  // upstream's indices: returns a bound on the longer steps' rise (0 where
+  // that does not hold), and sets `shorter` to walk the others from v0.
+  static long longer_steps(const AvailRuns& a, const AvailRuns::Run& run,
+                           long v0, TileShare& shorter) {
+    const AvailRuns::Resample& p = a.resample();
+    if (run.kind != AvailRuns::Kind::kResampled || run.window ||
+        run.slope > 0 || p.streamed < p.den || p.streamed % p.den == 0)
+      return 0;
+    shorter = step_ups(std::max(v0, 0L), p.den - p.streamed % p.den, p.den);
+    return a.up_rise_over(run, p.streamed / p.den + 1);
+  }
+
   // The per-tile recurrence, for tile k_ with dependency `dep`.
   void walk(long dep) {
     const long ready = std::max(e_, dep);
@@ -749,15 +763,6 @@ class StreamedBank {
     return g(k_) <= 0 && g(b) <= 0;
   }
 
-  // Whether tile j >= k_ is self-paced if every tile of [k_, j) is:
-  // dep(j) <= e(k_-1) + (j - k_) T.
-  bool self_paced_at(long j) {
-    TileShare at = share_;
-    at.seek(j);
-    return seeker_.avail(t_.warmup - 1 + at.q) <=
-           e_ + (j - k_) * period_;
-  }
-
   // Tile k_ is self-paced: commit the self-paced stretch from it, all of
   // the rest if self_paced_through proves it. Where the upstream rises by
   // T or more over the commoner step, h never falls except at the rarer
@@ -810,6 +815,11 @@ class StreamedBank {
     const auto up_break = [&] {
       return out_.first_reading(up_fall.q + 1) - 1;
     };
+    // Whether tile j is self-paced if every tile of [k_, j) is.
+    const auto paced = [&](long j) {
+      return seeker_.avail(t_.warmup - 1 + out_.quotient(j)) <=
+             e_ + (j - k_) * period_;
+    };
     long done = k_ + 1;  // [k_, done) is self-paced
     while (done <= b) {
       long c = b;
@@ -821,7 +831,7 @@ class StreamedBank {
         while (up_break() < done) up_fall.next();
         c = std::min(c, up_break());
       }
-      if (self_paced_at(c)) {
+      if (paced(c)) {
         done = c + 1;
         continue;
       }
@@ -830,7 +840,7 @@ class StreamedBank {
       long lo = done - 1;
       long hi = c;
       for (long step = 1; lo + step < hi; step *= 2) {
-        if (!self_paced_at(lo + step)) {
+        if (!paced(lo + step)) {
           hi = lo + step;
           break;
         }
@@ -838,7 +848,7 @@ class StreamedBank {
       }
       while (hi - lo > 1) {
         const long mid = lo + (hi - lo) / 2;
-        (self_paced_at(mid) ? lo : hi) = mid;
+        (paced(mid) ? lo : hi) = mid;
       }
       done = hi;
       break;
@@ -908,19 +918,12 @@ class StreamedBank {
     // (Groups differ in size, den mod D > 0, unless `all`.)
     TileShare big =
         step_ups(share_.q, std::max<long>(den_ % t_.streamed, 1), t_.streamed);
-    // Over a plain resampled upstream run with D >= den, a step advances
-    // s or s + 1 of its upstream's indices: where the longer steps are
-    // proven, only the shorter ones need looks.
-    const AvailRuns::Resample& u = up_.resample();
-    const Wide need = static_cast<Wide>(period_) * sharing_;
+    // Where the upstream's longer steps are proven, only the shorter
+    // ones need looks.
+    TileShare short_up(1, 1);
     const bool short_only =
-        !all && run.kind == AvailRuns::Kind::kResampled && !run.window &&
-        run.slope == 0 && u.streamed >= u.den &&
-        u.streamed % u.den != 0 &&
-        up_.up_rise_over(run, u.streamed / u.den + 1) >= need;
-    TileShare short_up =
-        step_ups(index(), short_only ? u.den - u.streamed % u.den : 1,
-                 short_only ? u.den : 1);
+        !all && longer_steps(up_, run, index(), short_up) >=
+                    static_cast<Wide>(period_) * sharing_;
     const long m_last = out_.quotient(last);
     for (long m = share_.q; m < m_last; ++m) {
       if (!all) {
@@ -971,27 +974,23 @@ class StreamedBank {
     };
     const long c_small = den_ / t_.streamed;
     // The most a group of g indices can need: T_up p + T times the tiles
-    // of its last g - p indices, at most ceil((g - p) den / D).
-    const auto worst = [&](long g) {
+    // of its last g - p indices, tiles(k) for k of them (at most
+    // ceil(k den / D); k c_small where every index has c_small).
+    const auto worst = [&](long g, bool small) {
       Wide most = 0;
-      for (long p = 0; p < g; ++p)
+      for (long p = 0; p < g; ++p) {
+        const Wide k = g - p;
         most = std::max(most, static_cast<Wide>(t_up) * p +
                                   static_cast<Wide>(period_) *
-                                      by_streamed_.ceil(
-                                          static_cast<Wide>(g - p) * den_));
+                                      (small ? k * c_small
+                                             : by_streamed_.ceil(k * den_)));
+      }
       return most;
     };
     const long g_small = u.den / u.streamed;
-    const bool needs_look = bound(g_small) < worst(g_small) ||
-                            bound(u.sharing) < worst(u.sharing);
-    // A group of g_small indices of c_small tiles each needs T_up p +
-    // T c_small (g_small - p), the most at an end.
-    const bool all =
-        needs_look &&
-        bound(g_small) <
-            std::max(static_cast<Wide>(period_) * c_small * g_small,
-                     static_cast<Wide>(t_up) * (g_small - 1) +
-                         static_cast<Wide>(period_) * c_small);
+    const bool needs_look = bound(g_small) < worst(g_small, false) ||
+                            bound(u.sharing) < worst(u.sharing, false);
+    const bool all = needs_look && bound(g_small) < worst(g_small, true);
     // Inside a group every index sets a new maximum, or none does and
     // none waits.
     const bool rising = static_cast<Wide>(t_up) >=
@@ -1017,6 +1016,16 @@ class StreamedBank {
     // after `from` that set no new maximum, and (with `check`) whether the
     // start of the next sets one. Returns that start, or -1 where it ends
     // the stretch.
+    // From one group start of a plain run to the next, the upstream
+    // rises by one step v -> v + 1 of its own upstream: where the longer
+    // steps there prove a group's need, only the shorter ones need looks.
+    TileShare shorter(1, 1);
+    const long longer =
+        group_rise > 0
+            ? longer_steps(*u.up,
+                           u.up->run(static_cast<std::size_t>(run.offset)),
+                           u.warmup - 1 + up_.quotient(i0), shorter)
+            : 0;
     const auto group = [&](long s, long from, bool check) {
       long rel = 0;  // h(x) - h(from)
       long top = 0;  // and its running maximum
@@ -1046,6 +1055,11 @@ class StreamedBank {
       if (group_rise > 0 && s >= run.begin)
         rise = std::max(rise, static_cast<Wide>(group_rise) -
                                   static_cast<Wide>(t_up) * (from - s));
+      if (need <= longer && from == s && s >= run.begin) {
+        const long v = u.warmup - 1 + up_.quotient(s);
+        while (shorter.q < v) shorter.next();
+        if (shorter.q != v) return s_end;
+      }
       if (rise >= need || up_.rises(from, s_end, saturate(need)))
         return s_end;
       reach.last = out_.first_reading(s_end) - 1;
@@ -1088,15 +1102,14 @@ class StreamedBank {
     const long last = reach.last;
     const long n = last - k_ + 1;
     if (n < kMinStretch) return false;
-    TileShare end = share_;
-    end.seek(last);
     const long drain_last = out_.push_resampled(
         n, static_cast<long>(seeker_.index()),
         std::max(run.rise, up_.floor_rise()), reach.lows > 0 && lows_.empty(),
         reach.drop, lows_);
     const long e_last = drain_last - t_.drain;
     const long records =
-        (t_.streamed >= den_ ? n : end.q - share_.q + 1) - reach.lows;
+        (t_.streamed >= den_ ? n : out_.quotient(last) - share_.q + 1) -
+        reach.lows;
     // sum_j fe(j) - e(j-1) = e(last) - e(k_-1) - n cpt. A tile that waits
     // on its dependency adds f to the fill stall; any other adds f + d,
     // less what it waits on its dependency (`waits`); the rest is waiting
@@ -1107,8 +1120,7 @@ class StreamedBank {
     e_ = e_last;
     de_ = drain_last;
     k_ = last + 1;
-    share_ = end;
-    share_.next();
+    share_.seek(k_);
     ++stretches;
     return true;
   }
@@ -1411,11 +1423,10 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
       // ofmap slots).
       walked_tiles += tiles;
       RunSeeker seeker(up);
-      const auto read = [&seeker](long i) { return seeker.avail(i); };
       TileShare share(streamed_total, std::max<long>(tiles - 1, 1));
       if (tiles == 1) share.q = streamed_total;
       auto next_dependency = [&] {
-        const long dep = read(up_warmup - 1 + share.q);
+        const long dep = seeker.avail(up_warmup - 1 + share.q);
         share.next();
         return dep;
       };
@@ -1439,7 +1450,7 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
       // the upstream bank has drained everything this bank consumes.
       long bulk_fill_end = 0;
       if (resident_ifmap) {
-        const long dep = read(up_passes - 1);
+        const long dep = seeker.avail(up_passes - 1);
         const double bytes = static_cast<double>(tiles) * if_tile;
         const long duration = transfer_cycles(bytes, bytes_per_cycle);
         bulk_fill_end = transfer(dep, duration);

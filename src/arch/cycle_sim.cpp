@@ -907,9 +907,8 @@ class StreamedBank {
     const bool all = rise < static_cast<Wide>(period_) * (den_ / t_.streamed);
     // Where h over any two steps rises (the tiles of two indices are at
     // most ceil(2 den / D)), an index that sets no new maximum is followed
-    // by one that does: the stretch runs to `last` as a run that reads back
-    // one index, and each step that fails counts as such an index, with
-    // what its tile waits.
+    // by one that does: the stretch runs to `last`, and each index whose
+    // step fails is counted, with what its tile waits, and listed.
     Reach reach{last};
     const bool back =
         !all && rise_bound(&run, 2) >=

@@ -2,8 +2,9 @@
 //
 // simulate_cycles schedules a streamed bank a stretch of tiles at a time
 // (self-paced stretches, and dependency-bound ones over an upstream run
-// each) but walks tile by tile while events are still being recorded. So the same report and config run at Max_Events 0, 256 and
-// 2^30 take the fast path almost everywhere, partly, and nowhere: every
+// each) but walks tile by tile while events are still being recorded.
+// So the same report and config run at Max_Events 0, 256 and 2^30 take
+// the fast path almost everywhere, partly, and nowhere: every
 // result field must agree across the three, and the recorded events must
 // be a prefix of the fully recorded run. The fully walked run is the
 // oracle for the other two.

@@ -24,9 +24,47 @@ double max_error_rate(int k, double eps) {
 double avg_digital_deviation(int k, double eps) {
   check_k(k);
   if (eps < 0) eps = -eps;
-  double sum = 0.0;
-  for (int i = 0; i < k; ++i) sum += std::floor(i * eps + 0.5);
-  return sum / k;
+  // Level i contributes floor(at(i)).
+  const auto at = [eps](int i) { return i * eps + 0.5; };
+  // Every term is an integer. While k * top < 2^52 each partial sum is an
+  // integer a double holds exactly, so summing the terms in any order, in
+  // integers, gives the per-level loop's bits. Outside that range (or for
+  // a non-finite eps) the loop itself is the definition.
+  const double top = std::floor(at(k - 1));
+  if (!std::isfinite(eps) || !(top < 0x1p52 / k)) {
+    double sum = 0.0;
+    for (int i = 0; i < k; ++i) sum += std::floor(at(i));
+    return sum / k;
+  }
+  // In range every at(i) is in [0.5, 2^52): truncation is its floor.
+  const auto term = [&at](int i) { return static_cast<long>(at(i)); };
+  const long steps = static_cast<long>(top);
+  if (steps == 0) return 0.0;
+  long sum = 0;
+  if (steps * 8 >= k) {
+    // A staircase of about as many steps as levels: sum the levels.
+    for (int i = 0; i < k; ++i) sum += term(i);
+    return static_cast<double>(sum) / k;
+  }
+  // The terms never fall as i rises, so their sum is
+  //   sum over m = 1..steps of (k - first(m)),
+  // where first(m) is the first level whose term reaches m: one
+  // breakpoint per step instead of one term per level.
+  const double inv = 1.0 / eps;
+  int first = 0;
+  for (long m = 1; m <= steps; ++m) {
+    // at(i) crosses m near i = (m - 0.5) / eps; rounding moves the
+    // crossing by at most a level, which the two walks settle. first(m)
+    // never falls, and term(k - 1) = steps >= m bounds the upward walk.
+    const double guess = (static_cast<double>(m) - 0.5) * inv + 1.0;
+    int i = guess > k - 1 ? k - 1 : static_cast<int>(guess);
+    if (i < first) i = first;
+    while (i > first && term(i - 1) >= m) --i;
+    while (term(i) < m) ++i;
+    first = i;
+    sum += k - first;
+  }
+  return static_cast<double>(sum) / k;
 }
 
 double avg_error_rate(int k, double eps) {

@@ -37,6 +37,8 @@ struct CrossbarErrorInputs {
   double wire_alpha = tech::kSharedCurrentAlpha;  // fitted (Fig. 5)
 
   void validate() const;
+  // Every input equal (arch::VoltageErrorMemo keys on this).
+  bool operator==(const CrossbarErrorInputs&) const = default;
 };
 
 struct VoltageError {

@@ -5,8 +5,8 @@
 
 #include "accuracy/digital_error.hpp"
 #include "arch/design_context.hpp"
-#include "check/check.hpp"
 #include "check/config_check.hpp"
+#include "check/network_check.hpp"
 #include "circuit/buffer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -57,30 +57,36 @@ void accumulate_breakdown(AcceleratorBreakdown& bd, const BankReport& bank) {
 }
 
 // Semantic pre-flight ([check] Enabled): shape chain, mapping
-// feasibility and configuration consistency, before any bank is built.
-// `configs.front()` vets the whole system; a heterogeneous design's
-// extra configurations each get a consistency pass. Errors throw with the
-// full diagnosis; warnings ride in the report (or block too, under
-// Warnings_As_Errors).
-std::vector<check::Diagnostic> preflight(
-    const nn::Network& network, std::span<const AcceleratorConfig> configs) {
-  const AcceleratorConfig& config = configs.front();
+// feasibility and configuration consistency, before any bank is built:
+// check::check_system over the network's kept findings and the point's
+// checked configuration. `contexts.front()` vets the whole system; a
+// heterogeneous design's extra configurations each get a consistency
+// pass. Errors throw with the full diagnosis; warnings ride in the
+// report (or block too, under Warnings_As_Errors).
+std::vector<check::Diagnostic> preflight(const CheckedNetwork& network,
+                                         std::span<DesignContext> contexts) {
+  const DesignContext& context = contexts.front();
+  const AcceleratorConfig& config = context.config();
   if (!config.check_preflight) return {};
-  check::DiagnosticList diags = check::check_system(network, config);
-  for (const AcceleratorConfig& extra : configs.subspan(1))
-    diags.merge(check::check_config_consistency(extra));
+  check::DiagnosticList diags = network.diagnostics();
+  // As in check_system: mapping only over a structurally sound network.
+  if (!diags.has_errors())
+    diags.merge(check::check_mapping(network.network(), context));
+  for (const DesignContext& each : contexts)
+    diags.merge(check::check_config_consistency(each));
   if (config.check_warnings_as_errors) diags.promote_warnings();
   if (diags.has_errors()) throw check::CheckError(std::move(diags));
   return diags.take();
 }
 
-// Simulates `banks` in order, bank i over `contexts[i]`, or over the one
-// context of a homogeneous design, and rolls them up with the I/O
-// interfaces and the Eq. 15 accuracy chain.
-AcceleratorReport simulate_banks(const nn::Network& network,
-                                 const std::vector<BankLayers>& banks,
+// Simulates the network's banks in order, bank i over `contexts[i]`, or
+// over the one context of a homogeneous design, and rolls them up with
+// the I/O interfaces and the Eq. 15 accuracy chain.
+AcceleratorReport simulate_banks(const CheckedNetwork& checked,
                                  std::span<DesignContext> contexts,
                                  std::vector<check::Diagnostic> diagnostics) {
+  const nn::Network& network = checked.network();
+  const std::vector<BankLayers>& banks = checked.banks();
   const AcceleratorConfig& config = contexts.front().config();
   AcceleratorReport rep;
   rep.diagnostics = std::move(diagnostics);
@@ -170,35 +176,46 @@ AcceleratorReport simulate_banks(const nn::Network& network,
 
 }  // namespace
 
+CheckedNetwork::CheckedNetwork(const nn::Network& network)
+    : network_(&network) {
+  network.validate();
+  diagnostics_ = check::check_network(network);
+  banks_ = gather_banks(network);
+}
+
+AcceleratorReport simulate_accelerator(const CheckedNetwork& network,
+                                       DesignContext& context) {
+  obs::Span span("arch.simulate_accelerator");
+  auto diagnostics = preflight(network, std::span(&context, 1));
+  return simulate_banks(network, std::span(&context, 1),
+                        std::move(diagnostics));
+}
+
 AcceleratorReport simulate_accelerator(const nn::Network& network,
                                        const AcceleratorConfig& config) {
-  obs::Span span("arch.simulate_accelerator");
-  network.validate();
+  const CheckedNetwork checked(network);
   DesignContext context(config);
-  auto diagnostics = preflight(network, std::span(&config, 1));
-  return simulate_banks(network, gather_banks(network),
-                        std::span(&context, 1), std::move(diagnostics));
+  return simulate_accelerator(checked, context);
 }
 
 AcceleratorReport simulate_accelerator(
     const nn::Network& network,
     const std::vector<AcceleratorConfig>& per_bank_configs) {
   obs::Span span("arch.simulate_accelerator");
-  network.validate();
+  const CheckedNetwork checked(network);
   if (per_bank_configs.empty())
     throw std::invalid_argument("simulate_accelerator: no configurations");
   std::vector<DesignContext> contexts;
   contexts.reserve(per_bank_configs.size());
   for (const auto& cfg : per_bank_configs) contexts.emplace_back(cfg);
 
-  auto diagnostics = preflight(network, per_bank_configs);
-  const std::vector<BankLayers> banks = gather_banks(network);
-  if (per_bank_configs.size() != banks.size())
+  auto diagnostics = preflight(checked, contexts);
+  if (per_bank_configs.size() != checked.banks().size())
     throw std::invalid_argument(
         "simulate_accelerator: need one configuration per weighted layer (" +
-        std::to_string(banks.size()) + "), got " +
+        std::to_string(checked.banks().size()) + "), got " +
         std::to_string(per_bank_configs.size()));
-  return simulate_banks(network, banks, contexts, std::move(diagnostics));
+  return simulate_banks(checked, contexts, std::move(diagnostics));
 }
 
 }  // namespace mnsim::arch

@@ -75,6 +75,37 @@ struct AcceleratorReport {
   std::vector<check::Diagnostic> diagnostics;
 };
 
+// A network checked once for any number of design points: validated
+// (Network::validate, which throws), its check::check_network findings
+// kept for the pre-flight of every point, and its banks gathered.
+// dse::run_sweep builds one for a whole sweep; the simulate_accelerator
+// overloads below that take a plain network build one per call.
+// `network` must outlive it.
+class CheckedNetwork {
+ public:
+  explicit CheckedNetwork(const nn::Network& network);
+
+  [[nodiscard]] const nn::Network& network() const { return *network_; }
+  [[nodiscard]] const std::vector<BankLayers>& banks() const { return banks_; }
+  // check::check_network(network()): structure and shape chain, errors
+  // included; only a pre-flight ([check] Enabled) reads them.
+  [[nodiscard]] const check::DiagnosticList& diagnostics() const {
+    return diagnostics_;
+  }
+
+ private:
+  const nn::Network* network_;
+  check::DiagnosticList diagnostics_;
+  std::vector<BankLayers> banks_;
+};
+
+// The model of one design point, the body every overload runs. The
+// pre-flight adds to the network's kept findings only what depends on
+// the point (check_mapping and check_config_consistency over `context`),
+// so the report equals the plain-network overload's field for field.
+AcceleratorReport simulate_accelerator(const CheckedNetwork& network,
+                                       DesignContext& context);
+
 AcceleratorReport simulate_accelerator(const nn::Network& network,
                                        const AcceleratorConfig& config);
 

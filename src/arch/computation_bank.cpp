@@ -220,7 +220,7 @@ BankReport simulate_bank(const BankLayers& layers,
   // circuit-level solve whose diagnostics ride up the report.
   if (config.fault.enabled()) {
     const auto err = context.error_inputs(m.rows_used_full, m.cols_used_full);
-    const auto fe = fault::estimate_fault_error(err, config.fault);
+    const auto fe = context.fault_error(m.rows_used_full, m.cols_used_full);
     rep.epsilon_worst = fe.combined_worst;
     rep.epsilon_average = fe.combined_average;
     rep.solver.faults_injected += fe.faults_injected;

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "arch/design_context.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -1143,15 +1144,20 @@ class StreamedBank {
 
 CycleSimResult simulate_cycles(const AcceleratorReport& report,
                                const AcceleratorConfig& config) {
+  return simulate_cycles(report, DesignContext(config));
+}
+
+CycleSimResult simulate_cycles(const AcceleratorReport& report,
+                               const DesignContext& context) {
   obs::Span span("arch.cycle_sim");
-  config.validate();
+  const AcceleratorConfig& config = context.config();
   const double if_capacity = config.cycle_ifmap_kb * 1024.0;
   const double filter_capacity = config.cycle_filter_kb * 1024.0;
   const double of_capacity = config.cycle_ofmap_kb * 1024.0;
   // Activations cross the hierarchy at the read-circuit precision;
   // weight cells carry the device's level bits.
   const double elem_bytes = std::max(1.0, std::ceil(config.output_bits / 8.0));
-  const double cell_bits = config.device().level_bits;
+  const double cell_bits = context.device().level_bits;
 
   // Pre-flight: the engine walks iteration counts and pass latencies, so
   // a malformed report (no banks, non-finite timing, negative counts) or

@@ -140,7 +140,13 @@ struct CycleSimResult {
 // Simulates the report's banks under config's [cycle] section (sizes,
 // bandwidth, dataflow, fill policy, clock). Throws check::CheckError
 // with MN-CYC-* diagnostics on malformed inputs (docs/DIAGNOSTICS.md).
+// Validates `config` first.
 CycleSimResult simulate_cycles(const AcceleratorReport& report,
                                const AcceleratorConfig& config);
+
+// The same simulation over the already-checked configuration of
+// `context` (dse::evaluate_design passes the design point's context).
+CycleSimResult simulate_cycles(const AcceleratorReport& report,
+                               const DesignContext& context);
 
 }  // namespace mnsim::arch

@@ -13,8 +13,20 @@ const AcceleratorConfig& validated(const AcceleratorConfig& config) {
 
 }  // namespace
 
-DesignContext::DesignContext(const AcceleratorConfig& config)
+accuracy::VoltageError VoltageErrorMemo::estimate(
+    const accuracy::CrossbarErrorInputs& in) {
+  for (const Entry& e : entries_)
+    if (e.in.rows == in.rows && e.in.cols == in.cols && e.in == in)
+      return e.error;
+  const auto error = accuracy::estimate_voltage_error(in);
+  entries_.push_back({in, error});
+  return error;
+}
+
+DesignContext::DesignContext(const AcceleratorConfig& config,
+                             VoltageErrorMemo* errors)
     : config_(&validated(config)),
+      shared_errors_(errors),
       cmos_(config.cmos()),
       device_(config.device()),
       segment_resistance_(
@@ -47,8 +59,20 @@ UnitReport DesignContext::unit(int rows_used, int cols_used, int input_bits,
 accuracy::VoltageError DesignContext::voltage_error(int rows, int cols) {
   for (const ErrorEntry& e : errors_)
     if (e.rows == rows && e.cols == cols) return e.error;
-  const auto error = accuracy::estimate_voltage_error(error_inputs(rows, cols));
+  const auto in = error_inputs(rows, cols);
+  const auto error = shared_errors_ != nullptr
+                         ? shared_errors_->estimate(in)
+                         : accuracy::estimate_voltage_error(in);
   errors_.push_back({rows, cols, error});
+  return error;
+}
+
+fault::FaultErrorResult DesignContext::fault_error(int rows, int cols) {
+  for (const FaultEntry& e : faults_)
+    if (e.rows == rows && e.cols == cols) return e.error;
+  const auto error =
+      fault::estimate_fault_error(error_inputs(rows, cols), config_->fault);
+  faults_.push_back({rows, cols, error});
   return error;
 }
 

@@ -5,17 +5,23 @@
 // (a VGG-16 point has 16 banks but only a few distinct used-block
 // shapes). DesignContext validates the configuration once, derives the
 // technology values every bank reads (CMOS node, memristor device,
-// interconnect segment resistance) once, and memoizes the unit model and
-// the Eq. 9-14 error estimate per geometry, so each is evaluated once a
-// call.
+// interconnect segment resistance) once, and memoizes per geometry the
+// unit model, the Eq. 9-14 error estimate and the hard-defect estimate,
+// so each is evaluated once a call.
 //
-// A context lives for one call on its caller's stack:
+// Lifetime. A context lives for one call on its caller's stack:
 // simulate_accelerator builds one per configuration it is given,
-// dse::optimize_per_bank one per design point, check::check_mapping and
-// generate_program_trace one for all layers, and the public
-// simulate_bank, simulate_unit and map_layer one each. It is never shared
-// across calls or threads, so the memo needs no lock and no eviction,
-// and results are bit-identical to evaluating every geometry afresh.
+// dse::evaluate_design one per design point (and hands it on to the
+// cycle engine), dse::optimize_per_bank one per design point,
+// check::check_mapping and generate_program_trace one for all layers,
+// and the public simulate_bank, simulate_unit and map_layer one each.
+// Its own memos die with it. The one memo that crosses calls is a
+// VoltageErrorMemo the caller may lend: dse::run_sweep keeps one per pool
+// worker for the whole sweep, because the Eq. 9-14 inputs repeat across
+// every parallelism degree of a crossbar size. Neither kind is shared
+// between threads, so no memo needs a lock, and each caches a pure
+// function of its key, so results are bit-identical to evaluating every
+// geometry afresh, at any thread count.
 #pragma once
 
 #include <vector>
@@ -26,15 +32,40 @@
 
 namespace mnsim::arch {
 
+// accuracy::estimate_voltage_error keyed by every one of its inputs, for
+// a caller that evaluates many design points in a row. A lookup hits
+// only when the whole CrossbarErrorInputs is equal. An entry is recorded
+// only once its estimate has returned, so a point cancelled or failed
+// midway leaves none; entries are never evicted. One thread uses a memo
+// at a time: it takes no lock.
+class VoltageErrorMemo {
+ public:
+  [[nodiscard]] accuracy::VoltageError estimate(
+      const accuracy::CrossbarErrorInputs& in);
+
+ private:
+  struct Entry {
+    accuracy::CrossbarErrorInputs in;
+    accuracy::VoltageError error;
+  };
+  // A sweep holds a few dozen entries: a linear scan finds them.
+  std::vector<Entry> entries_;
+};
+
 class DesignContext {
  public:
   // Validates `config` (throws as AcceleratorConfig::validate does), then
-  // derives the values below. `config` must outlive the context.
-  explicit DesignContext(const AcceleratorConfig& config);
+  // derives the values below. `config` must outlive the context, and so
+  // must `errors` when given: voltage_error then looks there first.
+  explicit DesignContext(const AcceleratorConfig& config,
+                         VoltageErrorMemo* errors = nullptr);
 
   [[nodiscard]] const AcceleratorConfig& config() const { return *config_; }
   [[nodiscard]] const tech::CmosTech& cmos() const { return cmos_; }
   [[nodiscard]] const tech::MemristorModel& device() const { return device_; }
+  [[nodiscard]] units::Ohms segment_resistance() const {
+    return segment_resistance_;
+  }
 
   // The Eq. 9-14 inputs of a rows x cols block of this configuration's
   // crossbars.
@@ -47,8 +78,14 @@ class DesignContext {
                                 int weight_bits);
 
   // accuracy::estimate_voltage_error(error_inputs(rows, cols)), evaluated
-  // once per (rows, cols).
+  // once per (rows, cols), or taken from the lent memo.
   [[nodiscard]] accuracy::VoltageError voltage_error(int rows, int cols);
+
+  // fault::estimate_fault_error(error_inputs(rows, cols), config().fault),
+  // evaluated once per (rows, cols). The defect map is a pure function of
+  // the geometry and the fault seed, so every bank of one geometry draws
+  // the same map.
+  [[nodiscard]] fault::FaultErrorResult fault_error(int rows, int cols);
 
  private:
   struct UnitEntry {
@@ -59,14 +96,20 @@ class DesignContext {
     int rows, cols;
     accuracy::VoltageError error;
   };
+  struct FaultEntry {
+    int rows, cols;
+    fault::FaultErrorResult error;
+  };
 
   const AcceleratorConfig* config_;
+  VoltageErrorMemo* shared_errors_;
   tech::CmosTech cmos_;
   tech::MemristorModel device_;
   units::Ohms segment_resistance_;
   // A call holds a few entries: a linear scan finds them.
   std::vector<UnitEntry> units_;
   std::vector<ErrorEntry> errors_;
+  std::vector<FaultEntry> faults_;
 };
 
 }  // namespace mnsim::arch

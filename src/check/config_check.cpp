@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "arch/design_context.hpp"
 #include "check/network_check.hpp"
 #include "nn/parser.hpp"
 #include "tech/interconnect.hpp"
@@ -174,9 +175,10 @@ void shard_order(const util::Config& cfg, DiagnosticList& out) {
   }
 }
 
-}  // namespace
-
-DiagnosticList check_config_consistency(const arch::AcceleratorConfig& cfg) {
+// check_config_consistency over `cfg` and the values derived from it.
+DiagnosticList consistency_pass(const arch::AcceleratorConfig& cfg,
+                                const tech::MemristorModel& device,
+                                units::Ohms segment) {
   using namespace mnsim::units;
   DiagnosticList out;
 
@@ -205,7 +207,6 @@ DiagnosticList check_config_consistency(const arch::AcceleratorConfig& cfg) {
 
   // Read-circuit quantization vs. what a single cell stores: an ADC with
   // fewer levels than the cell throws away programmed precision.
-  const auto device = cfg.device();
   if (cfg.output_bits < device.level_bits) {
     auto& d = out.emit(
         "MN-CFG-004", Severity::kWarning,
@@ -221,8 +222,6 @@ DiagnosticList check_config_consistency(const arch::AcceleratorConfig& cfg) {
   // resistance of the worst-case column against the low-resistance
   // state. Beyond the threshold the Eq. 9-11 error model predicts the
   // array is dominated by IR drop, not by the programmed weights.
-  const Ohms segment =
-      tech::interconnect_tech(cfg.interconnect_node_nm).segment_resistance;
   const Ohms wire_total = segment * static_cast<double>(cfg.crossbar_size);
   const Ohms r_min{cfg.resistance_min};
   const double drop_fraction = wire_total / r_min;  // dimensionless ratio
@@ -254,6 +253,19 @@ DiagnosticList check_config_consistency(const arch::AcceleratorConfig& cfg) {
   }
 
   return out;
+}
+
+}  // namespace
+
+DiagnosticList check_config_consistency(const arch::AcceleratorConfig& cfg) {
+  return consistency_pass(
+      cfg, cfg.device(),
+      tech::interconnect_tech(cfg.interconnect_node_nm).segment_resistance);
+}
+
+DiagnosticList check_config_consistency(const arch::DesignContext& context) {
+  return consistency_pass(context.config(), context.device(),
+                          context.segment_resistance());
 }
 
 void check_unread_keys(const util::Config& cfg, DiagnosticList& out) {

@@ -27,6 +27,10 @@
 #include "check/diagnostic.hpp"
 #include "util/config.hpp"
 
+namespace mnsim::arch {
+class DesignContext;
+}  // namespace mnsim::arch
+
 namespace mnsim::check {
 
 // Full pass over an accelerator configuration file: registry + values +
@@ -45,6 +49,11 @@ namespace mnsim::check {
 // exists).
 [[nodiscard]] DiagnosticList check_config_consistency(
     const arch::AcceleratorConfig& config);
+
+// The same pass over the already-checked configuration of `context`,
+// reading the device and wire resistance it derived.
+[[nodiscard]] DiagnosticList check_config_consistency(
+    const arch::DesignContext& context);
 
 // MN-CFG-006 for every parsed-but-never-probed key of `config`. Call
 // after the consumer (e.g. AcceleratorConfig::from_config) has run.

@@ -15,9 +15,18 @@ namespace {
 constexpr std::size_t kStandalone = static_cast<std::size_t>(-1);
 
 std::string layer_label(const nn::Layer& layer, std::size_t index) {
+  // Appended piece by piece: GCC 12's -Wrestrict misfires on an inlined
+  // `" " + std::to_string(...)` temporary.
   std::string label = "layer";
-  if (index != kStandalone) label += " " + std::to_string(index + 1);
-  if (!layer.name.empty()) label += " '" + layer.name + "'";
+  if (index != kStandalone) {
+    label += ' ';
+    label += std::to_string(index + 1);
+  }
+  if (!layer.name.empty()) {
+    label += " '";
+    label += layer.name;
+    label += '\'';
+  }
   return label;
 }
 
@@ -201,19 +210,15 @@ DiagnosticList check_network(const nn::Network& network) {
   return out;
 }
 
-DiagnosticList check_mapping(const nn::Network& network,
-                             const arch::AcceleratorConfig& cfg) {
+namespace {
+
+// check_mapping over `context`, or, when the configuration failed to
+// validate (`context` null), one MN-NN-004 per weighted layer saying why.
+DiagnosticList mapping_pass(const nn::Network& network,
+                            const arch::AcceleratorConfig& cfg,
+                            const arch::DesignContext* context,
+                            const std::string& config_error) {
   DiagnosticList out;
-  const int device_bits = cfg.device().level_bits;
-  // The configuration is checked once; when it is invalid, every weighted
-  // layer reports why it cannot be mapped.
-  std::optional<arch::DesignContext> context;
-  std::string config_error;
-  try {
-    context.emplace(cfg);
-  } catch (const std::exception& e) {
-    config_error = e.what();
-  }
   for (std::size_t i = 0; i < network.layers.size(); ++i) {
     const nn::Layer& l = network.layers[i];
     if (!l.is_weighted()) continue;
@@ -222,7 +227,7 @@ DiagnosticList check_mapping(const nn::Network& network,
               "cannot map onto " + by(cfg.crossbar_size, cfg.crossbar_size) +
                   " crossbars: " + why);
     };
-    if (!context) {
+    if (context == nullptr) {
       cannot_map(config_error);
       continue;
     }
@@ -239,11 +244,34 @@ DiagnosticList check_mapping(const nn::Network& network,
                   "-bit weight spreads across " +
                   std::to_string(mapping.cells_per_weight) + " cells (" +
                   cfg.memristor_model + " stores " +
-                  std::to_string(device_bits) + " bits/cell)")
+                  std::to_string(context->device().level_bits) +
+                  " bits/cell)")
           .hint = "a higher-precision cell or lower weight_bits shrinks the "
                   "array and the adder/shifter tree";
   }
   return out;
+}
+
+}  // namespace
+
+DiagnosticList check_mapping(const nn::Network& network,
+                             const arch::AcceleratorConfig& cfg) {
+  // The configuration is checked once; when it is invalid, every weighted
+  // layer reports why it cannot be mapped.
+  std::optional<arch::DesignContext> context;
+  std::string config_error;
+  try {
+    context.emplace(cfg);
+  } catch (const std::exception& e) {
+    config_error = e.what();
+  }
+  return mapping_pass(network, cfg, context ? &*context : nullptr,
+                      config_error);
+}
+
+DiagnosticList check_mapping(const nn::Network& network,
+                             const arch::DesignContext& context) {
+  return mapping_pass(network, context.config(), &context, {});
 }
 
 DiagnosticList check_custom_spec(const sim::CustomAcceleratorSpec& spec) {

@@ -24,6 +24,10 @@
 #include "nn/network.hpp"
 #include "sim/custom_module.hpp"
 
+namespace mnsim::arch {
+class DesignContext;
+}  // namespace mnsim::arch
+
 namespace mnsim::check {
 
 // The rules nn::Layer::validate() throws on: MN-NN-002 dimensions.
@@ -44,6 +48,11 @@ void check_layer(const nn::Layer& layer, DiagnosticList& out);
 // weighted layer must tile onto the configured crossbars.
 [[nodiscard]] DiagnosticList check_mapping(const nn::Network& network,
                                            const arch::AcceleratorConfig& cfg);
+
+// The same pass over the already-checked configuration of `context` (the
+// pre-flight of simulate_accelerator and of every sweep point).
+[[nodiscard]] DiagnosticList check_mapping(
+    const nn::Network& network, const arch::DesignContext& context);
 
 // Customized-design spec (the diagnostic-producing core of
 // sim::CustomAcceleratorSpec::validate()).

@@ -48,10 +48,20 @@ EvaluatedDesign evaluate_design(const nn::Network& network,
                                 const arch::AcceleratorConfig& base,
                                 const DesignPoint& point,
                                 const Constraints& constraints) {
+  return evaluate_design(arch::CheckedNetwork(network), base, point,
+                         constraints, nullptr);
+}
+
+EvaluatedDesign evaluate_design(const arch::CheckedNetwork& network,
+                                const arch::AcceleratorConfig& base,
+                                const DesignPoint& point,
+                                const Constraints& constraints,
+                                arch::VoltageErrorMemo* errors) {
   obs::Span span("dse.evaluate");
   constraints.validate();
   const arch::AcceleratorConfig cfg = apply_point(base, point);
-  const auto report = arch::simulate_accelerator(network, cfg);
+  arch::DesignContext context(cfg, errors);
+  const auto report = arch::simulate_accelerator(network, context);
 
   EvaluatedDesign out;
   out.point = point;
@@ -69,7 +79,7 @@ EvaluatedDesign evaluate_design(const nn::Network& network,
   // armed; simulate_cycles is deterministic, so the parallel sweep stays
   // bit-identical.
   if (cfg.cycle_enabled) {
-    const auto cycles = arch::simulate_cycles(report, cfg);
+    const auto cycles = arch::simulate_cycles(report, context);
     out.metrics.stall_fraction = cycles.stall_fraction;
     out.metrics.backing_traffic = cycles.backing_traffic_bytes;
   }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "arch/accelerator.hpp"
+#include "arch/design_context.hpp"
 #include "check/diagnostic.hpp"
 #include "dse/space.hpp"
 
@@ -126,5 +127,15 @@ EvaluatedDesign evaluate_design(const nn::Network& network,
                                 const arch::AcceleratorConfig& base,
                                 const DesignPoint& point,
                                 const Constraints& constraints);
+
+// The same point over a network checked once for the whole sweep, with
+// the Eq. 9-14 estimates looked up in `errors` (the sweep worker's memo;
+// null evaluates them afresh). The point's configuration is checked
+// once, and the cycle engine (base.cycle_enabled) reuses that check.
+EvaluatedDesign evaluate_design(const arch::CheckedNetwork& network,
+                                const arch::AcceleratorConfig& base,
+                                const DesignPoint& point,
+                                const Constraints& constraints,
+                                arch::VoltageErrorMemo* errors);
 
 }  // namespace mnsim::dse

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <exception>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 // mnsim-analyze: allow(thread-include, watchdog supervisor thread; construction carries a raw-thread analyzer escape below)
@@ -182,9 +184,9 @@ EvaluatedDesign failed_design(const DesignPoint& point,
 }
 
 // The bounded-retry-then-quarantine protocol for one design point.
+template <typename Evaluator>
 CheckpointRecord evaluate_point(
-    const std::function<EvaluatedDesign(const DesignPoint&, std::size_t)>&
-        evaluator,
+    const Evaluator& evaluator,
     const DesignPoint& point, std::size_t global_index,
     const SweepOptions& options, Watchdog& watchdog, std::size_t slot) {
   CheckpointRecord record;
@@ -383,6 +385,21 @@ SweepResult run_sweep(const nn::Network& network,
     reject("MN-DSE-004", "--resume requires a checkpoint journal", "",
            "pass --checkpoint <path> (or [sweep] Checkpoint)");
 
+  // The network is checked once for every point: validated, its
+  // check_network findings kept for each point's pre-flight, its banks
+  // gathered. A network that fails Network::validate fails every point
+  // with that error, as checking it per point did. Skipped under a test
+  // evaluator, which never reads it.
+  std::optional<arch::CheckedNetwork> checked;
+  std::exception_ptr unchecked;
+  if (!options.evaluator) {
+    try {
+      checked.emplace(network);
+    } catch (const std::exception&) {
+      unchecked = std::current_exception();
+    }
+  }
+
   // Pre-flight the parts shared by every design point: the network's
   // structure and the base configuration's consistency. Mapping
   // feasibility is left to the per-point evaluation — the points override
@@ -390,7 +407,8 @@ SweepResult run_sweep(const nn::Network& network,
   // point records as failed-infeasible, not an abort. Skipped under a
   // test evaluator — it never reads the base config.
   if (base.check_preflight && !options.evaluator) {
-    check::DiagnosticList diags = check::check_network(network);
+    check::DiagnosticList diags =
+        checked ? checked->diagnostics() : check::check_network(network);
     diags.merge(check::check_config_consistency(base));
     if (base.check_warnings_as_errors) diags.promote_warnings();
     if (diags.has_errors()) throw check::CheckError(std::move(diags));
@@ -454,20 +472,24 @@ SweepResult run_sweep(const nn::Network& network,
     if (completed.find(gi) == completed.end()) remaining.push_back(gi);
   out.evaluated_count = static_cast<long>(remaining.size());
 
-  const auto evaluator =
-      options.evaluator
-          ? options.evaluator
-          : std::function<EvaluatedDesign(const DesignPoint&, std::size_t)>(
-                [&](const DesignPoint& point, std::size_t) {
-                  return evaluate_design(network, base, point,
-                                         options.constraints);
-                });
-
   util::ThreadPool pool(base.parallel_threads);
   Watchdog watchdog(options.point_deadline_ms, pool.worker_count());
+  // One Eq. 9-14 memo per pool worker for the whole sweep: the points of
+  // one crossbar size repeat its estimates at every parallelism degree.
+  // A worker runs one point at a time, so its memo needs no lock; it
+  // caches a pure function, so results do not depend on which worker
+  // evaluated what, or on what a resumed run had already evaluated.
+  std::vector<arch::VoltageErrorMemo> error_memos(pool.worker_count());
   std::vector<CheckpointRecord> evaluated = util::parallel_map(
       pool, remaining.size(), [&](std::size_t i, std::size_t worker) {
         obs::Span point_span("dse.design_point");
+        const auto evaluator = [&](const DesignPoint& point,
+                                   std::size_t global_index) {
+          if (options.evaluator) return options.evaluator(point, global_index);
+          if (unchecked) std::rethrow_exception(unchecked);
+          return evaluate_design(*checked, base, point, options.constraints,
+                                 &error_memos[worker]);
+        };
         CheckpointRecord record =
             evaluate_point(evaluator, points[remaining[i]], remaining[i],
                            options, watchdog, worker);

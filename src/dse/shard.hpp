@@ -1,9 +1,11 @@
 // The design-space sweep engine (docs/ROBUSTNESS.md).
 //
-// run_sweep() is the one engine behind every DSE run: it pre-flights the
-// network and base configuration, enumerates the space, evaluates the
-// points on the thread pool (a failing point is recorded, never fatal),
-// counts and diagnoses the outcome. dse::explore() is run_sweep() with
+// run_sweep() is the one engine behind every DSE run: it checks the
+// network once (arch::CheckedNetwork) and pre-flights it with the base
+// configuration, enumerates the space, evaluates the points on the
+// thread pool against that one checked network, each worker keeping an
+// Eq. 9-14 memo for the whole sweep (a failing point is recorded, never
+// fatal), counts and diagnoses the outcome. dse::explore() is run_sweep() with
 // default options: the whole space, one attempt per point, no journal,
 // no watchdog. A Table-6-scale sweep turns on the rest of the machinery
 // through SweepOptions:
@@ -74,7 +76,7 @@ struct SweepOptions {
   // are retried until the budget is exhausted, then quarantined.
   int max_attempts = 2;
   // Test seam (and the future distributed-worker boundary): replaces
-  // evaluate_design(network, base, point, constraints) when set. The
+  // the per-point evaluate_design when set. The
   // callable must be safe to invoke concurrently for distinct points.
   std::function<EvaluatedDesign(const DesignPoint&, std::size_t index)>
       evaluator;

@@ -82,6 +82,8 @@ struct MemristorModel {
   // Validates invariants (0 < r_min < r_max, bits in [1, 10], ...).
   // Throws std::invalid_argument when violated.
   void validate() const;
+
+  bool operator==(const MemristorModel&) const = default;
 };
 
 // Reference devices. The RRAM parameters follow Table I and the 7-bit

@@ -2,14 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <type_traits>
+#include <utility>
 
 #include "accuracy/digital_error.hpp"
+#include "arch/cycle_sim.hpp"
+#include "arch/design_context.hpp"
 #include "check/check.hpp"
 #include "check/config_check.hpp"
+#include "check/network_check.hpp"
 #include "dse/explorer.hpp"
 #include "nn/generator.hpp"
 #include "nn/topologies.hpp"
@@ -402,11 +408,204 @@ TEST(Accelerator, HomogeneousDesignReportsEachWarningOnce) {
                           want_hetero);
 }
 
+// --- one checked network per sweep -----------------------------------------
+// dse::run_sweep checks the network once, gives every point the same
+// CheckedNetwork, lends each worker one Eq. 9-14 memo for the whole sweep
+// and hands the point's DesignContext on to the cycle engine. Every
+// report field must equal the plain per-call entry points'.
+
+#define EXPECT_SAME(field) EXPECT_EQ(bits(a.field), bits(b.field)) << #field
+
+void expect_same(const BreakdownItem& a, const BreakdownItem& b,
+                 const char* what) {
+  SCOPED_TRACE(what);
+  EXPECT_SAME(area);
+  EXPECT_SAME(energy);
+}
+
+void expect_same(const AcceleratorReport& a, const AcceleratorReport& b) {
+  ASSERT_EQ(a.banks.size(), b.banks.size());
+  for (std::size_t i = 0; i < a.banks.size(); ++i) {
+    SCOPED_TRACE("bank " + std::to_string(i));
+    expect_same(a.banks[i], b.banks[i]);
+  }
+  expect_same(a.io_input, b.io_input, "io_input");
+  expect_same(a.io_output, b.io_output, "io_output");
+  expect_same(a.controller, b.controller, "controller");
+  EXPECT_SAME(area);
+  EXPECT_SAME(leakage_power);
+  EXPECT_SAME(sample_latency);
+  EXPECT_SAME(pipeline_cycle);
+  EXPECT_SAME(energy_per_sample);
+  EXPECT_SAME(power);
+  EXPECT_SAME(epsilon_worst);
+  EXPECT_SAME(epsilon_average);
+  EXPECT_SAME(max_error_rate);
+  EXPECT_SAME(avg_error_rate);
+  EXPECT_SAME(relative_accuracy);
+  EXPECT_SAME(total_crossbars);
+  EXPECT_SAME(total_units);
+  const auto& x = a.breakdown;
+  const auto& y = b.breakdown;
+  expect_same(x.crossbars, y.crossbars, "crossbars");
+  expect_same(x.input_dacs, y.input_dacs, "input_dacs");
+  expect_same(x.read_circuits, y.read_circuits, "read_circuits");
+  expect_same(x.decoders, y.decoders, "decoders");
+  expect_same(x.digital, y.digital, "digital");
+  expect_same(x.adder_trees, y.adder_trees, "adder_trees");
+  expect_same(x.neurons, y.neurons, "neurons");
+  expect_same(x.pooling, y.pooling, "pooling");
+  expect_same(x.buffers, y.buffers, "buffers");
+  expect_same(x.interfaces, y.interfaces, "interfaces");
+  EXPECT_TRUE(a.fault_config == b.fault_config);
+  expect_same(a.solver, b.solver);
+  ASSERT_EQ(a.diagnostics.size(), b.diagnostics.size());
+  for (std::size_t i = 0; i < a.diagnostics.size(); ++i)
+    EXPECT_TRUE(same_diagnostic(a.diagnostics[i], b.diagnostics[i]))
+        << a.diagnostics[i].render() << " vs " << b.diagnostics[i].render();
+}
+
+void expect_same(const CycleSimResult& a, const CycleSimResult& b) {
+  EXPECT_SAME(clock_hz);
+  EXPECT_SAME(makespan_cycles);
+  EXPECT_SAME(makespan_seconds);
+  EXPECT_SAME(total_tiles);
+  EXPECT_SAME(total_busy_cycles);
+  EXPECT_SAME(total_stall_cycles);
+  EXPECT_SAME(backing_traffic_bytes);
+  EXPECT_SAME(weight_image_bytes);
+  EXPECT_SAME(pe_scheduled_fraction);
+  EXPECT_SAME(pe_active_fraction);
+  EXPECT_SAME(stall_fraction);
+  ASSERT_EQ(a.banks.size(), b.banks.size());
+  for (std::size_t i = 0; i < a.banks.size(); ++i) {
+    SCOPED_TRACE("cycle bank " + std::to_string(i));
+    EXPECT_SAME(banks[i].start_cycle);
+    EXPECT_SAME(banks[i].finish_cycle);
+    EXPECT_SAME(banks[i].busy_cycles);
+    EXPECT_SAME(banks[i].dependency_stall_cycles);
+    EXPECT_SAME(banks[i].fill_stall_cycles);
+    EXPECT_SAME(banks[i].drain_stall_cycles);
+    EXPECT_SAME(banks[i].bus_busy_cycles);
+  }
+  EXPECT_EQ(a.events.size(), b.events.size());
+  EXPECT_EQ(a.diagnostics.size(), b.diagnostics.size());
+}
+
+void expect_same(const dse::EvaluatedDesign& a, const dse::EvaluatedDesign& b) {
+  EXPECT_EQ(a.feasible, b.feasible);
+  EXPECT_EQ(a.evaluated, b.evaluated);
+  EXPECT_EQ(a.failure, b.failure);
+  EXPECT_SAME(metrics.area);
+  EXPECT_SAME(metrics.energy_per_sample);
+  EXPECT_SAME(metrics.latency);
+  EXPECT_SAME(metrics.sample_latency);
+  EXPECT_SAME(metrics.power);
+  EXPECT_SAME(metrics.max_error_rate);
+  EXPECT_SAME(metrics.avg_error_rate);
+  EXPECT_SAME(metrics.solver_fallbacks);
+  EXPECT_SAME(metrics.faults_injected);
+  EXPECT_SAME(metrics.stall_fraction);
+  EXPECT_SAME(metrics.backing_traffic);
+}
+
+#undef EXPECT_SAME
+
+// What a call returned, or the message it threw.
+template <typename F>
+auto outcome(F&& f) -> std::pair<std::optional<decltype(f())>, std::string> {
+  try {
+    return {f(), ""};
+  } catch (const std::exception& e) {
+    return {std::nullopt, e.what()};
+  }
+}
+
+TEST(Accelerator, SweepPathMatchesPlainCallsFieldByField) {
+  const nn::Network vgg = nn::make_vgg16();
+  // CaffeNet's pooling windows leave edge pixels: its check_network
+  // findings are three MN-NN-003 warnings, which every report carries.
+  const nn::Network caffenet = nn::make_caffenet();
+  const auto caffenet_findings = check::check_network(caffenet);
+  EXPECT_EQ(std::count_if(caffenet_findings.begin(), caffenet_findings.end(),
+                          [](const check::Diagnostic& d) {
+                            return d.code == "MN-NN-003" &&
+                                   d.severity == check::Severity::kWarning;
+                          }),
+            3);
+
+  AcceleratorConfig clean;
+  clean.cmos_node_nm = 45;
+  clean.output_bits = 8;
+  AcceleratorConfig cycle = clean;
+  cycle.cycle_enabled = true;
+  AcceleratorConfig faulted = clean;
+  faulted.fault.stuck_at_zero_rate = 0.01;
+  faulted.fault.broken_bitline_rate = 0.005;
+  // Two nodes: one memo then sees two wire resistances per geometry.
+  dse::DesignSpace space = dse::DesignSpace::paper_cnn();
+  space.interconnect_nodes = {28, 90};
+  dse::Constraints constraints;
+  constraints.max_error = 0.5;
+
+  long compared = 0;
+  long with_warnings = 0;
+  for (const nn::Network* net : {&vgg, &caffenet}) {
+    const CheckedNetwork checked(*net);
+    for (const AcceleratorConfig* base_cfg : {&clean, &cycle, &faulted}) {
+      // One memo across the slice, as one sweep worker keeps it.
+      VoltageErrorMemo memo;
+      VoltageErrorMemo kernel_memo;
+      for (const dse::DesignPoint& point : space.enumerate()) {
+        // A defect map draws every cell: keep the faulted arrays small.
+        if (base_cfg->fault.enabled() && point.crossbar_size > 128) continue;
+        SCOPED_TRACE(net->name + " at " + std::to_string(point.crossbar_size) +
+                     "/" + std::to_string(point.parallelism) + "/" +
+                     std::to_string(point.interconnect_node) +
+                     (base_cfg->cycle_enabled ? " cycle" : "") +
+                     (base_cfg->fault.enabled() ? " faulted" : ""));
+        const AcceleratorConfig cfg = dse::apply_point(*base_cfg, point);
+        const AcceleratorReport plain = simulate_accelerator(*net, cfg);
+        DesignContext context(cfg, &memo);
+        const AcceleratorReport swept = simulate_accelerator(checked, context);
+        expect_same(swept, plain);
+        // Both paths share the pre-flight body: pin it to check_system.
+        expect_same_diagnostics(swept.diagnostics,
+                                check::check_system(*net, cfg));
+        with_warnings += !swept.diagnostics.empty();
+        if (cfg.cycle_enabled) {
+          // The 1024 points overflow the filter scratchpad (MN-CYC-003)
+          // on both paths alike.
+          const auto a = outcome([&] { return simulate_cycles(swept, context); });
+          const auto b = outcome([&] { return simulate_cycles(plain, cfg); });
+          EXPECT_EQ(a.second, b.second);
+          ASSERT_EQ(a.first.has_value(), b.first.has_value());
+          if (a.first) expect_same(*a.first, *b.first);
+        }
+        const auto a = outcome([&] {
+          return dse::evaluate_design(checked, *base_cfg, point, constraints,
+                                      &kernel_memo);
+        });
+        const auto b = outcome([&] {
+          return dse::evaluate_design(*net, *base_cfg, point, constraints);
+        });
+        EXPECT_EQ(a.second, b.second);
+        ASSERT_EQ(a.first.has_value(), b.first.has_value());
+        if (a.first) expect_same(*a.first, *b.first);
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 200);
+  EXPECT_GT(with_warnings, 0);
+}
+
 TEST(Accelerator, ExploreIsThreadCountInvariant) {
-  // Each design point's memo lives inside its own simulate call, so the
-  // sweep's workers share nothing: four threads give the serial result
-  // bit for bit.
-  const auto vgg = nn::make_vgg16();
+  // Each sweep worker keeps its own Eq. 9-14 memo for the whole sweep,
+  // and each design point's other memos live inside its own call. The
+  // memo caches a pure function, so which worker evaluated which point
+  // (and what its memo already held) cannot show: four threads give the
+  // serial result bit for bit.
   dse::DesignSpace space;
   space.crossbar_sizes = {64, 128, 256};
   space.parallelism_degrees = {1, 16, 0};
@@ -415,28 +614,22 @@ TEST(Accelerator, ExploreIsThreadCountInvariant) {
   serial_cfg.parallel_threads = 1;
   auto parallel_cfg = serial_cfg;
   parallel_cfg.parallel_threads = 4;
-  const auto serial = dse::explore(vgg, serial_cfg, space, 0.5);
-  const auto parallel = dse::explore(vgg, parallel_cfg, space, 0.5);
-  EXPECT_EQ(serial.feasible_count, parallel.feasible_count);
-  EXPECT_EQ(serial.failed_count, parallel.failed_count);
-  ASSERT_EQ(serial.designs.size(), parallel.designs.size());
-  for (std::size_t i = 0; i < serial.designs.size(); ++i) {
-    SCOPED_TRACE("design " + std::to_string(i));
-    const auto& a = serial.designs[i];
-    const auto& b = parallel.designs[i];
-    EXPECT_EQ(a.point.crossbar_size, b.point.crossbar_size);
-    EXPECT_EQ(a.point.parallelism, b.point.parallelism);
-    EXPECT_EQ(a.point.interconnect_node, b.point.interconnect_node);
-    EXPECT_EQ(a.feasible, b.feasible);
-    EXPECT_EQ(a.failure, b.failure);
-    EXPECT_EQ(bits(a.metrics.area), bits(b.metrics.area));
-    EXPECT_EQ(bits(a.metrics.energy_per_sample),
-              bits(b.metrics.energy_per_sample));
-    EXPECT_EQ(bits(a.metrics.latency), bits(b.metrics.latency));
-    EXPECT_EQ(bits(a.metrics.sample_latency), bits(b.metrics.sample_latency));
-    EXPECT_EQ(bits(a.metrics.power), bits(b.metrics.power));
-    EXPECT_EQ(bits(a.metrics.max_error_rate), bits(b.metrics.max_error_rate));
-    EXPECT_EQ(bits(a.metrics.avg_error_rate), bits(b.metrics.avg_error_rate));
+  for (const nn::Network& net : {nn::make_vgg16(), nn::make_caffenet()}) {
+    SCOPED_TRACE(net.name);
+    const auto serial = dse::explore(net, serial_cfg, space, 0.5);
+    const auto parallel = dse::explore(net, parallel_cfg, space, 0.5);
+    EXPECT_EQ(serial.feasible_count, parallel.feasible_count);
+    EXPECT_EQ(serial.failed_count, parallel.failed_count);
+    ASSERT_EQ(serial.designs.size(), parallel.designs.size());
+    for (std::size_t i = 0; i < serial.designs.size(); ++i) {
+      SCOPED_TRACE("design " + std::to_string(i));
+      const auto& a = serial.designs[i];
+      const auto& b = parallel.designs[i];
+      EXPECT_EQ(a.point.crossbar_size, b.point.crossbar_size);
+      EXPECT_EQ(a.point.parallelism, b.point.parallelism);
+      EXPECT_EQ(a.point.interconnect_node, b.point.interconnect_node);
+      expect_same(a, b);
+    }
   }
 }
 

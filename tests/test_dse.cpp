@@ -157,6 +157,30 @@ TEST(Explorer, AllPointsFailingEmitsDiagnosticWithoutRetry) {
       << result.diagnostics[0].message;
 }
 
+// The network is checked once per sweep. With the pre-flight off, a
+// network that fails Network::validate still fails each point with that
+// error (a numeric failure, retried like any other), not the whole sweep.
+TEST(Explorer, UncheckableNetworkFailsEveryPointWithoutPreflight) {
+  nn::Network net = nn::make_large_bank_layer();
+  net.input_bits = 0;  // outside 1..16
+  arch::AcceleratorConfig cfg = base();
+  cfg.check_preflight = false;
+  EXPECT_THROW((void)explore(net, base(), small_space(), 0.25),
+               check::CheckError);
+  const auto result = explore(net, cfg, small_space(), 0.25);
+  const long points = static_cast<long>(small_space().enumerate().size());
+  ASSERT_EQ(static_cast<long>(result.designs.size()), points);
+  EXPECT_EQ(result.failed_count, points);
+  for (const auto& d : result.designs)
+    EXPECT_NE(d.failure.find("input_bits = 0"), std::string::npos)
+        << d.failure;
+  ASSERT_EQ(result.diagnostics.size(), 1u);
+  EXPECT_NE(result.diagnostics[0].message.find(
+                "(0 check, " + std::to_string(points) + " numeric, 0 timeout)"),
+            std::string::npos)
+      << result.diagnostics[0].message;
+}
+
 TEST(Explorer, WritesNoJournal) {
   namespace fs = std::filesystem;
   const fs::path journal =

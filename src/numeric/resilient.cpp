@@ -92,7 +92,8 @@ ResilientSolveReport solve_schur(const ChainSystem& a,
   obs::Span span("numeric.schur");
   // Solve slightly tighter than requested so back-substitution
   // roundoff cannot push the true residual over the acceptance line.
-  CgResult sr = factor.solve(b, opt.tolerance * 0.5, usable_guess(opt, n));
+  CgResult sr =
+      factor.solve(a, b, opt.tolerance * 0.5, usable_guess(opt, n));
   report.schur_iterations = sr.iterations;
   if (sr.converged && finite(sr.x)) {
     // Every later rung that returns overwrites x and the residual.
@@ -106,9 +107,11 @@ ResilientSolveReport solve_schur(const ChainSystem& a,
   }
   ++report.schur_rejects;
   report.rung_notes.push_back(
-      sr.converged ? "schur: converged iterate rejected by true-residual "
-                     "acceptance check"
-                   : "schur: inner PCG did not converge");
+      sr.converged   ? "schur: converged iterate rejected by true-residual "
+                       "acceptance check"
+      : sr.breakdown ? "schur: inner PCG broke down (p'Sp not positive, or "
+                       "the right-hand side norm not finite)"
+                     : "schur: inner PCG did not converge");
   return report;
 }
 
@@ -138,7 +141,8 @@ ResilientSolveReport solve_spd_resilient(const CsrMatrix& a,
   report.rung_notes.push_back(
       cg.diagonal_defect ? "cg: zero/missing diagonal entry (Jacobi "
                            "preconditioner undefined)"
-      : cg.breakdown     ? "cg: p'Ap <= 0 breakdown (matrix not SPD)"
+      : cg.breakdown     ? "cg: breakdown (p'Ap not positive: matrix not "
+                           "SPD; or the right-hand side norm not finite)"
       : !finite(cg.x)    ? "cg: non-finite iterate"
                          : "cg: stalled above tolerance");
 
@@ -159,7 +163,7 @@ ResilientSolveReport solve_spd_resilient(const CsrMatrix& a,
     report.cg_iterations += retry.iterations;
     if (!(retry.converged && finite(retry.x)))
       report.rung_notes.push_back(
-          retry.breakdown ? "cg_retry: p'Ap <= 0 breakdown"
+          retry.breakdown ? "cg_retry: breakdown (p'Ap not positive)"
                           : "cg_retry: stalled above tolerance");
     if (retry.converged && finite(retry.x)) {
       report.x = std::move(retry.x);

@@ -109,16 +109,106 @@ void solve_group(std::size_t s, std::size_t len, const double* piv,
   }
 }
 
-// Every chain of `start` through solve_group.
+// Every chain of `start` through solve_group, calling `done(s, e)` after
+// each group's back sweep with the positions [s, e) it covered: the
+// groups cover the chains in ascending position.
+template <typename In, typename Done>
+void solve_chains(const std::vector<std::size_t>& start,
+                  const std::vector<double>& piv,
+                  const std::vector<double>& lfac, const In& in, double* out,
+                  const Done& done) {
+  for_each_group(start, [&](auto group, std::size_t s, std::size_t len) {
+    constexpr std::size_t G = decltype(group)::value;
+    solve_group<G>(s, len, piv.data(), lfac.data(), in, out);
+    done(s, s + G * len);
+    return true;
+  });
+}
+
 template <typename In>
 void solve_chains(const std::vector<std::size_t>& start,
                   const std::vector<double>& piv,
                   const std::vector<double>& lfac, const In& in, double* out) {
-  for_each_group(start, [&](auto group, std::size_t s, std::size_t len) {
-    solve_group<decltype(group)::value>(s, len, piv.data(), lfac.data(), in,
-                                        out);
-    return true;
-  });
+  solve_chains(start, piv, lfac, in, out, [](std::size_t, std::size_t) {});
+}
+
+// The cell gathers of the Schur kernels. A(b, c) of every cell coupling
+// serves both A_bc and A_cb (the matrix is symmetric). `x` is indexed by
+// kept side-local position, `w` by eliminated position and has a zero
+// at nb.
+//
+// Range loops, for any layout: eliminated position lb's cells are its
+// cross_start range, kept position lc's its kept_cross range.
+struct RangeCells {
+  const ChainLayout& l;
+  const double* bc;
+
+  // (A_bc x)[lb], summed from 0.0 in the layout's cell order.
+  double cross(std::size_t lb, const double* x) const {
+    double acc = 0.0;
+    for (std::uint32_t k = l.cross_start[lb]; k < l.cross_start[lb + 1]; ++k)
+      acc += bc[k] * x[l.cross_col[k] - l.nb];
+    return acc;
+  }
+  // y -= (A_cb w)[lc], the cells in ascending eliminated position, each
+  // skipped where w is zero.
+  void subtract(std::size_t lc, const double* w, double& y) const {
+    for (std::uint32_t i = l.kept_cross_start[lc];
+         i < l.kept_cross_start[lc + 1]; ++i) {
+      const double wb = w[l.kept_cross[i].b];
+      if (!util::exactly_zero(wb)) y -= bc[l.kept_cross[i].k] * wb;
+    }
+  }
+};
+
+// The same sums on a one_cell layout, each partner read directly: a kept
+// position without a cell reads the zero at w[nb] and is skipped as the
+// range loop skips a zero.
+struct OneCell {
+  const std::uint32_t* col;
+  const std::uint32_t* partner;
+  std::size_t nb;
+  const double* bc;
+
+  double cross(std::size_t lb, const double* x) const {
+    return 0.0 + bc[lb] * x[col[lb] - nb];
+  }
+  void subtract(std::size_t lc, const double* w, double& y) const {
+    const std::uint32_t b = partner[lc];
+    const double wb = w[b];
+    if (!util::exactly_zero(wb)) y -= bc[b] * wb;
+  }
+};
+
+// y = A_cc x - A_cb w over the kept chains of `start` (diagonal `d`,
+// previous-neighbour coupling `off`), each row summed in a fixed order
+// the pinned outputs depend on: (d x[l] + off[l] x[l-1]) + off[l+1]
+// x[l+1], then the cells. Each chain's ends are peeled off its middle.
+// Returns x'y, summed in ascending position.
+template <typename Cells>
+double kept_sweep(const std::vector<std::size_t>& start, const double* d,
+                  const double* off, const Cells& cells, const double* x,
+                  const double* w, double* y) {
+  double xy = 0.0;
+  const auto row = [&](std::size_t l, double acc) {
+    cells.subtract(l, w, acc);
+    y[l] = acc;
+    xy += x[l] * acc;
+  };
+  for (std::size_t k = 0; k + 1 < start.size(); ++k) {
+    const std::size_t s = start[k];
+    const std::size_t e = start[k + 1];
+    if (e == s) continue;
+    if (e - s == 1) {
+      row(s, d[s] * x[s]);
+      continue;
+    }
+    row(s, d[s] * x[s] + off[s + 1] * x[s + 1]);
+    for (std::size_t l = s + 1; l + 1 < e; ++l)
+      row(l, d[l] * x[l] + off[l] * x[l - 1] + off[l + 1] * x[l + 1]);
+    row(e - 1, d[e - 1] * x[e - 1] + off[e - 1] * x[e - 2]);
+  }
+  return xy;
 }
 
 }  // namespace
@@ -221,6 +311,9 @@ ChainSystem::ChainSystem(const BipartitePartition& partition, std::size_t n) {
   }
   l->cross_start[nb] = static_cast<std::uint32_t>(kept);
   col.resize(kept);
+  l->one_cell = kept == nb;
+  for (std::size_t p = 0; p < nb && l->one_cell; ++p)
+    l->one_cell = l->cross_start[p + 1] == p + 1;
 
   // The same couplings by kept position, counting-sorted: each kept
   // position's list comes out in ascending eliminated position.
@@ -235,6 +328,12 @@ ChainSystem::ChainSystem(const BipartitePartition& partition, std::size_t n) {
       for (std::uint32_t k = l->cross_start[b]; k < l->cross_start[b + 1];
            ++k)
         l->kept_cross[cursor[col[k] - nb]++] = {b, k};
+  }
+  for (std::size_t c = 0; c + nb < n && l->one_cell; ++c)
+    l->one_cell = by_c[c + 1] - by_c[c] <= 1;
+  if (l->one_cell) {
+    l->kept_partner.assign(n - nb, static_cast<std::uint32_t>(nb));
+    for (std::uint32_t b = 0; b < nb; ++b) l->kept_partner[col[b] - nb] = b;
   }
 
   // The multiply plan: each row's slots in ascending column unknown. A
@@ -274,16 +373,27 @@ ChainSystem::ChainSystem(const BipartitePartition& partition, std::size_t n) {
 void ChainSystem::begin() {
   ok_ = true;
   values_.assign(3 * layout_->n + 2 * layout_->cross_col.size(), 0.0);
+  chain_written_ = true;
 }
 
 void ChainSystem::save_base() {
   base_ = values_;
   base_ok_ = ok_;
+  chain_written_ = false;
 }
 
 void ChainSystem::restore_base() {
-  values_ = base_;
+  const std::size_t n = layout_->n;
+  const auto from = base_.begin();
+  if (chain_written_ || values_.size() != base_.size()) {
+    values_ = base_;
+  } else {
+    std::copy(from, from + static_cast<std::ptrdiff_t>(n), values_.begin());
+    std::copy(from + static_cast<std::ptrdiff_t>(3 * n), base_.end(),
+              values_.begin() + static_cast<std::ptrdiff_t>(3 * n));
+  }
   ok_ = base_ok_;
+  chain_written_ = false;
 }
 
 bool ChainSystem::finish() {
@@ -356,86 +466,63 @@ SchurFactorization SchurFactorization::build(const ChainSystem& system) {
   const double* diag = system.values_.data();
   const double* prev = diag + l.n;
   if (!internal::factor_chains(l.b_chain_start, diag, prev, f.b_piv_,
-                               f.b_lfac_))
+                               f.b_lfac_) ||
+      !internal::factor_chains(l.c_chain_start, diag + l.nb, prev + l.nb,
+                               f.c_piv_, f.c_lfac_))
     return f;
-  f.c_diag_.assign(diag + l.nb, diag + l.n);
-  f.c_off_.assign(prev + l.nb, prev + l.n);
-  if (!internal::factor_chains(l.c_chain_start, f.c_diag_.data(),
-                               f.c_off_.data(), f.c_piv_, f.c_lfac_))
-    return f;
-  const double* bc = diag + 3 * l.n;
-  f.bc_val_.assign(bc, bc + l.cross_start[l.nb]);
   f.valid_ = true;
   return f;
 }
 
-double SchurFactorization::cross_product(std::size_t lb,
-                                         const std::vector<double>& x) const {
-  const std::size_t nb = layout_->nb;
-  const std::vector<std::uint32_t>& start = layout_->cross_start;
-  const std::vector<std::uint32_t>& col = layout_->cross_col;
-  double acc = 0.0;
-  for (std::size_t k = start[lb]; k < start[lb + 1]; ++k)
-    acc += bc_val_[k] * x[col[k] - nb];
-  return acc;
-}
-
-void SchurFactorization::subtract_cells(std::size_t lc,
-                                        const std::vector<double>& w,
-                                        double& y) const {
-  const ChainLayout& l = *layout_;
-  for (std::uint32_t i = l.kept_cross_start[lc];
-       i < l.kept_cross_start[lc + 1]; ++i) {
-    const double wb = w[l.kept_cross[i].b];
-    if (!util::exactly_zero(wb)) y -= bc_val_[l.kept_cross[i].k] * wb;
-  }
-}
-
-void SchurFactorization::apply_schur(const std::vector<double>& x,
-                                     std::vector<double>& y,
-                                     std::vector<double>& scratch) const {
-  // scratch = A_bb^-1 A_bc x, the cell products gathered as the chain
-  // solve reaches them.
-  solve_chains(
-      layout_->b_chain_start, b_piv_, b_lfac_,
-      [&](std::size_t lb) { return cross_product(lb, x); }, scratch.data());
-  // y = A_cc x - A_cb scratch, row by row, in a fixed order the pinned
-  // outputs depend on: (d x[l] + off[l] x[l-1]) + off[l+1] x[l+1], then
-  // the cells in ascending eliminated position.
-  const std::vector<std::size_t>& start = layout_->c_chain_start;
-  const double* d = c_diag_.data();
-  const double* off = c_off_.data();
-  y.resize(x.size());
-  for (std::size_t k = 0; k + 1 < start.size(); ++k) {
-    const std::size_t s = start[k];
-    const std::size_t e = start[k + 1];
-    for (std::size_t l = s; l < e; ++l) {
-      double acc = d[l] * x[l];
-      if (l > s) acc += off[l] * x[l - 1];
-      if (l + 1 < e) acc += off[l + 1] * x[l + 1];
-      subtract_cells(l, scratch, acc);
-      y[l] = acc;
-    }
-  }
-}
-
 CgResult SchurFactorization::solve(
-    const std::vector<double>& b, double tolerance,
-    const std::vector<double>* initial_guess) const {
-  const std::size_t nb = layout_->nb;
-  const std::size_t nc = n_ - nb;
-  const std::vector<std::uint32_t>& unknown = layout_->unknown;
+    const ChainSystem& system, const std::vector<double>& b,
+    double tolerance, const std::vector<double>* initial_guess) const {
+  return layout_->one_cell
+             ? solve_impl<true>(system, b, tolerance, initial_guess)
+             : solve_impl<false>(system, b, tolerance, initial_guess);
+}
 
-  // Schur right-hand side: b~ = b_c - A_cb A_bb^-1 b_b.
-  std::vector<double> t(nb);
+CgResult internal::solve_with_range_loops(
+    const SchurFactorization& factor, const ChainSystem& system,
+    const std::vector<double>& b, double tolerance,
+    const std::vector<double>* initial_guess) {
+  return factor.solve_impl<false>(system, b, tolerance, initial_guess);
+}
+
+template <bool kOneCell>
+CgResult SchurFactorization::solve_impl(
+    const ChainSystem& system, const std::vector<double>& b,
+    double tolerance, const std::vector<double>* initial_guess) const {
+  if (system.layout_ != layout_ || b.size() != n_)
+    throw std::invalid_argument(
+        "SchurFactorization::solve: not the factored system");
+  const ChainLayout& l = *layout_;
+  const std::size_t nb = l.nb;
+  const std::size_t nc = n_ - nb;
+  const std::vector<std::uint32_t>& unknown = l.unknown;
+  const double* values = system.values_.data();
+  const double* c_diag = values + nb;
+  const double* c_off = values + n_ + nb;
+  const double* bc = values + 3 * n_;
+  using Cells = std::conditional_t<kOneCell, OneCell, RangeCells>;
+  const Cells cells = [&] {
+    if constexpr (kOneCell)
+      return OneCell{l.cross_col.data(), l.kept_partner.data(), nb, bc};
+    else
+      return RangeCells{l, bc};
+  }();
+
+  // Schur right-hand side: b~ = b_c - A_cb A_bb^-1 b_b. t (with its zero
+  // at nb) is the eliminated side's buffer throughout.
+  std::vector<double> t(nb + 1, 0.0);
   solve_chains(
-      layout_->b_chain_start, b_piv_, b_lfac_,
+      l.b_chain_start, b_piv_, b_lfac_,
       [&](std::size_t lb) { return b[unknown[lb]]; }, t.data());
   std::vector<double> rhs(nc);
-  for (std::size_t l = 0; l < nc; ++l) {
-    double v = b[unknown[nb + l]];
-    subtract_cells(l, t, v);
-    rhs[l] = v;
+  for (std::size_t lc = 0; lc < nc; ++lc) {
+    double v = b[unknown[nb + lc]];
+    cells.subtract(lc, t.data(), v);
+    rhs[lc] = v;
   }
 
   // The stopping criterion matches the full-system CG rung: the Schur
@@ -444,31 +531,78 @@ CgResult SchurFactorization::solve(
   std::vector<double> guess;
   if (initial_guess) {
     guess.resize(nc);
-    for (std::size_t l = 0; l < nc; ++l)
-      guess[l] = (*initial_guess)[unknown[nb + l]];
+    for (std::size_t lc = 0; lc < nc; ++lc)
+      guess[lc] = (*initial_guess)[unknown[nb + lc]];
   }
-  // t is free until the back substitution: the operator's scratch.
+
+  // The PCG operator and preconditioner step, their reductions and
+  // updates folded into the chain sweeps. t is free until the back
+  // substitution: the operator's middle product A_bb^-1 A_bc v.
+  struct Schur {
+    const SchurFactorization& f;
+    const Cells& gather;
+    const double* c_diag;
+    const double* c_off;
+    std::vector<double>& t;
+
+    double apply(const std::vector<double>& v, std::vector<double>& sv) const {
+      const ChainLayout& l = *f.layout_;
+      solve_chains(
+          l.b_chain_start, f.b_piv_, f.b_lfac_,
+          [&](std::size_t lb) { return gather.cross(lb, v.data()); },
+          t.data());
+      sv.resize(v.size());
+      return kept_sweep(l.c_chain_start, c_diag, c_off, gather, v.data(),
+                        t.data(), sv.data());
+    }
+    std::pair<double, double> precondition(std::vector<double>& r,
+                                           std::vector<double>& z,
+                                           const CgUpdate* update) const {
+      double rr = 0.0;
+      double rz = 0.0;
+      const auto sums = [&](std::size_t s, std::size_t e) {
+        for (std::size_t i = s; i < e; ++i) {
+          rr += r[i] * r[i];
+          rz += r[i] * z[i];
+        }
+      };
+      const std::vector<std::size_t>& start = f.layout_->c_chain_start;
+      if (update == nullptr) {
+        solve_chains(
+            start, f.c_piv_, f.c_lfac_, [&](std::size_t p) { return r[p]; },
+            z.data(), sums);
+      } else {
+        const double alpha = update->alpha;
+        const double* p_dir = update->p.data();
+        const double* ap = update->ap.data();
+        double* x = update->x.data();
+        solve_chains(
+            start, f.c_piv_, f.c_lfac_,
+            [&](std::size_t p) {
+              x[p] += alpha * p_dir[p];
+              return r[p] -= alpha * ap[p];
+            },
+            z.data(), sums);
+      }
+      return {rr, rz};
+    }
+  };
   CgResult result = preconditioned_cg(
-      [&](const std::vector<double>& v, std::vector<double>& sv) {
-        apply_schur(v, sv, t);
-      },
-      [this](const std::vector<double>& r, std::vector<double>& z) {
-        internal::chain_solve(layout_->c_chain_start, c_piv_, c_lfac_,
-                              r.data(), z.data());
-      },
-      rhs, std::move(guess), tolerance * (b_norm > 0 ? b_norm : 1.0), 0,
-      "numeric.schur");
+      Schur{*this, cells, c_diag, c_off, t}, rhs, std::move(guess),
+      tolerance * (b_norm > 0 ? b_norm : 1.0), 0, "numeric.schur");
   const std::vector<double>& x = result.x;
 
   // Back-substitute the eliminated side: x_b = A_bb^-1 (b_b - A_bc x_c).
   solve_chains(
-      layout_->b_chain_start, b_piv_, b_lfac_,
-      [&](std::size_t lb) { return b[unknown[lb]] - cross_product(lb, x); },
+      l.b_chain_start, b_piv_, b_lfac_,
+      [&](std::size_t lb) {
+        return b[unknown[lb]] - cells.cross(lb, x.data());
+      },
       t.data());
 
   std::vector<double> full(n_);
-  for (std::size_t l = 0; l < nb; ++l) full[unknown[l]] = t[l];
-  for (std::size_t l = 0; l < nc; ++l) full[unknown[nb + l]] = x[l];
+  for (std::size_t lb = 0; lb < nb; ++lb) full[unknown[lb]] = t[lb];
+  for (std::size_t lc = 0; lc < nc; ++lc) full[unknown[nb + lc]] = x[lc];
   result.x = std::move(full);
   return result;
 }

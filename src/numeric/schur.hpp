@@ -100,6 +100,14 @@ struct ChainLayout {
   };
   std::vector<std::uint32_t> kept_cross_start;  // n - nb + 1 entries
   std::vector<Cell> kept_cross;
+  // The crossbar shape: every eliminated position has exactly one cell
+  // (so its index in cross_col is the position itself) and every kept
+  // position at most one. The Schur kernels then index each position's
+  // partner directly -- eliminated position b's is cross_col[b], kept
+  // side-local position c's is kept_partner[c], or nb where c has none --
+  // instead of looping over its cell range.
+  bool one_cell = false;
+  std::vector<std::uint32_t> kept_partner;  // n - nb entries when one_cell
   // Matrix-vector product plan: the entries of unknown g's row, in
   // ascending column unknown, are (value slot, column) pairs
   // [plan_start[g], plan_start[g+1]) -- CsrMatrix::multiply's order.
@@ -187,7 +195,10 @@ class ChainSystem {
   // Snapshots the slots mid-assembly; restore_base() starts a later
   // assembly from that snapshot instead of from zero. Adds made after
   // the snapshot then sum onto the same partial sums a full assembly
-  // would reach, so the values are unchanged.
+  // would reach, so the values are unchanged. A restore copies the
+  // diagonal and cell slots, and the chain couplings only when an add
+  // has reached one since the snapshot or the last restore (a companion
+  // across two chain neighbours, as an imported netlist may hold).
   void save_base();
   void restore_base();
   // A snapshot has been taken since the system was laid out.
@@ -221,6 +232,7 @@ class ChainSystem {
   // next-neighbour coupling of p, or a miss.
   void add_chain(std::uint32_t p, std::uint32_t q, double value) {
     const ChainLayout& l = *layout_;
+    chain_written_ = true;
     if (q + 1 == p && !l.chain_first[p])
       values_[l.n + p] += value;
     else if (p + 1 == q && !l.chain_first[q])
@@ -249,21 +261,39 @@ class ChainSystem {
   // A(c, b) of every cell coupling, in cross_start/cross_col order.
   std::vector<double> values_;
   std::vector<double> base_;
+  // A chain-coupling slot may differ from base_ (see restore_base).
+  bool chain_written_ = true;
   bool base_ok_ = true;
   bool ok_ = true;
   bool assembled_ = false;
   bool broken_ = false;
 };
 
+class SchurFactorization;
+
+namespace internal {
+// SchurFactorization::solve through the range-loop cell gathers whatever
+// the layout: the reference the direct-indexed crossbar kernels are
+// tested against, bit for bit.
+// mnsim-analyze: allow(unreferenced-api, test oracle: test_numeric_factorization compares the one-cell kernels with the range loops)
+CgResult solve_with_range_loops(const SchurFactorization& factor,
+                                const ChainSystem& system,
+                                const std::vector<double>& b,
+                                double tolerance,
+                                const std::vector<double>* initial_guess);
+}  // namespace internal
+
 // Factor-once handle: factors every chain of an assembled ChainSystem
-// (LDL^T) and keeps what the solve needs. build() never throws -- a
+// (LDL^T) and keeps the factors, values only: the index arrays are the
+// system's layout, which the factor shares. build() never throws -- a
 // system that is not assembled, broken, or has a chain pivot that is not
 // positive (NaN included) yields valid() == false and the caller falls
 // back to the generic ladder. The factorization is tied to the system's
-// values when it was built: reuse it only while they are unchanged
-// (spice::MnaCache keeps one only for refills its owner vouches
-// reproduce them). solve() is const and keeps its buffers local, so one
-// factor serves several threads at once.
+// values when it was built, and solve() reads the couplings from that
+// system: reuse it only while they are unchanged (spice::MnaCache keeps
+// one only for refills its owner vouches reproduce them). solve() is
+// const and keeps its buffers local, so one factor serves several
+// threads at once.
 class SchurFactorization {
  public:
   SchurFactorization() = default;
@@ -275,40 +305,46 @@ class SchurFactorization {
 
   // Solves A x = b through the eliminated/Schur split, the Schur side
   // by the PCG kernel (numeric/pcg.hpp) preconditioned by the kept
-  // chains. `initial_guess` (full-system size, may be null) seeds it.
-  // Convergence criterion matches the CG rung: the Schur residual --
-  // which equals the full-system residual, the eliminated side being
-  // solved exactly -- must fall below tolerance * ||b||. x is the
-  // full-system solution; the rest describes the Schur iteration.
+  // chains. `system` is the one the factor was built from (or a copy
+  // holding the same values); `initial_guess` (full-system size, may be
+  // null) seeds the PCG. Convergence criterion matches the CG rung: the
+  // Schur residual -- which equals the full-system residual, the
+  // eliminated side being solved exactly -- must fall below tolerance *
+  // ||b||. x is the full-system solution; the rest describes the Schur
+  // iteration.
+  //
+  // A crossbar layout (ChainLayout::one_cell) runs the direct-indexed
+  // cell gathers, any other the range loops; both sum the same terms in
+  // the same order. The PCG passes are fused into the chain sweeps: the
+  // operator's kept sweep sums p'Ap, the preconditioner's forward sweep
+  // applies x += alpha p and r -= alpha Ap, and r'r and r'z are summed
+  // per lockstep group right after its back sweep -- each sum in
+  // ascending index, so the floats are those of separate passes.
   [[nodiscard]] CgResult solve(
-      const std::vector<double>& b, double tolerance,
+      const ChainSystem& system, const std::vector<double>& b,
+      double tolerance,
       const std::vector<double>* initial_guess = nullptr) const;
 
  private:
+  // mnsim-analyze: allow(unreferenced-api, test oracle: the range-loop reference of the one-cell kernels)
+  friend CgResult internal::solve_with_range_loops(
+      const SchurFactorization&, const ChainSystem&,
+      const std::vector<double>&, double, const std::vector<double>*);
+
+  // solve() with the direct-indexed (kOneCell) or the range-loop cell
+  // gathers.
+  template <bool kOneCell>
+  CgResult solve_impl(const ChainSystem& system, const std::vector<double>& b,
+                      double tolerance,
+                      const std::vector<double>* initial_guess) const;
+
   bool valid_ = false;
   std::size_t n_ = 0;
   std::shared_ptr<const ChainLayout> layout_;
 
-  // Factored chains (LDL^T): piv = D, lfac = unit-lower multipliers. The
-  // kept side also keeps its diagonal and previous-neighbour coupling
-  // for the A_cc matvec.
+  // Factored chains (LDL^T): piv = D, lfac = unit-lower multipliers.
   std::vector<double> b_piv_, b_lfac_;
-  std::vector<double> c_piv_, c_lfac_, c_off_, c_diag_;
-  // Cell couplings of the eliminated rows (A_bc), in the layout's
-  // cross_start/cross_col order.
-  std::vector<double> bc_val_;
-
-  // (A_bc x)[lb]: eliminated position lb's cells against kept-side x.
-  [[nodiscard]] double cross_product(std::size_t lb,
-                                     const std::vector<double>& x) const;
-  // y -= (A_cb w)[lc], the cells of kept position lc in ascending
-  // eliminated position, each skipped where w is zero.
-  void subtract_cells(std::size_t lc, const std::vector<double>& w,
-                      double& y) const;
-  // y = S x = A_cc x - A_cb A_bb^-1 A_bc x; scratch (nb long) holds
-  // the middle product.
-  void apply_schur(const std::vector<double>& x, std::vector<double>& y,
-                   std::vector<double>& scratch) const;
+  std::vector<double> c_piv_, c_lfac_;
 };
 
 namespace internal {
@@ -326,6 +362,7 @@ bool factor_chains(const std::vector<std::size_t>& start, const double* diag,
                    const double* off, std::vector<double>& piv,
                    std::vector<double>& lfac);
 // out = (L D L^T)^-1 in, chain by chain; `in` may be `out`.
+// mnsim-analyze: allow(unreferenced-api, test oracle: test_numeric_factorization holds the lockstep solve that the fused preconditioner step runs to a sequential sweep)
 void chain_solve(const std::vector<std::size_t>& start,
                  const std::vector<double>& piv,
                  const std::vector<double>& lfac, const double* in,

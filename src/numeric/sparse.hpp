@@ -114,8 +114,9 @@ struct CgResult {
   std::size_t iterations = 0;
   double residual_norm = 0.0;
   bool converged = false;
-  // True when the iteration stopped on p'Ap <= 0 (the matrix is not SPD,
-  // or rounding broke the recurrence) rather than on the iteration cap.
+  // True when the iteration stopped on p'Ap not positive (the matrix is
+  // not SPD, rounding broke the recurrence, or a NaN reached it) or on a
+  // stop threshold that is not finite, rather than on the iteration cap.
   bool breakdown = false;
   // True when the matrix had a zero / missing diagonal entry: the Jacobi
   // preconditioner is undefined and CG refuses to iterate (breakdown is

@@ -11,6 +11,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/cancel.hpp"
+#include "util/fp.hpp"
 
 namespace mnsim::spice {
 
@@ -177,6 +178,14 @@ void stamp_companions(const Netlist& nl, const Indexer& ix,
     // Linearizing at vc (not v0) keeps the tangent consistent with the
     // point the law was evaluated at when an iterate overshoots.
     const double v0 = voltages[m.a] - voltages[m.b];
+    if (util::exactly_zero(v0)) {
+      // At v0 = +-0 the companion is the chord 1/r with a +0.0 source:
+      // sinh(+-0) = +-0 and cosh(+-0) = 1 exactly, so i0 - gd * vc is
+      // +0.0 either way, and adding it changes no sum (see stamp). The
+      // first Newton step of every cold solve stamps every cell here.
+      stamp<false>(ix, sink, rhs, m.a, m.b, 1.0 / m.r_state, 0.0);
+      continue;
+    }
     const double vt = dev.nonlinearity_vt.value();
     const double vc = std::clamp(v0, -tech::kMaxSinhArg * vt,
                                  tech::kMaxSinhArg * vt);
@@ -500,13 +509,19 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
   // the wire-only snapshot the first one took.
   WireBase wire_base;
   WireBase* const base = wire_base_for(nl, mc, system, wire_base);
+  // Per-iteration buffers: the right-hand side, the linear solve's warm
+  // start and the damped iterate (by node id; its pinned entries stay
+  // those of result.node_voltages, as the two are swapped on commit).
+  std::vector<double> rhs;
+  std::vector<double> guess;
+  std::vector<double> stepped = result.node_voltages;
 
   for (int it = 0; it < max_iter; ++it) {
     // Watchdog poll between Newton iterations (util/cancel.hpp); the
     // inner CG/LU rungs poll at finer granularity.
     util::throw_if_cancelled("spice.newton");
     obs::Span iter_span("spice.newton_iteration");
-    std::vector<double> rhs(n_unknowns, 0.0);
+    rhs.assign(n_unknowns, 0.0);
 
     const Assembly assembly = assemble_iteration(
         nl, opt, ix, result.node_voltages, rhs, step, mc, system, base);
@@ -518,7 +533,6 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
     // first one when the cache supplied a reference solution. The guess
     // depends only on the netlist and the cache contents — never on
     // sweep scheduling — so parallel runs stay bit-identical to serial.
-    std::vector<double> guess;
     const bool have_guess = warm || it > 0;
     if (have_guess) {
       guess.resize(n_unknowns);
@@ -592,6 +606,8 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
     // Newton update with step damping: a non-finite iterate, or an update
     // that doubles instead of contracting, takes a half step (repeatedly,
     // within the damping budget) from the previous iterate.
+    // The damped iterate is formed once, into `stepped`, and committed
+    // by a swap.
     double damping = 1.0;
     double max_delta = 0.0;
     for (;;) {
@@ -605,10 +621,9 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
           bad = true;
           break;
         }
-        const double stepped = result.node_voltages[n] +
-                               damping * (target - result.node_voltages[n]);
-        max_delta = std::max(
-            max_delta, std::fabs(stepped - result.node_voltages[n]));
+        const double v = result.node_voltages[n];
+        stepped[n] = v + damping * (target - v);
+        max_delta = std::max(max_delta, std::fabs(stepped[n] - v));
       }
       const bool diverging = nonlinear && it > 0 && prev_delta > 0 &&
                              max_delta > 2.0 * prev_delta;
@@ -628,13 +643,7 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
       }
       break;
     }
-    for (int n = 1; n < nodes; ++n) {
-      const int u = ix.unknown_of_node[n];
-      if (u < 0) continue;
-      result.node_voltages[n] =
-          result.node_voltages[n] +
-          damping * (solve.x[u] - result.node_voltages[n]);
-    }
+    result.node_voltages.swap(stepped);
     prev_delta = max_delta;
     result.newton_iterations = it + 1;
     result.diagnostics.newton_iterations = result.newton_iterations;

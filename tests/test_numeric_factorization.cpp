@@ -239,7 +239,7 @@ TEST(SchurSolver, MatchesDenseReferenceOnBipartiteSystem) {
   ASSERT_TRUE(system.assembled());
   const SchurFactorization schur = SchurFactorization::build(system);
   ASSERT_TRUE(schur.valid());
-  const CgResult sr = schur.solve(f.b, 1e-12);
+  const CgResult sr = schur.solve(system, f.b, 1e-12);
   EXPECT_TRUE(sr.converged);
 
   const std::vector<double> rows = f.a.to_dense_rows();
@@ -409,14 +409,14 @@ TEST(SchurSolver, CancelledTokenStopsTheIteration) {
   // Both users of the PCG kernel unwind on a requested token, each
   // under its own label.
   const BipartiteFixture f = make_bipartite();
-  const SchurFactorization schur =
-      SchurFactorization::build(chains_of(f.a, f.partition));
+  const ChainSystem system = chains_of(f.a, f.partition);
+  const SchurFactorization schur = SchurFactorization::build(system);
   ASSERT_TRUE(schur.valid());
   util::CancelToken token;
   token.request();
   util::ScopedCancel scope(&token);
   try {
-    (void)schur.solve(f.b, 1e-12);
+    (void)schur.solve(system, f.b, 1e-12);
     FAIL() << "expected util::CancelledError";
   } catch (const util::CancelledError& e) {
     EXPECT_EQ(e.where(), "numeric.schur");
@@ -447,7 +447,7 @@ TEST(SchurSolver, NonSpdSchurSystemReportsNonConvergence) {
   const SchurFactorization schur = SchurFactorization::build(system);
   ASSERT_TRUE(schur.valid());
   const std::vector<double> b{1.0, 0.0};
-  const CgResult sr = schur.solve(b, 1e-12);
+  const CgResult sr = schur.solve(system, b, 1e-12);
   EXPECT_FALSE(sr.converged);
   EXPECT_TRUE(sr.breakdown);
 

@@ -1,5 +1,6 @@
 #include "check/netlist_check.hpp"
 
+#include <cmath>
 #include <map>
 #include <string>
 #include <utility>
@@ -84,7 +85,8 @@ class DisjointSet {
 // healthy netlist stops here.
 bool has_invariant_error(const Netlist& nl) {
   const auto bad = [&](NodeId a, NodeId b, double value) {
-    return !node_ok(nl, a) || !node_ok(nl, b) || a == b || !(value > 0.0);
+    return !node_ok(nl, a) || !node_ok(nl, b) || a == b || !(value > 0.0) ||
+           !std::isfinite(value);
   };
   for (const auto& r : nl.resistors())
     if (bad(r.a, r.b, r.ohms)) return true;
@@ -94,7 +96,8 @@ bool has_invariant_error(const Netlist& nl) {
     if (bad(c.a, c.b, c.farads)) return true;
   std::vector<char> pinned(static_cast<std::size_t>(nl.node_count()) + 1, 0);
   for (const auto& s : nl.sources()) {
-    if (!node_ok(nl, s.node) || s.node == kGround) return true;
+    if (!node_ok(nl, s.node) || s.node == kGround || !std::isfinite(s.volts))
+      return true;
     char& pin = pinned[static_cast<std::size_t>(s.node)];
     if (pin) return true;
     pin = 1;
@@ -102,7 +105,7 @@ bool has_invariant_error(const Netlist& nl) {
   return false;
 }
 
-// The labelled invariant errors (MN-NET-003/006..009), element by
+// The labelled invariant errors (MN-NET-003/006..009/012), element by
 // element; only run when has_invariant_error() found something.
 void invariant_errors(const Netlist& nl, DiagnosticList& out) {
   auto bad_node = [&](const std::string& label, NodeId n) {
@@ -111,6 +114,18 @@ void invariant_errors(const Netlist& nl, DiagnosticList& out) {
                            std::to_string(n));
     d.location = label;
     d.hint = "allocate nodes with Netlist::add_node() before wiring them";
+  };
+  // A value that is not finite (NaN or +-inf) is MN-NET-012; a finite
+  // one that is not positive MN-NET-007. True when either was emitted.
+  auto bad_value = [&](const std::string& label, double value,
+                       const char* what) {
+    if (std::isfinite(value)) return !(value > 0.0);
+    auto& d = out.emit("MN-NET-012", Severity::kError,
+                       label + " has a non-finite " + what + " (" +
+                           std::to_string(value) + ")");
+    d.location = label;
+    d.hint = "every element value and source voltage must be a finite number";
+    return false;
   };
   auto shorted = [&](const std::string& label, NodeId n) {
     auto& d = out.emit("MN-NET-008", Severity::kError,
@@ -126,7 +141,7 @@ void invariant_errors(const Netlist& nl, DiagnosticList& out) {
     if (!node_ok(nl, r.a)) bad_node(label, r.a);
     if (!node_ok(nl, r.b)) bad_node(label, r.b);
     if (node_ok(nl, r.a) && r.a == r.b) shorted(label, r.a);
-    if (!(r.ohms > 0.0)) {
+    if (bad_value(label, r.ohms, "resistance")) {
       auto& d = out.emit("MN-NET-007", Severity::kError,
                          label + " has non-positive resistance " +
                              std::to_string(r.ohms) + " ohm");
@@ -141,7 +156,7 @@ void invariant_errors(const Netlist& nl, DiagnosticList& out) {
     if (!node_ok(nl, m.a)) bad_node(label, m.a);
     if (!node_ok(nl, m.b)) bad_node(label, m.b);
     if (node_ok(nl, m.a) && m.a == m.b) shorted(label, m.a);
-    if (!(m.r_state > 0.0)) {
+    if (bad_value(label, m.r_state, "programmed state")) {
       auto& d = out.emit("MN-NET-007", Severity::kError,
                          label + " has non-positive programmed state " +
                              std::to_string(m.r_state) + " ohm");
@@ -155,7 +170,7 @@ void invariant_errors(const Netlist& nl, DiagnosticList& out) {
     if (!node_ok(nl, c.a)) bad_node(label, c.a);
     if (!node_ok(nl, c.b)) bad_node(label, c.b);
     if (node_ok(nl, c.a) && c.a == c.b) shorted(label, c.a);
-    if (!(c.farads > 0.0)) {
+    if (bad_value(label, c.farads, "capacitance")) {
       auto& d = out.emit("MN-NET-007", Severity::kError,
                          label + " has non-positive capacitance " +
                              std::to_string(c.farads) + " F");
@@ -172,6 +187,13 @@ void invariant_errors(const Netlist& nl, DiagnosticList& out) {
     if (!node_ok(nl, s.node)) {
       bad_node(label, s.node);
       continue;
+    }
+    if (!std::isfinite(s.volts)) {
+      auto& d = out.emit("MN-NET-012", Severity::kError,
+                         label + " has a non-finite voltage (" +
+                             std::to_string(s.volts) + " V)");
+      d.location = label;
+      d.hint = "every element value and source voltage must be a finite number";
     }
     if (s.node == kGround) {
       auto& d = out.emit("MN-NET-009", Severity::kError,

@@ -1,5 +1,6 @@
 #include "spice/crossbar_netlist.hpp"
 
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -40,14 +41,21 @@ void CrossbarSpec::validate() const {
     throw std::invalid_argument("CrossbarSpec: segment resistance");
   if (input_voltages.size() != static_cast<std::size_t>(rows))
     throw std::invalid_argument("CrossbarSpec: input vector size");
+  for (double v : input_voltages)
+    if (!std::isfinite(v))
+      throw std::invalid_argument("CrossbarSpec: input voltage not finite");
+  if (!std::isfinite(sense_resistance) || !std::isfinite(segment_resistance) ||
+      !std::isfinite(segment_capacitance))
+    throw std::invalid_argument("CrossbarSpec: wire value not finite");
   if (cell_resistance.size() != static_cast<std::size_t>(rows))
     throw std::invalid_argument("CrossbarSpec: cell matrix rows");
   for (const auto& row : cell_resistance) {
     if (row.size() != static_cast<std::size_t>(cols))
       throw std::invalid_argument("CrossbarSpec: cell matrix cols");
     for (double r : row)
-      if (!(r > 0))
-        throw std::invalid_argument("CrossbarSpec: cell resistance <= 0");
+      if (!(r > 0) || !std::isfinite(r))
+        throw std::invalid_argument(
+            "CrossbarSpec: cell resistance <= 0 or not finite");
   }
   device.validate();
 }

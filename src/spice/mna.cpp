@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "check/netlist_check.hpp"
+#include "numeric/pcg.hpp"
 #include "numeric/resilient.hpp"
 #include "numeric/sparse.hpp"
 #include "obs/metrics.hpp"
@@ -550,6 +551,7 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
     // the same at every step of the run.
     const bool keep = step != nullptr && !nonlinear;
     bool reused = false;
+    bool unnormed = false;
     const auto solve = [&] {
       obs::Span solve_span("spice.linear_solve");
       numeric::ResilientSolveOptions solve_opt;
@@ -573,6 +575,10 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
               std::move(built));
       }
       if (report.converged) return report;
+      // A right-hand side whose norm overflows (a source of 1e300 V) has
+      // no relative residual to stop on: no rung can accept an iterate.
+      unnormed = !std::isfinite(numeric::dot(rhs, rhs));
+      if (unnormed) return report;
       if (on_chain) {
         obs::Span asm_span("spice.assemble");
         std::vector<double> csr_rhs(n_unknowns, 0.0);
@@ -596,6 +602,14 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
         result.diagnostics.condition_estimate, solve.condition_estimate);
     result.diagnostics.linear_residual = std::max(
         result.diagnostics.linear_residual, solve.relative_residual);
+    if (unnormed) {
+      // Reported, not thrown: the netlist is valid, its scale is not
+      // solvable. The iterate stays the last accepted one.
+      result.diagnostics.newton_iterations = result.newton_iterations;
+      result.diagnostics.newton_residual = prev_delta;
+      result.converged = false;
+      return result;
+    }
     if (!solve.converged) {
       std::string why;  // every rejected rung: a failed sweep point says why
       for (const auto& note : solve.rung_notes)

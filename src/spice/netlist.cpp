@@ -1,5 +1,6 @@
 #include "spice/netlist.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "check/netlist_check.hpp"
@@ -27,6 +28,8 @@ void Netlist::add_resistor(NodeId a, NodeId b, double ohms,
   check_node(a);
   check_node(b);
   if (!(ohms > 0)) throw std::invalid_argument("Netlist: resistance <= 0");
+  if (!std::isfinite(ohms))
+    throw std::invalid_argument("Netlist: resistance not finite");
   if (a == b) throw std::invalid_argument("Netlist: resistor shorted");
   resistors_.push_back({a, b, ohms});
   record_name(ElementKind::kResistor, resistors_.size() - 1, std::move(name));
@@ -38,6 +41,8 @@ void Netlist::add_memristor(NodeId a, NodeId b, double r_state,
   check_node(b);
   if (!(r_state > 0))
     throw std::invalid_argument("Netlist: memristor state <= 0");
+  if (!std::isfinite(r_state))
+    throw std::invalid_argument("Netlist: memristor state not finite");
   if (a == b) throw std::invalid_argument("Netlist: memristor shorted");
   memristors_.push_back({a, b, r_state});
   record_name(ElementKind::kMemristor, memristors_.size() - 1,
@@ -48,6 +53,8 @@ void Netlist::add_source(NodeId node, double volts, std::string name) {
   check_node(node);
   if (node == kGround)
     throw std::invalid_argument("Netlist: source on ground node");
+  if (!std::isfinite(volts))
+    throw std::invalid_argument("Netlist: source voltage not finite");
   sources_.push_back({node, volts});
   record_name(ElementKind::kSource, sources_.size() - 1, std::move(name));
 }
@@ -57,6 +64,8 @@ void Netlist::add_capacitor(NodeId a, NodeId b, double farads,
   check_node(a);
   check_node(b);
   if (!(farads > 0)) throw std::invalid_argument("Netlist: capacitance <= 0");
+  if (!std::isfinite(farads))
+    throw std::invalid_argument("Netlist: capacitance not finite");
   capacitors_.push_back({a, b, farads});
   record_name(ElementKind::kCapacitor, capacitors_.size() - 1,
               std::move(name));
@@ -81,12 +90,16 @@ void Netlist::set_memristor_state(std::size_t index, double r_state) {
     throw std::out_of_range("Netlist: memristor index");
   if (!(r_state > 0))
     throw std::invalid_argument("Netlist: memristor state <= 0");
+  if (!std::isfinite(r_state))
+    throw std::invalid_argument("Netlist: memristor state not finite");
   memristors_[index].r_state = r_state;
 }
 
 void Netlist::set_source_voltage(std::size_t index, double volts) {
   if (index >= sources_.size())
     throw std::out_of_range("Netlist: source index");
+  if (!std::isfinite(volts))
+    throw std::invalid_argument("Netlist: source voltage not finite");
   sources_[index].volts = volts;
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -112,6 +113,31 @@ TEST(NetlistCheck, DanglingNodeIdIsDiagnosed) {
   Netlist nl = healthy();
   NetlistTestPeer::push_resistor(nl, 1, 99, 100.0);
   EXPECT_TRUE(has_code(check_netlist_invariants(nl), "MN-NET-006"));
+}
+
+// MN-NET-012: a source voltage or element value that is not finite. The
+// adders and setters refuse one; a netlist that carries one anyway is
+// refused by the invariant screen, and so by the solver's preflight,
+// before any PCG iteration.
+TEST(NetlistCheck, NonFiniteValueIsDiagnosed) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    Netlist source = healthy();
+    NetlistTestPeer::push_source(source, source.add_node(), bad);
+    EXPECT_TRUE(has_code(check_netlist_invariants(source), "MN-NET-012"));
+    Netlist resistor = healthy();
+    NetlistTestPeer::push_resistor(resistor, 1, kGround, bad);
+    const DiagnosticList diags = check_netlist_invariants(resistor);
+    EXPECT_TRUE(has_code(diags, "MN-NET-012"));
+    EXPECT_FALSE(has_code(diags, "MN-NET-007"));
+    try {
+      (void)spice::solve_dc(source);
+      ADD_FAILURE() << "expected check::CheckError";
+    } catch (const CheckError& e) {
+      EXPECT_TRUE(has_code(e.diagnostics(), "MN-NET-012"));
+    }
+  }
 }
 
 // MN-NET-007: non-positive element value.

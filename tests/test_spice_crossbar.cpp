@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
+#include "check/diagnostic.hpp"
 #include "spice/delay.hpp"
 
 namespace mnsim::spice {
@@ -141,5 +145,49 @@ TEST(CrossbarDelay, SettlingLatencyRejectsAbsurdResolution) {
                std::invalid_argument);
   EXPECT_TRUE(std::isfinite(crossbar_settling_latency(spec, 0.06e-15, 8)));
 }
+// A source voltage that is not a usable number: NaN and inf are refused
+// up front (CrossbarSpec::validate, the netlist setters, and the
+// preflight's MN-NET-012), 1e300 V is a valid netlist whose right-hand
+// side norm overflows and ends the solve unconverged. None may come back
+// converged with zero outputs, and none may run the PCG to its cap.
+TEST(CrossbarSolve, NonFiniteOrOverflowingInputsNeverConvergeToZeros) {
+  const auto device = tech::default_rram();
+  for (int size : {16, 64}) {
+    for (double probe : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(), 1e300}) {
+      SCOPED_TRACE(std::to_string(size) + " " + std::to_string(probe));
+      auto spec = CrossbarSpec::uniform(size, size, device, 0.022, 60.0,
+                                        device.r_min.value());
+      const auto started = std::chrono::steady_clock::now();
+      if (!std::isfinite(probe)) {
+        spec.input_voltages[1] = probe;
+        EXPECT_THROW((void)solve_crossbar(spec), std::invalid_argument);
+        // Past the spec: a netlist carrying the value is refused by the
+        // preflight with the coded error, and the setter refuses it.
+        spec.input_voltages[1] = device.v_read.value();
+        std::vector<NodeId> columns;
+        Netlist nl = build_crossbar_netlist(spec, &columns);
+        EXPECT_THROW(nl.set_source_voltage(1, probe), std::invalid_argument);
+        Netlist raw(device);
+        const NodeId a = raw.add_node();
+        raw.add_resistor(a, kGround, 10.0);
+        EXPECT_THROW(raw.add_source(a, probe), std::invalid_argument);
+        EXPECT_THROW(raw.add_resistor(a, kGround, probe),
+                     std::invalid_argument);
+        continue;
+      }
+      spec.input_voltages[1] = probe;
+      const CrossbarSolution sol = solve_crossbar(spec);
+      EXPECT_FALSE(sol.dc.converged);
+      EXPECT_EQ(sol.dc.diagnostics.schur_iterations, 0);
+      EXPECT_EQ(sol.dc.diagnostics.cg_iterations, 0);
+      const double seconds = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - started)
+                                 .count();
+      EXPECT_LT(seconds, 5.0);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mnsim::spice

@@ -156,9 +156,9 @@ CgResult preconditioned_cg(const MatVec& apply,
                            std::vector<double> x0, double stop,
                            std::size_t max_iterations,
                            const char* cancel_label) {
-  return preconditioned_cg(UnfusedPcg<MatVec, Precondition>{apply, precondition},
-                           b, std::move(x0), stop, max_iterations,
-                           cancel_label);
+  return preconditioned_cg(
+      UnfusedPcg<MatVec, Precondition>{apply, precondition}, b,
+      std::move(x0), stop, max_iterations, cancel_label);
 }
 
 }  // namespace mnsim::numeric

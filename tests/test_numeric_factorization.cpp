@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <random>
 #include <stdexcept>
 
@@ -19,6 +21,8 @@
 #include "numeric/schur.hpp"
 #include "numeric/sparse.hpp"
 #include "spice/crossbar_netlist.hpp"
+#include "spice/export.hpp"
+#include "spice/import.hpp"
 #include "spice/mna.hpp"
 #include "tech/memristor.hpp"
 #include "util/cancel.hpp"
@@ -868,6 +872,427 @@ TEST(SchurSolver, IdealWireCrossbarCarriesNoStructure) {
   ASSERT_TRUE(sol.dc.converged);
   EXPECT_EQ(sol.dc.diagnostics.schur_solves, 0);
   EXPECT_EQ(sol.dc.diagnostics.schur_rejects, 0);
+}
+
+// --- direct-indexed kernels, fused PCG passes, zero-volt companions -----
+
+// A random chain system: `elim` and `kept` chain lengths, unknown =
+// position, cells as (eliminated, kept) unknown pairs. Diagonally
+// dominant, so SPD.
+struct RandomChains {
+  BipartitePartition partition;
+  std::size_t n = 0;
+  std::size_t nb = 0;
+  std::vector<double> diag, off;  // by position; off = previous coupling
+  std::vector<std::pair<std::size_t, std::size_t>> cells;
+  std::vector<double> cell_g;
+};
+
+RandomChains random_chains_system(const std::vector<std::size_t>& elim,
+                                  const std::vector<std::size_t>& kept,
+                                  bool one_cell, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> g(0.5, 2.0);
+  std::uniform_real_distribution<double> cg(1e-3, 1e-2);
+  RandomChains r;
+  std::size_t next = 0;
+  for (const auto* side : {&elim, &kept}) {
+    for (std::size_t len : *side) {
+      std::vector<std::size_t> chain;
+      for (std::size_t i = 0; i < len; ++i) chain.push_back(next++);
+      (side == &elim ? r.partition.eliminated_chains
+                     : r.partition.kept_chains)
+          .push_back(chain);
+    }
+    if (side == &elim) r.nb = next;
+  }
+  r.n = next;
+  r.diag.assign(r.n, 0.0);
+  r.off.assign(r.n, 0.0);
+  for (const auto* chains :
+       {&r.partition.eliminated_chains, &r.partition.kept_chains})
+    for (const auto& chain : *chains)
+      for (std::size_t i = 1; i < chain.size(); ++i) {
+        const double v = g(rng);
+        r.off[chain[i]] = -v;
+        r.diag[chain[i]] += v;
+        r.diag[chain[i - 1]] += v;
+      }
+  const std::size_t nc = r.n - r.nb;
+  if (one_cell) {
+    // Every eliminated unknown to a distinct kept unknown (nb <= nc).
+    std::vector<std::size_t> targets(nc);
+    for (std::size_t c = 0; c < nc; ++c) targets[c] = r.nb + c;
+    std::shuffle(targets.begin(), targets.end(), rng);
+    for (std::size_t b = 0; b < r.nb; ++b) r.cells.emplace_back(b, targets[b]);
+  } else {
+    std::uniform_int_distribution<std::size_t> pick(0, nc - 1);
+    for (std::size_t b = 0; b < r.nb; ++b)
+      for (int k = 0; k < 3; ++k) r.cells.emplace_back(b, r.nb + pick(rng));
+    std::sort(r.cells.begin(), r.cells.end());
+    r.cells.erase(std::unique(r.cells.begin(), r.cells.end()), r.cells.end());
+  }
+  for (const auto& [b, c] : r.cells) {
+    const double v = cg(rng);
+    r.cell_g.push_back(v);
+    r.diag[b] += v;
+    r.diag[c] += v;
+  }
+  for (double& d : r.diag) d += 0.1;
+  r.partition.cells = r.cells;
+  return r;
+}
+
+ChainSystem assemble_random(const RandomChains& r) {
+  ChainSystem system(r.partition, r.n);
+  system.begin();
+  for (std::size_t p = 0; p < r.n; ++p) {
+    system.add(p, p, r.diag[p]);
+    if (r.off[p] < 0.0) {
+      system.add(p, p - 1, r.off[p]);
+      system.add(p - 1, p, r.off[p]);
+    }
+  }
+  for (std::size_t k = 0; k < r.cells.size(); ++k) {
+    system.add(r.cells[k].first, r.cells[k].second, -r.cell_g[k]);
+    system.add(r.cells[k].second, r.cells[k].first, -r.cell_g[k]);
+  }
+  EXPECT_TRUE(system.finish());
+  return system;
+}
+
+// The Schur solve in its unfused order, written from the partition: each
+// pass separate, cells in their documented order, the plain-callback PCG.
+CgResult unfused_schur_solve(const RandomChains& r,
+                             const std::vector<double>& b, double tolerance,
+                             const std::vector<double>* guess_full) {
+  const std::size_t nb = r.nb;
+  const std::size_t nc = r.n - nb;
+  const auto starts = [](const std::vector<std::vector<std::size_t>>& cs) {
+    std::vector<std::size_t> start{0};
+    for (const auto& c : cs) start.push_back(start.back() + c.size());
+    return start;
+  };
+  const std::vector<std::size_t> bs = starts(r.partition.eliminated_chains);
+  const std::vector<std::size_t> cs = starts(r.partition.kept_chains);
+  std::vector<double> b_piv, b_lfac, c_piv, c_lfac;
+  EXPECT_TRUE(internal::factor_chains(bs, r.diag.data(), r.off.data(), b_piv,
+                                      b_lfac));
+  EXPECT_TRUE(internal::factor_chains(cs, r.diag.data() + nb,
+                                      r.off.data() + nb, c_piv, c_lfac));
+  // Cells by eliminated position (ascending kept) and by kept position
+  // (ascending eliminated): r.cells is sorted by (b, c) or one per b.
+  std::vector<std::vector<std::pair<std::size_t, double>>> by_b(nb), by_c(nc);
+  for (std::size_t k = 0; k < r.cells.size(); ++k) {
+    by_b[r.cells[k].first].emplace_back(r.cells[k].second - nb, -r.cell_g[k]);
+    by_c[r.cells[k].second - nb].emplace_back(r.cells[k].first,
+                                              -r.cell_g[k]);
+  }
+  const auto cross = [&](std::size_t lb, const std::vector<double>& x) {
+    double acc = 0.0;
+    for (const auto& [c, v] : by_b[lb]) acc += v * x[c];
+    return acc;
+  };
+  const auto subtract = [&](std::size_t lc, const std::vector<double>& w,
+                            double& y) {
+    for (const auto& [bb, v] : by_c[lc])
+      if (w[bb] != 0.0) y -= v * w[bb];
+  };
+  std::vector<double> t(nb);
+  internal::chain_solve(bs, b_piv, b_lfac, b.data(), t.data());
+  std::vector<double> rhs(nc);
+  for (std::size_t l = 0; l < nc; ++l) {
+    double v = b[nb + l];
+    subtract(l, t, v);
+    rhs[l] = v;
+  }
+  const auto apply = [&](const std::vector<double>& x,
+                         std::vector<double>& y) {
+    std::vector<double> in(nb);
+    for (std::size_t lb = 0; lb < nb; ++lb) in[lb] = cross(lb, x);
+    std::vector<double> w(nb);
+    internal::chain_solve(bs, b_piv, b_lfac, in.data(), w.data());
+    y.assign(nc, 0.0);
+    for (std::size_t k = 0; k + 1 < cs.size(); ++k)
+      for (std::size_t l = cs[k]; l < cs[k + 1]; ++l) {
+        double acc = r.diag[nb + l] * x[l];
+        if (l > cs[k]) acc += r.off[nb + l] * x[l - 1];
+        if (l + 1 < cs[k + 1]) acc += r.off[nb + l + 1] * x[l + 1];
+        subtract(l, w, acc);
+        y[l] = acc;
+      }
+  };
+  const auto precondition = [&](const std::vector<double>& res,
+                                std::vector<double>& z) {
+    internal::chain_solve(cs, c_piv, c_lfac, res.data(), z.data());
+  };
+  std::vector<double> guess;
+  if (guess_full) guess.assign(guess_full->begin() + nb, guess_full->end());
+  const double b_norm = std::sqrt(dot(b, b));
+  CgResult result = preconditioned_cg(apply, precondition, rhs, guess,
+                                      tolerance * b_norm, 0, "test");
+  std::vector<double> in(nb);
+  for (std::size_t lb = 0; lb < nb; ++lb) in[lb] = b[lb] - cross(lb, result.x);
+  internal::chain_solve(bs, b_piv, b_lfac, in.data(), t.data());
+  std::vector<double> full(t);
+  full.insert(full.end(), result.x.begin(), result.x.end());
+  result.x = std::move(full);
+  return result;
+}
+
+TEST(SchurSolver, FusedPassesMatchTheUnfusedOrderBitForBit) {
+  // Crossbar-shaped (one cell per eliminated unknown) and general
+  // partitions, lockstep groups with tails, cold and warm, tight and
+  // loose tolerances.
+  struct Shape {
+    std::vector<std::size_t> elim, kept;
+    bool one_cell;
+  };
+  const std::vector<Shape> shapes = {
+      {{6, 6, 6, 6, 6}, {7, 7, 7, 7, 7, 7}, true},
+      {{5, 5, 5, 5, 3}, {6, 6, 6, 6, 6, 2, 1}, true},
+      {{4, 9, 4, 4, 4, 4}, {5, 5, 5, 5, 5, 5, 5, 5, 5}, false},
+      {{1, 1, 1}, {2, 2}, false}};
+  unsigned seed = 70;
+  for (const Shape& shape : shapes) {
+    const RandomChains r =
+        random_chains_system(shape.elim, shape.kept, shape.one_cell, seed++);
+    const ChainSystem system = assemble_random(r);
+    const SchurFactorization factor = SchurFactorization::build(system);
+    ASSERT_TRUE(factor.valid());
+    const std::vector<double> b = random_vec(r.n, seed++);
+    const std::vector<double> guess = random_vec(r.n, seed++);
+    for (double tol : {1e-13, 1e-4})
+      for (const std::vector<double>* g :
+           {static_cast<const std::vector<double>*>(nullptr), &guess}) {
+        const CgResult fused = factor.solve(system, b, tol, g);
+        EXPECT_TRUE(fused.converged);
+        expect_same_iterate(fused, unfused_schur_solve(r, b, tol, g));
+        expect_same_iterate(
+            internal::solve_with_range_loops(factor, system, b, tol, g),
+            fused);
+      }
+  }
+}
+
+TEST(SchurSolver, OneCellKernelsMatchTheRangeLoopsOnCrossbars) {
+  const auto device = tech::default_rram();
+  std::mt19937 rng(17);
+  std::uniform_real_distribution<double> cell(device.r_min.value(),
+                                              device.r_max.value());
+  for (auto [m, n] : {std::pair{1, 1}, std::pair{4, 9}, std::pair{13, 5},
+                      std::pair{24, 24}}) {
+    for (bool linear : {false, true}) {
+      auto spec = spice::CrossbarSpec::uniform(m, n, device, 0.022, 60.0,
+                                               device.r_min.value());
+      for (auto& row : spec.cell_resistance)
+        for (double& c : row) c = cell(rng);
+      spec.linear_memristors = linear;
+      spice::CrossbarSolveCache cache;
+      ASSERT_TRUE(spice::solve_crossbar(spec, {}, &cache).dc.converged);
+      const ChainSystem& system = cache.mna.system;
+      const SchurFactorization factor = SchurFactorization::build(system);
+      ASSERT_TRUE(factor.valid());
+      const std::vector<double> b = random_vec(system.size(), rng());
+      const std::vector<double> guess = random_vec(system.size(), rng());
+      for (const std::vector<double>* g :
+           {static_cast<const std::vector<double>*>(nullptr), &guess}) {
+        const CgResult direct = factor.solve(system, b, 1e-12, g);
+        EXPECT_TRUE(direct.converged);
+        expect_same_iterate(
+            direct,
+            internal::solve_with_range_loops(factor, system, b, 1e-12, g));
+      }
+    }
+  }
+}
+
+// Every slot of two chain systems over the same layout, bit for bit.
+void expect_same_slots(const ChainSystem& got, const ChainSystem& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t r = 0; r < got.size(); ++r)
+    for (std::size_t c = 0; c < got.size(); ++c) {
+      const std::optional<double> g = got.value(r, c);
+      const std::optional<double> w = want.value(r, c);
+      ASSERT_EQ(g.has_value(), w.has_value()) << r << "," << c;
+      if (g) {
+        EXPECT_EQ(bits(*g), bits(*w)) << r << "," << c;
+      }
+    }
+}
+
+TEST(SchurSolver, ZeroVoltCompanionIsTheSinhCoshStampAtBothZeros) {
+  // Every cell of a nonlinear crossbar linearized at v0 = +0 (both taps
+  // +0) or -0 (row tap -0, column tap +0). The sinh/cosh companion there
+  // is gd = cosh(v0 / vt) / r, which is 1 / r to the bit, with a source
+  // i0 - gd v0 of +0.0, and adding +0.0 to a right-hand side that holds
+  // no -0.0 changes no bit. So the assembly must be the linear-cell
+  // (chord) assembly, slot by slot and in the right-hand side.
+  const auto device = tech::default_rram();
+  auto spec = spice::CrossbarSpec::uniform(5, 7, device, 0.022, 60.0,
+                                           device.r_min.value());
+  std::mt19937 rng(3);
+  std::uniform_real_distribution<double> cell(device.r_min.value(),
+                                              device.r_max.value());
+  for (auto& row : spec.cell_resistance)
+    for (double& c : row) c = cell(rng);
+  const spice::Netlist nl = spice::build_crossbar_netlist(spec, nullptr);
+  spice::Netlist linear = nl;
+  linear.set_linear_memristors(true);
+  const double vt = device.nonlinearity_vt.value();
+  for (double row_tap : {0.0, -0.0}) {
+    SCOPED_TRACE(std::signbit(row_tap) ? "-0" : "+0");
+    std::vector<double> v(static_cast<std::size_t>(nl.node_count()) + 1, 0.0);
+    for (const auto& s : nl.sources())
+      v[static_cast<std::size_t>(s.node)] = s.volts;
+    for (const auto& m : nl.memristors())
+      v[static_cast<std::size_t>(m.a)] = row_tap;
+    for (const auto& m : nl.memristors()) {
+      const double v0 = v[static_cast<std::size_t>(m.a)] -
+                        v[static_cast<std::size_t>(m.b)];
+      ASSERT_TRUE(v0 == 0.0);
+      ASSERT_EQ(std::signbit(v0), std::signbit(row_tap));
+      const double vc = std::clamp(v0, -tech::kMaxSinhArg * vt,
+                                   tech::kMaxSinhArg * vt);
+      const double gd = std::cosh(vc / vt) / m.r_state;
+      const double i0 = vt / m.r_state * std::sinh(vc / vt);
+      EXPECT_EQ(bits(gd), bits(1.0 / m.r_state));
+      EXPECT_EQ(bits(i0 - gd * vc), bits(0.0));
+    }
+    spice::MnaCache cache;
+    spice::MnaCache linear_cache;
+    spice::prime_cache(nl, {}, cache);
+    spice::prime_cache(linear, {}, linear_cache);
+    ASSERT_TRUE(cache.system.assembled());
+    const std::vector<double> rhs = spice::assemble_newton(nl, {}, {v}, cache);
+    const std::vector<double> linear_rhs =
+        spice::assemble_newton(linear, {}, {v}, linear_cache);
+    ASSERT_EQ(rhs.size(), linear_rhs.size());
+    for (std::size_t i = 0; i < rhs.size(); ++i) {
+      EXPECT_EQ(bits(rhs[i]), bits(linear_rhs[i])) << "rhs " << i;
+      EXPECT_EQ(bits(rhs[i] + 0.0), bits(rhs[i])) << "rhs " << i;
+    }
+    expect_same_slots(cache.system, linear_cache.system);
+  }
+}
+
+TEST(SchurSolver, PartialRestoreMatchesAFullRestore) {
+  // A snapshot of every chain coupling and half of the rest; then passes
+  // that add the other half (tweaked) with and without an extra chain
+  // add. The restore copies the chain slots only after a pass that wrote
+  // one -- pass 2 must undo pass 1's chain add -- and every pass must
+  // hold the slots of a full assembly.
+  const BipartiteFixture f = make_bipartite();
+  std::vector<char> eliminated(f.n, 0);
+  for (const auto& chain : f.partition.eliminated_chains)
+    for (std::size_t g : chain) eliminated[g] = 1;
+  struct Add {
+    std::size_t row, col;
+    double value;
+  };
+  std::vector<Add> chain_adds;
+  std::vector<Add> rest;
+  const auto& rs = f.a.row_start();
+  for (std::size_t r = 0; r < f.n; ++r)
+    for (std::size_t k = rs[r]; k < rs[r + 1]; ++k) {
+      const Add a{r, f.a.cols()[k], f.a.values()[k]};
+      (r != a.col && eliminated[r] == eliminated[a.col] ? chain_adds : rest)
+          .push_back(a);
+    }
+  ASSERT_FALSE(chain_adds.empty());
+  const std::size_t half = rest.size() / 2;
+  const Add extra{chain_adds[1].row, chain_adds[1].col, -0.125};
+
+  ChainSystem resumed(f.partition, f.n);
+  resumed.begin();
+  for (const Add& a : chain_adds) resumed.add(a.row, a.col, a.value);
+  for (std::size_t k = 0; k < half; ++k)
+    resumed.add(rest[k].row, rest[k].col, rest[k].value);
+  resumed.save_base();
+  std::mt19937 rng(9);
+  std::uniform_real_distribution<double> tweak(-0.01, 0.01);
+  for (int pass = 0; pass < 4; ++pass) {
+    SCOPED_TRACE(pass);
+    const bool with_extra = pass == 1;
+    if (pass > 0) resumed.restore_base();
+    std::vector<Add> tail(rest.begin() + static_cast<long>(half), rest.end());
+    for (Add& a : tail) a.value += tweak(rng);
+    for (const Add& a : tail) resumed.add(a.row, a.col, a.value);
+    if (with_extra) resumed.add(extra.row, extra.col, extra.value);
+    ASSERT_TRUE(resumed.finish());
+
+    ChainSystem full(f.partition, f.n);
+    full.begin();
+    for (const Add& a : chain_adds) full.add(a.row, a.col, a.value);
+    for (std::size_t k = 0; k < half; ++k)
+      full.add(rest[k].row, rest[k].col, rest[k].value);
+    for (const Add& a : tail) full.add(a.row, a.col, a.value);
+    if (with_extra) full.add(extra.row, extra.col, extra.value);
+    ASSERT_TRUE(full.finish());
+    expect_same_slots(resumed, full);
+  }
+}
+
+TEST(SchurSolver, ImportedCompanionOnAChainSlotRestoresInFull) {
+  // An imported crossbar deck with a memristor across two neighbouring
+  // row-wire taps: its companion lands on a chain coupling every Newton
+  // step, so each later assembly restores the chain slots too. Every
+  // assembly (the snapshot's first and the restored ones after it) must
+  // hold, slot for slot, what the CSR refill of the same stamps holds,
+  // and the solve must match the generic ladder's within its tolerance.
+  const auto device = tech::default_rram();
+  auto spec = spice::CrossbarSpec::uniform(6, 5, device, 0.3, 60.0,
+                                           device.r_min.value());
+  std::mt19937 rng(29);
+  std::uniform_real_distribution<double> cell(device.r_min.value(),
+                                              device.r_max.value());
+  for (auto& row : spec.cell_resistance)
+    for (double& c : row) c = cell(rng);
+  spice::Netlist built = spice::build_crossbar_netlist(spec, nullptr);
+  const auto& row = built.wire_structure().row_chains[2];
+  built.add_memristor(row[1], row[2], 2.5e4);
+  const spice::Netlist nl = spice::import_spice(spice::export_spice(built));
+  ASSERT_FALSE(nl.wire_structure().empty());
+
+  const auto nodes = static_cast<std::size_t>(nl.node_count()) + 1;
+  std::uniform_real_distribution<double> volts(-0.1, 0.4);
+  std::vector<std::vector<double>> iterates(3, std::vector<double>(nodes));
+  for (auto& v : iterates)
+    for (double& x : v) x = volts(rng);
+  spice::DcOptions generic;
+  generic.allow_schur = false;
+  spice::MnaCache chains;
+  spice::MnaCache csr;
+  spice::prime_cache(nl, {}, chains);
+  spice::prime_cache(nl, generic, csr);
+  ASSERT_TRUE(chains.system.assembled());
+  for (std::size_t k = 1; k <= iterates.size(); ++k) {
+    SCOPED_TRACE(k);
+    const std::vector<std::vector<double>> run(
+        iterates.begin(), iterates.begin() + static_cast<long>(k));
+    const std::vector<double> got = spice::assemble_newton(nl, {}, run, chains);
+    const std::vector<double> want =
+        spice::assemble_newton(nl, generic, run, csr);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+      EXPECT_EQ(bits(got[i]), bits(want[i])) << "rhs " << i;
+    const CsrMatrix& a = csr.matrix;
+    for (std::size_t r = 0; r < a.size(); ++r)
+      for (std::size_t e = a.row_start()[r]; e < a.row_start()[r + 1]; ++e) {
+        const std::optional<double> v = chains.system.value(r, a.cols()[e]);
+        ASSERT_TRUE(v.has_value()) << r << "," << a.cols()[e];
+        EXPECT_EQ(bits(*v), bits(a.values()[e])) << r << "," << e;
+      }
+  }
+
+  const spice::DcResult schur = spice::solve_dc(nl);
+  const spice::DcResult plain = spice::solve_dc(nl, generic);
+  ASSERT_TRUE(schur.converged);
+  ASSERT_TRUE(plain.converged);
+  EXPECT_GT(schur.diagnostics.schur_iterations, 0);
+  EXPECT_EQ(schur.diagnostics.schur_rejects, 0);
+  for (std::size_t n = 1; n < nodes; ++n)
+    EXPECT_NEAR(schur.node_voltages[n], plain.node_voltages[n], 1e-9) << n;
 }
 
 }  // namespace

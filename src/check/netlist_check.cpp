@@ -85,8 +85,10 @@ class DisjointSet {
 // healthy netlist stops here.
 bool has_invariant_error(const Netlist& nl) {
   const auto bad = [&](NodeId a, NodeId b, double value) {
-    return !node_ok(nl, a) || !node_ok(nl, b) || a == b || !(value > 0.0) ||
-           !std::isfinite(value);
+    // Finiteness first: an ordered compare against NaN would raise
+    // FE_INVALID (a trap under the MNSIM_FPE tripwire).
+    return !node_ok(nl, a) || !node_ok(nl, b) || a == b ||
+           !std::isfinite(value) || !(value > 0.0);
   };
   for (const auto& r : nl.resistors())
     if (bad(r.a, r.b, r.ohms)) return true;

@@ -39,6 +39,20 @@
 // before the next step divides by them. The Schur operator gathers: the
 // cell products are summed as the eliminated chain solve reaches each
 // row, and each kept row sums its chain terms and then its cells.
+//
+// A builder crossbar has exactly one cell per row tap and at most one
+// per column-side position, and its layout says so (ChainLayout::
+// one_cell, with each kept position's partner stored once, at layout
+// time). The cell gathers of the three row-chain solves and the kept
+// rows of the operator then read that partner directly, each kept chain
+// with its two ends peeled off, instead of looping over a cell range;
+// any other partition keeps the range loops. The PCG passes are folded
+// into the chain sweeps: the operator's kept sweep also sums p'Sp, the
+// preconditioner's forward sweep applies x += alpha p and r -= alpha Sp
+// as it reads r, and r'r and r'z are summed per lockstep group right
+// after its back sweep. Each sum keeps its ascending-index order, so
+// neither path nor fusion moves a bit; numeric/pcg.hpp stays the one
+// PCG loop, taking the operator and preconditioner step as callbacks.
 // Everything here is deterministic: no randomness, no thread-count or
 // schedule dependence, so the platform's bit-identity contracts hold.
 #pragma once

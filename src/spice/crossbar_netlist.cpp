@@ -35,6 +35,11 @@ CrossbarSpec CrossbarSpec::uniform(int rows, int cols,
 void CrossbarSpec::validate() const {
   if (rows <= 0 || cols <= 0)
     throw std::invalid_argument("CrossbarSpec: rows/cols");
+  // Each value is checked finite before any ordered compare, which would
+  // raise FE_INVALID on a NaN (a trap under the MNSIM_FPE tripwire).
+  if (!std::isfinite(sense_resistance) || !std::isfinite(segment_resistance) ||
+      !std::isfinite(segment_capacitance))
+    throw std::invalid_argument("CrossbarSpec: wire value not finite");
   if (!(sense_resistance > 0))
     throw std::invalid_argument("CrossbarSpec: sense resistance");
   if (!ideal_wires && !(segment_resistance > 0))
@@ -44,16 +49,13 @@ void CrossbarSpec::validate() const {
   for (double v : input_voltages)
     if (!std::isfinite(v))
       throw std::invalid_argument("CrossbarSpec: input voltage not finite");
-  if (!std::isfinite(sense_resistance) || !std::isfinite(segment_resistance) ||
-      !std::isfinite(segment_capacitance))
-    throw std::invalid_argument("CrossbarSpec: wire value not finite");
   if (cell_resistance.size() != static_cast<std::size_t>(rows))
     throw std::invalid_argument("CrossbarSpec: cell matrix rows");
   for (const auto& row : cell_resistance) {
     if (row.size() != static_cast<std::size_t>(cols))
       throw std::invalid_argument("CrossbarSpec: cell matrix cols");
     for (double r : row)
-      if (!(r > 0) || !std::isfinite(r))
+      if (!std::isfinite(r) || !(r > 0))
         throw std::invalid_argument(
             "CrossbarSpec: cell resistance <= 0 or not finite");
   }

@@ -27,9 +27,9 @@ void Netlist::add_resistor(NodeId a, NodeId b, double ohms,
                            std::string name) {
   check_node(a);
   check_node(b);
-  if (!(ohms > 0)) throw std::invalid_argument("Netlist: resistance <= 0");
   if (!std::isfinite(ohms))
     throw std::invalid_argument("Netlist: resistance not finite");
+  if (!(ohms > 0)) throw std::invalid_argument("Netlist: resistance <= 0");
   if (a == b) throw std::invalid_argument("Netlist: resistor shorted");
   resistors_.push_back({a, b, ohms});
   record_name(ElementKind::kResistor, resistors_.size() - 1, std::move(name));
@@ -39,10 +39,10 @@ void Netlist::add_memristor(NodeId a, NodeId b, double r_state,
                             std::string name) {
   check_node(a);
   check_node(b);
-  if (!(r_state > 0))
-    throw std::invalid_argument("Netlist: memristor state <= 0");
   if (!std::isfinite(r_state))
     throw std::invalid_argument("Netlist: memristor state not finite");
+  if (!(r_state > 0))
+    throw std::invalid_argument("Netlist: memristor state <= 0");
   if (a == b) throw std::invalid_argument("Netlist: memristor shorted");
   memristors_.push_back({a, b, r_state});
   record_name(ElementKind::kMemristor, memristors_.size() - 1,
@@ -63,9 +63,9 @@ void Netlist::add_capacitor(NodeId a, NodeId b, double farads,
                             std::string name) {
   check_node(a);
   check_node(b);
-  if (!(farads > 0)) throw std::invalid_argument("Netlist: capacitance <= 0");
   if (!std::isfinite(farads))
     throw std::invalid_argument("Netlist: capacitance not finite");
+  if (!(farads > 0)) throw std::invalid_argument("Netlist: capacitance <= 0");
   capacitors_.push_back({a, b, farads});
   record_name(ElementKind::kCapacitor, capacitors_.size() - 1,
               std::move(name));
@@ -88,10 +88,10 @@ std::string Netlist::element_name(ElementKind kind, std::size_t index) const {
 void Netlist::set_memristor_state(std::size_t index, double r_state) {
   if (index >= memristors_.size())
     throw std::out_of_range("Netlist: memristor index");
-  if (!(r_state > 0))
-    throw std::invalid_argument("Netlist: memristor state <= 0");
   if (!std::isfinite(r_state))
     throw std::invalid_argument("Netlist: memristor state not finite");
+  if (!(r_state > 0))
+    throw std::invalid_argument("Netlist: memristor state <= 0");
   memristors_[index].r_state = r_state;
 }
 

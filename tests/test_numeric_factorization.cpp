@@ -1076,14 +1076,19 @@ TEST(SchurSolver, FusedPassesMatchTheUnfusedOrderBitForBit) {
 }
 
 TEST(SchurSolver, OneCellKernelsMatchTheRangeLoopsOnCrossbars) {
+  // Builder crossbars, whose layout takes the direct-indexed kernels.
+  // With 0.022 ohm segments a cell term is some 1e-6 of its row, so a
+  // last-bit slip in a cell product rarely reaches the iterate; segments
+  // as resistive as the cells make every cell term count.
   const auto device = tech::default_rram();
   std::mt19937 rng(17);
   std::uniform_real_distribution<double> cell(device.r_min.value(),
                                               device.r_max.value());
   for (auto [m, n] : {std::pair{1, 1}, std::pair{4, 9}, std::pair{13, 5},
                       std::pair{24, 24}}) {
-    for (bool linear : {false, true}) {
-      auto spec = spice::CrossbarSpec::uniform(m, n, device, 0.022, 60.0,
+    for (const double segment : {0.022, device.r_min.value()}) {
+      const bool linear = segment > 1.0;
+      auto spec = spice::CrossbarSpec::uniform(m, n, device, segment, 60.0,
                                                device.r_min.value());
       for (auto& row : spec.cell_resistance)
         for (double& c : row) c = cell(rng);

@@ -10,6 +10,7 @@
 
 #include "check/diagnostic.hpp"
 #include "spice/delay.hpp"
+#include "util/fp.hpp"
 
 namespace mnsim::spice {
 namespace {
@@ -177,6 +178,8 @@ TEST(CrossbarSolve, NonFiniteOrOverflowingInputsNeverConvergeToZeros) {
         continue;
       }
       spec.input_voltages[1] = probe;
+      // The right-hand side's norm overflows on purpose.
+      const util::fpe_guard probing_overflow;
       const CrossbarSolution sol = solve_crossbar(spec);
       EXPECT_FALSE(sol.dc.converged);
       EXPECT_EQ(sol.dc.diagnostics.schur_iterations, 0);

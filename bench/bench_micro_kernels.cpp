@@ -1,12 +1,13 @@
 // google-benchmark microbenchmarks of MNSIM's core kernels: the
 // behavior-level accuracy model, a full computation-unit simulation, a
-// whole-accelerator simulation, and the circuit-level MNA solve (small
-// sizes) — the raw numbers behind the Table III speedup.
+// whole-accelerator simulation, a DSE slice, and the circuit-level MNA
+// solve (small sizes) — the raw numbers behind the Table III speedup.
 #include <benchmark/benchmark.h>
 
 #include "accuracy/variation.hpp"
 #include "accuracy/voltage_error.hpp"
 #include "arch/accelerator.hpp"
+#include "dse/explorer.hpp"
 #include "nn/topologies.hpp"
 #include "spice/crossbar_netlist.hpp"
 #include "tech/interconnect.hpp"
@@ -45,6 +46,26 @@ static void BM_AcceleratorSimulation_Vgg16(benchmark::State& state) {
     benchmark::DoNotOptimize(arch::simulate_accelerator(net, cfg));
 }
 BENCHMARK(BM_AcceleratorSimulation_Vgg16);
+
+// Per-design-point cost of a DSE sweep: dse::explore over the 45 nm
+// interconnect slice of the paper CNN space for VGG-16 (45 nm CMOS, 8-bit
+// outputs, error bound 0.5), with the cycle engine off (Arg 0) and on
+// (Arg 1). Not gated; a profiler can run it without perfbench.
+static void BM_ExploreVgg16Slice(benchmark::State& state) {
+  const auto net = nn::make_vgg16();
+  arch::AcceleratorConfig cfg;
+  cfg.cmos_node_nm = 45;
+  cfg.output_bits = 8;
+  cfg.cycle_enabled = state.range(0) != 0;
+  auto space = dse::DesignSpace::paper_cnn();
+  space.interconnect_nodes = {45};
+  const auto points = static_cast<long>(space.enumerate().size());
+  for (auto _ : state)
+    benchmark::DoNotOptimize(dse::explore(net, cfg, space, 0.50));
+  state.SetItemsProcessed(state.iterations() * points);
+}
+BENCHMARK(BM_ExploreVgg16Slice)->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
 
 static void BM_CircuitLevelSolve(benchmark::State& state) {
   const int size = static_cast<int>(state.range(0));

@@ -1,6 +1,7 @@
 #include "arch/accelerator.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <span>
 
 #include "accuracy/digital_error.hpp"
@@ -90,22 +91,29 @@ AcceleratorReport simulate_banks(const CheckedNetwork& checked,
   const AcceleratorConfig& config = contexts.front().config();
   AcceleratorReport rep;
   rep.diagnostics = std::move(diagnostics);
+  rep.banks.reserve(banks.size());
   std::vector<double> eps_worst;
   std::vector<double> eps_avg;
-  // One crossbar solve cache shared by every bank's fault circuit-check:
-  // the checks all clip to fault.circuit_check_size, so after the first
-  // bank builds the topology the remaining banks refill it (cache_hits
-  // in the solver diagnostics below).
-  spice::CrossbarSolveCache solve_cache;
+  eps_worst.reserve(banks.size());
+  eps_avg.reserve(banks.size());
+  // One crossbar solve cache shared by every bank's fault circuit-check,
+  // built for the first bank that runs one: the checks all clip to
+  // fault.circuit_check_size, so after the first bank builds the
+  // topology the remaining banks refill it (cache_hits in the solver
+  // diagnostics below).
+  std::optional<spice::CrossbarSolveCache> solve_cache;
   for (std::size_t i = 0; i < banks.size(); ++i) {
     // Watchdog poll (docs/ROBUSTNESS.md): bank boundaries are the
     // coarsest rung of the cancellation ladder — the finer ones sit in
     // the CG/LU/Newton loops a bank's circuit checks may enter.
     util::throw_if_cancelled("arch.bank");
     obs::Span bank_span("arch.bank");
-    BankReport bank =
-        simulate_bank(banks[i], network,
-                      contexts[contexts.size() == 1 ? 0 : i], &solve_cache);
+    DesignContext& context = contexts[contexts.size() == 1 ? 0 : i];
+    const fault::FaultConfig& defects = context.config().fault;
+    if (defects.enabled() && defects.circuit_check && !solve_cache)
+      solve_cache.emplace();
+    const BankReport& bank = rep.banks.emplace_back(simulate_bank(
+        banks[i], network, context, solve_cache ? &*solve_cache : nullptr));
     rep.area += bank.area;
     rep.leakage_power += bank.leakage_power;
     rep.sample_latency += bank.sample_latency;
@@ -117,7 +125,6 @@ AcceleratorReport simulate_banks(const CheckedNetwork& checked,
     eps_avg.push_back(bank.epsilon_average);
     rep.solver.absorb(bank.solver);
     accumulate_breakdown(rep.breakdown, bank);
-    rep.banks.push_back(std::move(bank));
   }
   rep.fault_config = config.fault;
 

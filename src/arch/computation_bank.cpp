@@ -1,6 +1,7 @@
 #include "arch/computation_bank.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "arch/design_context.hpp"
@@ -61,50 +62,51 @@ BankReport simulate_bank(const BankLayers& layers,
   rep.iterations = layer.compute_iterations();
 
   // --- units -----------------------------------------------------------------
-  // Up to four unit variants: full, edge-row, edge-col, corner.
+  // Up to four unit variants: full, edge-row, edge-col, corner. Each
+  // points at the context's memo, which keeps every report in place.
   const auto& m = rep.mapping;
-  auto unit_for = [&](int r, int c) {
+  auto unit_for = [&](int r, int c) -> const UnitReport& {
     return context.unit(r, c, network.input_bits, network.weight_bits);
   };
-  const UnitReport full = unit_for(m.rows_used_full, m.cols_used_full);
+  const UnitReport& full = unit_for(m.rows_used_full, m.cols_used_full);
   rep.unit = full;
 
   struct Variant {
     long count;
-    UnitReport rep;
+    const UnitReport* unit;
   };
-  std::vector<Variant> variants;
+  std::array<Variant, 4> variants{};
+  std::size_t variant_count = 0;
+  auto add_variant = [&](long count, const UnitReport& unit) {
+    variants[variant_count++] = {count, &unit};
+  };
   const long full_rows = m.row_blocks - 1;  // block-rows with full height
   const long full_cols = m.col_blocks - 1;
   const bool edge_r = m.rows_used_edge != m.rows_used_full;
   const bool edge_c = m.cols_used_edge != m.cols_used_full;
   if (!edge_r && !edge_c) {
-    variants.push_back({m.unit_count, full});
+    add_variant(m.unit_count, full);
   } else if (edge_r && !edge_c) {
-    variants.push_back({full_rows * m.col_blocks, full});
-    variants.push_back(
-        {m.col_blocks, unit_for(m.rows_used_edge, m.cols_used_full)});
+    add_variant(full_rows * m.col_blocks, full);
+    add_variant(m.col_blocks, unit_for(m.rows_used_edge, m.cols_used_full));
   } else if (!edge_r && edge_c) {
-    variants.push_back({m.row_blocks * full_cols, full});
-    variants.push_back(
-        {m.row_blocks, unit_for(m.rows_used_full, m.cols_used_edge)});
+    add_variant(m.row_blocks * full_cols, full);
+    add_variant(m.row_blocks, unit_for(m.rows_used_full, m.cols_used_edge));
   } else {
-    variants.push_back({full_rows * full_cols, full});
-    variants.push_back(
-        {full_rows, unit_for(m.rows_used_full, m.cols_used_edge)});
-    variants.push_back(
-        {full_cols, unit_for(m.rows_used_edge, m.cols_used_full)});
-    variants.push_back(
-        {1, unit_for(m.rows_used_edge, m.cols_used_edge)});
+    add_variant(full_rows * full_cols, full);
+    add_variant(full_rows, unit_for(m.rows_used_full, m.cols_used_edge));
+    add_variant(full_cols, unit_for(m.rows_used_edge, m.cols_used_full));
+    add_variant(1, unit_for(m.rows_used_edge, m.cols_used_edge));
   }
 
   double unit_pass_energy = 0.0;
   double unit_pass_latency = 0.0;
-  for (const auto& v : variants) {
-    rep.units_total.area += v.count * v.rep.area;
-    rep.units_total.leakage_power += v.count * v.rep.leakage_power;
-    unit_pass_energy += v.count * v.rep.dynamic_energy_per_pass;
-    unit_pass_latency = std::max(unit_pass_latency, v.rep.pass_latency);
+  for (std::size_t v = 0; v < variant_count; ++v) {
+    const auto [count, unit] = variants[v];
+    rep.units_total.area += count * unit->area;
+    rep.units_total.leakage_power += count * unit->leakage_power;
+    unit_pass_energy += count * unit->dynamic_energy_per_pass;
+    unit_pass_latency = std::max(unit_pass_latency, unit->pass_latency);
   }
   rep.units_total.latency = unit_pass_latency;
 
@@ -119,8 +121,8 @@ BankReport simulate_bank(const BankLayers& layers,
   tree.shift_merge = m.cells_per_weight > 1;
   tree.max_shift = (m.cells_per_weight - 1) * context.device().level_bits;
   tree.tech = cmos;
+  // Lanes are parallel: times() keeps one lane's latency.
   rep.adder_tree = tree.ppa().times(rep.output_lanes);
-  rep.adder_tree.latency = tree.ppa().latency;  // lanes are parallel
 
   // --- pooling (CNN) -------------------------------------------------------------
   const bool has_pooling = attached_pooling != nullptr;
@@ -128,7 +130,6 @@ BankReport simulate_bank(const BankLayers& layers,
     circuit::PoolingModel pool{attached_pooling->pool_size, adc_bits, cmos};
     const int channels = static_cast<int>(layer.matrix_cols());
     rep.pooling = pool.ppa().times(channels);
-    rep.pooling.latency = pool.ppa().latency;
 
     circuit::LineBufferModel pbuf;
     pbuf.length = circuit::line_buffer_length(
@@ -148,7 +149,6 @@ BankReport simulate_bank(const BankLayers& layers,
                               config.output_bits, cmos};
   rep.neuron_count = static_cast<int>(layer.matrix_cols());
   rep.neurons = neuron.ppa().times(rep.neuron_count);
-  rep.neurons.latency = neuron.ppa().latency;
 
   // --- output buffer -------------------------------------------------------------
   if (layer.kind == nn::LayerKind::kConvolution && next_weighted &&

@@ -1,6 +1,8 @@
 #include "arch/computation_unit.hpp"
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "arch/design_context.hpp"
 #include "circuit/adc.hpp"
@@ -29,6 +31,15 @@ UnitReport simulate_unit(int rows_used, int cols_used, int input_bits,
 UnitReport simulate_unit(const DesignContext& context, int rows_used,
                          int cols_used, int input_bits, int weight_bits) {
   const AcceleratorConfig& config = context.config();
+  // The network's bit widths, held to the range check_network_rules
+  // gives them, before the DAC and ADC models see them.
+  for (const auto& [name, bits] : {std::pair{"input_bits", input_bits},
+                                   {"weight_bits", weight_bits}})
+    if (bits < 1 || bits > 16)
+      throw std::invalid_argument(
+          std::string("simulate_unit: ") + name + " = " +
+          std::to_string(bits) +
+          " is outside the supported 1..16 range [MN-NN-002]");
   if (rows_used <= 0 || cols_used <= 0 ||
       rows_used > config.crossbar_size || cols_used > config.crossbar_size)
     throw std::invalid_argument("simulate_unit: used extent out of range");

@@ -47,7 +47,9 @@ struct UnitReport {
 // Simulates one computation unit holding a rows_used x cols_used weight
 // block (cols_used counts physical cell columns, i.e. after the
 // cells-per-weight expansion). `input_bits`/`weight_bits` come from the
-// network description. Validates `config` first.
+// network description; each outside 1..16 throws std::invalid_argument
+// coded MN-NN-002, as check::check_network_rules reports it. Validates
+// `config` first.
 UnitReport simulate_unit(int rows_used, int cols_used, int input_bits,
                          int weight_bits, const AcceleratorConfig& config);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory_resource>
 #include <string>
 #include <vector>
 
@@ -228,13 +229,19 @@ class AvailRuns {
     bool grouped = false;
   };
 
+  // Most banks take a handful of runs: room for this many is made once.
+  static constexpr std::size_t kFewRuns = 8;
+
   // Every negative index reads 0: a tile that needs no upstream tile has
   // its dependency met at cycle 0. A zero-slope run from far below any
-  // index says so without a branch.
-  explicit AvailRuns(long id = 0) : id_(id) { clear(); }
+  // index says so without a branch. The runs are held in `runs_memory`,
+  // which must outlive them.
+  AvailRuns(long id, std::pmr::memory_resource* runs_memory)
+      : runs_(runs_memory), id_(id) {
+    clear();
+  }
 
-  // Starts a bank. Most banks take a handful of runs, so room for a few
-  // is made once.
+  // Starts a bank.
   void clear() {
     runs_.clear();
     runs_.reserve(kFewRuns);
@@ -542,9 +549,8 @@ class AvailRuns {
   }
 
   static constexpr long kShortRun = 16;
-  static constexpr std::size_t kFewRuns = 8;
 
-  std::vector<Run> runs_;
+  std::pmr::vector<Run> runs_;
   std::vector<long> values_;
   std::vector<long> lows_;
   Resample resample_;
@@ -1307,11 +1313,16 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
   // 0. A resampled run reads the bank above it, which may read the one
   // above that, so every bank's runs live for the whole call; stored
   // values are released once no later bank can read them.
+  // Every bank's first few runs are carved from one block, so setting up
+  // a bank allocates nothing; runs past those come from the same
+  // resource and are all freed with it at the end of the call.
   const std::size_t n_banks = report.banks.size();
+  std::pmr::monotonic_buffer_resource runs_memory(
+      (n_banks + 1) * AvailRuns::kFewRuns * sizeof(AvailRuns::Run));
   std::vector<AvailRuns> avail;
   avail.reserve(n_banks + 1);
   for (std::size_t b = 0; b <= n_banks; ++b)
-    avail.emplace_back(static_cast<long>(b));
+    avail.emplace_back(static_cast<long>(b), &runs_memory);
   std::size_t released = 0;
   long makespan = 0;
 

@@ -44,16 +44,17 @@ accuracy::CrossbarErrorInputs DesignContext::error_inputs(int rows,
   return in;
 }
 
-UnitReport DesignContext::unit(int rows_used, int cols_used, int input_bits,
-                               int weight_bits) {
+const UnitReport& DesignContext::unit(int rows_used, int cols_used,
+                                      int input_bits, int weight_bits) {
   for (const UnitEntry& e : units_)
     if (e.rows_used == rows_used && e.cols_used == cols_used &&
         e.input_bits == input_bits && e.weight_bits == weight_bits)
-      return e.report;
-  UnitReport report =
-      simulate_unit(*this, rows_used, cols_used, input_bits, weight_bits);
-  units_.push_back({rows_used, cols_used, input_bits, weight_bits, report});
-  return report;
+      return *e.report;
+  auto report = std::make_unique<const UnitReport>(
+      simulate_unit(*this, rows_used, cols_used, input_bits, weight_bits));
+  units_.push_back(
+      {rows_used, cols_used, input_bits, weight_bits, std::move(report)});
+  return *units_.back().report;
 }
 
 accuracy::VoltageError DesignContext::voltage_error(int rows, int cols) {

@@ -24,6 +24,7 @@
 // geometry afresh, at any thread count.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "accuracy/voltage_error.hpp"
@@ -73,9 +74,12 @@ class DesignContext {
                                                            int cols) const;
 
   // simulate_unit over this configuration, evaluated once per
-  // (rows_used, cols_used, input_bits, weight_bits).
-  [[nodiscard]] UnitReport unit(int rows_used, int cols_used, int input_bits,
-                                int weight_bits);
+  // (rows_used, cols_used, input_bits, weight_bits). The reference stays
+  // valid, and its report unchanged, for as long as the context lives:
+  // later geometries are stored beside it, never over it, and moving the
+  // context does not move the reports.
+  [[nodiscard]] const UnitReport& unit(int rows_used, int cols_used,
+                                       int input_bits, int weight_bits);
 
   // accuracy::estimate_voltage_error(error_inputs(rows, cols)), evaluated
   // once per (rows, cols), or taken from the lent memo.
@@ -90,7 +94,8 @@ class DesignContext {
  private:
   struct UnitEntry {
     int rows_used, cols_used, input_bits, weight_bits;
-    UnitReport report;
+    // Held apart from the scanned keys, where no insertion moves it.
+    std::unique_ptr<const UnitReport> report;
   };
   struct ErrorEntry {
     int rows, cols;

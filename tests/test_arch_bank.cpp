@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "arch/design_context.hpp"
 #include "nn/topologies.hpp"
 
 namespace mnsim::arch {
@@ -104,6 +108,118 @@ TEST(Bank, RejectsAnInvalidConfig) {
   cfg.crossbar_size = 100;  // not a power of two
   EXPECT_THROW(simulate_bank(net.layers[0], nullptr, nullptr, net, cfg),
                std::invalid_argument);
+}
+
+// A one-layer FC network of `in` inputs (plus the bias row) and `out`
+// outputs.
+nn::Network fc_network(int in, int out) {
+  nn::Network net;
+  net.name = "fc";
+  net.layers.push_back(nn::Layer::fully_connected("fc", in, out));
+  return net;
+}
+
+double activation_energy(const circuit::Ppa& p) {
+  return p.dynamic_power * p.latency;
+}
+
+// Each unit-variant shape of a bank against its units summed by hand from
+// the public simulate_unit, in the bank's variant order (full, full-height
+// edge-column units, edge-row full-width units, corner), bit for bit.
+TEST(Bank, UnitVariantsSumTheirUnitsBitForBit) {
+  const auto cfg = base();
+  struct Shape {
+    const char* name;
+    int in, out;
+    bool edge_rows, edge_cols;
+  };
+  for (const Shape& shape : {Shape{"full only", 511, 512, false, false},
+                             Shape{"edge rows", 600, 512, true, false},
+                             Shape{"edge columns", 511, 300, false, true},
+                             Shape{"corner", 600, 300, true, true}}) {
+    SCOPED_TRACE(shape.name);
+    const auto net = fc_network(shape.in, shape.out);
+    const auto rep = simulate_bank(net.layers[0], nullptr, nullptr, net, cfg);
+    const LayerMapping& m = rep.mapping;
+    ASSERT_EQ(m.rows_used_edge != m.rows_used_full, shape.edge_rows);
+    ASSERT_EQ(m.cols_used_edge != m.cols_used_full, shape.edge_cols);
+    ASSERT_GT(m.row_blocks, 1);
+    ASSERT_GT(m.col_blocks, 1);
+
+    const auto unit = [&](int r, int c) {
+      return simulate_unit(r, c, net.input_bits, net.weight_bits, cfg);
+    };
+    const long full_rows = m.row_blocks - 1;
+    const long full_cols = m.col_blocks - 1;
+    std::vector<std::pair<long, UnitReport>> variants;
+    const UnitReport full = unit(m.rows_used_full, m.cols_used_full);
+    if (!shape.edge_rows && !shape.edge_cols) {
+      variants.emplace_back(m.unit_count, full);
+    } else if (!shape.edge_cols) {
+      variants.emplace_back(full_rows * m.col_blocks, full);
+      variants.emplace_back(m.col_blocks,
+                            unit(m.rows_used_edge, m.cols_used_full));
+    } else if (!shape.edge_rows) {
+      variants.emplace_back(m.row_blocks * full_cols, full);
+      variants.emplace_back(m.row_blocks,
+                            unit(m.rows_used_full, m.cols_used_edge));
+    } else {
+      variants.emplace_back(full_rows * full_cols, full);
+      variants.emplace_back(full_rows,
+                            unit(m.rows_used_full, m.cols_used_edge));
+      variants.emplace_back(full_cols,
+                            unit(m.rows_used_edge, m.cols_used_full));
+      variants.emplace_back(1, unit(m.rows_used_edge, m.cols_used_edge));
+    }
+    circuit::Ppa units;
+    double unit_energy = 0.0;
+    for (const auto& [count, u] : variants) {
+      units.area += count * u.area;
+      units.leakage_power += count * u.leakage_power;
+      unit_energy += count * u.dynamic_energy_per_pass;
+      units.latency = std::max(units.latency, u.pass_latency);
+    }
+    EXPECT_EQ(rep.units_total.area, units.area);
+    EXPECT_EQ(rep.units_total.leakage_power, units.leakage_power);
+    EXPECT_EQ(rep.units_total.dynamic_power, units.dynamic_power);
+    EXPECT_EQ(rep.units_total.latency, units.latency);
+    EXPECT_EQ(rep.pass_latency,
+              units.latency + rep.adder_tree.latency + rep.pooling.latency +
+                  rep.neurons.latency + rep.output_buffer.latency);
+    const double peripherals =
+        activation_energy(rep.adder_tree) + activation_energy(rep.pooling) +
+        activation_energy(rep.pooling_buffer) +
+        activation_energy(rep.neurons) +
+        activation_energy(rep.output_buffer);
+    EXPECT_EQ(rep.dynamic_energy_per_sample,
+              (unit_energy + peripherals) * rep.iterations);
+    EXPECT_EQ(rep.unit.area, full.area);
+    EXPECT_EQ(rep.unit.dynamic_energy_per_pass, full.dynamic_energy_per_pass);
+  }
+}
+
+// DesignContext::unit hands out references into its memo: one taken
+// first must read the same report after many later geometries are
+// inserted (under the sanitizers, a reference into storage that moved
+// is reported here), and after the context itself is moved.
+TEST(Bank, UnitReferenceOutlivesLaterInsertions) {
+  const auto cfg = base();
+  DesignContext context(cfg);
+  const UnitReport& first = context.unit(256, 256, 8, 4);
+  const UnitReport copy = first;
+  for (int r = 1; r <= 64; ++r) (void)context.unit(r, 256 - r, 8, 4);
+  EXPECT_EQ(&context.unit(256, 256, 8, 4), &first);
+  EXPECT_EQ(first.area, copy.area);
+  EXPECT_EQ(first.pass_latency, copy.pass_latency);
+  EXPECT_EQ(first.dynamic_energy_per_pass, copy.dynamic_energy_per_pass);
+  EXPECT_EQ(first.adcs.area, copy.adcs.area);
+
+  std::vector<DesignContext> moved;
+  moved.push_back(std::move(context));
+  for (int r = 65; r <= 128; ++r) (void)moved.back().unit(r, r, 8, 4);
+  EXPECT_EQ(&moved.back().unit(256, 256, 8, 4), &first);
+  EXPECT_EQ(first.leakage_power, copy.leakage_power);
+  EXPECT_EQ(first.read_cycles, copy.read_cycles);
 }
 
 TEST(Bank, OutputLanesFollowParallelism) {

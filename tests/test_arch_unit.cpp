@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "arch/design_context.hpp"
+
 namespace mnsim::arch {
 namespace {
 
@@ -114,6 +118,40 @@ TEST(Unit, InvalidConfigThrows) {
   auto cfg = base();
   cfg.interface_in = 0;  // read by no unit model, only by the check
   EXPECT_THROW(simulate_unit(10, 10, 8, 4, cfg), std::invalid_argument);
+}
+
+// The network's bit widths are held to 1..16 (MN-NN-002, as the
+// network check codes them) before any circuit model sees them: the
+// DAC's own uncoded refusal never surfaces.
+TEST(Unit, BitWidthsOutsideOneToSixteenAreRefused) {
+  const auto cfg = base();
+  const auto refused = [&](int input_bits, int weight_bits,
+                           const char* name) {
+    SCOPED_TRACE(std::string(name) + " " + std::to_string(input_bits) +
+                 "/" + std::to_string(weight_bits));
+    try {
+      (void)simulate_unit(128, 128, input_bits, weight_bits, cfg);
+      ADD_FAILURE() << "not refused";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("[MN-NN-002]"), std::string::npos) << what;
+      EXPECT_NE(what.find(name), std::string::npos) << what;
+      EXPECT_EQ(what.find("DacModel"), std::string::npos) << what;
+    }
+  };
+  for (int bits : {0, -1, -3, 17, 40}) {
+    refused(bits, 4, "input_bits");
+    refused(8, bits, "weight_bits");
+  }
+  for (int bits : {1, 16}) {
+    EXPECT_GT(simulate_unit(128, 128, bits, 4, cfg).area, 0.0);
+    EXPECT_GT(simulate_unit(128, 128, 8, bits, cfg).area, 0.0);
+  }
+  // The memoizing path checks the same widths.
+  DesignContext context(cfg);
+  EXPECT_THROW((void)context.unit(128, 128, 17, 4), std::invalid_argument);
+  EXPECT_THROW((void)context.unit(128, 128, 8, 0), std::invalid_argument);
+  EXPECT_GT(context.unit(128, 128, 16, 16).area, 0.0);
 }
 
 TEST(Unit, PcmDeviceSupported) {

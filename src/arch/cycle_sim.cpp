@@ -1312,10 +1312,10 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
   // avail[b + 1] is bank b's avail, and avail[0] the no-upstream of bank
   // 0. A resampled run reads the bank above it, which may read the one
   // above that, so every bank's runs live for the whole call; stored
-  // values are released once no later bank can read them.
-  // Every bank's first few runs are carved from one block, so setting up
-  // a bank allocates nothing; runs past those come from the same
-  // resource and are all freed with it at the end of the call.
+  // values are released once no later bank can read them. Every bank's
+  // first few runs are carved from one block, so setting up a bank
+  // allocates nothing; runs past those come from the same resource and
+  // are all freed with it at the end of the call.
   const std::size_t n_banks = report.banks.size();
   std::pmr::monotonic_buffer_resource runs_memory(
       (n_banks + 1) * AvailRuns::kFewRuns * sizeof(AvailRuns::Run));

@@ -15,13 +15,15 @@
 // cycle engine), dse::optimize_per_bank one per design point,
 // check::check_mapping and generate_program_trace one for all layers,
 // and the public simulate_bank, simulate_unit and map_layer one each.
-// Its own memos die with it. The one memo that crosses calls is a
-// VoltageErrorMemo the caller may lend: dse::run_sweep keeps one per pool
-// worker for the whole sweep, because the Eq. 9-14 inputs repeat across
-// every parallelism degree of a crossbar size. Neither kind is shared
-// between threads, so no memo needs a lock, and each caches a pure
-// function of its key, so results are bit-identical to evaluating every
-// geometry afresh, at any thread count.
+// Its own memos die with it, and so do the unit reports that unit()
+// hands out by reference: a bank reads them in place, copying none. The
+// one memo that crosses calls is a VoltageErrorMemo the caller may lend:
+// dse::run_sweep keeps one per pool worker for the whole sweep, because
+// the Eq. 9-14 inputs repeat across every parallelism degree of a
+// crossbar size. Neither kind is shared between threads, so no memo
+// needs a lock, and each caches a pure function of its key, so results
+// are bit-identical to evaluating every geometry afresh, at any thread
+// count.
 #pragma once
 
 #include <memory>
